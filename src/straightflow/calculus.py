@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, InvalidGridError
+from .errors import InvalidArgumentError, InvalidGridError, NoAdmissibleNodesError
 
 __all__ = [
     "SpatialGrid",
@@ -318,7 +318,7 @@ def _report(values, rank, grid, ref_mag, time, verdict=None) -> ResidualReport:
     mag = _pointwise_mag(values, rank)
     valid = grid.mask & np.isfinite(mag) & np.isfinite(ref_mag)
     if not np.any(valid):
-        raise InvalidGridError("no admissible nodes left for residual norms")
+        raise NoAdmissibleNodesError("no admissible nodes left for residual norms")
     max_abs = float(mag[valid].max())
     rms = float(np.sqrt(np.mean(mag[valid] ** 2)))
     reference = float(np.sqrt(np.mean(ref_mag[valid] ** 2)))
@@ -343,7 +343,7 @@ def field_norms(f: GridField, reference: np.ndarray | None = None) -> dict:
     if reference is not None:
         valid = valid & np.isfinite(reference)
     if not np.any(valid):
-        raise InvalidGridError("no admissible nodes for field norms")
+        raise NoAdmissibleNodesError("no admissible nodes for field norms")
     out = {
         "max_abs": float(mag[valid].max()),
         "rms": float(np.sqrt(np.mean(mag[valid] ** 2))),

@@ -10,8 +10,9 @@ writes a ``manifest.json`` (config hash, tool version, timestamp, seed,
 output list) before any result file; result files are written atomically and
 are byte-identical across re-runs with the same config and seed.
 
-Exit codes: 0 success/consistent, 2 config error, 3 capability error,
-4 theorem violated, 5 inconclusive.
+Exit codes: 0 success/consistent, 1 other library error, 2 config error,
+3 capability error, 4 theorem violated, 5 inconclusive; :func:`_error_exit`
+maps each library error class to its code.
 
 ``STRAIGHTFLOW_THREADS`` caps BLAS/OpenMP parallelism; it is applied before
 the numerical modules are imported.
@@ -39,6 +40,7 @@ __all__ = [
 ]
 
 EXIT_OK = 0
+EXIT_ERROR = 1
 EXIT_CONFIG = 2
 EXIT_CAPABILITY = 3
 EXIT_VIOLATED = 4
@@ -357,27 +359,32 @@ def _write_manifest(out_dir: Path, cfg: ExperimentConfig, outputs: list[str]) ->
     _atomic_write(out_dir / "manifest.json", _json_text(manifest))
 
 
-def _resolve_spatial_grid(cfg: ExperimentConfig, t: float, gspec=None, sample=None):
+def _resolve_spatial_grid(cfg: ExperimentConfig, t: float, sample=None):
+    """Spatial grid at time ``t``.  A ``grid.box`` of 'oracle' is the oracle
+    box when the process is Gaussian-expressible, else the per-axis 1%/99%
+    quantile box of ``sample``, as 'quantile' always is."""
     import numpy as np
 
     from . import calculus, gaussian
-    from .errors import ConfigError
+    from .errors import CapabilityError, ConfigError
 
     box = cfg["grid"]["box"]
     nodes = cfg["grid"]["nodes_per_axis"]
     if isinstance(box, list):
-        bounds = [(float(lo), float(hi)) for lo, hi in box]
-    elif box == "oracle":
-        if gspec is None:
-            raise ConfigError("grid.box 'oracle' needs a Gaussian-expressible process", "grid.box")
-        bounds = gaussian.oracle_box(gspec, t)
-    else:  # quantile
-        if sample is None:
-            raise ConfigError("grid.box 'quantile' needs sampled positions", "grid.box")
-        lo = np.quantile(sample, 0.01, axis=0)
-        hi = np.quantile(sample, 0.99, axis=0)
-        bounds = list(zip(lo.tolist(), hi.tolist()))
-    return calculus.make_spatial_grid(bounds, nodes)
+        return calculus.make_spatial_grid([(float(lo), float(hi)) for lo, hi in box], nodes)
+    if box == "oracle":
+        try:
+            return calculus.make_spatial_grid(
+                gaussian.oracle_box(build_gaussian_spec(cfg), t), nodes
+            )
+        except CapabilityError:
+            if sample is None:
+                raise
+    if sample is None:
+        raise ConfigError("grid.box 'quantile' needs sampled positions", "grid.box")
+    lo = np.quantile(sample, 0.01, axis=0)
+    hi = np.quantile(sample, 0.99, axis=0)
+    return calculus.make_spatial_grid(list(zip(lo.tolist(), hi.tolist())), nodes)
 
 
 def _kernel_config(cfg: ExperimentConfig):
@@ -386,27 +393,6 @@ def _kernel_config(cfg: ExperimentConfig):
     return estimate.KernelConfig(
         bandwidth=cfg["bandwidth"], density_floor=cfg["density_floor"]
     )
-
-
-def _grid_for_estimate(cfg: ExperimentConfig, t: float, sample):
-    """Spatial grid for estimated fields; an 'oracle' box falls back to the
-    sample quantile box when the process is not Gaussian-expressible."""
-    from .errors import CapabilityError
-
-    if cfg["grid"]["box"] == "oracle":
-        try:
-            return _resolve_spatial_grid(cfg, t, gspec=build_gaussian_spec(cfg))
-        except CapabilityError:
-            import numpy as np
-
-            from . import calculus
-
-            lo = np.quantile(sample, 0.01, axis=0)
-            hi = np.quantile(sample, 0.99, axis=0)
-            return calculus.make_spatial_grid(
-                list(zip(lo.tolist(), hi.tolist())), cfg["grid"]["nodes_per_axis"]
-            )
-    return _resolve_spatial_grid(cfg, t, sample=sample)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +427,7 @@ def cmd_fields(cfg: ExperimentConfig, out_dir: Path, source: str, t: float) -> i
         gspec = build_gaussian_spec(cfg)
         from . import gaussian
 
-        grid = _resolve_spatial_grid(cfg, t, gspec=gspec)
+        grid = _resolve_spatial_grid(cfg, t)
         fields = gaussian.fields_on_grid(gspec, t, grid)
     else:
         spec = build_process_spec(cfg)
@@ -449,7 +435,7 @@ def cmd_fields(cfg: ExperimentConfig, out_dir: Path, source: str, t: float) -> i
             spec.coupling, cfg["n"], cfg["seed"], with_latent=spec.gamma is not None
         )
         X, V, A = core.slice_state(spec, endpoints, t)
-        grid = _grid_for_estimate(cfg, t, X)
+        grid = _resolve_spatial_grid(cfg, t, sample=X)
         fields, _, _ = estimate.fields_on_grid(X, V, A, grid, _kernel_config(cfg), t)
     for name in names:
         _atomic_write(
@@ -468,12 +454,9 @@ def _oracle_field_triples(gspec, t, h_t, grid):
     return f_m, f_c, f_p
 
 
-def _estimate_field_triples(spec, cfg, t, h_t, grid):
+def _estimate_field_triples(spec, endpoints, cfg, t, h_t, grid):
     from . import core, estimate
 
-    endpoints = core.sample_endpoints(
-        spec.coupling, cfg["n"], cfg["seed"], with_latent=spec.gamma is not None
-    )
     kcfg = _kernel_config(cfg)
     out = []
     for tt in (t - h_t, t, t + h_t):
@@ -505,7 +488,7 @@ def cmd_diagnose(cfg: ExperimentConfig, out_dir: Path, t: float) -> int:
         gspec = build_gaussian_spec(cfg)
         if not (h_t <= t <= 1.0 - h_t):
             raise ConfigError("diagnose time must keep t +- h_t inside [0, 1]", "time")
-        grid = _resolve_spatial_grid(cfg, t, gspec=gspec)
+        grid = _resolve_spatial_grid(cfg, t)
         f_m, f_c, f_p = _oracle_field_triples(gspec, t, h_t, grid)
     else:
         h_t = cfg["h_t"]["estimated"]
@@ -517,8 +500,8 @@ def cmd_diagnose(cfg: ExperimentConfig, out_dir: Path, t: float) -> int:
             spec.coupling, cfg["n"], cfg["seed"], with_latent=spec.gamma is not None
         )
         X, _, _ = core.slice_state(spec, endpoints, t)
-        grid = _grid_for_estimate(cfg, t, X)
-        f_m, f_c, f_p = _estimate_field_triples(spec, cfg, t, h_t, grid)
+        grid = _resolve_spatial_grid(cfg, t, sample=X)
+        f_m, f_c, f_p = _estimate_field_triples(spec, endpoints, cfg, t, h_t, grid)
 
     rho3 = (f_m["rho"], f_c["rho"], f_p["rho"])
     v3 = (f_m["v"], f_c["v"], f_p["v"])
@@ -610,19 +593,20 @@ def cmd_flow(
 ) -> int:
     import numpy as np
 
-    from . import core, estimate, flow
+    from . import core, flow
     from .errors import ConfigError
 
     _write_manifest(out_dir, cfg, ["trajectories.csv", "straightness.json"])
     spec = build_process_spec(cfg)
     source = cfg["source"]
+    sample = None
     if source == "oracle":
-        gspec = build_gaussian_spec(cfg)
-        oracle = flow.analytic_velocity_oracle(gspec)
+        oracle = flow.analytic_velocity_oracle(build_gaussian_spec(cfg))
     else:
         grid_t = core.make_time_grid(max(cfg["time_steps"], 10))
         ensemble = core.sample_paths(spec, cfg["n"], grid_t, cfg["seed"])
         oracle = flow.kernel_velocity_oracle(ensemble, _kernel_config(cfg))
+        sample = ensemble.positions[:, 0, :]
 
     if points_file is not None:
         pts = np.loadtxt(points_file, delimiter=",", ndmin=2)
@@ -631,14 +615,7 @@ def cmd_flow(
                 f"points file has dimension {pts.shape[1]}, process has {spec.dim}", "points"
             )
     elif use_grid:
-        gspec2 = build_gaussian_spec(cfg) if source == "oracle" else None
-        sample = None
-        if gspec2 is None:
-            endpoints = core.sample_endpoints(
-                spec.coupling, cfg["n"], cfg["seed"], with_latent=spec.gamma is not None
-            )
-            sample, _, _ = core.slice_state(spec, endpoints, 0.0)
-        sgrid = _resolve_spatial_grid(cfg, 0.0, gspec=gspec2, sample=sample)
+        sgrid = _resolve_spatial_grid(cfg, 0.0, sample=sample)
         pts = sgrid.points()[sgrid.mask.ravel()]
     else:
         pts = spec.coupling.mu0.draw(core.aux_rng(cfg["seed"], 4), cfg["flow"]["n_points"])
@@ -653,7 +630,8 @@ def cmd_flow(
         if traj is None:
             per_point.append({"point": i, "error": str(dict(result.errors)[i])})
             continue
-        entry = {"point": i, "one_step_error": float(one_step.errors[i])}
+        one = float(one_step.errors[i])
+        entry = {"point": i, "one_step_error": one if np.isfinite(one) else None}
         if traj.grid.n_nodes >= 3:
             dev = flow.straightness_deviation(traj)
             entry["chord_dev"] = dev.chord_dev
@@ -800,6 +778,24 @@ def _apply_thread_cap() -> None:
         os.environ.setdefault(var, cap)
 
 
+def _error_exit(err) -> tuple[int, str]:
+    """Exit code and stderr label of a library error; an unlisted class exits 1."""
+    from . import errors as e
+
+    for classes, code, label in (
+        # NoAdmissibleNodesError is an InvalidGridError, so it goes first
+        ((e.LowDensityError, e.NoAdmissibleNodesError, e.TrajectoryLeftSupportError,
+          e.InconsistentMomentsError), EXIT_INCONCLUSIVE, "inconclusive"),
+        ((e.ConfigError, e.InvalidArgumentError, e.InvalidCouplingError, e.InvalidGridError,
+          e.NonFiniteDataError), EXIT_CONFIG, "config error"),
+        ((e.CapabilityError, e.DegenerateMarginalError, e.DegenerateDataError),
+         EXIT_CAPABILITY, "capability error"),
+    ):
+        if isinstance(err, classes):
+            return code, label
+    return EXIT_ERROR, "error"
+
+
 def main(argv=None) -> int:
     _apply_thread_cap()
     parser = _build_parser()
@@ -808,7 +804,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    from .errors import CapabilityError, ConfigError, InvalidArgumentError, InvalidCouplingError
+    from .errors import StraightflowError
 
     try:
         cfg = load_config(args.config)
@@ -831,15 +827,10 @@ def main(argv=None) -> int:
                 args.steps or cfg["flow"]["steps"],
             )
         return cmd_sweep(cfg, out_dir, args.param, [v for v in args.values.split(",") if v])
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (InvalidArgumentError, InvalidCouplingError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CapabilityError as err:
-        print(f"capability error: {err}", file=sys.stderr)
-        return EXIT_CAPABILITY
+    except StraightflowError as err:
+        code, label = _error_exit(err)
+        print(f"{label}: {err}".replace("\n", " "), file=sys.stderr)
+        return code
 
 
 def entrypoint() -> None:

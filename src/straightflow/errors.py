@@ -32,12 +32,15 @@ class NonFiniteDataError(StraightflowError):
 class LowDensityError(StraightflowError):
     """Too little effective sample mass near the query point.
 
-    Carries the offending effective sample size so callers can report or mask.
+    Carries the smallest offending effective sample size so callers can
+    report or mask, and, for a batched query, the indices ``rows`` of the
+    refused query points (``None`` when the whole query is refused).
     """
 
-    def __init__(self, message: str, effective_n: float = 0.0):
+    def __init__(self, message: str, effective_n: float = 0.0, rows=None):
         super().__init__(message)
         self.effective_n = effective_n
+        self.rows = rows
 
 
 class InconsistentMomentsError(StraightflowError):
@@ -46,6 +49,10 @@ class InconsistentMomentsError(StraightflowError):
 
 class InvalidGridError(StraightflowError, ValueError):
     """A spatial grid violates its contract (too few nodes, non-uniform spacing...)."""
+
+
+class NoAdmissibleNodesError(InvalidGridError):
+    """No grid node is left for a norm once masked and non-finite nodes are dropped."""
 
 
 class TrajectoryLeftSupportError(StraightflowError):

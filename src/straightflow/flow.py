@@ -32,7 +32,6 @@ __all__ = [
     "kernel_velocity_oracle",
     "tabulated_velocity_oracle",
     "integrate",
-    "integrate_many",
     "flow_map",
     "straightness_deviation",
     "one_step_error",
@@ -53,6 +52,11 @@ class OracleStats:
 @dataclass(frozen=True)
 class VelocityOracle:
     """Evaluator contract (t, x) -> v_t(x); accepts x of shape (d,) or (M, d).
+
+    An evaluator may refuse query points by raising LowDensityError with
+    their ``rows`` (all of them when ``rows`` is None); the stepping loop
+    stops those points and carries on with the rest.  ``source`` is a label
+    for reports only.
 
     Evaluators must be safe to call concurrently (pure, or internally
     synchronized); the bundled constructors return pure evaluators up to the
@@ -83,9 +87,9 @@ def kernel_velocity_oracle(
 
     Off-node times are handled by linear interpolation between the bracketing
     slices.  Queries outside the per-axis [quantile, 1-quantile] box of the
-    bracketing slices are clamped to it and counted as excursions; a query
-    whose effective n still falls under the density floor raises
-    LowDensityError.
+    bracketing slices are clamped to it and counted as excursions; query
+    points whose effective n still falls under the density floor in either
+    slice are refused with a LowDensityError that lists their rows.
     """
     nodes = ensemble.grid.nodes
     stats = OracleStats()
@@ -101,43 +105,37 @@ def kernel_velocity_oracle(
             cache[k] = (X, V, lo, hi, h)
         return cache[k]
 
-    def eval_slice(k: int, pts: np.ndarray) -> np.ndarray:
+    def eval_slice(k: int, pts: np.ndarray):
         X, V, lo, hi, h = slice_data(k)
         clamped = np.clip(pts, lo, hi)
-        if np.any(clamped != pts):
-            stats.excursions += int(np.sum(np.any(clamped != pts, axis=-1)))
-        vals, eff = estimate.nw_regress(X, V, clamped, h)
-        bad = eff < cfg.density_floor
-        if np.any(bad):
-            raise LowDensityError(
-                f"effective_n {eff[bad].min():.3g} below floor {cfg.density_floor} "
-                f"at t={nodes[k]:.6g}",
-                float(eff[bad].min()),
-            )
-        return vals
+        stats.excursions += int(np.sum(np.any(clamped != pts, axis=-1)))
+        return estimate.nw_regress(X, V, clamped, h)
 
     def evaluate(t: float, x: np.ndarray) -> np.ndarray:
         arr = np.asarray(x, dtype=float)
         single = arr.ndim == 1
         pts = np.atleast_2d(arr)
         k = int(np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, len(nodes) - 1))
-        if k >= len(nodes) - 1:
-            out = eval_slice(len(nodes) - 1, pts)
-        else:
-            w = (t - nodes[k]) / (nodes[k + 1] - nodes[k])
-            if w <= 0:
-                out = eval_slice(k, pts)
-            elif w >= 1:
-                out = eval_slice(k + 1, pts)
-            else:
-                out = (1.0 - w) * eval_slice(k, pts) + w * eval_slice(k + 1, pts)
+        w = 0.0 if k >= len(nodes) - 1 else (t - nodes[k]) / (nodes[k + 1] - nodes[k])
+        out, eff = eval_slice(k, pts)
+        if w > 0:
+            out_next, eff_next = eval_slice(k + 1, pts)
+            out = (1.0 - w) * out + w * out_next
+            eff = np.minimum(eff, eff_next)
+        bad = eff < cfg.density_floor
+        if np.any(bad):
+            raise LowDensityError(
+                f"effective_n {eff[bad].min():.3g} below floor {cfg.density_floor} at t={t:.6g}",
+                float(eff[bad].min()), rows=np.flatnonzero(bad),
+            )
         return out[0] if single else out
 
     return VelocityOracle(evaluate, "kernel-regression", ensemble.dim, stats)
 
 
-def _multilinear(axes, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
+def _multilinear(f: calculus.GridField, pts: np.ndarray) -> np.ndarray:
     """Multilinear interpolation of a vector field tabulated on a tensor grid."""
+    axes, values = f.grid.axes, f.values
     d = len(axes)
     m = pts.shape[0]
     idx = []
@@ -175,22 +173,18 @@ def tabulated_velocity_oracle(slices: Sequence[tuple[float, calculus.GridField]]
             raise InvalidArgumentError("tabulated oracle needs vector fields")
     d = fields[0].dim
 
-    def eval_field(f: calculus.GridField, pts: np.ndarray) -> np.ndarray:
-        return _multilinear(f.grid.axes, f.values, pts)
-
     def evaluate(t: float, x: np.ndarray) -> np.ndarray:
         arr = np.asarray(x, dtype=float)
         single = arr.ndim == 1
         pts = np.atleast_2d(arr)
         if len(fields) == 1 or t <= times[0]:
-            out = eval_field(fields[0], pts)
+            out = _multilinear(fields[0], pts)
         elif t >= times[-1]:
-            out = eval_field(fields[-1], pts)
+            out = _multilinear(fields[-1], pts)
         else:
             k = int(np.searchsorted(times, t, side="right") - 1)
-            k = min(k, len(fields) - 2)
             w = (t - times[k]) / (times[k + 1] - times[k])
-            out = (1 - w) * eval_field(fields[k], pts) + w * eval_field(fields[k + 1], pts)
+            out = (1 - w) * _multilinear(fields[k], pts) + w * _multilinear(fields[k + 1], pts)
         return out[0] if single else out
 
     return VelocityOracle(evaluate, "tabulated-grid", d)
@@ -236,57 +230,54 @@ def _step(oracle: VelocityOracle, t: float, x: np.ndarray, h: float, scheme: str
     return x + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def integrate(
-    oracle: VelocityOracle, x0: np.ndarray, grid: TimeGrid, scheme: str = "rk4"
-) -> Trajectory:
-    """Fixed-step explicit integration of dx/dt = v(t, x) along the grid."""
-    if scheme not in _SCHEMES:
-        raise InvalidArgumentError(f"unknown scheme {scheme!r}; pick from {_SCHEMES}")
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    nodes = grid.nodes
-    states = np.empty((grid.n_nodes, x.size))
-    states[0] = x
-    for k in range(grid.n_nodes - 1):
-        h = nodes[k + 1] - nodes[k]
-        try:
-            x = _step(oracle, float(nodes[k]), x, float(h), scheme)
-        except LowDensityError as err:
-            raise TrajectoryLeftSupportError(
-                f"flow left the oracle support at t={nodes[k]:.6g}: {err}",
-                times=nodes[: k + 1].copy(),
-                states=states[: k + 1].copy(),
-            ) from err
-        if not np.all(np.isfinite(x)):
-            raise InvalidArgumentError(
-                f"trajectory diverged to a non-finite state at t={nodes[k + 1]:.6g}"
-            )
-        states[k + 1] = x
-    n_evals = (grid.n_nodes - 1) * _EVALS_PER_STEP[scheme]
-    return Trajectory(grid, states, scheme, n_evals)
+def _march(oracle: VelocityOracle, points, grid: TimeGrid, scheme: str):
+    """The stepping loop: all (M, d) start points advance together on the grid.
 
-
-def integrate_many(
-    oracle: VelocityOracle, points: np.ndarray, grid: TimeGrid, scheme: str = "rk4"
-) -> np.ndarray:
-    """Vectorized stepping of many initial points at once; returns (M, K, d).
-
-    Only valid for oracles that are total on the domain (analytic or
-    tabulated); kernel oracles should go through flow_map for per-point error
-    collection.
+    A point whose oracle query is refused or whose state turns non-finite
+    stops at its last node; the step is redone for the others.  Returns the
+    states (M, K, d), NaN past each stopped point's last node, and the
+    errors ``{index: error}`` of the stopped points.
     """
     if scheme not in _SCHEMES:
         raise InvalidArgumentError(f"unknown scheme {scheme!r}; pick from {_SCHEMES}")
     X = np.atleast_2d(np.asarray(points, dtype=float)).copy()
     nodes = grid.nodes
-    states = np.empty((X.shape[0], grid.n_nodes, X.shape[1]))
+    states = np.full((X.shape[0], grid.n_nodes, X.shape[1]), np.nan)
     states[:, 0, :] = X
-    for k in range(grid.n_nodes - 1):
-        h = float(nodes[k + 1] - nodes[k])
-        X = _step(oracle, float(nodes[k]), X, h, scheme)
-        states[:, k + 1, :] = X
-    if not np.all(np.isfinite(states)):
-        raise InvalidArgumentError("batched integration produced non-finite states")
-    return states
+    ids = np.arange(X.shape[0])  # index of each row of X among the start points
+    live = slice(None)  # the rows of `states` that X fills; `ids` once a point stopped
+    errors: dict = {}
+
+    def stop(mask: np.ndarray, make_error) -> None:
+        nonlocal X, ids, live
+        if not np.any(mask):
+            return
+        for i in ids[mask]:
+            errors[int(i)] = make_error(int(i))
+        X, ids = X[~mask], ids[~mask]
+        live = ids
+
+    k = 0
+    while k < grid.n_nodes - 1 and ids.size:
+        t, h = float(nodes[k]), float(nodes[k + 1] - nodes[k])
+        try:
+            X_next = _step(oracle, t, X, h, scheme)
+        except LowDensityError as err:
+            refused = np.zeros(ids.size, dtype=bool)
+            refused[slice(None) if err.rows is None or len(err.rows) == 0 else err.rows] = True
+            stop(refused, lambda i: TrajectoryLeftSupportError(
+                f"flow left the oracle support at t={t:.6g}: {err}",
+                times=nodes[: k + 1].copy(),
+                states=states[i, : k + 1].copy(),
+            ))
+            continue
+        X = X_next
+        stop(~np.all(np.isfinite(X), axis=1), lambda i: InvalidArgumentError(
+            f"trajectory diverged to a non-finite state at t={nodes[k + 1]:.6g}"
+        ))
+        states[live, k + 1] = X
+        k += 1
+    return states, errors
 
 
 @dataclass(frozen=True)
@@ -304,21 +295,27 @@ class FlowMapResult:
 def flow_map(
     oracle: VelocityOracle, points, grid: TimeGrid, scheme: str = "rk4"
 ) -> FlowMapResult:
-    """Integrate each point; order is preserved, per-point errors collected."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if oracle.source in ("analytic", "tabulated-grid"):
-        states = integrate_many(oracle, pts, grid, scheme)
-        n_evals = (grid.n_nodes - 1) * _EVALS_PER_STEP[scheme]
-        trajs = [Trajectory(grid, states[i], scheme, n_evals) for i in range(pts.shape[0])]
-        return FlowMapResult(trajs, [])
-    trajs, errors = [], []
-    for i in range(pts.shape[0]):
-        try:
-            trajs.append(integrate(oracle, pts[i], grid, scheme))
-        except (TrajectoryLeftSupportError, InvalidArgumentError) as err:
-            trajs.append(None)
-            errors.append((i, err))
-    return FlowMapResult(trajs, errors)
+    """Integrate all points together; order is preserved, per-point errors
+    collected: a TrajectoryLeftSupportError with the partial trajectory for a
+    refused point, an InvalidArgumentError for a non-finite state."""
+    states, errors = _march(oracle, points, grid, scheme)
+    n_evals = (grid.n_nodes - 1) * _EVALS_PER_STEP[scheme]
+    trajs = [
+        None if i in errors else Trajectory(grid, states[i], scheme, n_evals)
+        for i in range(states.shape[0])
+    ]
+    return FlowMapResult(trajs, sorted(errors.items()))
+
+
+def integrate(
+    oracle: VelocityOracle, x0: np.ndarray, grid: TimeGrid, scheme: str = "rk4"
+) -> Trajectory:
+    """Fixed-step explicit integration of dx/dt = v(t, x) along the grid from
+    one point; raises that point's flow_map error."""
+    result = flow_map(oracle, np.asarray(x0, dtype=float).reshape(1, -1), grid, scheme)
+    if result.errors:
+        raise result.errors[0][1]
+    return result.trajectories[0]
 
 
 # ---------------------------------------------------------------------------
@@ -358,18 +355,19 @@ def one_step_error(
     reference_scheme: str = "rk4",
     reference_steps: int = 400,
 ) -> OneStepSummary:
-    """|single-Euler-step endpoint - reference endpoint| per starting point."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    euler_end = pts + np.atleast_2d(oracle(0.0, pts))
-    ref_grid = make_time_grid(reference_steps)
-    if oracle.source in ("analytic", "tabulated-grid"):
-        ref_end = integrate_many(oracle, pts, ref_grid, reference_scheme)[:, -1, :]
-    else:
-        ref_end = np.stack(
-            [integrate(oracle, p, ref_grid, reference_scheme).endpoint for p in pts]
-        )
-    errs = np.linalg.norm(euler_end - ref_end, axis=1)
-    return OneStepSummary(errs, float(errs.max()), float(np.sqrt(np.mean(errs**2))))
+    """|single-Euler-step endpoint - reference endpoint| per starting point.
+
+    A point whose Euler step or reference run fails gets error NaN and is left
+    out of max and rms; LowDensityError is raised only when every point fails.
+    """
+    euler, euler_errors = _march(oracle, points, make_time_grid(1), "euler")
+    ref, ref_errors = _march(oracle, points, make_time_grid(reference_steps), reference_scheme)
+    errs = np.linalg.norm(euler[:, -1, :] - ref[:, -1, :], axis=1)
+    ok = np.isfinite(errs)
+    if not np.any(ok):
+        first = next(iter({**euler_errors, **ref_errors}.values()), None)
+        raise LowDensityError(f"one-step error: all {errs.size} points failed; first: {first}")
+    return OneStepSummary(errs, float(errs[ok].max()), float(np.sqrt(np.mean(errs[ok] ** 2))))
 
 
 # ---------------------------------------------------------------------------

@@ -228,7 +228,7 @@ def test_criterion_8_transport_correctness(affine_ot_spec):
     rng = core.aux_rng(801, 0)
     n = 10_000
     src = affine_ot_spec.coupling.mu0.draw(rng, n)
-    ends = flow.integrate_many(oracle, src, core.make_time_grid(200), "rk4")[:, -1, :]
+    ends = flow.flow_map(oracle, src, core.make_time_grid(200), "rk4").endpoints
     tgt = affine_ot_spec.coupling.mu1.draw(rng, n)
     observed = flow.energy_distance(ends, tgt)
     null = np.array(

@@ -1,8 +1,9 @@
 import json
 
 import numpy as np
+import pytest
 
-from straightflow import cli
+from straightflow import cli, errors
 
 
 def base_config(out_dir, **overrides):
@@ -215,6 +216,84 @@ class TestFlow:
     def test_scheme_typo_exit_2(self, tmp_path):
         cfg_path, _ = write_config(tmp_path)
         assert cli.main(["flow", "--config", str(cfg_path), "--scheme", "rk5"]) == 2
+
+    def test_grid_estimate_uses_oracle_box(self, tmp_path):
+        def starts(source):
+            cfg_path, out = write_config(
+                tmp_path, name=f"{source}.json", n=2000, source=source,
+                grid={"nodes_per_axis": 7}, flow={"steps": 4, "reference_steps": 8},
+            )
+            assert cli.main(["flow", "--config", str(cfg_path), "--grid"]) == 0
+            rows = (out / "trajectories.csv").read_text().strip().split("\n")[1:]
+            return [r.split(",")[2] for r in rows if r.split(",")[1] == "0.0"]
+
+        estimate_starts = starts("estimate")
+        assert len(estimate_starts) == 5
+        assert estimate_starts == starts("oracle")
+
+    @pytest.mark.parametrize("seed,argv,n_failed,n_null", [
+        (5, [], 1, 0),  # a start point is refused at t=0
+        (15, ["--scheme", "euler", "--steps", "1"], 0, 1),  # only a reference run fails
+    ])
+    def test_kernel_flow_failures_per_point(self, tmp_path, seed, argv, n_failed, n_null):
+        joint = {
+            "mean": [0.0, 0.0, 1.0, -1.0],
+            "cov": [[1.0, 0.0, 0.6, 0.0], [0.0, 1.0, 0.0, 0.6],
+                    [0.6, 0.0, 1.0, 0.0], [0.0, 0.6, 0.0, 1.0]],
+        }
+        process = {"coefficients": "affine", "dim": 2,
+                   "coupling": {"kind": "gaussian_joint", "joint": joint}}
+        cfg_path, out = write_config(
+            tmp_path, process=process, n=20_000, seed=seed, source="estimate",
+            flow={"scheme": "rk4", "steps": 50, "reference_steps": 100, "n_points": 4},
+        )
+        assert cli.main(["flow", "--config", str(cfg_path)] + argv) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-strict JSON constant {constant}")
+
+        summary = json.loads((out / "straightness.json").read_text(), parse_constant=reject)
+        points = summary["points"]
+        assert [p["point"] for p in points] == [0, 1, 2, 3]
+        assert summary["n_failed"] == n_failed == sum("error" in p for p in points)
+        assert sum(p.get("one_step_error", 0.0) is None for p in points) == n_null
+        assert summary["one_step"]["max"] > 0
+
+
+class TestExitCodes:
+    def test_diagnose_estimate_tiny_sample_exit_5(self, tmp_path, capsys):
+        cfg_path, _ = write_config(tmp_path, process=trig_process(), n=30, seed=1,
+                                   source="estimate")
+        assert cli.main(["diagnose", "--config", str(cfg_path)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("inconclusive: no admissible nodes")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("error,code", [
+        (errors.ConfigError("bad"), 2),
+        (errors.InvalidArgumentError("bad"), 2),
+        (errors.InvalidCouplingError("bad"), 2),
+        (errors.InvalidGridError("bad"), 2),
+        (errors.NonFiniteDataError("bad"), 2),
+        (errors.CapabilityError("bad"), 3),
+        (errors.DegenerateMarginalError("bad"), 3),
+        (errors.DegenerateDataError("bad"), 3),
+        (errors.LowDensityError("bad", 1.0, rows=np.array([0])), 5),
+        (errors.NoAdmissibleNodesError("bad"), 5),
+        (errors.TrajectoryLeftSupportError("bad", np.zeros(1), np.zeros((1, 1))), 5),
+        (errors.InconsistentMomentsError("bad"), 5),
+        (errors.StraightflowError("bad"), 1),
+    ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
+    def test_every_library_error_maps_to_its_code(self, tmp_path, capsys, monkeypatch,
+                                                  error, code):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_simulate", fail)
+        cfg_path, _ = write_config(tmp_path)
+        assert cli.main(["simulate", "--config", str(cfg_path)]) == code
+        err = capsys.readouterr().err
+        assert err.endswith(": bad\n") and err.count("\n") == 1
 
 
 class TestSweep:

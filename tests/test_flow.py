@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from straightflow import calculus, core, estimate, flow, gaussian
 from straightflow.errors import (
     InvalidArgumentError,
+    LowDensityError,
     TrajectoryLeftSupportError,
 )
 
@@ -17,6 +20,41 @@ def const_oracle(c):
 
 def scaling_oracle():
     return flow.VelocityOracle(lambda t, x: np.asarray(x) / (1.0 + t), "analytic", 1)
+
+
+def refusing_oracle(limit):
+    """Unit velocity that refuses the query points beyond ``limit``."""
+
+    def evaluate(t, x):
+        x = np.atleast_2d(x)
+        beyond = np.flatnonzero(x[:, 0] > limit)
+        if beyond.size:
+            raise LowDensityError("beyond the limit", 0.0, rows=beyond)
+        return np.ones_like(x)
+
+    return flow.VelocityOracle(evaluate, "test", 1)
+
+
+def _property_oracles():
+    g = gaussian.from_process_spec(core.ProcessSpec(
+        core.affine_alpha(), core.affine_beta(),
+        core.CouplingSpec(
+            "independent",
+            core.Gaussian(np.array([0.0]), np.array([[1.0]])),
+            core.Gaussian(np.array([1.0]), np.array([[4.0]])),
+        ),
+        1,
+    ))
+    grid = calculus.make_spatial_grid([(-8.0, 8.0)], 33)
+    x = grid.meshgrid()[0][..., None]
+    tabulated = flow.tabulated_velocity_oracle([
+        (0.0, calculus.GridField(grid, "vector", 1.0 - 0.5 * x, 0.0)),
+        (1.0, calculus.GridField(grid, "vector", np.sin(x), 1.0)),
+    ])
+    return {"analytic": flow.analytic_velocity_oracle(g), "tabulated": tabulated}
+
+
+PROPERTY_ORACLES = _property_oracles()
 
 
 @pytest.fixture(scope="module")
@@ -74,10 +112,10 @@ class TestIntegrate:
     def test_batch_matches_pointwise(self, oracle_affine_indep):
         pts = np.array([[-1.0], [0.3], [2.0]])
         grid = core.make_time_grid(37)
-        batch = flow.integrate_many(oracle_affine_indep, pts, grid, "rk4")
+        batch = flow.flow_map(oracle_affine_indep, pts, grid, "rk4")
         for i, p in enumerate(pts):
             single = flow.integrate(oracle_affine_indep, p, grid, "rk4")
-            assert np.allclose(batch[i], single.states, atol=1e-13)
+            assert np.allclose(batch.trajectories[i].states, single.states, atol=1e-13)
 
     def test_kernel_oracle_low_density_becomes_left_support(self, affine_indep_spec):
         ens = core.sample_paths(affine_indep_spec, 100, core.make_time_grid(4), seed=3)
@@ -107,6 +145,71 @@ class TestFlowMap:
         assert res.errors == []
         for i, traj in enumerate(res.trajectories):
             assert np.allclose(traj.states[0], pts[i])
+
+    def test_kernel_mixed_dense_and_refused_points(self, affine_indep_spec):
+        ens = core.sample_paths(affine_indep_spec, 3000, core.make_time_grid(4), seed=5)
+        oracle = flow.kernel_velocity_oracle(ens, estimate.KernelConfig(density_floor=200.0))
+        pts = np.array([[0.0], [3.0], [0.3], [-3.0], [-0.4]])
+        grid = core.make_time_grid(8)
+        res = flow.flow_map(oracle, pts, grid, "midpoint")
+        assert [i for i, _ in res.errors] == [1, 3]
+        assert all(isinstance(err, TrajectoryLeftSupportError) for _, err in res.errors)
+        for i, traj in enumerate(res.trajectories):
+            if i in (1, 3):
+                assert traj is None
+                continue
+            single = flow.integrate(oracle, pts[i], grid, "midpoint")
+            assert np.allclose(traj.states, single.states, rtol=0.0, atol=1e-12)
+        summary = flow.one_step_error(oracle, pts, reference_steps=20)
+        assert np.isnan(summary.errors[[1, 3]]).all()
+        assert np.isfinite(summary.errors[[0, 2, 4]]).all()
+        assert summary.max_error == summary.errors[[0, 2, 4]].max()
+
+    def test_refusal_mid_flight_keeps_partial_trajectory(self):
+        oracle = refusing_oracle(1.0)
+        pts = np.array([[0.0], [0.55], [-1.0]])
+        grid = core.make_time_grid(4)
+        res = flow.flow_map(oracle, pts, grid, "euler")
+        (i, err), = res.errors
+        assert i == 1 and res.trajectories[1] is None
+        assert np.allclose(err.times, [0.0, 0.25, 0.5])
+        assert np.allclose(err.states[:, 0], [0.55, 0.8, 1.05])
+        assert np.allclose(res.endpoints[:, 0], [1.0, 0.0])
+        with pytest.raises(TrajectoryLeftSupportError) as single:
+            flow.integrate(oracle, pts[1], grid, "euler")
+        assert np.array_equal(single.value.states, err.states)
+
+    def test_non_finite_state_stops_only_that_point(self):
+        oracle = flow.VelocityOracle(
+            lambda t, x: np.where(np.asarray(x) < -0.5, np.inf, 1.0), "test", 1
+        )
+        res = flow.flow_map(oracle, np.array([[0.0], [-1.0]]), core.make_time_grid(4), "rk4")
+        (i, err), = res.errors
+        assert i == 1 and isinstance(err, InvalidArgumentError)
+        assert res.trajectories[0].endpoint[0] == pytest.approx(1.0)
+
+    def test_one_step_raises_only_when_every_point_fails(self):
+        oracle = refusing_oracle(1.0)
+        summary = flow.one_step_error(oracle, np.array([[0.9], [-3.0]]), reference_steps=10)
+        assert np.isnan(summary.errors[0]) and summary.max_error == pytest.approx(0.0, abs=1e-12)
+        with pytest.raises(LowDensityError):
+            flow.one_step_error(oracle, np.array([[0.9], [0.95]]), reference_steps=10)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        points=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6),
+        steps=st.integers(1, 12),
+    )
+    def test_rows_equal_pointwise_integration(self, points, steps):
+        pts = np.array(points)[:, None]
+        grid = core.make_time_grid(steps)
+        for oracle in PROPERTY_ORACLES.values():
+            for scheme in ("euler", "midpoint", "rk4"):
+                res = flow.flow_map(oracle, pts, grid, scheme)
+                assert res.errors == []
+                for p, traj in zip(pts, res.trajectories):
+                    single = flow.integrate(oracle, p, grid, scheme)
+                    np.testing.assert_array_equal(traj.states, single.states)
 
     def test_analytic_batching(self, oracle_affine_det):
         pts = np.array([[0.1], [1.0], [-2.0]])
@@ -217,7 +320,7 @@ class TestMarginalTransport:
         rng = core.aux_rng(0, 42)
         n = 2000
         src = affine_ot_spec.coupling.mu0.draw(rng, n)
-        ends = flow.integrate_many(oracle, src, core.make_time_grid(200), "rk4")[:, -1, :]
+        ends = flow.flow_map(oracle, src, core.make_time_grid(200), "rk4").endpoints
         tgt = affine_ot_spec.coupling.mu1.draw(rng, n)
         observed = flow.energy_distance(ends, tgt)
         null = [
