@@ -404,7 +404,9 @@ def balance_residual(
 ) -> ResidualReport:
     """Residual of div(rho Pi) - rho a at one time slice.
 
-    Relative norm is measured against rms of rho |a|; verdict is
+    Relative norm is measured against rms of rho |a| + |div(rho Pi)|, both
+    sides of the balance law, so it never exceeds 1 and stays finite when
+    one side vanishes (rho a is 0 for affine interpolants); verdict is
     ``straight-compatible`` when the relative rms is within ``tolerance``.
     """
     if rho.rank != "scalar" or Pi.rank != "matrix" or a.rank != "vector":
@@ -419,7 +421,9 @@ def balance_residual(
     )
     div = grid_divergence_matrix(rho_pi, order)
     values = div.values - rho.values[..., None] * a.values
-    ref_mag = rho.values * _pointwise_mag(a.values, "vector")
+    ref_mag = rho.values * _pointwise_mag(a.values, "vector") + _pointwise_mag(
+        div.values, "vector"
+    )
     grid = rho.grid.with_mask(rho.grid.mask & Pi.grid.mask & a.grid.mask)
     rep = _report(values, "vector", grid, ref_mag, rho.time)
     verdict = "straight-compatible" if rep.relative <= tolerance else "not-straight-compatible"

@@ -5,10 +5,12 @@ Grammar::
     straightflow <simulate|fields|diagnose|verify|flow|sweep> --config PATH [flags]
 
 Configs are JSON validated against :data:`CONFIG_SCHEMA` (unknown keys are
-rejected).  Flags mirror config entries and take precedence.  Every run
-writes a ``manifest.json`` (config hash, tool version, timestamp, seed,
-output list) before any result file; result files are written atomically and
-are byte-identical across re-runs with the same config and seed.
+rejected).  Flags mirror config entries and take precedence.  Every run with
+a valid config ends by writing ``manifest.json``: config hash, tool version,
+timestamp, seed, the result files the run wrote, and ``status`` ``complete``
+or ``failed`` (then also the error class, message and exit code).  Result
+files are written atomically and are byte-identical across re-runs with the
+same config and seed.
 
 Exit codes: 0 success/consistent, 1 other library error, 2 config error,
 3 capability error, 4 theorem violated, 5 inconclusive; :func:`_error_exit`
@@ -155,10 +157,7 @@ CONFIG_SCHEMA = {
             "type": "object",
             "properties": {
                 "balance_relative": _POS,
-                "material_max": _POS,
                 "trace_ratio": _POS,
-                "one_step": _POS,
-                "chord": _POS,
             },
             "additionalProperties": False,
         },
@@ -169,7 +168,6 @@ CONFIG_SCHEMA = {
                 "steps": {"type": "integer", "minimum": 1},
                 "reference_steps": {"type": "integer", "minimum": 1},
                 "n_points": {"type": "integer", "minimum": 1},
-                "points": _MATRIX,
             },
             "additionalProperties": False,
         },
@@ -188,13 +186,7 @@ _DEFAULTS = {
     "time": 0.5,
     "time_nodes": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
     "h_t": {"analytic": 1e-5, "estimated": 1e-3},
-    "tolerances": {
-        "balance_relative": 1e-3,
-        "material_max": 1e-3,
-        "trace_ratio": 0.05,
-        "one_step": 1e-6,
-        "chord": 1e-6,
-    },
+    "tolerances": {"balance_relative": 1e-3, "trace_ratio": 0.05},
     "flow": {"scheme": "rk4", "steps": 100, "reference_steps": 400, "n_points": 100},
     "output_dir": "out",
 }
@@ -347,16 +339,33 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _write_manifest(out_dir: Path, cfg: ExperimentConfig, outputs: list[str]) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+class _Outputs:
+    """The result files of one run: each is written atomically into ``dir``
+    and its name recorded in ``written`` once it is in place."""
+
+    def __init__(self, out_dir: Path):
+        self.dir = out_dir
+        self.written: list[str] = []
+
+    def write(self, name: str, payload) -> None:
+        _atomic_write(self.dir / name, payload)
+        self.written.append(name)
+
+
+def _write_manifest(out: _Outputs, cfg: ExperimentConfig, failure=None) -> None:
+    """The run's manifest; ``failure`` is the (error, exit code) that ended it."""
     manifest = {
         "config_hash": config_hash(cfg),
         "version": _VERSION,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "seed": cfg["seed"],
-        "outputs": sorted(outputs),
+        "outputs": sorted(out.written),
+        "status": "complete" if failure is None else "failed",
     }
-    _atomic_write(out_dir / "manifest.json", _json_text(manifest))
+    if failure is not None:
+        err, code = failure
+        manifest["error"] = {"class": type(err).__name__, "message": str(err), "exit_code": code}
+    _atomic_write(out.dir / "manifest.json", _json_text(manifest))
 
 
 def _resolve_spatial_grid(cfg: ExperimentConfig, t: float, sample=None):
@@ -399,30 +408,25 @@ def _kernel_config(cfg: ExperimentConfig):
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
+def cmd_simulate(cfg: ExperimentConfig, out: _Outputs) -> int:
     from . import core
 
     spec = build_process_spec(cfg)
     grid = core.make_time_grid(cfg["time_steps"])
-    _write_manifest(out_dir, cfg, ["ensemble.sflw"])
     ensemble = core.sample_paths(spec, cfg["n"], grid, cfg["seed"])
-    core.save_ensemble(ensemble, out_dir / "ensemble.sflw")
+    core.save_ensemble(ensemble, out.dir / "ensemble.sflw")
+    out.written.append("ensemble.sflw")
     print(
-        f"simulate: wrote {out_dir / 'ensemble.sflw'} "
+        f"simulate: wrote {out.dir / 'ensemble.sflw'} "
         f"(N={ensemble.n_paths}, K={grid.n_nodes}, d={ensemble.dim})"
     )
     return EXIT_OK
 
 
-def _field_csv_names(names):
-    return [f"fields_{name.lower()}.csv" for name in names]
-
-
-def cmd_fields(cfg: ExperimentConfig, out_dir: Path, source: str, t: float) -> int:
+def cmd_fields(cfg: ExperimentConfig, out: _Outputs, source: str, t: float) -> int:
     from . import calculus, core, estimate
 
     names = ["rho", "v", "a", "Sigma", "Pi"]
-    _write_manifest(out_dir, cfg, _field_csv_names(names))
     if source == "oracle":
         gspec = build_gaussian_spec(cfg)
         from . import gaussian
@@ -438,10 +442,8 @@ def cmd_fields(cfg: ExperimentConfig, out_dir: Path, source: str, t: float) -> i
         grid = _resolve_spatial_grid(cfg, t, sample=X)
         fields, _, _ = estimate.fields_on_grid(X, V, A, grid, _kernel_config(cfg), t)
     for name in names:
-        _atomic_write(
-            out_dir / f"fields_{name.lower()}.csv", calculus.grid_field_to_csv(fields[name])
-        )
-    print(f"fields: wrote {len(names)} CSVs to {out_dir} (source={source}, t={t:g})")
+        out.write(f"fields_{name.lower()}.csv", calculus.grid_field_to_csv(fields[name]))
+    print(f"fields: wrote {len(names)} CSVs to {out.dir} (source={source}, t={t:g})")
     return EXIT_OK
 
 
@@ -466,22 +468,13 @@ def _estimate_field_triples(spec, endpoints, cfg, t, h_t, grid):
     return out
 
 
-def cmd_diagnose(cfg: ExperimentConfig, out_dir: Path, t: float) -> int:
+def cmd_diagnose(cfg: ExperimentConfig, out: _Outputs, t: float) -> int:
     import numpy as np
 
     from . import calculus, core
     from .errors import ConfigError
 
     source = cfg["source"]
-    outputs = [
-        "diagnostics.json",
-        "residual_continuity.csv",
-        "residual_momentum.csv",
-        "residual_balance.csv",
-        "residual_material.csv",
-    ]
-    _write_manifest(out_dir, cfg, outputs)
-
     if source == "oracle":
         h_t = cfg["h_t"]["analytic"]
         order = 4
@@ -539,11 +532,11 @@ def cmd_diagnose(cfg: ExperimentConfig, out_dir: Path, t: float) -> int:
         "balance": {**norms(bal), "verdict": bal.verdict},
         "material": mat,
     }
-    _atomic_write(out_dir / "diagnostics.json", _json_text(report))
-    _atomic_write(out_dir / "residual_continuity.csv", calculus.grid_field_to_csv(cont.residual))
-    _atomic_write(out_dir / "residual_momentum.csv", calculus.grid_field_to_csv(mom.residual))
-    _atomic_write(out_dir / "residual_balance.csv", calculus.grid_field_to_csv(bal.residual))
-    _atomic_write(out_dir / "residual_material.csv", calculus.grid_field_to_csv(dtv))
+    out.write("diagnostics.json", _json_text(report))
+    out.write("residual_continuity.csv", calculus.grid_field_to_csv(cont.residual))
+    out.write("residual_momentum.csv", calculus.grid_field_to_csv(mom.residual))
+    out.write("residual_balance.csv", calculus.grid_field_to_csv(bal.residual))
+    out.write("residual_material.csv", calculus.grid_field_to_csv(dtv))
     print(
         "diagnose: continuity rel={:.3g} momentum rel={:.3g} balance rel={:.3g} ({})".format(
             cont.relative, mom.relative, bal.relative, bal.verdict
@@ -552,10 +545,9 @@ def cmd_diagnose(cfg: ExperimentConfig, out_dir: Path, t: float) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: ExperimentConfig, out_dir: Path, theorem: str) -> int:
+def cmd_verify(cfg: ExperimentConfig, out: _Outputs, theorem: str) -> int:
     from . import core, verify
 
-    _write_manifest(out_dir, cfg, [f"theorem_{theorem}.json"])
     spec = build_process_spec(cfg)
     if theorem == "affine":
         report = verify.affine_straightness_check(
@@ -574,7 +566,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, theorem: str) -> int:
                 ensemble,
                 {"ratio": cfg["tolerances"]["trace_ratio"], "density_floor": cfg["density_floor"]},
             )
-    _atomic_write(out_dir / f"theorem_{theorem}.json", report.to_json())
+    out.write(f"theorem_{theorem}.json", report.to_json())
     print(f"verify[{theorem}]: verdict={report.verdict}")
     return {
         "consistent": EXIT_OK,
@@ -585,7 +577,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path, theorem: str) -> int:
 
 def cmd_flow(
     cfg: ExperimentConfig,
-    out_dir: Path,
+    out: _Outputs,
     points_file: str | None,
     use_grid: bool,
     scheme: str,
@@ -596,7 +588,6 @@ def cmd_flow(
     from . import core, flow
     from .errors import ConfigError
 
-    _write_manifest(out_dir, cfg, ["trajectories.csv", "straightness.json"])
     spec = build_process_spec(cfg)
     source = cfg["source"]
     sample = None
@@ -640,7 +631,7 @@ def cmd_flow(
         for k, t in enumerate(traj.grid.nodes):
             cells = [str(i), repr(float(t))] + [repr(float(c)) for c in traj.states[k]]
             lines.append(",".join(cells))
-    _atomic_write(out_dir / "trajectories.csv", "\n".join(lines) + "\n")
+    out.write("trajectories.csv", "\n".join(lines) + "\n")
     summary = {
         "provenance": {
             "seed": cfg["seed"],
@@ -654,7 +645,7 @@ def cmd_flow(
         "points": per_point,
         "n_failed": len(result.errors),
     }
-    _atomic_write(out_dir / "straightness.json", _json_text(summary))
+    out.write("straightness.json", _json_text(summary))
     print(
         f"flow: {len(pts)} points, scheme={scheme}, steps={steps}, "
         f"one_step max={one_step.max_error:.3g}"
@@ -691,7 +682,7 @@ def _sweep_metrics(cfg: ExperimentConfig) -> dict:
     return {"v_rmse": v_rmse, "tr_pi": tp.value}
 
 
-def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, param: str, values: list[str]) -> int:
+def cmd_sweep(cfg: ExperimentConfig, out: _Outputs, param: str, values: list[str]) -> int:
     from .errors import ConfigError
 
     if param not in _SWEEP_PARAMS:
@@ -706,7 +697,6 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, param: str, values: list[str
     except ValueError as err:
         raise ConfigError(f"sweep value not a {caster.__name__}: {err}", "values") from err
 
-    _write_manifest(out_dir, cfg, ["sweep.csv"])
     seeds = cfg.get("seeds") or [cfg["seed"]]
     rows = ["param,value,seed,metric,metric_value"]
     for value in parsed:
@@ -729,8 +719,8 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, param: str, values: list[str
                 rows.append(
                     f"{param},{value_cell},{seed},{metric},{repr(float(metrics[metric]))}"
                 )
-    _atomic_write(out_dir / "sweep.csv", "\n".join(rows) + "\n")
-    print(f"sweep: wrote {out_dir / 'sweep.csv'} ({len(rows) - 1} rows)")
+    out.write("sweep.csv", "\n".join(rows) + "\n")
+    print(f"sweep: wrote {out.dir / 'sweep.csv'} ({len(rows) - 1} rows)")
     return EXIT_OK
 
 
@@ -796,6 +786,27 @@ def _error_exit(err) -> tuple[int, str]:
     return EXIT_ERROR, "error"
 
 
+def _run_command(args, cfg: ExperimentConfig, out: _Outputs) -> int:
+    if args.command == "simulate":
+        return cmd_simulate(cfg, out)
+    if args.command == "fields":
+        return cmd_fields(
+            cfg, out, args.source or cfg["source"],
+            cfg["time"] if args.time is None else args.time,
+        )
+    if args.command == "diagnose":
+        return cmd_diagnose(cfg, out, cfg["time"] if args.time is None else args.time)
+    if args.command == "verify":
+        return cmd_verify(cfg, out, args.theorem)
+    if args.command == "flow":
+        return cmd_flow(
+            cfg, out, args.points, args.grid,
+            args.scheme or cfg["flow"]["scheme"],
+            args.steps or cfg["flow"]["steps"],
+        )
+    return cmd_sweep(cfg, out, args.param, [v for v in args.values.split(",") if v])
+
+
 def main(argv=None) -> int:
     _apply_thread_cap()
     parser = _build_parser()
@@ -806,31 +817,28 @@ def main(argv=None) -> int:
 
     from .errors import StraightflowError
 
-    try:
-        cfg = load_config(args.config)
-        out_dir = Path(cfg["output_dir"])
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out_dir)
-        if args.command == "fields":
-            return cmd_fields(
-                cfg, out_dir, args.source or cfg["source"],
-                cfg["time"] if args.time is None else args.time,
-            )
-        if args.command == "diagnose":
-            return cmd_diagnose(cfg, out_dir, cfg["time"] if args.time is None else args.time)
-        if args.command == "verify":
-            return cmd_verify(cfg, out_dir, args.theorem)
-        if args.command == "flow":
-            return cmd_flow(
-                cfg, out_dir, args.points, args.grid,
-                args.scheme or cfg["flow"]["scheme"],
-                args.steps or cfg["flow"]["steps"],
-            )
-        return cmd_sweep(cfg, out_dir, args.param, [v for v in args.values.split(",") if v])
-    except StraightflowError as err:
+    def report(err) -> int:
         code, label = _error_exit(err)
         print(f"{label}: {err}".replace("\n", " "), file=sys.stderr)
         return code
+
+    try:
+        cfg = load_config(args.config)
+    except StraightflowError as err:
+        return report(err)
+    out = _Outputs(Path(cfg["output_dir"]))
+    out.dir.mkdir(parents=True, exist_ok=True)
+    try:
+        code = _run_command(args, cfg, out)
+    except StraightflowError as err:
+        code = report(err)
+        _write_manifest(out, cfg, (err, code))
+        return code
+    except Exception as err:  # a defect: record how the run ended, keep the traceback
+        _write_manifest(out, cfg, (err, EXIT_ERROR))
+        raise
+    _write_manifest(out, cfg)
+    return code
 
 
 def entrypoint() -> None:

@@ -1,10 +1,20 @@
 """Kernel estimation of density, conditional velocity/acceleration and the
-velocity second-moment tensor from a sampled path ensemble.
+velocity second-moment tensor from sampled slice arrays.
 
 Everything uses an isotropic Gaussian product kernel.  The unnormalized
 kernel weight of sample j at query x is ``exp(-|x - X_j|^2 / (2 h^2))``; the
 sum of these weights is the "effective n" at x, and queries whose effective n
-falls under ``density_floor`` are refused (or masked, on grids).
+falls under ``density_floor`` are masked on grids (and refused by the flow's
+kernel oracle).
+
+Every estimate is a kernel-weighted sum, and :func:`nw_regress` is the one
+engine that computes them, in every dimension.  Samples and queries are
+sorted on axis 0 and the queries are walked in blocks; each block meets only
+the band of samples within eight bandwidths of it on axis 0, and a sample
+farther than that from a query on axis 0 gets weight zero (each dropped
+weight is below 1.3e-14).  Squared distances are sums of direct coordinate
+differences, so nothing cancels far from the origin.  :func:`fields_on_grid`
+is the grid view over the engine.
 """
 
 from __future__ import annotations
@@ -14,32 +24,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calculus
-from .core import PathEnsemble
 from .errors import (
     DegenerateDataError,
     InconsistentMomentsError,
     InvalidArgumentError,
-    LowDensityError,
     NonFiniteDataError,
 )
 
 __all__ = [
     "KernelConfig",
-    "NWEstimate",
-    "SliceEstimate",
-    "bandwidth_silverman",
     "silverman_bandwidth_from",
-    "kde_density",
-    "nw_conditional",
-    "nw_second_moment",
     "reynolds_tensor",
-    "slice_estimate",
     "nw_regress",
-    "kde_at",
     "fields_on_grid",
 ]
-
-_CHUNK = 1 << 22  # max weight-matrix elements held at once
 
 
 @dataclass(frozen=True)
@@ -52,12 +50,9 @@ class KernelConfig:
     """
 
     bandwidth: float | str = "silverman"
-    kernel: str = "gaussian"
     density_floor: float = 25.0
 
     def __post_init__(self):
-        if self.kernel != "gaussian":
-            raise InvalidArgumentError("only the gaussian kernel is supported")
         if isinstance(self.bandwidth, str):
             if self.bandwidth != "silverman":
                 raise InvalidArgumentError(f"unknown bandwidth rule {self.bandwidth!r}")
@@ -67,38 +62,9 @@ class KernelConfig:
             raise InvalidArgumentError("density_floor must be nonnegative")
 
 
-@dataclass(frozen=True)
-class NWEstimate:
-    value: np.ndarray
-    effective_n: float
-
-
-@dataclass(frozen=True)
-class SliceEstimate:
-    """All pointwise estimates at one query point."""
-
-    x: np.ndarray
-    rho_hat: float
-    v_hat: np.ndarray
-    a_hat: np.ndarray
-    Sigma_hat: np.ndarray
-    Pi_hat: np.ndarray
-    effective_n: float
-
-
-def _slice_arrays(ensemble: PathEnsemble, t_index: int):
-    X = ensemble.positions[:, t_index, :]
-    V = ensemble.velocities[:, t_index, :]
-    A = ensemble.accelerations[:, t_index, :]
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(V)) and np.all(np.isfinite(A))):
-        raise NonFiniteDataError(
-            f"slice {t_index} contains non-finite positions/velocities/accelerations"
-        )
-    return X, V, A
-
-
 def silverman_bandwidth_from(X: np.ndarray) -> float:
-    """Silverman rule on raw sample positions (N, d)."""
+    """Silverman rule h = sigma_hat (4 / ((d+2) N))^(1/(d+4)) on sample
+    positions (N, d)."""
     n, d = X.shape
     if n < 2:
         raise InvalidArgumentError("silverman bandwidth needs at least two samples")
@@ -108,12 +74,6 @@ def silverman_bandwidth_from(X: np.ndarray) -> float:
     return sigma * (4.0 / ((d + 2) * n)) ** (1.0 / (d + 4))
 
 
-def bandwidth_silverman(ensemble: PathEnsemble, t_index: int) -> float:
-    """h = sigma_hat (4 / ((d+2) N))^(1/(d+4)) at the given time slice."""
-    X, _, _ = _slice_arrays(ensemble, t_index)
-    return silverman_bandwidth_from(X)
-
-
 def resolve_bandwidth(cfg: KernelConfig, X: np.ndarray) -> float:
     if isinstance(cfg.bandwidth, str):
         return silverman_bandwidth_from(X)
@@ -121,167 +81,98 @@ def resolve_bandwidth(cfg: KernelConfig, X: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# array-level engine
+# the kernel-moment engine
 # ---------------------------------------------------------------------------
 
-# Kernel weights beyond this many bandwidths are below 1.3e-14 and dropped by
-# the sorted-window fast path; immaterial next to estимator noise.
+# Kernel weights beyond this many bandwidths on axis 0 are below 1.3e-14 and
+# dropped; immaterial next to estimator noise.
 _WINDOW_BANDWIDTHS = 8.0
-
-
-def _weighted_sums_1d(X: np.ndarray, Y: np.ndarray | None, points: np.ndarray, h: float):
-    xs_order = np.argsort(X[:, 0], kind="stable")
-    xs = X[xs_order, 0]
-    ys = Y[xs_order] if Y is not None else None
-    p = points[:, 0]
-    radius = _WINDOW_BANDWIDTHS * h
-    los = np.searchsorted(xs, p - radius, side="left")
-    his = np.searchsorted(xs, p + radius, side="right")
-    m = p.size
-    sum_w = np.zeros(m)
-    sum_wy = None if Y is None else np.zeros((m, Y.shape[1]))
-    inv = 1.0 / (2.0 * h * h)
-    for i in range(m):
-        lo, hi = los[i], his[i]
-        if lo >= hi:
-            continue
-        w = np.exp(-((p[i] - xs[lo:hi]) ** 2) * inv)
-        sum_w[i] = w.sum()
-        if ys is not None:
-            sum_wy[i] = w @ ys[lo:hi]
-    return sum_w, sum_wy
-
-
-def _weighted_sums(X: np.ndarray, Y: np.ndarray | None, points: np.ndarray, h: float):
-    """Kernel weight sums and weighted target sums.
-
-    Returns (sum_w (M,), sum_wy (M, p)) with Y of shape (N, p); sum_wy is None
-    when Y is None.  One dimension uses a sorted window (weights beyond
-    8 bandwidths are dropped); higher dimensions chunk a GEMM-based distance
-    matrix.
-    """
-    points = np.atleast_2d(points)
-    if X.shape[1] == 1:
-        return _weighted_sums_1d(X, Y, points, h)
-    n = X.shape[0]
-    m = points.shape[0]
-    sum_w = np.empty(m)
-    sum_wy = None if Y is None else np.empty((m, Y.shape[1]))
-    step = max(1, _CHUNK // max(n, 1))
-    inv = 1.0 / (2.0 * h * h)
-    x_sq = np.sum(X**2, axis=1)
-    for i0 in range(0, m, step):
-        pts = points[i0 : i0 + step]
-        d2 = np.sum(pts**2, axis=1)[:, None] + x_sq[None, :] - 2.0 * (pts @ X.T)
-        np.clip(d2, 0.0, None, out=d2)
-        w = np.exp(-d2 * inv)
-        sum_w[i0 : i0 + step] = w.sum(axis=1)
-        if Y is not None:
-            sum_wy[i0 : i0 + step] = w @ Y
-    return sum_w, sum_wy
-
-
-def kde_at(X: np.ndarray, points: np.ndarray, h: float) -> np.ndarray:
-    """Gaussian-kernel density estimate at each query point."""
-    n, d = X.shape
-    sum_w, _ = _weighted_sums(X, None, points, h)
-    return sum_w / (n * (2 * np.pi * h * h) ** (d / 2))
+# A query block spans at most this fraction of the window radius on axis 0,
+# so its sample band is at most 1/16 wider than one query's window.
+_BLOCK_WIDTH = 1.0 / 8.0
+# Most query x sample pairs held at once (each temporary is 256 kB), unless
+# one query's window alone holds more samples.
+_BLOCK_PAIRS = 1 << 15
 
 
 def nw_regress(X: np.ndarray, Y: np.ndarray, points: np.ndarray, h: float):
-    """Nadaraya-Watson ratio at each query point.
+    """Nadaraya-Watson ratio of targets Y (N, p) at each query point (M, d).
 
-    Returns (values (M, p), effective_n (M,)).  No floor is applied here;
-    callers decide whether to refuse or mask.
+    Returns (values (M, p), effective_n (M,)).  Samples farther than eight
+    bandwidths from a query on axis 0 get weight zero.  No floor is applied
+    here; callers decide whether to refuse or mask.  Samples already sorted
+    on axis 0 are not sorted again, so a caller that queries one sample set
+    many times can sort it once.
     """
-    sum_w, sum_wy = _weighted_sums(X, Y, points, h)
+    points = np.atleast_2d(points)
+    radius = _WINDOW_BANDWIDTHS * h
+    if np.any(X[1:, 0] < X[:-1, 0]):
+        order = np.argsort(X[:, 0], kind="stable")
+        X, Y = X[order], Y[order]
+    order = np.argsort(points[:, 0], kind="stable")
+    ps = points[order]
+    lo_edge = ps[:, 0] - radius
+    hi_edge = ps[:, 0] + radius
+    # window of query i on axis 0: samples [win_lo[i], win_hi[i])
+    win_lo = np.searchsorted(X[:, 0], lo_edge, side="left")
+    win_hi = np.searchsorted(X[:, 0], hi_edge, side="right")
+    block_end = np.searchsorted(ps[:, 0], ps[:, 0] + _BLOCK_WIDTH * radius, side="right")
+
+    sum_w = np.zeros(ps.shape[0])
+    sum_wy = np.zeros((ps.shape[0], Y.shape[1]))
+    i = 0
+    while i < ps.shape[0]:
+        lo = win_lo[i]
+        widest = max(win_hi[block_end[i] - 1] - lo, 1)
+        j = i + max(1, min(block_end[i] - i, _BLOCK_PAIRS // widest))
+        hi = win_hi[j - 1]
+        if hi > lo:
+            band, q = X[lo:hi], ps[i:j]
+            d2 = np.subtract(q[:, 0, None], band[None, :, 0])
+            np.square(d2, out=d2)
+            for k in range(1, band.shape[1]):
+                diff = np.subtract(q[:, k, None], band[None, :, k])
+                d2 += np.square(diff, out=diff)
+            # every query of the block keeps the columns [win_lo[j-1], win_hi[i]);
+            # only the columns on either side can fall outside a query's window
+            left, right = win_lo[j - 1] - lo, win_hi[i] - lo
+            np.copyto(d2[:, :left], np.inf, where=band[None, :left, 0] < lo_edge[i:j, None])
+            np.copyto(d2[:, right:], np.inf, where=band[None, right:, 0] > hi_edge[i:j, None])
+            np.multiply(d2, -1.0 / (2.0 * h * h), out=d2)
+            w = np.exp(d2, out=d2)
+            sum_w[i:j] = w.sum(axis=1)
+            sum_wy[i:j] = w @ Y[lo:hi]
+        i = j
+
+    vals = np.empty_like(sum_wy)
+    eff = np.empty_like(sum_w)
     with np.errstate(invalid="ignore", divide="ignore"):
-        vals = sum_wy / sum_w[:, None]
-    return vals, sum_w
-
-
-# ---------------------------------------------------------------------------
-# ensemble-facing operations
-# ---------------------------------------------------------------------------
-
-def kde_density(ensemble: PathEnsemble, t_index: int, x, cfg: KernelConfig) -> float:
-    X, _, _ = _slice_arrays(ensemble, t_index)
-    h = resolve_bandwidth(cfg, X)
-    return float(kde_at(X, np.atleast_2d(np.asarray(x, dtype=float)), h)[0])
-
-
-def nw_conditional(
-    ensemble: PathEnsemble, t_index: int, x, target: str, cfg: KernelConfig
-) -> NWEstimate:
-    """Kernel-regression estimate of the conditional velocity or acceleration."""
-    if target not in ("velocity", "acceleration"):
-        raise InvalidArgumentError("target must be 'velocity' or 'acceleration'")
-    X, V, A = _slice_arrays(ensemble, t_index)
-    Y = V if target == "velocity" else A
-    h = resolve_bandwidth(cfg, X)
-    vals, eff = nw_regress(X, Y, np.atleast_2d(np.asarray(x, dtype=float)), h)
-    if eff[0] < cfg.density_floor:
-        raise LowDensityError(
-            f"effective_n {eff[0]:.3g} below floor {cfg.density_floor}", float(eff[0])
-        )
-    return NWEstimate(vals[0], float(eff[0]))
-
-
-def nw_second_moment(ensemble: PathEnsemble, t_index: int, x, cfg: KernelConfig) -> np.ndarray:
-    """Kernel-weighted average of the velocity outer products."""
-    X, V, _ = _slice_arrays(ensemble, t_index)
-    d = X.shape[1]
-    h = resolve_bandwidth(cfg, X)
-    outer = (V[:, :, None] * V[:, None, :]).reshape(len(V), d * d)
-    vals, eff = nw_regress(X, outer, np.atleast_2d(np.asarray(x, dtype=float)), h)
-    if eff[0] < cfg.density_floor:
-        raise LowDensityError(
-            f"effective_n {eff[0]:.3g} below floor {cfg.density_floor}", float(eff[0])
-        )
-    S = vals[0].reshape(d, d)
-    return 0.5 * (S + S.T)
+        vals[order] = sum_wy / sum_w[:, None]
+    eff[order] = sum_w
+    return vals, eff
 
 
 def reynolds_tensor(Sigma_hat: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
-    """Pi = Sigma - v (x) v, symmetrized, with small negative eigenvalues
-    clipped to zero.  Eigenvalues below -1e-8 trace(Sigma) mean the inputs
-    are not a consistent (second moment, mean) pair."""
-    Sigma_hat = np.atleast_2d(np.asarray(Sigma_hat, dtype=float))
-    v_hat = np.atleast_1d(np.asarray(v_hat, dtype=float))
-    if Sigma_hat.shape != (v_hat.size, v_hat.size):
+    """Pi = Sigma - v (x) v over a batch (..., d, d) of second moments and
+    (..., d) of means, symmetrized, with small negative eigenvalues clipped
+    to zero.  An eigenvalue below -1e-8 trace(Sigma) means that pair is not
+    a consistent (second moment, mean) pair."""
+    Sigma_hat = np.asarray(Sigma_hat, dtype=float)
+    v_hat = np.asarray(v_hat, dtype=float)
+    if v_hat.ndim == 0 or Sigma_hat.shape != v_hat.shape + v_hat.shape[-1:]:
         raise InvalidArgumentError("Sigma_hat and v_hat shapes disagree")
-    pi = Sigma_hat - np.outer(v_hat, v_hat)
-    pi = 0.5 * (pi + pi.T)
+    pi = Sigma_hat - v_hat[..., :, None] * v_hat[..., None, :]
+    pi = 0.5 * (pi + np.swapaxes(pi, -1, -2))
     vals, vecs = np.linalg.eigh(pi)
-    tol = 1e-8 * max(float(np.trace(Sigma_hat)), 0.0)
-    if vals.min() < -tol:
+    tol = 1e-8 * np.maximum(np.trace(Sigma_hat, axis1=-2, axis2=-1), 0.0)
+    lowest = vals[..., 0]
+    if np.any(lowest < -tol):
+        worst = np.unravel_index(np.argmin(lowest + tol), lowest.shape)
         raise InconsistentMomentsError(
-            f"Pi eigenvalue {vals.min():.3g} below -1e-8 trace(Sigma) = {-tol:.3g}"
+            f"Pi eigenvalue {lowest[worst]:.3g} below -1e-8 trace(Sigma) = {-tol[worst]:.3g}"
         )
     vals = np.clip(vals, 0.0, None)
-    return (vecs * vals) @ vecs.T
-
-
-def slice_estimate(ensemble: PathEnsemble, t_index: int, x, cfg: KernelConfig) -> SliceEstimate:
-    """All pointwise estimates at one query point."""
-    X, V, A = _slice_arrays(ensemble, t_index)
-    d = X.shape[1]
-    h = resolve_bandwidth(cfg, X)
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    outer = (V[:, :, None] * V[:, None, :]).reshape(len(V), d * d)
-    targets = np.concatenate([V, A, outer], axis=1)
-    vals, eff = nw_regress(X, targets, x_arr[None, :], h)
-    if eff[0] < cfg.density_floor:
-        raise LowDensityError(
-            f"effective_n {eff[0]:.3g} below floor {cfg.density_floor}", float(eff[0])
-        )
-    rho = float(kde_at(X, x_arr[None, :], h)[0])
-    v_hat = vals[0, :d]
-    a_hat = vals[0, d : 2 * d]
-    Sigma_hat = vals[0, 2 * d :].reshape(d, d)
-    Sigma_hat = 0.5 * (Sigma_hat + Sigma_hat.T)
-    Pi_hat = reynolds_tensor(Sigma_hat, v_hat)
-    return SliceEstimate(x_arr, rho, v_hat, a_hat, Sigma_hat, Pi_hat, float(eff[0]))
+    return np.einsum("...ij,...j,...kj->...ik", vecs, vals, vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +189,8 @@ def fields_on_grid(
 ):
     """Estimate rho, v, a, Sigma, Pi on every grid node.
 
-    Nodes whose effective n falls under the density floor get NaN values and
-    are dropped from the mask (the compact-domain emulation).  Pi is repaired
+    Nodes whose effective n falls under the density floor, or is zero, get
+    NaN values and are dropped from the mask (the compact-domain emulation).  Pi is repaired
     by clipping negative eigenvalues so downstream stencils see a full PSD
     field.  Returns (fields dict, refined grid, bandwidth).
     """
@@ -314,7 +205,7 @@ def fields_on_grid(
     vals, eff = nw_regress(X, targets, pts, h)
     rho = eff / (n * (2 * np.pi * h * h) ** (d / 2))
 
-    ok = eff >= cfg.density_floor
+    ok = (eff >= cfg.density_floor) & (eff > 0)
     vals[~ok] = np.nan
     rho_arr = np.where(ok, rho, np.nan)
 
@@ -323,13 +214,8 @@ def fields_on_grid(
     a_arr = vals[:, d : 2 * d]
     sig_arr = vals[:, 2 * d :].reshape(-1, d, d)
     sig_arr = 0.5 * (sig_arr + np.swapaxes(sig_arr, -1, -2))
-
     pi_arr = np.full_like(sig_arr, np.nan)
-    if np.any(ok):
-        pi_ok = sig_arr[ok] - v_arr[ok, :, None] * v_arr[ok, None, :]
-        w, Q = np.linalg.eigh(pi_ok)
-        w = np.clip(w, 0.0, None)
-        pi_arr[ok] = np.einsum("nij,nj,nkj->nik", Q, w, Q)
+    pi_arr[ok] = reynolds_tensor(sig_arr[ok], v_arr[ok])
 
     refined = grid.with_mask(grid.mask & ok.reshape(shape))
     fields = {

@@ -98,11 +98,12 @@ def kernel_velocity_oracle(
     def slice_data(k: int):
         if k not in cache:
             X = ensemble.positions[:, k, :]
-            V = ensemble.velocities[:, k, :]
             lo = np.quantile(X, quantile, axis=0)
             hi = np.quantile(X, 1.0 - quantile, axis=0)
             h = estimate.resolve_bandwidth(cfg, X)
-            cache[k] = (X, V, lo, hi, h)
+            # sorted on axis 0 once, so nw_regress skips its sort on every query
+            order = np.argsort(X[:, 0], kind="stable")
+            cache[k] = (X[order], ensemble.velocities[order, k, :], lo, hi, h)
         return cache[k]
 
     def eval_slice(k: int, pts: np.ndarray):
@@ -230,19 +231,22 @@ def _step(oracle: VelocityOracle, t: float, x: np.ndarray, h: float, scheme: str
     return x + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _march(oracle: VelocityOracle, points, grid: TimeGrid, scheme: str):
+def _march(oracle: VelocityOracle, points, grid: TimeGrid, scheme: str, history: bool = True):
     """The stepping loop: all (M, d) start points advance together on the grid.
 
     A point whose oracle query is refused or whose state turns non-finite
     stops at its last node; the step is redone for the others.  Returns the
     states (M, K, d), NaN past each stopped point's last node, and the
-    errors ``{index: error}`` of the stopped points.
+    errors ``{index: error}`` of the stopped points.  Without ``history``
+    only the current node is kept: the states are (M, 1, d), the last node
+    of the points that reached it and NaN for the stopped ones.
     """
     if scheme not in _SCHEMES:
         raise InvalidArgumentError(f"unknown scheme {scheme!r}; pick from {_SCHEMES}")
     X = np.atleast_2d(np.asarray(points, dtype=float)).copy()
     nodes = grid.nodes
-    states = np.full((X.shape[0], grid.n_nodes, X.shape[1]), np.nan)
+    keep = grid.n_nodes if history else 1
+    states = np.full((X.shape[0], keep, X.shape[1]), np.nan)
     states[:, 0, :] = X
     ids = np.arange(X.shape[0])  # index of each row of X among the start points
     live = slice(None)  # the rows of `states` that X fills; `ids` once a point stopped
@@ -265,18 +269,20 @@ def _march(oracle: VelocityOracle, points, grid: TimeGrid, scheme: str):
         except LowDensityError as err:
             refused = np.zeros(ids.size, dtype=bool)
             refused[slice(None) if err.rows is None or len(err.rows) == 0 else err.rows] = True
+            kept = min(k + 1, keep)  # the nodes up to k that `states` still holds
             stop(refused, lambda i: TrajectoryLeftSupportError(
                 f"flow left the oracle support at t={t:.6g}: {err}",
-                times=nodes[: k + 1].copy(),
-                states=states[i, : k + 1].copy(),
+                times=nodes[k + 1 - kept : k + 1].copy(),
+                states=states[i, :kept].copy(),
             ))
             continue
         X = X_next
         stop(~np.all(np.isfinite(X), axis=1), lambda i: InvalidArgumentError(
             f"trajectory diverged to a non-finite state at t={nodes[k + 1]:.6g}"
         ))
-        states[live, k + 1] = X
+        states[live, min(k + 1, keep - 1)] = X
         k += 1
+    states[list(errors), -1] = np.nan
     return states, errors
 
 
@@ -360,9 +366,11 @@ def one_step_error(
     A point whose Euler step or reference run fails gets error NaN and is left
     out of max and rms; LowDensityError is raised only when every point fails.
     """
-    euler, euler_errors = _march(oracle, points, make_time_grid(1), "euler")
-    ref, ref_errors = _march(oracle, points, make_time_grid(reference_steps), reference_scheme)
-    errs = np.linalg.norm(euler[:, -1, :] - ref[:, -1, :], axis=1)
+    euler, euler_errors = _march(oracle, points, make_time_grid(1), "euler", history=False)
+    ref, ref_errors = _march(
+        oracle, points, make_time_grid(reference_steps), reference_scheme, history=False
+    )
+    errs = np.linalg.norm(euler[:, 0, :] - ref[:, 0, :], axis=1)
     ok = np.isfinite(errs)
     if not np.any(ok):
         first = next(iter({**euler_errors, **ref_errors}.values()), None)

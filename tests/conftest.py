@@ -8,10 +8,23 @@ The four canonical processes used throughout:
 * trig_det:     X_t = (cos + sin)(pi t/2) X, Y = X           (balance law fails)
 """
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from straightflow import core
+
+# Property tests draw the same examples on every run, keep no example database
+# and take no per-example deadline (timings vary on shared hosts); hypothesis's
+# cache of source constants goes to the temp directory, not the checkout.
+settings.register_profile("straightflow", derandomize=True, deadline=None, database=None)
+settings.load_profile("straightflow")
+os.environ.setdefault(
+    "HYPOTHESIS_STORAGE_DIRECTORY", os.path.join(tempfile.gettempdir(), "straightflow-hypothesis")
+)
 
 
 def gauss1(mean=0.0, var=1.0):

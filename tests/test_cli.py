@@ -160,6 +160,19 @@ class TestDiagnose:
         assert (out / "residual_balance.csv").exists()
 
 
+    def test_estimated_affine_balance_relative_bounded(self, tmp_path):
+        # rho a vanishes for affine interpolants; the reference keeps div(rho Pi)
+        std2 = {"family": "gaussian", "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+        process = {"coefficients": "affine", "dim": 2,
+                   "coupling": {"kind": "independent", "mu0": std2, "mu1": std2}}
+        cfg_path, out = write_config(tmp_path, process=process, n=2000, source="estimate",
+                                     grid={"nodes_per_axis": 5})
+        assert cli.main(["diagnose", "--config", str(cfg_path)]) == 0
+        balance = json.loads((out / "diagnostics.json").read_text())["balance"]
+        assert np.isfinite(balance["relative"]) and balance["relative"] <= 1.0
+        assert balance["verdict"] == "not-straight-compatible"
+
+
 class TestVerify:
     def test_ot_coupling_exit_0(self, tmp_path):
         cfg_path, out = write_config(tmp_path, process=ot_process(), n=20_000)
@@ -269,6 +282,38 @@ class TestExitCodes:
         assert err.startswith("inconclusive: no admissible nodes")
         assert err.count("\n") == 1
 
+    def test_failed_run_manifest_lists_no_phantom_outputs(self, tmp_path):
+        cfg_path, out = write_config(tmp_path, process=trig_process(), n=30, seed=1,
+                                     source="estimate")
+        assert cli.main(["diagnose", "--config", str(cfg_path)]) == 5
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["outputs"] == []
+        assert manifest["error"]["class"] == "NoAdmissibleNodesError"
+        assert manifest["error"]["exit_code"] == 5
+        assert manifest["error"]["message"].startswith("no admissible nodes")
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+    def test_complete_run_manifest(self, tmp_path):
+        cfg_path, out = write_config(tmp_path, process=trig_process())
+        assert cli.main(["diagnose", "--config", str(cfg_path)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "complete" and "error" not in manifest
+        written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        assert manifest["outputs"] == written and len(written) == 5
+
+    def test_defect_still_leaves_failed_manifest(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_simulate", fail)
+        cfg_path, out = write_config(tmp_path)
+        with pytest.raises(RuntimeError):
+            cli.main(["simulate", "--config", str(cfg_path)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and manifest["outputs"] == []
+        assert manifest["error"] == {"class": "RuntimeError", "message": "boom", "exit_code": 1}
+
     @pytest.mark.parametrize("error,code", [
         (errors.ConfigError("bad"), 2),
         (errors.InvalidArgumentError("bad"), 2),
@@ -338,6 +383,17 @@ class TestSchema:
     def test_published_schema_importable(self):
         assert cli.CONFIG_SCHEMA["type"] == "object"
         assert cli.CONFIG_SCHEMA["additionalProperties"] is False
+
+    @pytest.mark.parametrize("knob", [
+        {"tolerances": {"material_max": 1e-3}},
+        {"tolerances": {"one_step": 1e-6}},
+        {"tolerances": {"chord": 1e-6}},
+        {"flow": {"points": [[0.0]]}},
+    ], ids=lambda knob: ".".join(next(iter(knob.items()))[1]))
+    def test_removed_knobs_rejected(self, tmp_path, capsys, knob):
+        cfg_path, _ = write_config(tmp_path, **knob)
+        assert cli.main(["simulate", "--config", str(cfg_path)]) == 2
+        assert next(iter(knob)) in capsys.readouterr().err
 
     def test_missing_required_exit_2(self, tmp_path, capsys):
         path = tmp_path / "c.json"

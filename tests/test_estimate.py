@@ -1,12 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from straightflow import core, estimate
+from straightflow import calculus, core, estimate
 from straightflow.errors import (
     DegenerateDataError,
     InconsistentMomentsError,
-    InvalidArgumentError,
-    LowDensityError,
     NonFiniteDataError,
 )
 
@@ -16,20 +18,33 @@ PI2_4 = np.pi**2 / 4
 CFG = estimate.KernelConfig()
 
 
-def synthetic_ensemble(positions, velocities=None, accelerations=None):
-    """One-slice-of-interest ensemble with hand-made arrays at node 0."""
-    pos = np.asarray(positions, dtype=float)
-    n, d = pos.shape
-    vel = np.zeros((n, d)) if velocities is None else np.asarray(velocities, float)
-    acc = np.zeros((n, d)) if accelerations is None else np.asarray(accelerations, float)
-    stack = lambda a: np.stack([a, a], axis=1)
-    return core.PathEnsemble(core.make_time_grid(1), stack(pos), stack(vel), stack(acc), seed=0)
+def slice_arrays(ens, k):
+    return ens.positions[:, k, :], ens.velocities[:, k, :], ens.accelerations[:, k, :]
+
+
+def kde(X, x, h):
+    """Gaussian-kernel density at x from nw_regress's effective n."""
+    n, d = X.shape
+    _, eff = estimate.nw_regress(X, np.zeros((n, 1)), x[None, :], h)
+    return eff[0] / (n * (2 * np.pi * h * h) ** (d / 2))
+
+
+def fields_at(X, x, V=None, A=None, cfg=CFG):
+    """fields_on_grid values at the centre node of the 3^d grid around x, and
+    whether that node stays admissible."""
+    x = np.asarray(x, dtype=float)
+    V = np.zeros_like(X) if V is None else V
+    A = np.zeros_like(X) if A is None else A
+    grid = calculus.make_spatial_grid([(c - 1.0, c + 1.0) for c in x], 3)
+    fields, refined, _ = estimate.fields_on_grid(X, V, A, grid, cfg)
+    centre = (1,) * x.size
+    return {name: f.values[centre] for name, f in fields.items()}, bool(refined.mask[centre])
 
 
 class TestSilverman:
     def test_formula_and_example_value(self, ens_affine_indep_200k):
         ens = head_ensemble(ens_affine_indep_200k, 10_000)
-        h = estimate.bandwidth_silverman(ens, 0)
+        h = estimate.silverman_bandwidth_from(ens.positions[:, 0, :])
         sigma = np.std(ens.positions[:, 0, 0], ddof=1)
         assert h == pytest.approx(sigma * (4.0 / (3 * 10_000)) ** 0.2, rel=1e-12)
         assert h == pytest.approx(0.168, abs=0.004)
@@ -51,34 +66,31 @@ class TestSilverman:
         assert (h4 / sig4) / (h1 / sig1) == pytest.approx(4.0 ** (-1 / 5), rel=1e-12)
 
     def test_zero_variance_rejected(self):
-        ens = synthetic_ensemble(np.ones((50, 1)))
         with pytest.raises(DegenerateDataError):
-            estimate.bandwidth_silverman(ens, 0)
+            estimate.silverman_bandwidth_from(np.ones((50, 1)))
 
 
 class TestKde:
     def test_single_kernel_value(self):
-        ens = synthetic_ensemble(np.zeros((2, 1)))  # two samples at the origin
-        cfg = estimate.KernelConfig(bandwidth=0.5)
-        val = estimate.kde_density(ens, 0, np.zeros(1), cfg)
-        assert val == pytest.approx((2 * np.pi * 0.25) ** -0.5, rel=1e-12)
+        X = np.zeros((2, 1))  # two samples at the origin
+        cfg = estimate.KernelConfig(bandwidth=0.5, density_floor=0.0)
+        vals, _ = fields_at(X, np.zeros(1), cfg=cfg)
+        assert vals["rho"] == pytest.approx((2 * np.pi * 0.25) ** -0.5, rel=1e-12)
 
     def test_matches_oracle_density(self, ens_affine_indep_200k):
         ens = head_ensemble(ens_affine_indep_200k, 100_000)
-        val = estimate.kde_density(ens, 1, np.zeros(1), CFG)  # t = 0.5 slice
-        assert val == pytest.approx(0.5642, rel=0.05)
+        vals, _ = fields_at(ens.positions[:, 1, :], np.zeros(1))  # t = 0.5 slice
+        assert vals["rho"] == pytest.approx(0.5642, rel=0.05)
 
     def test_far_query_negligible(self):
         rng = np.random.default_rng(2)
-        ens = synthetic_ensemble(rng.standard_normal((200, 1)))
-        cfg = estimate.KernelConfig(bandwidth=0.1)
-        assert estimate.kde_density(ens, 0, np.array([50.0]), cfg) < 1e-10
+        X = rng.standard_normal((200, 1))
+        assert kde(X, np.array([50.0]), 0.1) < 1e-10
 
     def test_ten_bandwidths_out_is_negligible(self):
-        ens = synthetic_ensemble(np.zeros((5, 1)))
+        X = np.zeros((5, 1))
         h = 0.3
-        cfg = estimate.KernelConfig(bandwidth=h)
-        assert estimate.kde_density(ens, 0, np.array([10.0 * h]), cfg) < 1e-10
+        assert kde(X, np.array([10.0 * h]), h) < 1e-10
 
 
 class TestNwConditional:
@@ -86,33 +98,32 @@ class TestNwConditional:
         rng = np.random.default_rng(3)
         pos = rng.standard_normal((300, 2))
         vel = np.tile([1.5, -2.0], (300, 1))
-        ens = synthetic_ensemble(pos, vel)
-        est = estimate.nw_conditional(ens, 0, np.array([0.2, -0.1]), "velocity", CFG)
-        assert np.allclose(est.value, [1.5, -2.0], atol=1e-12)
+        h = estimate.silverman_bandwidth_from(pos)
+        vals, _ = estimate.nw_regress(pos, vel, np.array([[0.2, -0.1]]), h)
+        assert np.allclose(vals[0], [1.5, -2.0], atol=1e-12)
 
     def test_matches_oracle_velocity(self, ens_affine_indep_200k):
-        est = estimate.nw_conditional(ens_affine_indep_200k, 0, np.array([1.0]), "velocity", CFG)
-        assert est.value[0] == pytest.approx(-1.0, abs=0.05)
+        X, V, _ = slice_arrays(ens_affine_indep_200k, 0)
+        vals, _ = estimate.nw_regress(X, V, np.array([[1.0]]), estimate.silverman_bandwidth_from(X))
+        assert vals[0, 0] == pytest.approx(-1.0, abs=0.05)
 
     def test_affine_acceleration_exact_zero(self, ens_affine_indep_200k):
-        ens = head_ensemble(ens_affine_indep_200k, 5_000)
-        est = estimate.nw_conditional(ens, 1, np.array([0.3]), "acceleration", CFG)
-        assert est.value[0] == 0.0
+        X, _, A = slice_arrays(head_ensemble(ens_affine_indep_200k, 5_000), 1)
+        vals, _ = estimate.nw_regress(X, A, np.array([[0.3]]), estimate.silverman_bandwidth_from(X))
+        assert vals[0, 0] == 0.0
 
     def test_low_density_refusal(self, ens_affine_indep_200k):
-        ens = head_ensemble(ens_affine_indep_200k, 2_000)
-        with pytest.raises(LowDensityError):
-            estimate.nw_conditional(ens, 0, np.array([100.0]), "velocity", CFG)
-
-    def test_bad_target_rejected(self, ens_affine_indep_200k):
-        with pytest.raises(InvalidArgumentError):
-            estimate.nw_conditional(ens_affine_indep_200k, 0, np.zeros(1), "position", CFG)
+        X, V, A = slice_arrays(head_ensemble(ens_affine_indep_200k, 2_000), 0)
+        vals, admissible = fields_at(X, np.array([100.0]), V, A)
+        assert vals["effective_n"] < CFG.density_floor
+        assert not admissible and np.isnan(vals["v"][0])
 
     def test_non_finite_slice_rejected(self, latent_spec):
         # the bridge coefficient has infinite derivative at the endpoints
         ens = core.sample_paths(latent_spec, 100, core.make_time_grid(4), seed=8)
+        X, V, A = slice_arrays(ens, 0)
         with pytest.raises(NonFiniteDataError):
-            estimate.nw_conditional(ens, 0, np.zeros(1), "velocity", CFG)
+            fields_at(X, np.zeros(1), V, A)
 
 
 class TestSecondMoment:
@@ -120,19 +131,19 @@ class TestSecondMoment:
         rng = np.random.default_rng(4)
         pos = rng.standard_normal((300, 2))
         vel = np.tile([1.0, 2.0], (300, 1))
-        ens = synthetic_ensemble(pos, vel)
-        S = estimate.nw_second_moment(ens, 0, np.zeros(2), CFG)
-        assert np.allclose(S, np.outer([1.0, 2.0], [1.0, 2.0]), atol=1e-12)
+        vals, admissible = fields_at(pos, np.zeros(2), vel)
+        assert admissible
+        assert np.allclose(vals["Sigma"], np.outer([1.0, 2.0], [1.0, 2.0]), atol=1e-12)
 
     def test_affine_independent_midpoint(self, ens_affine_indep_200k):
-        ens = head_ensemble(ens_affine_indep_200k, 100_000)
-        S = estimate.nw_second_moment(ens, 1, np.zeros(1), CFG)
-        assert S[0, 0] == pytest.approx(2.0, rel=0.05)
+        X, V, A = slice_arrays(head_ensemble(ens_affine_indep_200k, 100_000), 1)
+        vals, _ = fields_at(X, np.zeros(1), V, A)
+        assert vals["Sigma"][0, 0] == pytest.approx(2.0, rel=0.05)
 
     def test_trig_independent(self, ens_trig_indep_200k):
-        ens = head_ensemble(ens_trig_indep_200k, 100_000)
-        S = estimate.nw_second_moment(ens, 1, np.array([0.5]), CFG)
-        assert S[0, 0] == pytest.approx(PI2_4, rel=0.05)
+        X, V, A = slice_arrays(head_ensemble(ens_trig_indep_200k, 100_000), 1)
+        vals, _ = fields_at(X, np.array([0.5]), V, A)
+        assert vals["Sigma"][0, 0] == pytest.approx(PI2_4, rel=0.05)
 
 
 class TestReynoldsTensor:
@@ -158,16 +169,105 @@ class TestReynoldsTensor:
         pi = estimate.reynolds_tensor(sigma + np.outer([1.0, 1.0], [1.0, 1.0]) * 0, [1.0, 1.0])
         assert np.linalg.eigvalsh(pi).min() >= 0.0
 
+    def test_batch_matches_each_matrix(self):
+        rng = np.random.default_rng(5)
+        v = rng.standard_normal((4, 3, 2))
+        spread = rng.standard_normal((4, 3, 2, 2))
+        sigma = v[..., :, None] * v[..., None, :] + spread @ np.swapaxes(spread, -1, -2)
+        batch = estimate.reynolds_tensor(sigma, v)
+        assert batch.shape == (4, 3, 2, 2)
+        for idx in np.ndindex(4, 3):
+            assert np.allclose(batch[idx], estimate.reynolds_tensor(sigma[idx], v[idx]), atol=1e-12)
+
+    def test_inconsistent_member_of_batch_rejected(self):
+        sigma = np.stack([np.eye(2), np.eye(2)])
+        with pytest.raises(InconsistentMomentsError):
+            estimate.reynolds_tensor(sigma, np.array([[0.0, 0.0], [2.0, 0.0]]))
+
+
+def dense_reference(X, Y, points, h):
+    """Every sample against every query, weights farther than eight
+    bandwidths on axis 0 dropped."""
+    radius = 8.0 * h
+    d2 = np.sum((points[:, None, :] - X[None, :, :]) ** 2, axis=-1)
+    w = np.exp(-d2 / (2.0 * h * h))
+    inside = (X[None, :, 0] >= points[:, None, 0] - radius) & (
+        X[None, :, 0] <= points[:, None, 0] + radius
+    )
+    w = np.where(inside, w, 0.0)
+    sum_w = w.sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return (w @ Y) / sum_w[:, None], sum_w
+
+
+def draw_problem(seed, n, m, d, decimals):
+    """Samples (rounded to ``decimals`` to make ties on axis 0), targets, and
+    queries mixing sample points with points up to five scales out."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    if decimals is not None:
+        X = np.round(X, decimals)
+    Y = rng.standard_normal((n, 3))
+    far = 5.0 * rng.uniform(-1, 1, (m - m // 2, d))
+    points = np.concatenate([X[rng.integers(0, n, m // 2)], far])
+    return X, Y, points
+
+
+class TestKernelEngine:
+    problems = dict(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 300),
+        m=st.integers(1, 40),
+        d=st.sampled_from([1, 2, 3]),
+        decimals=st.sampled_from([None, 0, 1, 2]),
+        h=st.floats(0.02, 2.0),
+    )
+
+    @settings(max_examples=60)
+    @given(block_pairs=st.sampled_from([1, 7, estimate._BLOCK_PAIRS]), **problems)
+    def test_equals_dense_reference(self, seed, n, m, d, decimals, h, block_pairs):
+        X, Y, points = draw_problem(seed, n, m, d, decimals)
+        with mock.patch.object(estimate, "_BLOCK_PAIRS", block_pairs):
+            vals, eff = estimate.nw_regress(X, Y, points, h)
+        ref_vals, ref_eff = dense_reference(X, Y, points, h)
+        np.testing.assert_allclose(eff, ref_eff, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(vals, ref_vals, rtol=1e-12, atol=1e-12 * np.abs(Y).max())
+
+    @settings(max_examples=40)
+    @given(**problems)
+    def test_sample_order_does_not_matter(self, seed, n, m, d, decimals, h):
+        X, Y, points = draw_problem(seed, n, m, d, decimals)
+        perm = np.random.default_rng(seed + 1).permutation(n)
+        vals, eff = estimate.nw_regress(X, Y, points, h)
+        vals_p, eff_p = estimate.nw_regress(X[perm], Y[perm], points, h)
+        np.testing.assert_allclose(eff_p, eff, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(vals_p, vals, rtol=1e-12, atol=1e-12 * np.abs(Y).max())
+
+    @settings(max_examples=20)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2, 3]))
+    def test_shift_invariant_far_from_origin(self, seed, d):
+        rng = np.random.default_rng(seed)
+        offset = 1e5
+        X = offset + 0.01 * rng.standard_normal((20_000, d))
+        Y = rng.standard_normal((20_000, 2))
+        points = X[:3]
+        h = estimate.silverman_bandwidth_from(X)
+        vals, eff = estimate.nw_regress(X, Y, points, h)
+        vals_0, eff_0 = estimate.nw_regress(X - offset, Y, points - offset, h)
+        np.testing.assert_allclose(eff, eff_0, rtol=1e-9)
+        np.testing.assert_allclose(vals, vals_0, rtol=1e-9)
+
 
 class TestSliceEstimate:
     def test_consistency_of_parts(self, ens_affine_indep_200k):
-        ens = head_ensemble(ens_affine_indep_200k, 20_000)
-        se = estimate.slice_estimate(ens, 1, np.array([0.4]), CFG)
-        nw = estimate.nw_conditional(ens, 1, np.array([0.4]), "velocity", CFG)
-        assert np.allclose(se.v_hat, nw.value)
-        assert se.effective_n == pytest.approx(nw.effective_n)
+        X, V, A = slice_arrays(head_ensemble(ens_affine_indep_200k, 20_000), 1)
+        x = np.array([0.4])
+        vals, _ = fields_at(X, x, V, A)
+        v_hat, eff = estimate.nw_regress(X, V, x[None, :], estimate.silverman_bandwidth_from(X))
+        assert np.allclose(vals["v"], v_hat[0])
+        assert vals["effective_n"] == pytest.approx(eff[0])
         assert np.allclose(
-            se.Pi_hat, estimate.reynolds_tensor(se.Sigma_hat, se.v_hat), atol=1e-12
+            vals["Pi"], estimate.reynolds_tensor(vals["Sigma"], vals["v"]), atol=1e-12
         )
 
 
@@ -230,3 +330,10 @@ class TestGridFields:
         center = 20
         assert refined.mask[center]
         assert abs(fields["v"].values[center, 0]) < 0.1  # v(0) = 0 at t = 1/2
+
+    def test_node_without_kernel_weight_masked_at_zero_floor(self):
+        X = np.zeros((5, 2))
+        cfg = estimate.KernelConfig(bandwidth=0.1, density_floor=0.0)
+        vals, admissible = fields_at(X, np.array([50.0, 0.0]), cfg=cfg)
+        assert vals["effective_n"] == 0.0
+        assert not admissible and np.isnan(vals["rho"])
