@@ -354,11 +354,14 @@ class _Outputs:
 
 def _write_manifest(out: _Outputs, cfg: ExperimentConfig, failure=None) -> None:
     """The run's manifest; ``failure`` is the (error, exit code) that ended it."""
+    from . import core
+
     manifest = {
         "config_hash": config_hash(cfg),
         "version": _VERSION,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "seed": cfg["seed"],
+        "rng_layout": core.RNG_LAYOUT,
         "outputs": sorted(out.written),
         "status": "complete" if failure is None else "failed",
     }

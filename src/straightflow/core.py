@@ -34,22 +34,29 @@ __all__ = [
     "CouplingSpec",
     "ProcessSpec",
     "TimeGrid",
-    "EndpointSample",
     "EndpointArrays",
     "PathEnsemble",
     "make_time_grid",
-    "coupling_sample",
     "sample_endpoints",
     "slice_state",
     "sample_paths",
     "save_ensemble",
     "load_ensemble",
     "ENSEMBLE_MAGIC",
+    "RNG_LAYOUT",
 ]
 
 _ENDPOINT_TOL = 1e-12
-# Auxiliary RNG streams (controls, subsamples) key off (seed, _AUX_BASE + k) so
-# they can never collide with per-path streams keyed by (seed, path_index).
+# Version of the endpoint stream layout: 1 drew each path from its own stream
+# keyed by (seed, path_index); 2 draws blocks of _BLOCK_ROWS paths, block b
+# from SeedSequence(seed, spawn_key=(b,)).  Bump it whenever the bytes that
+# sample_endpoints returns for a given seed change.
+RNG_LAYOUT = 2
+_BLOCK_ROWS = 4096
+# Auxiliary RNG streams (controls, subsamples, flow start points) are plain
+# tuple keys (seed, _AUX_BASE + k).  A block stream's spawn key pads the seed
+# to the full entropy pool before appending the block index, so the two
+# families never share a stream.
 _AUX_BASE = 2**62
 
 
@@ -174,11 +181,6 @@ class Gaussian:
     def moments(self):
         return self.mean, self.cov
 
-    def make_sampler(self) -> Callable[[np.random.Generator], np.ndarray]:
-        root = _psd_sqrt(self.cov)
-        mean, d = self.mean, self.dim
-        return lambda rng: mean + root @ rng.standard_normal(d)
-
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         root = _psd_sqrt(self.cov)
         return self.mean + rng.standard_normal((n, self.dim)) @ root.T
@@ -216,21 +218,13 @@ class GaussianMixture:
             cov += w * (c + np.outer(dm, dm))
         return mean, cov
 
-    def make_sampler(self) -> Callable[[np.random.Generator], np.ndarray]:
-        roots = [_psd_sqrt(c) for c in self.covs]
-        cum = np.cumsum(self.weights)
-        means, d = self.means, self.dim
-
-        def draw_one(rng: np.random.Generator) -> np.ndarray:
-            k = int(np.searchsorted(cum, rng.random(), side="right"))
-            k = min(k, len(roots) - 1)
-            return means[k] + roots[k] @ rng.standard_normal(d)
-
-        return draw_one
-
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        sampler = self.make_sampler()
-        return np.stack([sampler(rng) for _ in range(n)])
+        """Component labels for all ``n`` rows first, then all normals."""
+        roots = np.stack([_psd_sqrt(c) for c in self.covs])
+        k = np.searchsorted(np.cumsum(self.weights), rng.random(n), side="right")
+        k = np.minimum(k, self.weights.size - 1)
+        u = rng.standard_normal((n, self.dim))
+        return self.means[k] + np.einsum("nij,nj->ni", roots[k], u)
 
 
 @dataclass(frozen=True)
@@ -262,10 +256,6 @@ class Empirical:
         mean = self.samples.mean(axis=0)
         cov = np.cov(self.samples, rowvar=False, ddof=1) if self.samples.shape[0] > 1 else np.zeros((self.dim, self.dim))
         return mean, np.atleast_2d(cov)
-
-    def make_sampler(self) -> Callable[[np.random.Generator], np.ndarray]:
-        samples, m = self.samples, self.samples.shape[0]
-        return lambda rng: samples[int(rng.integers(0, m))]
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         idx = rng.integers(0, self.samples.shape[0], size=n)
@@ -497,15 +487,6 @@ def make_time_grid(n_steps: int) -> TimeGrid:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class EndpointSample:
-    """One endpoint draw (x0, x1) with optional latent z."""
-
-    x0: np.ndarray
-    x1: np.ndarray
-    z: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class EndpointArrays:
     """All endpoint draws of an ensemble, stacked."""
 
@@ -519,10 +500,30 @@ class EndpointArrays:
         return self.x0.shape[0]
 
 
-def _joint_root(coupling: CouplingSpec) -> tuple[np.ndarray, np.ndarray]:
-    mean = coupling.joint_mean
-    root = _psd_sqrt(coupling.joint_cov)
-    return mean, root
+def _block_rng(seed: int, block: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
+
+
+def _draw_block(coupling: CouplingSpec, rng: np.random.Generator, with_latent: bool):
+    """One full block of ``_BLOCK_ROWS`` endpoint rows: mu0 (or the joint
+    normals, or the tabulated row index), then mu1, then the latent."""
+    rows = _BLOCK_ROWS
+    if coupling.kind == "gaussian_joint":
+        d = coupling.dim
+        u = rng.standard_normal((rows, 2 * d))
+        pair = coupling.joint_mean + u @ _psd_sqrt(coupling.joint_cov).T
+        x0, x1 = pair[:, :d], pair[:, d:]
+    elif coupling.kind == "independent":
+        x0 = coupling.mu0.draw(rng, rows)
+        x1 = coupling.mu1.draw(rng, rows)
+    elif coupling.map is None:  # tabulated deterministic map: paired rows
+        j = rng.integers(0, coupling.mu0.samples.shape[0], size=rows)
+        x0, x1 = coupling.mu0.samples[j], coupling.mu1.samples[j]
+    else:
+        x0 = coupling.mu0.draw(rng, rows)
+        x1 = coupling.map(x0)
+    z = rng.standard_normal((rows, coupling.dim)) if with_latent else None
+    return x0, x1, z
 
 
 def sample_endpoints(
@@ -530,59 +531,32 @@ def sample_endpoints(
 ) -> EndpointArrays:
     """Draw ``n`` endpoint pairs.
 
-    Each path owns an RNG stream keyed by ``(seed, path_index)``, so the draw
-    for path i does not depend on how many other paths are sampled or in what
-    order.  The optional latent is drawn from the same per-path stream after
-    the endpoints.
+    Paths come in blocks of ``_BLOCK_ROWS``; block b draws from its own
+    stream keyed by ``(seed, b)`` and always draws the full block, keeping the
+    rows it needs.  So path i does not depend on how many paths are sampled
+    (a prefix of a larger draw is bit-identical), and the latent, drawn last,
+    leaves x0 and x1 unchanged.
     """
     if n < 1:
         raise InvalidArgumentError("n must be >= 1")
     if seed < 0:
         raise InvalidArgumentError("seed must be nonnegative")
+    if coupling.kind == "deterministic_map" and not isinstance(coupling.map, AffineMap | None):
+        raise InvalidCouplingError("deterministic_map requires an affine map")
     d = coupling.dim
     x0 = np.empty((n, d))
     x1 = np.empty((n, d))
     z = np.empty((n, d)) if with_latent else None
-
-    kind = coupling.kind
-    if kind == "gaussian_joint":
-        mean, root = _joint_root(coupling)
-    tabulated = kind == "deterministic_map" and coupling.map is None
-    if kind == "deterministic_map" and not tabulated and not isinstance(coupling.map, AffineMap):
-        raise InvalidCouplingError("deterministic_map requires an affine map in v1")
-    draw0 = coupling.mu0.make_sampler()
-    draw1 = coupling.mu1.make_sampler()
-
-    for i in range(n):
-        rng = np.random.default_rng((seed, i))
-        if kind == "independent":
-            x0[i] = draw0(rng)
-            x1[i] = draw1(rng)
-        elif kind == "deterministic_map":
-            if tabulated:
-                j = int(rng.integers(0, coupling.mu0.samples.shape[0]))
-                x0[i] = coupling.mu0.samples[j]
-                x1[i] = coupling.mu1.samples[j]
-            else:
-                x0[i] = draw0(rng)
-                x1[i] = coupling.map(x0[i])
-        else:  # gaussian_joint
-            u = rng.standard_normal(2 * d)
-            pair = mean + root @ u
-            x0[i] = pair[:d]
-            x1[i] = pair[d:]
+    for b, lo in enumerate(range(0, n, _BLOCK_ROWS)):
+        hi = min(lo + _BLOCK_ROWS, n)
+        b0, b1, bz = _draw_block(coupling, _block_rng(seed, b), with_latent)
+        x0[lo:hi] = b0[: hi - lo]
+        x1[lo:hi] = b1[: hi - lo]
         if with_latent:
-            z[i] = rng.standard_normal(d)
-
+            z[lo:hi] = bz[: hi - lo]
     return EndpointArrays(
         _readonly(x0), _readonly(x1), _readonly(z) if z is not None else None, int(seed)
     )
-
-
-def coupling_sample(coupling: CouplingSpec, n: int, seed: int) -> list[EndpointSample]:
-    """Draw endpoint pairs as a list of EndpointSample."""
-    arrays = sample_endpoints(coupling, n, seed, with_latent=False)
-    return [EndpointSample(arrays.x0[i], arrays.x1[i]) for i in range(n)]
 
 
 def slice_state(
@@ -701,7 +675,8 @@ def load_ensemble(path, seed: int = -1) -> PathEnsemble:
 
 
 def aux_rng(seed: int, tag: int) -> np.random.Generator:
-    """Deterministic auxiliary stream (controls, subsampling); disjoint from
-    per-path streams for any realistic path count."""
+    """Deterministic auxiliary stream (controls, subsampling, flow start
+    points) keyed by ``(seed, 2^62 + tag)``; disjoint from the endpoint block
+    streams, whose spawn keys pad the seed to the full entropy pool."""
     entropy = int(seed) % (2**63)  # loaded ensembles may carry seed = -1
     return np.random.default_rng((entropy, _AUX_BASE + int(tag)))

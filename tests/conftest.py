@@ -101,7 +101,7 @@ def ens_trig_indep_200k(trig_indep_spec, grid3):
 
 
 def head_ensemble(ensemble: core.PathEnsemble, n: int) -> core.PathEnsemble:
-    """First-n view; valid because per-path streams are keyed by path index."""
+    """First-n view; valid because a smaller draw is a prefix of a larger one."""
     return core.PathEnsemble(
         ensemble.grid,
         ensemble.positions[:n],

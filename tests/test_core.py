@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from straightflow import core
 from straightflow.errors import (
@@ -39,9 +43,9 @@ class TestCouplingSample:
     def test_deterministic_map_exact(self):
         amap = core.AffineMap(np.array([[2.0]]), np.array([0.0]))
         cpl = core.CouplingSpec("deterministic_map", gauss1(), gauss1(var=4.0), map=amap)
-        pairs = core.coupling_sample(cpl, 3, seed=7)
-        for p in pairs:
-            assert p.x1 == pytest.approx(2.0 * p.x0, abs=0.0)
+        arr = core.sample_endpoints(cpl, 3, seed=7)
+        for x0, x1 in zip(arr.x0, arr.x1):
+            assert x1 == pytest.approx(2.0 * x0, abs=0.0)
 
     def test_independent_correlation_near_zero(self):
         cpl = core.CouplingSpec("independent", gauss1(), gauss1())
@@ -68,6 +72,115 @@ class TestCouplingSample:
         cpl = core.CouplingSpec("independent", gauss1(), gauss1())
         with pytest.raises(InvalidArgumentError):
             core.sample_endpoints(cpl, 4, seed=-3)
+
+
+B = core._BLOCK_ROWS
+
+
+# two 1-D components 8 and 5 standard deviations from 0
+MIX1 = core.GaussianMixture(
+    np.array([0.3, 0.7]), np.array([[-4.0], [5.0]]), np.array([[[0.25]], [[1.0]]])
+)
+
+
+def _couplings():
+    """One coupling per kind, a Gaussian mixture marginal among them."""
+    tab0 = core.Empirical(np.linspace(-1.0, 1.0, 7))
+    tab1 = core.Empirical(np.linspace(0.0, 3.0, 7) ** 2)
+    mix2 = core.GaussianMixture(
+        np.array([0.5, 0.5]),
+        np.array([[-1.0, 0.0], [1.0, 2.0]]),
+        np.array([np.eye(2), [[2.0, 0.5], [0.5, 1.0]]]),
+    )
+    gauss2 = core.Gaussian(np.zeros(2), np.array([[1.0, 0.3], [0.3, 2.0]]))
+    return {
+        "independent": core.CouplingSpec("independent", mix2, gauss2),
+        "affine_map": core.CouplingSpec(
+            "deterministic_map", gauss1(), gauss1(1.0, 4.0),
+            map=core.AffineMap(np.array([[2.0]]), np.array([1.0])),
+        ),
+        "tabulated_map": core.CouplingSpec("deterministic_map", tab0, tab1),
+        "gaussian_joint": core.gaussian_joint_coupling(
+            np.array([0.0, 1.0, 2.0, 3.0]),
+            np.array([[1.0, 0.2, 0.6, 0.0], [0.2, 1.0, 0.0, 0.5],
+                      [0.6, 0.0, 1.0, 0.1], [0.0, 0.5, 0.1, 2.0]]),
+        ),
+    }
+
+
+COUPLINGS = _couplings()
+# sizes at, beside and across block boundaries, plus any size up to two blocks
+_SIZES = st.one_of(
+    st.sampled_from([1, B - 1, B, B + 1, 2 * B, 2 * B + 1]), st.integers(1, 2 * B + 1)
+)
+
+
+class TestBlockStreams:
+    def test_block_and_aux_streams_pairwise_distinct(self):
+        # a plain tuple key (seed, 0) would replay default_rng(seed): numpy
+        # pads tuple entropy with zeros
+        for seed in (0, 5, 2**40):
+            firsts = [core._block_rng(seed, 0).random(), core._block_rng(seed, 1).random(),
+                      np.random.default_rng(seed).random()]
+            firsts += [core.aux_rng(seed, tag).random() for tag in range(6)]
+            assert len(set(firsts)) == len(firsts)
+
+    @given(kind=st.sampled_from(sorted(COUPLINGS)), n1=_SIZES, n2=_SIZES,
+           seed=st.integers(0, 2**32), latent=st.booleans())
+    def test_prefix_equals_smaller_draw(self, kind, n1, n2, seed, latent):
+        assume(n1 < n2)
+        small = core.sample_endpoints(COUPLINGS[kind], n1, seed, with_latent=latent)
+        big = core.sample_endpoints(COUPLINGS[kind], n2, seed, with_latent=latent)
+        assert np.array_equal(small.x0, big.x0[:n1])
+        assert np.array_equal(small.x1, big.x1[:n1])
+        if latent:
+            assert np.array_equal(small.z, big.z[:n1])
+
+    @given(kind=st.sampled_from(sorted(COUPLINGS)), n=_SIZES, seed=st.integers(0, 2**32))
+    def test_endpoints_independent_of_latent(self, kind, n, seed):
+        plain = core.sample_endpoints(COUPLINGS[kind], n, seed)
+        with_z = core.sample_endpoints(COUPLINGS[kind], n, seed, with_latent=True)
+        assert plain.z is None and with_z.z.shape == with_z.x0.shape
+        assert np.array_equal(plain.x0, with_z.x0)
+        assert np.array_equal(plain.x1, with_z.x1)
+
+    def test_mixture_frequencies_and_moments_within_four_se(self):
+        n = 40_000
+        arr = core.sample_endpoints(core.CouplingSpec("independent", MIX1, MIX1), n, seed=21)
+        mean, cov = MIX1.moments()
+        w = MIX1.weights[0]
+        for x in (arr.x0[:, 0], arr.x1[:, 0]):
+            assert abs(np.mean(x < 0.0) - w) <= 4.0 * np.sqrt(w * (1 - w) / n)
+            assert abs(x.mean() - mean[0]) <= 4.0 * np.sqrt(cov[0, 0] / n)
+            dev2 = (x - x.mean()) ** 2
+            assert abs(x.var() - cov[0, 0]) <= 4.0 * dev2.std() / np.sqrt(n)
+
+    def test_layout_guard(self):
+        # Changing which numbers land in which row is a new stream layout:
+        # bump RNG_LAYOUT and these digests together.  1-D marginals and a
+        # diagonal joint covariance keep every product exact, so the digests
+        # do not depend on the BLAS build.
+        assert core.RNG_LAYOUT == 2
+        cpls = {
+            "independent": core.CouplingSpec("independent", MIX1, gauss1(0.5, 2.0)),
+            "affine_map": COUPLINGS["affine_map"],
+            "tabulated_map": COUPLINGS["tabulated_map"],
+            "gaussian_joint": core.gaussian_joint_coupling(
+                np.array([0.0, 2.0]), np.diag([1.0, 4.0])
+            ),
+        }
+        digests = {}
+        for kind, cpl in cpls.items():
+            arr = core.sample_endpoints(cpl, 5, seed=0, with_latent=True)
+            digests[kind] = hashlib.sha256(
+                arr.x0.tobytes() + arr.x1.tobytes() + arr.z.tobytes()
+            ).hexdigest()
+        assert digests == {
+            "independent": "763547d63b332e5ad5cf324f1f0c51fa86ba6e221c2ed0fa49f2764404bf145f",
+            "affine_map": "dac264184b9177c7a8b1a59d05e9acf49bba0f54ee340e9847d732046b1785e1",
+            "tabulated_map": "7d25d6a5a6a7da90e5db160c5aed028d450973c3f94f21d5b068ea3b54feb8bb",
+            "gaussian_joint": "fcfe62ba6087fa679a7b12f6fadad3eedfdb5944c181d875a7b3f199707400c7",
+        }
 
 
 class TestSamplePaths:
