@@ -8,13 +8,17 @@ falls under ``density_floor`` are masked on grids (and refused by the flow's
 kernel oracle).
 
 Every estimate is a kernel-weighted sum, and :func:`nw_regress` is the one
-engine that computes them, in every dimension.  Samples and queries are
-sorted on axis 0 and the queries are walked in blocks; each block meets only
-the band of samples within eight bandwidths of it on axis 0, and a sample
-farther than that from a query on axis 0 gets weight zero (each dropped
-weight is below 1.3e-14).  Squared distances are sums of direct coordinate
-differences, so nothing cancels far from the origin.  :func:`fields_on_grid`
-is the grid view over the engine.
+engine that computes them, in every dimension.  A sample farther than eight
+bandwidths from a query along any axis gets weight zero (each dropped weight
+is below 1.3e-14), so each query meets only the samples in a box around it.
+Samples are sorted on axis 0, and queries are walked in blocks bounded on
+every axis.  In 1-D a block is a run of queries sorted on the axis and meets
+the band of samples within eight bandwidths of it.  In d >= 2 a block is a
+cell of queries a few bandwidths wide on every axis; it meets the samples of
+its axis-0 band that also lie near it on every other axis, gathered once per
+cell.  Squared distances are sums of direct coordinate differences, so
+nothing cancels far from the origin.  :func:`fields_on_grid` is the grid view
+over the engine.
 """
 
 from __future__ import annotations
@@ -84,42 +88,58 @@ def resolve_bandwidth(cfg: KernelConfig, X: np.ndarray) -> float:
 # the kernel-moment engine
 # ---------------------------------------------------------------------------
 
-# Kernel weights beyond this many bandwidths on axis 0 are below 1.3e-14 and
+# Kernel weights beyond this many bandwidths on any axis are below 1.3e-14 and
 # dropped; immaterial next to estimator noise.
 _WINDOW_BANDWIDTHS = 8.0
-# A query block spans at most this fraction of the window radius on axis 0,
-# so its sample band is at most 1/16 wider than one query's window.
+# In 1-D a query block spans at most this fraction of the window radius, so
+# its sample band is at most 1/16 wider than one query's window.
 _BLOCK_WIDTH = 1.0 / 8.0
+# In d >= 2 queries are grouped in cells this fraction of the window radius
+# wide on every axis; a cell meets the samples within the window radius of
+# its extent on every axis.
+_CELL_WIDTH = 0.5
+# A cell with fewer queries than this skips the gather: gathering costs about
+# as much per band sample as the kernel weights of a few queries, while each
+# query saves only the weights of the samples the gather drops (a fifth to a
+# half of the band at Silverman bandwidths).
+_GATHER_QUERIES = 5
 # Most query x sample pairs held at once (each temporary is 256 kB), unless
 # one query's window alone holds more samples.
 _BLOCK_PAIRS = 1 << 15
 
 
-def nw_regress(X: np.ndarray, Y: np.ndarray, points: np.ndarray, h: float):
-    """Nadaraya-Watson ratio of targets Y (N, p) at each query point (M, d).
+def _in_window(q_lo: np.ndarray, q_hi: np.ndarray, cols: np.ndarray, axes) -> np.ndarray:
+    """(queries, columns) mask of the samples (d, columns) within the window
+    on the given axes."""
+    k, *rest = axes
+    inside = cols[None, k] >= q_lo[:, k, None]
+    inside &= cols[None, k] <= q_hi[:, k, None]
+    for k in rest:
+        inside &= cols[None, k] >= q_lo[:, k, None]
+        inside &= cols[None, k] <= q_hi[:, k, None]
+    return inside
 
-    Returns (values (M, p), effective_n (M,)).  Samples farther than eight
-    bandwidths from a query on axis 0 get weight zero.  No floor is applied
-    here; callers decide whether to refuse or mask.  Samples already sorted
-    on axis 0 are not sorted again, so a caller that queries one sample set
-    many times can sort it once.
-    """
-    points = np.atleast_2d(points)
-    radius = _WINDOW_BANDWIDTHS * h
-    if np.any(X[1:, 0] < X[:-1, 0]):
-        order = np.argsort(X[:, 0], kind="stable")
-        X, Y = X[order], Y[order]
-    order = np.argsort(points[:, 0], kind="stable")
-    ps = points[order]
-    lo_edge = ps[:, 0] - radius
-    hi_edge = ps[:, 0] + radius
-    # window of query i on axis 0: samples [win_lo[i], win_hi[i])
-    win_lo = np.searchsorted(X[:, 0], lo_edge, side="left")
-    win_hi = np.searchsorted(X[:, 0], hi_edge, side="right")
+
+def _weights(q: np.ndarray, cols: np.ndarray, h: float) -> np.ndarray:
+    """Unnormalized Gaussian weights (queries, columns) of the samples
+    (d, columns), distances summed from direct coordinate differences."""
+    d2 = np.subtract(q[:, 0, None], cols[None, 0])
+    np.square(d2, out=d2)
+    for k in range(1, cols.shape[0]):
+        diff = np.subtract(q[:, k, None], cols[None, k])
+        d2 += np.square(diff, out=diff)
+    np.multiply(d2, -1.0 / (2.0 * h * h), out=d2)
+    return np.exp(d2, out=d2)
+
+
+def _axis_blocks(S, Y, ps, radius, win):
+    """1-D blocks: queries sorted on the axis, each block at most
+    ``_BLOCK_WIDTH`` window radii wide and at most ``_BLOCK_PAIRS`` pairs,
+    against the band of samples within the radius of it.  Yields (first
+    query, end query, band samples (d, n), band targets, (columns, axes)
+    pairs: columns that can fall outside a query's window on those axes)."""
+    win_lo, win_hi = win
     block_end = np.searchsorted(ps[:, 0], ps[:, 0] + _BLOCK_WIDTH * radius, side="right")
-
-    sum_w = np.zeros(ps.shape[0])
-    sum_wy = np.zeros((ps.shape[0], Y.shape[1]))
     i = 0
     while i < ps.shape[0]:
         lo = win_lo[i]
@@ -127,22 +147,104 @@ def nw_regress(X: np.ndarray, Y: np.ndarray, points: np.ndarray, h: float):
         j = i + max(1, min(block_end[i] - i, _BLOCK_PAIRS // widest))
         hi = win_hi[j - 1]
         if hi > lo:
-            band, q = X[lo:hi], ps[i:j]
-            d2 = np.subtract(q[:, 0, None], band[None, :, 0])
-            np.square(d2, out=d2)
-            for k in range(1, band.shape[1]):
-                diff = np.subtract(q[:, k, None], band[None, :, k])
-                d2 += np.square(diff, out=diff)
             # every query of the block keeps the columns [win_lo[j-1], win_hi[i]);
             # only the columns on either side can fall outside a query's window
             left, right = win_lo[j - 1] - lo, win_hi[i] - lo
-            np.copyto(d2[:, :left], np.inf, where=band[None, :left, 0] < lo_edge[i:j, None])
-            np.copyto(d2[:, right:], np.inf, where=band[None, right:, 0] > hi_edge[i:j, None])
-            np.multiply(d2, -1.0 / (2.0 * h * h), out=d2)
-            w = np.exp(d2, out=d2)
-            sum_w[i:j] = w.sum(axis=1)
-            sum_wy[i:j] = w @ Y[lo:hi]
+            edges = [(s, (0,)) for s in (slice(0, left), slice(right, hi - lo)) if s.start < s.stop]
+            yield i, j, S[:, lo:hi], Y[lo:hi], edges
         i = j
+
+
+def _cell_order(points, radius):
+    """Permutation grouping the queries by cell (``_CELL_WIDTH`` window radii
+    on every axis), and the start of each cell in that order.  Fewer queries
+    than ``_GATHER_QUERIES`` stay in one group: no cell of theirs would
+    gather."""
+    m = points.shape[0]
+    if m < _GATHER_QUERIES:
+        return np.arange(m), np.array([0, m])
+    cell = (points - points.min(axis=0)) // (_CELL_WIDTH * radius)
+    order = np.lexsort(cell.T[::-1])
+    cell = cell[order]
+    first = np.ones(m, dtype=bool)
+    first[1:] = np.any(cell[1:] != cell[:-1], axis=1)
+    return order, np.append(np.flatnonzero(first), m)
+
+
+def _cell_blocks(S, Y, q_lo, q_hi, win, starts):
+    """d >= 2 blocks: each cell of queries meets the samples of its axis-0
+    band that lie within the window radius of the cell's extent on every
+    other axis, gathered with the samples inside every query's window first.
+    A cell with fewer than ``_GATHER_QUERIES`` queries does not pay for the
+    gather: each of its queries meets its own axis-0 window, masked on the
+    other axes.  Yields blocks as ``_axis_blocks`` does."""
+    win_lo, win_hi = win
+    d = S.shape[0]
+    for i, e in zip(starts[:-1], starts[1:]):
+        if e - i < _GATHER_QUERIES:
+            for j in range(i, e):
+                lo, hi = win_lo[j], win_hi[j]
+                yield j, j + 1, S[:, lo:hi], Y[lo:hi], ((slice(None), range(1, d)),)
+            continue
+        lo, hi = win_lo[i:e].min(), win_hi[i:e].max()
+        band = S[:, lo:hi]
+        cell_lo, cell_hi = q_lo[i:e].min(axis=0), q_hi[i:e].max(axis=0)
+        # a sample inside [sure_lo, sure_hi] on every axis is in every query's window
+        sure_lo, sure_hi = q_lo[i:e].max(axis=0), q_hi[i:e].min(axis=0)
+        keep = np.ones(band.shape[1], dtype=bool)
+        sure = (band[0] >= sure_lo[0]) & (band[0] <= sure_hi[0])
+        for k in range(1, d):
+            keep &= (band[k] >= cell_lo[k]) & (band[k] <= cell_hi[k])
+            sure &= (band[k] >= sure_lo[k]) & (band[k] <= sure_hi[k])
+        inner = np.flatnonzero(sure)
+        cols = lo + np.concatenate([inner, np.flatnonzero(keep & ~sure)])
+        if cols.size:
+            edges = ((slice(inner.size, None), range(d)),)
+            yield i, e, np.take(S, cols, axis=1), np.take(Y, cols, axis=0), edges
+
+
+def nw_regress(X: np.ndarray, Y: np.ndarray, points: np.ndarray, h: float):
+    """Nadaraya-Watson ratio of targets Y (N, p) at each query point (M, d).
+
+    Returns (values (M, p), effective_n (M,)).  Samples farther than eight
+    bandwidths from a query along any axis get weight zero.  No floor is
+    applied here; callers decide whether to refuse or mask.  Samples already
+    sorted on axis 0 are not sorted again, so a caller that queries one
+    sample set many times can sort it once.
+    """
+    points = np.atleast_2d(points)
+    radius = _WINDOW_BANDWIDTHS * h
+    S = X.T
+    if np.any(S[0, 1:] < S[0, :-1]):
+        order = np.argsort(S[0], kind="stable")
+        S, Y = S.take(order, axis=1), Y[order]
+    S = np.ascontiguousarray(S)  # one contiguous row per axis
+    if points.shape[1] == 1:
+        order, starts = np.argsort(points[:, 0], kind="stable"), None
+    else:
+        order, starts = _cell_order(points, radius)
+    ps = points[order]
+    q_lo, q_hi = ps - radius, ps + radius
+    # window of query i on axis 0: samples [win[0][i], win[1][i])
+    win = (np.searchsorted(S[0], q_lo[:, 0], side="left"),
+           np.searchsorted(S[0], q_hi[:, 0], side="right"))
+    if starts is None:
+        blocks = _axis_blocks(S, Y, ps, radius, win)
+    else:
+        blocks = _cell_blocks(S, Y, q_lo, q_hi, win, starts)
+
+    sum_w = np.zeros(ps.shape[0])
+    sum_wy = np.zeros((ps.shape[0], Y.shape[1]))
+    for i, e, Sb, Yb, edges in blocks:
+        step = max(1, _BLOCK_PAIRS // max(Sb.shape[1], 1))
+        for j in range(i, e, step):
+            rows = slice(j, min(j + step, e))
+            w = _weights(ps[rows], Sb, h)
+            for cols, axes in edges:
+                w[:, cols] *= _in_window(q_lo[rows], q_hi[rows], Sb[:, cols], axes)
+            sum_w[rows] = w.sum(axis=1)
+            sum_wy[rows] = w @ Yb
+        del Sb, Yb  # a cell's gathered samples go before the next cell's come
 
     vals = np.empty_like(sum_wy)
     eff = np.empty_like(sum_w)
@@ -200,9 +302,12 @@ def fields_on_grid(
     n, d = X.shape
     h = resolve_bandwidth(cfg, X)
     pts = grid.points()
+    # sorted here, so that nw_regress copies neither the samples nor the targets
+    order = np.argsort(X[:, 0], kind="stable")
     outer = (V[:, :, None] * V[:, None, :]).reshape(n, d * d)
-    targets = np.concatenate([V, A, outer], axis=1)
-    vals, eff = nw_regress(X, targets, pts, h)
+    targets = np.concatenate([V, A, outer], axis=1)[order]
+    del outer  # not held through the kernel sums
+    vals, eff = nw_regress(X[order], targets, pts, h)
     rho = eff / (n * (2 * np.pi * h * h) ** (d / 2))
 
     ok = (eff >= cfg.density_floor) & (eff > 0)

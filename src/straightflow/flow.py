@@ -8,6 +8,7 @@ tabulated grid field with multilinear interpolation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -20,7 +21,7 @@ from .errors import (
     LowDensityError,
     TrajectoryLeftSupportError,
 )
-from .gaussian import GaussianProcessSpec, velocity_at
+from .gaussian import GaussianProcessSpec, _velocity_model
 
 __all__ = [
     "VelocityOracle",
@@ -73,8 +74,11 @@ class VelocityOracle:
 
 
 def analytic_velocity_oracle(spec: GaussianProcessSpec) -> VelocityOracle:
+    # the velocity model is built once per t: RK stages share t + h/2, and a
+    # step ends at the time the next one starts from
+    model_at = functools.lru_cache(maxsize=4)(functools.partial(_velocity_model, spec))
     return VelocityOracle(
-        evaluate=lambda t, x: velocity_at(spec, float(t), x),
+        evaluate=lambda t, x: model_at(float(t))(x),
         source="analytic",
         dim=spec.dim,
     )
@@ -101,9 +105,10 @@ def kernel_velocity_oracle(
             lo = np.quantile(X, quantile, axis=0)
             hi = np.quantile(X, 1.0 - quantile, axis=0)
             h = estimate.resolve_bandwidth(cfg, X)
-            # sorted on axis 0 once, so nw_regress skips its sort on every query
+            # sorted on axis 0 once, so nw_regress skips its sort on every
+            # query, and stored one axis after the other, as nw_regress reads it
             order = np.argsort(X[:, 0], kind="stable")
-            cache[k] = (X[order], ensemble.velocities[order, k, :], lo, hi, h)
+            cache[k] = (np.asfortranarray(X[order]), ensemble.velocities[order, k, :], lo, hi, h)
         return cache[k]
 
     def eval_slice(k: int, pts: np.ndarray):
@@ -264,9 +269,12 @@ def _march(oracle: VelocityOracle, points, grid: TimeGrid, scheme: str, history:
     k = 0
     while k < grid.n_nodes - 1 and ids.size:
         t, h = float(nodes[k]), float(nodes[k + 1] - nodes[k])
+        excursions = oracle.stats.excursions
         try:
             X_next = _step(oracle, t, X, h, scheme)
         except LowDensityError as err:
+            # the step is redone for the other points and counts their queries again
+            oracle.stats.excursions = excursions
             refused = np.zeros(ids.size, dtype=bool)
             refused[slice(None) if err.rows is None or len(err.rows) == 0 else err.rows] = True
             kept = min(k + 1, keep)  # the nodes up to k that `states` still holds

@@ -192,25 +192,34 @@ class _ConditionalModel:
     log_norm: float  # log of the Gaussian density normalization
 
 
-def _conditional_model(spec: GaussianProcessSpec, t: float) -> _ConditionalModel:
+def _cross(spec: GaussianProcessSpec, c1, c1p, c2, c2p, gg) -> np.ndarray:
+    # Cov(c1' X0 + c2' X1 + gg1' Z, c1 X0 + c2 X1 + gg2 Z) building block
+    S00, S01, S11 = spec.S00, spec.S01, spec.S11
+    eye = np.eye(spec.dim)
+    return c1p * c1 * S00 + c1p * c2 * S01 + c2p * c1 * S01.T + c2p * c2 * S11 + gg * eye
+
+
+def _affine_terms(spec: GaussianProcessSpec, t: float):
+    """Marginal moments, time coefficients, Cov(dX_t, X_t) and S_t^-1 at t;
+    raises DegenerateMarginalError where S_t is numerically singular."""
     mom = marginal_moments(spec, t)
     if mom.degenerate:
         raise DegenerateMarginalError(
             f"marginal covariance at t={t} is numerically singular"
         )
-    a, ad, add, b, bd, bdd, g, gd, gdd = _coef_values(spec, t)
-    eye = np.eye(spec.dim)
+    coefs = _coef_values(spec, t)
+    a, ad, _, b, bd, _, g, gd, _ = coefs
+    C_v = _cross(spec, a, ad, b, bd, gd * g)
+    return mom, coefs, C_v, np.linalg.inv(mom.cov)
+
+
+def _conditional_model(spec: GaussianProcessSpec, t: float) -> _ConditionalModel:
+    mom, coefs, C_v, cov_inv = _affine_terms(spec, t)
+    a, ad, add, b, bd, bdd, g, gd, gdd = coefs
     S00, S01, S11 = spec.S00, spec.S01, spec.S11
+    C_a = _cross(spec, a, add, b, bdd, gdd * g)
+    cov_v = ad * ad * S00 + ad * bd * (S01 + S01.T) + bd * bd * S11 + gd * gd * np.eye(spec.dim)
 
-    def cross(c1, c1p, c2, c2p, gg):
-        # Cov(c1' X0 + c2' X1 + gg1' Z, c1 X0 + c2 X1 + gg2 Z) building block
-        return c1p * c1 * S00 + c1p * c2 * S01 + c2p * c1 * S01.T + c2p * c2 * S11 + gg * eye
-
-    C_v = cross(a, ad, b, bd, gd * g)
-    C_a = cross(a, add, b, bdd, gdd * g)
-    cov_v = ad * ad * S00 + ad * bd * (S01 + S01.T) + bd * bd * S11 + gd * gd * eye
-
-    cov_inv = np.linalg.inv(mom.cov)
     Jv = C_v @ cov_inv
     Ja = C_a @ cov_inv
     Pi = cov_v - Jv @ C_v.T
@@ -236,6 +245,29 @@ def _conditional_model(spec: GaussianProcessSpec, t: float) -> _ConditionalModel
         cov_inv=cov_inv,
         log_norm=log_norm,
     )
+
+
+@dataclass(frozen=True)
+class _VelocityModel:
+    """The part of the conditional model at one t that the velocity needs:
+    v(x) = Ev + Jv (x - mean)."""
+
+    mean: np.ndarray
+    Ev: np.ndarray
+    Jv: np.ndarray
+
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        arr = np.asarray(X, dtype=float)
+        single = arr.ndim == 1
+        pts = np.atleast_2d(arr)
+        V = self.Ev + (pts - self.mean) @ self.Jv.T
+        return V[0] if single else V
+
+
+def _velocity_model(spec: GaussianProcessSpec, t: float) -> _VelocityModel:
+    mom, coefs, C_v, cov_inv = _affine_terms(spec, t)
+    ad, bd = coefs[1], coefs[4]
+    return _VelocityModel(mom.mean, ad * spec.mean0 + bd * spec.mean1, C_v @ cov_inv)
 
 
 def conditional_fields(spec: GaussianProcessSpec, t: float, x: np.ndarray) -> FieldValues:
@@ -266,12 +298,7 @@ def conditional_fields_batch(spec: GaussianProcessSpec, t: float, X: np.ndarray)
 def velocity_at(spec: GaussianProcessSpec, t: float, X: np.ndarray) -> np.ndarray:
     """Conditional velocity only; X may be (d,) or (M, d).  Cheap enough for
     ODE stepping."""
-    model = _conditional_model(spec, t)
-    arr = np.asarray(X, dtype=float)
-    single = arr.ndim == 1
-    pts = np.atleast_2d(arr)
-    V = model.Ev + (pts - model.mean) @ model.Jv.T
-    return V[0] if single else V
+    return _velocity_model(spec, t)(X)
 
 
 def gaussian_ot_map(m0, S0, m1, S1) -> AffineMap:
@@ -314,11 +341,11 @@ def material_derivative_analytic(
 ) -> MaterialDerivativeValue:
     """D_t v = d_t v + (v . grad) v with the spatial term exact (v affine in x)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    model = _conditional_model(spec, t)
+    model = _velocity_model(spec, t)
     v_c = model.Ev + model.Jv @ (x - model.mean)
 
     def v_at(tt):
-        m = _conditional_model(spec, tt)
+        m = _velocity_model(spec, tt)
         return m.Ev + m.Jv @ (x - m.mean)
 
     one_sided = False

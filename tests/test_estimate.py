@@ -187,12 +187,14 @@ class TestReynoldsTensor:
 
 def dense_reference(X, Y, points, h):
     """Every sample against every query, weights farther than eight
-    bandwidths on axis 0 dropped."""
+    bandwidths along any axis dropped."""
     radius = 8.0 * h
     d2 = np.sum((points[:, None, :] - X[None, :, :]) ** 2, axis=-1)
     w = np.exp(-d2 / (2.0 * h * h))
-    inside = (X[None, :, 0] >= points[:, None, 0] - radius) & (
-        X[None, :, 0] <= points[:, None, 0] + radius
+    inside = np.all(
+        (X[None, :, :] >= points[:, None, :] - radius)
+        & (X[None, :, :] <= points[:, None, :] + radius),
+        axis=-1,
     )
     w = np.where(inside, w, 0.0)
     sum_w = w.sum(axis=1)
@@ -232,6 +234,59 @@ class TestKernelEngine:
         ref_vals, ref_eff = dense_reference(X, Y, points, h)
         np.testing.assert_allclose(eff, ref_eff, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(vals, ref_vals, rtol=1e-12, atol=1e-12 * np.abs(Y).max())
+
+    @settings(max_examples=60)
+    @given(
+        geometry=st.fixed_dictionaries({
+            "_BLOCK_PAIRS": st.sampled_from([1, 7, estimate._BLOCK_PAIRS, 1 << 40]),
+            "_BLOCK_WIDTH": st.sampled_from([1e-6, estimate._BLOCK_WIDTH, 1e6]),
+            "_CELL_WIDTH": st.sampled_from([1e-6, 0.1, estimate._CELL_WIDTH, 1e6]),
+            "_GATHER_QUERIES": st.sampled_from([1, 2, estimate._GATHER_QUERIES, 1 << 40]),
+        }),
+        **problems,
+    )
+    def test_block_geometry_does_not_matter(self, seed, n, m, d, decimals, h, geometry):
+        X, Y, points = draw_problem(seed, n, m, d, decimals)
+        vals, eff = estimate.nw_regress(X, Y, points, h)
+        with mock.patch.multiple(estimate, **geometry):
+            vals_g, eff_g = estimate.nw_regress(X, Y, points, h)
+        np.testing.assert_allclose(eff_g, eff, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(vals_g, vals, rtol=1e-12, atol=1e-12 * np.abs(Y).max())
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_sample_beyond_the_window_on_one_axis_gets_no_weight(self, d):
+        h = 0.5  # window radius 4
+        # in the window on axis 0 but beyond it on the last axis, at weight
+        # exp(-34) (relative 1.7e-15, which would show in effective n)
+        beyond = np.zeros(d)
+        beyond[0], beyond[-1] = 1.0, np.nextafter(4.0, np.inf)
+        at_edge = np.zeros(d)
+        at_edge[-1] = -4.0  # on the window's edge: kept
+        X = np.stack([np.zeros(d), beyond, at_edge])
+        Y = np.array([[1.0], [100.0], [0.0]])
+        rng = np.random.default_rng(0)
+        crowd = np.concatenate([np.zeros((1, d)), rng.uniform(-0.5, 0.5, (63, d))])
+        for points in (np.zeros((1, d)), crowd):
+            vals, eff = estimate.nw_regress(X, Y, points, h)
+            edge_w = np.exp(-16.0 / (2 * h * h))
+            assert eff[0] == 1.0 + edge_w
+            assert vals[0, 0] == 1.0 / (1.0 + edge_w)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_no_queries(self, d):
+        vals, eff = estimate.nw_regress(np.ones((5, d)), np.ones((5, 3)), np.zeros((0, d)), 0.3)
+        assert vals.shape == (0, 3) and eff.shape == (0,)
+
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2, 3]), k=st.integers(1, 4))
+    def test_few_queries_equal_the_same_queries_in_a_batch(self, seed, d, k):
+        X, Y, points = draw_problem(seed, 3000, 600, d, None)
+        h = 0.5 * estimate.silverman_bandwidth_from(X)
+        vals, eff = estimate.nw_regress(X, Y, points, h)
+        pick = np.random.default_rng(seed).choice(points.shape[0], k, replace=False)
+        vals_k, eff_k = estimate.nw_regress(X, Y, points[pick], h)
+        np.testing.assert_allclose(eff_k, eff[pick], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(vals_k, vals[pick], rtol=1e-12, atol=1e-12 * np.abs(Y).max())
 
     @settings(max_examples=40)
     @given(**problems)
@@ -337,3 +392,66 @@ class TestGridFields:
         vals, admissible = fields_at(X, np.array([50.0, 0.0]), cfg=cfg)
         assert vals["effective_n"] == 0.0
         assert not admissible and np.isnan(vals["rho"])
+
+
+def _spd(rng, d):
+    root = rng.normal(size=(d, d))
+    return root @ root.T + 0.1 * np.eye(d)
+
+
+def _coupling(kind, d, rng):
+    """A coupling of the given kind in d dimensions with random parameters."""
+    mean0, cov0 = rng.normal(size=d), _spd(rng, d)
+    if kind == "independent":
+        means = rng.normal(scale=2.0, size=(2, d))
+        covs = np.stack([_spd(rng, d), _spd(rng, d)])
+        mix = core.GaussianMixture(np.array([0.4, 0.6]), means, covs)
+        return core.CouplingSpec("independent", core.Gaussian(mean0, cov0), mix)
+    if kind == "affine_map":
+        A, b = rng.normal(size=(d, d)) + 2.0 * np.eye(d), rng.normal(size=d)
+        mu1 = core.Gaussian(A @ mean0 + b, A @ cov0 @ A.T)
+        return core.CouplingSpec(
+            "deterministic_map", core.Gaussian(mean0, cov0), mu1, map=core.AffineMap(A, b)
+        )
+    if kind == "tabulated_map":
+        x0 = rng.normal(size=(200, d))
+        x1 = np.sin(2.0 * x0) + x0 ** 3 + rng.normal(size=d)
+        return core.CouplingSpec("deterministic_map", core.Empirical(x0), core.Empirical(x1))
+    return core.gaussian_joint_coupling(rng.normal(size=2 * d), _spd(rng, 2 * d))
+
+
+class TestReynoldsTensorField:
+    @settings(max_examples=40)
+    @given(
+        kind=st.sampled_from(["independent", "affine_map", "tabulated_map", "gaussian_joint"]),
+        d=st.sampled_from([2, 3]),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(50, 3000),
+        coefficients=st.sampled_from(["affine", "trig"]),
+        latent=st.booleans(),
+        t=st.floats(0.05, 0.95),
+        density_floor=st.sampled_from([0.0, 1.0, 25.0]),
+    )
+    def test_estimated_pi_is_symmetric_psd(
+        self, kind, d, seed, n, coefficients, latent, t, density_floor
+    ):
+        rng = np.random.default_rng(seed)
+        alpha, beta = (
+            (core.affine_alpha(), core.affine_beta()) if coefficients == "affine"
+            else (core.trig_alpha(), core.trig_beta())
+        )
+        gamma = core.bridge_gamma() if latent else None
+        spec = core.ProcessSpec(alpha, beta, _coupling(kind, d, rng), d, gamma)
+        endpoints = core.sample_endpoints(spec.coupling, n, seed, with_latent=latent)
+        X, V, A = core.slice_state(spec, endpoints, t)
+        box = list(zip(np.quantile(X, 0.01, axis=0), np.quantile(X, 0.99, axis=0)))
+        grid = calculus.make_spatial_grid(box, 7 if d == 2 else 4)
+        cfg = estimate.KernelConfig(density_floor=density_floor)
+        fields, refined, _ = estimate.fields_on_grid(X, V, A, grid, cfg, t)  # never raises
+        pi = fields["Pi"].values[refined.mask]
+        scale = np.trace(fields["Sigma"].values[refined.mask], axis1=-2, axis2=-1)
+        # both up to the rounding of the eigendecomposition that clips Pi
+        tol = 1e-12 * scale[:, None]
+        assert np.all(np.isfinite(pi))
+        assert np.all(np.abs(pi - np.swapaxes(pi, -1, -2)).reshape(-1, d * d) <= tol)
+        assert np.all(np.linalg.eigvalsh(pi) >= -tol)

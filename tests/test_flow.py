@@ -179,6 +179,24 @@ class TestFlowMap:
             flow.integrate(oracle, pts[1], grid, "euler")
         assert np.array_equal(single.value.states, err.states)
 
+    def test_redone_step_counts_excursions_once(self):
+        # every query point counts as an excursion before the refusal, as the
+        # kernel oracle counts its clamped points
+        stats = flow.OracleStats()
+        refusing = refusing_oracle(1.0)
+
+        def evaluate(t, x):
+            stats.excursions += np.atleast_2d(x).shape[0]
+            return refusing(t, x)
+
+        oracle = flow.VelocityOracle(evaluate, "test", 1, stats)
+        pts = np.array([[0.0], [0.55], [-1.0]])
+        res = flow.flow_map(oracle, pts, core.make_time_grid(4), "euler")
+        assert [i for i, _ in res.errors] == [1]
+        # steps 0 and 1 with three points; step 2, redone after the refusal,
+        # and step 3 with two
+        assert stats.excursions == 3 + 3 + 2 + 2
+
     def test_non_finite_state_stops_only_that_point(self):
         oracle = flow.VelocityOracle(
             lambda t, x: np.where(np.asarray(x) < -0.5, np.inf, 1.0), "test", 1

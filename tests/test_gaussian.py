@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from straightflow import core, gaussian
+from straightflow import core, flow, gaussian
 from straightflow.errors import (
     CapabilityError,
     DegenerateMarginalError,
@@ -107,6 +107,38 @@ class TestConditionalFields:
         )
         with pytest.raises(DegenerateMarginalError):
             gaussian.conditional_fields(spec, 0.0, np.zeros(1))
+
+    def test_velocity_views_refuse_the_same_degenerate_marginal(self):
+        spec = gaussian.GaussianProcessSpec(
+            np.zeros(1), np.zeros(1), np.zeros((1, 1)), np.zeros((1, 1)), np.eye(1),
+            core.affine_alpha(), core.affine_beta(),
+        )
+        oracle = flow.analytic_velocity_oracle(spec)
+        for _ in range(2):  # a failed build is not cached
+            with pytest.raises(DegenerateMarginalError):
+                gaussian.velocity_at(spec, 0.0, np.zeros(1))
+            with pytest.raises(DegenerateMarginalError):
+                oracle(0.0, np.zeros(1))
+            with pytest.raises(DegenerateMarginalError):
+                gaussian.material_derivative_analytic(spec, 0.0, np.zeros(1))
+        assert oracle(0.5, np.zeros(1))[0] == gaussian.velocity_at(spec, 0.5, np.zeros(1))[0]
+
+    def test_velocity_views_equal_the_full_model_bitwise(self):
+        joint = core.gaussian_joint_coupling(
+            np.array([0.0, 1.0, 2.0, 3.0]),
+            np.array([[1.0, 0.2, 0.6, 0.0], [0.2, 1.0, 0.0, 0.5],
+                      [0.6, 0.0, 1.0, 0.1], [0.0, 0.5, 0.1, 2.0]]),
+        )
+        spec = gaussian.from_process_spec(
+            core.ProcessSpec(core.trig_alpha(), core.trig_beta(), joint, 2, core.bridge_gamma())
+        )
+        X = np.random.default_rng(6).standard_normal((7, 2))
+        oracle = flow.analytic_velocity_oracle(spec)
+        # revisited times come from the oracle's memo
+        for t in (0.3, 0.45, 0.3, 0.6, 0.7, 0.8, 0.9, 0.3):
+            V = gaussian.conditional_fields_batch(spec, t, X)[1]
+            assert np.array_equal(gaussian.velocity_at(spec, t, X), V)
+            assert np.array_equal(oracle(t, X), V)
 
     def test_batch_matches_pointwise(self, g_affine_indep):
         X = np.array([[-1.0], [0.0], [2.5]])
