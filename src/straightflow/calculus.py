@@ -26,11 +26,11 @@ __all__ = [
     "GridField",
     "ResidualReport",
     "make_spatial_grid",
+    "quantile_box",
     "grid_gradient",
     "grid_divergence_vector",
     "grid_divergence_matrix",
     "time_derivative",
-    "time_derivative_one_sided",
     "material_derivative",
     "momentum_residual",
     "balance_residual",
@@ -123,6 +123,12 @@ def make_spatial_grid(bounds, nodes_per_axis) -> SpatialGrid:
             raise InvalidGridError("box bounds must satisfy hi > lo")
         axes.append(np.linspace(float(lo), float(hi), int(n)))
     return SpatialGrid(tuple(axes))
+
+
+def quantile_box(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis 1% and 99% quantiles (lo, hi) of the samples X (n, d): the
+    box that grids over sampled positions and the kernel oracle's clamp use."""
+    return np.quantile(X, 0.01, axis=0), np.quantile(X, 0.99, axis=0)
 
 
 _RANKS = ("scalar", "vector", "matrix")
@@ -258,22 +264,6 @@ def time_derivative(f_minus: GridField, f_center: GridField, f_plus: GridField, 
     values = (f_plus.values - f_minus.values) / (2 * h_t)
     grid = f_center.grid.with_mask(f_minus.grid.mask & f_center.grid.mask & f_plus.grid.mask)
     return GridField(_narrow(grid, values, f_center.rank), f_center.rank, values, f_center.time)
-
-
-def time_derivative_one_sided(
-    f0: GridField, f1: GridField, f2: GridField, h_t: float, forward: bool = True
-) -> GridField:
-    """Second-order one-sided time derivative at the edge slice ``f0``.
-
-    ``forward=True`` reads slices at t, t+h_t, t+2h_t; otherwise at
-    t, t-h_t, t-2h_t.  Intended for t in {0, 1} where no centered triple
-    exists; callers should flag the lower accuracy.
-    """
-    _check_triple((f0, f1, f2), f0.rank)
-    sign = 1.0 if forward else -1.0
-    values = sign * (-3 * f0.values + 4 * f1.values - f2.values) / (2 * h_t)
-    grid = f0.grid.with_mask(f0.grid.mask & f1.grid.mask & f2.grid.mask)
-    return GridField(_narrow(grid, values, f0.rank), f0.rank, values, f0.time)
 
 
 def material_derivative(

@@ -375,8 +375,6 @@ def _resolve_spatial_grid(cfg: ExperimentConfig, t: float, sample=None):
     """Spatial grid at time ``t``.  A ``grid.box`` of 'oracle' is the oracle
     box when the process is Gaussian-expressible, else the per-axis 1%/99%
     quantile box of ``sample``, as 'quantile' always is."""
-    import numpy as np
-
     from . import calculus, gaussian
     from .errors import CapabilityError, ConfigError
 
@@ -394,9 +392,7 @@ def _resolve_spatial_grid(cfg: ExperimentConfig, t: float, sample=None):
                 raise
     if sample is None:
         raise ConfigError("grid.box 'quantile' needs sampled positions", "grid.box")
-    lo = np.quantile(sample, 0.01, axis=0)
-    hi = np.quantile(sample, 0.99, axis=0)
-    return calculus.make_spatial_grid(list(zip(lo.tolist(), hi.tolist())), nodes)
+    return calculus.make_spatial_grid(list(zip(*calculus.quantile_box(sample))), nodes)
 
 
 def _kernel_config(cfg: ExperimentConfig):
@@ -438,9 +434,7 @@ def cmd_fields(cfg: ExperimentConfig, out: _Outputs, source: str, t: float) -> i
         fields = gaussian.fields_on_grid(gspec, t, grid)
     else:
         spec = build_process_spec(cfg)
-        endpoints = core.sample_endpoints(
-            spec.coupling, cfg["n"], cfg["seed"], with_latent=spec.gamma is not None
-        )
+        endpoints = core.sample_endpoints(spec, cfg["n"], cfg["seed"])
         X, V, A = core.slice_state(spec, endpoints, t)
         grid = _resolve_spatial_grid(cfg, t, sample=X)
         fields, _, _ = estimate.fields_on_grid(X, V, A, grid, _kernel_config(cfg), t)
@@ -478,23 +472,17 @@ def cmd_diagnose(cfg: ExperimentConfig, out: _Outputs, t: float) -> int:
     from .errors import ConfigError
 
     source = cfg["source"]
+    # analytic fields take a fourth-order stencil, noisy estimates a second-order one
+    h_t, order = (cfg["h_t"]["analytic"], 4) if source == "oracle" else (cfg["h_t"]["estimated"], 2)
+    if not (h_t <= t <= 1.0 - h_t):
+        raise ConfigError("diagnose time must keep t +- h_t inside [0, 1]", "time")
     if source == "oracle":
-        h_t = cfg["h_t"]["analytic"]
-        order = 4
         gspec = build_gaussian_spec(cfg)
-        if not (h_t <= t <= 1.0 - h_t):
-            raise ConfigError("diagnose time must keep t +- h_t inside [0, 1]", "time")
         grid = _resolve_spatial_grid(cfg, t)
         f_m, f_c, f_p = _oracle_field_triples(gspec, t, h_t, grid)
     else:
-        h_t = cfg["h_t"]["estimated"]
-        order = 2
         spec = build_process_spec(cfg)
-        if not (h_t <= t <= 1.0 - h_t):
-            raise ConfigError("diagnose time must keep t +- h_t inside [0, 1]", "time")
-        endpoints = core.sample_endpoints(
-            spec.coupling, cfg["n"], cfg["seed"], with_latent=spec.gamma is not None
-        )
+        endpoints = core.sample_endpoints(spec, cfg["n"], cfg["seed"])
         X, _, _ = core.slice_state(spec, endpoints, t)
         grid = _resolve_spatial_grid(cfg, t, sample=X)
         f_m, f_c, f_p = _estimate_field_triples(spec, endpoints, cfg, t, h_t, grid)
@@ -566,8 +554,8 @@ def cmd_verify(cfg: ExperimentConfig, out: _Outputs, theorem: str) -> int:
             )
         else:
             report = verify.determinism_detector(
-                ensemble,
-                {"ratio": cfg["tolerances"]["trace_ratio"], "density_floor": cfg["density_floor"]},
+                ensemble, ratio=cfg["tolerances"]["trace_ratio"],
+                density_floor=cfg["density_floor"],
             )
     out.write(f"theorem_{theorem}.json", report.to_json())
     print(f"verify[{theorem}]: verdict={report.verdict}")
@@ -591,6 +579,7 @@ def cmd_flow(
     from . import core, flow
     from .errors import ConfigError
 
+    tgrid = core.make_time_grid(steps)
     spec = build_process_spec(cfg)
     source = cfg["source"]
     sample = None
@@ -614,7 +603,6 @@ def cmd_flow(
     else:
         pts = spec.coupling.mu0.draw(core.aux_rng(cfg["seed"], 4), cfg["flow"]["n_points"])
 
-    tgrid = core.make_time_grid(steps)
     result = flow.flow_map(oracle, pts, tgrid, scheme)
     one_step = flow.one_step_error(oracle, pts, reference_steps=cfg["flow"]["reference_steps"])
 
@@ -656,7 +644,7 @@ def cmd_flow(
     return EXIT_OK
 
 
-_SWEEP_PARAMS = {"n": int, "seed": int, "bandwidth": float, "nodes_per_axis": int, "time": float}
+_SWEEP_PARAMS = {"n": int, "seed": int, "bandwidth": float, "time": float}
 
 
 def _sweep_metrics(cfg: ExperimentConfig) -> dict:
@@ -667,9 +655,7 @@ def _sweep_metrics(cfg: ExperimentConfig) -> dict:
     spec = build_process_spec(cfg)
     gspec = build_gaussian_spec(cfg)
     t = cfg["time"]
-    endpoints = core.sample_endpoints(
-        spec.coupling, cfg["n"], cfg["seed"], with_latent=spec.gamma is not None
-    )
+    endpoints = core.sample_endpoints(spec, cfg["n"], cfg["seed"])
     X, V, _ = core.slice_state(spec, endpoints, t)
     mom = gaussian.marginal_moments(gspec, t)
     sd = np.sqrt(np.diag(mom.cov))
@@ -711,8 +697,6 @@ def cmd_sweep(cfg: ExperimentConfig, out: _Outputs, param: str, values: list[str
                 data["n"] = int(value)
             elif param == "bandwidth":
                 data["bandwidth"] = float(value)
-            elif param == "nodes_per_axis":
-                data.setdefault("grid", {})["nodes_per_axis"] = int(value)
             elif param == "time":
                 data["time"] = float(value)
             run_cfg = ExperimentConfig(_merge_defaults(data, _DEFAULTS))
@@ -805,7 +789,7 @@ def _run_command(args, cfg: ExperimentConfig, out: _Outputs) -> int:
         return cmd_flow(
             cfg, out, args.points, args.grid,
             args.scheme or cfg["flow"]["scheme"],
-            args.steps or cfg["flow"]["steps"],
+            cfg["flow"]["steps"] if args.steps is None else args.steps,
         )
     return cmd_sweep(cfg, out, args.param, [v for v in args.values.split(",") if v])
 

@@ -442,26 +442,24 @@ class TimeGrid:
     """Uniform grid of times spanning [0, 1]."""
 
     nodes: np.ndarray
-    t0: float = 0.0
-    t1: float = 1.0
 
     def __post_init__(self):
         nodes = _readonly(np.atleast_1d(self.nodes))
         if nodes.size < 2:
             raise InvalidArgumentError("time grid needs at least two nodes")
-        if nodes[0] != self.t0 or nodes[-1] != self.t1:
-            raise InvalidArgumentError("time grid must span [t0, t1] exactly")
+        if nodes[0] != 0.0 or nodes[-1] != 1.0:
+            raise InvalidArgumentError("time grid must span [0, 1] exactly")
         diffs = np.diff(nodes)
         if np.any(diffs <= 0):
             raise InvalidArgumentError("time nodes must be strictly increasing")
-        step = (self.t1 - self.t0) / (nodes.size - 1)
+        step = 1.0 / (nodes.size - 1)
         if np.abs(diffs - step).max() > 1e-12 * max(abs(step), 1.0):
             raise InvalidArgumentError("time grid spacing must be uniform")
         object.__setattr__(self, "nodes", nodes)
 
     @property
     def step(self) -> float:
-        return (self.t1 - self.t0) / (self.nodes.size - 1)
+        return 1.0 / (self.nodes.size - 1)
 
     @property
     def n_nodes(self) -> int:
@@ -469,7 +467,7 @@ class TimeGrid:
 
     def index_of(self, t: float) -> int:
         """Index of the grid node equal to ``t`` (within rounding)."""
-        k = int(round((t - self.t0) / self.step))
+        k = int(round(t / self.step))
         if k < 0 or k >= self.n_nodes or abs(self.nodes[k] - t) > 1e-9:
             raise InvalidArgumentError(f"time {t} is not a grid node")
         return k
@@ -504,7 +502,7 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
 
 
-def _draw_block(coupling: CouplingSpec, rng: np.random.Generator, with_latent: bool):
+def _draw_block(coupling: CouplingSpec, rng: np.random.Generator, latent: bool):
     """One full block of ``_BLOCK_ROWS`` endpoint rows: mu0 (or the joint
     normals, or the tabulated row index), then mu1, then the latent."""
     rows = _BLOCK_ROWS
@@ -522,14 +520,13 @@ def _draw_block(coupling: CouplingSpec, rng: np.random.Generator, with_latent: b
     else:
         x0 = coupling.mu0.draw(rng, rows)
         x1 = coupling.map(x0)
-    z = rng.standard_normal((rows, coupling.dim)) if with_latent else None
+    z = rng.standard_normal((rows, coupling.dim)) if latent else None
     return x0, x1, z
 
 
-def sample_endpoints(
-    coupling: CouplingSpec, n: int, seed: int, with_latent: bool = False
-) -> EndpointArrays:
-    """Draw ``n`` endpoint pairs.
+def sample_endpoints(spec: ProcessSpec, n: int, seed: int) -> EndpointArrays:
+    """Draw ``n`` endpoint pairs from ``spec.coupling``, and the latent when
+    ``spec.gamma`` is set.
 
     Paths come in blocks of ``_BLOCK_ROWS``; block b draws from its own
     stream keyed by ``(seed, b)`` and always draws the full block, keeping the
@@ -541,18 +538,19 @@ def sample_endpoints(
         raise InvalidArgumentError("n must be >= 1")
     if seed < 0:
         raise InvalidArgumentError("seed must be nonnegative")
+    coupling, latent = spec.coupling, spec.gamma is not None
     if coupling.kind == "deterministic_map" and not isinstance(coupling.map, AffineMap | None):
         raise InvalidCouplingError("deterministic_map requires an affine map")
     d = coupling.dim
     x0 = np.empty((n, d))
     x1 = np.empty((n, d))
-    z = np.empty((n, d)) if with_latent else None
+    z = np.empty((n, d)) if latent else None
     for b, lo in enumerate(range(0, n, _BLOCK_ROWS)):
         hi = min(lo + _BLOCK_ROWS, n)
-        b0, b1, bz = _draw_block(coupling, _block_rng(seed, b), with_latent)
+        b0, b1, bz = _draw_block(coupling, _block_rng(seed, b), latent)
         x0[lo:hi] = b0[: hi - lo]
         x1[lo:hi] = b1[: hi - lo]
-        if with_latent:
+        if latent:
             z[lo:hi] = bz[: hi - lo]
     return EndpointArrays(
         _readonly(x0), _readonly(x1), _readonly(z) if z is not None else None, int(seed)
@@ -628,9 +626,7 @@ class PathEnsemble:
 
 def sample_paths(spec: ProcessSpec, n: int, grid: TimeGrid, seed: int) -> PathEnsemble:
     """Sample a path ensemble for ``spec`` on ``grid``."""
-    endpoints = sample_endpoints(
-        spec.coupling, n, seed, with_latent=spec.gamma is not None
-    )
+    endpoints = sample_endpoints(spec, n, seed)
     pos, vel, acc = slice_state(spec, endpoints, grid.nodes)
     return PathEnsemble(grid, pos, vel, acc, int(seed))
 

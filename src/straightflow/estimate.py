@@ -274,7 +274,12 @@ def reynolds_tensor(Sigma_hat: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
             f"Pi eigenvalue {lowest[worst]:.3g} below -1e-8 trace(Sigma) = {-tol[worst]:.3g}"
         )
     vals = np.clip(vals, 0.0, None)
-    return np.einsum("...ij,...j,...kj->...ik", vecs, vals, vecs)
+    pi = np.einsum("...ij,...j,...kj->...ik", vecs, vals, vecs)
+    # the reconstruction multiplies the (i, k) and (k, i) entries in different
+    # orders; the upper triangle is mirrored so that Pi is exactly symmetric
+    i, k = np.triu_indices(pi.shape[-1], 1)
+    pi[..., k, i] = pi[..., i, k]
+    return pi
 
 
 # ---------------------------------------------------------------------------

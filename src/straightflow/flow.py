@@ -2,15 +2,14 @@
 distance used to check marginal transport.
 
 A velocity oracle is any (t, x) -> v evaluator; constructors are provided for
-the analytic Gaussian fields, kernel regression on an ensemble, and a
-tabulated grid field with multilinear interpolation.
+the analytic Gaussian fields and for kernel regression on an ensemble.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -31,7 +30,6 @@ __all__ = [
     "OneStepSummary",
     "analytic_velocity_oracle",
     "kernel_velocity_oracle",
-    "tabulated_velocity_oracle",
     "integrate",
     "flow_map",
     "straightness_deviation",
@@ -40,7 +38,6 @@ __all__ = [
 ]
 
 _SCHEMES = ("euler", "midpoint", "rk4")
-_EVALS_PER_STEP = {"euler": 1, "midpoint": 2, "rk4": 4}
 
 
 @dataclass
@@ -56,8 +53,7 @@ class VelocityOracle:
 
     An evaluator may refuse query points by raising LowDensityError with
     their ``rows`` (all of them when ``rows`` is None); the stepping loop
-    stops those points and carries on with the rest.  ``source`` is a label
-    for reports only.
+    stops those points and carries on with the rest.
 
     Evaluators must be safe to call concurrently (pure, or internally
     synchronized); the bundled constructors return pure evaluators up to the
@@ -65,8 +61,6 @@ class VelocityOracle:
     """
 
     evaluate: Callable[[float, np.ndarray], np.ndarray]
-    source: str  # "analytic" | "kernel-regression" | "tabulated-grid"
-    dim: int
     stats: OracleStats = field(default_factory=OracleStats)
 
     def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
@@ -77,23 +71,18 @@ def analytic_velocity_oracle(spec: GaussianProcessSpec) -> VelocityOracle:
     # the velocity model is built once per t: RK stages share t + h/2, and a
     # step ends at the time the next one starts from
     model_at = functools.lru_cache(maxsize=4)(functools.partial(_velocity_model, spec))
-    return VelocityOracle(
-        evaluate=lambda t, x: model_at(float(t))(x),
-        source="analytic",
-        dim=spec.dim,
-    )
+    return VelocityOracle(lambda t, x: model_at(float(t))(x))
 
 
-def kernel_velocity_oracle(
-    ensemble: PathEnsemble, cfg: estimate.KernelConfig, quantile: float = 0.01
-) -> VelocityOracle:
+def kernel_velocity_oracle(ensemble: PathEnsemble, cfg: estimate.KernelConfig) -> VelocityOracle:
     """Nadaraya-Watson velocity oracle over the ensemble.
 
     Off-node times are handled by linear interpolation between the bracketing
-    slices.  Queries outside the per-axis [quantile, 1-quantile] box of the
-    bracketing slices are clamped to it and counted as excursions; query
-    points whose effective n still falls under the density floor in either
-    slice are refused with a LowDensityError that lists their rows.
+    slices.  Queries outside the per-axis 1%/99% quantile box of the
+    bracketing slices (:func:`calculus.quantile_box`) are clamped to it and
+    counted as excursions; query points whose effective n still falls under
+    the density floor in either slice are refused with a LowDensityError
+    that lists their rows.
     """
     nodes = ensemble.grid.nodes
     stats = OracleStats()
@@ -102,8 +91,7 @@ def kernel_velocity_oracle(
     def slice_data(k: int):
         if k not in cache:
             X = ensemble.positions[:, k, :]
-            lo = np.quantile(X, quantile, axis=0)
-            hi = np.quantile(X, 1.0 - quantile, axis=0)
+            lo, hi = calculus.quantile_box(X)
             h = estimate.resolve_bandwidth(cfg, X)
             # sorted on axis 0 once, so nw_regress skips its sort on every
             # query, and stored one axis after the other, as nw_regress reads it
@@ -136,64 +124,7 @@ def kernel_velocity_oracle(
             )
         return out[0] if single else out
 
-    return VelocityOracle(evaluate, "kernel-regression", ensemble.dim, stats)
-
-
-def _multilinear(f: calculus.GridField, pts: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of a vector field tabulated on a tensor grid."""
-    axes, values = f.grid.axes, f.values
-    d = len(axes)
-    m = pts.shape[0]
-    idx = []
-    frac = []
-    for i, ax in enumerate(axes):
-        j = np.clip(np.searchsorted(ax, pts[:, i], side="right") - 1, 0, ax.size - 2)
-        h = ax[1] - ax[0]
-        w = np.clip((pts[:, i] - ax[j]) / h, 0.0, 1.0)
-        idx.append(j)
-        frac.append(w)
-    out = np.zeros((m, values.shape[-1]))
-    for corner in range(1 << d):
-        weight = np.ones(m)
-        pos = []
-        for i in range(d):
-            if corner >> i & 1:
-                weight = weight * frac[i]
-                pos.append(idx[i] + 1)
-            else:
-                weight = weight * (1.0 - frac[i])
-                pos.append(idx[i])
-        out += weight[:, None] * values[tuple(pos)]
-    return out
-
-
-def tabulated_velocity_oracle(slices: Sequence[tuple[float, calculus.GridField]]) -> VelocityOracle:
-    """Oracle from tabulated vector fields; linear in t between slices."""
-    if not slices:
-        raise InvalidArgumentError("need at least one tabulated slice")
-    slices = sorted(slices, key=lambda p: p[0])
-    times = np.array([p[0] for p in slices])
-    fields = [p[1] for p in slices]
-    for f in fields:
-        if f.rank != "vector":
-            raise InvalidArgumentError("tabulated oracle needs vector fields")
-    d = fields[0].dim
-
-    def evaluate(t: float, x: np.ndarray) -> np.ndarray:
-        arr = np.asarray(x, dtype=float)
-        single = arr.ndim == 1
-        pts = np.atleast_2d(arr)
-        if len(fields) == 1 or t <= times[0]:
-            out = _multilinear(fields[0], pts)
-        elif t >= times[-1]:
-            out = _multilinear(fields[-1], pts)
-        else:
-            k = int(np.searchsorted(times, t, side="right") - 1)
-            w = (t - times[k]) / (times[k + 1] - times[k])
-            out = (1 - w) * _multilinear(fields[k], pts) + w * _multilinear(fields[k + 1], pts)
-        return out[0] if single else out
-
-    return VelocityOracle(evaluate, "tabulated-grid", d)
+    return VelocityOracle(evaluate, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +137,6 @@ class Trajectory:
 
     grid: TimeGrid
     states: np.ndarray  # (K, d)
-    scheme: str
-    n_evals: int
 
     def __post_init__(self):
         states = np.ascontiguousarray(self.states, dtype=float)
@@ -313,11 +242,7 @@ def flow_map(
     collected: a TrajectoryLeftSupportError with the partial trajectory for a
     refused point, an InvalidArgumentError for a non-finite state."""
     states, errors = _march(oracle, points, grid, scheme)
-    n_evals = (grid.n_nodes - 1) * _EVALS_PER_STEP[scheme]
-    trajs = [
-        None if i in errors else Trajectory(grid, states[i], scheme, n_evals)
-        for i in range(states.shape[0])
-    ]
+    trajs = [None if i in errors else Trajectory(grid, states[i]) for i in range(states.shape[0])]
     return FlowMapResult(trajs, sorted(errors.items()))
 
 

@@ -30,14 +30,11 @@ from .errors import (
 __all__ = [
     "GaussianProcessSpec",
     "MarginalMoments",
-    "FieldValues",
-    "MaterialDerivativeValue",
     "from_process_spec",
     "marginal_moments",
-    "conditional_fields",
     "conditional_fields_batch",
+    "velocity_at",
     "gaussian_ot_map",
-    "material_derivative_analytic",
     "oracle_box",
     "fields_on_grid",
 ]
@@ -127,6 +124,9 @@ class MarginalMoments:
 
 
 def _coef_values(spec: GaussianProcessSpec, t: float):
+    """a, a', a'', b, b', b'', g, g', g'' at t."""
+    if not 0.0 <= t <= 1.0:
+        raise InvalidArgumentError("t must lie in [0, 1]")
     a, ad, add = (float(fn(t)) for fn in (spec.alpha, spec.alpha.d1, spec.alpha.d2))
     b, bd, bdd = (float(fn(t)) for fn in (spec.beta, spec.beta.d1, spec.beta.d2))
     if spec.gamma is None:
@@ -136,11 +136,8 @@ def _coef_values(spec: GaussianProcessSpec, t: float):
     return a, ad, add, b, bd, bdd, g, gd, gdd
 
 
-def marginal_moments(spec: GaussianProcessSpec, t: float) -> MarginalMoments:
-    """Mean and covariance of X_t; flags numerically singular covariances."""
-    if not 0.0 <= t <= 1.0:
-        raise InvalidArgumentError("t must lie in [0, 1]")
-    a, _, _, b, _, _, g, _, _ = _coef_values(spec, t)
+def _moments(spec: GaussianProcessSpec, coefs) -> MarginalMoments:
+    a, _, _, b, _, _, g, _, _ = coefs
     mean = a * spec.mean0 + b * spec.mean1
     cov = (
         a * a * spec.S00
@@ -155,25 +152,9 @@ def marginal_moments(spec: GaussianProcessSpec, t: float) -> MarginalMoments:
     return MarginalMoments(mean, cov, degenerate)
 
 
-@dataclass(frozen=True)
-class FieldValues:
-    """Pointwise oracle output at one (t, x)."""
-
-    rho: float
-    v: np.ndarray
-    a: np.ndarray
-    Sigma: np.ndarray
-    Pi: np.ndarray
-
-    def __post_init__(self):
-        if self.rho < 0:
-            raise InvalidArgumentError("density must be nonnegative")
-        pi = 0.5 * (self.Pi + self.Pi.T)
-        eigs = np.linalg.eigvalsh(pi)
-        scale = max(float(np.trace(self.Sigma)), 1.0)
-        if eigs.min() < -1e-10 * scale:
-            raise InvalidArgumentError("Pi must be PSD up to 1e-10")
-        object.__setattr__(self, "Pi", pi)
+def marginal_moments(spec: GaussianProcessSpec, t: float) -> MarginalMoments:
+    """Mean and covariance of X_t; flags numerically singular covariances."""
+    return _moments(spec, _coef_values(spec, t))
 
 
 @dataclass(frozen=True)
@@ -202,12 +183,12 @@ def _cross(spec: GaussianProcessSpec, c1, c1p, c2, c2p, gg) -> np.ndarray:
 def _affine_terms(spec: GaussianProcessSpec, t: float):
     """Marginal moments, time coefficients, Cov(dX_t, X_t) and S_t^-1 at t;
     raises DegenerateMarginalError where S_t is numerically singular."""
-    mom = marginal_moments(spec, t)
+    coefs = _coef_values(spec, t)
+    mom = _moments(spec, coefs)
     if mom.degenerate:
         raise DegenerateMarginalError(
             f"marginal covariance at t={t} is numerically singular"
         )
-    coefs = _coef_values(spec, t)
     a, ad, _, b, bd, _, g, gd, _ = coefs
     C_v = _cross(spec, a, ad, b, bd, gd * g)
     return mom, coefs, C_v, np.linalg.inv(mom.cov)
@@ -270,18 +251,6 @@ def _velocity_model(spec: GaussianProcessSpec, t: float) -> _VelocityModel:
     return _VelocityModel(mom.mean, ad * spec.mean0 + bd * spec.mean1, C_v @ cov_inv)
 
 
-def conditional_fields(spec: GaussianProcessSpec, t: float, x: np.ndarray) -> FieldValues:
-    """rho, v, a, Sigma, Pi at one point; Pi does not depend on x."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    model = _conditional_model(spec, t)
-    q = x - model.mean
-    v = model.Ev + model.Jv @ q
-    a_vec = model.Ea + model.Ja @ q
-    rho = float(np.exp(model.log_norm - 0.5 * q @ model.cov_inv @ q))
-    Sigma = model.Pi + np.outer(v, v)
-    return FieldValues(rho=rho, v=v, a=a_vec, Sigma=Sigma, Pi=model.Pi)
-
-
 def conditional_fields_batch(spec: GaussianProcessSpec, t: float, X: np.ndarray):
     """Vectorized oracle: X is (M, d); returns (rho, v, a, Sigma, Pi_const)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -326,38 +295,6 @@ def gaussian_ot_map(m0, S0, m1, S1) -> AffineMap:
     if np.abs(push - S1).max() > 1e-9 * max(np.abs(S1).max(), 1.0):
         raise InvalidArgumentError("transport map does not push S0 onto S1 (ill-conditioned input)")
     return AffineMap(A, m1 - A @ m0)
-
-
-@dataclass(frozen=True)
-class MaterialDerivativeValue:
-    """D_t v at one (t, x); ``one_sided`` flags the lower-accuracy edge stencil."""
-
-    value: np.ndarray
-    one_sided: bool
-
-
-def material_derivative_analytic(
-    spec: GaussianProcessSpec, t: float, x: np.ndarray, h_t: float = 1e-5
-) -> MaterialDerivativeValue:
-    """D_t v = d_t v + (v . grad) v with the spatial term exact (v affine in x)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    model = _velocity_model(spec, t)
-    v_c = model.Ev + model.Jv @ (x - model.mean)
-
-    def v_at(tt):
-        m = _velocity_model(spec, tt)
-        return m.Ev + m.Jv @ (x - m.mean)
-
-    one_sided = False
-    if t - h_t < 0.0:
-        dtv = (-3 * v_c + 4 * v_at(t + h_t) - v_at(t + 2 * h_t)) / (2 * h_t)
-        one_sided = True
-    elif t + h_t > 1.0:
-        dtv = (3 * v_c - 4 * v_at(t - h_t) + v_at(t - 2 * h_t)) / (2 * h_t)
-        one_sided = True
-    else:
-        dtv = (v_at(t + h_t) - v_at(t - h_t)) / (2 * h_t)
-    return MaterialDerivativeValue(dtv + model.Jv @ v_c, one_sided)
 
 
 def oracle_box(spec: GaussianProcessSpec, t: float, n_sigma: float = 3.0):

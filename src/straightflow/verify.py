@@ -49,6 +49,7 @@ __all__ = [
 
 _TRACE_BANDWIDTH_FACTOR = 0.5
 _DEFAULT_M_EVAL = 4096
+_DETERMINISM_M_EVAL = 2048
 _LOW_DENSITY_FRACTION = 0.2
 
 
@@ -84,7 +85,6 @@ class TheoremReport:
 @dataclass(frozen=True)
 class TraceMoment:
     value: float
-    se: float
     low_density_fraction: float
 
 
@@ -93,7 +93,6 @@ def tr_pi_moment(
     V: np.ndarray,
     rng: np.random.Generator,
     m_eval: int = _DEFAULT_M_EVAL,
-    bandwidth_factor: float = _TRACE_BANDWIDTH_FACTOR,
     density_floor: float = 25.0,
 ) -> TraceMoment:
     """Paired estimate of E[Tr Pi(X)] = E|Xdot|^2 - E|v(X)|^2 at one slice."""
@@ -103,12 +102,10 @@ def tr_pi_moment(
     m = min(int(m_eval), n)
     idx = rng.choice(n, size=m, replace=False)
     pts = X[idx]
-    h = estimate.silverman_bandwidth_from(X) * bandwidth_factor
+    h = estimate.silverman_bandwidth_from(X) * _TRACE_BANDWIDTH_FACTOR
     vals, eff = estimate.nw_regress(X, V, pts, h)
     diff = np.sum(V[idx] ** 2, axis=1) - np.sum(vals**2, axis=1)
-    low = float(np.mean(eff < density_floor))
-    se = float(np.std(diff, ddof=1) / np.sqrt(m)) if m > 1 else float("inf")
-    return TraceMoment(float(np.mean(diff)), se, low)
+    return TraceMoment(float(np.mean(diff)), float(np.mean(eff < density_floor)))
 
 
 def _spec_digest(spec: ProcessSpec, n: int, seed: int) -> dict:
@@ -128,9 +125,7 @@ def _estimated_balance_relative(
 ) -> float:
     """Balance-law residual on estimated fields at one slice (reported metric)."""
     X, V, A = slice_state(spec, endpoints, t)
-    lo = np.quantile(X, 0.01, axis=0)
-    hi = np.quantile(X, 0.99, axis=0)
-    grid = calculus.make_spatial_grid(list(zip(lo, hi)), 60)
+    grid = calculus.make_spatial_grid(list(zip(*calculus.quantile_box(X))), 60)
     fields, _, _ = estimate.fields_on_grid(X, V, A, grid, cfg, t)
     rep = calculus.balance_residual(fields["rho"], fields["Pi"], fields["a"], order=2)
     return float(rep.relative)
@@ -142,7 +137,6 @@ def affine_straightness_check(
     seed: int,
     time_nodes=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
     cfg: estimate.KernelConfig | None = None,
-    m_eval: int = _DEFAULT_M_EVAL,
 ) -> TheoremReport:
     """Deterministic-coupling test for affine interpolants.
 
@@ -155,7 +149,7 @@ def affine_straightness_check(
     if not spec.is_affine:
         raise InvalidArgumentError("affine_straightness_check needs the affine spec")
     cfg = cfg or estimate.KernelConfig()
-    endpoints = sample_endpoints(spec.coupling, n, seed)
+    endpoints = sample_endpoints(spec, n, seed)
     perm = aux_rng(seed, 1).permutation(n)
     control = EndpointArrays(endpoints.x0, endpoints.x1[perm], None, endpoints.seed)
 
@@ -166,8 +160,8 @@ def affine_straightness_check(
     for k, t in enumerate(time_nodes):
         X, V, _ = slice_state(spec, endpoints, float(t))
         Xc, Vc, _ = slice_state(spec, control, float(t))
-        tp = tr_pi_moment(X, V, aux_rng(seed, 100 + k), m_eval, density_floor=cfg.density_floor)
-        tpc = tr_pi_moment(Xc, Vc, aux_rng(seed, 100 + k), m_eval, density_floor=cfg.density_floor)
+        tp = tr_pi_moment(X, V, aux_rng(seed, 100 + k), density_floor=cfg.density_floor)
+        tpc = tr_pi_moment(Xc, Vc, aux_rng(seed, 100 + k), density_floor=cfg.density_floor)
         thr = 0.05 * max(tpc.value, 0.0) + 1e-12
         metrics[f"tr_pi@{t:g}"] = tp.value
         metrics[f"tr_pi_control@{t:g}"] = tpc.value
@@ -216,7 +210,6 @@ def affine_straightness_check(
 def geometric_report(
     ensemble: PathEnsemble,
     t_index: int,
-    m_eval: int = _DEFAULT_M_EVAL,
     density_floor: float = 25.0,
 ) -> TheoremReport:
     """Radial-acceleration / trace identity report at one time slice.
@@ -234,7 +227,7 @@ def geometric_report(
         raise NonFiniteDataError("geometric report needs finite slice arrays")
     n = X.shape[0]
     rng = aux_rng(ensemble.seed, 200 + t_index)
-    m = min(int(m_eval), n)
+    m = min(_DEFAULT_M_EVAL, n)
     idx = rng.choice(n, size=m, replace=False)
     h = estimate.silverman_bandwidth_from(X) * _TRACE_BANDWIDTH_FACTOR
     vhat, eff = estimate.nw_regress(X, V, X[idx], h)
@@ -303,7 +296,9 @@ def _recover_slice_coefficients(x0, x1, target):
     return float(sol[0]), float(sol[1])
 
 
-def determinism_detector(ensemble: PathEnsemble, thresholds: dict | None = None) -> TheoremReport:
+def determinism_detector(
+    ensemble: PathEnsemble, ratio: float = 0.05, density_floor: float = 25.0
+) -> TheoremReport:
     """Decides whether the endpoint coupling behind an ensemble is deterministic.
 
     Integrates the trace moment over interior grid times (trapezoid) and
@@ -315,16 +310,9 @@ def determinism_detector(ensemble: PathEnsemble, thresholds: dict | None = None)
     the coefficient split is unidentifiable and no endpoint-shuffle control
     exists; the control then shuffles the (position, velocity) pairing within
     each slice instead, which is the matching null for "velocity is a
-    function of position".
+    function of position".  The verdict is ``consistent`` when the trace
+    integral is at most ``ratio`` times the control's.
     """
-    opts = {
-        "ratio": 0.05,
-        "density_floor": 25.0,
-        "m_eval": 2048,
-        "max_low_density_fraction": _LOW_DENSITY_FRACTION,
-    }
-    if thresholds:
-        opts.update(thresholds)
     grid = ensemble.grid
     if grid.n_nodes < 3:
         raise InvalidArgumentError("determinism detector needs interior time nodes")
@@ -342,7 +330,7 @@ def determinism_detector(ensemble: PathEnsemble, thresholds: dict | None = None)
         X = ensemble.positions[:, k, :]
         V = ensemble.velocities[:, k, :]
         tp = tr_pi_moment(
-            X, V, aux_rng(ensemble.seed, 300 + k), opts["m_eval"], density_floor=opts["density_floor"]
+            X, V, aux_rng(ensemble.seed, 300 + k), _DETERMINISM_M_EVAL, density_floor
         )
         if endpoint_shuffle:
             a_k, b_k = _recover_slice_coefficients(x0, x1, X)
@@ -354,7 +342,7 @@ def determinism_detector(ensemble: PathEnsemble, thresholds: dict | None = None)
         else:
             Xc, Vc = X, V[perm]
         tpc = tr_pi_moment(
-            Xc, Vc, aux_rng(ensemble.seed, 300 + k), opts["m_eval"], density_floor=opts["density_floor"]
+            Xc, Vc, aux_rng(ensemble.seed, 300 + k), _DETERMINISM_M_EVAL, density_floor
         )
         values.append(max(tp.value, 0.0))
         controls.append(max(tpc.value, 0.0))
@@ -365,24 +353,24 @@ def determinism_detector(ensemble: PathEnsemble, thresholds: dict | None = None)
     control_integral = (
         float(trapezoid(controls, times)) if len(times) > 1 else float(controls[0])
     )
-    ratio = integral / max(control_integral, 1e-30)
+    measured = integral / max(control_integral, 1e-30)
     low_fraction = float(np.mean(lows))
 
     metrics = {
         "tr_pi_integral": integral,
         "control_integral": control_integral,
-        "ratio": ratio,
+        "ratio": measured,
         "low_density_fraction": low_fraction,
         "endpoint_shuffle_control": float(endpoint_shuffle),
     }
     report_thresholds = {
-        "ratio": float(opts["ratio"]),
-        "low_density_fraction": float(opts["max_low_density_fraction"]),
+        "ratio": float(ratio),
+        "low_density_fraction": _LOW_DENSITY_FRACTION,
     }
-    if low_fraction > opts["max_low_density_fraction"]:
+    if low_fraction > _LOW_DENSITY_FRACTION:
         verdict = "inconclusive"
     else:
-        verdict = "consistent" if ratio <= opts["ratio"] else "violated"
+        verdict = "consistent" if measured <= ratio else "violated"
     return TheoremReport(
         name="determinism_detector",
         inputs={"n": n, "seed": int(ensemble.seed), "dim": ensemble.dim, "k_interior": len(times)},

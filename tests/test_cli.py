@@ -227,6 +227,15 @@ class TestFlow:
         lines = (out / "trajectories.csv").read_text().strip().split("\n")
         assert len(lines) == 1 + 101
 
+    def test_zero_steps_exit_2(self, tmp_path):
+        # a flag value of 0 is used, not replaced by the config's steps
+        cfg_path, out = write_config(tmp_path, process=ot_process(), flow={"steps": 5})
+        assert cli.main(["flow", "--config", str(cfg_path), "--steps", "0"]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"]["exit_code"] == 2
+        assert manifest["outputs"] == []
+
     def test_scheme_typo_exit_2(self, tmp_path):
         cfg_path, _ = write_config(tmp_path)
         assert cli.main(["flow", "--config", str(cfg_path), "--scheme", "rk5"]) == 2

@@ -1,8 +1,10 @@
 import hashlib
+import os
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from straightflow import core
@@ -12,6 +14,11 @@ from straightflow.errors import (
 )
 
 from conftest import gauss1, make_spec
+
+
+def spec_of(coupling, latent=False):
+    """The affine process over ``coupling``, with the bridge latent if asked."""
+    return make_spec("affine", coupling, coupling.dim, latent)
 
 
 class TestMakeTimeGrid:
@@ -43,19 +50,19 @@ class TestCouplingSample:
     def test_deterministic_map_exact(self):
         amap = core.AffineMap(np.array([[2.0]]), np.array([0.0]))
         cpl = core.CouplingSpec("deterministic_map", gauss1(), gauss1(var=4.0), map=amap)
-        arr = core.sample_endpoints(cpl, 3, seed=7)
+        arr = core.sample_endpoints(spec_of(cpl), 3, seed=7)
         for x0, x1 in zip(arr.x0, arr.x1):
             assert x1 == pytest.approx(2.0 * x0, abs=0.0)
 
     def test_independent_correlation_near_zero(self):
         cpl = core.CouplingSpec("independent", gauss1(), gauss1())
-        arr = core.sample_endpoints(cpl, 100_000, seed=5)
+        arr = core.sample_endpoints(spec_of(cpl), 100_000, seed=5)
         corr = np.corrcoef(arr.x0[:, 0], arr.x1[:, 0])[0, 1]
         assert abs(corr) <= 0.01
 
     def test_joint_unit_correlation(self):
         cpl = core.gaussian_joint_coupling(np.zeros(2), np.array([[1.0, 1.0], [1.0, 1.0]]))
-        arr = core.sample_endpoints(cpl, 100_000, seed=5)
+        arr = core.sample_endpoints(spec_of(cpl), 100_000, seed=5)
         corr = np.corrcoef(arr.x0[:, 0], arr.x1[:, 0])[0, 1]
         assert corr == pytest.approx(1.0, abs=0.01)
 
@@ -71,7 +78,7 @@ class TestCouplingSample:
     def test_negative_seed_rejected(self):
         cpl = core.CouplingSpec("independent", gauss1(), gauss1())
         with pytest.raises(InvalidArgumentError):
-            core.sample_endpoints(cpl, 4, seed=-3)
+            core.sample_endpoints(spec_of(cpl), 4, seed=-3)
 
 
 B = core._BLOCK_ROWS
@@ -129,8 +136,8 @@ class TestBlockStreams:
            seed=st.integers(0, 2**32), latent=st.booleans())
     def test_prefix_equals_smaller_draw(self, kind, n1, n2, seed, latent):
         assume(n1 < n2)
-        small = core.sample_endpoints(COUPLINGS[kind], n1, seed, with_latent=latent)
-        big = core.sample_endpoints(COUPLINGS[kind], n2, seed, with_latent=latent)
+        small = core.sample_endpoints(spec_of(COUPLINGS[kind], latent), n1, seed)
+        big = core.sample_endpoints(spec_of(COUPLINGS[kind], latent), n2, seed)
         assert np.array_equal(small.x0, big.x0[:n1])
         assert np.array_equal(small.x1, big.x1[:n1])
         if latent:
@@ -138,15 +145,15 @@ class TestBlockStreams:
 
     @given(kind=st.sampled_from(sorted(COUPLINGS)), n=_SIZES, seed=st.integers(0, 2**32))
     def test_endpoints_independent_of_latent(self, kind, n, seed):
-        plain = core.sample_endpoints(COUPLINGS[kind], n, seed)
-        with_z = core.sample_endpoints(COUPLINGS[kind], n, seed, with_latent=True)
+        plain = core.sample_endpoints(spec_of(COUPLINGS[kind]), n, seed)
+        with_z = core.sample_endpoints(spec_of(COUPLINGS[kind], True), n, seed)
         assert plain.z is None and with_z.z.shape == with_z.x0.shape
         assert np.array_equal(plain.x0, with_z.x0)
         assert np.array_equal(plain.x1, with_z.x1)
 
     def test_mixture_frequencies_and_moments_within_four_se(self):
         n = 40_000
-        arr = core.sample_endpoints(core.CouplingSpec("independent", MIX1, MIX1), n, seed=21)
+        arr = core.sample_endpoints(spec_of(core.CouplingSpec("independent", MIX1, MIX1)), n, seed=21)
         mean, cov = MIX1.moments()
         w = MIX1.weights[0]
         for x in (arr.x0[:, 0], arr.x1[:, 0]):
@@ -171,7 +178,7 @@ class TestBlockStreams:
         }
         digests = {}
         for kind, cpl in cpls.items():
-            arr = core.sample_endpoints(cpl, 5, seed=0, with_latent=True)
+            arr = core.sample_endpoints(spec_of(cpl, True), 5, seed=0)
             digests[kind] = hashlib.sha256(
                 arr.x0.tobytes() + arr.x1.tobytes() + arr.z.tobytes()
             ).hexdigest()
@@ -239,7 +246,7 @@ class TestSamplePaths:
     def test_latent_slice_values(self, latent_spec):
         ens = core.sample_paths(latent_spec, 50, core.make_time_grid(4), seed=6)
         # gamma(0) = gamma(1) = 0: endpoint positions carry no latent term
-        arr = core.sample_endpoints(latent_spec.coupling, 50, seed=6, with_latent=True)
+        arr = core.sample_endpoints(latent_spec, 50, seed=6)
         assert np.allclose(ens.positions[:, 0, :], arr.x0)
         assert np.allclose(ens.positions[:, -1, :], arr.x1)
         # interior velocity includes the latent derivative term
@@ -278,6 +285,33 @@ class TestEnsembleFile:
         dims = np.frombuffer(raw[5:29], dtype="<u8")
         assert tuple(dims) == (7, 3, 1)
         assert len(raw) == 29 + 3 * 7 * 3 * 1 * 8
+
+    @settings(max_examples=40)
+    @given(
+        n=st.integers(1, 40),
+        steps=st.integers(1, 12),
+        d=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        non_finite=st.booleans(),
+    )
+    def test_roundtrip_property(self, n, steps, d, seed, non_finite):
+        # every bit of every array comes back, on the same time grid
+        rng = np.random.default_rng(seed)
+        grid = core.make_time_grid(steps)
+        arrays = [rng.standard_normal((n, steps + 1, d)) * 10.0 ** rng.integers(-300, 300)
+                  for _ in range(3)]
+        if non_finite:
+            for arr in arrays:
+                arr.flat[rng.integers(0, arr.size, size=3)] = [np.inf, -np.inf, np.nan]
+        ens = core.PathEnsemble(grid, *arrays, seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "e.sflw")
+            core.save_ensemble(ens, path)
+            loaded = core.load_ensemble(path, seed=seed)
+        for name in ("positions", "velocities", "accelerations"):
+            assert getattr(loaded, name).tobytes() == getattr(ens, name).tobytes()
+        assert np.array_equal(loaded.grid.nodes, grid.nodes)
+        assert loaded.grid.step == grid.step and loaded.seed == seed
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.sflw"

@@ -1,3 +1,4 @@
+import importlib
 import os
 import re
 import subprocess
@@ -41,3 +42,13 @@ def test_declared_runtime_dependencies():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     names = sorted(re.split(r"[<>=!~ ;\[]", dep)[0] for dep in project["dependencies"])
     assert names == ["jsonschema", "numpy"]
+
+
+def test_exports_resolve_and_are_public():
+    import straightflow
+
+    for name in straightflow._SUBMODULES:
+        module = importlib.import_module(f"straightflow.{name}")
+        for export in getattr(module, "__all__", ()):
+            assert not export.startswith("_"), f"{name}.{export} is private"
+            assert hasattr(module, export), f"{name}.__all__ names missing {export}"

@@ -442,7 +442,7 @@ class TestReynoldsTensorField:
         )
         gamma = core.bridge_gamma() if latent else None
         spec = core.ProcessSpec(alpha, beta, _coupling(kind, d, rng), d, gamma)
-        endpoints = core.sample_endpoints(spec.coupling, n, seed, with_latent=latent)
+        endpoints = core.sample_endpoints(spec, n, seed)
         X, V, A = core.slice_state(spec, endpoints, t)
         box = list(zip(np.quantile(X, 0.01, axis=0), np.quantile(X, 0.99, axis=0)))
         grid = calculus.make_spatial_grid(box, 7 if d == 2 else 4)
@@ -450,8 +450,7 @@ class TestReynoldsTensorField:
         fields, refined, _ = estimate.fields_on_grid(X, V, A, grid, cfg, t)  # never raises
         pi = fields["Pi"].values[refined.mask]
         scale = np.trace(fields["Sigma"].values[refined.mask], axis1=-2, axis2=-1)
-        # both up to the rounding of the eigendecomposition that clips Pi
-        tol = 1e-12 * scale[:, None]
         assert np.all(np.isfinite(pi))
-        assert np.all(np.abs(pi - np.swapaxes(pi, -1, -2)).reshape(-1, d * d) <= tol)
-        assert np.all(np.linalg.eigvalsh(pi) >= -tol)
+        assert np.array_equal(pi, np.swapaxes(pi, -1, -2))
+        # up to the rounding of the eigendecomposition that clips Pi
+        assert np.all(np.linalg.eigvalsh(pi) >= -1e-12 * scale[:, None])

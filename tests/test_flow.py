@@ -15,11 +15,11 @@ PI2_4 = np.pi**2 / 4
 
 def const_oracle(c):
     c = np.asarray(c, dtype=float)
-    return flow.VelocityOracle(lambda t, x: np.broadcast_to(c, np.shape(x)).copy(), "analytic", c.size)
+    return flow.VelocityOracle(lambda t, x: np.broadcast_to(c, np.shape(x)).copy())
 
 
 def scaling_oracle():
-    return flow.VelocityOracle(lambda t, x: np.asarray(x) / (1.0 + t), "analytic", 1)
+    return flow.VelocityOracle(lambda t, x: np.asarray(x) / (1.0 + t))
 
 
 def refusing_oracle(limit):
@@ -32,7 +32,18 @@ def refusing_oracle(limit):
             raise LowDensityError("beyond the limit", 0.0, rows=beyond)
         return np.ones_like(x)
 
-    return flow.VelocityOracle(evaluate, "test", 1)
+    return flow.VelocityOracle(evaluate)
+
+
+def counting(oracle):
+    """The oracle with its evaluator calls counted in ``calls``."""
+    calls = []
+
+    def evaluate(t, x):
+        calls.append(t)
+        return oracle(t, x)
+
+    return flow.VelocityOracle(evaluate), calls
 
 
 def _property_oracles():
@@ -45,13 +56,11 @@ def _property_oracles():
         ),
         1,
     ))
-    grid = calculus.make_spatial_grid([(-8.0, 8.0)], 33)
-    x = grid.meshgrid()[0][..., None]
-    tabulated = flow.tabulated_velocity_oracle([
-        (0.0, calculus.GridField(grid, "vector", 1.0 - 0.5 * x, 0.0)),
-        (1.0, calculus.GridField(grid, "vector", np.sin(x), 1.0)),
-    ])
-    return {"analytic": flow.analytic_velocity_oracle(g), "tabulated": tabulated}
+    # not affine in x, and row results that depend on t
+    non_affine = flow.VelocityOracle(
+        lambda t, x: (1.0 - t) * (1.0 - 0.5 * np.asarray(x)) + t * np.sin(x)
+    )
+    return {"analytic": flow.analytic_velocity_oracle(g), "non_affine": non_affine}
 
 
 PROPERTY_ORACLES = _property_oracles()
@@ -74,15 +83,17 @@ def oracle_trig_det(trig_det_identity_spec):
 
 class TestIntegrate:
     def test_constant_velocity_exact(self):
-        traj = flow.integrate(const_oracle([2.0, -1.0]), np.zeros(2), core.make_time_grid(7), "euler")
+        oracle, calls = counting(const_oracle([2.0, -1.0]))
+        traj = flow.integrate(oracle, np.zeros(2), core.make_time_grid(7), "euler")
         expect = traj.grid.nodes[:, None] * np.array([2.0, -1.0])
         assert np.allclose(traj.states, expect, atol=1e-14)
-        assert traj.n_evals == 7
+        assert len(calls) == 7
 
     def test_scaling_field_rk4(self):
-        traj = flow.integrate(scaling_oracle(), np.array([1.0]), core.make_time_grid(100), "rk4")
+        oracle, calls = counting(scaling_oracle())
+        traj = flow.integrate(oracle, np.array([1.0]), core.make_time_grid(100), "rk4")
         assert traj.endpoint[0] == pytest.approx(2.0, abs=1e-9)
-        assert traj.n_evals == 400
+        assert len(calls) == 400
 
     def test_curved_flow_separates_schemes(self, oracle_affine_indep):
         euler1 = flow.integrate(oracle_affine_indep, np.array([1.0]), core.make_time_grid(1), "euler")
@@ -98,7 +109,7 @@ class TestIntegrate:
 
     def test_midpoint_second_order(self):
         # dx/dt = -x^3 from x0 = 1 has solution 1/sqrt(1 + 2t)
-        cubic = flow.VelocityOracle(lambda t, x: -np.asarray(x) ** 3, "analytic", 1)
+        cubic = flow.VelocityOracle(lambda t, x: -np.asarray(x) ** 3)
         exact = 1.0 / np.sqrt(3.0)
 
         def endpoint(steps):
@@ -189,7 +200,7 @@ class TestFlowMap:
             stats.excursions += np.atleast_2d(x).shape[0]
             return refusing(t, x)
 
-        oracle = flow.VelocityOracle(evaluate, "test", 1, stats)
+        oracle = flow.VelocityOracle(evaluate, stats)
         pts = np.array([[0.0], [0.55], [-1.0]])
         res = flow.flow_map(oracle, pts, core.make_time_grid(4), "euler")
         assert [i for i, _ in res.errors] == [1]
@@ -198,9 +209,7 @@ class TestFlowMap:
         assert stats.excursions == 3 + 3 + 2 + 2
 
     def test_non_finite_state_stops_only_that_point(self):
-        oracle = flow.VelocityOracle(
-            lambda t, x: np.where(np.asarray(x) < -0.5, np.inf, 1.0), "test", 1
-        )
+        oracle = flow.VelocityOracle(lambda t, x: np.where(np.asarray(x) < -0.5, np.inf, 1.0))
         res = flow.flow_map(oracle, np.array([[0.0], [-1.0]]), core.make_time_grid(4), "rk4")
         (i, err), = res.errors
         assert i == 1 and isinstance(err, InvalidArgumentError)
@@ -279,16 +288,6 @@ class TestSchemeConsistency:
         e200 = flow.integrate(oracle_affine_indep, np.array([1.0]), core.make_time_grid(200), "rk4")
         e400 = flow.integrate(oracle_affine_indep, np.array([1.0]), core.make_time_grid(400), "rk4")
         assert abs(e200.endpoint[0] - e400.endpoint[0]) <= 1e-8
-
-
-class TestTabulatedOracle:
-    def test_linear_field_exact_interpolation(self):
-        grid = calculus.make_spatial_grid([(-6.0, 6.0)], 25)
-        vals = grid.meshgrid()[0][..., None].copy()
-        f = calculus.GridField(grid, "vector", vals, 0.0)
-        oracle = flow.tabulated_velocity_oracle([(0.0, f)])
-        traj = flow.integrate(oracle, np.array([1.0]), core.make_time_grid(400), "rk4")
-        assert traj.endpoint[0] == pytest.approx(np.e, abs=1e-6)
 
 
 class TestEnergyDistance:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from straightflow import core, flow, gaussian
+from straightflow import calculus, core, flow, gaussian
 from straightflow.errors import (
     CapabilityError,
     DegenerateMarginalError,
@@ -11,6 +13,20 @@ from straightflow.errors import (
 from conftest import gauss1, make_spec
 
 PI2_4 = np.pi**2 / 4
+
+
+def fields_at(spec, t, x):
+    """rho, v, a, Sigma, Pi at one point: row 0 of the batch view."""
+    rho, V, A, Sigma, Pi = gaussian.conditional_fields_batch(spec, t, np.atleast_2d(x))
+    return rho[0], V[0], A[0], Sigma[0], Pi
+
+
+def material_at(spec, t, x, h_t=1e-5):
+    """D_t v at the point x from the grid view: oracle slices at t and t +- h_t
+    on a three-node grid centred on x, through calculus.material_derivative."""
+    grid = calculus.make_spatial_grid([(x - 0.5, x + 0.5)], 3)
+    v3 = [gaussian.fields_on_grid(spec, tt, grid)["v"] for tt in (t - h_t, t, t + h_t)]
+    return calculus.material_derivative(*v3, h_t).values[1]
 
 
 @pytest.fixture(scope="module")
@@ -60,25 +76,25 @@ class TestMarginalMoments:
 
 class TestConditionalFields:
     def test_affine_independent_t0(self, g_affine_indep):
-        fv = gaussian.conditional_fields(g_affine_indep, 0.0, np.array([0.7]))
-        assert fv.v[0] == pytest.approx(-0.7, abs=1e-12)
-        assert fv.Pi[0, 0] == pytest.approx(1.0, abs=1e-12)
-        assert fv.a[0] == pytest.approx(0.0, abs=1e-12)
+        _, v, a, _, Pi = fields_at(g_affine_indep, 0.0, np.array([0.7]))
+        assert v[0] == pytest.approx(-0.7, abs=1e-12)
+        assert Pi[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert a[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_affine_independent_midpoint(self, g_affine_indep):
         x = np.array([0.3])
-        fv = gaussian.conditional_fields(g_affine_indep, 0.5, x)
-        assert fv.v[0] == pytest.approx(0.0, abs=1e-12)
-        assert fv.Pi[0, 0] == pytest.approx(2.0, abs=1e-12)
+        rho, v, _, _, Pi = fields_at(g_affine_indep, 0.5, x)
+        assert v[0] == pytest.approx(0.0, abs=1e-12)
+        assert Pi[0, 0] == pytest.approx(2.0, abs=1e-12)
         expected_rho = np.exp(-x[0] ** 2 / 1.0) / np.sqrt(2 * np.pi * 0.5)
-        assert fv.rho == pytest.approx(expected_rho, rel=1e-12)
+        assert rho == pytest.approx(expected_rho, rel=1e-12)
 
     def test_trig_independent(self, g_trig_indep):
         for t in (0.15, 0.5, 0.8):
-            fv = gaussian.conditional_fields(g_trig_indep, t, np.array([1.2]))
-            assert fv.v[0] == pytest.approx(0.0, abs=1e-12)
-            assert fv.a[0] == pytest.approx(-PI2_4 * 1.2, abs=1e-10)
-            assert fv.Pi[0, 0] == pytest.approx(PI2_4, abs=1e-10)
+            _, v, a, _, Pi = fields_at(g_trig_indep, t, np.array([1.2]))
+            assert v[0] == pytest.approx(0.0, abs=1e-12)
+            assert a[0] == pytest.approx(-PI2_4 * 1.2, abs=1e-10)
+            assert Pi[0, 0] == pytest.approx(PI2_4, abs=1e-10)
 
     def test_deterministic_scaling(self):
         # T(x) = 2x via the joint-Gaussian route: v = x/(1+t), Pi = 0
@@ -87,18 +103,18 @@ class TestConditionalFields:
         spec = make_spec("affine", cpl)
         g = gaussian.from_process_spec(spec)
         for t in (0.2, 0.6):
-            fv = gaussian.conditional_fields(g, t, np.array([0.9]))
-            assert fv.v[0] == pytest.approx(0.9 / (1 + t), rel=1e-10)
-            assert fv.Pi[0, 0] == pytest.approx(0.0, abs=1e-10)
+            _, v, _, _, Pi = fields_at(g, t, np.array([0.9]))
+            assert v[0] == pytest.approx(0.9 / (1 + t), rel=1e-10)
+            assert Pi[0, 0] == pytest.approx(0.0, abs=1e-10)
 
     def test_pi_independent_of_x(self, g_affine_indep):
-        f1 = gaussian.conditional_fields(g_affine_indep, 0.3, np.array([-2.0]))
-        f2 = gaussian.conditional_fields(g_affine_indep, 0.3, np.array([1.4]))
-        assert np.allclose(f1.Pi, f2.Pi, atol=0.0)
+        Pi1 = fields_at(g_affine_indep, 0.3, np.array([-2.0]))[4]
+        Pi2 = fields_at(g_affine_indep, 0.3, np.array([1.4]))[4]
+        assert np.allclose(Pi1, Pi2, atol=0.0)
 
     def test_sigma_decomposition(self, g_affine_indep):
-        fv = gaussian.conditional_fields(g_affine_indep, 0.3, np.array([0.8]))
-        assert np.allclose(fv.Sigma, fv.Pi + np.outer(fv.v, fv.v))
+        _, v, _, Sigma, Pi = fields_at(g_affine_indep, 0.3, np.array([0.8]))
+        assert np.allclose(Sigma, Pi + np.outer(v, v))
 
     def test_degenerate_marginal_raises(self):
         spec = gaussian.GaussianProcessSpec(
@@ -106,7 +122,7 @@ class TestConditionalFields:
             core.affine_alpha(), core.affine_beta(),
         )
         with pytest.raises(DegenerateMarginalError):
-            gaussian.conditional_fields(spec, 0.0, np.zeros(1))
+            fields_at(spec, 0.0, np.zeros(1))
 
     def test_velocity_views_refuse_the_same_degenerate_marginal(self):
         spec = gaussian.GaussianProcessSpec(
@@ -119,8 +135,6 @@ class TestConditionalFields:
                 gaussian.velocity_at(spec, 0.0, np.zeros(1))
             with pytest.raises(DegenerateMarginalError):
                 oracle(0.0, np.zeros(1))
-            with pytest.raises(DegenerateMarginalError):
-                gaussian.material_derivative_analytic(spec, 0.0, np.zeros(1))
         assert oracle(0.5, np.zeros(1))[0] == gaussian.velocity_at(spec, 0.5, np.zeros(1))[0]
 
     def test_velocity_views_equal_the_full_model_bitwise(self):
@@ -144,12 +158,12 @@ class TestConditionalFields:
         X = np.array([[-1.0], [0.0], [2.5]])
         rho, V, A, Sigma, Pi = gaussian.conditional_fields_batch(g_affine_indep, 0.3, X)
         for i, x in enumerate(X):
-            fv = gaussian.conditional_fields(g_affine_indep, 0.3, x)
-            assert rho[i] == pytest.approx(fv.rho, rel=1e-12)
-            assert np.allclose(V[i], fv.v)
-            assert np.allclose(A[i], fv.a)
-            assert np.allclose(Sigma[i], fv.Sigma)
-        assert np.allclose(Pi, fv.Pi)
+            rho_i, v_i, a_i, Sigma_i, Pi_i = fields_at(g_affine_indep, 0.3, x)
+            assert rho[i] == pytest.approx(rho_i, rel=1e-12)
+            assert np.allclose(V[i], v_i)
+            assert np.allclose(A[i], a_i)
+            assert np.allclose(Sigma[i], Sigma_i)
+        assert np.allclose(Pi, Pi_i)
 
 
 class TestOtMap:
@@ -192,6 +206,30 @@ class TestOtMap:
         assert np.all(np.abs(emp - S1) <= 4 * se + 4 * np.sqrt(2.0 / n))
         assert np.allclose(y.mean(axis=0), np.ones(2), atol=4 * np.sqrt(3.0 / n) + 0.05)
 
+    @settings(max_examples=60)
+    @given(
+        eigs0=st.lists(st.floats(0.1, 10.0), min_size=3, max_size=3),
+        eigs1=st.lists(st.floats(0.1, 10.0), min_size=3, max_size=3),
+        d=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pushforward_is_exact_for_random_spd_pairs(self, eigs0, eigs1, d, seed):
+        rng = np.random.default_rng(seed)
+
+        def spd(eigs):
+            Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+            S = (Q * np.array(eigs[:d])) @ Q.T
+            return 0.5 * (S + S.T)
+
+        S0, S1 = spd(eigs0), spd(eigs1)
+        m0, m1 = rng.normal(size=d), rng.normal(size=d)
+        amap = gaussian.gaussian_ot_map(m0, S0, m1, S1)
+        A = amap.A
+        assert np.array_equal(A, A.T)
+        assert np.linalg.eigvalsh(A).min() > 0
+        assert np.abs(A @ S0 @ A.T - S1).max() <= 1e-11 * np.abs(S1).max()
+        assert np.abs(amap(m0) - m1).max() <= 1e-12 * (1.0 + np.abs(A).max() * np.abs(m0).max())
+
     def test_singular_source_rejected(self):
         with pytest.raises(InvalidArgumentError):
             gaussian.gaussian_ot_map(np.zeros(1), np.zeros((1, 1)), np.zeros(1), np.eye(1))
@@ -203,24 +241,15 @@ class TestMaterialDerivative:
         cpl = core.gaussian_joint_coupling(np.zeros(2), cov)
         g = gaussian.from_process_spec(make_spec("affine", cpl))
         for t in (0.2, 0.5, 0.8):
-            md = gaussian.material_derivative_analytic(g, t, np.array([1.3]))
-            assert abs(md.value[0]) <= 1e-8
-            assert not md.one_sided
+            assert abs(material_at(g, t, 1.3)[0]) <= 1e-8
 
     def test_affine_independent_midpoint(self, g_affine_indep):
         for x in (-1.5, 0.4, 2.0):
-            md = gaussian.material_derivative_analytic(g_affine_indep, 0.5, np.array([x]))
-            assert md.value[0] == pytest.approx(4.0 * x, abs=1e-6)
+            assert material_at(g_affine_indep, 0.5, x)[0] == pytest.approx(4.0 * x, abs=1e-6)
 
     def test_trig_independent_vanishes(self, g_trig_indep):
         for t in (0.1, 0.5, 0.9):
-            md = gaussian.material_derivative_analytic(g_trig_indep, t, np.array([0.7]))
-            assert abs(md.value[0]) <= 1e-8
-
-    def test_edges_flagged_one_sided(self, g_affine_indep):
-        assert gaussian.material_derivative_analytic(g_affine_indep, 0.0, np.zeros(1)).one_sided
-        assert gaussian.material_derivative_analytic(g_affine_indep, 1.0, np.zeros(1)).one_sided
-        assert not gaussian.material_derivative_analytic(g_affine_indep, 0.4, np.zeros(1)).one_sided
+            assert abs(material_at(g_trig_indep, t, 0.7)[0]) <= 1e-8
 
 
 class TestFromProcessSpec:
