@@ -1,24 +1,17 @@
 """straightflow: a numerical laboratory for straight-line probability flows
 of stochastic interpolant processes.
 
-Submodules are imported lazily so the CLI can apply the STRAIGHTFLOW_THREADS
-cap before any numerical library loads.
+Importing the package applies ``STRAIGHTFLOW_THREADS``: when set, it is the
+default of the BLAS/OpenMP thread variables that are not already set.  This
+runs before any submodule loads numpy, so the cap holds for the CLI and for
+library use alike.
 """
+
+import os
 
 __version__ = "0.1.0"
 
-_SUBMODULES = ("core", "gaussian", "estimate", "calculus", "flow", "verify", "cli", "errors")
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        import importlib
-
-        module = importlib.import_module(f".{name}", __name__)
-        globals()[name] = module
-        return module
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(list(globals()) + list(_SUBMODULES))
+if os.environ.get("STRAIGHTFLOW_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                 "NUMEXPR_NUM_THREADS"):
+        os.environ.setdefault(_var, os.environ["STRAIGHTFLOW_THREADS"])

@@ -16,8 +16,10 @@ Exit codes: 0 success/consistent, 1 other library error, 2 config error,
 3 capability error, 4 theorem violated, 5 inconclusive; :func:`_error_exit`
 maps each library error class to its code.
 
-``STRAIGHTFLOW_THREADS`` caps BLAS/OpenMP parallelism; it is applied before
-the numerical modules are imported.
+``fields`` and ``diagnose`` read one field source per run, the Gaussian oracle
+or the kernel estimate, chosen once by :func:`_field_source`.
+``STRAIGHTFLOW_THREADS`` caps BLAS/OpenMP parallelism; the package applies it
+on import, before numpy loads.
 """
 
 from __future__ import annotations
@@ -27,10 +29,16 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
+import jsonschema
+import numpy as np
+
 from . import __version__ as _VERSION
+from . import calculus, core, errors, estimate, flow, gaussian, verify
+from .errors import CapabilityError, ConfigError, StraightflowError
 
 __all__ = [
     "CONFIG_SCHEMA",
@@ -219,10 +227,6 @@ def _merge_defaults(data: dict, defaults: dict) -> dict:
 
 def load_config(path) -> ExperimentConfig:
     """Parse and validate a config file; raises ConfigError on any problem."""
-    import jsonschema
-
-    from .errors import ConfigError
-
     try:
         text = Path(path).read_text()
     except OSError as err:
@@ -250,11 +254,6 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 
 def _build_distribution(block: dict):
-    import numpy as np
-
-    from . import core
-    from .errors import ConfigError
-
     family = block["family"]
     if family == "gaussian":
         if "mean" not in block or "cov" not in block:
@@ -273,11 +272,6 @@ def _build_distribution(block: dict):
 
 
 def build_process_spec(cfg: ExperimentConfig):
-    import numpy as np
-
-    from . import core, gaussian
-    from .errors import ConfigError
-
     proc = cfg["process"]
     cp = proc["coupling"]
     kind = cp["kind"]
@@ -316,23 +310,26 @@ def build_process_spec(cfg: ExperimentConfig):
     return core.ProcessSpec(alpha, beta, coupling, proc["dim"], gamma)
 
 
-def build_gaussian_spec(cfg: ExperimentConfig):
-    from . import gaussian
-
-    return gaussian.from_process_spec(build_process_spec(cfg))
-
-
 # ---------------------------------------------------------------------------
 # output plumbing
 # ---------------------------------------------------------------------------
 
 def _atomic_write(path: Path, payload) -> None:
+    """Write ``payload`` under a temporary name next to ``path`` and move it
+    into place; a failed write leaves neither file.  ``payload`` is text,
+    bytes, or a function that streams the file to the path it is given."""
     tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
-    if isinstance(payload, bytes):
-        tmp.write_bytes(payload)
-    else:
-        tmp.write_text(payload)
-    os.replace(tmp, path)
+    try:
+        if callable(payload):
+            payload(tmp)
+        elif isinstance(payload, bytes):
+            tmp.write_bytes(payload)
+        else:
+            tmp.write_text(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _json_text(obj) -> str:
@@ -354,8 +351,6 @@ class _Outputs:
 
 def _write_manifest(out: _Outputs, cfg: ExperimentConfig, failure=None) -> None:
     """The run's manifest; ``failure`` is the (error, exit code) that ended it."""
-    from . import core
-
     manifest = {
         "config_hash": config_hash(cfg),
         "version": _VERSION,
@@ -371,22 +366,18 @@ def _write_manifest(out: _Outputs, cfg: ExperimentConfig, failure=None) -> None:
     _atomic_write(out.dir / "manifest.json", _json_text(manifest))
 
 
-def _resolve_spatial_grid(cfg: ExperimentConfig, t: float, sample=None):
+def _resolve_spatial_grid(cfg: ExperimentConfig, spec, t: float, sample=None):
     """Spatial grid at time ``t``.  A ``grid.box`` of 'oracle' is the oracle
-    box when the process is Gaussian-expressible, else the per-axis 1%/99%
-    quantile box of ``sample``, as 'quantile' always is."""
-    from . import calculus, gaussian
-    from .errors import CapabilityError, ConfigError
-
+    box when the process ``spec`` is Gaussian-expressible, else the per-axis
+    1%/99% quantile box of ``sample``, as 'quantile' always is."""
     box = cfg["grid"]["box"]
     nodes = cfg["grid"]["nodes_per_axis"]
     if isinstance(box, list):
         return calculus.make_spatial_grid([(float(lo), float(hi)) for lo, hi in box], nodes)
     if box == "oracle":
         try:
-            return calculus.make_spatial_grid(
-                gaussian.oracle_box(build_gaussian_spec(cfg), t), nodes
-            )
+            oracle_box = gaussian.oracle_box(gaussian.from_process_spec(spec), t)
+            return calculus.make_spatial_grid(oracle_box, nodes)
         except CapabilityError:
             if sample is None:
                 raise
@@ -396,11 +387,7 @@ def _resolve_spatial_grid(cfg: ExperimentConfig, t: float, sample=None):
 
 
 def _kernel_config(cfg: ExperimentConfig):
-    from . import estimate
-
-    return estimate.KernelConfig(
-        bandwidth=cfg["bandwidth"], density_floor=cfg["density_floor"]
-    )
+    return estimate.KernelConfig(bandwidth=cfg["bandwidth"], density_floor=cfg["density_floor"])
 
 
 # ---------------------------------------------------------------------------
@@ -408,13 +395,10 @@ def _kernel_config(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(cfg: ExperimentConfig, out: _Outputs) -> int:
-    from . import core
-
     spec = build_process_spec(cfg)
     grid = core.make_time_grid(cfg["time_steps"])
     ensemble = core.sample_paths(spec, cfg["n"], grid, cfg["seed"])
-    core.save_ensemble(ensemble, out.dir / "ensemble.sflw")
-    out.written.append("ensemble.sflw")
+    out.write("ensemble.sflw", lambda path: core.save_ensemble(ensemble, path))
     print(
         f"simulate: wrote {out.dir / 'ensemble.sflw'} "
         f"(N={ensemble.n_paths}, K={grid.n_nodes}, d={ensemble.dim})"
@@ -422,70 +406,44 @@ def cmd_simulate(cfg: ExperimentConfig, out: _Outputs) -> int:
     return EXIT_OK
 
 
-def cmd_fields(cfg: ExperimentConfig, out: _Outputs, source: str, t: float) -> int:
-    from . import calculus, core, estimate
-
-    names = ["rho", "v", "a", "Sigma", "Pi"]
+def _field_source(cfg: ExperimentConfig, source: str, t: float):
+    """``fields_at(tt)``: the fields of ``source`` at time ``tt`` on the grid
+    resolved at ``t``.  The oracle tabulates the Gaussian fields; the estimate
+    slices the endpoints, sampled once, at ``tt`` and runs the kernel
+    estimator on the slice."""
+    spec = build_process_spec(cfg)
     if source == "oracle":
-        gspec = build_gaussian_spec(cfg)
-        from . import gaussian
+        gspec = gaussian.from_process_spec(spec)
+        grid = _resolve_spatial_grid(cfg, spec, t)
+        return lambda tt: gaussian.fields_on_grid(gspec, tt, grid)
+    endpoints = core.sample_endpoints(spec, cfg["n"], cfg["seed"])
+    grid = _resolve_spatial_grid(cfg, spec, t, sample=core.slice_state(spec, endpoints, t)[0])
+    kcfg = _kernel_config(cfg)
 
-        grid = _resolve_spatial_grid(cfg, t)
-        fields = gaussian.fields_on_grid(gspec, t, grid)
-    else:
-        spec = build_process_spec(cfg)
-        endpoints = core.sample_endpoints(spec, cfg["n"], cfg["seed"])
-        X, V, A = core.slice_state(spec, endpoints, t)
-        grid = _resolve_spatial_grid(cfg, t, sample=X)
-        fields, _, _ = estimate.fields_on_grid(X, V, A, grid, _kernel_config(cfg), t)
+    def fields_at(tt: float):
+        X, V, A = core.slice_state(spec, endpoints, tt)
+        return estimate.fields_on_grid(X, V, A, grid, kcfg, tt)
+
+    return fields_at
+
+
+def cmd_fields(cfg: ExperimentConfig, out: _Outputs, source: str, t: float) -> int:
+    names = ["rho", "v", "a", "Sigma", "Pi"]
+    fields = _field_source(cfg, source, t)(t)
     for name in names:
         out.write(f"fields_{name.lower()}.csv", calculus.grid_field_to_csv(fields[name]))
     print(f"fields: wrote {len(names)} CSVs to {out.dir} (source={source}, t={t:g})")
     return EXIT_OK
 
 
-def _oracle_field_triples(gspec, t, h_t, grid):
-    from . import gaussian
-
-    f_m = gaussian.fields_on_grid(gspec, t - h_t, grid)
-    f_c = gaussian.fields_on_grid(gspec, t, grid)
-    f_p = gaussian.fields_on_grid(gspec, t + h_t, grid)
-    return f_m, f_c, f_p
-
-
-def _estimate_field_triples(spec, endpoints, cfg, t, h_t, grid):
-    from . import core, estimate
-
-    kcfg = _kernel_config(cfg)
-    out = []
-    for tt in (t - h_t, t, t + h_t):
-        X, V, A = core.slice_state(spec, endpoints, tt)
-        fields, _, _ = estimate.fields_on_grid(X, V, A, grid, kcfg, tt)
-        out.append(fields)
-    return out
-
-
 def cmd_diagnose(cfg: ExperimentConfig, out: _Outputs, t: float) -> int:
-    import numpy as np
-
-    from . import calculus, core
-    from .errors import ConfigError
-
     source = cfg["source"]
     # analytic fields take a fourth-order stencil, noisy estimates a second-order one
     h_t, order = (cfg["h_t"]["analytic"], 4) if source == "oracle" else (cfg["h_t"]["estimated"], 2)
     if not (h_t <= t <= 1.0 - h_t):
         raise ConfigError("diagnose time must keep t +- h_t inside [0, 1]", "time")
-    if source == "oracle":
-        gspec = build_gaussian_spec(cfg)
-        grid = _resolve_spatial_grid(cfg, t)
-        f_m, f_c, f_p = _oracle_field_triples(gspec, t, h_t, grid)
-    else:
-        spec = build_process_spec(cfg)
-        endpoints = core.sample_endpoints(spec, cfg["n"], cfg["seed"])
-        X, _, _ = core.slice_state(spec, endpoints, t)
-        grid = _resolve_spatial_grid(cfg, t, sample=X)
-        f_m, f_c, f_p = _estimate_field_triples(spec, endpoints, cfg, t, h_t, grid)
+    fields_at = _field_source(cfg, source, t)
+    f_m, f_c, f_p = (fields_at(tt) for tt in (t - h_t, t, t + h_t))
 
     rho3 = (f_m["rho"], f_c["rho"], f_p["rho"])
     v3 = (f_m["v"], f_c["v"], f_p["v"])
@@ -495,18 +453,12 @@ def cmd_diagnose(cfg: ExperimentConfig, out: _Outputs, t: float) -> int:
         f_c["rho"], f_c["Pi"], f_c["a"], order=order,
         tolerance=cfg["tolerances"]["balance_relative"],
     )
-    dtv = calculus.material_derivative(v3[0], v3[1], v3[2], h_t, order=order)
+    dtv = calculus.material_derivative(*v3, h_t, order=order)
     v_mag = np.sqrt(np.sum(f_c["v"].values ** 2, axis=-1))
     mat = calculus.field_norms(dtv, reference=v_mag)
 
     def norms(rep):
-        return {
-            "max_abs": rep.max_abs,
-            "rms": rep.rms,
-            "reference": rep.reference,
-            "relative": rep.relative,
-            "n_nodes": rep.n_nodes,
-        }
+        return {k: getattr(rep, k) for k in ("max_abs", "rms", "reference", "relative", "n_nodes")}
 
     report = {
         "provenance": {
@@ -528,17 +480,12 @@ def cmd_diagnose(cfg: ExperimentConfig, out: _Outputs, t: float) -> int:
     out.write("residual_momentum.csv", calculus.grid_field_to_csv(mom.residual))
     out.write("residual_balance.csv", calculus.grid_field_to_csv(bal.residual))
     out.write("residual_material.csv", calculus.grid_field_to_csv(dtv))
-    print(
-        "diagnose: continuity rel={:.3g} momentum rel={:.3g} balance rel={:.3g} ({})".format(
-            cont.relative, mom.relative, bal.relative, bal.verdict
-        )
-    )
+    print(f"diagnose: continuity rel={cont.relative:.3g} momentum rel={mom.relative:.3g} "
+          f"balance rel={bal.relative:.3g} ({bal.verdict})")
     return EXIT_OK
 
 
 def cmd_verify(cfg: ExperimentConfig, out: _Outputs, theorem: str) -> int:
-    from . import core, verify
-
     spec = build_process_spec(cfg)
     if theorem == "affine":
         report = verify.affine_straightness_check(
@@ -566,25 +513,32 @@ def cmd_verify(cfg: ExperimentConfig, out: _Outputs, theorem: str) -> int:
     }[report.verdict]
 
 
-def cmd_flow(
-    cfg: ExperimentConfig,
-    out: _Outputs,
-    points_file: str | None,
-    use_grid: bool,
-    scheme: str,
-    steps: int,
-) -> int:
-    import numpy as np
+def _read_points(path: str, dim: int) -> np.ndarray:
+    """Start points from a CSV file, one point of ``dim`` finite numbers per
+    row; ConfigError (field ``points``) for anything else."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty file warns; it is refused below
+            pts = np.loadtxt(path, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as err:
+        raise ConfigError(f"cannot read points file {path}: {err}", "points") from err
+    if pts.size == 0:
+        raise ConfigError(f"points file {path} holds no points", "points")
+    if pts.shape[1] != dim:
+        raise ConfigError(f"points file has dimension {pts.shape[1]}, process has {dim}", "points")
+    if not np.all(np.isfinite(pts)):
+        raise ConfigError(f"points file {path} holds a non-finite coordinate", "points")
+    return pts
 
-    from . import core, flow
-    from .errors import ConfigError
 
+def cmd_flow(cfg: ExperimentConfig, out: _Outputs, points_file: str | None, use_grid: bool,
+             scheme: str, steps: int) -> int:
     tgrid = core.make_time_grid(steps)
     spec = build_process_spec(cfg)
     source = cfg["source"]
     sample = None
     if source == "oracle":
-        oracle = flow.analytic_velocity_oracle(build_gaussian_spec(cfg))
+        oracle = flow.analytic_velocity_oracle(gaussian.from_process_spec(spec))
     else:
         grid_t = core.make_time_grid(max(cfg["time_steps"], 10))
         ensemble = core.sample_paths(spec, cfg["n"], grid_t, cfg["seed"])
@@ -592,13 +546,9 @@ def cmd_flow(
         sample = ensemble.positions[:, 0, :]
 
     if points_file is not None:
-        pts = np.loadtxt(points_file, delimiter=",", ndmin=2)
-        if pts.shape[1] != spec.dim:
-            raise ConfigError(
-                f"points file has dimension {pts.shape[1]}, process has {spec.dim}", "points"
-            )
+        pts = _read_points(points_file, spec.dim)
     elif use_grid:
-        sgrid = _resolve_spatial_grid(cfg, 0.0, sample=sample)
+        sgrid = _resolve_spatial_grid(cfg, spec, 0.0, sample=sample)
         pts = sgrid.points()[sgrid.mask.ravel()]
     else:
         pts = spec.coupling.mu0.draw(core.aux_rng(cfg["seed"], 4), cfg["flow"]["n_points"])
@@ -648,12 +598,8 @@ _SWEEP_PARAMS = {"n": int, "seed": int, "bandwidth": float, "time": float}
 
 
 def _sweep_metrics(cfg: ExperimentConfig) -> dict:
-    import numpy as np
-
-    from . import core, estimate, gaussian, verify
-
     spec = build_process_spec(cfg)
-    gspec = build_gaussian_spec(cfg)
+    gspec = gaussian.from_process_spec(spec)
     t = cfg["time"]
     endpoints = core.sample_endpoints(spec, cfg["n"], cfg["seed"])
     X, V, _ = core.slice_state(spec, endpoints, t)
@@ -672,8 +618,6 @@ def _sweep_metrics(cfg: ExperimentConfig) -> dict:
 
 
 def cmd_sweep(cfg: ExperimentConfig, out: _Outputs, param: str, values: list[str]) -> int:
-    from .errors import ConfigError
-
     if param not in _SWEEP_PARAMS:
         raise ConfigError(
             f"unknown sweep parameter {param!r}; known: {sorted(_SWEEP_PARAMS)}", "param"
@@ -692,15 +636,9 @@ def cmd_sweep(cfg: ExperimentConfig, out: _Outputs, param: str, values: list[str
         sweep_seeds = [value] if param == "seed" else seeds
         for seed in sweep_seeds:
             data = json.loads(cfg.canonical)
+            data[param] = value
             data["seed"] = int(seed)
-            if param == "n":
-                data["n"] = int(value)
-            elif param == "bandwidth":
-                data["bandwidth"] = float(value)
-            elif param == "time":
-                data["time"] = float(value)
-            run_cfg = ExperimentConfig(_merge_defaults(data, _DEFAULTS))
-            metrics = _sweep_metrics(run_cfg)
+            metrics = _sweep_metrics(ExperimentConfig(data))  # data holds every default
             value_cell = "" if param == "seed" else repr(float(value))
             for metric in ("v_rmse", "tr_pi"):
                 rows.append(
@@ -746,19 +684,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("STRAIGHTFLOW_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
-
-
 def _error_exit(err) -> tuple[int, str]:
     """Exit code and stderr label of a library error; an unlisted class exits 1."""
-    from . import errors as e
-
+    e = errors
     for classes, code, label in (
         # NoAdmissibleNodesError is an InvalidGridError, so it goes first
         ((e.LowDensityError, e.NoAdmissibleNodesError, e.TrajectoryLeftSupportError,
@@ -795,14 +723,11 @@ def _run_command(args, cfg: ExperimentConfig, out: _Outputs) -> int:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-
-    from .errors import StraightflowError
 
     def report(err) -> int:
         code, label = _error_exit(err)

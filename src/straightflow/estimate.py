@@ -293,13 +293,14 @@ def fields_on_grid(
     grid: calculus.SpatialGrid,
     cfg: KernelConfig,
     t: float = 0.0,
-):
+) -> dict[str, calculus.GridField]:
     """Estimate rho, v, a, Sigma, Pi on every grid node.
 
     Nodes whose effective n falls under the density floor, or is zero, get
-    NaN values and are dropped from the mask (the compact-domain emulation).  Pi is repaired
-    by clipping negative eigenvalues so downstream stencils see a full PSD
-    field.  Returns (fields dict, refined grid, bandwidth).
+    NaN values and are dropped from the mask (the compact-domain emulation),
+    so every field's ``grid`` is the refined grid.  Pi is repaired by clipping
+    negative eigenvalues so downstream stencils see a full PSD field.  The
+    fields also carry ``effective_n``.
     """
     for name, arr in (("positions", X), ("velocities", V), ("accelerations", A)):
         if not np.all(np.isfinite(arr)):
@@ -328,7 +329,7 @@ def fields_on_grid(
     pi_arr[ok] = reynolds_tensor(sig_arr[ok], v_arr[ok])
 
     refined = grid.with_mask(grid.mask & ok.reshape(shape))
-    fields = {
+    return {
         "rho": calculus.GridField(refined, "scalar", rho_arr.reshape(shape), t),
         "v": calculus.GridField(refined, "vector", v_arr.reshape(shape + (d,)), t),
         "a": calculus.GridField(refined, "vector", a_arr.reshape(shape + (d,)), t),
@@ -336,4 +337,3 @@ def fields_on_grid(
         "Pi": calculus.GridField(refined, "matrix", pi_arr.reshape(shape + (d, d)), t),
         "effective_n": calculus.GridField(refined, "scalar", eff.reshape(shape), t),
     }
-    return fields, refined, h

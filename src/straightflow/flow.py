@@ -20,7 +20,7 @@ from .errors import (
     LowDensityError,
     TrajectoryLeftSupportError,
 )
-from .gaussian import GaussianProcessSpec, _velocity_model
+from .gaussian import GaussianProcessSpec, _conditional_model
 
 __all__ = [
     "VelocityOracle",
@@ -68,9 +68,9 @@ class VelocityOracle:
 
 
 def analytic_velocity_oracle(spec: GaussianProcessSpec) -> VelocityOracle:
-    # the velocity model is built once per t: RK stages share t + h/2, and a
+    # the conditional model is built once per t: RK stages share t + h/2, and a
     # step ends at the time the next one starts from
-    model_at = functools.lru_cache(maxsize=4)(functools.partial(_velocity_model, spec))
+    model_at = functools.lru_cache(maxsize=4)(functools.partial(_conditional_model, spec))
     return VelocityOracle(lambda t, x: model_at(float(t))(x))
 
 

@@ -159,83 +159,18 @@ def marginal_moments(spec: GaussianProcessSpec, t: float) -> MarginalMoments:
 
 @dataclass(frozen=True)
 class _ConditionalModel:
-    """Precomputed affine structure of the conditional fields at one t."""
+    """Affine structure of the conditional fields at one t.  Calling it gives
+    the velocity v(x) = Ev + Jv (x - mean); :func:`conditional_fields_batch`
+    derives a, Pi and rho from the same terms, so the flow's many velocity
+    builds do not pay for them."""
 
-    t: float
+    coefs: tuple  # a, a', a'', b, b', b'', g, g', g'' at t
     mean: np.ndarray
     cov: np.ndarray
-    Ev: np.ndarray  # E[dX_t]
-    Ea: np.ndarray  # E[d2X_t]
-    Jv: np.ndarray  # Cov(dX, X) S^-1 : spatial Jacobian of v
-    Ja: np.ndarray
-    Pi: np.ndarray
     cov_inv: np.ndarray
-    log_norm: float  # log of the Gaussian density normalization
-
-
-def _cross(spec: GaussianProcessSpec, c1, c1p, c2, c2p, gg) -> np.ndarray:
-    # Cov(c1' X0 + c2' X1 + gg1' Z, c1 X0 + c2 X1 + gg2 Z) building block
-    S00, S01, S11 = spec.S00, spec.S01, spec.S11
-    eye = np.eye(spec.dim)
-    return c1p * c1 * S00 + c1p * c2 * S01 + c2p * c1 * S01.T + c2p * c2 * S11 + gg * eye
-
-
-def _affine_terms(spec: GaussianProcessSpec, t: float):
-    """Marginal moments, time coefficients, Cov(dX_t, X_t) and S_t^-1 at t;
-    raises DegenerateMarginalError where S_t is numerically singular."""
-    coefs = _coef_values(spec, t)
-    mom = _moments(spec, coefs)
-    if mom.degenerate:
-        raise DegenerateMarginalError(
-            f"marginal covariance at t={t} is numerically singular"
-        )
-    a, ad, _, b, bd, _, g, gd, _ = coefs
-    C_v = _cross(spec, a, ad, b, bd, gd * g)
-    return mom, coefs, C_v, np.linalg.inv(mom.cov)
-
-
-def _conditional_model(spec: GaussianProcessSpec, t: float) -> _ConditionalModel:
-    mom, coefs, C_v, cov_inv = _affine_terms(spec, t)
-    a, ad, add, b, bd, bdd, g, gd, gdd = coefs
-    S00, S01, S11 = spec.S00, spec.S01, spec.S11
-    C_a = _cross(spec, a, add, b, bdd, gdd * g)
-    cov_v = ad * ad * S00 + ad * bd * (S01 + S01.T) + bd * bd * S11 + gd * gd * np.eye(spec.dim)
-
-    Jv = C_v @ cov_inv
-    Ja = C_a @ cov_inv
-    Pi = cov_v - Jv @ C_v.T
-    Pi = 0.5 * (Pi + Pi.T)
-    # cancellation in cov_v - Jv C_v^T leaves O(1e-17) dust where Pi is
-    # analytically zero (deterministic couplings); floor it so downstream
-    # residuals see exact zeros
-    pi_scale = max(float(np.trace(cov_v)), 0.0)
-    Pi[np.abs(Pi) < 1e-14 * max(pi_scale, 1e-300)] = 0.0
-    sign, logdet = np.linalg.slogdet(mom.cov)
-    if sign <= 0:
-        raise DegenerateMarginalError("marginal covariance is not positive definite")
-    log_norm = -0.5 * (spec.dim * np.log(2 * np.pi) + logdet)
-    return _ConditionalModel(
-        t=t,
-        mean=mom.mean,
-        cov=mom.cov,
-        Ev=ad * spec.mean0 + bd * spec.mean1,
-        Ea=add * spec.mean0 + bdd * spec.mean1,
-        Jv=Jv,
-        Ja=Ja,
-        Pi=Pi,
-        cov_inv=cov_inv,
-        log_norm=log_norm,
-    )
-
-
-@dataclass(frozen=True)
-class _VelocityModel:
-    """The part of the conditional model at one t that the velocity needs:
-    v(x) = Ev + Jv (x - mean)."""
-
-    mean: np.ndarray
-    Ev: np.ndarray
-    Jv: np.ndarray
+    C_v: np.ndarray  # Cov(dX_t, X_t)
+    Ev: np.ndarray  # E[dX_t]
+    Jv: np.ndarray  # C_v S_t^-1 : spatial Jacobian of v
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         arr = np.asarray(X, dtype=float)
@@ -245,29 +180,64 @@ class _VelocityModel:
         return V[0] if single else V
 
 
-def _velocity_model(spec: GaussianProcessSpec, t: float) -> _VelocityModel:
-    mom, coefs, C_v, cov_inv = _affine_terms(spec, t)
-    ad, bd = coefs[1], coefs[4]
-    return _VelocityModel(mom.mean, ad * spec.mean0 + bd * spec.mean1, C_v @ cov_inv)
+def _cross(spec: GaussianProcessSpec, c1, c1p, c2, c2p, gg) -> np.ndarray:
+    # Cov(c1' X0 + c2' X1 + gg1' Z, c1 X0 + c2 X1 + gg2 Z) building block
+    S00, S01, S11 = spec.S00, spec.S01, spec.S11
+    eye = np.eye(spec.dim)
+    return c1p * c1 * S00 + c1p * c2 * S01 + c2p * c1 * S01.T + c2p * c2 * S11 + gg * eye
+
+
+def _conditional_model(spec: GaussianProcessSpec, t: float) -> _ConditionalModel:
+    """The model at t; raises DegenerateMarginalError where S_t is numerically
+    singular."""
+    coefs = _coef_values(spec, t)
+    mom = _moments(spec, coefs)
+    if mom.degenerate:
+        raise DegenerateMarginalError(
+            f"marginal covariance at t={t} is numerically singular"
+        )
+    a, ad, _, b, bd, _, g, gd, _ = coefs
+    C_v = _cross(spec, a, ad, b, bd, gd * g)
+    cov_inv = np.linalg.inv(mom.cov)
+    return _ConditionalModel(
+        coefs, mom.mean, mom.cov, cov_inv, C_v, ad * spec.mean0 + bd * spec.mean1, C_v @ cov_inv
+    )
 
 
 def conditional_fields_batch(spec: GaussianProcessSpec, t: float, X: np.ndarray):
     """Vectorized oracle: X is (M, d); returns (rho, v, a, Sigma, Pi_const)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     model = _conditional_model(spec, t)
+    a, ad, add, b, bd, bdd, g, gd, gdd = model.coefs
+    S00, S01, S11 = spec.S00, spec.S01, spec.S11
+    C_a = _cross(spec, a, add, b, bdd, gdd * g)
+    cov_v = ad * ad * S00 + ad * bd * (S01 + S01.T) + bd * bd * S11 + gd * gd * np.eye(spec.dim)
+    Ja = C_a @ model.cov_inv
+    Pi = cov_v - model.Jv @ model.C_v.T
+    Pi = 0.5 * (Pi + Pi.T)
+    # cancellation in cov_v - Jv C_v^T leaves O(1e-17) dust where Pi is
+    # analytically zero (deterministic couplings); floor it so downstream
+    # residuals see exact zeros
+    pi_scale = max(float(np.trace(cov_v)), 0.0)
+    Pi[np.abs(Pi) < 1e-14 * max(pi_scale, 1e-300)] = 0.0
+    sign, logdet = np.linalg.slogdet(model.cov)
+    if sign <= 0:
+        raise DegenerateMarginalError("marginal covariance is not positive definite")
+    log_norm = -0.5 * (spec.dim * np.log(2 * np.pi) + logdet)
+
     Q = X - model.mean
-    V = model.Ev + Q @ model.Jv.T
-    A = model.Ea + Q @ model.Ja.T
+    V = model(X)
+    A = add * spec.mean0 + bdd * spec.mean1 + Q @ Ja.T
     quad = np.einsum("mi,ij,mj->m", Q, model.cov_inv, Q)
-    rho = np.exp(model.log_norm - 0.5 * quad)
-    Sigma = model.Pi[None, :, :] + V[:, :, None] * V[:, None, :]
-    return rho, V, A, Sigma, model.Pi
+    rho = np.exp(log_norm - 0.5 * quad)
+    Sigma = Pi[None, :, :] + V[:, :, None] * V[:, None, :]
+    return rho, V, A, Sigma, Pi
 
 
 def velocity_at(spec: GaussianProcessSpec, t: float, X: np.ndarray) -> np.ndarray:
     """Conditional velocity only; X may be (d,) or (M, d).  Cheap enough for
     ODE stepping."""
-    return _velocity_model(spec, t)(X)
+    return _conditional_model(spec, t)(X)
 
 
 def gaussian_ot_map(m0, S0, m1, S1) -> AffineMap:

@@ -88,6 +88,17 @@ class TraceMoment:
     low_density_fraction: float
 
 
+def _subsample_velocity(X: np.ndarray, V: np.ndarray, rng: np.random.Generator, m_eval: int):
+    """A seeded subsample of ``m_eval`` sample rows (all rows when fewer) and
+    the Nadaraya-Watson velocity at them, with half the Silverman bandwidth;
+    returns (idx, vhat, effective n)."""
+    n = X.shape[0]
+    idx = rng.choice(n, size=min(int(m_eval), n), replace=False)
+    h = estimate.silverman_bandwidth_from(X) * _TRACE_BANDWIDTH_FACTOR
+    vhat, eff = estimate.nw_regress(X, V, X[idx], h)
+    return idx, vhat, eff
+
+
 def tr_pi_moment(
     X: np.ndarray,
     V: np.ndarray,
@@ -98,13 +109,8 @@ def tr_pi_moment(
     """Paired estimate of E[Tr Pi(X)] = E|Xdot|^2 - E|v(X)|^2 at one slice."""
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(V))):
         raise NonFiniteDataError("trace moment needs finite slice arrays")
-    n = X.shape[0]
-    m = min(int(m_eval), n)
-    idx = rng.choice(n, size=m, replace=False)
-    pts = X[idx]
-    h = estimate.silverman_bandwidth_from(X) * _TRACE_BANDWIDTH_FACTOR
-    vals, eff = estimate.nw_regress(X, V, pts, h)
-    diff = np.sum(V[idx] ** 2, axis=1) - np.sum(vals**2, axis=1)
+    idx, vhat, eff = _subsample_velocity(X, V, rng, m_eval)
+    diff = np.sum(V[idx] ** 2, axis=1) - np.sum(vhat**2, axis=1)
     return TraceMoment(float(np.mean(diff)), float(np.mean(eff < density_floor)))
 
 
@@ -126,7 +132,7 @@ def _estimated_balance_relative(
     """Balance-law residual on estimated fields at one slice (reported metric)."""
     X, V, A = slice_state(spec, endpoints, t)
     grid = calculus.make_spatial_grid(list(zip(*calculus.quantile_box(X))), 60)
-    fields, _, _ = estimate.fields_on_grid(X, V, A, grid, cfg, t)
+    fields = estimate.fields_on_grid(X, V, A, grid, cfg, t)
     rep = calculus.balance_residual(fields["rho"], fields["Pi"], fields["a"], order=2)
     return float(rep.relative)
 
@@ -226,11 +232,9 @@ def geometric_report(
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(V)) and np.all(np.isfinite(A))):
         raise NonFiniteDataError("geometric report needs finite slice arrays")
     n = X.shape[0]
-    rng = aux_rng(ensemble.seed, 200 + t_index)
-    m = min(_DEFAULT_M_EVAL, n)
-    idx = rng.choice(n, size=m, replace=False)
-    h = estimate.silverman_bandwidth_from(X) * _TRACE_BANDWIDTH_FACTOR
-    vhat, eff = estimate.nw_regress(X, V, X[idx], h)
+    idx, vhat, eff = _subsample_velocity(X, V, aux_rng(ensemble.seed, 200 + t_index),
+                                         _DEFAULT_M_EVAL)
+    m = idx.size
 
     xa = np.sum(X * A, axis=1)
     v2 = np.sum(V**2, axis=1)

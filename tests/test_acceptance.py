@@ -87,7 +87,7 @@ def test_criterion_2_balance_positive_instance(trig_indep_spec, ens_trig_indep_2
     X = ens.positions[:, 1, :]
     V = ens.velocities[:, 1, :]
     A = ens.accelerations[:, 1, :]
-    est_fields, _, _ = estimate.fields_on_grid(X, V, A, grid, estimate.KernelConfig(), 0.5)
+    est_fields = estimate.fields_on_grid(X, V, A, grid, estimate.KernelConfig(), 0.5)
     estimated = calculus.balance_residual(
         est_fields["rho"], est_fields["Pi"], est_fields["a"], order=2
     )

@@ -81,6 +81,20 @@ class TestSimulate:
         assert len(manifest["config_hash"]) == 64
         assert manifest["rng_layout"] == core.RNG_LAYOUT
 
+    def test_failed_write_leaves_no_ensemble(self, tmp_path, monkeypatch):
+        def fail_part_way(ensemble, path):
+            with open(path, "wb") as fh:
+                fh.write(b"SFLW1")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(core, "save_ensemble", fail_part_way)
+        cfg_path, out = write_config(tmp_path)
+        with pytest.raises(OSError):
+            cli.main(["simulate", "--config", str(cfg_path)])
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and manifest["outputs"] == []
+
     def test_negative_bandwidth_exit_2_names_field(self, tmp_path, capsys):
         cfg_path, _ = write_config(tmp_path, bandwidth=-0.5)
         assert cli.main(["simulate", "--config", str(cfg_path)]) == 2
@@ -226,6 +240,21 @@ class TestFlow:
         assert summary["one_step"]["max"] >= 0.1
         lines = (out / "trajectories.csv").read_text().strip().split("\n")
         assert len(lines) == 1 + 101
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("content", [None, "", "0.5\nabc\n", "0.5,1.0\n2.0\n", "nan\n",
+                                         "0.5,1.0\n"],
+                             ids=["missing", "empty", "non_numeric", "ragged", "nan", "wrong_dim"])
+    def test_bad_points_file_exit_2(self, tmp_path, capsys, content):
+        starts = tmp_path / "starts.csv"
+        if content is not None:
+            starts.write_text(content)
+        cfg_path, out = write_config(tmp_path, n=50)
+        assert cli.main(["flow", "--config", str(cfg_path), "--points", str(starts)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "points" in err.replace(str(starts), "")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"]["class"] == "ConfigError" and manifest["outputs"] == []
 
     def test_zero_steps_exit_2(self, tmp_path):
         # a flag value of 0 is used, not replaced by the config's steps

@@ -1,5 +1,6 @@
 import importlib
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -37,6 +38,31 @@ def test_no_scipy_at_runtime():
     assert out.stdout.strip() == ""
 
 
+# Prints the BLAS thread variables at the moment numpy is first imported.
+_THREAD_PROBE = """
+import os, sys
+
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            print(os.environ.get("OPENBLAS_NUM_THREADS"), os.environ.get("OMP_NUM_THREADS"))
+
+sys.meta_path.insert(0, Spy())
+import straightflow.core
+"""
+
+
+def test_thread_cap_applies_on_library_import():
+    # an unset BLAS variable takes the cap before numpy loads; a set one is kept
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env.update(PYTHONPATH=str(ROOT / "src"), STRAIGHTFLOW_THREADS="2", OMP_NUM_THREADS="3")
+    out = subprocess.run(
+        [sys.executable, "-c", _THREAD_PROBE], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.split() == ["2", "3"]
+
+
 def test_declared_runtime_dependencies():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
@@ -47,8 +73,8 @@ def test_declared_runtime_dependencies():
 def test_exports_resolve_and_are_public():
     import straightflow
 
-    for name in straightflow._SUBMODULES:
-        module = importlib.import_module(f"straightflow.{name}")
+    for info in pkgutil.iter_modules(straightflow.__path__):
+        module = importlib.import_module(f"straightflow.{info.name}")
         for export in getattr(module, "__all__", ()):
-            assert not export.startswith("_"), f"{name}.{export} is private"
-            assert hasattr(module, export), f"{name}.__all__ names missing {export}"
+            assert not export.startswith("_"), f"{info.name}.{export} is private"
+            assert hasattr(module, export), f"{info.name}.__all__ names missing {export}"

@@ -36,7 +36,8 @@ def fields_at(X, x, V=None, A=None, cfg=CFG):
     V = np.zeros_like(X) if V is None else V
     A = np.zeros_like(X) if A is None else A
     grid = calculus.make_spatial_grid([(c - 1.0, c + 1.0) for c in x], 3)
-    fields, refined, _ = estimate.fields_on_grid(X, V, A, grid, cfg)
+    fields = estimate.fields_on_grid(X, V, A, grid, cfg)
+    refined = fields["rho"].grid
     centre = (1,) * x.size
     return {name: f.values[centre] for name, f in fields.items()}, bool(refined.mask[centre])
 
@@ -379,7 +380,8 @@ class TestGridFields:
         V = ens.velocities[:, 1, :]
         A = ens.accelerations[:, 1, :]
         grid = calculus.make_spatial_grid([(-8.0, 8.0)], 41)  # tails far outside data
-        fields, refined, h = estimate.fields_on_grid(X, V, A, grid, CFG, t=0.5)
+        fields = estimate.fields_on_grid(X, V, A, grid, CFG, t=0.5)
+        refined = fields["rho"].grid
         assert refined.mask.sum() < grid.mask.sum()
         assert np.isnan(fields["v"].values[0, 0])  # boundary/tail node refused
         center = 20
@@ -447,7 +449,8 @@ class TestReynoldsTensorField:
         box = list(zip(np.quantile(X, 0.01, axis=0), np.quantile(X, 0.99, axis=0)))
         grid = calculus.make_spatial_grid(box, 7 if d == 2 else 4)
         cfg = estimate.KernelConfig(density_floor=density_floor)
-        fields, refined, _ = estimate.fields_on_grid(X, V, A, grid, cfg, t)  # never raises
+        fields = estimate.fields_on_grid(X, V, A, grid, cfg, t)  # never raises
+        refined = fields["rho"].grid
         pi = fields["Pi"].values[refined.mask]
         scale = np.trace(fields["Sigma"].values[refined.mask], axis1=-2, axis2=-1)
         assert np.all(np.isfinite(pi))
