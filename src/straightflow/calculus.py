@@ -14,7 +14,7 @@ The divergence of a matrix field contracts the FIRST index:
 
 from __future__ import annotations
 
-import io
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 _REL_FLOOR = 1e-30
+_CSV_BLOCK_ROWS = 4096  # CSV lines per text block written
 
 
 # ---------------------------------------------------------------------------
@@ -444,26 +445,47 @@ def continuity_residual(rho_triple, v_triple, h_t: float, order: int = 4) -> Res
 # CSV export
 # ---------------------------------------------------------------------------
 
+def _csv_blocks(lead, values):
+    """CSV lines, up to ``_CSV_BLOCK_ROWS`` per yielded block: the next tuple
+    of text cells from ``lead``, then Python's shortest round-trip ``repr`` of
+    each double in that row of ``values`` (rows, width).  Each distinct double
+    is formatted once, keyed on its int64 bits, which keep -0.0 apart from 0.0.
+    """
+    values = np.ascontiguousarray(values, dtype=float)
+    bits = values.view(np.int64).ravel()
+    order = np.argsort(bits, kind="stable")
+    sorted_bits = bits[order]
+    first = np.ones(bits.size, dtype=bool)  # the first of each run of equal bits
+    np.not_equal(sorted_bits[1:], sorted_bits[:-1], out=first[1:])
+    del sorted_bits
+    text = np.array([repr(v) for v in values.ravel()[order[first]].tolist()], dtype=object)
+    rank = first.astype(np.intp)  # cumsum of a bool array would copy it to intp first
+    np.cumsum(rank, out=rank)
+    rank -= 1  # the index into text of each sorted cell
+    inverse = np.empty_like(order)
+    inverse[order] = rank
+    del order, rank  # only the index of each cell is held while the text is built
+    inverse = inverse.reshape(values.shape)
+    lead = iter(lead)
+    for lo in range(0, values.shape[0], _CSV_BLOCK_ROWS):
+        cells = text[inverse[lo:lo + _CSV_BLOCK_ROWS]].tolist()
+        # islice, not zip(lead, cells): zip would draw one lead tuple past the block
+        heads = itertools.islice(lead, len(cells))
+        yield "".join([",".join((*head, *row)) + "\n" for head, row in zip(heads, cells)])
+
+
 def grid_field_to_csv(field: GridField) -> str:
-    """One row per node: coordinates, then value components (C order).
+    """One row per node in C order: coordinates, then value components.
 
     Inadmissible nodes keep whatever is stored, typically ``nan`` sentinels
     for estimated fields.
     """
     d = field.dim
-    coords = field.grid.points()
-    if field.rank == "scalar":
-        comp_names = ["value"]
-        flat = field.values.reshape(-1, 1)
-    elif field.rank == "vector":
-        comp_names = [f"v{j}" for j in range(d)]
-        flat = field.values.reshape(-1, d)
-    else:
-        comp_names = [f"m{i}{j}" for i in range(d) for j in range(d)]
-        flat = field.values.reshape(-1, d * d)
-    buf = io.StringIO()
-    buf.write(",".join([f"x{i}" for i in range(d)] + comp_names) + "\n")
-    for row_xy, row_val in zip(coords, flat):
-        cells = [repr(float(c)) for c in row_xy] + [repr(float(c)) for c in row_val]
-        buf.write(",".join(cells) + "\n")
-    return buf.getvalue()
+    names = {
+        "scalar": ["value"],
+        "vector": [f"v{j}" for j in range(d)],
+        "matrix": [f"m{i}{j}" for i in range(d) for j in range(d)],
+    }[field.rank]
+    coords = itertools.product(*([repr(x) for x in ax.tolist()] for ax in field.grid.axes))
+    rows = _csv_blocks(coords, field.values.reshape(-1, len(names)))
+    return ",".join([f"x{i}" for i in range(d)] + names) + "\n" + "".join(rows)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -556,12 +557,13 @@ def cmd_flow(cfg: ExperimentConfig, out: _Outputs, points_file: str | None, use_
     result = flow.flow_map(oracle, pts, tgrid, scheme)
     one_step = flow.one_step_error(oracle, pts, reference_steps=cfg["flow"]["reference_steps"])
 
-    lines = ["point," + "t," + ",".join(f"x{i}" for i in range(spec.dim))]
-    per_point = []
+    failed = dict(result.errors)
+    per_point, kept = [], []
     for i, traj in enumerate(result.trajectories):
         if traj is None:
-            per_point.append({"point": i, "error": str(dict(result.errors)[i])})
+            per_point.append({"point": i, "error": str(failed[i])})
             continue
+        kept.append(i)
         one = float(one_step.errors[i])
         entry = {"point": i, "one_step_error": one if np.isfinite(one) else None}
         if traj.grid.n_nodes >= 3:
@@ -569,10 +571,17 @@ def cmd_flow(cfg: ExperimentConfig, out: _Outputs, points_file: str | None, use_
             entry["chord_dev"] = dev.chord_dev
             entry["second_diff"] = dev.second_diff
         per_point.append(entry)
-        for k, t in enumerate(traj.grid.nodes):
-            cells = [str(i), repr(float(t))] + [repr(float(c)) for c in traj.states[k]]
-            lines.append(",".join(cells))
-    out.write("trajectories.csv", "\n".join(lines) + "\n")
+
+    # one row per kept point and time node, streamed: the text is never held whole
+    states = np.reshape([result.trajectories[i].states for i in kept], (-1, spec.dim))
+    lead = itertools.product([str(i) for i in kept], [repr(t) for t in tgrid.nodes.tolist()])
+
+    def write_trajectories(path: Path) -> None:
+        with open(path, "w") as fh:
+            fh.write("point,t," + ",".join(f"x{i}" for i in range(spec.dim)) + "\n")
+            fh.writelines(calculus._csv_blocks(lead, states))
+
+    out.write("trajectories.csv", write_trajectories)
     summary = {
         "provenance": {
             "seed": cfg["seed"],
@@ -631,7 +640,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: _Outputs, param: str, values: list[str
         raise ConfigError(f"sweep value not a {caster.__name__}: {err}", "values") from err
 
     seeds = cfg.get("seeds") or [cfg["seed"]]
-    rows = ["param,value,seed,metric,metric_value"]
+    lead, metric_values = [], []
     for value in parsed:
         sweep_seeds = [value] if param == "seed" else seeds
         for seed in sweep_seeds:
@@ -641,11 +650,11 @@ def cmd_sweep(cfg: ExperimentConfig, out: _Outputs, param: str, values: list[str
             metrics = _sweep_metrics(ExperimentConfig(data))  # data holds every default
             value_cell = "" if param == "seed" else repr(float(value))
             for metric in ("v_rmse", "tr_pi"):
-                rows.append(
-                    f"{param},{value_cell},{seed},{metric},{repr(float(metrics[metric]))}"
-                )
-    out.write("sweep.csv", "\n".join(rows) + "\n")
-    print(f"sweep: wrote {out.dir / 'sweep.csv'} ({len(rows) - 1} rows)")
+                lead.append((param, value_cell, str(seed), metric))
+                metric_values.append([metrics[metric]])
+    rows = "".join(calculus._csv_blocks(lead, np.array(metric_values)))
+    out.write("sweep.csv", "param,value,seed,metric,metric_value\n" + rows)
+    print(f"sweep: wrote {out.dir / 'sweep.csv'} ({len(lead)} rows)")
     return EXIT_OK
 
 

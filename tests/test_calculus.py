@@ -1,6 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from straightflow import calculus, gaussian
@@ -353,3 +355,66 @@ class TestCsvExport:
         lines = calculus.grid_field_to_csv(v).strip().split("\n")
         assert lines[0] == "x0,x1,v0,v1"
         assert len(lines) == 1 + 9
+
+
+def reference_csv_rows(lead, values) -> str:
+    """The per-cell reference: one ``repr(float(c))`` call for every cell."""
+    return "".join(
+        ",".join(list(head) + [repr(float(c)) for c in row]) + "\n"
+        for head, row in zip(lead, values)
+    )
+
+
+# Doubles whose text is easy to get wrong: both zeros, NaNs with other sign and
+# payload bits, infinities, subnormals and the largest magnitudes.
+_SPECIAL_BITS = [0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001]
+SPECIAL_DOUBLES = [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, -5e-324,
+                   1.1125369292536007e-308, 1e308, -1e308, 1.7976931348623157e308, 0.1,
+                   *np.array(_SPECIAL_BITS, dtype=np.uint64).view(np.float64).tolist()]
+
+
+@st.composite
+def csv_tables(draw, block_rows):
+    """A (rows, width) table drawn from a small pool of doubles, so that values
+    repeat heavily, at a row count around the block boundaries."""
+    n = draw(st.sampled_from([0, 1, block_rows - 1, block_rows, block_rows + 1,
+                              2 * block_rows + 1]))
+    width = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.sampled_from(SPECIAL_DOUBLES) | st.floats(), min_size=1,
+                         max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n * width,
+                          max_size=n * width))
+    values = np.array([pool[i] for i in picks], dtype=float).reshape(n, width)
+    lead_width = draw(st.integers(0, 2))
+    return [tuple(f"c{r}_{k}" for k in range(lead_width)) for r in range(n)], values
+
+
+class TestCsvBlocks:
+    @pytest.mark.parametrize("block_rows", [1, 3, 7])
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_matches_per_cell_reference(self, block_rows, data):
+        lead, values = data.draw(csv_tables(block_rows))
+        with mock.patch.object(calculus, "_CSV_BLOCK_ROWS", block_rows):
+            # a lazy iterator: the writer must take exactly each block's rows from it
+            blocks = list(calculus._csv_blocks(iter(lead), values))
+        assert "".join(blocks) == reference_csv_rows(lead, values)
+        assert len(blocks) == -(-len(lead) // block_rows)
+        assert all(0 < b.count("\n") <= block_rows for b in blocks)
+
+    @given(st.lists(st.sampled_from(SPECIAL_DOUBLES), min_size=1, max_size=40),
+           st.integers(1, 4))
+    @example([0.0, -0.0, -0.0, 0.0], 2)
+    def test_signed_zero_and_nan_text(self, cells, width):
+        values = np.resize(np.array(cells), (-(-len(cells) // width), width))
+        lead = [(str(r),) for r in range(values.shape[0])]
+        text = "".join(calculus._csv_blocks(lead, values))
+        assert text == reference_csv_rows(lead, values)
+
+    def test_grid_coordinates_are_the_axis_nodes_in_c_order(self):
+        grid = calculus.make_spatial_grid([(-1.0, 1.0), (0.0, 0.3)], [3, 4])
+        values = np.arange(12.0).reshape(3, 4) * -0.1
+        text = calculus.grid_field_to_csv(calculus.GridField(grid, "scalar", values))
+        coords = [tuple(repr(float(x)) for x in node) for node in grid.points()]
+        expected = reference_csv_rows(coords, values.reshape(-1, 1))
+        assert text == "x0,x1,value\n" + expected

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from straightflow import cli, core, errors
+from straightflow import cli, core, errors, flow, gaussian
 
 
 def base_config(out_dir, **overrides):
@@ -55,6 +55,43 @@ def trig_process(kind="independent", identity_map=False):
     if identity_map:
         coupling["map"] = {"A": [[1.0]], "b": [0.0]}
     return {"coefficients": "trig", "dim": 1, "coupling": coupling}
+
+
+def reference_field_csv(field) -> str:
+    """Per-cell reference for ``fields_*.csv``: node coordinates from
+    ``grid.points()``, one ``repr(float(c))`` call for every cell."""
+    d = field.dim
+    names = {"scalar": ["value"], "vector": [f"v{j}" for j in range(d)],
+             "matrix": [f"m{i}{j}" for i in range(d) for j in range(d)]}[field.rank]
+    lines = [",".join([f"x{i}" for i in range(d)] + names)]
+    points = field.grid.points()
+    for xy, val in zip(points, field.values.reshape(len(points), -1)):
+        lines.append(",".join(repr(float(c)) for c in [*xy, *val]))
+    return "\n".join(lines) + "\n"
+
+
+def reference_trajectories_csv(result, dim) -> str:
+    """Per-cell reference for ``trajectories.csv``: one row per (point, time
+    node) of each trajectory that ``flow_map`` kept."""
+    lines = ["point,t," + ",".join(f"x{i}" for i in range(dim))]
+    for i, traj in enumerate(result.trajectories):
+        if traj is not None:
+            for t, state in zip(traj.grid.nodes, traj.states):
+                lines.append(",".join([str(i), repr(float(t))] + [repr(float(c)) for c in state]))
+    return "\n".join(lines) + "\n"
+
+
+def ot_process_2d():
+    return {
+        "coefficients": "affine",
+        "dim": 2,
+        "coupling": {
+            "kind": "deterministic_map",
+            "mu0": {"family": "gaussian", "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+            "mu1": {"family": "gaussian", "mean": [2.0, -1.0], "cov": [[4.0, 0.0], [0.0, 9.0]]},
+            "map": "ot",
+        },
+    }
 
 
 class TestSimulate:
@@ -120,6 +157,23 @@ class TestFields:
         rows = (out / "fields_v.csv").read_text().strip().split("\n")[1:]
         values = np.array([[float(c) for c in r.split(",")] for r in rows])
         assert np.allclose(values[:, 1], 0.0, atol=1e-14)
+
+    def test_oracle_2d_files_match_per_cell_reference(self, tmp_path):
+        process = {"coefficients": "trig", "dim": 2, "coupling": {
+            "kind": "independent",
+            "mu0": {"family": "gaussian", "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+            "mu1": {"family": "gaussian", "mean": [1.0, 0.0], "cov": [[2.0, 0.5], [0.5, 1.0]]},
+        }}
+        cfg_path, out = write_config(tmp_path, process=process, grid={"nodes_per_axis": 9})
+        assert cli.main(["fields", "--config", str(cfg_path), "--source", "oracle",
+                         "--time", "0.3"]) == 0
+        cfg = cli.load_config(cfg_path)
+        spec = cli.build_process_spec(cfg)
+        grid = cli._resolve_spatial_grid(cfg, spec, 0.3)
+        fields = gaussian.fields_on_grid(gaussian.from_process_spec(spec), 0.3, grid)
+        for name in ("rho", "v", "a", "Sigma", "Pi"):
+            text = (out / f"fields_{name.lower()}.csv").read_text()
+            assert text == reference_field_csv(fields[name]), name
 
     def test_estimate_tiny_sample_nan_sentinels(self, tmp_path):
         cfg_path, out = write_config(tmp_path, n=10)
@@ -282,6 +336,50 @@ class TestFlow:
         estimate_starts = starts("estimate")
         assert len(estimate_starts) == 5
         assert estimate_starts == starts("oracle")
+
+    def test_grid_trajectories_match_per_cell_reference(self, tmp_path):
+        cfg_path, out = write_config(tmp_path, process=ot_process_2d(),
+                                     grid={"nodes_per_axis": 6},
+                                     flow={"steps": 7, "reference_steps": 14})
+        assert cli.main(["flow", "--config", str(cfg_path), "--grid"]) == 0
+        cfg = cli.load_config(cfg_path)
+        spec = cli.build_process_spec(cfg)
+        sgrid = cli._resolve_spatial_grid(cfg, spec, 0.0)
+        oracle = flow.analytic_velocity_oracle(gaussian.from_process_spec(spec))
+        result = flow.flow_map(oracle, sgrid.points()[sgrid.mask.ravel()],
+                               core.make_time_grid(7), "rk4")
+        assert len(result.trajectories) == 16 and not result.errors
+        text = (out / "trajectories.csv").read_text()
+        assert text == reference_trajectories_csv(result, 2)
+
+    def test_kernel_flow_failed_point_has_no_rows(self, tmp_path, monkeypatch):
+        # the seed-5 run of test_kernel_flow_failures_per_point: point 2 is refused
+        results, flow_map = [], flow.flow_map
+
+        def spy(*args, **kwargs):
+            results.append(flow_map(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(flow, "flow_map", spy)
+        joint = {
+            "mean": [0.0, 0.0, 1.0, -1.0],
+            "cov": [[1.0, 0.0, 0.6, 0.0], [0.0, 1.0, 0.0, 0.6],
+                    [0.6, 0.0, 1.0, 0.0], [0.0, 0.6, 0.0, 1.0]],
+        }
+        process = {"coefficients": "affine", "dim": 2,
+                   "coupling": {"kind": "gaussian_joint", "joint": joint}}
+        cfg_path, out = write_config(
+            tmp_path, process=process, n=20_000, seed=5, source="estimate",
+            flow={"scheme": "rk4", "steps": 50, "reference_steps": 100, "n_points": 4},
+        )
+        assert cli.main(["flow", "--config", str(cfg_path)]) == 0
+        (result,) = results
+        failed = [i for i, _ in result.errors]
+        assert failed == [2]
+        text = (out / "trajectories.csv").read_text()
+        assert text == reference_trajectories_csv(result, 2)
+        ids = [row.split(",")[0] for row in text.splitlines()[1:]]
+        assert ids == [str(i) for i in (0, 1, 3) for _ in range(51)]
 
     @pytest.mark.parametrize("seed,argv,n_failed,n_null", [
         (5, [], 1, 0),  # a start point is refused at t=0
