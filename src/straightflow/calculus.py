@@ -35,7 +35,7 @@ __all__ = [
     "momentum_residual",
     "balance_residual",
     "continuity_residual",
-    "field_norms",
+    "material_residual",
     "grid_field_to_csv",
 ]
 
@@ -326,27 +326,6 @@ def _report(values, rank, grid, ref_mag, time, verdict=None) -> ResidualReport:
     )
 
 
-def field_norms(f: GridField, reference: np.ndarray | None = None) -> dict:
-    """Masked max/rms of a field, and rms relative to a reference magnitude
-    array (same grid shape) when given."""
-    mag = _pointwise_mag(f.values, f.rank)
-    valid = f.grid.mask & np.isfinite(mag)
-    if reference is not None:
-        valid = valid & np.isfinite(reference)
-    if not np.any(valid):
-        raise NoAdmissibleNodesError("no admissible nodes for field norms")
-    out = {
-        "max_abs": float(mag[valid].max()),
-        "rms": float(np.sqrt(np.mean(mag[valid] ** 2))),
-        "n_nodes": int(valid.sum()),
-    }
-    if reference is not None:
-        ref = float(np.sqrt(np.mean(np.asarray(reference)[valid] ** 2)))
-        out["reference"] = ref
-        out["relative"] = out["rms"] / max(ref, _REL_FLOOR)
-    return out
-
-
 def momentum_residual(
     rho_triple, v_triple, Sigma: GridField, a: GridField, h_t: float, order: int = 4
 ) -> ResidualReport:
@@ -439,6 +418,14 @@ def continuity_residual(rho_triple, v_triple, h_t: float, order: int = 4) -> Res
     values = dt_rho.values + div.values
     grid = rho_c.grid.with_mask(rho_c.grid.mask & v_c.grid.mask & dt_rho.grid.mask)
     return _report(values, "scalar", grid, rho_c.values, rho_c.time)
+
+
+def material_residual(v_triple, h_t: float, order: int = 4) -> ResidualReport:
+    """Residual of D_t v = 0 (see :func:`material_derivative`), which straight
+    flows meet; reference scale is |v| at the center slice."""
+    dtv = material_derivative(*v_triple, h_t, order=order)
+    v_c = v_triple[1]
+    return _report(dtv.values, "vector", dtv.grid, _pointwise_mag(v_c.values, "vector"), v_c.time)
 
 
 # ---------------------------------------------------------------------------

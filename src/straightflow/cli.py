@@ -317,14 +317,12 @@ def build_process_spec(cfg: ExperimentConfig):
 
 def _atomic_write(path: Path, payload) -> None:
     """Write ``payload`` under a temporary name next to ``path`` and move it
-    into place; a failed write leaves neither file.  ``payload`` is text,
-    bytes, or a function that streams the file to the path it is given."""
+    into place; a failed write leaves neither file.  ``payload`` is text or
+    a function that streams the file to the path it is given."""
     tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
     try:
         if callable(payload):
             payload(tmp)
-        elif isinstance(payload, bytes):
-            tmp.write_bytes(payload)
         else:
             tmp.write_text(payload)
         os.replace(tmp, path)
@@ -454,9 +452,7 @@ def cmd_diagnose(cfg: ExperimentConfig, out: _Outputs, t: float) -> int:
         f_c["rho"], f_c["Pi"], f_c["a"], order=order,
         tolerance=cfg["tolerances"]["balance_relative"],
     )
-    dtv = calculus.material_derivative(*v3, h_t, order=order)
-    v_mag = np.sqrt(np.sum(f_c["v"].values ** 2, axis=-1))
-    mat = calculus.field_norms(dtv, reference=v_mag)
+    mat = calculus.material_residual(v3, h_t, order=order)
 
     def norms(rep):
         return {k: getattr(rep, k) for k in ("max_abs", "rms", "reference", "relative", "n_nodes")}
@@ -474,13 +470,13 @@ def cmd_diagnose(cfg: ExperimentConfig, out: _Outputs, t: float) -> int:
         "continuity": norms(cont),
         "momentum": norms(mom),
         "balance": {**norms(bal), "verdict": bal.verdict},
-        "material": mat,
+        "material": norms(mat),
     }
     out.write("diagnostics.json", _json_text(report))
     out.write("residual_continuity.csv", calculus.grid_field_to_csv(cont.residual))
     out.write("residual_momentum.csv", calculus.grid_field_to_csv(mom.residual))
     out.write("residual_balance.csv", calculus.grid_field_to_csv(bal.residual))
-    out.write("residual_material.csv", calculus.grid_field_to_csv(dtv))
+    out.write("residual_material.csv", calculus.grid_field_to_csv(mat.residual))
     print(f"diagnose: continuity rel={cont.relative:.3g} momentum rel={mom.relative:.3g} "
           f"balance rel={bal.relative:.3g} ({bal.verdict})")
     return EXIT_OK
@@ -491,7 +487,7 @@ def cmd_verify(cfg: ExperimentConfig, out: _Outputs, theorem: str) -> int:
     if theorem == "affine":
         report = verify.affine_straightness_check(
             spec, cfg["n"], cfg["seed"], time_nodes=tuple(cfg["time_nodes"]),
-            cfg=_kernel_config(cfg),
+            density_floor=cfg["density_floor"],
         )
     else:
         grid = core.make_time_grid(cfg["time_steps"])
@@ -505,7 +501,7 @@ def cmd_verify(cfg: ExperimentConfig, out: _Outputs, theorem: str) -> int:
                 ensemble, ratio=cfg["tolerances"]["trace_ratio"],
                 density_floor=cfg["density_floor"],
             )
-    out.write(f"theorem_{theorem}.json", report.to_json())
+    out.write(f"theorem_{theorem}.json", _json_text(report.to_json_dict()))
     print(f"verify[{theorem}]: verdict={report.verdict}")
     return {
         "consistent": EXIT_OK,

@@ -270,6 +270,26 @@ class TestVerify:
         cfg_path2, _ = write_config(tmp_path, name="c2.json", n=20_000)
         assert cli.main(["verify", "--config", str(cfg_path2), "--theorem", "determinism"]) == 4
 
+    @pytest.mark.parametrize("theorem", ["affine", "geometric", "determinism"])
+    def test_density_floor_reaches_harness(self, tmp_path, theorem):
+        # no kernel effective sample size reaches 1e12, so every point is low-density
+        cfg_path, out = write_config(tmp_path, process=ot_process(), n=2000,
+                                     density_floor=1e12)
+        assert cli.main(["verify", "--config", str(cfg_path), "--theorem", theorem]) == 5
+        report = json.loads((out / f"theorem_{theorem}.json").read_text())
+        assert report["verdict"] == "inconclusive"
+        assert report["metrics"]["low_density_fraction"] == 1.0
+
+    def test_affine_metric_keys(self, tmp_path):
+        cfg_path, out = write_config(tmp_path, process=ot_process(), n=2000,
+                                     time_nodes=[0.25, 0.75])
+        cli.main(["verify", "--config", str(cfg_path), "--theorem", "affine"])
+        report = json.loads((out / "theorem_affine.json").read_text())
+        assert set(report["metrics"]) == {
+            "tr_pi@0.25", "tr_pi@0.75", "tr_pi_control@0.25", "tr_pi_control@0.75",
+            "chord_dev_max", "second_diff_max", "one_step_max", "low_density_fraction",
+        }
+
 
 class TestFlow:
     def test_straight_flow_one_step_exact(self, tmp_path):

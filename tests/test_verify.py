@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from straightflow import core, verify
+from straightflow import cli, core, verify
 from straightflow.errors import InvalidArgumentError
 
 from conftest import head_ensemble
@@ -105,11 +107,19 @@ class TestDeterminismDetector:
 
 
 class TestTheoremReportSerialization:
-    def test_json_round_trip(self, affine_det2x_spec):
-        import json
-
-        ens = core.sample_paths(affine_det2x_spec, 5_000, core.make_time_grid(4), seed=51)
-        report = verify.determinism_detector(ens)
-        payload = json.loads(report.to_json())
+    def test_json_round_trip(self, tmp_path):
+        # T(x) = 2x between N(0,1) and N(0,4), written by the CLI's one JSON writer
+        gauss = lambda var: {"family": "gaussian", "mean": [0.0], "cov": [[var]]}
+        config = {
+            "process": {"coefficients": "affine", "dim": 1, "coupling": {
+                "kind": "deterministic_map", "mu0": gauss(1.0), "mu1": gauss(4.0),
+                "map": {"A": [[2.0]], "b": [0.0]}}},
+            "n": 5_000, "seed": 51, "time_steps": 4, "output_dir": str(tmp_path / "out"),
+        }
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        cli.main(["verify", "--config", str(tmp_path / "config.json"), "--theorem", "determinism"])
+        text = (tmp_path / "out" / "theorem_determinism.json").read_text()
+        payload = json.loads(text)
         assert set(payload) == {"name", "inputs", "metrics", "thresholds", "verdict", "notes"}
         assert payload["verdict"] in ("consistent", "violated", "inconclusive")
+        assert text == json.dumps(payload, sort_keys=True, indent=2) + "\n"
