@@ -484,22 +484,22 @@ def cmd_diagnose(cfg: ExperimentConfig, out: _Outputs, t: float) -> int:
 
 def cmd_verify(cfg: ExperimentConfig, out: _Outputs, theorem: str) -> int:
     spec = build_process_spec(cfg)
+    endpoints = core.sample_endpoints(spec, cfg["n"], cfg["seed"])
+    floor = cfg["density_floor"]
     if theorem == "affine":
         report = verify.affine_straightness_check(
-            spec, cfg["n"], cfg["seed"], time_nodes=tuple(cfg["time_nodes"]),
-            density_floor=cfg["density_floor"],
+            spec, endpoints, tuple(cfg["time_nodes"]), density_floor=floor
         )
     else:
         grid = core.make_time_grid(cfg["time_steps"])
-        ensemble = core.sample_paths(spec, cfg["n"], grid, cfg["seed"])
         if theorem == "geometric":
             report = verify.geometric_report(
-                ensemble, grid.index_of(cfg["time"]), density_floor=cfg["density_floor"]
+                spec, endpoints, grid, grid.index_of(cfg["time"]), density_floor=floor
             )
         else:
             report = verify.determinism_detector(
-                ensemble, ratio=cfg["tolerances"]["trace_ratio"],
-                density_floor=cfg["density_floor"],
+                spec, endpoints, grid, ratio=cfg["tolerances"]["trace_ratio"],
+                density_floor=floor,
             )
     out.write(f"theorem_{theorem}.json", _json_text(report.to_json_dict()))
     print(f"verify[{theorem}]: verdict={report.verdict}")
@@ -538,9 +538,9 @@ def cmd_flow(cfg: ExperimentConfig, out: _Outputs, points_file: str | None, use_
         oracle = flow.analytic_velocity_oracle(gaussian.from_process_spec(spec))
     else:
         grid_t = core.make_time_grid(max(cfg["time_steps"], 10))
-        ensemble = core.sample_paths(spec, cfg["n"], grid_t, cfg["seed"])
-        oracle = flow.kernel_velocity_oracle(ensemble, _kernel_config(cfg))
-        sample = ensemble.positions[:, 0, :]
+        endpoints = core.sample_endpoints(spec, cfg["n"], cfg["seed"])
+        oracle = flow.kernel_velocity_oracle(spec, endpoints, grid_t, _kernel_config(cfg))
+        sample = core.slice_state(spec, endpoints, 0.0)[0]
 
     if points_file is not None:
         pts = _read_points(points_file, spec.dim)

@@ -593,7 +593,8 @@ def slice_state(
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """N sampled trajectories on a shared time grid.
+    """N sampled trajectories on a shared time grid: the in-memory form of
+    ``ensemble.sflw``.
 
     Velocities and accelerations are exact coefficient-derivative values, so
     e.g. an affine process carries an identically-zero acceleration array.
@@ -603,7 +604,6 @@ class PathEnsemble:
     positions: np.ndarray  # (N, K, d)
     velocities: np.ndarray
     accelerations: np.ndarray
-    seed: int
 
     def __post_init__(self):
         shape = self.positions.shape
@@ -628,7 +628,7 @@ def sample_paths(spec: ProcessSpec, n: int, grid: TimeGrid, seed: int) -> PathEn
     """Sample a path ensemble for ``spec`` on ``grid``."""
     endpoints = sample_endpoints(spec, n, seed)
     pos, vel, acc = slice_state(spec, endpoints, grid.nodes)
-    return PathEnsemble(grid, pos, vel, acc, int(seed))
+    return PathEnsemble(grid, pos, vel, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -649,11 +649,8 @@ def save_ensemble(ensemble: PathEnsemble, path) -> None:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def load_ensemble(path, seed: int = -1) -> PathEnsemble:
-    """Read the flat binary format written by :func:`save_ensemble`.
-
-    The file does not store the seed; pass it if known, else it is -1.
-    """
+def load_ensemble(path) -> PathEnsemble:
+    """Read the flat binary format written by :func:`save_ensemble`."""
     with open(path, "rb") as fh:
         magic = fh.read(len(ENSEMBLE_MAGIC))
         if magic != ENSEMBLE_MAGIC:
@@ -667,12 +664,12 @@ def load_ensemble(path, seed: int = -1) -> PathEnsemble:
         if fh.read(1):
             raise InvalidArgumentError("trailing bytes after ensemble payload")
     grid = make_time_grid(int(k) - 1)
-    return PathEnsemble(grid, arrays[0], arrays[1], arrays[2], int(seed))
+    return PathEnsemble(grid, *arrays)
 
 
 def aux_rng(seed: int, tag: int) -> np.random.Generator:
     """Deterministic auxiliary stream (controls, subsampling, flow start
     points) keyed by ``(seed, 2^62 + tag)``; disjoint from the endpoint block
     streams, whose spawn keys pad the seed to the full entropy pool."""
-    entropy = int(seed) % (2**63)  # loaded ensembles may carry seed = -1
+    entropy = int(seed) % (2**63)  # seeds from 2^63 up fold into [0, 2^63)
     return np.random.default_rng((entropy, _AUX_BASE + int(tag)))

@@ -2,7 +2,7 @@
 distance used to check marginal transport.
 
 A velocity oracle is any (t, x) -> v evaluator; constructors are provided for
-the analytic Gaussian fields and for kernel regression on an ensemble.
+the analytic Gaussian fields and for kernel regression on sampled endpoints.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from . import calculus, estimate
-from .core import PathEnsemble, TimeGrid, make_time_grid
+from .core import EndpointArrays, ProcessSpec, TimeGrid, make_time_grid, slice_state
 from .errors import (
     InvalidArgumentError,
     LowDensityError,
@@ -54,10 +54,6 @@ class VelocityOracle:
     An evaluator may refuse query points by raising LowDensityError with
     their ``rows`` (all of them when ``rows`` is None); the stepping loop
     stops those points and carries on with the rest.
-
-    Evaluators must be safe to call concurrently (pure, or internally
-    synchronized); the bundled constructors return pure evaluators up to the
-    excursion counter.
     """
 
     evaluate: Callable[[float, np.ndarray], np.ndarray]
@@ -74,8 +70,11 @@ def analytic_velocity_oracle(spec: GaussianProcessSpec) -> VelocityOracle:
     return VelocityOracle(lambda t, x: model_at(float(t))(x))
 
 
-def kernel_velocity_oracle(ensemble: PathEnsemble, cfg: estimate.KernelConfig) -> VelocityOracle:
-    """Nadaraya-Watson velocity oracle over the ensemble.
+def kernel_velocity_oracle(
+    spec: ProcessSpec, endpoints: EndpointArrays, grid: TimeGrid, cfg: estimate.KernelConfig
+) -> VelocityOracle:
+    """Nadaraya-Watson velocity oracle over the endpoints sliced at the nodes
+    of ``grid``; a node is sliced when a query first needs it.
 
     Off-node times are handled by linear interpolation between the bracketing
     slices.  Queries outside the per-axis 1%/99% quantile box of the
@@ -84,19 +83,19 @@ def kernel_velocity_oracle(ensemble: PathEnsemble, cfg: estimate.KernelConfig) -
     the density floor in either slice are refused with a LowDensityError
     that lists their rows.
     """
-    nodes = ensemble.grid.nodes
+    nodes = grid.nodes
     stats = OracleStats()
     cache: dict[int, tuple] = {}
 
     def slice_data(k: int):
         if k not in cache:
-            X = ensemble.positions[:, k, :]
+            X, V, _ = slice_state(spec, endpoints, nodes[k])
             lo, hi = calculus.quantile_box(X)
             h = estimate.resolve_bandwidth(cfg, X)
             # sorted on axis 0 once, so nw_regress skips its sort on every
             # query, and stored one axis after the other, as nw_regress reads it
             order = np.argsort(X[:, 0], kind="stable")
-            cache[k] = (np.asfortranarray(X[order]), ensemble.velocities[order, k, :], lo, hi, h)
+            cache[k] = (np.asfortranarray(X[order]), V[order], lo, hi, h)
         return cache[k]
 
     def eval_slice(k: int, pts: np.ndarray):

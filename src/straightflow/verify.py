@@ -1,8 +1,12 @@
 """Theorem-level harnesses composing sampling, kernel regression and flows.
 
-Every verdict is calibrated against a control run (permuted endpoint
-pairing) with the same sample size, bandwidth and evaluation points; the
-estimators are biased, so only such relative statements are decidable.
+Every harness takes the process spec and its sampled endpoints and slices
+them at the times it needs.  The two trace harnesses (affine straightness
+and the determinism detector) calibrate their verdicts against one control:
+the same endpoints with the x1 rows permuted, sliced at the same times and
+subsampled from the same stream; the estimators are biased, so only such
+relative statements are decidable.  The geometric report draws no control:
+its verdict compares the identity gap with three standard errors.
 
 The trace of the Reynolds tensor is integrated through the moment identity
 E[Tr Pi(X)] = E|Xdot|^2 - E|v(X)|^2 (law of total variance), estimated as a
@@ -27,11 +31,10 @@ import numpy as np
 from . import estimate, flow
 from .core import (
     EndpointArrays,
-    PathEnsemble,
     ProcessSpec,
+    TimeGrid,
     aux_rng,
     make_time_grid,
-    sample_endpoints,
     slice_state,
 )
 from .errors import CapabilityError, InvalidArgumentError, NonFiniteDataError
@@ -109,15 +112,41 @@ def tr_pi_moment(
     return TraceMoment(float(np.mean(diff)), float(np.mean(eff < density_floor)))
 
 
-def _spec_digest(spec: ProcessSpec, n: int, seed: int) -> dict:
+def _permuted_control(endpoints: EndpointArrays, tag: int) -> EndpointArrays:
+    """The control ensemble: the x1 rows permuted by the ``tag`` stream, x0
+    and the latent kept."""
+    perm = aux_rng(endpoints.seed, tag).permutation(endpoints.n)
+    return EndpointArrays(endpoints.x0, endpoints.x1[perm], endpoints.z, endpoints.seed)
+
+
+def _trace_pair(
+    spec: ProcessSpec,
+    endpoints: EndpointArrays,
+    control: EndpointArrays,
+    t: float,
+    tag: int,
+    m_eval: int,
+    density_floor: float,
+) -> tuple[TraceMoment, TraceMoment]:
+    """Trace moments of the data and of the control at time ``t``, both
+    subsampled from the ``tag`` stream."""
+
+    def moment(ens: EndpointArrays) -> TraceMoment:
+        X, V, _ = slice_state(spec, ens, t)
+        return tr_pi_moment(X, V, aux_rng(endpoints.seed, tag), m_eval, density_floor)
+
+    return moment(endpoints), moment(control)
+
+
+def _spec_digest(spec: ProcessSpec, endpoints: EndpointArrays) -> dict:
     return {
         "alpha": spec.alpha.name,
         "beta": spec.beta.name,
         "gamma": spec.gamma.name if spec.gamma is not None else None,
         "coupling": spec.coupling.kind,
         "dim": spec.dim,
-        "n": int(n),
-        "seed": int(seed),
+        "n": endpoints.n,
+        "seed": int(endpoints.seed),
     }
 
 
@@ -132,8 +161,7 @@ def _verdict(low_fraction: float, passed: bool, undecided: bool = False) -> str:
 
 def affine_straightness_check(
     spec: ProcessSpec,
-    n: int,
-    seed: int,
+    endpoints: EndpointArrays,
     time_nodes=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
     density_floor: float = 25.0,
 ) -> TheoremReport:
@@ -149,19 +177,16 @@ def affine_straightness_check(
     """
     if not spec.is_affine:
         raise InvalidArgumentError("affine_straightness_check needs the affine spec")
-    endpoints = sample_endpoints(spec, n, seed)
-    perm = aux_rng(seed, 1).permutation(n)
-    control = EndpointArrays(endpoints.x0, endpoints.x1[perm], None, endpoints.seed)
+    control = _permuted_control(endpoints, 1)
 
     metrics: dict[str, float] = {}
     thresholds: dict[str, float] = {}
     low_fractions = []
     consistent = True
     for k, t in enumerate(time_nodes):
-        X, V, _ = slice_state(spec, endpoints, float(t))
-        Xc, Vc, _ = slice_state(spec, control, float(t))
-        tp = tr_pi_moment(X, V, aux_rng(seed, 100 + k), density_floor=density_floor)
-        tpc = tr_pi_moment(Xc, Vc, aux_rng(seed, 100 + k), density_floor=density_floor)
+        tp, tpc = _trace_pair(
+            spec, endpoints, control, float(t), 100 + k, _DEFAULT_M_EVAL, density_floor
+        )
         thr = 0.05 * max(tpc.value, 0.0) + 1e-12
         metrics[f"tr_pi@{t:g}"] = tp.value
         metrics[f"tr_pi_control@{t:g}"] = tpc.value
@@ -174,7 +199,7 @@ def affine_straightness_check(
     try:
         gspec = from_process_spec(spec)
         oracle = flow.analytic_velocity_oracle(gspec)
-        points = spec.coupling.mu0.draw(aux_rng(seed, 3), 64)
+        points = spec.coupling.mu0.draw(aux_rng(endpoints.seed, 3), 64)
         result = flow.flow_map(oracle, points, make_time_grid(100), "rk4")
         devs = [flow.straightness_deviation(tr) for tr in result.trajectories]
         metrics["chord_dev_max"] = max(d.chord_dev for d in devs)
@@ -188,7 +213,7 @@ def affine_straightness_check(
     thresholds["low_density_fraction"] = _LOW_DENSITY_FRACTION
     return TheoremReport(
         name="affine_straightness",
-        inputs=_spec_digest(spec, n, seed),
+        inputs=_spec_digest(spec, endpoints),
         metrics=metrics,
         thresholds=thresholds,
         verdict=_verdict(low_fraction, consistent),
@@ -197,11 +222,13 @@ def affine_straightness_check(
 
 
 def geometric_report(
-    ensemble: PathEnsemble,
+    spec: ProcessSpec,
+    endpoints: EndpointArrays,
+    grid: TimeGrid,
     t_index: int,
     density_floor: float = 25.0,
 ) -> TheoremReport:
-    """Radial-acceleration / trace identity report at one time slice.
+    """Radial-acceleration / trace identity report at time ``grid.nodes[t_index]``.
 
     Reports E[X . Xddot], -E[Tr Pi] via the moment identity, the second time
     derivative of E|X|^2 assembled as 2 E[X . Xddot] + 2 E|Xdot|^2, and the
@@ -209,13 +236,11 @@ def geometric_report(
     consistency checks conditioned on the process satisfying the straightness
     balance law; a large gap means that law fails, not a broken estimator.
     """
-    X = ensemble.positions[:, t_index, :]
-    V = ensemble.velocities[:, t_index, :]
-    A = ensemble.accelerations[:, t_index, :]
+    t = float(grid.nodes[t_index])
+    X, V, A = slice_state(spec, endpoints, t)
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(V)) and np.all(np.isfinite(A))):
         raise NonFiniteDataError("geometric report needs finite slice arrays")
-    n = X.shape[0]
-    idx, vhat, eff = _subsample_velocity(X, V, aux_rng(ensemble.seed, 200 + t_index),
+    idx, vhat, eff = _subsample_velocity(X, V, aux_rng(endpoints.seed, 200 + t_index),
                                          _DEFAULT_M_EVAL)
     m = idx.size
 
@@ -257,12 +282,7 @@ def geometric_report(
     )
     return TheoremReport(
         name="geometric_constraints",
-        inputs={
-            "n": n,
-            "seed": int(ensemble.seed),
-            "dim": ensemble.dim,
-            "t": float(ensemble.grid.nodes[t_index]),
-        },
+        inputs={"n": endpoints.n, "seed": int(endpoints.seed), "dim": spec.dim, "t": t},
         metrics=metrics,
         thresholds=thresholds,
         verdict=verdict,
@@ -273,70 +293,38 @@ def geometric_report(
     )
 
 
-def _recover_slice_coefficients(x0, x1, target):
-    """Least-squares (c0, c1) with target ~= c0 x0 + c1 x1; exact without a
-    latent term, asymptotically exact with one."""
-    design = np.stack([x0.ravel(), x1.ravel()], axis=1)
-    sol, *_ = np.linalg.lstsq(design, target.ravel(), rcond=None)
-    return float(sol[0]), float(sol[1])
-
-
 def determinism_detector(
-    ensemble: PathEnsemble, ratio: float = 0.05, density_floor: float = 25.0
+    spec: ProcessSpec,
+    endpoints: EndpointArrays,
+    grid: TimeGrid,
+    ratio: float = 0.05,
+    density_floor: float = 25.0,
 ) -> TheoremReport:
     """Decides whether the endpoint coupling behind an ensemble is deterministic.
 
-    Integrates the trace moment over interior grid times (trapezoid) and
-    compares with a shuffled-pairing control rebuilt from the ensemble's own
-    endpoint slices; per-path latent contributions are preserved through the
-    linear-coefficient residuals.
-
-    When the endpoint pair is affinely dependent (x1 an affine image of x0)
-    the coefficient split is unidentifiable and no endpoint-shuffle control
-    exists; the control then shuffles the (position, velocity) pairing within
-    each slice instead, which is the matching null for "velocity is a
-    function of position".  The verdict is ``consistent`` when the trace
-    integral is at most ``ratio`` times the control's.
+    Integrates the trace moment over the interior nodes of ``grid``
+    (trapezoid) and compares with the permuted-pairing control.  The verdict
+    is ``consistent`` when the trace integral is at most ``ratio`` times the
+    control's.
     """
-    grid = ensemble.grid
     if grid.n_nodes < 3:
         raise InvalidArgumentError("determinism detector needs interior time nodes")
-    x0 = ensemble.positions[:, 0, :]
-    x1 = ensemble.positions[:, -1, :]
-    n = ensemble.n_paths
-    perm = aux_rng(ensemble.seed, 2).permutation(n)
-    design = np.stack([(x0 - x0.mean(0)).ravel(), (x1 - x1.mean(0)).ravel()], axis=1)
-    svals = np.linalg.svd(design, compute_uv=False)
-    endpoint_shuffle = svals[-1] > 1e-8 * max(svals[0], 1e-300)
-
+    control = _permuted_control(endpoints, 2)
     times = grid.nodes[1:-1]
     values, controls, lows = [], [], []
-    for j, k in enumerate(range(1, grid.n_nodes - 1)):
-        X = ensemble.positions[:, k, :]
-        V = ensemble.velocities[:, k, :]
-        tp = tr_pi_moment(
-            X, V, aux_rng(ensemble.seed, 300 + k), _DETERMINISM_M_EVAL, density_floor
-        )
-        if endpoint_shuffle:
-            a_k, b_k = _recover_slice_coefficients(x0, x1, X)
-            ad_k, bd_k = _recover_slice_coefficients(x0, x1, V)
-            r_pos = X - a_k * x0 - b_k * x1
-            r_vel = V - ad_k * x0 - bd_k * x1
-            Xc = a_k * x0 + b_k * x1[perm] + r_pos
-            Vc = ad_k * x0 + bd_k * x1[perm] + r_vel
-        else:
-            Xc, Vc = X, V[perm]
-        tpc = tr_pi_moment(
-            Xc, Vc, aux_rng(ensemble.seed, 300 + k), _DETERMINISM_M_EVAL, density_floor
+    for k in range(1, grid.n_nodes - 1):
+        tp, tpc = _trace_pair(
+            spec, endpoints, control, float(grid.nodes[k]), 300 + k, _DETERMINISM_M_EVAL,
+            density_floor,
         )
         values.append(max(tp.value, 0.0))
         controls.append(max(tpc.value, 0.0))
         lows.append(tp.low_density_fraction)
 
     trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 compat
-    integral = float(trapezoid(values, times)) if len(times) > 1 else float(values[0])
-    control_integral = (
-        float(trapezoid(controls, times)) if len(times) > 1 else float(controls[0])
+    integral, control_integral = (
+        float(trapezoid(ys, times)) if len(times) > 1 else float(ys[0])
+        for ys in (values, controls)
     )
     measured = integral / max(control_integral, 1e-30)
     low_fraction = float(np.mean(lows))
@@ -346,7 +334,6 @@ def determinism_detector(
         "control_integral": control_integral,
         "ratio": measured,
         "low_density_fraction": low_fraction,
-        "endpoint_shuffle_control": float(endpoint_shuffle),
     }
     report_thresholds = {
         "ratio": float(ratio),
@@ -354,7 +341,10 @@ def determinism_detector(
     }
     return TheoremReport(
         name="determinism_detector",
-        inputs={"n": n, "seed": int(ensemble.seed), "dim": ensemble.dim, "k_interior": len(times)},
+        inputs={
+            "n": endpoints.n, "seed": int(endpoints.seed), "dim": spec.dim,
+            "k_interior": len(times),
+        },
         metrics=metrics,
         thresholds=report_thresholds,
         verdict=_verdict(low_fraction, measured <= ratio),

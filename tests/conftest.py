@@ -84,28 +84,18 @@ def affine_ot_spec():
     return make_spec("affine", cpl)
 
 
-# time grid with nodes {0, 0.5, 1}: slices for t=0 and t=0.5 tests
+# 2e5 endpoint draws; tests slice them with core.slice_state at t = 0 or 1/2
 @pytest.fixture(scope="session")
-def grid3():
-    return core.make_time_grid(2)
-
-
-@pytest.fixture(scope="session")
-def ens_affine_indep_200k(affine_indep_spec, grid3):
-    return core.sample_paths(affine_indep_spec, 200_000, grid3, seed=11)
+def ep_affine_indep_200k(affine_indep_spec):
+    return core.sample_endpoints(affine_indep_spec, 200_000, seed=11)
 
 
 @pytest.fixture(scope="session")
-def ens_trig_indep_200k(trig_indep_spec, grid3):
-    return core.sample_paths(trig_indep_spec, 200_000, grid3, seed=12)
+def ep_trig_indep_200k(trig_indep_spec):
+    return core.sample_endpoints(trig_indep_spec, 200_000, seed=12)
 
 
-def head_ensemble(ensemble: core.PathEnsemble, n: int) -> core.PathEnsemble:
+def head(endpoints: core.EndpointArrays, n: int) -> core.EndpointArrays:
     """First-n view; valid because a smaller draw is a prefix of a larger one."""
-    return core.PathEnsemble(
-        ensemble.grid,
-        ensemble.positions[:n],
-        ensemble.velocities[:n],
-        ensemble.accelerations[:n],
-        ensemble.seed,
-    )
+    z = None if endpoints.z is None else endpoints.z[:n]
+    return core.EndpointArrays(endpoints.x0[:n], endpoints.x1[:n], z, endpoints.seed)

@@ -10,7 +10,7 @@ import pytest
 
 from straightflow import calculus, cli, core, estimate, flow, gaussian, verify
 
-from conftest import gauss1, head_ensemble, make_spec
+from conftest import gauss1, head, make_spec
 
 PI2_4 = np.pi**2 / 4
 
@@ -27,7 +27,9 @@ def _oracle_grid_triples(spec, t, h_t, grid):
     return f[1], tuple(fi["rho"] for fi in f), tuple(fi["v"] for fi in f)
 
 
-def test_criterion_1_straightness_iff_deterministic(affine_ot_spec, ens_affine_indep_200k):
+def test_criterion_1_straightness_iff_deterministic(
+    affine_ot_spec, affine_indep_spec, ep_affine_indep_200k
+):
     # deterministic side, d = 1: OT map N(0,1) -> N(2,4)
     g1 = gaussian.from_process_spec(affine_ot_spec)
     oracle1 = flow.analytic_velocity_oracle(g1)
@@ -49,9 +51,8 @@ def test_criterion_1_straightness_iff_deterministic(affine_ot_spec, ens_affine_i
     one2 = flow.one_step_error(oracle2, pts2).max_error
 
     # stochastic side: independent coupling at N = 1e5
-    ens = head_ensemble(ens_affine_indep_200k, 100_000)
-    X = ens.positions[:, 1, :]
-    V = ens.velocities[:, 1, :]
+    ens = head(ep_affine_indep_200k, 100_000)
+    X, V, _ = core.slice_state(affine_indep_spec, ens, 0.5)
     tr_pi = verify.tr_pi_moment(X, V, core.aux_rng(ens.seed, 900)).value
     g_ind = gaussian.from_process_spec(
         make_spec("affine", core.CouplingSpec("independent", gauss1(), gauss1()))
@@ -77,16 +78,13 @@ def test_criterion_1_straightness_iff_deterministic(affine_ot_spec, ens_affine_i
     )
 
 
-def test_criterion_2_balance_positive_instance(trig_indep_spec, ens_trig_indep_200k):
+def test_criterion_2_balance_positive_instance(trig_indep_spec, ep_trig_indep_200k):
     grid = calculus.make_spatial_grid([(-3.0, 3.0)], 60)
     g = gaussian.from_process_spec(trig_indep_spec)
     fields = gaussian.fields_on_grid(g, 0.5, grid)
     analytic = calculus.balance_residual(fields["rho"], fields["Pi"], fields["a"])
 
-    ens = ens_trig_indep_200k  # N = 2e5
-    X = ens.positions[:, 1, :]
-    V = ens.velocities[:, 1, :]
-    A = ens.accelerations[:, 1, :]
+    X, V, A = core.slice_state(trig_indep_spec, ep_trig_indep_200k, 0.5)  # N = 2e5
     est_fields = estimate.fields_on_grid(X, V, A, grid, estimate.KernelConfig(), 0.5)
     estimated = calculus.balance_residual(
         est_fields["rho"], est_fields["Pi"], est_fields["a"], order=2
@@ -183,9 +181,9 @@ def test_criterion_5_material_derivative(affine_indep_spec):
     )
 
 
-def test_criterion_6_trace_identity(ens_trig_indep_200k):
-    ens = head_ensemble(ens_trig_indep_200k, 100_000)
-    report = verify.geometric_report(ens, t_index=1)
+def test_criterion_6_trace_identity(trig_indep_spec, ep_trig_indep_200k):
+    ens = head(ep_trig_indep_200k, 100_000)
+    report = verify.geometric_report(trig_indep_spec, ens, core.make_time_grid(2), t_index=1)
     m = report.metrics
     radial_ok = abs(m["radial_acceleration"] + PI2_4) <= 0.02 * PI2_4
     gap_ok = abs(m["identity_gap"]) <= 3.0 * m["identity_gap_se"]
@@ -201,15 +199,13 @@ def test_criterion_6_trace_identity(ens_trig_indep_200k):
     )
 
 
-def test_criterion_7_estimator_convergence(affine_indep_spec, ens_affine_indep_200k):
+def test_criterion_7_estimator_convergence(affine_indep_spec, ep_affine_indep_200k):
     g = gaussian.from_process_spec(affine_indep_spec)
     pts = np.linspace(-1.5, 1.5, 9)[:, None]
     v_true = gaussian.velocity_at(g, 0.5, pts)
     rmses = []
     for n in (1_000, 10_000, 100_000):
-        ens = head_ensemble(ens_affine_indep_200k, n)
-        X = ens.positions[:, 1, :]
-        V = ens.velocities[:, 1, :]
+        X, V, _ = core.slice_state(affine_indep_spec, head(ep_affine_indep_200k, n), 0.5)
         h = estimate.silverman_bandwidth_from(X)
         v_hat, _ = estimate.nw_regress(X, V, pts, h)
         rmses.append(float(np.sqrt(np.mean(np.sum((v_hat - v_true) ** 2, axis=1)))))

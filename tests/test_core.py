@@ -255,6 +255,29 @@ class TestSamplePaths:
         expect = arr.x1 - arr.x0 + gd * arr.z
         assert np.allclose(ens.velocities[:, 1, :], expect, atol=1e-12)
 
+    @settings(max_examples=30)
+    @given(
+        kind=st.sampled_from(["affine", "trig", "latent"]),
+        n=st.integers(1, 30),
+        steps=st.integers(1, 12),
+        d=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_node_slice_equals_path_column(self, kind, n, steps, d, seed):
+        # the harnesses and the kernel flow oracle slice one node at a time;
+        # each node must carry the bits of the ensemble column, latent
+        # non-finite edges (t = 0, 1) included
+        cpl = core.CouplingSpec("independent", core.Gaussian(np.zeros(d), np.eye(d)),
+                                core.Gaussian(np.ones(d), 4.0 * np.eye(d)))
+        spec = make_spec("affine" if kind == "latent" else kind, cpl, d, kind == "latent")
+        endpoints = core.sample_endpoints(spec, n, seed)
+        nodes = core.make_time_grid(steps).nodes
+        columns = core.slice_state(spec, endpoints, nodes)
+        for k, t in enumerate(nodes):
+            for column, node in zip(columns, core.slice_state(spec, endpoints, t)):
+                assert node.shape == (n, d)
+                assert np.ascontiguousarray(column[:, k]).tobytes() == node.tobytes()
+
     def test_endpoint_contract_violation(self):
         bad_alpha = core.Coefficient(
             "bad", lambda t: 0.5 * (1 - np.asarray(t)), lambda t: np.full_like(np.asarray(t, float), -0.5),
@@ -270,7 +293,7 @@ class TestEnsembleFile:
         ens = core.sample_paths(affine_indep_spec, 64, core.make_time_grid(3), seed=13)
         path = tmp_path / "e.sflw"
         core.save_ensemble(ens, path)
-        loaded = core.load_ensemble(path, seed=13)
+        loaded = core.load_ensemble(path)
         assert np.array_equal(loaded.positions, ens.positions)
         assert np.array_equal(loaded.velocities, ens.velocities)
         assert np.array_equal(loaded.accelerations, ens.accelerations)
@@ -303,15 +326,15 @@ class TestEnsembleFile:
         if non_finite:
             for arr in arrays:
                 arr.flat[rng.integers(0, arr.size, size=3)] = [np.inf, -np.inf, np.nan]
-        ens = core.PathEnsemble(grid, *arrays, seed)
+        ens = core.PathEnsemble(grid, *arrays)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "e.sflw")
             core.save_ensemble(ens, path)
-            loaded = core.load_ensemble(path, seed=seed)
+            loaded = core.load_ensemble(path)
         for name in ("positions", "velocities", "accelerations"):
             assert getattr(loaded, name).tobytes() == getattr(ens, name).tobytes()
         assert np.array_equal(loaded.grid.nodes, grid.nodes)
-        assert loaded.grid.step == grid.step and loaded.seed == seed
+        assert loaded.grid.step == grid.step
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.sflw"
@@ -326,5 +349,5 @@ class TestEnsembleFile:
         assert not np.all(np.isfinite(ens.velocities[:, 0, :]))
         path = tmp_path / "latent.sflw"
         core.save_ensemble(ens, path)
-        loaded = core.load_ensemble(path, seed=14)
+        loaded = core.load_ensemble(path)
         assert np.array_equal(loaded.velocities, ens.velocities)

@@ -12,14 +12,15 @@ from straightflow.errors import (
     NonFiniteDataError,
 )
 
-from conftest import head_ensemble
+from conftest import head
 
 PI2_4 = np.pi**2 / 4
 CFG = estimate.KernelConfig()
 
 
-def slice_arrays(ens, k):
-    return ens.positions[:, k, :], ens.velocities[:, k, :], ens.accelerations[:, k, :]
+def slice_arrays(spec, endpoints, t, n=None):
+    """(X, V, A) of the first ``n`` paths (all when None) at time ``t``."""
+    return core.slice_state(spec, endpoints if n is None else head(endpoints, n), t)
 
 
 def kde(X, x, h):
@@ -43,10 +44,10 @@ def fields_at(X, x, V=None, A=None, cfg=CFG):
 
 
 class TestSilverman:
-    def test_formula_and_example_value(self, ens_affine_indep_200k):
-        ens = head_ensemble(ens_affine_indep_200k, 10_000)
-        h = estimate.silverman_bandwidth_from(ens.positions[:, 0, :])
-        sigma = np.std(ens.positions[:, 0, 0], ddof=1)
+    def test_formula_and_example_value(self, affine_indep_spec, ep_affine_indep_200k):
+        X, _, _ = slice_arrays(affine_indep_spec, ep_affine_indep_200k, 0.0, 10_000)
+        h = estimate.silverman_bandwidth_from(X)
+        sigma = np.std(X[:, 0], ddof=1)
         assert h == pytest.approx(sigma * (4.0 / (3 * 10_000)) ** 0.2, rel=1e-12)
         assert h == pytest.approx(0.168, abs=0.004)
 
@@ -78,9 +79,9 @@ class TestKde:
         vals, _ = fields_at(X, np.zeros(1), cfg=cfg)
         assert vals["rho"] == pytest.approx((2 * np.pi * 0.25) ** -0.5, rel=1e-12)
 
-    def test_matches_oracle_density(self, ens_affine_indep_200k):
-        ens = head_ensemble(ens_affine_indep_200k, 100_000)
-        vals, _ = fields_at(ens.positions[:, 1, :], np.zeros(1))  # t = 0.5 slice
+    def test_matches_oracle_density(self, affine_indep_spec, ep_affine_indep_200k):
+        X, _, _ = slice_arrays(affine_indep_spec, ep_affine_indep_200k, 0.5, 100_000)
+        vals, _ = fields_at(X, np.zeros(1))
         assert vals["rho"] == pytest.approx(0.5642, rel=0.05)
 
     def test_far_query_negligible(self):
@@ -103,26 +104,25 @@ class TestNwConditional:
         vals, _ = estimate.nw_regress(pos, vel, np.array([[0.2, -0.1]]), h)
         assert np.allclose(vals[0], [1.5, -2.0], atol=1e-12)
 
-    def test_matches_oracle_velocity(self, ens_affine_indep_200k):
-        X, V, _ = slice_arrays(ens_affine_indep_200k, 0)
+    def test_matches_oracle_velocity(self, affine_indep_spec, ep_affine_indep_200k):
+        X, V, _ = slice_arrays(affine_indep_spec, ep_affine_indep_200k, 0.0)
         vals, _ = estimate.nw_regress(X, V, np.array([[1.0]]), estimate.silverman_bandwidth_from(X))
         assert vals[0, 0] == pytest.approx(-1.0, abs=0.05)
 
-    def test_affine_acceleration_exact_zero(self, ens_affine_indep_200k):
-        X, _, A = slice_arrays(head_ensemble(ens_affine_indep_200k, 5_000), 1)
+    def test_affine_acceleration_exact_zero(self, affine_indep_spec, ep_affine_indep_200k):
+        X, _, A = slice_arrays(affine_indep_spec, ep_affine_indep_200k, 0.5, 5_000)
         vals, _ = estimate.nw_regress(X, A, np.array([[0.3]]), estimate.silverman_bandwidth_from(X))
         assert vals[0, 0] == 0.0
 
-    def test_low_density_refusal(self, ens_affine_indep_200k):
-        X, V, A = slice_arrays(head_ensemble(ens_affine_indep_200k, 2_000), 0)
+    def test_low_density_refusal(self, affine_indep_spec, ep_affine_indep_200k):
+        X, V, A = slice_arrays(affine_indep_spec, ep_affine_indep_200k, 0.0, 2_000)
         vals, admissible = fields_at(X, np.array([100.0]), V, A)
         assert vals["effective_n"] < CFG.density_floor
         assert not admissible and np.isnan(vals["v"][0])
 
     def test_non_finite_slice_rejected(self, latent_spec):
         # the bridge coefficient has infinite derivative at the endpoints
-        ens = core.sample_paths(latent_spec, 100, core.make_time_grid(4), seed=8)
-        X, V, A = slice_arrays(ens, 0)
+        X, V, A = slice_arrays(latent_spec, core.sample_endpoints(latent_spec, 100, seed=8), 0.0)
         with pytest.raises(NonFiniteDataError):
             fields_at(X, np.zeros(1), V, A)
 
@@ -136,13 +136,13 @@ class TestSecondMoment:
         assert admissible
         assert np.allclose(vals["Sigma"], np.outer([1.0, 2.0], [1.0, 2.0]), atol=1e-12)
 
-    def test_affine_independent_midpoint(self, ens_affine_indep_200k):
-        X, V, A = slice_arrays(head_ensemble(ens_affine_indep_200k, 100_000), 1)
+    def test_affine_independent_midpoint(self, affine_indep_spec, ep_affine_indep_200k):
+        X, V, A = slice_arrays(affine_indep_spec, ep_affine_indep_200k, 0.5, 100_000)
         vals, _ = fields_at(X, np.zeros(1), V, A)
         assert vals["Sigma"][0, 0] == pytest.approx(2.0, rel=0.05)
 
-    def test_trig_independent(self, ens_trig_indep_200k):
-        X, V, A = slice_arrays(head_ensemble(ens_trig_indep_200k, 100_000), 1)
+    def test_trig_independent(self, trig_indep_spec, ep_trig_indep_200k):
+        X, V, A = slice_arrays(trig_indep_spec, ep_trig_indep_200k, 0.5, 100_000)
         vals, _ = fields_at(X, np.array([0.5]), V, A)
         assert vals["Sigma"][0, 0] == pytest.approx(PI2_4, rel=0.05)
 
@@ -315,8 +315,8 @@ class TestKernelEngine:
 
 
 class TestSliceEstimate:
-    def test_consistency_of_parts(self, ens_affine_indep_200k):
-        X, V, A = slice_arrays(head_ensemble(ens_affine_indep_200k, 20_000), 1)
+    def test_consistency_of_parts(self, affine_indep_spec, ep_affine_indep_200k):
+        X, V, A = slice_arrays(affine_indep_spec, ep_affine_indep_200k, 0.5, 20_000)
         x = np.array([0.4])
         vals, _ = fields_at(X, x, V, A)
         v_hat, eff = estimate.nw_regress(X, V, x[None, :], estimate.silverman_bandwidth_from(X))
@@ -330,12 +330,11 @@ class TestSliceEstimate:
 class TestDeterministicSignature:
     def test_trace_two_orders_below_shuffled_control(self, affine_det2x_spec):
         n = 50_000
-        ens = core.sample_paths(affine_det2x_spec, n, core.make_time_grid(2), seed=17)
-        X = ens.positions[:, 1, :]
-        V = ens.velocities[:, 1, :]
+        ens = core.sample_endpoints(affine_det2x_spec, n, seed=17)
+        X, V, _ = slice_arrays(affine_det2x_spec, ens, 0.5)
         perm = core.aux_rng(17, 1).permutation(n)
         a_k, b_k = 0.5, 0.5
-        x0, x1 = ens.positions[:, 0, :], ens.positions[:, -1, :]
+        x0, x1 = ens.x0, ens.x1
         Xc = a_k * x0 + b_k * x1[perm]
         Vc = x1[perm] - x0
         grid_pts = np.linspace(-1.5, 1.5, 9)[:, None]
@@ -352,7 +351,7 @@ class TestDeterministicSignature:
 
 class TestOracleConsistency:
     def test_regression_rmse_shrinks_with_sample_size(
-        self, affine_indep_spec, ens_affine_indep_200k
+        self, affine_indep_spec, ep_affine_indep_200k
     ):
         # MC estimate of v converges on the analytic oracle, roughly n^(-1/2)
         from straightflow import gaussian
@@ -362,9 +361,7 @@ class TestOracleConsistency:
         v_true = gaussian.velocity_at(g, 0.5, pts)
         rmses = []
         for n in (1_000, 4_000, 16_000):
-            ens = head_ensemble(ens_affine_indep_200k, n)
-            X = ens.positions[:, 1, :]
-            V = ens.velocities[:, 1, :]
+            X, V, _ = slice_arrays(affine_indep_spec, ep_affine_indep_200k, 0.5, n)
             vhat, _ = estimate.nw_regress(X, V, pts, estimate.silverman_bandwidth_from(X))
             rmses.append(float(np.sqrt(np.mean((vhat - v_true) ** 2))))
         assert rmses[0] > rmses[1] > rmses[2]
@@ -372,13 +369,8 @@ class TestOracleConsistency:
 
 
 class TestGridFields:
-    def test_masks_low_density_nodes(self, ens_affine_indep_200k, affine_indep_spec):
-        from straightflow import calculus
-
-        ens = head_ensemble(ens_affine_indep_200k, 30_000)
-        X = ens.positions[:, 1, :]
-        V = ens.velocities[:, 1, :]
-        A = ens.accelerations[:, 1, :]
+    def test_masks_low_density_nodes(self, ep_affine_indep_200k, affine_indep_spec):
+        X, V, A = slice_arrays(affine_indep_spec, ep_affine_indep_200k, 0.5, 30_000)
         grid = calculus.make_spatial_grid([(-8.0, 8.0)], 41)  # tails far outside data
         fields = estimate.fields_on_grid(X, V, A, grid, CFG, t=0.5)
         refined = fields["rho"].grid

@@ -10,6 +10,8 @@ from straightflow.errors import (
     TrajectoryLeftSupportError,
 )
 
+from conftest import head, make_spec
+
 PI2_4 = np.pi**2 / 4
 
 
@@ -64,6 +66,7 @@ def _property_oracles():
 
 
 PROPERTY_ORACLES = _property_oracles()
+GRID5 = core.make_time_grid(4)  # the kernel oracle's slice nodes 0, 1/4, .., 1
 
 
 @pytest.fixture(scope="module")
@@ -129,27 +132,52 @@ class TestIntegrate:
             assert np.allclose(batch.trajectories[i].states, single.states, atol=1e-13)
 
     def test_kernel_oracle_low_density_becomes_left_support(self, affine_indep_spec):
-        ens = core.sample_paths(affine_indep_spec, 100, core.make_time_grid(4), seed=3)
-        oracle = flow.kernel_velocity_oracle(ens, estimate.KernelConfig(density_floor=200.0))
+        ens = core.sample_endpoints(affine_indep_spec, 100, seed=3)
+        cfg = estimate.KernelConfig(density_floor=200.0)
+        oracle = flow.kernel_velocity_oracle(affine_indep_spec, ens, GRID5, cfg)
         with pytest.raises(TrajectoryLeftSupportError) as err:
             flow.integrate(oracle, np.array([0.0]), core.make_time_grid(4), "euler")
         assert err.value.states.shape[0] >= 1
 
-    def test_kernel_oracle_tracks_analytic(self, affine_indep_spec, ens_affine_indep_200k, oracle_affine_indep):
-        from conftest import head_ensemble
-
-        ens = head_ensemble(ens_affine_indep_200k, 50_000)
+    def test_kernel_oracle_tracks_analytic(
+        self, affine_indep_spec, ep_affine_indep_200k, oracle_affine_indep
+    ):
+        ens = head(ep_affine_indep_200k, 50_000)
         # K=3 grid: kernel oracle interpolates between slices at 0, 0.5, 1
-        oracle = flow.kernel_velocity_oracle(ens, estimate.KernelConfig())
+        oracle = flow.kernel_velocity_oracle(
+            affine_indep_spec, ens, core.make_time_grid(2), estimate.KernelConfig()
+        )
         v_k = oracle(0.5, np.array([1.0]))
         v_a = oracle_affine_indep(0.5, np.array([1.0]))
         assert np.allclose(v_k, v_a, atol=0.05)
 
+    @pytest.mark.parametrize("coefficients, d", [("affine", 1), ("trig", 2)])
+    def test_kernel_oracle_is_nw_regress_on_node_slices(self, coefficients, d):
+        # on a node the oracle is nw_regress on that node's slice; between two
+        # nodes it is their linear blend, bit for bit
+        gauss = core.Gaussian(np.zeros(d), np.eye(d))
+        spec = make_spec(coefficients, core.CouplingSpec("independent", gauss, gauss), d)
+        ens = core.sample_endpoints(spec, 3000, seed=5)
+        cfg = estimate.KernelConfig()
+        oracle = flow.kernel_velocity_oracle(spec, ens, GRID5, cfg)
+        pts = np.array([[-0.4], [0.0], [0.7]]) @ np.ones((1, d))
+
+        def nw(k):
+            X, V, _ = core.slice_state(spec, ens, GRID5.nodes[k])
+            return estimate.nw_regress(X, V, pts, estimate.resolve_bandwidth(cfg, X))[0]
+
+        nodes = GRID5.nodes
+        assert np.array_equal(oracle(nodes[1], pts), nw(1))
+        t = 0.3
+        w = (t - nodes[1]) / (nodes[2] - nodes[1])
+        assert np.array_equal(oracle(t, pts), (1.0 - w) * nw(1) + w * nw(2))
+        assert oracle.stats.excursions == 0
+
 
 class TestFlowMap:
     def test_preserves_order_and_collects_errors(self, affine_indep_spec):
-        ens = core.sample_paths(affine_indep_spec, 3000, core.make_time_grid(4), seed=5)
-        oracle = flow.kernel_velocity_oracle(ens, estimate.KernelConfig())
+        ens = core.sample_endpoints(affine_indep_spec, 3000, seed=5)
+        oracle = flow.kernel_velocity_oracle(affine_indep_spec, ens, GRID5, estimate.KernelConfig())
         pts = np.array([[0.0], [0.5], [-0.5]])
         res = flow.flow_map(oracle, pts, core.make_time_grid(8), "midpoint")
         assert len(res.trajectories) == 3
@@ -158,8 +186,8 @@ class TestFlowMap:
             assert np.allclose(traj.states[0], pts[i])
 
     def test_kernel_mixed_dense_and_refused_points(self, affine_indep_spec):
-        ens = core.sample_paths(affine_indep_spec, 3000, core.make_time_grid(4), seed=5)
-        oracle = flow.kernel_velocity_oracle(ens, estimate.KernelConfig(density_floor=200.0))
+        ens = core.sample_endpoints(affine_indep_spec, 3000, seed=5)
+        oracle = flow.kernel_velocity_oracle(affine_indep_spec, ens, GRID5, estimate.KernelConfig(density_floor=200.0))
         pts = np.array([[0.0], [3.0], [0.3], [-3.0], [-0.4]])
         grid = core.make_time_grid(8)
         res = flow.flow_map(oracle, pts, grid, "midpoint")

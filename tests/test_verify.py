@@ -6,14 +6,16 @@ import pytest
 from straightflow import cli, core, verify
 from straightflow.errors import InvalidArgumentError
 
-from conftest import head_ensemble
+from conftest import head
 
 PI2_4 = np.pi**2 / 4
 
 
 class TestAffineStraightnessCheck:
     def test_ot_coupling_consistent(self, affine_ot_spec):
-        report = verify.affine_straightness_check(affine_ot_spec, 100_000, seed=21)
+        report = verify.affine_straightness_check(
+            affine_ot_spec, core.sample_endpoints(affine_ot_spec, 100_000, 21)
+        )
         assert report.verdict == "consistent"
         traces = [v for k, v in report.metrics.items() if k.startswith("tr_pi@")]
         assert max(traces) <= 0.02
@@ -21,7 +23,9 @@ class TestAffineStraightnessCheck:
         assert report.metrics["one_step_max"] <= 1e-6
 
     def test_independent_coupling_violated(self, affine_indep_spec):
-        report = verify.affine_straightness_check(affine_indep_spec, 100_000, seed=22)
+        report = verify.affine_straightness_check(
+            affine_indep_spec, core.sample_endpoints(affine_indep_spec, 100_000, 22)
+        )
         assert report.verdict == "violated"
         assert report.metrics["tr_pi@0.5"] == pytest.approx(2.0, rel=0.1)
         # the trace indicator fails by at least an order of magnitude
@@ -30,25 +34,33 @@ class TestAffineStraightnessCheck:
     def test_unit_correlation_joint_consistent(self):
         cpl = core.gaussian_joint_coupling(np.zeros(2), np.array([[1.0, 1.0], [1.0, 1.0]]))
         spec = core.ProcessSpec(core.affine_alpha(), core.affine_beta(), cpl, 1)
-        report = verify.affine_straightness_check(spec, 20_000, seed=23)
+        report = verify.affine_straightness_check(spec, core.sample_endpoints(spec, 20_000, 23))
         assert report.verdict == "consistent"
         traces = [abs(v) for k, v in report.metrics.items() if k.startswith("tr_pi@")]
         assert max(traces) <= 1e-10
         assert report.metrics["chord_dev_max"] <= 1e-9
 
     def test_small_sample_inconclusive(self, affine_indep_spec):
-        report = verify.affine_straightness_check(affine_indep_spec, 50, seed=24)
+        report = verify.affine_straightness_check(
+            affine_indep_spec, core.sample_endpoints(affine_indep_spec, 50, 24)
+        )
         assert report.verdict == "inconclusive"
 
     def test_trig_spec_rejected(self, trig_indep_spec):
         with pytest.raises(InvalidArgumentError):
-            verify.affine_straightness_check(trig_indep_spec, 100, seed=1)
+            verify.affine_straightness_check(
+                trig_indep_spec, core.sample_endpoints(trig_indep_spec, 100, 1)
+            )
+
+
+GRID3 = core.make_time_grid(2)  # nodes {0, 1/2, 1}; t_index=1 is t = 1/2
 
 
 class TestGeometricReport:
-    def test_trig_independent_identity_holds(self, ens_trig_indep_200k):
-        ens = head_ensemble(ens_trig_indep_200k, 100_000)
-        report = verify.geometric_report(ens, t_index=1)  # t = 1/2
+    def test_trig_independent_identity_holds(self, trig_indep_spec, ep_trig_indep_200k):
+        report = verify.geometric_report(
+            trig_indep_spec, head(ep_trig_indep_200k, 100_000), GRID3, t_index=1
+        )
         assert report.metrics["radial_acceleration"] == pytest.approx(-PI2_4, rel=0.02)
         assert abs(report.metrics["identity_gap"]) <= 3 * report.metrics["identity_gap_se"]
         assert report.metrics["ineq_radial_margin"] >= 0
@@ -56,8 +68,8 @@ class TestGeometricReport:
         assert report.verdict == "consistent"
 
     def test_affine_deterministic_all_zero(self, affine_det2x_spec):
-        ens = core.sample_paths(affine_det2x_spec, 50_000, core.make_time_grid(2), seed=31)
-        report = verify.geometric_report(ens, t_index=1)
+        ens = core.sample_endpoints(affine_det2x_spec, 50_000, 31)
+        report = verify.geometric_report(affine_det2x_spec, ens, GRID3, t_index=1)
         assert abs(report.metrics["radial_acceleration"]) <= 1e-12
         assert abs(report.metrics["identity_gap"]) <= max(
             3 * report.metrics["identity_gap_se"], 1e-6
@@ -65,45 +77,45 @@ class TestGeometricReport:
         assert report.verdict == "consistent"
 
     def test_trig_deterministic_violates_balance_law(self, trig_det_identity_spec):
-        ens = core.sample_paths(trig_det_identity_spec, 100_000, core.make_time_grid(2), seed=32)
-        report = verify.geometric_report(ens, t_index=1)
+        ens = core.sample_endpoints(trig_det_identity_spec, 100_000, 32)
+        report = verify.geometric_report(trig_det_identity_spec, ens, GRID3, t_index=1)
         # Var X_t = (cos + sin)^2 = 2 at t = 1/2
         assert report.metrics["radial_acceleration"] == pytest.approx(-2 * PI2_4, rel=0.05)
         assert abs(report.metrics["neg_tr_pi"]) <= 0.05
         assert report.verdict == "violated"
 
     def test_small_sample_inconclusive(self, trig_indep_spec):
-        ens = core.sample_paths(trig_indep_spec, 60, core.make_time_grid(2), seed=33)
-        report = verify.geometric_report(ens, t_index=1)
+        report = verify.geometric_report(
+            trig_indep_spec, core.sample_endpoints(trig_indep_spec, 60, 33), GRID3, t_index=1
+        )
         assert report.verdict == "inconclusive"
+
+
+GRID11 = core.make_time_grid(10)
 
 
 class TestDeterminismDetector:
     def test_deterministic_map_detected(self, affine_det2x_spec):
-        ens = core.sample_paths(affine_det2x_spec, 40_000, core.make_time_grid(10), seed=41)
-        report = verify.determinism_detector(ens)
+        report = verify.determinism_detector(
+            affine_det2x_spec, core.sample_endpoints(affine_det2x_spec, 40_000, 41), GRID11
+        )
         assert report.verdict == "consistent"
         assert report.metrics["ratio"] <= 0.05
 
     def test_independent_coupling_matches_own_control(self, affine_indep_spec):
-        ens = core.sample_paths(affine_indep_spec, 40_000, core.make_time_grid(10), seed=42)
-        report = verify.determinism_detector(ens)
+        report = verify.determinism_detector(
+            affine_indep_spec, core.sample_endpoints(affine_indep_spec, 40_000, 42), GRID11
+        )
         assert report.verdict == "violated"
         assert report.metrics["ratio"] == pytest.approx(1.0, abs=0.35)
 
     def test_latent_interpolant_not_deterministic(self, latent_spec):
-        ens = core.sample_paths(latent_spec, 30_000, core.make_time_grid(10), seed=43)
-        report = verify.determinism_detector(ens)
+        report = verify.determinism_detector(
+            latent_spec, core.sample_endpoints(latent_spec, 30_000, 43), GRID11
+        )
         assert report.verdict == "violated"
         # fails by at least 10x the calibrated ratio threshold
         assert report.metrics["ratio"] >= 10 * report.thresholds["ratio"]
-
-    def test_loaded_ensemble_with_unknown_seed(self, tmp_path, affine_det2x_spec):
-        ens = core.sample_paths(affine_det2x_spec, 5_000, core.make_time_grid(6), seed=44)
-        core.save_ensemble(ens, tmp_path / "e.sflw")
-        loaded = core.load_ensemble(tmp_path / "e.sflw")  # seed = -1
-        report = verify.determinism_detector(loaded)
-        assert report.verdict == "consistent"
 
 
 class TestTheoremReportSerialization:
