@@ -186,6 +186,9 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
 }
 
+# built once: jsonschema.validate would re-check the schema itself on every load
+_CONFIG_VALIDATOR = jsonschema.Draft7Validator(CONFIG_SCHEMA)
+
 _DEFAULTS = {
     "time_steps": 10,
     "grid": {"nodes_per_axis": 60, "box": "oracle"},
@@ -238,9 +241,8 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(
             f"config {path} is not valid JSON: line {err.lineno} column {err.colno}: {err.msg}"
         ) from err
-    try:
-        jsonschema.validate(data, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as err:
+    err = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(data))
+    if err is not None:
         field = ".".join(str(p) for p in err.absolute_path) or "(root)"
         raise ConfigError(f"config field {field}: {err.message}", field) from err
     return ExperimentConfig(_merge_defaults(data, _DEFAULTS))
@@ -553,23 +555,20 @@ def cmd_flow(cfg: ExperimentConfig, out: _Outputs, points_file: str | None, use_
     result = flow.flow_map(oracle, pts, tgrid, scheme)
     one_step = flow.one_step_error(oracle, pts, reference_steps=cfg["flow"]["reference_steps"])
 
-    failed = dict(result.errors)
-    per_point, kept = [], []
-    for i, traj in enumerate(result.trajectories):
-        if traj is None:
-            per_point.append({"point": i, "error": str(failed[i])})
-            continue
-        kept.append(i)
+    kept = [i for i, traj in enumerate(result.trajectories) if traj is not None]
+    states = np.reshape([result.trajectories[i].states for i in kept],
+                        (len(kept), tgrid.n_nodes, spec.dim))
+    dev = flow.straightness_deviation(states, tgrid) if tgrid.n_nodes >= 3 else None
+    per_point = {i: {"point": i, "error": str(err)} for i, err in result.errors}
+    for j, i in enumerate(kept):
         one = float(one_step.errors[i])
-        entry = {"point": i, "one_step_error": one if np.isfinite(one) else None}
-        if traj.grid.n_nodes >= 3:
-            dev = flow.straightness_deviation(traj)
-            entry["chord_dev"] = dev.chord_dev
-            entry["second_diff"] = dev.second_diff
-        per_point.append(entry)
+        per_point[i] = {"point": i, "one_step_error": one if np.isfinite(one) else None}
+        if dev is not None:
+            per_point[i]["chord_dev"] = float(dev.chord_dev[j])
+            per_point[i]["second_diff"] = float(dev.second_diff[j])
 
     # one row per kept point and time node, streamed: the text is never held whole
-    states = np.reshape([result.trajectories[i].states for i in kept], (-1, spec.dim))
+    states = states.reshape(-1, spec.dim)
     lead = itertools.product([str(i) for i in kept], [repr(t) for t in tgrid.nodes.tolist()])
 
     def write_trajectories(path: Path) -> None:
@@ -587,8 +586,13 @@ def cmd_flow(cfg: ExperimentConfig, out: _Outputs, points_file: str | None, use_
             "steps": steps,
             "source": source,
         },
-        "one_step": {"max": one_step.max_error, "rms": one_step.rms_error},
-        "points": per_point,
+        "one_step": {
+            "max": one_step.max_error,
+            "rms": one_step.rms_error,
+            "reference_steps_used": one_step.reference_steps,
+            "reference_gap": one_step.reference_gap,
+        },
+        "points": [per_point[i] for i in sorted(per_point)],
         "n_failed": len(result.errors),
     }
     out.write("straightness.json", _json_text(summary))

@@ -262,21 +262,37 @@ def integrate(
 
 @dataclass(frozen=True)
 class StraightnessDeviation:
-    chord_dev: float
-    second_diff: float
+    """Per-trajectory figures, each of shape (M,)."""
+
+    chord_dev: np.ndarray
+    second_diff: np.ndarray
 
 
-def straightness_deviation(traj: Trajectory) -> StraightnessDeviation:
-    """Deviation from the chord and the discrete second time derivative."""
-    states = traj.states
-    if states.shape[0] < 3:
+# straightness_deviation works through the points in blocks whose temporaries
+# hold at most this many doubles (32 kB), so they never outgrow the states
+# array and stay small heap blocks: larger ones raised the peak RSS of `flow`
+_BLOCK_DOUBLES = 1 << 12
+
+
+def straightness_deviation(states: np.ndarray, grid: TimeGrid) -> StraightnessDeviation:
+    """Deviation from the chord and the discrete second time derivative of
+    each trajectory of the (M, K, d) ``states`` on ``grid``."""
+    states = np.asarray(states, dtype=float)
+    if states.ndim != 3 or states.shape[1] != grid.n_nodes:
+        raise InvalidArgumentError("states must have shape (n_points, n_nodes, d)")
+    if grid.n_nodes < 3:
         raise InvalidArgumentError("straightness needs at least 3 nodes")
-    t = traj.grid.nodes[:, None]
-    chord = (1.0 - t) * states[0] + t * states[-1]
-    chord_dev = float(np.linalg.norm(states - chord, axis=1).max())
-    step = traj.grid.step
-    dd = states[2:] - 2 * states[1:-1] + states[:-2]
-    second_diff = float(np.linalg.norm(dd, axis=1).max() / step**2)
+    t = grid.nodes[:, None]
+    step = grid.step
+    block = max(1, _BLOCK_DOUBLES // (states.shape[1] * states.shape[2]))
+    chord_dev = np.empty(states.shape[0])
+    second_diff = np.empty(states.shape[0])
+    for i0 in range(0, states.shape[0], block):
+        S = states[i0 : i0 + block]
+        chord = (1.0 - t) * S[:, :1] + t * S[:, -1:]
+        chord_dev[i0 : i0 + block] = np.linalg.norm(S - chord, axis=-1).max(axis=1)
+        dd = S[:, 2:] - 2 * S[:, 1:-1] + S[:, :-2]
+        second_diff[i0 : i0 + block] = np.linalg.norm(dd, axis=-1).max(axis=1) / step**2
     return StraightnessDeviation(chord_dev, second_diff)
 
 
@@ -285,6 +301,20 @@ class OneStepSummary:
     errors: np.ndarray  # per point
     max_error: float
     rms_error: float
+    reference_steps: int  # steps of the reference run the errors are taken against
+    reference_gap: float | None  # its largest endpoint move from the run before; None if none
+
+
+# Step doubling of the one-step reference: the first run takes
+# _FIRST_REFERENCE_STEPS steps (or the cap, if smaller), and each next run
+# twice as many, up to the cap.  Doubling stops once the largest endpoint move
+# between the last two runs is at most _REFERENCE_RTOL x the largest one-step
+# error + _REFERENCE_ATOL, both taken over the points that survive both runs;
+# the absolute term lets a straight flow, whose one-step error is rounding
+# noise, stop.
+_FIRST_REFERENCE_STEPS = 25
+_REFERENCE_RTOL = 1e-3
+_REFERENCE_ATOL = 1e-9
 
 
 def one_step_error(
@@ -295,19 +325,43 @@ def one_step_error(
 ) -> OneStepSummary:
     """|single-Euler-step endpoint - reference endpoint| per starting point.
 
-    A point whose Euler step or reference run fails gets error NaN and is left
-    out of max and rms; LowDensityError is raised only when every point fails.
+    The reference is sized by step doubling (see _FIRST_REFERENCE_STEPS);
+    ``reference_steps`` caps its step count.  A point whose Euler step or
+    reported reference run fails gets error NaN and is left out of max and
+    rms; LowDensityError is raised only when every point fails.
     """
     euler, euler_errors = _march(oracle, points, make_time_grid(1), "euler", history=False)
-    ref, ref_errors = _march(
-        oracle, points, make_time_grid(reference_steps), reference_scheme, history=False
-    )
-    errs = np.linalg.norm(euler[:, 0, :] - ref[:, 0, :], axis=1)
+
+    def reference(steps: int):
+        ref, ref_errors = _march(
+            oracle, points, make_time_grid(steps), reference_scheme, history=False
+        )
+        return ref[:, 0, :], ref_errors
+
+    steps = min(_FIRST_REFERENCE_STEPS, reference_steps)
+    ref, ref_errors = reference(steps)
+    gap = None
+    while steps < reference_steps:
+        prev = ref
+        steps = min(2 * steps, reference_steps)
+        ref, ref_errors = reference(steps)
+        both = np.all(np.isfinite(prev), axis=1) & np.all(np.isfinite(ref), axis=1)
+        if not np.any(both):
+            gap = None
+            continue
+        gap = float(np.linalg.norm(ref[both] - prev[both], axis=1).max())
+        err = np.linalg.norm(euler[both, 0, :] - ref[both], axis=1)
+        scale = float(np.max(err, initial=0.0, where=np.isfinite(err)))
+        if gap <= _REFERENCE_RTOL * scale + _REFERENCE_ATOL:
+            break
+    errs = np.linalg.norm(euler[:, 0, :] - ref, axis=1)
     ok = np.isfinite(errs)
     if not np.any(ok):
         first = next(iter({**euler_errors, **ref_errors}.values()), None)
         raise LowDensityError(f"one-step error: all {errs.size} points failed; first: {first}")
-    return OneStepSummary(errs, float(errs[ok].max()), float(np.sqrt(np.mean(errs[ok] ** 2))))
+    return OneStepSummary(
+        errs, float(errs[ok].max()), float(np.sqrt(np.mean(errs[ok] ** 2))), steps, gap
+    )
 
 
 # ---------------------------------------------------------------------------

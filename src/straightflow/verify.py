@@ -200,10 +200,12 @@ def affine_straightness_check(
         gspec = from_process_spec(spec)
         oracle = flow.analytic_velocity_oracle(gspec)
         points = spec.coupling.mu0.draw(aux_rng(endpoints.seed, 3), 64)
-        result = flow.flow_map(oracle, points, make_time_grid(100), "rk4")
-        devs = [flow.straightness_deviation(tr) for tr in result.trajectories]
-        metrics["chord_dev_max"] = max(d.chord_dev for d in devs)
-        metrics["second_diff_max"] = max(d.second_diff for d in devs)
+        tgrid = make_time_grid(100)
+        result = flow.flow_map(oracle, points, tgrid, "rk4")
+        states = np.stack([tr.states for tr in result.trajectories])
+        dev = flow.straightness_deviation(states, tgrid)
+        metrics["chord_dev_max"] = float(dev.chord_dev.max())
+        metrics["second_diff_max"] = float(dev.second_diff.max())
         metrics["one_step_max"] = flow.one_step_error(oracle, points).max_error
     except CapabilityError:
         notes = "coupling not Gaussian-expressible; flow indicators skipped"

@@ -21,6 +21,10 @@ def _criterion(num, desc, ok, detail=""):
     assert ok, f"acceptance {num} failed: {desc}  {detail}"
 
 
+def _states(result):
+    return np.stack([tr.states for tr in result.trajectories])
+
+
 def _oracle_grid_triples(spec, t, h_t, grid):
     g = gaussian.from_process_spec(spec)
     f = [gaussian.fields_on_grid(g, tt, grid) for tt in (t - h_t, t, t + h_t)]
@@ -34,8 +38,9 @@ def test_criterion_1_straightness_iff_deterministic(
     g1 = gaussian.from_process_spec(affine_ot_spec)
     oracle1 = flow.analytic_velocity_oracle(g1)
     pts1 = affine_ot_spec.coupling.mu0.draw(core.aux_rng(100, 0), 100)
-    res1 = flow.flow_map(oracle1, pts1, core.make_time_grid(100), "rk4")
-    chord1 = max(flow.straightness_deviation(tr).chord_dev for tr in res1.trajectories)
+    grid1 = core.make_time_grid(100)
+    res1 = flow.flow_map(oracle1, pts1, grid1, "rk4")
+    chord1 = flow.straightness_deviation(_states(res1), grid1).chord_dev.max()
     one1 = flow.one_step_error(oracle1, pts1).max_error
 
     # deterministic side, d = 2 diagonal case
@@ -46,8 +51,8 @@ def test_criterion_1_straightness_iff_deterministic(
     spec2 = core.ProcessSpec(core.affine_alpha(), core.affine_beta(), cpl2, 2)
     oracle2 = flow.analytic_velocity_oracle(gaussian.from_process_spec(spec2))
     pts2 = mu0.draw(core.aux_rng(100, 1), 100)
-    res2 = flow.flow_map(oracle2, pts2, core.make_time_grid(100), "rk4")
-    chord2 = max(flow.straightness_deviation(tr).chord_dev for tr in res2.trajectories)
+    res2 = flow.flow_map(oracle2, pts2, grid1, "rk4")
+    chord2 = flow.straightness_deviation(_states(res2), grid1).chord_dev.max()
     one2 = flow.one_step_error(oracle2, pts2).max_error
 
     # stochastic side: independent coupling at N = 1e5
@@ -106,7 +111,7 @@ def test_criterion_3_balance_negative_instance(trig_det_identity_spec):
 
     oracle = flow.analytic_velocity_oracle(g)
     traj = flow.integrate(oracle, np.array([1.0]), core.make_time_grid(400), "rk4")
-    chord = flow.straightness_deviation(traj).chord_dev
+    chord = flow.straightness_deviation(traj.states[None], traj.grid).chord_dev[0]
     target = np.sqrt(2.0) - 1.0
     ok = rep.relative >= 0.5 and abs(chord - target) <= 5e-3
     _criterion(

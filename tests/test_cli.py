@@ -1,5 +1,6 @@
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -300,6 +301,16 @@ class TestFlow:
         assert code == 0
         summary = json.loads((out / "straightness.json").read_text())
         assert summary["one_step"]["max"] <= 1e-6
+        assert summary["one_step"]["reference_steps_used"] == 50
+        assert summary["one_step"]["reference_gap"] <= 1e-9
+
+    def test_reference_below_first_run_reports_no_gap(self, tmp_path):
+        cfg_path, out = write_config(tmp_path, process=ot_process(), n=50,
+                                     flow={"steps": 4, "reference_steps": 10, "n_points": 3})
+        assert cli.main(["flow", "--config", str(cfg_path)]) == 0
+        one_step = json.loads((out / "straightness.json").read_text())["one_step"]
+        assert set(one_step) == {"max", "rms", "reference_steps_used", "reference_gap"}
+        assert one_step["reference_steps_used"] == 10 and one_step["reference_gap"] is None
 
     def test_curved_flow_gap_at_unit_start(self, tmp_path):
         pts = tmp_path / "points.csv"
@@ -551,6 +562,20 @@ class TestSchema:
         cfg_path, _ = write_config(tmp_path, **knob)
         assert cli.main(["simulate", "--config", str(cfg_path)]) == 2
         assert next(iter(knob)) in capsys.readouterr().err
+
+    def test_schema_is_valid_draft7(self):
+        jsonschema.Draft7Validator.check_schema(cli.CONFIG_SCHEMA)
+
+    @pytest.mark.parametrize("faults,message", [
+        ({"n": 0, "flow": {"steps": 0}}, "config field n: 0 is less than the minimum of 1"),
+        ({"flow": {"reference_steps": 0}, "grid": {"nodes_per_axis": 2}},
+         "config field grid.nodes_per_axis: 2 is less than the minimum of 3"),
+        ({"seed": -1, "n": "many"}, "config field seed: -1 is less than the minimum of 0"),
+    ], ids=["shallow_first", "same_depth", "type_and_range"])
+    def test_two_faults_name_one_field(self, tmp_path, capsys, faults, message):
+        cfg_path, _ = write_config(tmp_path, **faults)
+        assert cli.main(["simulate", "--config", str(cfg_path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_missing_required_exit_2(self, tmp_path, capsys):
         path = tmp_path / "c.json"

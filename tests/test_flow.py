@@ -48,6 +48,12 @@ def counting(oracle):
     return flow.VelocityOracle(evaluate), calls
 
 
+def deviation(traj):
+    """The straightness figures of one trajectory, as floats."""
+    dev = flow.straightness_deviation(traj.states[None], traj.grid)
+    return flow.StraightnessDeviation(float(dev.chord_dev[0]), float(dev.second_diff[0]))
+
+
 def _property_oracles():
     g = gaussian.from_process_spec(core.ProcessSpec(
         core.affine_alpha(), core.affine_beta(),
@@ -276,24 +282,33 @@ class TestFlowMap:
 class TestStraightness:
     def test_exact_line_zero(self):
         traj = flow.integrate(const_oracle([1.5]), np.array([0.7]), core.make_time_grid(10), "euler")
-        dev = flow.straightness_deviation(traj)
+        dev = deviation(traj)
         assert dev.chord_dev == pytest.approx(0.0, abs=1e-13)
         assert dev.second_diff == pytest.approx(0.0, abs=1e-10)
 
     def test_trig_deterministic_bulge(self, oracle_trig_det):
         traj = flow.integrate(oracle_trig_det, np.array([1.0]), core.make_time_grid(400), "rk4")
-        dev = flow.straightness_deviation(traj)
+        dev = deviation(traj)
         assert dev.chord_dev == pytest.approx(np.sqrt(2.0) - 1.0, abs=1e-3)
 
     def test_affine_deterministic_straight(self, oracle_affine_det):
         traj = flow.integrate(oracle_affine_det, np.array([1.0]), core.make_time_grid(100), "rk4")
-        dev = flow.straightness_deviation(traj)
+        dev = deviation(traj)
         assert dev.chord_dev <= 1e-6
 
     def test_needs_three_nodes(self):
         traj = flow.integrate(const_oracle([1.0]), np.zeros(1), core.make_time_grid(1), "euler")
         with pytest.raises(InvalidArgumentError):
-            flow.straightness_deviation(traj)
+            deviation(traj)
+
+    def test_batch_equals_rows(self):
+        # enough points for several blocks, so the block seams are covered
+        grid = core.make_time_grid(100)
+        states = core.aux_rng(0, 11).standard_normal((1500, grid.n_nodes, 2))
+        dev = flow.straightness_deviation(states, grid)
+        rows = [flow.straightness_deviation(s[None], grid) for s in states]
+        np.testing.assert_array_equal(dev.chord_dev, [r.chord_dev[0] for r in rows])
+        np.testing.assert_array_equal(dev.second_diff, [r.second_diff[0] for r in rows])
 
 
 class TestOneStep:
@@ -309,6 +324,64 @@ class TestOneStep:
     def test_zero_field(self):
         summary = flow.one_step_error(const_oracle([0.0]), np.array([[0.3], [1.0]]))
         assert summary.max_error == pytest.approx(0.0, abs=1e-14)
+
+
+class TestReferenceSizing:
+    """The one-step reference doubles its steps only while its endpoints move."""
+
+    def test_straight_flow_stops_at_second_run(self, affine_ot_spec):
+        oracle, calls = counting(
+            flow.analytic_velocity_oracle(gaussian.from_process_spec(affine_ot_spec))
+        )
+        pts = affine_ot_spec.coupling.mu0.draw(core.aux_rng(0, 9), 50)
+        summary = flow.one_step_error(oracle, pts)
+        assert len(calls) == 1 + 4 * (25 + 50)
+        assert summary.reference_steps == 50
+        assert summary.reference_gap <= 1e-9
+
+    def test_cap_below_first_run_runs_once(self, oracle_affine_indep):
+        oracle, calls = counting(oracle_affine_indep)
+        summary = flow.one_step_error(oracle, np.array([[1.0]]), reference_steps=10)
+        assert len(calls) == 1 + 4 * 10
+        assert summary.reference_steps == 10 and summary.reference_gap is None
+
+    def test_unmet_rule_runs_to_cap(self):
+        # x' = 20 x: rk4 at 50 and 100 steps still differ by 3e-3 of the error
+        oracle, calls = counting(flow.VelocityOracle(lambda t, x: 20.0 * np.asarray(x)))
+        summary = flow.one_step_error(oracle, np.array([[1.0]]), reference_steps=100)
+        assert summary.reference_steps == 100
+        assert len(calls) == 1 + 4 * (25 + 50 + 100)
+        assert summary.reference_gap > 1e-3 * summary.max_error
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        coefficients=st.sampled_from(["affine", "trig"]),
+        ot=st.booleans(),
+        dim=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_sized_agrees_with_fixed_reference(self, coefficients, ot, dim, seed):
+        rng = core.aux_rng(seed, 0)
+
+        def gaussian_draw():
+            L = np.tril(rng.uniform(-1.0, 1.0, (dim, dim)), -1)
+            L += np.diag(rng.uniform(0.5, 2.0, dim))
+            return core.Gaussian(rng.uniform(-2.0, 2.0, dim), L @ L.T)
+
+        mu0, mu1 = gaussian_draw(), gaussian_draw()
+        amap = gaussian.gaussian_ot_map(mu0.mean, mu0.cov, mu1.mean, mu1.cov) if ot else None
+        coupling = core.CouplingSpec("deterministic_map" if ot else "independent", mu0, mu1,
+                                     map=amap)
+        spec = make_spec(coefficients, coupling, dim)
+        oracle = flow.analytic_velocity_oracle(gaussian.from_process_spec(spec))
+        pts = mu0.draw(rng, 5)
+
+        summary = flow.one_step_error(oracle, pts)
+        euler = flow.flow_map(oracle, pts, core.make_time_grid(1), "euler").endpoints
+        fixed = flow.flow_map(oracle, pts, core.make_time_grid(400), "rk4").endpoints
+        errors = np.linalg.norm(euler - fixed, axis=1)
+        assert summary.reference_gap is not None
+        assert np.abs(summary.errors - errors).max() <= max(summary.reference_gap, 1e-12)
 
 
 class TestSchemeConsistency:
@@ -399,7 +472,7 @@ class TestTripleAgreement:
         oracle = flow.analytic_velocity_oracle(g)
 
         traj = flow.integrate(oracle, np.array([1.0]), core.make_time_grid(200), "rk4")
-        second_ok = flow.straightness_deviation(traj).second_diff <= self.TOL_SECOND
+        second_ok = deviation(traj).second_diff <= self.TOL_SECOND
 
         t, h_t = 0.4, 1e-5
         grid = calculus.make_spatial_grid(gaussian.oracle_box(g, t), 61)
