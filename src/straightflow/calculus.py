@@ -31,6 +31,7 @@ __all__ = [
     "grid_divergence_vector",
     "grid_divergence_matrix",
     "time_derivative",
+    "central_time_derivatives",
     "material_derivative",
     "momentum_residual",
     "balance_residual",
@@ -250,38 +251,56 @@ def _narrow(grid: SpatialGrid, values: np.ndarray, rank: str) -> SpatialGrid:
     return grid.with_mask(grid.mask & finite)
 
 
-def _check_triple(fields, rank: str):
-    a, b, c = fields
-    for f in fields:
+def _check_fields(*fields_and_ranks):
+    """Each (field, rank) pair has that rank, and all share one spatial grid."""
+    first = fields_and_ranks[0][0]
+    for f, rank in fields_and_ranks:
         if f.rank != rank:
-            raise InvalidArgumentError(f"expected {rank} fields")
-    if not (a.grid.same_axes(b.grid) and a.grid.same_axes(c.grid)):
-        raise InvalidArgumentError("time-slice fields must share one spatial grid")
+            raise InvalidArgumentError(f"expected a {rank} field, got a {f.rank} one")
+        if not f.grid.same_axes(first.grid):
+            raise InvalidArgumentError("all fields must share one spatial grid")
 
 
 def time_derivative(f_minus: GridField, f_center: GridField, f_plus: GridField, h_t: float) -> GridField:
     """Central time derivative from slices at t-h_t, t, t+h_t."""
-    _check_triple((f_minus, f_center, f_plus), f_center.rank)
+    _check_fields(*((f, f_center.rank) for f in (f_minus, f_center, f_plus)))
     values = (f_plus.values - f_minus.values) / (2 * h_t)
     grid = f_center.grid.with_mask(f_minus.grid.mask & f_center.grid.mask & f_plus.grid.mask)
     return GridField(_narrow(grid, values, f_center.rank), f_center.rank, values, f_center.time)
 
 
-def material_derivative(
-    v_minus: GridField, v_center: GridField, v_plus: GridField, h_t: float, order: int = 4
-) -> GridField:
-    """D_t v = time derivative of v plus the advective term (v . grad) v."""
-    _check_triple((v_minus, v_center, v_plus), "vector")
-    dtv = time_derivative(v_minus, v_center, v_plus, h_t)
-    h = v_center.grid.spacings
-    d = v_center.dim
-    jac = np.empty(v_center.grid.shape + (d, d))  # jac[..., i, j] = d_i v_j
+def _momentum_density(rho: GridField, v: GridField) -> GridField:
+    """rho v on the nodes where both are admissible."""
+    return GridField(
+        rho.grid.with_mask(rho.grid.mask & v.grid.mask), "vector",
+        rho.values[..., None] * v.values, rho.time,
+    )
+
+
+def central_time_derivatives(f_minus: dict, f_center: dict, f_plus: dict, h_t: float) -> dict:
+    """``dt_rho``, ``dt_rho_v`` and ``dt_v`` by central differences of the
+    field mappings (with ``rho`` and ``v``) at t-h_t, t and t+h_t."""
+    triple = (f_minus, f_center, f_plus)
+    return {
+        "dt_rho": time_derivative(*(f["rho"] for f in triple), h_t),
+        "dt_rho_v": time_derivative(*(_momentum_density(f["rho"], f["v"]) for f in triple), h_t),
+        "dt_v": time_derivative(*(f["v"] for f in triple), h_t),
+    }
+
+
+def material_derivative(v: GridField, dt_v: GridField, order: int = 4) -> GridField:
+    """D_t v = the time derivative ``dt_v`` of v plus the advective term
+    (v . grad) v."""
+    _check_fields((v, "vector"), (dt_v, "vector"))
+    h = v.grid.spacings
+    d = v.dim
+    jac = np.empty(v.grid.shape + (d, d))  # jac[..., i, j] = d_i v_j
     for i in range(d):
-        jac[..., i, :] = _axis_d1(v_center.values, i, h[i], order)
-    adv = np.einsum("...i,...ij->...j", v_center.values, jac)
-    values = dtv.values + adv
-    grid = v_center.grid.with_mask(dtv.grid.mask)
-    return GridField(_narrow(grid, values, "vector"), "vector", values, v_center.time)
+        jac[..., i, :] = _axis_d1(v.values, i, h[i], order)
+    adv = np.einsum("...i,...ij->...j", v.values, jac)
+    values = dt_v.values + adv
+    grid = v.grid.with_mask(v.grid.mask & dt_v.grid.mask)
+    return GridField(_narrow(grid, values, "vector"), "vector", values, v.time)
 
 
 # ---------------------------------------------------------------------------
@@ -327,46 +346,32 @@ def _report(values, rank, grid, ref_mag, time, verdict=None) -> ResidualReport:
 
 
 def momentum_residual(
-    rho_triple, v_triple, Sigma: GridField, a: GridField, h_t: float, order: int = 4
+    rho: GridField, v: GridField, Sigma: GridField, a: GridField, dt_rho_v: GridField,
+    order: int = 4,
 ) -> ResidualReport:
-    """Residual of d_t(rho v) + div(rho Sigma) - rho a.
+    """Residual of d_t(rho v) + div(rho Sigma) - rho a, given the time
+    derivative ``dt_rho_v`` of the momentum density.
 
-    The reference scale is rho (|a| + |v| per unit time) at the center slice.
+    The reference scale is rho (|a| + |v| per unit time).
     """
-    _check_triple(rho_triple, "scalar")
-    _check_triple(v_triple, "vector")
-    rho_c, v_c = rho_triple[1], v_triple[1]
-    if Sigma.rank != "matrix" or a.rank != "vector":
-        raise InvalidArgumentError("Sigma must be a matrix field and a a vector field")
-    if not (rho_c.grid.same_axes(Sigma.grid) and rho_c.grid.same_axes(a.grid)):
-        raise InvalidArgumentError("all fields must share one spatial grid")
-
-    mom = [
-        GridField(
-            r.grid.with_mask(r.grid.mask & v.grid.mask),
-            "vector",
-            r.values[..., None] * v.values,
-            r.time,
-        )
-        for r, v in zip(rho_triple, v_triple)
-    ]
-    dt_mom = time_derivative(mom[0], mom[1], mom[2], h_t)
+    _check_fields((rho, "scalar"), (v, "vector"), (Sigma, "matrix"), (a, "vector"),
+                  (dt_rho_v, "vector"))
     rho_sigma = GridField(
-        Sigma.grid.with_mask(Sigma.grid.mask & rho_c.grid.mask),
+        Sigma.grid.with_mask(Sigma.grid.mask & rho.grid.mask),
         "matrix",
-        rho_c.values[..., None, None] * Sigma.values,
+        rho.values[..., None, None] * Sigma.values,
         Sigma.time,
     )
     div = grid_divergence_matrix(rho_sigma, order)
-    values = dt_mom.values + div.values - rho_c.values[..., None] * a.values
+    values = dt_rho_v.values + div.values - rho.values[..., None] * a.values
 
-    ref_mag = rho_c.values * (
-        _pointwise_mag(a.values, "vector") + _pointwise_mag(v_c.values, "vector")
+    ref_mag = rho.values * (
+        _pointwise_mag(a.values, "vector") + _pointwise_mag(v.values, "vector")
     )
-    grid = rho_c.grid.with_mask(
-        rho_c.grid.mask & v_c.grid.mask & Sigma.grid.mask & a.grid.mask & dt_mom.grid.mask
+    grid = rho.grid.with_mask(
+        rho.grid.mask & v.grid.mask & Sigma.grid.mask & a.grid.mask & dt_rho_v.grid.mask
     )
-    return _report(values, "vector", grid, ref_mag, rho_c.time)
+    return _report(values, "vector", grid, ref_mag, rho.time)
 
 
 def balance_residual(
@@ -402,30 +407,23 @@ def balance_residual(
     )
 
 
-def continuity_residual(rho_triple, v_triple, h_t: float, order: int = 4) -> ResidualReport:
-    """Residual of d_t rho + div(rho v); reference scale is rho per unit time."""
-    _check_triple(rho_triple, "scalar")
-    _check_triple(v_triple, "vector")
-    rho_c, v_c = rho_triple[1], v_triple[1]
-    dt_rho = time_derivative(*rho_triple, h_t=h_t)
-    flux = GridField(
-        rho_c.grid.with_mask(rho_c.grid.mask & v_c.grid.mask),
-        "vector",
-        rho_c.values[..., None] * v_c.values,
-        rho_c.time,
-    )
-    div = grid_divergence_vector(flux, order)
+def continuity_residual(
+    rho: GridField, v: GridField, dt_rho: GridField, order: int = 4
+) -> ResidualReport:
+    """Residual of d_t rho + div(rho v), given the time derivative
+    ``dt_rho``; reference scale is rho per unit time."""
+    _check_fields((rho, "scalar"), (v, "vector"), (dt_rho, "scalar"))
+    div = grid_divergence_vector(_momentum_density(rho, v), order)
     values = dt_rho.values + div.values
-    grid = rho_c.grid.with_mask(rho_c.grid.mask & v_c.grid.mask & dt_rho.grid.mask)
-    return _report(values, "scalar", grid, rho_c.values, rho_c.time)
+    grid = rho.grid.with_mask(rho.grid.mask & v.grid.mask & dt_rho.grid.mask)
+    return _report(values, "scalar", grid, rho.values, rho.time)
 
 
-def material_residual(v_triple, h_t: float, order: int = 4) -> ResidualReport:
+def material_residual(v: GridField, dt_v: GridField, order: int = 4) -> ResidualReport:
     """Residual of D_t v = 0 (see :func:`material_derivative`), which straight
-    flows meet; reference scale is |v| at the center slice."""
-    dtv = material_derivative(*v_triple, h_t, order=order)
-    v_c = v_triple[1]
-    return _report(dtv.values, "vector", dtv.grid, _pointwise_mag(v_c.values, "vector"), v_c.time)
+    flows meet; reference scale is |v|."""
+    dtv = material_derivative(v, dt_v, order=order)
+    return _report(dtv.values, "vector", dtv.grid, _pointwise_mag(v.values, "vector"), v.time)
 
 
 # ---------------------------------------------------------------------------

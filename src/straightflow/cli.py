@@ -159,7 +159,7 @@ CONFIG_SCHEMA = {
         },
         "h_t": {
             "type": "object",
-            "properties": {"analytic": _POS, "estimated": _POS},
+            "properties": {"analytic": _POS},
             "additionalProperties": False,
         },
         "tolerances": {
@@ -197,7 +197,7 @@ _DEFAULTS = {
     "source": "oracle",
     "time": 0.5,
     "time_nodes": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
-    "h_t": {"analytic": 1e-5, "estimated": 1e-3},
+    "h_t": {"analytic": 1e-5},
     "tolerances": {"balance_relative": 1e-3, "trace_ratio": 0.05},
     "flow": {"scheme": "rk4", "steps": 100, "reference_steps": 400, "n_points": 100},
     "output_dir": "out",
@@ -411,7 +411,8 @@ def _field_source(cfg: ExperimentConfig, source: str, t: float):
     """``fields_at(tt)``: the fields of ``source`` at time ``tt`` on the grid
     resolved at ``t``.  The oracle tabulates the Gaussian fields; the estimate
     slices the endpoints, sampled once, at ``tt`` and runs the kernel
-    estimator on the slice."""
+    estimator on the slice, which also returns the exact time derivatives
+    when ``fields_at(tt, time_derivatives=True)`` asks for them."""
     spec = build_process_spec(cfg)
     if source == "oracle":
         gspec = gaussian.from_process_spec(spec)
@@ -421,9 +422,9 @@ def _field_source(cfg: ExperimentConfig, source: str, t: float):
     grid = _resolve_spatial_grid(cfg, spec, t, sample=core.slice_state(spec, endpoints, t)[0])
     kcfg = _kernel_config(cfg)
 
-    def fields_at(tt: float):
+    def fields_at(tt: float, time_derivatives: bool = False):
         X, V, A = core.slice_state(spec, endpoints, tt)
-        return estimate.fields_on_grid(X, V, A, grid, kcfg, tt)
+        return estimate.fields_on_grid(X, V, A, grid, kcfg, tt, time_derivatives)
 
     return fields_at
 
@@ -439,22 +440,28 @@ def cmd_fields(cfg: ExperimentConfig, out: _Outputs, source: str, t: float) -> i
 
 def cmd_diagnose(cfg: ExperimentConfig, out: _Outputs, t: float) -> int:
     source = cfg["source"]
-    # analytic fields take a fourth-order stencil, noisy estimates a second-order one
-    h_t, order = (cfg["h_t"]["analytic"], 4) if source == "oracle" else (cfg["h_t"]["estimated"], 2)
-    if not (h_t <= t <= 1.0 - h_t):
-        raise ConfigError("diagnose time must keep t +- h_t inside [0, 1]", "time")
     fields_at = _field_source(cfg, source, t)
-    f_m, f_c, f_p = (fields_at(tt) for tt in (t - h_t, t, t + h_t))
+    if source == "oracle":
+        # analytic fields: central differences in time, a fourth-order stencil
+        h_t, order = cfg["h_t"]["analytic"], 4
+        if not (h_t <= t <= 1.0 - h_t):
+            raise ConfigError("diagnose time must keep t +- h_t inside [0, 1]", "time")
+        f_m, f, f_p = (fields_at(tt) for tt in (t - h_t, t, t + h_t))
+        f.update(calculus.central_time_derivatives(f_m, f, f_p, h_t))
+    else:
+        # the estimate's exact time derivatives; noisy fields, a second-order stencil
+        h_t, order = None, 2
+        f = fields_at(t, time_derivatives=True)
 
-    rho3 = (f_m["rho"], f_c["rho"], f_p["rho"])
-    v3 = (f_m["v"], f_c["v"], f_p["v"])
-    cont = calculus.continuity_residual(rho3, v3, h_t, order=order)
-    mom = calculus.momentum_residual(rho3, v3, f_c["Sigma"], f_c["a"], h_t, order=order)
+    cont = calculus.continuity_residual(f["rho"], f["v"], f["dt_rho"], order=order)
+    mom = calculus.momentum_residual(
+        f["rho"], f["v"], f["Sigma"], f["a"], f["dt_rho_v"], order=order
+    )
     bal = calculus.balance_residual(
-        f_c["rho"], f_c["Pi"], f_c["a"], order=order,
+        f["rho"], f["Pi"], f["a"], order=order,
         tolerance=cfg["tolerances"]["balance_relative"],
     )
-    mat = calculus.material_residual(v3, h_t, order=order)
+    mat = calculus.material_residual(f["v"], f["dt_v"], order=order)
 
     def norms(rep):
         return {k: getattr(rep, k) for k in ("max_abs", "rms", "reference", "relative", "n_nodes")}

@@ -17,8 +17,9 @@ the band of samples within eight bandwidths of it.  In d >= 2 a block is a
 cell of queries a few bandwidths wide on every axis; it meets the samples of
 its axis-0 band that also lie near it on every other axis, gathered once per
 cell.  Squared distances are sums of direct coordinate differences, so
-nothing cancels far from the origin.  :func:`fields_on_grid` is the grid view
-over the engine.
+nothing cancels far from the origin.  Given the sample velocities, the engine
+also returns the exact time derivatives of its sums at a fixed bandwidth.
+:func:`fields_on_grid` is the grid view over the engine.
 """
 
 from __future__ import annotations
@@ -106,6 +107,11 @@ _GATHER_QUERIES = 5
 # Most query x sample pairs held at once (each temporary is 256 kB), unless
 # one query's window alone holds more samples.
 _BLOCK_PAIRS = 1 << 15
+# numpy's exp takes a slow path, 20-100 times slower, where its result is
+# below the smallest normal double (exponents under -708.4).  Strips (see
+# _cell_blocks) meet samples far off their query on the other axes; a strip
+# that can reach exponents under -_EXP_FAST floors them.
+_EXP_FAST = 700.0
 
 
 def _in_window(q_lo: np.ndarray, q_hi: np.ndarray, cols: np.ndarray, axes) -> np.ndarray:
@@ -120,16 +126,27 @@ def _in_window(q_lo: np.ndarray, q_hi: np.ndarray, cols: np.ndarray, axes) -> np
     return inside
 
 
-def _weights(q: np.ndarray, cols: np.ndarray, h: float) -> np.ndarray:
+def _weights(q: np.ndarray, cols: np.ndarray, h: float, floor=None, vel=None):
     """Unnormalized Gaussian weights (queries, columns) of the samples
-    (d, columns), distances summed from direct coordinate differences."""
+    (d, columns), distances summed from direct coordinate differences, with
+    exponents below ``floor`` (if any) raised to it.  Given the sample
+    velocities ``vel`` (columns, d), the second value is s = (x - X).V per
+    pair, from the same differences; otherwise it is None.  Three pair
+    temporaries at most: an axis's difference is taken again for its square
+    rather than held twice."""
     d2 = np.subtract(q[:, 0, None], cols[None, 0])
+    s = None if vel is None else np.multiply(d2, vel[None, :, 0])
     np.square(d2, out=d2)
     for k in range(1, cols.shape[0]):
         diff = np.subtract(q[:, k, None], cols[None, k])
+        if s is not None:
+            s += np.multiply(diff, vel[None, :, k], out=diff)
+            np.subtract(q[:, k, None], cols[None, k], out=diff)
         d2 += np.square(diff, out=diff)
     np.multiply(d2, -1.0 / (2.0 * h * h), out=d2)
-    return np.exp(d2, out=d2)
+    if floor is not None:
+        np.maximum(d2, floor, out=d2)
+    return np.exp(d2, out=d2), s
 
 
 def _axis_blocks(S, Y, ps, radius, win):
@@ -137,7 +154,8 @@ def _axis_blocks(S, Y, ps, radius, win):
     ``_BLOCK_WIDTH`` window radii wide and at most ``_BLOCK_PAIRS`` pairs,
     against the band of samples within the radius of it.  Yields (first
     query, end query, band samples (d, n), band targets, (columns, axes)
-    pairs: columns that can fall outside a query's window on those axes)."""
+    pairs: columns that can fall outside a query's window on those axes,
+    exponent floor or None)."""
     win_lo, win_hi = win
     block_end = np.searchsorted(ps[:, 0], ps[:, 0] + _BLOCK_WIDTH * radius, side="right")
     i = 0
@@ -151,7 +169,7 @@ def _axis_blocks(S, Y, ps, radius, win):
             # only the columns on either side can fall outside a query's window
             left, right = win_lo[j - 1] - lo, win_hi[i] - lo
             edges = [(s, (0,)) for s in (slice(0, left), slice(right, hi - lo)) if s.start < s.stop]
-            yield i, j, S[:, lo:hi], Y[lo:hi], edges
+            yield i, j, S[:, lo:hi], Y[lo:hi], edges, None
         i = j
 
 
@@ -171,20 +189,25 @@ def _cell_order(points, radius):
     return order, np.append(np.flatnonzero(first), m)
 
 
-def _cell_blocks(S, Y, q_lo, q_hi, win, starts):
+def _cell_blocks(S, Y, q_lo, q_hi, win, starts, far):
     """d >= 2 blocks: each cell of queries meets the samples of its axis-0
     band that lie within the window radius of the cell's extent on every
     other axis, gathered with the samples inside every query's window first.
     A cell with fewer than ``_GATHER_QUERIES`` queries does not pay for the
-    gather: each of its queries meets its own axis-0 window, masked on the
-    other axes.  Yields blocks as ``_axis_blocks`` does."""
+    gather: each of its queries meets its own axis-0 window (a strip),
+    masked on the other axes.  Every in-window pair's exponent is at least
+    -(W^2/2) d, so the strips of the ``far`` queries floor their exponents
+    one below that, and each floored pair is still masked to an exact 0.
+    Yields blocks as ``_axis_blocks`` does."""
     win_lo, win_hi = win
     d = S.shape[0]
+    strip_edges = ((slice(None), range(1, d)),)
+    floor = -(_WINDOW_BANDWIDTHS**2 / 2.0) * d - 1.0
     for i, e in zip(starts[:-1], starts[1:]):
         if e - i < _GATHER_QUERIES:
             for j in range(i, e):
                 lo, hi = win_lo[j], win_hi[j]
-                yield j, j + 1, S[:, lo:hi], Y[lo:hi], ((slice(None), range(1, d)),)
+                yield j, j + 1, S[:, lo:hi], Y[lo:hi], strip_edges, floor if far[j] else None
             continue
         lo, hi = win_lo[i:e].min(), win_hi[i:e].max()
         band = S[:, lo:hi]
@@ -200,10 +223,25 @@ def _cell_blocks(S, Y, q_lo, q_hi, win, starts):
         cols = lo + np.concatenate([inner, np.flatnonzero(keep & ~sure)])
         if cols.size:
             edges = ((slice(inner.size, None), range(d)),)
-            yield i, e, np.take(S, cols, axis=1), np.take(Y, cols, axis=0), edges
+            yield i, e, np.take(S, cols, axis=1), np.take(Y, cols, axis=0), edges, None
 
 
-def nw_regress(X: np.ndarray, Y: np.ndarray, points: np.ndarray, h: float):
+def _far_strips(S, ps, h):
+    """Whether the strip of each query (M, d) can reach exponents under
+    ``-_EXP_FAST``.  A strip pair is within the window on axis 0, which
+    adds at most W^2/2 (W the window in bandwidths), and the query's reach
+    to the farthest sample bounds what each other axis adds."""
+    reach = np.full(ps.shape[0], _WINDOW_BANDWIDTHS**2 / 2.0)
+    if S.shape[1]:
+        for k in range(1, ps.shape[1]):
+            far = np.maximum(ps[:, k] - S[k].min(), S[k].max() - ps[:, k])
+            reach += far * far / (2.0 * h * h)
+    return reach > _EXP_FAST
+
+
+def nw_regress(
+    X: np.ndarray, Y: np.ndarray, points: np.ndarray, h: float, moving: bool = False
+):
     """Nadaraya-Watson ratio of targets Y (N, p) at each query point (M, d).
 
     Returns (values (M, p), effective_n (M,)).  Samples farther than eight
@@ -211,15 +249,23 @@ def nw_regress(X: np.ndarray, Y: np.ndarray, points: np.ndarray, h: float):
     applied here; callers decide whether to refuse or mask.  Samples already
     sorted on axis 0 are not sorted again, so a caller that queries one
     sample set many times can sort it once.
+
+    With ``moving``, the first d columns of Y are the sample velocities V,
+    and it also returns the weighted means (M, 1 + d) of s and of s V, with
+    s_i = (x - X_i).V_i per pair.  Moving the samples with V at a fixed
+    bandwidth, the weight w_i changes at the rate w_i s_i / h^2, so these
+    give the exact time derivatives of every weighted sum.  V is read from
+    the targets, so the engine holds no second copy of it.
     """
     points = np.atleast_2d(points)
     radius = _WINDOW_BANDWIDTHS * h
+    d = points.shape[1]
     S = X.T
     if np.any(S[0, 1:] < S[0, :-1]):
         order = np.argsort(S[0], kind="stable")
         S, Y = S.take(order, axis=1), Y[order]
     S = np.ascontiguousarray(S)  # one contiguous row per axis
-    if points.shape[1] == 1:
+    if d == 1:
         order, starts = np.argsort(points[:, 0], kind="stable"), None
     else:
         order, starts = _cell_order(points, radius)
@@ -231,27 +277,35 @@ def nw_regress(X: np.ndarray, Y: np.ndarray, points: np.ndarray, h: float):
     if starts is None:
         blocks = _axis_blocks(S, Y, ps, radius, win)
     else:
-        blocks = _cell_blocks(S, Y, q_lo, q_hi, win, starts)
+        blocks = _cell_blocks(S, Y, q_lo, q_hi, win, starts, _far_strips(S, ps, h))
 
     sum_w = np.zeros(ps.shape[0])
     sum_wy = np.zeros((ps.shape[0], Y.shape[1]))
-    for i, e, Sb, Yb, edges in blocks:
+    sum_ws = np.zeros((ps.shape[0], 1 + d)) if moving else None
+    for i, e, Sb, Yb, edges, floor in blocks:
         step = max(1, _BLOCK_PAIRS // max(Sb.shape[1], 1))
         for j in range(i, e, step):
             rows = slice(j, min(j + step, e))
-            w = _weights(ps[rows], Sb, h)
+            w, s = _weights(ps[rows], Sb, h, floor, Yb[:, :d] if moving else None)
             for cols, axes in edges:
                 w[:, cols] *= _in_window(q_lo[rows], q_hi[rows], Sb[:, cols], axes)
             sum_w[rows] = w.sum(axis=1)
             sum_wy[rows] = w @ Yb
+            if moving:
+                s *= w
+                sum_ws[rows, 0] = s.sum(axis=1)
+                sum_ws[rows, 1:] = s @ Yb[:, :d]
         del Sb, Yb  # a cell's gathered samples go before the next cell's come
 
-    vals = np.empty_like(sum_wy)
+    def ratio(sums):
+        out = np.empty_like(sums)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out[order] = sums / sum_w[:, None]
+        return out
+
     eff = np.empty_like(sum_w)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        vals[order] = sum_wy / sum_w[:, None]
     eff[order] = sum_w
-    return vals, eff
+    return (ratio(sum_wy), eff, ratio(sum_ws)) if moving else (ratio(sum_wy), eff)
 
 
 def reynolds_tensor(Sigma_hat: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
@@ -293,6 +347,7 @@ def fields_on_grid(
     grid: calculus.SpatialGrid,
     cfg: KernelConfig,
     t: float = 0.0,
+    time_derivatives: bool = False,
 ) -> dict[str, calculus.GridField]:
     """Estimate rho, v, a, Sigma, Pi on every grid node.
 
@@ -301,6 +356,10 @@ def fields_on_grid(
     so every field's ``grid`` is the refined grid.  Pi is repaired by clipping
     negative eigenvalues so downstream stencils see a full PSD field.  The
     fields also carry ``effective_n``.
+
+    With ``time_derivatives`` they also carry the exact time derivatives of
+    the estimate at its bandwidth, held fixed, as the samples move with V:
+    ``dt_rho``, ``dt_rho_v`` (of the momentum density rho v) and ``dt_v``.
     """
     for name, arr in (("positions", X), ("velocities", V), ("accelerations", A)):
         if not np.all(np.isfinite(arr)):
@@ -313,7 +372,7 @@ def fields_on_grid(
     outer = (V[:, :, None] * V[:, None, :]).reshape(n, d * d)
     targets = np.concatenate([V, A, outer], axis=1)[order]
     del outer  # not held through the kernel sums
-    vals, eff = nw_regress(X[order], targets, pts, h)
+    vals, eff, *rates = nw_regress(X[order], targets, pts, h, moving=time_derivatives)
     rho = eff / (n * (2 * np.pi * h * h) ** (d / 2))
 
     ok = (eff >= cfg.density_floor) & (eff > 0)
@@ -329,7 +388,7 @@ def fields_on_grid(
     pi_arr[ok] = reynolds_tensor(sig_arr[ok], v_arr[ok])
 
     refined = grid.with_mask(grid.mask & ok.reshape(shape))
-    return {
+    fields = {
         "rho": calculus.GridField(refined, "scalar", rho_arr.reshape(shape), t),
         "v": calculus.GridField(refined, "vector", v_arr.reshape(shape + (d,)), t),
         "a": calculus.GridField(refined, "vector", a_arr.reshape(shape + (d,)), t),
@@ -337,3 +396,16 @@ def fields_on_grid(
         "Pi": calculus.GridField(refined, "matrix", pi_arr.reshape(shape + (d, d)), t),
         "effective_n": calculus.GridField(refined, "scalar", eff.reshape(shape), t),
     }
+    if time_derivatives:
+        # d_t sum_i w_i = sum_i w_i s_i / h^2 and d_t sum_i w_i V_i = sum_i w_i
+        # s_i V_i / h^2 + sum_i w_i A_i; both over sum_i w_i here, so masked
+        # nodes stay NaN through rho and a
+        rates = rates[0] / (h * h)
+        dt_log_rho, dt_mom = rates[:, 0], rates[:, 1:] + a_arr
+        dt_rho, dt_rho_v = rho_arr * dt_log_rho, rho_arr[:, None] * dt_mom
+        dt_v = dt_mom - v_arr * dt_log_rho[:, None]
+        vec = shape + (d,)
+        fields["dt_rho"] = calculus.GridField(refined, "scalar", dt_rho.reshape(shape), t)
+        fields["dt_rho_v"] = calculus.GridField(refined, "vector", dt_rho_v.reshape(vec), t)
+        fields["dt_v"] = calculus.GridField(refined, "vector", dt_v.reshape(vec), t)
+    return fields

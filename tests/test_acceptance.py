@@ -10,7 +10,7 @@ import pytest
 
 from straightflow import calculus, cli, core, estimate, flow, gaussian, verify
 
-from conftest import gauss1, head, make_spec
+from conftest import gauss1, head, make_spec, oracle_fields_dt
 
 PI2_4 = np.pi**2 / 4
 
@@ -23,12 +23,6 @@ def _criterion(num, desc, ok, detail=""):
 
 def _states(result):
     return np.stack([tr.states for tr in result.trajectories])
-
-
-def _oracle_grid_triples(spec, t, h_t, grid):
-    g = gaussian.from_process_spec(spec)
-    f = [gaussian.fields_on_grid(g, tt, grid) for tt in (t - h_t, t, t + h_t)]
-    return f[1], tuple(fi["rho"] for fi in f), tuple(fi["v"] for fi in f)
 
 
 def test_criterion_1_straightness_iff_deterministic(
@@ -141,9 +135,9 @@ def test_criterion_4_momentum_and_continuity(
         def run(h_target):
             n = max(4, round(span / h_target))
             grid = calculus.make_spatial_grid(bounds, n + 1)
-            fc, rho3, v3 = _oracle_grid_triples(spec, t, h_t, grid)
-            mom = calculus.momentum_residual(rho3, v3, fc["Sigma"], fc["a"], h_t)
-            cont = calculus.continuity_residual(rho3, v3, h_t)
+            f = oracle_fields_dt(spec, t, h_t, grid)
+            mom = calculus.momentum_residual(f["rho"], f["v"], f["Sigma"], f["a"], f["dt_rho_v"])
+            cont = calculus.continuity_residual(f["rho"], f["v"], f["dt_rho"])
             return mom, cont
 
         mom1, cont1 = run(0.1)
@@ -165,16 +159,16 @@ def test_criterion_4_momentum_and_continuity(
 def test_criterion_5_material_derivative(affine_indep_spec):
     t, h_t = 0.5, 1e-3
     grid = calculus.make_spatial_grid([(-2.0, 2.0)], 401)  # h = 0.01
-    _, _, v3 = _oracle_grid_triples(affine_indep_spec, t, h_t, grid)
-    out = calculus.material_derivative(v3[0], v3[1], v3[2], h_t)
+    f = oracle_fields_dt(affine_indep_spec, t, h_t, grid)
+    out = calculus.material_derivative(f["v"], f["dt_v"])
     x = grid.meshgrid()[0]
     err = np.abs(out.values[..., 0] - 4.0 * x)[out.grid.mask].max()
     rel = err / np.abs(4.0 * x).max()
 
     cov = np.array([[1.0, 2.0], [2.0, 4.0]])  # deterministic scaling X_t = (1+t) X0
     det_spec = make_spec("affine", core.gaussian_joint_coupling(np.zeros(2), cov))
-    _, _, v3d = _oracle_grid_triples(det_spec, t, h_t, grid)
-    out_det = calculus.material_derivative(v3d[0], v3d[1], v3d[2], h_t)
+    fd = oracle_fields_dt(det_spec, t, h_t, grid)
+    out_det = calculus.material_derivative(fd["v"], fd["dt_v"])
     det_abs = np.abs(out_det.values[out_det.grid.mask]).max()
 
     ok = rel <= 1e-3 and det_abs <= 1e-6

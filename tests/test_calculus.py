@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from straightflow import calculus, gaussian
 from straightflow.errors import InvalidArgumentError, InvalidGridError
 
+from conftest import oracle_fields_dt
+
 
 PI2_4 = np.pi**2 / 4
 
@@ -175,32 +177,26 @@ def oracle_fields(spec, t, grid):
     return gaussian.fields_on_grid(gaussian.from_process_spec(spec), t, grid)
 
 
-def oracle_triples(spec, t, h_t, grid):
-    g = gaussian.from_process_spec(spec)
-    f = [gaussian.fields_on_grid(g, tt, grid) for tt in (t - h_t, t, t + h_t)]
-    rho3 = tuple(fi["rho"] for fi in f)
-    v3 = tuple(fi["v"] for fi in f)
-    return f[1], rho3, v3
-
-
 class TestMaterialDerivative:
     def test_constant_velocity_vanishes(self):
         grid = grid1d(n=11)
         v = vector_field(grid, [lambda x: np.full_like(x, 2.0)])
-        out = calculus.material_derivative(v, v, v, 1e-3)
+        steady = vector_field(grid, [lambda x: np.zeros_like(x)])
+        out = calculus.material_derivative(v, steady)
         assert np.allclose(out.values[out.grid.mask], 0.0, atol=1e-12)
 
     def test_deterministic_scaling_vanishes(self):
         grid = grid1d(-2.0, 2.0, 201)
         h_t = 1e-5  # analytic-field time step
         mk = lambda t: vector_field(grid, [lambda x: x / (1.0 + t)], t)
-        out = calculus.material_derivative(mk(0.5 - h_t), mk(0.5), mk(0.5 + h_t), h_t)
+        dt_v = calculus.time_derivative(mk(0.5 - h_t), mk(0.5), mk(0.5 + h_t), h_t)
+        out = calculus.material_derivative(mk(0.5), dt_v)
         assert np.abs(out.values[out.grid.mask]).max() <= 1e-8
 
     def test_affine_independent_matches_4x(self, affine_indep_spec):
         grid = calculus.make_spatial_grid([(-2.0, 2.0)], 401)  # h = 0.01
-        _, _, v3 = oracle_triples(affine_indep_spec, 0.5, 1e-3, grid)
-        out = calculus.material_derivative(v3[0], v3[1], v3[2], 1e-3)
+        f = oracle_fields_dt(affine_indep_spec, 0.5, 1e-3, grid)
+        out = calculus.material_derivative(f["v"], f["dt_v"])
         x = grid.meshgrid()[0]
         err = np.abs(out.values[..., 0] - 4.0 * x)[out.grid.mask]
         assert err.max() <= 1e-4
@@ -209,24 +205,24 @@ class TestMaterialDerivative:
 class TestMomentumResidual:
     def test_trig_independent_small(self, trig_indep_spec):
         grid = calculus.make_spatial_grid([(-3.0, 3.0)], 601)  # h = 0.01
-        fc, rho3, v3 = oracle_triples(trig_indep_spec, 0.5, 1e-3, grid)
-        rep = calculus.momentum_residual(rho3, v3, fc["Sigma"], fc["a"], 1e-3)
+        f = oracle_fields_dt(trig_indep_spec, 0.5, 1e-3, grid)
+        rep = calculus.momentum_residual(f["rho"], f["v"], f["Sigma"], f["a"], f["dt_rho_v"])
         assert rep.max_abs <= 1e-3
 
     def test_affine_deterministic_small(self, affine_det2x_spec):
         grid = calculus.make_spatial_grid([(-4.5, 4.5)], 901)
-        fc, rho3, v3 = oracle_triples(affine_det2x_spec, 0.5, 1e-3, grid)
-        rep = calculus.momentum_residual(rho3, v3, fc["Sigma"], fc["a"], 1e-3)
+        f = oracle_fields_dt(affine_det2x_spec, 0.5, 1e-3, grid)
+        rep = calculus.momentum_residual(f["rho"], f["v"], f["Sigma"], f["a"], f["dt_rho_v"])
         assert rep.max_abs <= 1e-3
 
     def test_corrupted_acceleration_detected(self, trig_indep_spec):
         grid = calculus.make_spatial_grid([(-3.0, 3.0)], 121)
-        fc, rho3, v3 = oracle_triples(trig_indep_spec, 0.5, 1e-3, grid)
+        f = oracle_fields_dt(trig_indep_spec, 0.5, 1e-3, grid)
         a_bad = calculus.GridField(
-            fc["a"].grid, "vector", fc["a"].values + 1.0, fc["a"].time
+            f["a"].grid, "vector", f["a"].values + 1.0, f["a"].time
         )
-        rep = calculus.momentum_residual(rho3, v3, fc["Sigma"], a_bad, 1e-3)
-        rho_vals = rho3[1].values[rep.residual.grid.mask]
+        rep = calculus.momentum_residual(f["rho"], f["v"], f["Sigma"], a_bad, f["dt_rho_v"])
+        rho_vals = f["rho"].values[rep.residual.grid.mask]
         res_vals = np.abs(rep.residual.values[..., 0])[rep.residual.grid.mask]
         assert np.allclose(res_vals, rho_vals, rtol=1e-2, atol=1e-6)
 
@@ -259,22 +255,22 @@ class TestContinuityResidual:
         grid = grid1d(n=41)
         rho = scalar_field(grid, lambda x: np.exp(-(x**2) / 2))
         v = vector_field(grid, [lambda x: np.zeros_like(x)])
-        rep = calculus.continuity_residual((rho, rho, rho), (v, v, v), 1e-3)
+        steady = scalar_field(grid, lambda x: np.zeros_like(x))
+        rep = calculus.continuity_residual(rho, v, steady)
         assert rep.max_abs == 0.0
 
     def test_affine_independent_midpoint(self, affine_indep_spec):
         grid = calculus.make_spatial_grid([(-3.0, 3.0)], 61)
-        _, rho3, v3 = oracle_triples(affine_indep_spec, 0.5, 1e-5, grid)
-        rep = calculus.continuity_residual(rho3, v3, 1e-5)
+        f = oracle_fields_dt(affine_indep_spec, 0.5, 1e-5, grid)
+        rep = calculus.continuity_residual(f["rho"], f["v"], f["dt_rho"])
         assert rep.relative <= 1e-3
 
     def test_doubled_velocity_detected(self, affine_indep_spec):
         grid = calculus.make_spatial_grid([(-3.0, 3.0)], 121)
-        fc, rho3, v3 = oracle_triples(affine_indep_spec, 0.3, 1e-5, grid)
-        v_bad = tuple(
-            calculus.GridField(v.grid, "vector", 2.0 * v.values, v.time) for v in v3
-        )
-        rep = calculus.continuity_residual(rho3, v_bad, 1e-5)
+        fc = oracle_fields_dt(affine_indep_spec, 0.3, 1e-5, grid)
+        v = fc["v"]
+        v_bad = calculus.GridField(v.grid, "vector", 2.0 * v.values, v.time)
+        rep = calculus.continuity_residual(fc["rho"], v_bad, fc["dt_rho"])
         flux = calculus.grid_divergence_vector(
             calculus.GridField(
                 fc["rho"].grid, "vector", fc["rho"].values[..., None] * fc["v"].values, 0.3
@@ -293,9 +289,9 @@ class TestConvergenceOrder:
 
         def residuals(n_nodes):
             grid = calculus.make_spatial_grid([(-3.0, 3.0)], n_nodes)
-            fc, rho3, v3 = oracle_triples(spec, t, 1e-5, grid)
-            mom = calculus.momentum_residual(rho3, v3, fc["Sigma"], fc["a"], 1e-5)
-            cont = calculus.continuity_residual(rho3, v3, 1e-5)
+            f = oracle_fields_dt(spec, t, 1e-5, grid)
+            mom = calculus.momentum_residual(f["rho"], f["v"], f["Sigma"], f["a"], f["dt_rho_v"])
+            cont = calculus.continuity_residual(f["rho"], f["v"], f["dt_rho"])
             return mom.max_abs, cont.max_abs
 
         m1, c1 = residuals(61)   # h = 0.1

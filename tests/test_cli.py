@@ -1,10 +1,11 @@
 import json
+from unittest import mock
 
 import jsonschema
 import numpy as np
 import pytest
 
-from straightflow import cli, core, errors, flow, gaussian
+from straightflow import cli, core, errors, estimate, flow, gaussian
 
 
 def base_config(out_dir, **overrides):
@@ -241,6 +242,18 @@ class TestDiagnose:
         balance = json.loads((out / "diagnostics.json").read_text())["balance"]
         assert np.isfinite(balance["relative"]) and balance["relative"] <= 1.0
         assert balance["verdict"] == "not-straight-compatible"
+
+    def test_estimate_takes_one_kernel_pass(self, tmp_path):
+        # the time derivatives come from the pass at t, not from passes at t +- h_t
+        cfg_path, out = write_config(tmp_path, process=trig_process(), n=4000, source="estimate",
+                                     grid={"nodes_per_axis": 12})
+        with mock.patch.object(estimate, "nw_regress", wraps=estimate.nw_regress) as engine:
+            assert cli.main(["diagnose", "--config", str(cfg_path)]) == 0
+        assert engine.call_count == 1
+        report = json.loads((out / "diagnostics.json").read_text())
+        assert report["provenance"]["h_t"] is None
+        for section in ("continuity", "momentum", "material"):
+            assert np.isfinite(report[section]["relative"]), section
 
 
 class TestVerify:
@@ -557,6 +570,7 @@ class TestSchema:
         {"tolerances": {"one_step": 1e-6}},
         {"tolerances": {"chord": 1e-6}},
         {"flow": {"points": [[0.0]]}},
+        {"h_t": {"estimated": 1e-3}},
     ], ids=lambda knob: ".".join(next(iter(knob.items()))[1]))
     def test_removed_knobs_rejected(self, tmp_path, capsys, knob):
         cfg_path, _ = write_config(tmp_path, **knob)

@@ -186,11 +186,14 @@ class TestReynoldsTensor:
             estimate.reynolds_tensor(sigma, np.array([[0.0, 0.0], [2.0, 0.0]]))
 
 
-def dense_reference(X, Y, points, h):
+def dense_reference(X, Y, points, h, V):
     """Every sample against every query, weights farther than eight
-    bandwidths along any axis dropped."""
+    bandwidths along any axis dropped: the values, the effective n, the
+    weighted means of s and s V (s = (x - X).V per pair), and the largest
+    in-window |s| and |s V| (the scale of the terms of those means)."""
     radius = 8.0 * h
-    d2 = np.sum((points[:, None, :] - X[None, :, :]) ** 2, axis=-1)
+    diff = points[:, None, :] - X[None, :, :]
+    d2 = np.sum(diff**2, axis=-1)
     w = np.exp(-d2 / (2.0 * h * h))
     inside = np.all(
         (X[None, :, :] >= points[:, None, :] - radius)
@@ -199,13 +202,25 @@ def dense_reference(X, Y, points, h):
     )
     w = np.where(inside, w, 0.0)
     sum_w = w.sum(axis=1)
+    s = np.sum(diff * V[None, :, :], axis=-1)
+    sv = np.concatenate([s[..., None], s[..., None] * V[None, :, :]], axis=-1)
+    scale = np.abs(sv[inside]).max() if inside.any() else 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
-        return (w @ Y) / sum_w[:, None], sum_w
+        rates = np.einsum("mn,mnk->mk", w, sv) / sum_w[:, None]
+        return (w @ Y) / sum_w[:, None], sum_w, rates, scale
+
+
+def with_velocities(X, Y, points, h, V):
+    """nw_regress over the targets [V, Y] with ``moving``: the values of Y,
+    the effective n and the time-derivative moments."""
+    vals, eff, rates = estimate.nw_regress(X, np.hstack([V, Y]), points, h, moving=True)
+    return vals[:, V.shape[1]:], eff, rates
 
 
 def draw_problem(seed, n, m, d, decimals):
-    """Samples (rounded to ``decimals`` to make ties on axis 0), targets, and
-    queries mixing sample points with points up to five scales out."""
+    """Samples (rounded to ``decimals`` to make ties on axis 0), targets,
+    queries mixing sample points with points up to five scales out, and
+    sample velocities."""
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d))
     if decimals is not None:
@@ -213,7 +228,8 @@ def draw_problem(seed, n, m, d, decimals):
     Y = rng.standard_normal((n, 3))
     far = 5.0 * rng.uniform(-1, 1, (m - m // 2, d))
     points = np.concatenate([X[rng.integers(0, n, m // 2)], far])
-    return X, Y, points
+    V = rng.standard_normal((n, d))
+    return X, Y, points, V
 
 
 class TestKernelEngine:
@@ -229,12 +245,18 @@ class TestKernelEngine:
     @settings(max_examples=60)
     @given(block_pairs=st.sampled_from([1, 7, estimate._BLOCK_PAIRS]), **problems)
     def test_equals_dense_reference(self, seed, n, m, d, decimals, h, block_pairs):
-        X, Y, points = draw_problem(seed, n, m, d, decimals)
+        X, Y, points, V = draw_problem(seed, n, m, d, decimals)
         with mock.patch.object(estimate, "_BLOCK_PAIRS", block_pairs):
             vals, eff = estimate.nw_regress(X, Y, points, h)
-        ref_vals, ref_eff = dense_reference(X, Y, points, h)
+            VY = np.hstack([V, Y])
+            still = estimate.nw_regress(X, VY, points, h)
+            moving = estimate.nw_regress(X, VY, points, h, moving=True)
+        # asking for the time-derivative moments moves no bit of the others
+        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(still, moving))
+        ref_vals, ref_eff, ref_rates, scale = dense_reference(X, Y, points, h, V)
         np.testing.assert_allclose(eff, ref_eff, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(vals, ref_vals, rtol=1e-12, atol=1e-12 * np.abs(Y).max())
+        np.testing.assert_allclose(moving[2], ref_rates, rtol=1e-12, atol=1e-12 * scale)
 
     @settings(max_examples=60)
     @given(
@@ -247,12 +269,14 @@ class TestKernelEngine:
         **problems,
     )
     def test_block_geometry_does_not_matter(self, seed, n, m, d, decimals, h, geometry):
-        X, Y, points = draw_problem(seed, n, m, d, decimals)
-        vals, eff = estimate.nw_regress(X, Y, points, h)
+        X, Y, points, V = draw_problem(seed, n, m, d, decimals)
+        vals, eff, rates = with_velocities(X, Y, points, h, V)
         with mock.patch.multiple(estimate, **geometry):
-            vals_g, eff_g = estimate.nw_regress(X, Y, points, h)
+            vals_g, eff_g, rates_g = with_velocities(X, Y, points, h, V)
         np.testing.assert_allclose(eff_g, eff, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(vals_g, vals, rtol=1e-12, atol=1e-12 * np.abs(Y).max())
+        scale = dense_reference(X, Y, points, h, V)[3]
+        np.testing.assert_allclose(rates_g, rates, rtol=1e-12, atol=1e-12 * scale)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_sample_beyond_the_window_on_one_axis_gets_no_weight(self, d):
@@ -281,7 +305,7 @@ class TestKernelEngine:
     @settings(max_examples=30)
     @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2, 3]), k=st.integers(1, 4))
     def test_few_queries_equal_the_same_queries_in_a_batch(self, seed, d, k):
-        X, Y, points = draw_problem(seed, 3000, 600, d, None)
+        X, Y, points, _ = draw_problem(seed, 3000, 600, d, None)
         h = 0.5 * estimate.silverman_bandwidth_from(X)
         vals, eff = estimate.nw_regress(X, Y, points, h)
         pick = np.random.default_rng(seed).choice(points.shape[0], k, replace=False)
@@ -292,12 +316,14 @@ class TestKernelEngine:
     @settings(max_examples=40)
     @given(**problems)
     def test_sample_order_does_not_matter(self, seed, n, m, d, decimals, h):
-        X, Y, points = draw_problem(seed, n, m, d, decimals)
+        X, Y, points, V = draw_problem(seed, n, m, d, decimals)
         perm = np.random.default_rng(seed + 1).permutation(n)
-        vals, eff = estimate.nw_regress(X, Y, points, h)
-        vals_p, eff_p = estimate.nw_regress(X[perm], Y[perm], points, h)
+        vals, eff, rates = with_velocities(X, Y, points, h, V)
+        vals_p, eff_p, rates_p = with_velocities(X[perm], Y[perm], points, h, V[perm])
         np.testing.assert_allclose(eff_p, eff, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(vals_p, vals, rtol=1e-12, atol=1e-12 * np.abs(Y).max())
+        scale = dense_reference(X, Y, points, h, V)[3]
+        np.testing.assert_allclose(rates_p, rates, rtol=1e-12, atol=1e-12 * scale)
 
     @settings(max_examples=20)
     @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2, 3]))
@@ -306,12 +332,14 @@ class TestKernelEngine:
         offset = 1e5
         X = offset + 0.01 * rng.standard_normal((20_000, d))
         Y = rng.standard_normal((20_000, 2))
+        V = rng.standard_normal((20_000, d))
         points = X[:3]
         h = estimate.silverman_bandwidth_from(X)
-        vals, eff = estimate.nw_regress(X, Y, points, h)
-        vals_0, eff_0 = estimate.nw_regress(X - offset, Y, points - offset, h)
+        vals, eff, rates = with_velocities(X, Y, points, h, V)
+        vals_0, eff_0, rates_0 = with_velocities(X - offset, Y, points - offset, h, V)
         np.testing.assert_allclose(eff, eff_0, rtol=1e-9)
         np.testing.assert_allclose(vals, vals_0, rtol=1e-9)
+        np.testing.assert_allclose(rates, rates_0, rtol=1e-9)
 
 
 class TestSliceEstimate:
@@ -449,3 +477,73 @@ class TestReynoldsTensorField:
         assert np.array_equal(pi, np.swapaxes(pi, -1, -2))
         # up to the rounding of the eigendecomposition that clips Pi
         assert np.all(np.linalg.eigvalsh(pi) >= -1e-12 * scale[:, None])
+
+
+def moving_samples(seed, n, d):
+    """Samples moving as X(t) = X0 + t V0 + t^2/2 A0: (X, V, A) at time t."""
+    rng = np.random.default_rng(seed)
+    X0, V0, A0 = rng.standard_normal((3, n, d))
+    A0 = 0.5 * A0 + np.sin(X0)
+    return lambda t: (X0 + t * V0 + 0.5 * t * t * A0, V0 + t * A0, A0)
+
+
+class TestTimeDerivatives:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_exact_equals_fixed_bandwidth_central_difference(self, d):
+        slice_at = moving_samples(7, 4000 if d == 1 else 8000, d)
+        t, dt = 0.5, 1e-5
+        X = slice_at(t)[0]
+        box = list(zip(*calculus.quantile_box(X)))
+        grid = calculus.make_spatial_grid(box, 41 if d == 1 else 15)
+        cfg = estimate.KernelConfig(bandwidth=estimate.silverman_bandwidth_from(X))
+        f = estimate.fields_on_grid(*slice_at(t), grid, cfg, t, time_derivatives=True)
+        f_m, f_p = (
+            estimate.fields_on_grid(*slice_at(tt), grid, cfg, tt) for tt in (t - dt, t + dt)
+        )
+        fd = calculus.central_time_derivatives(f_m, f, f_p, dt)
+        ok = f["rho"].grid.mask & fd["dt_v"].grid.mask
+        assert ok.sum() > 0.5 * grid.mask.sum()
+        for name in ("dt_rho", "dt_rho_v", "dt_v"):
+            exact, diff = f[name].values[ok], fd[name].values[ok]
+            assert np.abs(exact - diff).max() <= 1e-6 * np.abs(exact).max(), name
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_estimated_residuals_decay_at_stencil_order(self, order):
+        # at a fixed bandwidth the estimate meets both laws exactly, so the
+        # residuals are stencil error alone
+        gauss = lambda m, v: core.Gaussian(np.array([m]), np.array([[v]]))
+        coupling = core.CouplingSpec("independent", gauss(0.0, 1.0), gauss(1.0, 4.0))
+        spec = core.ProcessSpec(core.trig_alpha(), core.trig_beta(), coupling, 1)
+        X, V, A = core.slice_state(spec, core.sample_endpoints(spec, 20_000, seed=3), 0.5)
+        box = list(zip(*calculus.quantile_box(X)))
+        cfg = estimate.KernelConfig(bandwidth=0.15)
+        relatives = []
+        for nodes in (40, 80, 160):
+            grid = calculus.make_spatial_grid(box, nodes)
+            f = estimate.fields_on_grid(X, V, A, grid, cfg, 0.5, time_derivatives=True)
+            cont = calculus.continuity_residual(f["rho"], f["v"], f["dt_rho"], order)
+            mom = calculus.momentum_residual(
+                f["rho"], f["v"], f["Sigma"], f["a"], f["dt_rho_v"], order
+            )
+            relatives.append([cont.relative, mom.relative])
+        relatives = np.array(relatives)
+        assert np.all(relatives[1:] < relatives[:-1])
+        # the observed order over the last halving of the spacing
+        assert np.all(np.log2(relatives[1] / relatives[2]) >= order - 0.3)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_strips_never_take_the_exp_underflow_path(self, d):
+        # sparse queries over a wide box: every cell holds fewer than
+        # _GATHER_QUERIES queries, so each query meets its whole axis-0 strip
+        rng = np.random.default_rng(d)
+        X = rng.standard_normal((4000, d)) * np.linspace(1.0, 3.0, d)
+        V = rng.standard_normal((4000, d))
+        points = rng.uniform(-6.0, 6.0, (30, d))
+        h = 0.5 * estimate.silverman_bandwidth_from(X)
+        with np.errstate(under="raise", invalid="raise"):
+            estimate.nw_regress(X, V, points, h)
+            estimate.nw_regress(X, V, points, h, moving=True)
+        if d > 1:  # without the floor these strips do reach it
+            with mock.patch.object(estimate, "_EXP_FAST", np.inf):
+                with np.errstate(under="raise"), pytest.raises(FloatingPointError):
+                    estimate.nw_regress(X, V, points, h)

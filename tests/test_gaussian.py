@@ -26,7 +26,7 @@ def material_at(spec, t, x, h_t=1e-5):
     on a three-node grid centred on x, through calculus.material_derivative."""
     grid = calculus.make_spatial_grid([(x - 0.5, x + 0.5)], 3)
     v3 = [gaussian.fields_on_grid(spec, tt, grid)["v"] for tt in (t - h_t, t, t + h_t)]
-    return calculus.material_derivative(*v3, h_t).values[1]
+    return calculus.material_derivative(v3[1], calculus.time_derivative(*v3, h_t)).values[1]
 
 
 @pytest.fixture(scope="module")
