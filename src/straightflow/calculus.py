@@ -14,6 +14,7 @@ The divergence of a matrix field contracts the FIRST index:
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 
@@ -324,7 +325,7 @@ class ResidualReport:
     verdict: str | None = None
 
 
-def _report(values, rank, grid, ref_mag, time, verdict=None) -> ResidualReport:
+def _report(values, rank, grid, ref_mag, time) -> ResidualReport:
     mag = _pointwise_mag(values, rank)
     valid = grid.mask & np.isfinite(mag) & np.isfinite(ref_mag)
     if not np.any(valid):
@@ -341,7 +342,6 @@ def _report(values, rank, grid, ref_mag, time, verdict=None) -> ResidualReport:
         reference=reference,
         relative=relative,
         n_nodes=int(valid.sum()),
-        verdict=verdict,
     )
 
 
@@ -384,10 +384,7 @@ def balance_residual(
     one side vanishes (rho a is 0 for affine interpolants); verdict is
     ``straight-compatible`` when the relative rms is within ``tolerance``.
     """
-    if rho.rank != "scalar" or Pi.rank != "matrix" or a.rank != "vector":
-        raise InvalidArgumentError("balance_residual expects (scalar, matrix, vector) fields")
-    if not (rho.grid.same_axes(Pi.grid) and rho.grid.same_axes(a.grid)):
-        raise InvalidArgumentError("fields must share one spatial grid")
+    _check_fields((rho, "scalar"), (Pi, "matrix"), (a, "vector"))
     rho_pi = GridField(
         Pi.grid.with_mask(Pi.grid.mask & rho.grid.mask),
         "matrix",
@@ -402,9 +399,7 @@ def balance_residual(
     grid = rho.grid.with_mask(rho.grid.mask & Pi.grid.mask & a.grid.mask)
     rep = _report(values, "vector", grid, ref_mag, rho.time)
     verdict = "straight-compatible" if rep.relative <= tolerance else "not-straight-compatible"
-    return ResidualReport(
-        rep.residual, rep.max_abs, rep.rms, rep.reference, rep.relative, rep.n_nodes, verdict
-    )
+    return dataclasses.replace(rep, verdict=verdict)
 
 
 def continuity_residual(

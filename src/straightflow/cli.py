@@ -17,7 +17,8 @@ Exit codes: 0 success/consistent, 1 other library error, 2 config error,
 maps each library error class to its code.
 
 ``fields`` and ``diagnose`` read one field source per run, the Gaussian oracle
-or the kernel estimate, chosen once by :func:`_field_source`.
+or the kernel estimate at ``t``: :func:`_oracle_fields` or
+:func:`_estimated_fields`.
 ``STRAIGHTFLOW_THREADS`` caps BLAS/OpenMP parallelism; the package applies it
 on import, before numpy loads.
 """
@@ -398,40 +399,40 @@ def _kernel_config(cfg: ExperimentConfig):
 def cmd_simulate(cfg: ExperimentConfig, out: _Outputs) -> int:
     spec = build_process_spec(cfg)
     grid = core.make_time_grid(cfg["time_steps"])
-    ensemble = core.sample_paths(spec, cfg["n"], grid, cfg["seed"])
-    out.write("ensemble.sflw", lambda path: core.save_ensemble(ensemble, path))
+    endpoints = core.sample_endpoints(spec, cfg["n"], cfg["seed"])
+    states = core.slice_state(spec, endpoints, grid.nodes)
+    out.write("ensemble.sflw", lambda path: core.save_ensemble(states, path))
     print(
         f"simulate: wrote {out.dir / 'ensemble.sflw'} "
-        f"(N={ensemble.n_paths}, K={grid.n_nodes}, d={ensemble.dim})"
+        f"(N={endpoints.n}, K={grid.n_nodes}, d={spec.dim})"
     )
     return EXIT_OK
 
 
-def _field_source(cfg: ExperimentConfig, source: str, t: float):
-    """``fields_at(tt)``: the fields of ``source`` at time ``tt`` on the grid
-    resolved at ``t``.  The oracle tabulates the Gaussian fields; the estimate
-    slices the endpoints, sampled once, at ``tt`` and runs the kernel
-    estimator on the slice, which also returns the exact time derivatives
-    when ``fields_at(tt, time_derivatives=True)`` asks for them."""
+def _oracle_fields(cfg: ExperimentConfig, t: float):
+    """``fields_at(tt)``: the Gaussian oracle's fields at time ``tt``,
+    tabulated on the grid resolved at ``t``."""
     spec = build_process_spec(cfg)
-    if source == "oracle":
-        gspec = gaussian.from_process_spec(spec)
-        grid = _resolve_spatial_grid(cfg, spec, t)
-        return lambda tt: gaussian.fields_on_grid(gspec, tt, grid)
+    gspec = gaussian.from_process_spec(spec)
+    grid = _resolve_spatial_grid(cfg, spec, t)
+    return lambda tt: gaussian.fields_on_grid(gspec, tt, grid)
+
+
+def _estimated_fields(cfg: ExperimentConfig, t: float, time_derivatives: bool = False):
+    """The kernel estimate at ``t``, the only time it is taken at.  The
+    endpoints, sampled once, are sliced once at ``t``; that slice sizes the
+    grid box and feeds the estimator, which also returns the exact time
+    derivatives when ``time_derivatives`` asks for them."""
+    spec = build_process_spec(cfg)
     endpoints = core.sample_endpoints(spec, cfg["n"], cfg["seed"])
-    grid = _resolve_spatial_grid(cfg, spec, t, sample=core.slice_state(spec, endpoints, t)[0])
-    kcfg = _kernel_config(cfg)
-
-    def fields_at(tt: float, time_derivatives: bool = False):
-        X, V, A = core.slice_state(spec, endpoints, tt)
-        return estimate.fields_on_grid(X, V, A, grid, kcfg, tt, time_derivatives)
-
-    return fields_at
+    X, V, A = core.slice_state(spec, endpoints, t)
+    grid = _resolve_spatial_grid(cfg, spec, t, sample=X)
+    return estimate.fields_on_grid(X, V, A, grid, _kernel_config(cfg), t, time_derivatives)
 
 
 def cmd_fields(cfg: ExperimentConfig, out: _Outputs, source: str, t: float) -> int:
     names = ["rho", "v", "a", "Sigma", "Pi"]
-    fields = _field_source(cfg, source, t)(t)
+    fields = _oracle_fields(cfg, t)(t) if source == "oracle" else _estimated_fields(cfg, t)
     for name in names:
         out.write(f"fields_{name.lower()}.csv", calculus.grid_field_to_csv(fields[name]))
     print(f"fields: wrote {len(names)} CSVs to {out.dir} (source={source}, t={t:g})")
@@ -440,9 +441,9 @@ def cmd_fields(cfg: ExperimentConfig, out: _Outputs, source: str, t: float) -> i
 
 def cmd_diagnose(cfg: ExperimentConfig, out: _Outputs, t: float) -> int:
     source = cfg["source"]
-    fields_at = _field_source(cfg, source, t)
     if source == "oracle":
         # analytic fields: central differences in time, a fourth-order stencil
+        fields_at = _oracle_fields(cfg, t)
         h_t, order = cfg["h_t"]["analytic"], 4
         if not (h_t <= t <= 1.0 - h_t):
             raise ConfigError("diagnose time must keep t +- h_t inside [0, 1]", "time")
@@ -451,7 +452,7 @@ def cmd_diagnose(cfg: ExperimentConfig, out: _Outputs, t: float) -> int:
     else:
         # the estimate's exact time derivatives; noisy fields, a second-order stencil
         h_t, order = None, 2
-        f = fields_at(t, time_derivatives=True)
+        f = _estimated_fields(cfg, t, time_derivatives=True)
 
     cont = calculus.continuity_residual(f["rho"], f["v"], f["dt_rho"], order=order)
     mom = calculus.momentum_residual(
@@ -562,9 +563,8 @@ def cmd_flow(cfg: ExperimentConfig, out: _Outputs, points_file: str | None, use_
     result = flow.flow_map(oracle, pts, tgrid, scheme)
     one_step = flow.one_step_error(oracle, pts, reference_steps=cfg["flow"]["reference_steps"])
 
-    kept = [i for i, traj in enumerate(result.trajectories) if traj is not None]
-    states = np.reshape([result.trajectories[i].states for i in kept],
-                        (len(kept), tgrid.n_nodes, spec.dim))
+    kept = result.kept
+    states = result.states[kept]
     dev = flow.straightness_deviation(states, tgrid) if tgrid.n_nodes >= 3 else None
     per_point = {i: {"point": i, "error": str(err)} for i, err in result.errors}
     for j, i in enumerate(kept):

@@ -8,6 +8,7 @@ the coefficient derivatives, never finite-differenced.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from typing import Callable
@@ -35,11 +36,9 @@ __all__ = [
     "ProcessSpec",
     "TimeGrid",
     "EndpointArrays",
-    "PathEnsemble",
     "make_time_grid",
     "sample_endpoints",
     "slice_state",
-    "sample_paths",
     "save_ensemble",
     "load_ensemble",
     "ENSEMBLE_MAGIC",
@@ -591,46 +590,6 @@ def slice_state(
     return pos, vel, acc
 
 
-@dataclass(frozen=True)
-class PathEnsemble:
-    """N sampled trajectories on a shared time grid: the in-memory form of
-    ``ensemble.sflw``.
-
-    Velocities and accelerations are exact coefficient-derivative values, so
-    e.g. an affine process carries an identically-zero acceleration array.
-    """
-
-    grid: TimeGrid
-    positions: np.ndarray  # (N, K, d)
-    velocities: np.ndarray
-    accelerations: np.ndarray
-
-    def __post_init__(self):
-        shape = self.positions.shape
-        if len(shape) != 3 or shape[1] != self.grid.n_nodes:
-            raise InvalidArgumentError("positions must have shape (N, K, d)")
-        for name in ("velocities", "accelerations"):
-            if getattr(self, name).shape != shape:
-                raise InvalidArgumentError(f"{name} shape does not match positions")
-        for name in ("positions", "velocities", "accelerations"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
-
-    @property
-    def n_paths(self) -> int:
-        return int(self.positions.shape[0])
-
-    @property
-    def dim(self) -> int:
-        return int(self.positions.shape[2])
-
-
-def sample_paths(spec: ProcessSpec, n: int, grid: TimeGrid, seed: int) -> PathEnsemble:
-    """Sample a path ensemble for ``spec`` on ``grid``."""
-    endpoints = sample_endpoints(spec, n, seed)
-    pos, vel, acc = slice_state(spec, endpoints, grid.nodes)
-    return PathEnsemble(grid, pos, vel, acc)
-
-
 # ---------------------------------------------------------------------------
 # flat binary persistence
 # ---------------------------------------------------------------------------
@@ -638,33 +597,41 @@ def sample_paths(spec: ProcessSpec, n: int, grid: TimeGrid, seed: int) -> PathEn
 ENSEMBLE_MAGIC = b"SFLW1"
 
 
-def save_ensemble(ensemble: PathEnsemble, path) -> None:
-    """Write the flat binary format: magic, N/K/d as little-endian u64,
-    then row-major float64 positions, velocities, accelerations."""
-    n, k, d = ensemble.positions.shape
+def save_ensemble(states, path) -> None:
+    """Write the ``(positions, velocities, accelerations)`` triple of (N, K, d)
+    arrays that ``slice_state(spec, endpoints, grid.nodes)`` returns in the
+    flat binary format: magic, N/K/d as little-endian u64, then row-major
+    float64 positions, velocities, accelerations."""
+    n, k, d = states[0].shape
     with open(path, "wb") as fh:
         fh.write(ENSEMBLE_MAGIC)
         fh.write(struct.pack("<QQQ", n, k, d))
-        for arr in (ensemble.positions, ensemble.velocities, ensemble.accelerations):
+        for arr in states:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def load_ensemble(path) -> PathEnsemble:
-    """Read the flat binary format written by :func:`save_ensemble`."""
+def load_ensemble(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read the ``(positions, velocities, accelerations)`` triple written by
+    :func:`save_ensemble`; K, the second axis, gives the grid.  The file's
+    size must be the one its header implies."""
     with open(path, "rb") as fh:
         magic = fh.read(len(ENSEMBLE_MAGIC))
         if magic != ENSEMBLE_MAGIC:
             raise InvalidArgumentError(f"bad magic {magic!r}; not an ensemble file")
-        n, k, d = struct.unpack("<QQQ", fh.read(24))
-        count = n * k * d
-        arrays = []
-        for _ in range(3):
-            buf = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
-            arrays.append(buf.reshape(n, k, d).astype(float))
-        if fh.read(1):
-            raise InvalidArgumentError("trailing bytes after ensemble payload")
-    grid = make_time_grid(int(k) - 1)
-    return PathEnsemble(grid, *arrays)
+        header = fh.read(24)
+        if len(header) != 24:
+            raise InvalidArgumentError("ensemble header is truncated")
+        n, k, d = struct.unpack("<QQQ", header)
+        size = os.fstat(fh.fileno()).st_size
+        if size != len(ENSEMBLE_MAGIC) + 24 + 3 * 8 * n * k * d:
+            raise InvalidArgumentError(
+                f"ensemble payload of {size} bytes does not match the header's "
+                f"N={n}, K={k}, d={d}"
+            )
+        return tuple(
+            np.frombuffer(fh.read(8 * n * k * d), dtype="<f8").reshape(n, k, d).astype(float)
+            for _ in range(3)
+        )
 
 
 def aux_rng(seed: int, tag: int) -> np.random.Generator:

@@ -24,13 +24,11 @@ from .gaussian import GaussianProcessSpec, _conditional_model
 
 __all__ = [
     "VelocityOracle",
-    "Trajectory",
     "FlowMapResult",
     "StraightnessDeviation",
     "OneStepSummary",
     "analytic_velocity_oracle",
     "kernel_velocity_oracle",
-    "integrate",
     "flow_map",
     "straightness_deviation",
     "one_step_error",
@@ -130,27 +128,6 @@ def kernel_velocity_oracle(
 # integration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Trajectory:
-    """States of one ODE solution on a time grid."""
-
-    grid: TimeGrid
-    states: np.ndarray  # (K, d)
-
-    def __post_init__(self):
-        states = np.ascontiguousarray(self.states, dtype=float)
-        if states.ndim != 2 or states.shape[0] != self.grid.n_nodes:
-            raise InvalidArgumentError("states must have shape (n_nodes, d)")
-        if not np.all(np.isfinite(states)):
-            raise InvalidArgumentError("trajectory states must be finite throughout")
-        states.setflags(write=False)
-        object.__setattr__(self, "states", states)
-
-    @property
-    def endpoint(self) -> np.ndarray:
-        return self.states[-1]
-
-
 def _step(oracle: VelocityOracle, t: float, x: np.ndarray, h: float, scheme: str) -> np.ndarray:
     if scheme == "euler":
         return x + h * oracle(t, x)
@@ -224,36 +201,28 @@ def _march(oracle: VelocityOracle, points, grid: TimeGrid, scheme: str, history:
 
 @dataclass(frozen=True)
 class FlowMapResult:
-    """Per-point trajectories; failures leave a None and collect the error."""
+    """The (M, K, d) states of every start point, NaN past a failed point's
+    last node, and the sorted ``(index, error)`` list of the failed points."""
 
-    trajectories: list
-    errors: list  # list of (index, exception)
+    states: np.ndarray
+    errors: list
 
     @property
-    def endpoints(self) -> np.ndarray:
-        return np.stack([t.endpoint for t in self.trajectories if t is not None])
+    def kept(self) -> list[int]:
+        """Indices of the points that reached the last node, in order."""
+        failed = {i for i, _ in self.errors}
+        return [i for i in range(self.states.shape[0]) if i not in failed]
 
 
 def flow_map(
     oracle: VelocityOracle, points, grid: TimeGrid, scheme: str = "rk4"
 ) -> FlowMapResult:
-    """Integrate all points together; order is preserved, per-point errors
-    collected: a TrajectoryLeftSupportError with the partial trajectory for a
-    refused point, an InvalidArgumentError for a non-finite state."""
+    """Integrate all points together along the grid; order is preserved and
+    per-point errors are collected: a TrajectoryLeftSupportError with the
+    partial trajectory for a refused point, an InvalidArgumentError for a
+    non-finite state."""
     states, errors = _march(oracle, points, grid, scheme)
-    trajs = [None if i in errors else Trajectory(grid, states[i]) for i in range(states.shape[0])]
-    return FlowMapResult(trajs, sorted(errors.items()))
-
-
-def integrate(
-    oracle: VelocityOracle, x0: np.ndarray, grid: TimeGrid, scheme: str = "rk4"
-) -> Trajectory:
-    """Fixed-step explicit integration of dx/dt = v(t, x) along the grid from
-    one point; raises that point's flow_map error."""
-    result = flow_map(oracle, np.asarray(x0, dtype=float).reshape(1, -1), grid, scheme)
-    if result.errors:
-        raise result.errors[0][1]
-    return result.trajectories[0]
+    return FlowMapResult(states, sorted(errors.items()))
 
 
 # ---------------------------------------------------------------------------

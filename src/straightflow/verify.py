@@ -202,8 +202,7 @@ def affine_straightness_check(
         points = spec.coupling.mu0.draw(aux_rng(endpoints.seed, 3), 64)
         tgrid = make_time_grid(100)
         result = flow.flow_map(oracle, points, tgrid, "rk4")
-        states = np.stack([tr.states for tr in result.trajectories])
-        dev = flow.straightness_deviation(states, tgrid)
+        dev = flow.straightness_deviation(result.states[result.kept], tgrid)
         metrics["chord_dev_max"] = float(dev.chord_dev.max())
         metrics["second_diff_max"] = float(dev.second_diff.max())
         metrics["one_step_max"] = flow.one_step_error(oracle, points).max_error

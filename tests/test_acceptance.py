@@ -22,7 +22,8 @@ def _criterion(num, desc, ok, detail=""):
 
 
 def _states(result):
-    return np.stack([tr.states for tr in result.trajectories])
+    assert not result.errors
+    return result.states
 
 
 def test_criterion_1_straightness_iff_deterministic(
@@ -104,8 +105,9 @@ def test_criterion_3_balance_negative_instance(trig_det_identity_spec):
     rep = calculus.balance_residual(fields["rho"], fields["Pi"], fields["a"])
 
     oracle = flow.analytic_velocity_oracle(g)
-    traj = flow.integrate(oracle, np.array([1.0]), core.make_time_grid(400), "rk4")
-    chord = flow.straightness_deviation(traj.states[None], traj.grid).chord_dev[0]
+    tgrid = core.make_time_grid(400)
+    traj = flow.flow_map(oracle, np.array([[1.0]]), tgrid, "rk4")
+    chord = flow.straightness_deviation(_states(traj), tgrid).chord_dev[0]
     target = np.sqrt(2.0) - 1.0
     ok = rep.relative >= 0.5 and abs(chord - target) <= 5e-3
     _criterion(
@@ -223,7 +225,8 @@ def test_criterion_8_transport_correctness(affine_ot_spec):
     rng = core.aux_rng(801, 0)
     n = 10_000
     src = affine_ot_spec.coupling.mu0.draw(rng, n)
-    ends = flow.flow_map(oracle, src, core.make_time_grid(200), "rk4").endpoints
+    res = flow.flow_map(oracle, src, core.make_time_grid(200), "rk4")
+    ends = res.states[res.kept, -1]
     tgt = affine_ot_spec.coupling.mu1.draw(rng, n)
     observed = flow.energy_distance(ends, tgt)
     null = np.array(

@@ -72,13 +72,14 @@ def reference_field_csv(field) -> str:
     return "\n".join(lines) + "\n"
 
 
-def reference_trajectories_csv(result, dim) -> str:
+def reference_trajectories_csv(result, grid) -> str:
     """Per-cell reference for ``trajectories.csv``: one row per (point, time
-    node) of each trajectory that ``flow_map`` kept."""
-    lines = ["point,t," + ",".join(f"x{i}" for i in range(dim))]
-    for i, traj in enumerate(result.trajectories):
-        if traj is not None:
-            for t, state in zip(traj.grid.nodes, traj.states):
+    node) of each point that ``flow_map`` did not fail."""
+    lines = ["point,t," + ",".join(f"x{i}" for i in range(result.states.shape[2]))]
+    failed = {i for i, _ in result.errors}
+    for i, states in enumerate(result.states):
+        if i not in failed:
+            for t, state in zip(grid.nodes, states):
                 lines.append(",".join([str(i), repr(float(t))] + [repr(float(c)) for c in state]))
     return "\n".join(lines) + "\n"
 
@@ -255,6 +256,15 @@ class TestDiagnose:
         for section in ("continuity", "momentum", "material"):
             assert np.isfinite(report[section]["relative"]), section
 
+    @pytest.mark.parametrize("command, argv", [("fields", ["--source", "estimate"]),
+                                               ("diagnose", [])])
+    def test_estimate_slices_once(self, tmp_path, command, argv):
+        # the slice that sizes the grid box is the one the estimator reads
+        cfg_path, _ = write_config(tmp_path, n=500, source="estimate")
+        with mock.patch.object(core, "slice_state", wraps=core.slice_state) as slicer:
+            assert cli.main([command, "--config", str(cfg_path), *argv]) == 0
+        assert slicer.call_count == 1
+
 
 class TestVerify:
     def test_ot_coupling_exit_0(self, tmp_path):
@@ -390,11 +400,11 @@ class TestFlow:
         spec = cli.build_process_spec(cfg)
         sgrid = cli._resolve_spatial_grid(cfg, spec, 0.0)
         oracle = flow.analytic_velocity_oracle(gaussian.from_process_spec(spec))
-        result = flow.flow_map(oracle, sgrid.points()[sgrid.mask.ravel()],
-                               core.make_time_grid(7), "rk4")
-        assert len(result.trajectories) == 16 and not result.errors
+        tgrid = core.make_time_grid(7)
+        result = flow.flow_map(oracle, sgrid.points()[sgrid.mask.ravel()], tgrid, "rk4")
+        assert result.states.shape == (16, 8, 2) and not result.errors
         text = (out / "trajectories.csv").read_text()
-        assert text == reference_trajectories_csv(result, 2)
+        assert text == reference_trajectories_csv(result, tgrid)
 
     def test_kernel_flow_failed_point_has_no_rows(self, tmp_path, monkeypatch):
         # the seed-5 run of test_kernel_flow_failures_per_point: point 2 is refused
@@ -421,7 +431,7 @@ class TestFlow:
         failed = [i for i, _ in result.errors]
         assert failed == [2]
         text = (out / "trajectories.csv").read_text()
-        assert text == reference_trajectories_csv(result, 2)
+        assert text == reference_trajectories_csv(result, core.make_time_grid(50))
         ids = [row.split(",")[0] for row in text.splitlines()[1:]]
         assert ids == [str(i) for i in (0, 1, 3) for _ in range(51)]
 

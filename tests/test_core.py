@@ -190,15 +190,21 @@ class TestBlockStreams:
         }
 
 
+def path_states(spec, n, grid, seed):
+    """Positions, velocities and accelerations of n sampled paths at the grid
+    nodes, each (n, K, d): the payload of ``ensemble.sflw``."""
+    return core.slice_state(spec, core.sample_endpoints(spec, n, seed), grid.nodes)
+
+
 class TestSamplePaths:
     def test_affine_acceleration_identically_zero(self, affine_indep_spec):
-        ens = core.sample_paths(affine_indep_spec, 200, core.make_time_grid(7), seed=1)
-        assert np.all(ens.accelerations == 0.0)
+        _, _, acc = path_states(affine_indep_spec, 200, core.make_time_grid(7), seed=1)
+        assert np.all(acc == 0.0)
 
     def test_trig_acceleration_is_scaled_position(self, trig_indep_spec):
-        ens = core.sample_paths(trig_indep_spec, 100, core.make_time_grid(9), seed=2)
-        expected = -(np.pi**2 / 4) * ens.positions
-        assert np.allclose(ens.accelerations, expected, atol=1e-12)
+        pos, _, acc = path_states(trig_indep_spec, 100, core.make_time_grid(9), seed=2)
+        expected = -(np.pi**2 / 4) * pos
+        assert np.allclose(acc, expected, atol=1e-12)
 
     def test_tabulated_map_single_point(self):
         # tabulated deterministic pairing: x0=1 always maps to x1=2
@@ -206,15 +212,15 @@ class TestSamplePaths:
             "deterministic_map", core.Empirical([[1.0]]), core.Empirical([[2.0]])
         )
         spec = make_spec("affine", cpl)
-        ens = core.sample_paths(spec, 5, core.make_time_grid(2), seed=0)
-        assert np.allclose(ens.positions[:, 1, 0], 1.5)
-        assert np.allclose(ens.velocities[:, 1, 0], 1.0)
+        pos, vel, _ = path_states(spec, 5, core.make_time_grid(2), seed=0)
+        assert np.allclose(pos[:, 1, 0], 1.5)
+        assert np.allclose(vel[:, 1, 0], 1.0)
 
     def test_endpoint_marginals_within_four_se(self, affine_ot_spec):
         n = 10_000
-        ens = core.sample_paths(affine_ot_spec, n, core.make_time_grid(2), seed=3)
-        x0 = ens.positions[:, 0, 0]
-        x1 = ens.positions[:, -1, 0]
+        pos, _, _ = path_states(affine_ot_spec, n, core.make_time_grid(2), seed=3)
+        x0 = pos[:, 0, 0]
+        x1 = pos[:, -1, 0]
         assert abs(x0.mean()) <= 4.0 / np.sqrt(n)
         assert abs(x0.var(ddof=1) - 1.0) <= 4.0 * np.sqrt(2.0 / n)
         assert abs(x1.mean() - 2.0) <= 4.0 * 2.0 / np.sqrt(n)
@@ -223,37 +229,38 @@ class TestSamplePaths:
     def test_velocities_match_position_differences(self, trig_indep_spec):
         # central difference of positions reproduces stored velocities to O(step^2)
         def max_err(steps):
-            ens = core.sample_paths(trig_indep_spec, 50, core.make_time_grid(steps), seed=4)
-            fd = (ens.positions[:, 2:, :] - ens.positions[:, :-2, :]) / (2 * ens.grid.step)
-            return np.abs(fd - ens.velocities[:, 1:-1, :]).max()
+            grid = core.make_time_grid(steps)
+            pos, vel, _ = path_states(trig_indep_spec, 50, grid, seed=4)
+            fd = (pos[:, 2:, :] - pos[:, :-2, :]) / (2 * grid.step)
+            return np.abs(fd - vel[:, 1:-1, :]).max()
 
         coarse, fine = max_err(10), max_err(20)
         assert coarse / fine == pytest.approx(4.0, rel=0.3)
 
     def test_bit_identical_reruns(self, affine_indep_spec):
         g = core.make_time_grid(5)
-        a = core.sample_paths(affine_indep_spec, 300, g, seed=9)
-        b = core.sample_paths(affine_indep_spec, 300, g, seed=9)
-        assert np.array_equal(a.positions, b.positions)
-        assert np.array_equal(a.velocities, b.velocities)
+        a = path_states(affine_indep_spec, 300, g, seed=9)
+        b = path_states(affine_indep_spec, 300, g, seed=9)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_path_streams_are_prefix_stable(self, affine_indep_spec):
         g = core.make_time_grid(4)
-        small = core.sample_paths(affine_indep_spec, 10, g, seed=9)
-        big = core.sample_paths(affine_indep_spec, 20, g, seed=9)
-        assert np.array_equal(small.positions, big.positions[:10])
+        small, _, _ = path_states(affine_indep_spec, 10, g, seed=9)
+        big, _, _ = path_states(affine_indep_spec, 20, g, seed=9)
+        assert np.array_equal(small, big[:10])
 
     def test_latent_slice_values(self, latent_spec):
-        ens = core.sample_paths(latent_spec, 50, core.make_time_grid(4), seed=6)
+        pos, vel, _ = path_states(latent_spec, 50, core.make_time_grid(4), seed=6)
         # gamma(0) = gamma(1) = 0: endpoint positions carry no latent term
         arr = core.sample_endpoints(latent_spec, 50, seed=6)
-        assert np.allclose(ens.positions[:, 0, :], arr.x0)
-        assert np.allclose(ens.positions[:, -1, :], arr.x1)
+        assert np.allclose(pos[:, 0, :], arr.x0)
+        assert np.allclose(pos[:, -1, :], arr.x1)
         # interior velocity includes the latent derivative term
         t = 0.25
         gd = (1 - 2 * t) / (2 * np.sqrt(t * (1 - t)))
         expect = arr.x1 - arr.x0 + gd * arr.z
-        assert np.allclose(ens.velocities[:, 1, :], expect, atol=1e-12)
+        assert np.allclose(vel[:, 1, :], expect, atol=1e-12)
 
     @settings(max_examples=30)
     @given(
@@ -290,17 +297,17 @@ class TestSamplePaths:
 
 class TestEnsembleFile:
     def test_roundtrip(self, tmp_path, affine_indep_spec):
-        ens = core.sample_paths(affine_indep_spec, 64, core.make_time_grid(3), seed=13)
+        ens = path_states(affine_indep_spec, 64, core.make_time_grid(3), seed=13)
         path = tmp_path / "e.sflw"
         core.save_ensemble(ens, path)
         loaded = core.load_ensemble(path)
-        assert np.array_equal(loaded.positions, ens.positions)
-        assert np.array_equal(loaded.velocities, ens.velocities)
-        assert np.array_equal(loaded.accelerations, ens.accelerations)
-        assert loaded.grid.n_nodes == ens.grid.n_nodes
+        assert len(loaded) == 3
+        for got, want in zip(loaded, ens):
+            assert np.array_equal(got, want)
+        assert loaded[0].shape[1] == 4
 
     def test_header_layout(self, tmp_path, affine_indep_spec):
-        ens = core.sample_paths(affine_indep_spec, 7, core.make_time_grid(2), seed=13)
+        ens = path_states(affine_indep_spec, 7, core.make_time_grid(2), seed=13)
         path = tmp_path / "e.sflw"
         core.save_ensemble(ens, path)
         raw = path.read_bytes()
@@ -321,20 +328,21 @@ class TestEnsembleFile:
         # every bit of every array comes back, on the same time grid
         rng = np.random.default_rng(seed)
         grid = core.make_time_grid(steps)
-        arrays = [rng.standard_normal((n, steps + 1, d)) * 10.0 ** rng.integers(-300, 300)
-                  for _ in range(3)]
+        arrays = tuple(rng.standard_normal((n, steps + 1, d)) * 10.0 ** rng.integers(-300, 300)
+                       for _ in range(3))
         if non_finite:
             for arr in arrays:
                 arr.flat[rng.integers(0, arr.size, size=3)] = [np.inf, -np.inf, np.nan]
-        ens = core.PathEnsemble(grid, *arrays)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "e.sflw")
-            core.save_ensemble(ens, path)
+            core.save_ensemble(arrays, path)
             loaded = core.load_ensemble(path)
-        for name in ("positions", "velocities", "accelerations"):
-            assert getattr(loaded, name).tobytes() == getattr(ens, name).tobytes()
-        assert np.array_equal(loaded.grid.nodes, grid.nodes)
-        assert loaded.grid.step == grid.step
+        assert len(loaded) == 3
+        for got, want in zip(loaded, arrays):
+            assert got.tobytes() == want.tobytes()
+        loaded_grid = core.make_time_grid(loaded[0].shape[1] - 1)
+        assert np.array_equal(loaded_grid.nodes, grid.nodes)
+        assert loaded_grid.step == grid.step
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.sflw"
@@ -342,12 +350,39 @@ class TestEnsembleFile:
         with pytest.raises(InvalidArgumentError):
             core.load_ensemble(path)
 
+    def test_truncated_header_rejected(self, tmp_path):
+        path = tmp_path / "short.sflw"
+        path.write_bytes(b"SFLW1" + np.array([7, 3], dtype="<u8").tobytes())
+        with pytest.raises(InvalidArgumentError, match="header"):
+            core.load_ensemble(path)
+
+    def test_truncated_payload_rejected(self, tmp_path, affine_indep_spec):
+        path = tmp_path / "e.sflw"
+        core.save_ensemble(path_states(affine_indep_spec, 7, core.make_time_grid(2), seed=13), path)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(InvalidArgumentError, match="payload"):
+            core.load_ensemble(path)
+
+    def test_oversized_header_rejected(self, tmp_path):
+        # sizes no file could hold are refused before any payload is read
+        path = tmp_path / "huge.sflw"
+        path.write_bytes(b"SFLW1" + np.array([2**62, 3, 2], dtype="<u8").tobytes() + b"\0" * 48)
+        with pytest.raises(InvalidArgumentError, match="payload"):
+            core.load_ensemble(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path, affine_indep_spec):
+        path = tmp_path / "e.sflw"
+        core.save_ensemble(path_states(affine_indep_spec, 7, core.make_time_grid(2), seed=13), path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(InvalidArgumentError, match="payload"):
+            core.load_ensemble(path)
+
     def test_latent_roundtrip_preserves_infinite_edges(self, tmp_path, latent_spec):
         # bridge derivatives diverge at the endpoints; the file format must
         # carry those values through unchanged
-        ens = core.sample_paths(latent_spec, 16, core.make_time_grid(4), seed=14)
-        assert not np.all(np.isfinite(ens.velocities[:, 0, :]))
+        ens = path_states(latent_spec, 16, core.make_time_grid(4), seed=14)
+        assert not np.all(np.isfinite(ens[1][:, 0, :]))
         path = tmp_path / "latent.sflw"
         core.save_ensemble(ens, path)
         loaded = core.load_ensemble(path)
-        assert np.array_equal(loaded.velocities, ens.velocities)
+        assert np.array_equal(loaded[1], ens[1])

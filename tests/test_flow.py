@@ -48,9 +48,17 @@ def counting(oracle):
     return flow.VelocityOracle(evaluate), calls
 
 
-def deviation(traj):
+def one_path(oracle, x0, grid, scheme):
+    """The (K, d) states of the flow from the one point ``x0``, which must
+    not fail."""
+    res = flow.flow_map(oracle, np.reshape(x0, (1, -1)), grid, scheme)
+    assert res.errors == []
+    return res.states[0]
+
+
+def deviation(states, grid):
     """The straightness figures of one trajectory, as floats."""
-    dev = flow.straightness_deviation(traj.states[None], traj.grid)
+    dev = flow.straightness_deviation(states[None], grid)
     return flow.StraightnessDeviation(float(dev.chord_dev[0]), float(dev.second_diff[0]))
 
 
@@ -93,28 +101,29 @@ def oracle_trig_det(trig_det_identity_spec):
 class TestIntegrate:
     def test_constant_velocity_exact(self):
         oracle, calls = counting(const_oracle([2.0, -1.0]))
-        traj = flow.integrate(oracle, np.zeros(2), core.make_time_grid(7), "euler")
-        expect = traj.grid.nodes[:, None] * np.array([2.0, -1.0])
-        assert np.allclose(traj.states, expect, atol=1e-14)
+        grid = core.make_time_grid(7)
+        states = one_path(oracle, np.zeros(2), grid, "euler")
+        expect = grid.nodes[:, None] * np.array([2.0, -1.0])
+        assert np.allclose(states, expect, atol=1e-14)
         assert len(calls) == 7
 
     def test_scaling_field_rk4(self):
         oracle, calls = counting(scaling_oracle())
-        traj = flow.integrate(oracle, np.array([1.0]), core.make_time_grid(100), "rk4")
-        assert traj.endpoint[0] == pytest.approx(2.0, abs=1e-9)
+        states = one_path(oracle, np.array([1.0]), core.make_time_grid(100), "rk4")
+        assert states[-1, 0] == pytest.approx(2.0, abs=1e-9)
         assert len(calls) == 400
 
     def test_curved_flow_separates_schemes(self, oracle_affine_indep):
-        euler1 = flow.integrate(oracle_affine_indep, np.array([1.0]), core.make_time_grid(1), "euler")
-        assert euler1.endpoint[0] == pytest.approx(0.0, abs=1e-14)
-        rk4 = flow.integrate(oracle_affine_indep, np.array([1.0]), core.make_time_grid(200), "rk4")
-        assert abs(rk4.endpoint[0] - euler1.endpoint[0]) > 0.1
+        euler1 = one_path(oracle_affine_indep, np.array([1.0]), core.make_time_grid(1), "euler")
+        assert euler1[-1, 0] == pytest.approx(0.0, abs=1e-14)
+        rk4 = one_path(oracle_affine_indep, np.array([1.0]), core.make_time_grid(200), "rk4")
+        assert abs(rk4[-1, 0] - euler1[-1, 0]) > 0.1
         # the true flow map is the identity at t=1 for equal marginals
-        assert rk4.endpoint[0] == pytest.approx(1.0, abs=1e-6)
+        assert rk4[-1, 0] == pytest.approx(1.0, abs=1e-6)
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            flow.integrate(const_oracle([0.0]), np.zeros(1), core.make_time_grid(2), "heun")
+            flow.flow_map(const_oracle([0.0]), np.zeros((1, 1)), core.make_time_grid(2), "heun")
 
     def test_midpoint_second_order(self):
         # dx/dt = -x^3 from x0 = 1 has solution 1/sqrt(1 + 2t)
@@ -122,9 +131,7 @@ class TestIntegrate:
         exact = 1.0 / np.sqrt(3.0)
 
         def endpoint(steps):
-            return flow.integrate(
-                cubic, np.array([1.0]), core.make_time_grid(steps), "midpoint"
-            ).endpoint[0]
+            return one_path(cubic, np.array([1.0]), core.make_time_grid(steps), "midpoint")[-1, 0]
 
         e1, e2 = abs(endpoint(50) - exact), abs(endpoint(100) - exact)
         assert e1 / e2 == pytest.approx(4.0, rel=0.2)
@@ -134,16 +141,17 @@ class TestIntegrate:
         grid = core.make_time_grid(37)
         batch = flow.flow_map(oracle_affine_indep, pts, grid, "rk4")
         for i, p in enumerate(pts):
-            single = flow.integrate(oracle_affine_indep, p, grid, "rk4")
-            assert np.allclose(batch.trajectories[i].states, single.states, atol=1e-13)
+            single = one_path(oracle_affine_indep, p, grid, "rk4")
+            assert np.allclose(batch.states[i], single, atol=1e-13)
 
     def test_kernel_oracle_low_density_becomes_left_support(self, affine_indep_spec):
         ens = core.sample_endpoints(affine_indep_spec, 100, seed=3)
         cfg = estimate.KernelConfig(density_floor=200.0)
         oracle = flow.kernel_velocity_oracle(affine_indep_spec, ens, GRID5, cfg)
-        with pytest.raises(TrajectoryLeftSupportError) as err:
-            flow.integrate(oracle, np.array([0.0]), core.make_time_grid(4), "euler")
-        assert err.value.states.shape[0] >= 1
+        res = flow.flow_map(oracle, np.array([[0.0]]), core.make_time_grid(4), "euler")
+        (i, err), = res.errors
+        assert i == 0 and isinstance(err, TrajectoryLeftSupportError)
+        assert err.states.shape[0] >= 1
 
     def test_kernel_oracle_tracks_analytic(
         self, affine_indep_spec, ep_affine_indep_200k, oracle_affine_indep
@@ -186,10 +194,10 @@ class TestFlowMap:
         oracle = flow.kernel_velocity_oracle(affine_indep_spec, ens, GRID5, estimate.KernelConfig())
         pts = np.array([[0.0], [0.5], [-0.5]])
         res = flow.flow_map(oracle, pts, core.make_time_grid(8), "midpoint")
-        assert len(res.trajectories) == 3
+        assert res.states.shape == (3, 9, 1)
         assert res.errors == []
-        for i, traj in enumerate(res.trajectories):
-            assert np.allclose(traj.states[0], pts[i])
+        for i, states in enumerate(res.states):
+            assert np.allclose(states[0], pts[i])
 
     def test_kernel_mixed_dense_and_refused_points(self, affine_indep_spec):
         ens = core.sample_endpoints(affine_indep_spec, 3000, seed=5)
@@ -199,12 +207,11 @@ class TestFlowMap:
         res = flow.flow_map(oracle, pts, grid, "midpoint")
         assert [i for i, _ in res.errors] == [1, 3]
         assert all(isinstance(err, TrajectoryLeftSupportError) for _, err in res.errors)
-        for i, traj in enumerate(res.trajectories):
-            if i in (1, 3):
-                assert traj is None
-                continue
-            single = flow.integrate(oracle, pts[i], grid, "midpoint")
-            assert np.allclose(traj.states, single.states, rtol=0.0, atol=1e-12)
+        assert res.kept == [0, 2, 4]
+        assert np.isnan(res.states[[1, 3], -1]).all()
+        for i in res.kept:
+            single = one_path(oracle, pts[i], grid, "midpoint")
+            assert np.allclose(res.states[i], single, rtol=0.0, atol=1e-12)
         summary = flow.one_step_error(oracle, pts, reference_steps=20)
         assert np.isnan(summary.errors[[1, 3]]).all()
         assert np.isfinite(summary.errors[[0, 2, 4]]).all()
@@ -216,13 +223,13 @@ class TestFlowMap:
         grid = core.make_time_grid(4)
         res = flow.flow_map(oracle, pts, grid, "euler")
         (i, err), = res.errors
-        assert i == 1 and res.trajectories[1] is None
+        assert i == 1 and res.kept == [0, 2] and np.isnan(res.states[1, -1]).all()
         assert np.allclose(err.times, [0.0, 0.25, 0.5])
         assert np.allclose(err.states[:, 0], [0.55, 0.8, 1.05])
-        assert np.allclose(res.endpoints[:, 0], [1.0, 0.0])
-        with pytest.raises(TrajectoryLeftSupportError) as single:
-            flow.integrate(oracle, pts[1], grid, "euler")
-        assert np.array_equal(single.value.states, err.states)
+        assert np.allclose(res.states[res.kept, -1, 0], [1.0, 0.0])
+        (j, single), = flow.flow_map(oracle, pts[1:2], grid, "euler").errors
+        assert j == 0 and isinstance(single, TrajectoryLeftSupportError)
+        assert np.array_equal(single.states, err.states)
 
     def test_redone_step_counts_excursions_once(self):
         # every query point counts as an excursion before the refusal, as the
@@ -247,7 +254,7 @@ class TestFlowMap:
         res = flow.flow_map(oracle, np.array([[0.0], [-1.0]]), core.make_time_grid(4), "rk4")
         (i, err), = res.errors
         assert i == 1 and isinstance(err, InvalidArgumentError)
-        assert res.trajectories[0].endpoint[0] == pytest.approx(1.0)
+        assert res.kept == [0] and res.states[0, -1, 0] == pytest.approx(1.0)
 
     def test_one_step_raises_only_when_every_point_fails(self):
         oracle = refusing_oracle(1.0)
@@ -268,38 +275,38 @@ class TestFlowMap:
             for scheme in ("euler", "midpoint", "rk4"):
                 res = flow.flow_map(oracle, pts, grid, scheme)
                 assert res.errors == []
-                for p, traj in zip(pts, res.trajectories):
-                    single = flow.integrate(oracle, p, grid, scheme)
-                    np.testing.assert_array_equal(traj.states, single.states)
+                for p, states in zip(pts, res.states):
+                    np.testing.assert_array_equal(states, one_path(oracle, p, grid, scheme))
 
     def test_analytic_batching(self, oracle_affine_det):
         pts = np.array([[0.1], [1.0], [-2.0]])
         res = flow.flow_map(oracle_affine_det, pts, core.make_time_grid(50), "rk4")
-        ends = res.endpoints
+        ends = res.states[res.kept, -1]
         assert np.allclose(ends, 2.0 * pts, atol=1e-8)
 
 
 class TestStraightness:
     def test_exact_line_zero(self):
-        traj = flow.integrate(const_oracle([1.5]), np.array([0.7]), core.make_time_grid(10), "euler")
-        dev = deviation(traj)
+        grid = core.make_time_grid(10)
+        dev = deviation(one_path(const_oracle([1.5]), np.array([0.7]), grid, "euler"), grid)
         assert dev.chord_dev == pytest.approx(0.0, abs=1e-13)
         assert dev.second_diff == pytest.approx(0.0, abs=1e-10)
 
     def test_trig_deterministic_bulge(self, oracle_trig_det):
-        traj = flow.integrate(oracle_trig_det, np.array([1.0]), core.make_time_grid(400), "rk4")
-        dev = deviation(traj)
+        grid = core.make_time_grid(400)
+        dev = deviation(one_path(oracle_trig_det, np.array([1.0]), grid, "rk4"), grid)
         assert dev.chord_dev == pytest.approx(np.sqrt(2.0) - 1.0, abs=1e-3)
 
     def test_affine_deterministic_straight(self, oracle_affine_det):
-        traj = flow.integrate(oracle_affine_det, np.array([1.0]), core.make_time_grid(100), "rk4")
-        dev = deviation(traj)
+        grid = core.make_time_grid(100)
+        dev = deviation(one_path(oracle_affine_det, np.array([1.0]), grid, "rk4"), grid)
         assert dev.chord_dev <= 1e-6
 
     def test_needs_three_nodes(self):
-        traj = flow.integrate(const_oracle([1.0]), np.zeros(1), core.make_time_grid(1), "euler")
+        grid = core.make_time_grid(1)
+        states = one_path(const_oracle([1.0]), np.zeros(1), grid, "euler")
         with pytest.raises(InvalidArgumentError):
-            deviation(traj)
+            deviation(states, grid)
 
     def test_batch_equals_rows(self):
         # enough points for several blocks, so the block seams are covered
@@ -377,8 +384,8 @@ class TestReferenceSizing:
         pts = mu0.draw(rng, 5)
 
         summary = flow.one_step_error(oracle, pts)
-        euler = flow.flow_map(oracle, pts, core.make_time_grid(1), "euler").endpoints
-        fixed = flow.flow_map(oracle, pts, core.make_time_grid(400), "rk4").endpoints
+        euler = flow.flow_map(oracle, pts, core.make_time_grid(1), "euler").states[:, -1]
+        fixed = flow.flow_map(oracle, pts, core.make_time_grid(400), "rk4").states[:, -1]
         errors = np.linalg.norm(euler - fixed, axis=1)
         assert summary.reference_gap is not None
         assert np.abs(summary.errors - errors).max() <= max(summary.reference_gap, 1e-12)
@@ -386,9 +393,9 @@ class TestReferenceSizing:
 
 class TestSchemeConsistency:
     def test_rk4_reference_stability(self, oracle_affine_indep):
-        e200 = flow.integrate(oracle_affine_indep, np.array([1.0]), core.make_time_grid(200), "rk4")
-        e400 = flow.integrate(oracle_affine_indep, np.array([1.0]), core.make_time_grid(400), "rk4")
-        assert abs(e200.endpoint[0] - e400.endpoint[0]) <= 1e-8
+        e200 = one_path(oracle_affine_indep, np.array([1.0]), core.make_time_grid(200), "rk4")
+        e400 = one_path(oracle_affine_indep, np.array([1.0]), core.make_time_grid(400), "rk4")
+        assert abs(e200[-1, 0] - e400[-1, 0]) <= 1e-8
 
 
 class TestEnergyDistance:
@@ -438,7 +445,8 @@ class TestMarginalTransport:
         rng = core.aux_rng(0, 42)
         n = 2000
         src = affine_ot_spec.coupling.mu0.draw(rng, n)
-        ends = flow.flow_map(oracle, src, core.make_time_grid(200), "rk4").endpoints
+        res = flow.flow_map(oracle, src, core.make_time_grid(200), "rk4")
+        ends = res.states[res.kept, -1]
         tgt = affine_ot_spec.coupling.mu1.draw(rng, n)
         observed = flow.energy_distance(ends, tgt)
         null = [
@@ -471,8 +479,9 @@ class TestTripleAgreement:
         g = gaussian.from_process_spec(spec)
         oracle = flow.analytic_velocity_oracle(g)
 
-        traj = flow.integrate(oracle, np.array([1.0]), core.make_time_grid(200), "rk4")
-        second_ok = deviation(traj).second_diff <= self.TOL_SECOND
+        tgrid = core.make_time_grid(200)
+        states = one_path(oracle, np.array([1.0]), tgrid, "rk4")
+        second_ok = deviation(states, tgrid).second_diff <= self.TOL_SECOND
 
         t, h_t = 0.4, 1e-5
         grid = calculus.make_spatial_grid(gaussian.oracle_box(g, t), 61)
