@@ -8,17 +8,19 @@ falls under ``density_floor`` are masked on grids (and refused by the flow's
 kernel oracle).
 
 Every estimate is a kernel-weighted sum, and :func:`nw_regress` is the one
-engine that computes them, in every dimension.  A sample farther than eight
-bandwidths from a query along any axis gets weight zero (each dropped weight
-is below 1.3e-14), so each query meets only the samples in a box around it.
-Samples are sorted on axis 0, and queries are walked in blocks bounded on
-every axis.  In 1-D a block is a run of queries sorted on the axis and meets
-the band of samples within eight bandwidths of it.  In d >= 2 a block is a
-cell of queries a few bandwidths wide on every axis; it meets the samples of
-its axis-0 band that also lie near it on every other axis, gathered once per
-cell.  Squared distances are sums of direct coordinate differences, so
-nothing cancels far from the origin.  Given the sample velocities, the engine
-also returns the exact time derivatives of its sums at a fixed bandwidth.
+engine that computes them, in every dimension.  It drops every pair whose
+exponent -|x - X|^2 / (2 h^2) is below -32, i.e. every sample farther than
+eight bandwidths from the query: one isotropic cut, the same in every
+dimension (each dropped weight is below 1.3e-14, so at most 1.3e-14 N of
+effective n).  The exponent sums squared direct coordinate differences, so
+nothing cancels far from the origin.  Samples are sorted on axis 0 and
+queries are walked in blocks that bound which samples can pass the cut.  In
+1-D a block is a run of queries sorted on the axis and meets the band of
+samples within eight bandwidths of it.  In d >= 2 a block is a cell of
+queries a few bandwidths wide on every axis; it meets the samples of its
+axis-0 band that lie in a box around every query's disc, gathered once per
+cell.  Given the sample velocities, the engine also returns the exact time
+derivatives of its sums at a fixed bandwidth.
 :func:`fields_on_grid` is the grid view over the engine.
 """
 
@@ -89,9 +91,11 @@ def resolve_bandwidth(cfg: KernelConfig, X: np.ndarray) -> float:
 # the kernel-moment engine
 # ---------------------------------------------------------------------------
 
-# Kernel weights beyond this many bandwidths on any axis are below 1.3e-14 and
-# dropped; immaterial next to estimator noise.
+# Pairs beyond this many bandwidths, whose kernel exponent -|x - X|^2 / (2 h^2)
+# is below _CUT, are dropped: each dropped weight is below 1.3e-14, immaterial
+# next to estimator noise.
 _WINDOW_BANDWIDTHS = 8.0
+_CUT = -(_WINDOW_BANDWIDTHS**2) / 2.0
 # In 1-D a query block spans at most this fraction of the window radius, so
 # its sample band is at most 1/16 wider than one query's window.
 _BLOCK_WIDTH = 1.0 / 8.0
@@ -108,32 +112,24 @@ _GATHER_QUERIES = 5
 # one query's window alone holds more samples.
 _BLOCK_PAIRS = 1 << 15
 # numpy's exp takes a slow path, 20-100 times slower, where its result is
-# below the smallest normal double (exponents under -708.4).  Strips (see
-# _cell_blocks) meet samples far off their query on the other axes; a strip
-# that can reach exponents under -_EXP_FAST floors them.
-_EXP_FAST = 700.0
+# below the smallest normal double (exponents under -708.4).  A strip (see
+# _cell_blocks) meets samples far off its query on the other axes, so it
+# raises its exponents to this floor first; every floored pair is beyond the
+# cut.  A gathered cell needs no floor below d = 10: its pairs lie within
+# (1 + _CELL_WIDTH) window radii on every axis, so their exponents are at
+# least (1 + _CELL_WIDTH)^2 d _CUT = -72 d.
+_STRIP_FLOOR = _CUT - 1.0
 
 
-def _in_window(q_lo: np.ndarray, q_hi: np.ndarray, cols: np.ndarray, axes) -> np.ndarray:
-    """(queries, columns) mask of the samples (d, columns) within the window
-    on the given axes."""
-    k, *rest = axes
-    inside = cols[None, k] >= q_lo[:, k, None]
-    inside &= cols[None, k] <= q_hi[:, k, None]
-    for k in rest:
-        inside &= cols[None, k] >= q_lo[:, k, None]
-        inside &= cols[None, k] <= q_hi[:, k, None]
-    return inside
-
-
-def _weights(q: np.ndarray, cols: np.ndarray, h: float, floor=None, vel=None):
+def _weights(q: np.ndarray, cols: np.ndarray, h: float, cut, floor: bool, vel=None):
     """Unnormalized Gaussian weights (queries, columns) of the samples
-    (d, columns), distances summed from direct coordinate differences, with
-    exponents below ``floor`` (if any) raised to it.  Given the sample
-    velocities ``vel`` (columns, d), the second value is s = (x - X).V per
-    pair, from the same differences; otherwise it is None.  Three pair
-    temporaries at most: an axis's difference is taken again for its square
-    rather than held twice."""
+    (d, columns), distances summed from direct coordinate differences.  In
+    the column slices ``cut`` a pair whose exponent is below _CUT weighs an
+    exact 0; with ``floor``, exponents are raised to _STRIP_FLOOR before exp.
+    Given the sample velocities ``vel`` (columns, d), the second value is
+    s = (x - X).V per pair, from the same differences; otherwise it is None.
+    Three pair temporaries at most: an axis's difference is taken again for
+    its square rather than held twice."""
     d2 = np.subtract(q[:, 0, None], cols[None, 0])
     s = None if vel is None else np.multiply(d2, vel[None, :, 0])
     np.square(d2, out=d2)
@@ -144,18 +140,21 @@ def _weights(q: np.ndarray, cols: np.ndarray, h: float, floor=None, vel=None):
             np.subtract(q[:, k, None], cols[None, k], out=diff)
         d2 += np.square(diff, out=diff)
     np.multiply(d2, -1.0 / (2.0 * h * h), out=d2)
-    if floor is not None:
-        np.maximum(d2, floor, out=d2)
-    return np.exp(d2, out=d2), s
+    inside = [(c, d2[:, c] >= _CUT) for c in cut]
+    if floor:
+        np.maximum(d2, _STRIP_FLOOR, out=d2)
+    w = np.exp(d2, out=d2)
+    for c, mask in inside:
+        w[:, c] *= mask
+    return w, s
 
 
 def _axis_blocks(S, Y, ps, radius, win):
     """1-D blocks: queries sorted on the axis, each block at most
     ``_BLOCK_WIDTH`` window radii wide and at most ``_BLOCK_PAIRS`` pairs,
     against the band of samples within the radius of it.  Yields (first
-    query, end query, band samples (d, n), band targets, (columns, axes)
-    pairs: columns that can fall outside a query's window on those axes,
-    exponent floor or None)."""
+    query, end query, band samples (d, n), band targets, the column slices
+    whose pairs can be beyond the cut, whether to floor the exponents)."""
     win_lo, win_hi = win
     block_end = np.searchsorted(ps[:, 0], ps[:, 0] + _BLOCK_WIDTH * radius, side="right")
     i = 0
@@ -166,10 +165,10 @@ def _axis_blocks(S, Y, ps, radius, win):
         hi = win_hi[j - 1]
         if hi > lo:
             # every query of the block keeps the columns [win_lo[j-1], win_hi[i]);
-            # only the columns on either side can fall outside a query's window
+            # only the columns on either side can be beyond a query's cut
             left, right = win_lo[j - 1] - lo, win_hi[i] - lo
-            edges = [(s, (0,)) for s in (slice(0, left), slice(right, hi - lo)) if s.start < s.stop]
-            yield i, j, S[:, lo:hi], Y[lo:hi], edges, None
+            edges = [s for s in (slice(0, left), slice(right, hi - lo)) if s.start < s.stop]
+            yield i, j, S[:, lo:hi], Y[lo:hi], edges, False
         i = j
 
 
@@ -189,54 +188,31 @@ def _cell_order(points, radius):
     return order, np.append(np.flatnonzero(first), m)
 
 
-def _cell_blocks(S, Y, q_lo, q_hi, win, starts, far):
+def _cell_blocks(S, Y, q_lo, q_hi, win, starts):
     """d >= 2 blocks: each cell of queries meets the samples of its axis-0
     band that lie within the window radius of the cell's extent on every
-    other axis, gathered with the samples inside every query's window first.
+    other axis, a box around every query's disc, gathered once per cell.
     A cell with fewer than ``_GATHER_QUERIES`` queries does not pay for the
-    gather: each of its queries meets its own axis-0 window (a strip),
-    masked on the other axes.  Every in-window pair's exponent is at least
-    -(W^2/2) d, so the strips of the ``far`` queries floor their exponents
-    one below that, and each floored pair is still masked to an exact 0.
-    Yields blocks as ``_axis_blocks`` does."""
+    gather: each of its queries meets its own axis-0 window (a strip), with
+    floored exponents.  Any pair can be beyond the cut.  Yields blocks as
+    ``_axis_blocks`` does."""
     win_lo, win_hi = win
-    d = S.shape[0]
-    strip_edges = ((slice(None), range(1, d)),)
-    floor = -(_WINDOW_BANDWIDTHS**2 / 2.0) * d - 1.0
+    every_column = (slice(None),)
     for i, e in zip(starts[:-1], starts[1:]):
         if e - i < _GATHER_QUERIES:
             for j in range(i, e):
                 lo, hi = win_lo[j], win_hi[j]
-                yield j, j + 1, S[:, lo:hi], Y[lo:hi], strip_edges, floor if far[j] else None
+                yield j, j + 1, S[:, lo:hi], Y[lo:hi], every_column, True
             continue
         lo, hi = win_lo[i:e].min(), win_hi[i:e].max()
         band = S[:, lo:hi]
         cell_lo, cell_hi = q_lo[i:e].min(axis=0), q_hi[i:e].max(axis=0)
-        # a sample inside [sure_lo, sure_hi] on every axis is in every query's window
-        sure_lo, sure_hi = q_lo[i:e].max(axis=0), q_hi[i:e].min(axis=0)
-        keep = np.ones(band.shape[1], dtype=bool)
-        sure = (band[0] >= sure_lo[0]) & (band[0] <= sure_hi[0])
-        for k in range(1, d):
+        keep = (band[1] >= cell_lo[1]) & (band[1] <= cell_hi[1])
+        for k in range(2, S.shape[0]):
             keep &= (band[k] >= cell_lo[k]) & (band[k] <= cell_hi[k])
-            sure &= (band[k] >= sure_lo[k]) & (band[k] <= sure_hi[k])
-        inner = np.flatnonzero(sure)
-        cols = lo + np.concatenate([inner, np.flatnonzero(keep & ~sure)])
+        cols = lo + np.flatnonzero(keep)
         if cols.size:
-            edges = ((slice(inner.size, None), range(d)),)
-            yield i, e, np.take(S, cols, axis=1), np.take(Y, cols, axis=0), edges, None
-
-
-def _far_strips(S, ps, h):
-    """Whether the strip of each query (M, d) can reach exponents under
-    ``-_EXP_FAST``.  A strip pair is within the window on axis 0, which
-    adds at most W^2/2 (W the window in bandwidths), and the query's reach
-    to the farthest sample bounds what each other axis adds."""
-    reach = np.full(ps.shape[0], _WINDOW_BANDWIDTHS**2 / 2.0)
-    if S.shape[1]:
-        for k in range(1, ps.shape[1]):
-            far = np.maximum(ps[:, k] - S[k].min(), S[k].max() - ps[:, k])
-            reach += far * far / (2.0 * h * h)
-    return reach > _EXP_FAST
+            yield i, e, np.take(S, cols, axis=1), np.take(Y, cols, axis=0), every_column, False
 
 
 def nw_regress(
@@ -244,8 +220,9 @@ def nw_regress(
 ):
     """Nadaraya-Watson ratio of targets Y (N, p) at each query point (M, d).
 
-    Returns (values (M, p), effective_n (M,)).  Samples farther than eight
-    bandwidths from a query along any axis get weight zero.  No floor is
+    Returns (values (M, p), effective_n (M,)).  A pair whose exponent
+    -|x - X|^2 / (2 h^2) is below -32 (a sample farther than eight bandwidths
+    from the query, in any direction) gets weight zero.  No floor is
     applied here; callers decide whether to refuse or mask.  Samples already
     sorted on axis 0 are not sorted again, so a caller that queries one
     sample set many times can sort it once.
@@ -277,18 +254,16 @@ def nw_regress(
     if starts is None:
         blocks = _axis_blocks(S, Y, ps, radius, win)
     else:
-        blocks = _cell_blocks(S, Y, q_lo, q_hi, win, starts, _far_strips(S, ps, h))
+        blocks = _cell_blocks(S, Y, q_lo, q_hi, win, starts)
 
     sum_w = np.zeros(ps.shape[0])
     sum_wy = np.zeros((ps.shape[0], Y.shape[1]))
     sum_ws = np.zeros((ps.shape[0], 1 + d)) if moving else None
-    for i, e, Sb, Yb, edges, floor in blocks:
+    for i, e, Sb, Yb, cut, floor in blocks:
         step = max(1, _BLOCK_PAIRS // max(Sb.shape[1], 1))
         for j in range(i, e, step):
             rows = slice(j, min(j + step, e))
-            w, s = _weights(ps[rows], Sb, h, floor, Yb[:, :d] if moving else None)
-            for cols, axes in edges:
-                w[:, cols] *= _in_window(q_lo[rows], q_hi[rows], Sb[:, cols], axes)
+            w, s = _weights(ps[rows], Sb, h, cut, floor, Yb[:, :d] if moving else None)
             sum_w[rows] = w.sum(axis=1)
             sum_wy[rows] = w @ Yb
             if moving:

@@ -18,6 +18,7 @@ from .core import EndpointArrays, ProcessSpec, TimeGrid, make_time_grid, slice_s
 from .errors import (
     InvalidArgumentError,
     LowDensityError,
+    NonFiniteDataError,
     TrajectoryLeftSupportError,
 )
 from .gaussian import GaussianProcessSpec, _conditional_model
@@ -79,7 +80,8 @@ def kernel_velocity_oracle(
     bracketing slices (:func:`calculus.quantile_box`) are clamped to it and
     counted as excursions; query points whose effective n still falls under
     the density floor in either slice are refused with a LowDensityError
-    that lists their rows.
+    that lists their rows.  A slice whose sampled velocities are not finite
+    (a latent process at t = 0 or 1) raises NonFiniteDataError.
     """
     nodes = grid.nodes
     stats = OracleStats()
@@ -88,6 +90,11 @@ def kernel_velocity_oracle(
     def slice_data(k: int):
         if k not in cache:
             X, V, _ = slice_state(spec, endpoints, nodes[k])
+            if not np.all(np.isfinite(V)):
+                raise NonFiniteDataError(
+                    f"sampled velocities at t={nodes[k]:.6g} are not finite; "
+                    "the kernel oracle cannot regress on them"
+                )
             lo, hi = calculus.quantile_box(X)
             h = estimate.resolve_bandwidth(cfg, X)
             # sorted on axis 0 once, so nw_regress skips its sort on every

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calculus
-from .core import AffineMap, Coefficient, Gaussian, ProcessSpec
+from .core import AffineMap, Coefficient, Gaussian, ProcessSpec, bridge_gamma
 from .errors import (
     CapabilityError,
     DegenerateMarginalError,
@@ -187,6 +187,17 @@ def _cross(spec: GaussianProcessSpec, c1, c1p, c2, c2p, gg) -> np.ndarray:
     return c1p * c1 * S00 + c1p * c2 * S01 + c2p * c1 * S01.T + c2p * c2 * S11 + gg * eye
 
 
+def _latent_cross(spec: GaussianProcessSpec, t: float, g: float, gd: float) -> float:
+    """g g' at t.  At the ends of [0, 1] the bridge g = sqrt(t(1 - t)) is 0
+    and g' is infinite, but g g' = (g^2)'/2 = (1 - 2t)/2 stays finite: the
+    velocity field there is its t -> 0 and t -> 1 limit."""
+    if np.isfinite(gd):
+        return gd * g
+    if spec.gamma.name != bridge_gamma().name:
+        raise CapabilityError(f"latent coefficient {spec.gamma.name} has no finite g g' at t={t}")
+    return 0.5 - t
+
+
 def _conditional_model(spec: GaussianProcessSpec, t: float) -> _ConditionalModel:
     """The model at t; raises DegenerateMarginalError where S_t is numerically
     singular."""
@@ -197,7 +208,7 @@ def _conditional_model(spec: GaussianProcessSpec, t: float) -> _ConditionalModel
             f"marginal covariance at t={t} is numerically singular"
         )
     a, ad, _, b, bd, _, g, gd, _ = coefs
-    C_v = _cross(spec, a, ad, b, bd, gd * g)
+    C_v = _cross(spec, a, ad, b, bd, _latent_cross(spec, t, g, gd))
     cov_inv = np.linalg.inv(mom.cov)
     return _ConditionalModel(
         coefs, mom.mean, mom.cov, cov_inv, C_v, ad * spec.mean0 + bd * spec.mean1, C_v @ cov_inv

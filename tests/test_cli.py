@@ -364,6 +364,27 @@ class TestFlow:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["error"]["class"] == "ConfigError" and manifest["outputs"] == []
 
+    @pytest.mark.parametrize("source", ["oracle", "estimate"])
+    def test_latent_flow_from_t0(self, tmp_path, capsys, source):
+        # the bridge's g' is infinite at t = 0 and 1: the Gaussian oracle takes
+        # the velocity's limit there, and the kernel oracle refuses the sampled
+        # slice, whose velocities are infinite
+        process = dict(base_config(tmp_path)["process"], coefficients="latent")
+        cfg_path, out = write_config(tmp_path, process=process, n=300, source=source,
+                                     flow={"steps": 20, "n_points": 5})
+        code = cli.main(["flow", "--config", str(cfg_path)])
+        if source == "oracle":
+            assert code == 0
+            summary = json.loads((out / "straightness.json").read_text())
+            assert summary["n_failed"] == 0
+            assert all(np.isfinite(p["one_step_error"]) for p in summary["points"])
+        else:
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and "not finite" in err
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["error"]["class"] == "NonFiniteDataError"
+
     def test_zero_steps_exit_2(self, tmp_path):
         # a flag value of 0 is used, not replaced by the config's steps
         cfg_path, out = write_config(tmp_path, process=ot_process(), flow={"steps": 5})

@@ -187,20 +187,19 @@ class TestReynoldsTensor:
 
 
 def dense_reference(X, Y, points, h, V):
-    """Every sample against every query, weights farther than eight
-    bandwidths along any axis dropped: the values, the effective n, the
-    weighted means of s and s V (s = (x - X).V per pair), and the largest
-    in-window |s| and |s V| (the scale of the terms of those means)."""
-    radius = 8.0 * h
+    """Every sample against every query, with the engine's cut: the exponent
+    is the squared coordinate differences summed in axis order, times
+    -1/(2 h^2), and a pair whose exponent is below -32 (beyond eight
+    bandwidths) is dropped.  Returns the values, the effective n, the
+    weighted means of s and s V (s = (x - X).V per pair), and the largest kept
+    |s| and |s V| (the scale of the terms of those means)."""
     diff = points[:, None, :] - X[None, :, :]
-    d2 = np.sum(diff**2, axis=-1)
-    w = np.exp(-d2 / (2.0 * h * h))
-    inside = np.all(
-        (X[None, :, :] >= points[:, None, :] - radius)
-        & (X[None, :, :] <= points[:, None, :] + radius),
-        axis=-1,
-    )
-    w = np.where(inside, w, 0.0)
+    d2 = diff[..., 0] ** 2
+    for k in range(1, X.shape[1]):
+        d2 = d2 + diff[..., k] ** 2
+    exponent = d2 * (-1.0 / (2.0 * h * h))
+    inside = exponent >= -32.0
+    w = np.where(inside, np.exp(exponent), 0.0)
     sum_w = w.sum(axis=1)
     s = np.sum(diff * V[None, :, :], axis=-1)
     sv = np.concatenate([s[..., None], s[..., None] * V[None, :, :]], axis=-1)
@@ -287,8 +286,12 @@ class TestKernelEngine:
         beyond[0], beyond[-1] = 1.0, np.nextafter(4.0, np.inf)
         at_edge = np.zeros(d)
         at_edge[-1] = -4.0  # on the window's edge: kept
-        X = np.stack([np.zeros(d), beyond, at_edge])
-        Y = np.array([[1.0], [100.0], [0.0]])
+        # inside the box of half-width 4 on every axis, but 4.1 away, at
+        # weight exp(-33.6): the cut is a disc, not a box
+        corner = np.zeros(d)
+        corner[0] = corner[-1] = 2.9
+        X = np.stack([np.zeros(d), beyond, at_edge, corner])
+        Y = np.array([[1.0], [100.0], [0.0], [100.0]])
         rng = np.random.default_rng(0)
         crowd = np.concatenate([np.zeros((1, d)), rng.uniform(-0.5, 0.5, (63, d))])
         for points in (np.zeros((1, d)), crowd):
@@ -544,6 +547,6 @@ class TestTimeDerivatives:
             estimate.nw_regress(X, V, points, h)
             estimate.nw_regress(X, V, points, h, moving=True)
         if d > 1:  # without the floor these strips do reach it
-            with mock.patch.object(estimate, "_EXP_FAST", np.inf):
+            with mock.patch.object(estimate, "_STRIP_FLOOR", -np.inf):
                 with np.errstate(under="raise"), pytest.raises(FloatingPointError):
                     estimate.nw_regress(X, V, points, h)

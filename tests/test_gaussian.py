@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -267,6 +269,24 @@ class TestFromProcessSpec:
         cpl = core.CouplingSpec("independent", mix, gauss1())
         with pytest.raises(CapabilityError):
             gaussian.from_process_spec(make_spec("affine", cpl))
+
+    @pytest.mark.parametrize("t, inside", [(0.0, 1e-9), (1.0, 1.0 - 1e-9)])
+    def test_latent_velocity_at_the_ends_is_its_limit(self, latent_spec, t, inside):
+        # g' is infinite where the bridge g = sqrt(t(1 - t)) is 0, but g g' is not
+        g = gaussian.from_process_spec(latent_spec)
+        x = np.linspace(-3.0, 3.0, 7)[:, None]
+        v = gaussian.velocity_at(g, t, x)
+        assert np.all(np.isfinite(v))
+        np.testing.assert_allclose(v, gaussian.velocity_at(g, inside, x), rtol=0, atol=1e-7)
+
+    def test_latent_end_limit_only_for_the_bridge(self, latent_spec):
+        bridge = latent_spec.gamma
+        doubled = core.Coefficient("2 sqrt(t(1-t))", lambda t: 2 * bridge(t),
+                                   lambda t: 2 * bridge.d1(t), lambda t: 2 * bridge.d2(t))
+        spec = dataclasses.replace(gaussian.from_process_spec(latent_spec), gamma=doubled)
+        gaussian.velocity_at(spec, 0.5, np.zeros(1))
+        with pytest.raises(CapabilityError):
+            gaussian.velocity_at(spec, 0.0, np.zeros(1))
 
     def test_latent_marginal_includes_bridge_variance(self, latent_spec):
         g = gaussian.from_process_spec(latent_spec)
