@@ -15,7 +15,7 @@ The divergence of a matrix field contracts the FIRST index:
 from __future__ import annotations
 
 import dataclasses
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -426,12 +426,23 @@ def material_residual(v: GridField, dt_v: GridField, order: int = 4) -> Residual
 # ---------------------------------------------------------------------------
 
 def _csv_blocks(lead, values):
-    """CSV lines, up to ``_CSV_BLOCK_ROWS`` per yielded block: the next tuple
-    of text cells from ``lead``, then Python's shortest round-trip ``repr`` of
-    each double in that row of ``values`` (rows, width).  Each distinct double
-    is formatted once, keyed on its int64 bits, which keep -0.0 apart from 0.0.
+    """CSV lines, up to ``_CSV_BLOCK_ROWS`` per yielded block, one per row of
+    ``values`` (rows, width).
+
+    ``lead`` is a list of text lists whose C-order product gives each row's
+    leading cells: row r starts with ``itertools.product(*lead)``'s r-th tuple
+    (an empty ``lead`` leads one row with nothing), and the product must have
+    exactly one tuple per row.  Then come Python's shortest round-trip ``repr``
+    of each double in the row.  Each distinct double is formatted once, keyed
+    on its int64 bits, which keep -0.0 apart from 0.0; each block is one
+    ``"".join`` over an object array of its texts, commas and newlines.
     """
     values = np.ascontiguousarray(values, dtype=float)
+    sizes = [len(cells) for cells in lead]
+    n = values.shape[0]
+    if math.prod(sizes) != n:
+        raise InvalidArgumentError(f"the lead product has {math.prod(sizes)} rows, not {n}")
+    lead = [np.array(cells, dtype=object) for cells in lead]
     bits = values.view(np.int64).ravel()
     order = np.argsort(bits, kind="stable")
     sorted_bits = bits[order]
@@ -446,12 +457,19 @@ def _csv_blocks(lead, values):
     inverse[order] = rank
     del order, rank  # only the index of each cell is held while the text is built
     inverse = inverse.reshape(values.shape)
-    lead = iter(lead)
-    for lo in range(0, values.shape[0], _CSV_BLOCK_ROWS):
-        cells = text[inverse[lo:lo + _CSV_BLOCK_ROWS]].tolist()
-        # islice, not zip(lead, cells): zip would draw one lead tuple past the block
-        heads = itertools.islice(lead, len(cells))
-        yield "".join([",".join((*head, *row)) + "\n" for head, row in zip(heads, cells)])
+    k = len(lead)
+    # one row of texts per line: even columns hold the lead's and the cells'
+    # texts, refilled per block; odd ones the "," between them and, last, "\n"
+    block = np.full((min(n, _CSV_BLOCK_ROWS), 2 * (k + values.shape[1])), ",", dtype=object)
+    block[:, -1] = "\n"
+    for lo in range(0, n, _CSV_BLOCK_ROWS):
+        hi = min(lo + _CSV_BLOCK_ROWS, n)
+        parts = block[:hi - lo]
+        if lead:
+            for j, index in enumerate(np.unravel_index(np.arange(lo, hi), sizes)):
+                parts[:, 2 * j] = lead[j][index]
+        parts[:, 2 * k::2] = text[inverse[lo:hi]]
+        yield "".join(parts.ravel().tolist())
 
 
 def grid_field_to_csv(field: GridField) -> str:
@@ -466,6 +484,6 @@ def grid_field_to_csv(field: GridField) -> str:
         "vector": [f"v{j}" for j in range(d)],
         "matrix": [f"m{i}{j}" for i in range(d) for j in range(d)],
     }[field.rank]
-    coords = itertools.product(*([repr(x) for x in ax.tolist()] for ax in field.grid.axes))
+    coords = [[repr(x) for x in ax.tolist()] for ax in field.grid.axes]
     rows = _csv_blocks(coords, field.values.reshape(-1, len(names)))
     return ",".join([f"x{i}" for i in range(d)] + names) + "\n" + "".join(rows)

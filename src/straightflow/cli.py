@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import os
 import sys
@@ -576,7 +575,7 @@ def cmd_flow(cfg: ExperimentConfig, out: _Outputs, points_file: str | None, use_
 
     # one row per kept point and time node, streamed: the text is never held whole
     states = states.reshape(-1, spec.dim)
-    lead = itertools.product([str(i) for i in kept], [repr(t) for t in tgrid.nodes.tolist()])
+    lead = [[str(i) for i in kept], [repr(t) for t in tgrid.nodes.tolist()]]
 
     def write_trajectories(path: Path) -> None:
         with open(path, "w") as fh:
@@ -647,7 +646,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: _Outputs, param: str, values: list[str
         raise ConfigError(f"sweep value not a {caster.__name__}: {err}", "values") from err
 
     seeds = cfg.get("seeds") or [cfg["seed"]]
-    lead, metric_values = [], []
+    heads, metric_values = [], []
     for value in parsed:
         sweep_seeds = [value] if param == "seed" else seeds
         for seed in sweep_seeds:
@@ -657,11 +656,11 @@ def cmd_sweep(cfg: ExperimentConfig, out: _Outputs, param: str, values: list[str
             metrics = _sweep_metrics(ExperimentConfig(data))  # data holds every default
             value_cell = "" if param == "seed" else repr(float(value))
             for metric in ("v_rmse", "tr_pi"):
-                lead.append((param, value_cell, str(seed), metric))
+                heads.append(f"{param},{value_cell},{seed},{metric}")
                 metric_values.append([metrics[metric]])
-    rows = "".join(calculus._csv_blocks(lead, np.array(metric_values)))
+    rows = "".join(calculus._csv_blocks([heads], np.array(metric_values)))
     out.write("sweep.csv", "param,value,seed,metric,metric_value\n" + rows)
-    print(f"sweep: wrote {out.dir / 'sweep.csv'} ({len(lead)} rows)")
+    print(f"sweep: wrote {out.dir / 'sweep.csv'} ({len(heads)} rows)")
     return EXIT_OK
 
 

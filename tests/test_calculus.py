@@ -1,3 +1,4 @@
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -357,7 +358,7 @@ def reference_csv_rows(lead, values) -> str:
     """The per-cell reference: one ``repr(float(c))`` call for every cell."""
     return "".join(
         ",".join(list(head) + [repr(float(c)) for c in row]) + "\n"
-        for head, row in zip(lead, values)
+        for head, row in zip(lead, values, strict=True)
     )
 
 
@@ -369,10 +370,33 @@ SPECIAL_DOUBLES = [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324,
                    *np.array(_SPECIAL_BITS, dtype=np.uint64).view(np.float64).tolist()]
 
 
+def text_lead(sizes):
+    """Lead factors of the given sizes, every text telling its factor and place."""
+    return [[f"c{k}_{i}" for i in range(size)] for k, size in enumerate(sizes)]
+
+
+@st.composite
+def lead_sizes(draw, n):
+    """Up to three factor sizes whose product is ``n``: each but the last a
+    divisor of what is left, so a row count with no handy factors goes in as
+    one list; for ``n`` = 0 one factor is empty and the others any size."""
+    count = draw(st.integers(0 if n == 1 else 1, 3))
+    if n == 0:
+        sizes = draw(st.lists(st.integers(0, 3), min_size=count, max_size=count))
+        sizes[draw(st.integers(0, count - 1))] = 0
+        return sizes
+    sizes = []
+    for _ in range(count - 1):
+        sizes.append(draw(st.sampled_from([f for f in range(1, n + 1) if n % f == 0])))
+        n //= sizes[-1]
+    return sizes + [n] if count else sizes
+
+
 @st.composite
 def csv_tables(draw, block_rows):
     """A (rows, width) table drawn from a small pool of doubles, so that values
-    repeat heavily, at a row count around the block boundaries."""
+    repeat heavily, at a row count around the block boundaries, and a text
+    lead whose product has one tuple per row."""
     n = draw(st.sampled_from([0, 1, block_rows - 1, block_rows, block_rows + 1,
                               2 * block_rows + 1]))
     width = draw(st.integers(1, 4))
@@ -381,8 +405,7 @@ def csv_tables(draw, block_rows):
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n * width,
                           max_size=n * width))
     values = np.array([pool[i] for i in picks], dtype=float).reshape(n, width)
-    lead_width = draw(st.integers(0, 2))
-    return [tuple(f"c{r}_{k}" for k in range(lead_width)) for r in range(n)], values
+    return text_lead(draw(lead_sizes(n))), values
 
 
 class TestCsvBlocks:
@@ -392,10 +415,9 @@ class TestCsvBlocks:
     def test_matches_per_cell_reference(self, block_rows, data):
         lead, values = data.draw(csv_tables(block_rows))
         with mock.patch.object(calculus, "_CSV_BLOCK_ROWS", block_rows):
-            # a lazy iterator: the writer must take exactly each block's rows from it
-            blocks = list(calculus._csv_blocks(iter(lead), values))
-        assert "".join(blocks) == reference_csv_rows(lead, values)
-        assert len(blocks) == -(-len(lead) // block_rows)
+            blocks = list(calculus._csv_blocks(lead, values))
+        assert "".join(blocks) == reference_csv_rows(itertools.product(*lead), values)
+        assert len(blocks) == -(-len(values) // block_rows)
         assert all(0 < b.count("\n") <= block_rows for b in blocks)
 
     @given(st.lists(st.sampled_from(SPECIAL_DOUBLES), min_size=1, max_size=40),
@@ -403,9 +425,34 @@ class TestCsvBlocks:
     @example([0.0, -0.0, -0.0, 0.0], 2)
     def test_signed_zero_and_nan_text(self, cells, width):
         values = np.resize(np.array(cells), (-(-len(cells) // width), width))
-        lead = [(str(r),) for r in range(values.shape[0])]
+        lead = [[str(r) for r in range(values.shape[0])]]
         text = "".join(calculus._csv_blocks(lead, values))
-        assert text == reference_csv_rows(lead, values)
+        assert text == reference_csv_rows(itertools.product(*lead), values)
+
+    def test_three_factor_lead_in_c_order(self):
+        lead = text_lead([2, 3, 2])
+        values = np.arange(24.0).reshape(12, 2) - 5.5
+        with mock.patch.object(calculus, "_CSV_BLOCK_ROWS", 5):
+            blocks = list(calculus._csv_blocks(lead, values))
+        assert [b.count("\n") for b in blocks] == [5, 5, 2]
+        lines = "".join(blocks).splitlines()
+        assert lines[0] == "c0_0,c1_0,c2_0,-5.5,-4.5"
+        assert lines[1] == "c0_0,c1_0,c2_1,-3.5,-2.5"  # the last factor varies fastest
+        assert lines[2] == "c0_0,c1_1,c2_0,-1.5,-0.5"
+        assert lines[6] == "c0_1,c1_0,c2_0,6.5,7.5"
+        assert lines[11] == "c0_1,c1_2,c2_1,16.5,17.5"
+
+    def test_zero_length_factor_writes_nothing(self):
+        assert list(calculus._csv_blocks(text_lead([3, 0, 2]), np.empty((0, 2)))) == []
+
+    def test_empty_lead_writes_cells_only(self):
+        assert list(calculus._csv_blocks([], np.array([[-0.0, 0.1, 2.0]]))) == ["-0.0,0.1,2.0\n"]
+
+    @pytest.mark.parametrize("sizes,rows", [([2, 3], 5), ([2, 3], 7), ([], 2), ([0], 1),
+                                            ([4], 0)])
+    def test_lead_product_must_match_row_count(self, sizes, rows):
+        with pytest.raises(InvalidArgumentError):
+            next(calculus._csv_blocks(text_lead(sizes), np.zeros((rows, 1))))
 
     def test_grid_coordinates_are_the_axis_nodes_in_c_order(self):
         grid = calculus.make_spatial_grid([(-1.0, 1.0), (0.0, 0.3)], [3, 4])

@@ -590,6 +590,28 @@ class TestSweep:
         assert all(r[1] == "" for r in v_rows)  # the value column stays constant
         assert len({r[4] for r in v_rows}) == 3  # metrics differ across seeds
 
+    @pytest.mark.parametrize("param,values,seeds", [("n", ["1000", "3000"], [7, 8]),
+                                                     ("seed", ["1", "2"], None)])
+    def test_matches_per_cell_reference(self, tmp_path, param, values, seeds):
+        """``sweep.csv`` rebuilt row by row from ``_sweep_metrics`` on the same
+        config, one ``repr(float(x))`` per metric; a seed sweep's value cell is
+        empty."""
+        cfg_path, out = write_config(tmp_path, n=2000, **({"seeds": seeds} if seeds else {}))
+        code = cli.main(["sweep", "--config", str(cfg_path), "--param", param,
+                         "--values", ",".join(values)])
+        assert code == 0
+        cfg = cli.load_config(cfg_path)
+        lines = ["param,value,seed,metric,metric_value"]
+        for value in values:
+            for seed in [value] if param == "seed" else seeds:
+                data = json.loads(cfg.canonical) | {param: int(value), "seed": int(seed)}
+                metrics = cli._sweep_metrics(cli.ExperimentConfig(data))
+                value_cell = "" if param == "seed" else repr(float(value))
+                for metric in ("v_rmse", "tr_pi"):
+                    lines.append(",".join([param, value_cell, str(seed), metric,
+                                           repr(float(metrics[metric]))]))
+        assert (out / "sweep.csv").read_text() == "\n".join(lines) + "\n"
+
 
 class TestSchema:
     def test_published_schema_importable(self):
