@@ -18,6 +18,13 @@ Layers timed so far:
   independent N(0, I) -> N(0, I) process.  ``flow`` is the rk4 trajectory
   table, 1,444 points x 101 nodes, of the affine OT flow from N(0, I) to
   N(m1, diag(4, 9)), with m1 the target mean that workload draws at seed 31.
+- ``trace``: ``verify.tr_pi_moment`` on one slice at t = 0.5, seed 31.
+  ``lab_2d_m2048`` and ``lab_2d_m4096`` take the lab_2d benchmark
+  workload's slice (the affine OT map N(0, I) -> N((2, -1), diag(4, 9)),
+  n = 2e4) with the subsample sizes of ``verify --theorem determinism`` and
+  ``--theorem affine``.  ``1d_n1e5_m4096`` is the affine independent
+  N(0, 1) -> N(0, 1) slice of acceptance criterion 1 (n = 1e5, m = 4096),
+  and ``2d_n1e5_m4096`` the 2-D OT slice at n = 1e5, m = 4096.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from straightflow import calculus, cli, core, flow, gaussian  # noqa: E402
+from straightflow import calculus, cli, core, flow, gaussian, verify  # noqa: E402
 
 REPEATS = 5
 
@@ -54,6 +61,33 @@ _FLOW_CONFIG = {
     "n": 1, "seed": 31, "source": "oracle", "grid": {"nodes_per_axis": 40},
     "flow": {"scheme": "rk4", "steps": 100},
 }
+
+
+_STD1 = {"family": "gaussian", "mean": [0.0], "cov": [[1.0]]}
+_LAB_2D_PROCESS = {"coefficients": "affine", "dim": 2, "coupling": {
+    "kind": "deterministic_map", "mu0": _STD2, "map": "ot",
+    "mu1": {"family": "gaussian", "mean": [2.0, -1.0], "cov": [[4.0, 0.0], [0.0, 9.0]]}}}
+_INDEP_1D_PROCESS = {"coefficients": "affine", "dim": 1, "coupling": {
+    "kind": "independent", "mu0": _STD1, "mu1": _STD1}}
+# name -> (process, n, subsample size m)
+_TRACE_SLICES = {
+    "lab_2d_m2048": (_LAB_2D_PROCESS, 20_000, 2048),
+    "lab_2d_m4096": (_LAB_2D_PROCESS, 20_000, 4096),
+    "1d_n1e5_m4096": (_INDEP_1D_PROCESS, 100_000, 4096),
+    "2d_n1e5_m4096": (_LAB_2D_PROCESS, 100_000, 4096),
+}
+_TRACE_SEED = 31
+_TRACE_TIME = 0.5
+
+
+def time_runs(fn) -> list:
+    """Wall times of ``REPEATS`` calls of ``fn``, which consumes its result."""
+    runs = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        fn()
+        runs.append(time.perf_counter() - start)
+    return runs
 
 
 def _config(data: dict) -> cli.ExperimentConfig:
@@ -104,16 +138,41 @@ def write_csv(lead, values) -> int:
 def time_csv(tables: dict) -> dict:
     out = {}
     for name, group in tables.items():
-        runs = []
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            size = sum(write_csv(*table) for table in group)
-            runs.append(time.perf_counter() - start)
+        sizes = []
+        runs = time_runs(lambda: sizes.append(sum(write_csv(*table) for table in group)))
         out[name] = {
             "tables": len(group),
             "rows": sum(values.shape[0] for _, values in group),
             "cells": sum(values.size for _, values in group),
-            "chars": size,
+            "chars": sizes[-1],
+            "best_s": min(runs),
+            "runs_s": runs,
+        }
+    return out
+
+
+def trace_slices() -> dict:
+    """(X, V, m) of each ``_TRACE_SLICES`` entry."""
+    out = {}
+    for name, (process, n, m) in _TRACE_SLICES.items():
+        spec = cli.build_process_spec(_config({"process": process, "n": n, "seed": _TRACE_SEED}))
+        X, V, _ = core.slice_state(spec, core.sample_endpoints(spec, n, _TRACE_SEED), _TRACE_TIME)
+        out[name] = (X, V, m)
+    return out
+
+
+def time_trace(slices: dict) -> dict:
+    out = {}
+    for name, (X, V, m) in slices.items():
+        moments = []
+        runs = time_runs(lambda: moments.append(
+            verify.tr_pi_moment(X, V, core.aux_rng(_TRACE_SEED, 5), m_eval=m)))
+        out[name] = {
+            "n": X.shape[0],
+            "d": X.shape[1],
+            "m": m,
+            "tr_pi": moments[-1].value,
+            "low_density_fraction": moments[-1].low_density_fraction,
             "best_s": min(runs),
             "runs_s": runs,
         }
@@ -144,15 +203,18 @@ def main(argv=None) -> int:
         "label": args.label,
         "machine": machine_facts(),
         "repeats": REPEATS,
-        "layers": {"csv": time_csv(csv_tables())},
+        "layers": {"csv": time_csv(csv_tables()), "trace": time_trace(trace_slices())},
     }
     path = ROOT / ".benchmarks" / f"BENCH_{args.label}.json"
     path.parent.mkdir(exist_ok=True)
     path.write_text(json.dumps(report, indent=2) + "\n")
-    for layer, groups in report["layers"].items():
-        for name, row in groups.items():
-            print(f"{layer}.{name}: {row['best_s']:.4f} s best of {REPEATS} "
-                  f"({row['tables']} tables, {row['cells']} cells, {row['chars']} chars)")
+    for name, row in report["layers"]["csv"].items():
+        print(f"csv.{name}: {row['best_s']:.4f} s best of {REPEATS} "
+              f"({row['tables']} tables, {row['cells']} cells, {row['chars']} chars)")
+    for name, row in report["layers"]["trace"].items():
+        print(f"trace.{name}: {row['best_s']:.4f} s best of {REPEATS} "
+              f"(n={row['n']}, d={row['d']}, m={row['m']}, tr_pi={row['tr_pi']:.6g}, "
+              f"low-density {row['low_density_fraction']:.4f})")
     print(f"wrote {path}")
     return 0
 

@@ -9,26 +9,34 @@ relative statements are decidable.  The geometric report draws no control:
 its verdict compares the identity gap with three standard errors.
 
 The trace of the Reynolds tensor is integrated through the moment identity
-E[Tr Pi(X)] = E|Xdot|^2 - E|v(X)|^2 (law of total variance), estimated as a
-paired difference over a seeded subsample of sample points with Nadaraya-
-Watson v.  The regression bandwidth is half the Silverman density bandwidth:
-the paired difference needs low bias more than low variance, and measured on
-deterministic couplings the halved bandwidth puts the noise floor around
-5e-3, two orders under stochastic controls.
+E[Tr Pi(X)] = E|Xdot|^2 - E|v(X)|^2 (law of total variance), estimated over
+a seeded subsample of sample rows.  The trace harnesses take E|v(X)|^2 from
+the nearest-neighbour cross term, the mean of V_i . V_nn(i) with nn(i) the
+nearest other sample row (Devroye, Gyorfi, Lugosi & Walk, EJS 12, 2018).  It
+needs no bandwidth and its bias vanishes with the nearest-neighbour
+distance: measured on the 2-D affine OT coupling at n = 2e4, the trace reads
+4e-4 to 1.3e-3 of its permuted control (seeds 1-29), where a kernel
+regression at half the Silverman bandwidth read about 1e-2.  The geometric
+report still regresses v by Nadaraya-Watson at that bandwidth, because its
+standard error treats the regression term as independent of the moment
+terms, which nearest-neighbour pairs are not.
 
-Every harness takes one ``density_floor``: a subsampled point whose kernel
-effective sample size falls under it counts as low-density, and a harness
-whose low-density fraction exceeds ``_LOW_DENSITY_FRACTION`` is
-inconclusive whatever it measured.
+Every harness takes one ``density_floor``.  A subsampled point counts as
+low-density when fewer than that many sample rows lie within the radius
+whose ball has the volume of the Gaussian kernel at half the Silverman
+bandwidth (in the geometric report: when its kernel effective sample size is
+under it), and a harness whose low-density fraction exceeds
+``_LOW_DENSITY_FRACTION`` is inconclusive whatever it measured.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import estimate, flow
+from . import estimate, flow, neighbours
 from .core import (
     EndpointArrays,
     ProcessSpec,
@@ -48,6 +56,8 @@ __all__ = [
     "tr_pi_moment",
 ]
 
+# Times the Silverman bandwidth: the geometric report's regression bandwidth,
+# and the bandwidth whose kernel volume sizes every harness's density gate.
 _TRACE_BANDWIDTH_FACTOR = 0.5
 _DEFAULT_M_EVAL = 4096
 _DETERMINISM_M_EVAL = 2048
@@ -86,15 +96,11 @@ class TraceMoment:
     low_density_fraction: float
 
 
-def _subsample_velocity(X: np.ndarray, V: np.ndarray, rng: np.random.Generator, m_eval: int):
-    """A seeded subsample of ``m_eval`` sample rows (all rows when fewer) and
-    the Nadaraya-Watson velocity at them, with half the Silverman bandwidth;
-    returns (idx, vhat, effective n)."""
-    n = X.shape[0]
-    idx = rng.choice(n, size=min(int(m_eval), n), replace=False)
-    h = estimate.silverman_bandwidth_from(X) * _TRACE_BANDWIDTH_FACTOR
-    vhat, eff = estimate.nw_regress(X, V, X[idx], h)
-    return idx, vhat, eff
+def _count_radius(h: float, d: int) -> float:
+    """The radius whose d-ball has the volume (2 pi)^(d/2) h^d of the Gaussian
+    kernel of bandwidth ``h``: 1.2533 h in 1-D, sqrt(2) h in 2-D."""
+    ball = np.pi ** (d / 2) / math.gamma(d / 2 + 1)
+    return h * np.sqrt(2 * np.pi) / ball ** (1 / d)
 
 
 def tr_pi_moment(
@@ -104,12 +110,19 @@ def tr_pi_moment(
     m_eval: int = _DEFAULT_M_EVAL,
     density_floor: float = 25.0,
 ) -> TraceMoment:
-    """Paired estimate of E[Tr Pi(X)] = E|Xdot|^2 - E|v(X)|^2 at one slice."""
+    """Estimate of E[Tr Pi(X)] = E|Xdot|^2 - E|v(X)|^2 at one slice: the mean
+    of V_i . (V_i - V_nn(i)) over a seeded subsample of ``m_eval`` sample rows
+    (all rows when fewer), nn(i) the nearest other sample row.  A row is
+    low-density when fewer than ``density_floor`` sample rows lie within
+    ``_count_radius`` of half the Silverman bandwidth."""
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(V))):
         raise NonFiniteDataError("trace moment needs finite slice arrays")
-    idx, vhat, eff = _subsample_velocity(X, V, rng, m_eval)
-    diff = np.sum(V[idx] ** 2, axis=1) - np.sum(vhat**2, axis=1)
-    return TraceMoment(float(np.mean(diff)), float(np.mean(eff < density_floor)))
+    n, d = X.shape
+    idx = rng.choice(n, size=min(int(m_eval), n), replace=False)
+    h = estimate.silverman_bandwidth_from(X) * _TRACE_BANDWIDTH_FACTOR
+    _, near, count = neighbours.nearest_and_count(X, idx, _count_radius(h, d))
+    diff = np.sum(V[idx] * (V[idx] - V[near]), axis=1)
+    return TraceMoment(float(np.mean(diff)), float(np.mean(count < density_floor)))
 
 
 def _permuted_control(endpoints: EndpointArrays, tag: int) -> EndpointArrays:
@@ -241,9 +254,11 @@ def geometric_report(
     X, V, A = slice_state(spec, endpoints, t)
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(V)) and np.all(np.isfinite(A))):
         raise NonFiniteDataError("geometric report needs finite slice arrays")
-    idx, vhat, eff = _subsample_velocity(X, V, aux_rng(endpoints.seed, 200 + t_index),
-                                         _DEFAULT_M_EVAL)
-    m = idx.size
+    n = X.shape[0]
+    m = min(_DEFAULT_M_EVAL, n)
+    idx = aux_rng(endpoints.seed, 200 + t_index).choice(n, size=m, replace=False)
+    h = estimate.silverman_bandwidth_from(X) * _TRACE_BANDWIDTH_FACTOR
+    vhat, eff = estimate.nw_regress(X, V, X[idx], h)
 
     xa = np.sum(X * A, axis=1)
     v2 = np.sum(V**2, axis=1)

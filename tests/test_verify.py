@@ -4,11 +4,31 @@ import numpy as np
 import pytest
 
 from straightflow import cli, core, verify
-from straightflow.errors import InvalidArgumentError
+from straightflow.errors import DegenerateDataError, InvalidArgumentError, NonFiniteDataError
 
 from conftest import head
 
 PI2_4 = np.pi**2 / 4
+
+
+class TestTrPiMoment:
+    def test_non_finite_slice_refused(self):
+        X = np.random.default_rng(0).standard_normal((100, 2))
+        X[3, 1] = np.nan
+        with pytest.raises(NonFiniteDataError):
+            verify.tr_pi_moment(X, np.zeros_like(X), core.aux_rng(1, 2))
+
+    def test_zero_variance_slice_refused(self):
+        X = np.ones((100, 2))
+        with pytest.raises(DegenerateDataError):
+            verify.tr_pi_moment(X, np.zeros_like(X), core.aux_rng(1, 2))
+
+    def test_gate_radius_holds_the_kernel_volume(self):
+        # 1.2533 h in 1-D, sqrt(2) h in 2-D, and in 3-D the ball of (2 pi)^1.5 h^3
+        assert verify._count_radius(1.0, 1) == pytest.approx(np.sqrt(np.pi / 2))
+        assert verify._count_radius(2.0, 2) == pytest.approx(2.0 * np.sqrt(2.0))
+        r = verify._count_radius(0.5, 3)
+        assert 4 / 3 * np.pi * r**3 == pytest.approx((2 * np.pi) ** 1.5 * 0.5**3)
 
 
 class TestAffineStraightnessCheck:
