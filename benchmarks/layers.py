@@ -25,11 +25,19 @@ Layers timed so far:
   ``--theorem affine``.  ``1d_n1e5_m4096`` is the affine independent
   N(0, 1) -> N(0, 1) slice of acceptance criterion 1 (n = 1e5, m = 4096),
   and ``2d_n1e5_m4096`` the 2-D OT slice at n = 1e5, m = 4096.
+- ``kernel_flow``: the whole ``flow`` command through ``cli.main`` with the
+  kernel velocity oracle (``source: estimate``) on the lab_2d benchmark
+  workload's config (n = 2e4, ``time_steps`` 4), 20 start points from mu0,
+  rk4 x 20 and the default one-step reference cap, at seeds 3, 17 and 29.
+  Each row also records the reference run's step count and the failed
+  points.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -78,6 +86,7 @@ _TRACE_SLICES = {
 }
 _TRACE_SEED = 31
 _TRACE_TIME = 0.5
+_KERNEL_FLOW_SEEDS = (3, 17, 29)
 
 
 def time_runs(fn) -> list:
@@ -179,6 +188,30 @@ def time_trace(slices: dict) -> dict:
     return out
 
 
+def time_kernel_flow() -> dict:
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in _KERNEL_FLOW_SEEDS:
+            path, result = Path(tmp) / f"seed{seed}.json", Path(tmp) / f"out{seed}"
+            path.write_text(json.dumps({
+                "process": _LAB_2D_PROCESS, "n": 20_000, "seed": seed, "time_steps": 4,
+                "source": "estimate", "flow": {"steps": 20, "n_points": 20},
+                "output_dir": str(result),
+            }))
+            codes = []
+            with contextlib.redirect_stdout(io.StringIO()):
+                runs = time_runs(lambda: codes.append(cli.main(["flow", "--config", str(path)])))
+            summary = json.loads((result / "straightness.json").read_text())
+            out[f"seed{seed}"] = {
+                "exit": codes[-1],
+                "reference_steps_used": summary["one_step"]["reference_steps_used"],
+                "n_failed": summary["n_failed"],
+                "best_s": min(runs),
+                "runs_s": runs,
+            }
+    return out
+
+
 def machine_facts() -> dict:
     blas = "unknown"
     try:
@@ -203,7 +236,8 @@ def main(argv=None) -> int:
         "label": args.label,
         "machine": machine_facts(),
         "repeats": REPEATS,
-        "layers": {"csv": time_csv(csv_tables()), "trace": time_trace(trace_slices())},
+        "layers": {"csv": time_csv(csv_tables()), "trace": time_trace(trace_slices()),
+                   "kernel_flow": time_kernel_flow()},
     }
     path = ROOT / ".benchmarks" / f"BENCH_{args.label}.json"
     path.parent.mkdir(exist_ok=True)
@@ -215,6 +249,10 @@ def main(argv=None) -> int:
         print(f"trace.{name}: {row['best_s']:.4f} s best of {REPEATS} "
               f"(n={row['n']}, d={row['d']}, m={row['m']}, tr_pi={row['tr_pi']:.6g}, "
               f"low-density {row['low_density_fraction']:.4f})")
+    for name, row in report["layers"]["kernel_flow"].items():
+        print(f"kernel_flow.{name}: {row['best_s']:.4f} s best of {REPEATS} "
+              f"(exit {row['exit']}, reference steps {row['reference_steps_used']}, "
+              f"{row['n_failed']} failed)")
     print(f"wrote {path}")
     return 0
 

@@ -546,9 +546,8 @@ def cmd_flow(cfg: ExperimentConfig, out: _Outputs, points_file: str | None, use_
     if source == "oracle":
         oracle = flow.analytic_velocity_oracle(gaussian.from_process_spec(spec))
     else:
-        grid_t = core.make_time_grid(max(cfg["time_steps"], 10))
         endpoints = core.sample_endpoints(spec, cfg["n"], cfg["seed"])
-        oracle = flow.kernel_velocity_oracle(spec, endpoints, grid_t, _kernel_config(cfg))
+        oracle = flow.kernel_velocity_oracle(spec, endpoints, _kernel_config(cfg))
         sample = core.slice_state(spec, endpoints, 0.0)[0]
 
     if points_file is not None:

@@ -70,56 +70,45 @@ def analytic_velocity_oracle(spec: GaussianProcessSpec) -> VelocityOracle:
 
 
 def kernel_velocity_oracle(
-    spec: ProcessSpec, endpoints: EndpointArrays, grid: TimeGrid, cfg: estimate.KernelConfig
+    spec: ProcessSpec, endpoints: EndpointArrays, cfg: estimate.KernelConfig
 ) -> VelocityOracle:
-    """Nadaraya-Watson velocity oracle over the endpoints sliced at the nodes
-    of ``grid``; a node is sliced when a query first needs it.
+    """Nadaraya-Watson velocity oracle over the endpoints sliced at the
+    query's own time t: the velocity ``fields --source estimate`` reports at t.
 
-    Off-node times are handled by linear interpolation between the bracketing
-    slices.  Queries outside the per-axis 1%/99% quantile box of the
-    bracketing slices (:func:`calculus.quantile_box`) are clamped to it and
-    counted as excursions; query points whose effective n still falls under
-    the density floor in either slice are refused with a LowDensityError
-    that lists their rows.  A slice whose sampled velocities are not finite
-    (a latent process at t = 0 or 1) raises NonFiniteDataError.
+    Queries outside the per-axis 1%/99% quantile box of that slice
+    (:func:`calculus.quantile_box`) are clamped to it and counted as
+    excursions; query points whose effective n still falls under the density
+    floor are refused with a LowDensityError that lists their rows.  A slice
+    whose sampled velocities are not finite (a latent process at t = 0 or 1)
+    raises NonFiniteDataError.
     """
-    nodes = grid.nodes
     stats = OracleStats()
-    cache: dict[int, tuple] = {}
 
-    def slice_data(k: int):
-        if k not in cache:
-            X, V, _ = slice_state(spec, endpoints, nodes[k])
-            if not np.all(np.isfinite(V)):
-                raise NonFiniteDataError(
-                    f"sampled velocities at t={nodes[k]:.6g} are not finite; "
-                    "the kernel oracle cannot regress on them"
-                )
-            lo, hi = calculus.quantile_box(X)
-            h = estimate.resolve_bandwidth(cfg, X)
-            # sorted on axis 0 once, so nw_regress skips its sort on every
-            # query, and stored one axis after the other, as nw_regress reads it
-            order = np.argsort(X[:, 0], kind="stable")
-            cache[k] = (np.asfortranarray(X[order]), V[order], lo, hi, h)
-        return cache[k]
-
-    def eval_slice(k: int, pts: np.ndarray):
-        X, V, lo, hi, h = slice_data(k)
-        clamped = np.clip(pts, lo, hi)
-        stats.excursions += int(np.sum(np.any(clamped != pts, axis=-1)))
-        return estimate.nw_regress(X, V, clamped, h)
+    # a slice is taken once per t: RK stages share t + h/2, and a step ends at
+    # the time the next one starts from
+    @functools.lru_cache(maxsize=4)
+    def slice_at(t: float):
+        X, V, _ = slice_state(spec, endpoints, t)
+        if not np.all(np.isfinite(V)):
+            raise NonFiniteDataError(
+                f"sampled velocities at t={t:.6g} are not finite; "
+                "the kernel oracle cannot regress on them"
+            )
+        lo, hi = calculus.quantile_box(X)
+        h = estimate.resolve_bandwidth(cfg, X)
+        # sorted on axis 0 once, so nw_regress skips its sort on every query,
+        # and stored one axis after the other, as nw_regress reads it
+        order = np.argsort(X[:, 0], kind="stable")
+        return np.asfortranarray(X[order]), V[order], lo, hi, h
 
     def evaluate(t: float, x: np.ndarray) -> np.ndarray:
         arr = np.asarray(x, dtype=float)
         single = arr.ndim == 1
         pts = np.atleast_2d(arr)
-        k = int(np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, len(nodes) - 1))
-        w = 0.0 if k >= len(nodes) - 1 else (t - nodes[k]) / (nodes[k + 1] - nodes[k])
-        out, eff = eval_slice(k, pts)
-        if w > 0:
-            out_next, eff_next = eval_slice(k + 1, pts)
-            out = (1.0 - w) * out + w * out_next
-            eff = np.minimum(eff, eff_next)
+        X, V, lo, hi, h = slice_at(float(t))
+        clamped = np.clip(pts, lo, hi)
+        stats.excursions += int(np.sum(np.any(clamped != pts, axis=-1)))
+        out, eff = estimate.nw_regress(X, V, clamped, h)
         bad = eff < cfg.density_floor
         if np.any(bad):
             raise LowDensityError(

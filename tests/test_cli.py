@@ -456,11 +456,32 @@ class TestFlow:
         ids = [row.split(",")[0] for row in text.splitlines()[1:]]
         assert ids == [str(i) for i in (0, 1, 3) for _ in range(51)]
 
-    @pytest.mark.parametrize("seed,argv,n_failed,n_null", [
-        (5, [], 1, 0),  # a start point is refused at t=0
-        (20, ["--scheme", "euler", "--steps", "1"], 0, 1),  # only a reference run fails
+    def test_kernel_flow_ignores_time_steps(self, tmp_path):
+        # the kernel oracle slices at the query's own time: `time_steps` is
+        # not a flow option and moves no flow output
+        def run(time_steps):
+            out = tmp_path / f"out{time_steps}"
+            cfg_path, _ = write_config(
+                tmp_path, name=f"steps{time_steps}.json", output_dir=str(out), n=2000,
+                source="estimate", time_steps=time_steps,
+                flow={"steps": 10, "reference_steps": 100, "n_points": 5},
+            )
+            assert cli.main(["flow", "--config", str(cfg_path)]) == 0
+            summary = (out / "straightness.json").read_text()
+            config_hash = json.loads(summary)["provenance"]["config_hash"]
+            return (out / "trajectories.csv").read_bytes(), summary.replace(config_hash, "")
+
+        assert run(4) == run(20)
+
+    @pytest.mark.parametrize("seed,floor,argv,n_failed,n_null", [
+        # a start point is refused at t=0
+        pytest.param(5, 25.0, [], 1, 0, id="5-argv0-1-0"),
+        # only a reference run fails
+        pytest.param(8, 50.0, ["--scheme", "euler", "--steps", "1"], 0, 1,
+                     id="8-floor50-argv1-0-1"),
     ])
-    def test_kernel_flow_failures_per_point(self, tmp_path, seed, argv, n_failed, n_null):
+    def test_kernel_flow_failures_per_point(self, tmp_path, seed, floor, argv, n_failed,
+                                            n_null):
         joint = {
             "mean": [0.0, 0.0, 1.0, -1.0],
             "cov": [[1.0, 0.0, 0.6, 0.0], [0.0, 1.0, 0.0, 0.6],
@@ -470,6 +491,7 @@ class TestFlow:
                    "coupling": {"kind": "gaussian_joint", "joint": joint}}
         cfg_path, out = write_config(
             tmp_path, process=process, n=20_000, seed=seed, source="estimate",
+            density_floor=floor,
             flow={"scheme": "rk4", "steps": 50, "reference_steps": 100, "n_points": 4},
         )
         assert cli.main(["flow", "--config", str(cfg_path)] + argv) == 0

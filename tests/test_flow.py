@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,7 +82,15 @@ def _property_oracles():
 
 
 PROPERTY_ORACLES = _property_oracles()
-GRID5 = core.make_time_grid(4)  # the kernel oracle's slice nodes 0, 1/4, .., 1
+KERNEL_CASES = [("affine", 1), ("affine", 2), ("trig", 1), ("trig", 2)]
+
+
+@functools.lru_cache(maxsize=None)
+def kernel_case(coefficients, d):
+    """The independent N(0, I) -> N(0, I) process and 3,000 of its endpoints."""
+    gauss = core.Gaussian(np.zeros(d), np.eye(d))
+    spec = make_spec(coefficients, core.CouplingSpec("independent", gauss, gauss), d)
+    return spec, core.sample_endpoints(spec, 3000, seed=5)
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +157,7 @@ class TestIntegrate:
     def test_kernel_oracle_low_density_becomes_left_support(self, affine_indep_spec):
         ens = core.sample_endpoints(affine_indep_spec, 100, seed=3)
         cfg = estimate.KernelConfig(density_floor=200.0)
-        oracle = flow.kernel_velocity_oracle(affine_indep_spec, ens, GRID5, cfg)
+        oracle = flow.kernel_velocity_oracle(affine_indep_spec, ens, cfg)
         res = flow.flow_map(oracle, np.array([[0.0]]), core.make_time_grid(4), "euler")
         (i, err), = res.errors
         assert i == 0 and isinstance(err, TrajectoryLeftSupportError)
@@ -157,41 +167,85 @@ class TestIntegrate:
         self, affine_indep_spec, ep_affine_indep_200k, oracle_affine_indep
     ):
         ens = head(ep_affine_indep_200k, 50_000)
-        # K=3 grid: kernel oracle interpolates between slices at 0, 0.5, 1
-        oracle = flow.kernel_velocity_oracle(
-            affine_indep_spec, ens, core.make_time_grid(2), estimate.KernelConfig()
-        )
+        # the oracle regresses on the slice at t = 0.5 itself
+        oracle = flow.kernel_velocity_oracle(affine_indep_spec, ens, estimate.KernelConfig())
         v_k = oracle(0.5, np.array([1.0]))
         v_a = oracle_affine_indep(0.5, np.array([1.0]))
         assert np.allclose(v_k, v_a, atol=0.05)
 
     @pytest.mark.parametrize("coefficients, d", [("affine", 1), ("trig", 2)])
     def test_kernel_oracle_is_nw_regress_on_node_slices(self, coefficients, d):
-        # on a node the oracle is nw_regress on that node's slice; between two
-        # nodes it is their linear blend, bit for bit
-        gauss = core.Gaussian(np.zeros(d), np.eye(d))
-        spec = make_spec(coefficients, core.CouplingSpec("independent", gauss, gauss), d)
-        ens = core.sample_endpoints(spec, 3000, seed=5)
+        # on the nodes of an integration grid the oracle is nw_regress on that
+        # node's slice, bit for bit; between two nodes it is nw_regress on the
+        # slice at t itself, not a blend of the neighbouring nodes' fields
+        spec, ens = kernel_case(coefficients, d)
         cfg = estimate.KernelConfig()
-        oracle = flow.kernel_velocity_oracle(spec, ens, GRID5, cfg)
+        oracle = flow.kernel_velocity_oracle(spec, ens, cfg)
         pts = np.array([[-0.4], [0.0], [0.7]]) @ np.ones((1, d))
 
-        def nw(k):
-            X, V, _ = core.slice_state(spec, ens, GRID5.nodes[k])
+        def nw(t):
+            X, V, _ = core.slice_state(spec, ens, t)
             return estimate.nw_regress(X, V, pts, estimate.resolve_bandwidth(cfg, X))[0]
 
-        nodes = GRID5.nodes
-        assert np.array_equal(oracle(nodes[1], pts), nw(1))
-        t = 0.3
-        w = (t - nodes[1]) / (nodes[2] - nodes[1])
-        assert np.array_equal(oracle(t, pts), (1.0 - w) * nw(1) + w * nw(2))
+        nodes = core.make_time_grid(4).nodes
+        for t in nodes:
+            assert np.array_equal(oracle(t, pts), nw(t))
+        w = (0.3 - nodes[1]) / (nodes[2] - nodes[1])
+        blend = (1.0 - w) * nw(nodes[1]) + w * nw(nodes[2])
+        assert np.array_equal(oracle(0.3, pts), nw(0.3))
+        assert not np.array_equal(oracle(0.3, pts), blend)
+        assert oracle.stats.excursions == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=st.sampled_from(KERNEL_CASES),
+        t=st.floats(0.0, 1.0),
+        coords=st.lists(st.floats(-4.0, 4.0), min_size=6, max_size=6),
+        floor=st.sampled_from([0.0, 25.0]),
+    )
+    def test_kernel_oracle_is_nw_regress_on_the_slice_at_t(self, case, t, coords, floor):
+        # at any t the oracle is nw_regress on the slice at t, at the query
+        # points clipped to that slice's quantile box, bit for bit; it counts
+        # the clipped rows and refuses the rows under the density floor
+        spec, ens = kernel_case(*case)
+        cfg = estimate.KernelConfig(density_floor=floor)
+        pts = np.reshape(coords, (-1, spec.dim))
+        X, V, _ = core.slice_state(spec, ens, t)
+        lo, hi = calculus.quantile_box(X)
+        clipped = np.clip(pts, lo, hi)
+        expect, eff = estimate.nw_regress(X, V, clipped, estimate.resolve_bandwidth(cfg, X))
+        oracle = flow.kernel_velocity_oracle(spec, ens, cfg)
+        refused = np.flatnonzero(eff < floor)
+        if refused.size:
+            with pytest.raises(LowDensityError) as info:
+                oracle(t, pts)
+            assert np.array_equal(info.value.rows, refused)
+        else:
+            assert np.array_equal(oracle(t, pts), expect)
+        assert oracle.stats.excursions == np.sum(np.any(clipped != pts, axis=1))
+
+    @settings(max_examples=20, deadline=None)
+    @given(case=st.sampled_from(KERNEL_CASES), t=st.floats(0.0, 1.0))
+    def test_kernel_oracle_is_the_estimated_field(self, case, t):
+        # on the interior nodes of a grid over the slice's quantile box the
+        # oracle is the velocity `fields --source estimate` tabulates at t
+        spec, ens = kernel_case(*case)
+        cfg = estimate.KernelConfig()
+        X, V, A = core.slice_state(spec, ens, t)
+        grid = calculus.make_spatial_grid(list(zip(*calculus.quantile_box(X))), 7)
+        v = estimate.fields_on_grid(X, V, A, grid, cfg, t)["v"]
+        mask = v.grid.mask
+        assert mask.any()
+        oracle = flow.kernel_velocity_oracle(spec, ens, cfg)
+        got = oracle(t, grid.points()[mask.ravel()])
+        assert np.allclose(got, v.values[mask], rtol=0.0, atol=1e-12)
         assert oracle.stats.excursions == 0
 
 
 class TestFlowMap:
     def test_preserves_order_and_collects_errors(self, affine_indep_spec):
         ens = core.sample_endpoints(affine_indep_spec, 3000, seed=5)
-        oracle = flow.kernel_velocity_oracle(affine_indep_spec, ens, GRID5, estimate.KernelConfig())
+        oracle = flow.kernel_velocity_oracle(affine_indep_spec, ens, estimate.KernelConfig())
         pts = np.array([[0.0], [0.5], [-0.5]])
         res = flow.flow_map(oracle, pts, core.make_time_grid(8), "midpoint")
         assert res.states.shape == (3, 9, 1)
@@ -201,7 +255,9 @@ class TestFlowMap:
 
     def test_kernel_mixed_dense_and_refused_points(self, affine_indep_spec):
         ens = core.sample_endpoints(affine_indep_spec, 3000, seed=5)
-        oracle = flow.kernel_velocity_oracle(affine_indep_spec, ens, GRID5, estimate.KernelConfig(density_floor=200.0))
+        oracle = flow.kernel_velocity_oracle(
+            affine_indep_spec, ens, estimate.KernelConfig(density_floor=200.0)
+        )
         pts = np.array([[0.0], [3.0], [0.3], [-3.0], [-0.4]])
         grid = core.make_time_grid(8)
         res = flow.flow_map(oracle, pts, grid, "midpoint")
