@@ -25,6 +25,15 @@ Layers timed so far:
   ``--theorem affine``.  ``1d_n1e5_m4096`` is the affine independent
   N(0, 1) -> N(0, 1) slice of acceptance criterion 1 (n = 1e5, m = 4096),
   and ``2d_n1e5_m4096`` the 2-D OT slice at n = 1e5, m = 4096.
+- ``kernel_1d``: ``estimate.nw_regress`` in 1-D on the call of ``verify
+  --theorem geometric``: the trig independent N(0, 1) -> N(0, 1) slice at
+  t = 0.5, the velocities regressed at 4096 of its own samples (the
+  harness's seeded subsample) at half the Silverman bandwidth.
+  ``lab_1d_seed{3,17,31}`` take the lab_1d benchmark workload's n = 5e4;
+  ``n1e5_m4096`` takes n = 1e5 at seed 31, the size of the 1-D kernel row
+  of ROADMAP's layer table.  Each row also records the query x sample pairs weighed one
+  by one (cut pairs included) and those summed by Taylor moments, counted
+  in an untimed call.
 - ``kernel_flow``: the whole ``flow`` command through ``cli.main`` with the
   kernel velocity oracle (``source: estimate``) on the lab_2d benchmark
   workload's config (n = 2e4, ``time_steps`` 4), 20 start points from mu0,
@@ -45,13 +54,14 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from straightflow import calculus, cli, core, flow, gaussian, verify  # noqa: E402
+from straightflow import calculus, cli, core, estimate, flow, gaussian, verify  # noqa: E402
 
 REPEATS = 5
 
@@ -86,6 +96,15 @@ _TRACE_SLICES = {
 }
 _TRACE_SEED = 31
 _TRACE_TIME = 0.5
+_TRIG_1D_PROCESS = {"coefficients": "trig", "dim": 1, "coupling": {
+    "kind": "independent", "mu0": _STD1, "mu1": _STD1}}
+# name -> (n, seed) of the geometric harness's kernel call
+_KERNEL_1D = {
+    "lab_1d_seed3": (50_000, 3),
+    "lab_1d_seed17": (50_000, 17),
+    "lab_1d_seed31": (50_000, 31),
+    "n1e5_m4096": (100_000, 31),
+}
 _KERNEL_FLOW_SEEDS = (3, 17, 29)
 
 
@@ -188,6 +207,61 @@ def time_trace(slices: dict) -> dict:
     return out
 
 
+def kernel_1d_calls() -> dict:
+    """(X, V, queries, h) of each ``_KERNEL_1D`` entry: the arguments
+    ``verify.geometric_report`` hands ``nw_regress`` at t = 0.5 on a
+    10-step time grid."""
+    grid = core.make_time_grid(10)
+    t_index = grid.index_of(0.5)
+    out = {}
+    for name, (n, seed) in _KERNEL_1D.items():
+        spec = cli.build_process_spec(_config({"process": _TRIG_1D_PROCESS, "n": n, "seed": seed}))
+        X, V, _ = core.slice_state(spec, core.sample_endpoints(spec, n, seed),
+                                   float(grid.nodes[t_index]))
+        m = min(verify._DEFAULT_M_EVAL, n)
+        idx = core.aux_rng(seed, 200 + t_index).choice(n, size=m, replace=False)
+        h = estimate.silverman_bandwidth_from(X) * verify._TRACE_BANDWIDTH_FACTOR
+        out[name] = (X, V, X[idx], h)
+    return out
+
+
+def kernel_pair_counts(X, V, points, h) -> dict:
+    """Query x sample pairs of one ``nw_regress`` call: weighed one by one
+    (``_weights``, cut pairs included) and summed by Taylor moments (a
+    moments block's queries times its interior samples)."""
+    counts = {"pairs_direct": 0, "pairs_moments": 0}
+    weights, moment_sums = estimate._weights, estimate._moment_sums
+
+    def counted_weights(q, cols, *args, **kwargs):
+        counts["pairs_direct"] += q.shape[0] * cols.shape[1]
+        return weights(q, cols, *args, **kwargs)
+
+    def counted_moment_sums(ps, i, e, Sb, Yb, h, inner, vel):
+        _, first, last = inner
+        counts["pairs_moments"] += int(e - i) * int(last[0] - first[-1])
+        return moment_sums(ps, i, e, Sb, Yb, h, inner, vel)
+
+    with mock.patch.multiple(estimate, _weights=counted_weights,
+                             _moment_sums=counted_moment_sums):
+        estimate.nw_regress(X, V, points, h)
+    return counts
+
+
+def time_kernel_1d(calls: dict) -> dict:
+    out = {}
+    for name, (X, V, points, h) in calls.items():
+        runs = time_runs(lambda: estimate.nw_regress(X, V, points, h)[1].sum())
+        out[name] = {
+            "n": X.shape[0],
+            "m": points.shape[0],
+            "h": h,
+            **kernel_pair_counts(X, V, points, h),
+            "best_s": min(runs),
+            "runs_s": runs,
+        }
+    return out
+
+
 def time_kernel_flow() -> dict:
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -237,6 +311,7 @@ def main(argv=None) -> int:
         "machine": machine_facts(),
         "repeats": REPEATS,
         "layers": {"csv": time_csv(csv_tables()), "trace": time_trace(trace_slices()),
+                   "kernel_1d": time_kernel_1d(kernel_1d_calls()),
                    "kernel_flow": time_kernel_flow()},
     }
     path = ROOT / ".benchmarks" / f"BENCH_{args.label}.json"
@@ -249,6 +324,10 @@ def main(argv=None) -> int:
         print(f"trace.{name}: {row['best_s']:.4f} s best of {REPEATS} "
               f"(n={row['n']}, d={row['d']}, m={row['m']}, tr_pi={row['tr_pi']:.6g}, "
               f"low-density {row['low_density_fraction']:.4f})")
+    for name, row in report["layers"]["kernel_1d"].items():
+        print(f"kernel_1d.{name}: {row['best_s']:.4f} s best of {REPEATS} "
+              f"(n={row['n']}, m={row['m']}, {row['pairs_direct']} pairs direct, "
+              f"{row['pairs_moments']} by moments)")
     for name, row in report["layers"]["kernel_flow"].items():
         print(f"kernel_flow.{name}: {row['best_s']:.4f} s best of {REPEATS} "
               f"(exit {row['exit']}, reference steps {row['reference_steps_used']}, "

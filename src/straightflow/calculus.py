@@ -131,7 +131,8 @@ def make_spatial_grid(bounds, nodes_per_axis) -> SpatialGrid:
 def quantile_box(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-axis 1% and 99% quantiles (lo, hi) of the samples X (n, d): the
     box that grids over sampled positions and the kernel oracle's clamp use."""
-    return np.quantile(X, 0.01, axis=0), np.quantile(X, 0.99, axis=0)
+    lo, hi = np.quantile(X, [0.01, 0.99], axis=0)
+    return lo, hi
 
 
 _RANKS = ("scalar", "vector", "matrix")

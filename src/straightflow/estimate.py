@@ -15,12 +15,17 @@ dimension (each dropped weight is below 1.3e-14, so at most 1.3e-14 N of
 effective n).  The exponent sums squared direct coordinate differences, so
 nothing cancels far from the origin.  Samples are sorted on axis 0 and
 queries are walked in blocks that bound which samples can pass the cut.  In
-1-D a block is a run of queries sorted on the axis and meets the band of
-samples within eight bandwidths of it.  In d >= 2 a block is a cell of
-queries a few bandwidths wide on every axis; it meets the samples of its
-axis-0 band that lie in a box around every query's disc, gathered once per
-cell.  Given the sample velocities, the engine also returns the exact time
-derivatives of its sums at a fixed bandwidth.
+1-D a block is a run of queries sorted on the axis, at most one bandwidth
+wide, and meets the band of samples within eight bandwidths of it.  A 1-D
+block of at least eight queries sums the samples within the cut of all its
+queries by a 30-term Taylor expansion of the kernel about the block's centre
+(one pass per term over those samples, no exponential per pair), exact to
+2.7e-14 of each pair's weight; its other samples keep the per-pair weight and
+cut.  In d >= 2 a block is a cell of queries a few bandwidths wide on every
+axis; it meets the samples of its axis-0 band that lie in a box around every
+query's disc, gathered once per cell.  Given the sample velocities, the
+engine also returns the exact time derivatives of its sums at a fixed
+bandwidth.
 :func:`fields_on_grid` is the grid view over the engine.
 """
 
@@ -96,9 +101,29 @@ def resolve_bandwidth(cfg: KernelConfig, X: np.ndarray) -> float:
 # next to estimator noise.
 _WINDOW_BANDWIDTHS = 8.0
 _CUT = -(_WINDOW_BANDWIDTHS**2) / 2.0
-# In 1-D a query block spans at most this fraction of the window radius, so
-# its sample band is at most 1/16 wider than one query's window.
+# In 1-D a query block spans at most this fraction of the window radius, one
+# bandwidth, so its sample band is at most 1/16 wider than one query's window.
 _BLOCK_WIDTH = 1.0 / 8.0
+# A 1-D block of at least _MOMENT_QUERIES queries that spans at most one
+# bandwidth sums its interior columns, those within the cut of every query of
+# the block, by Taylor moments about the block's centre c.  With
+# u = (x - c) / h and U = (X - c) / h,
+#     exp(-(u - U)^2 / 2) = exp(-u^2 / 2) sum_k u^k / k! U^k exp(-U^2 / 2),
+# so the block takes _MOMENT_TERMS passes over its interior samples in place
+# of one exponential per pair.  There |u| <= 1/2 and |U| <= 8 1/2.  Against
+# the largest weight, 1, the remainder after P terms is at most
+# max_U (U / 2)^P / P! exp(U / 2 - U^2 / 2): 2.3e-17 at P = 22, 2.7e-19 at
+# P = 24.  P is set by the stricter bound relative to the pair's own weight,
+# z^P / P! exp(z) with z = |uU| <= 1/2 (8 - 1/2) when u and U have opposite
+# signs and z^P / P! with z <= 1/2 (8 1/2) otherwise: 2.7e-14 at P = 30
+# (1.6e-12 at P = 28).  So a query whose every sample lies near the cut keeps
+# the relative accuracy of the direct sum; its rounding, about 1.1e-16
+# exp(2 z) <= 2e-13 of its weight when all of it lies on the far side of c,
+# is the larger error then.
+_MOMENT_TERMS = 30
+# Moments cost about as much per interior sample as the direct weights of
+# seven queries.
+_MOMENT_QUERIES = 8
 # In d >= 2 queries are grouped in cells this fraction of the window radius
 # wide on every axis; a cell meets the samples within the window radius of
 # its extent on every axis.
@@ -149,27 +174,123 @@ def _weights(q: np.ndarray, cols: np.ndarray, h: float, cut, floor: bool, vel=No
     return w, s
 
 
-def _axis_blocks(S, Y, ps, radius, win):
+def _axis_blocks(S, Y, ps, h, win):
     """1-D blocks: queries sorted on the axis, each block at most
-    ``_BLOCK_WIDTH`` window radii wide and at most ``_BLOCK_PAIRS`` pairs,
-    against the band of samples within the radius of it.  Yields (first
-    query, end query, band samples (d, n), band targets, the column slices
-    whose pairs can be beyond the cut, whether to floor the exponents)."""
+    ``_BLOCK_WIDTH`` window radii wide, against the band of samples within
+    the radius of it.  Every query of a block keeps the interior columns
+    [win_lo[j-1], win_hi[i]); only the edge columns on either side can be
+    beyond a query's cut.  A block of at least ``_MOMENT_QUERIES`` queries
+    spanning at most one bandwidth sums its interior by moments; every other
+    block holds at most ``_BLOCK_PAIRS`` pairs.  Yields (first query, end
+    query, band samples (d, n), band targets, the column slices whose pairs
+    can be beyond the cut, whether to floor the exponents, None); a moments
+    block yields None for the slices and, last, (its centre, each query's
+    window in the band)."""
     win_lo, win_hi = win
-    block_end = np.searchsorted(ps[:, 0], ps[:, 0] + _BLOCK_WIDTH * radius, side="right")
+    x, radius = ps[:, 0], _WINDOW_BANDWIDTHS * h
+    block_end = np.searchsorted(x, x + _BLOCK_WIDTH * radius, side="right")
     i = 0
-    while i < ps.shape[0]:
-        lo = win_lo[i]
-        widest = max(win_hi[block_end[i] - 1] - lo, 1)
-        j = i + max(1, min(block_end[i] - i, _BLOCK_PAIRS // widest))
+    while i < x.size:
+        lo, j = win_lo[i], block_end[i]
+        by_moments = j - i >= _MOMENT_QUERIES and x[j - 1] - x[i] <= h
+        if not by_moments:
+            widest = max(win_hi[j - 1] - lo, 1)
+            j = i + max(1, min(j - i, _BLOCK_PAIRS // widest))
         hi = win_hi[j - 1]
-        if hi > lo:
-            # every query of the block keeps the columns [win_lo[j-1], win_hi[i]);
-            # only the columns on either side can be beyond a query's cut
+        if hi > lo and by_moments:
+            inner = (0.5 * (x[i] + x[j - 1]), win_lo[i:j] - lo, win_hi[i:j] - lo)
+            yield i, j, S[:, lo:hi], Y[lo:hi], None, False, inner
+        elif hi > lo:
             left, right = win_lo[j - 1] - lo, win_hi[i] - lo
             edges = [s for s in (slice(0, left), slice(right, hi - lo)) if s.start < s.stop]
-            yield i, j, S[:, lo:hi], Y[lo:hi], edges, False
+            yield i, j, S[:, lo:hi], Y[lo:hi], edges, False, None
         i = j
+
+
+def _pair_sums(ps, i, e, Sb, Yb, h, cut, floor, vel):
+    """Kernel sums of the queries [i, e) over the samples Sb, every pair's
+    weight taken directly, in runs of queries of at most ``_BLOCK_PAIRS``
+    pairs.  Yields (rows, sum w, sum w Y, and with the sample velocities
+    ``vel`` [sum w s, sum w s V], otherwise None)."""
+    step = max(1, _BLOCK_PAIRS // max(Sb.shape[1], 1))
+    for j in range(i, e, step):
+        rows = slice(j, min(j + step, e))
+        w, s = _weights(ps[rows], Sb, h, cut, floor, vel)
+        ws = None
+        if vel is not None:
+            s *= w
+            ws = np.column_stack([s.sum(axis=1), s @ vel])
+        yield rows, w.sum(axis=1), w @ Yb, ws
+
+
+def _moments(X, Y, V, c, h):
+    """Raw moments sum_j g_j U_j^k t_j of the samples X (n,), with
+    g = exp(-U^2/2) and U = (X - c) / h: of t = 1 and t = Y for
+    k < _MOMENT_TERMS, as (terms, 1 + p); given velocities V (n,), also of
+    t = V and t = V^2 for k <= _MOMENT_TERMS, as (terms + 1, 2), otherwise
+    None.  Samples are taken in runs whose targets hold at most
+    ``_BLOCK_PAIRS`` values, the same runs with V or without."""
+    terms, p = _MOMENT_TERMS, Y.shape[1]
+    still = np.zeros((terms, 1 + p))
+    moving = None if V is None else np.zeros((terms + 1, 2))
+    step = max(1, _BLOCK_PAIRS // (1 + p))
+    for a in range(0, X.size, step):
+        run = slice(a, a + step)
+        U = (X[run] - c) / h
+        r = np.exp(-0.5 * U * U)
+        # targets as rows: each moment is one matrix-vector product
+        t_still = np.empty((1 + p, r.size))
+        t_still[0] = 1.0
+        t_still[1:] = Y[run].T
+        if V is not None:
+            t_moving = np.stack([V[run], V[run] * V[run]])
+        for k in range(terms + (V is not None)):
+            if k:
+                r *= U
+            if k < terms:
+                still[k] += t_still @ r
+            if V is not None:
+                moving[k] += t_moving @ r
+    return still, moving
+
+
+def _moment_sums(ps, i, e, Sb, Yb, h, inner, vel):
+    """Kernel sums of the queries [i, e) of a moments block: the interior
+    columns, within every query's window, by Taylor moments about the
+    block's centre; the columns beyond them pair by pair, each run of
+    queries over its own windows' edges.  Yields what ``_pair_sums`` yields,
+    in runs of queries that hold at most ``_BLOCK_PAIRS`` values at once."""
+    c, first, last = inner
+    interior = slice(first[-1], last[0])
+    V = None if vel is None else vel[interior, 0]
+    still, moving = _moments(Sb[0, interior], Yb[interior], V, c, h)
+    fact = np.cumprod(np.maximum(np.arange(float(_MOMENT_TERMS)), 1.0))  # k!
+    widest = max(_MOMENT_TERMS + 1, interior.start - first[0], last[-1] - interior.stop)
+    step = max(1, _BLOCK_PAIRS // widest)
+    for a in range(0, e - i, step):
+        b = min(a + step, e - i)
+        rows = slice(i + a, i + b)
+        u = (ps[rows, 0] - c) / h
+        powers = np.vander(u, _MOMENT_TERMS, increasing=True) / fact  # u^k / k!
+        g = np.exp(-0.5 * u * u)[:, None]
+        sums = g * (powers @ still)
+        w, wy = sums[:, 0], sums[:, 1:]
+        ws = None
+        if moving is not None:
+            # with s = h (u - U) V, sum w s t = h g sum_k u^k / k! (u R_k - R_{k+1})
+            # over the raw moments R_k of t = V and t = V^2
+            ws = h * g * (u[:, None] * (powers @ moving[:-1]) - powers @ moving[1:])
+        for edge in (slice(first[a], interior.start), slice(interior.stop, last[b - 1])):
+            if edge.start == edge.stop:
+                continue
+            edge_vel = None if vel is None else vel[edge]
+            for _, ew, ewy, ews in _pair_sums(ps, rows.start, rows.stop, Sb[:, edge], Yb[edge],
+                                              h, (slice(None),), False, edge_vel):
+                w += ew
+                wy += ewy
+                if ws is not None:
+                    ws += ews
+        yield rows, w, wy, ws
 
 
 def _cell_order(points, radius):
@@ -202,7 +323,7 @@ def _cell_blocks(S, Y, q_lo, q_hi, win, starts):
         if e - i < _GATHER_QUERIES:
             for j in range(i, e):
                 lo, hi = win_lo[j], win_hi[j]
-                yield j, j + 1, S[:, lo:hi], Y[lo:hi], every_column, True
+                yield j, j + 1, S[:, lo:hi], Y[lo:hi], every_column, True, None
             continue
         lo, hi = win_lo[i:e].min(), win_hi[i:e].max()
         band = S[:, lo:hi]
@@ -212,7 +333,8 @@ def _cell_blocks(S, Y, q_lo, q_hi, win, starts):
             keep &= (band[k] >= cell_lo[k]) & (band[k] <= cell_hi[k])
         cols = lo + np.flatnonzero(keep)
         if cols.size:
-            yield i, e, np.take(S, cols, axis=1), np.take(Y, cols, axis=0), every_column, False
+            yield (i, e, np.take(S, cols, axis=1), np.take(Y, cols, axis=0), every_column, False,
+                   None)
 
 
 def nw_regress(
@@ -252,25 +374,24 @@ def nw_regress(
     win = (np.searchsorted(S[0], q_lo[:, 0], side="left"),
            np.searchsorted(S[0], q_hi[:, 0], side="right"))
     if starts is None:
-        blocks = _axis_blocks(S, Y, ps, radius, win)
+        blocks = _axis_blocks(S, Y, ps, h, win)
     else:
         blocks = _cell_blocks(S, Y, q_lo, q_hi, win, starts)
 
     sum_w = np.zeros(ps.shape[0])
     sum_wy = np.zeros((ps.shape[0], Y.shape[1]))
     sum_ws = np.zeros((ps.shape[0], 1 + d)) if moving else None
-    for i, e, Sb, Yb, cut, floor in blocks:
-        step = max(1, _BLOCK_PAIRS // max(Sb.shape[1], 1))
-        for j in range(i, e, step):
-            rows = slice(j, min(j + step, e))
-            w, s = _weights(ps[rows], Sb, h, cut, floor, Yb[:, :d] if moving else None)
-            sum_w[rows] = w.sum(axis=1)
-            sum_wy[rows] = w @ Yb
+    for i, e, Sb, Yb, cut, floor, inner in blocks:
+        vel = Yb[:, :d] if moving else None
+        if inner is None:
+            parts = _pair_sums(ps, i, e, Sb, Yb, h, cut, floor, vel)
+        else:
+            parts = _moment_sums(ps, i, e, Sb, Yb, h, inner, vel)
+        for rows, w, wy, ws in parts:
+            sum_w[rows], sum_wy[rows] = w, wy
             if moving:
-                s *= w
-                sum_ws[rows, 0] = s.sum(axis=1)
-                sum_ws[rows, 1:] = s @ Yb[:, :d]
-        del Sb, Yb  # a cell's gathered samples go before the next cell's come
+                sum_ws[rows] = ws
+        del Sb, Yb, vel  # a cell's gathered samples go before the next cell's come
 
     def ratio(sums):
         out = np.empty_like(sums)

@@ -334,6 +334,27 @@ class TestProductRule:
         assert np.allclose(direct.values[m], assembled[m], atol=1e-10)
 
 
+class TestQuantileBox:
+    @settings(max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 400),
+        d=st.integers(1, 3),
+        decimals=st.sampled_from([None, 0, 1]),
+        offset=st.sampled_from([0.0, -1e5, 1e5]),
+    )
+    def test_one_call_equals_the_two_quantiles(self, seed, n, d, decimals, offset):
+        rng = np.random.default_rng(seed)
+        X = offset + rng.standard_normal((n, d))
+        if decimals is not None:  # ties, and runs of equal values at the quantiles
+            X = np.round(X, decimals)
+        lo, hi = calculus.quantile_box(X)
+        for got, q in ((lo, 0.01), (hi, 0.99)):
+            want = np.quantile(X, q, axis=0)
+            assert got.shape == (d,)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestCsvExport:
     def test_row_format_and_nan_sentinels(self):
         grid = grid1d(-1.0, 1.0, 3)

@@ -231,6 +231,12 @@ def draw_problem(seed, n, m, d, decimals):
     return X, Y, points, V
 
 
+def spy_moments():
+    """Patch ``estimate._moments`` with a spy: one call per 1-D block whose
+    interior is summed by Taylor moments."""
+    return mock.patch.object(estimate, "_moments", wraps=estimate._moments)
+
+
 class TestKernelEngine:
     problems = dict(
         seed=st.integers(0, 2**32 - 1),
@@ -299,6 +305,65 @@ class TestKernelEngine:
             edge_w = np.exp(-16.0 / (2 * h * h))
             assert eff[0] == 1.0 + edge_w
             assert vals[0, 0] == 1.0 / (1.0 + edge_w)
+
+    def test_sample_beyond_the_window_gets_no_weight_in_a_moments_block(self):
+        h = 0.5  # window radius 4
+        X = np.array([[0.0], [np.nextafter(4.0, np.inf)], [-4.0]])  # beyond; on the edge
+        Y = np.array([[1.0], [100.0], [0.0]])
+        # a crowd symmetric about the query at the origin: the centre of its
+        # block, so that query's weight of the interior sample, exp(0), is exact
+        half = np.random.default_rng(0).uniform(0.0, 0.25, 31)
+        crowd = np.concatenate([[0.0], half, -half])[:, None]
+        with spy_moments() as spy:
+            vals, eff = estimate.nw_regress(X, Y, crowd, h)
+        assert spy.call_count == 1
+        edge_w = np.exp(-16.0 / (2 * h * h))
+        assert eff[0] == 1.0 + edge_w
+        assert vals[0, 0] == 1.0 / (1.0 + edge_w)
+
+    @settings(max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 300),
+        m=st.integers(1, 40),
+        decimals=st.sampled_from([None, 0, 1, 2]),
+        h=st.floats(0.02, 2.0),
+        offset=st.sampled_from([0.0, -1e5, 1e5]),
+        crowd=st.integers(2 * estimate._MOMENT_QUERIES, 48),
+        block_width=st.sampled_from([estimate._BLOCK_WIDTH, 1e6]),
+    )
+    def test_moments_path_equals_dense_reference(
+        self, seed, n, m, decimals, h, offset, crowd, block_width
+    ):
+        X, Y, points, V = draw_problem(seed, n, m, 1, decimals)
+        rng = np.random.default_rng(seed + 2)
+        # a crowd half a bandwidth wide about a sample puts at least
+        # _MOMENT_QUERIES of its queries in one block with that sample in
+        # the block's interior; one about a query may lie far from every
+        # sample; and one a bandwidth wide, 7.5 bandwidths beyond the last
+        # sample, weighs only samples near the cut on the far side of its
+        # centre, where the series converges slowest against the weight
+        crowds = [
+            X[rng.integers(n)] + h * rng.uniform(-0.25, 0.25, (crowd, 1)),
+            points[rng.integers(points.shape[0])] + h * rng.uniform(-0.25, 0.25, (crowd, 1)),
+            X.max() + h * rng.uniform(7.0, 8.0, (crowd, 1)),
+        ]
+        X, points = X + offset, np.concatenate([points, *crowds]) + offset
+        VY = np.hstack([V, Y])
+        # at a _BLOCK_WIDTH of 1e6 one block holds every query: it may take
+        # moments only if they span at most a bandwidth
+        with spy_moments() as spy, mock.patch.object(estimate, "_BLOCK_WIDTH", block_width):
+            still = estimate.nw_regress(X, VY, points, h)
+            moving = estimate.nw_regress(X, VY, points, h, moving=True)
+        if block_width == estimate._BLOCK_WIDTH:
+            assert spy.call_count >= 2
+        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(still, moving))
+        ref_vals, ref_eff, ref_rates, scale = dense_reference(X, Y, points, h, V)
+        np.testing.assert_allclose(moving[1], ref_eff, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(
+            moving[0][:, 1:], ref_vals, rtol=1e-12, atol=1e-12 * np.abs(Y).max()
+        )
+        np.testing.assert_allclose(moving[2], ref_rates, rtol=1e-12, atol=1e-12 * scale)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_no_queries(self, d):
