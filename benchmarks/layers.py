@@ -134,11 +134,8 @@ def _grid_table(field: calculus.GridField):
 def csv_tables() -> dict:
     """The oracle_2d tables, by the command that writes them."""
     cfg = _config(_FIELDS_CONFIG)
-    t, h_t = cfg["time"], cfg["h_t"]["analytic"]
-    fields_at = cli._oracle_fields(cfg, t)
-    f_m, f, f_p = (fields_at(tt) for tt in (t - h_t, t, t + h_t))
+    f = cli._oracle_fields(cfg, cfg["time"], time_derivatives=True)
     fields = [_grid_table(f[name]) for name in ("rho", "v", "a", "Sigma", "Pi")]
-    f.update(calculus.central_time_derivatives(f_m, f, f_p, h_t))
     residuals = [
         calculus.continuity_residual(f["rho"], f["v"], f["dt_rho"]),
         calculus.momentum_residual(f["rho"], f["v"], f["Sigma"], f["a"], f["dt_rho_v"]),

@@ -27,12 +27,11 @@ __all__ = [
     "GridField",
     "ResidualReport",
     "make_spatial_grid",
+    "grid_fields",
     "quantile_box",
     "grid_gradient",
     "grid_divergence_vector",
     "grid_divergence_matrix",
-    "time_derivative",
-    "central_time_derivatives",
     "material_derivative",
     "momentum_residual",
     "balance_residual",
@@ -173,6 +172,15 @@ class GridField:
         return self.grid.dim
 
 
+def grid_fields(grid: SpatialGrid, t: float, values: dict) -> dict:
+    """GridFields at time t from per-node arrays in the C order of
+    ``grid.points()``: an (n_nodes,) array is a scalar field, (n_nodes, d) a
+    vector and (n_nodes, d, d) a matrix field."""
+    ranks = {1: "scalar", 2: "vector", 3: "matrix"}
+    return {name: GridField(grid, ranks[arr.ndim], arr.reshape(grid.shape + arr.shape[1:]), t)
+            for name, arr in values.items()}
+
+
 def _pointwise_mag(values: np.ndarray, rank: str) -> np.ndarray:
     if rank == "scalar":
         return np.abs(values)
@@ -261,33 +269,6 @@ def _check_fields(*fields_and_ranks):
             raise InvalidArgumentError(f"expected a {rank} field, got a {f.rank} one")
         if not f.grid.same_axes(first.grid):
             raise InvalidArgumentError("all fields must share one spatial grid")
-
-
-def time_derivative(f_minus: GridField, f_center: GridField, f_plus: GridField, h_t: float) -> GridField:
-    """Central time derivative from slices at t-h_t, t, t+h_t."""
-    _check_fields(*((f, f_center.rank) for f in (f_minus, f_center, f_plus)))
-    values = (f_plus.values - f_minus.values) / (2 * h_t)
-    grid = f_center.grid.with_mask(f_minus.grid.mask & f_center.grid.mask & f_plus.grid.mask)
-    return GridField(_narrow(grid, values, f_center.rank), f_center.rank, values, f_center.time)
-
-
-def _momentum_density(rho: GridField, v: GridField) -> GridField:
-    """rho v on the nodes where both are admissible."""
-    return GridField(
-        rho.grid.with_mask(rho.grid.mask & v.grid.mask), "vector",
-        rho.values[..., None] * v.values, rho.time,
-    )
-
-
-def central_time_derivatives(f_minus: dict, f_center: dict, f_plus: dict, h_t: float) -> dict:
-    """``dt_rho``, ``dt_rho_v`` and ``dt_v`` by central differences of the
-    field mappings (with ``rho`` and ``v``) at t-h_t, t and t+h_t."""
-    triple = (f_minus, f_center, f_plus)
-    return {
-        "dt_rho": time_derivative(*(f["rho"] for f in triple), h_t),
-        "dt_rho_v": time_derivative(*(_momentum_density(f["rho"], f["v"]) for f in triple), h_t),
-        "dt_v": time_derivative(*(f["v"] for f in triple), h_t),
-    }
 
 
 def material_derivative(v: GridField, dt_v: GridField, order: int = 4) -> GridField:
@@ -409,7 +390,9 @@ def continuity_residual(
     """Residual of d_t rho + div(rho v), given the time derivative
     ``dt_rho``; reference scale is rho per unit time."""
     _check_fields((rho, "scalar"), (v, "vector"), (dt_rho, "scalar"))
-    div = grid_divergence_vector(_momentum_density(rho, v), order)
+    flux = GridField(rho.grid.with_mask(rho.grid.mask & v.grid.mask), "vector",
+                     rho.values[..., None] * v.values, rho.time)
+    div = grid_divergence_vector(flux, order)
     values = dt_rho.values + div.values
     grid = rho.grid.with_mask(rho.grid.mask & v.grid.mask & dt_rho.grid.mask)
     return _report(values, "scalar", grid, rho.values, rho.time)

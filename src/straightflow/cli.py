@@ -17,8 +17,10 @@ Exit codes: 0 success/consistent, 1 other library error, 2 config error,
 maps each library error class to its code.
 
 ``fields`` and ``diagnose`` read one field source per run, the Gaussian oracle
-or the kernel estimate at ``t``: :func:`_oracle_fields` or
-:func:`_estimated_fields`.
+or the kernel estimate, built once at ``t`` in ``[0, 1]``: :func:`_oracle_fields`
+or :func:`_estimated_fields`.  For ``diagnose`` both also return the exact
+time derivatives ``dt_rho``, ``dt_rho_v`` and ``dt_v`` at ``t``, so the
+residuals take no difference in time.
 ``STRAIGHTFLOW_THREADS`` caps BLAS/OpenMP parallelism; the package applies it
 on import, before numpy loads.
 """
@@ -157,11 +159,6 @@ CONFIG_SCHEMA = {
             "items": {"type": "number", "minimum": 0, "maximum": 1},
             "minItems": 1,
         },
-        "h_t": {
-            "type": "object",
-            "properties": {"analytic": _POS},
-            "additionalProperties": False,
-        },
         "tolerances": {
             "type": "object",
             "properties": {
@@ -197,7 +194,6 @@ _DEFAULTS = {
     "source": "oracle",
     "time": 0.5,
     "time_nodes": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
-    "h_t": {"analytic": 1e-5},
     "tolerances": {"balance_relative": 1e-3, "trace_ratio": 0.05},
     "flow": {"scheme": "rk4", "steps": 100, "reference_steps": 400, "n_points": 100},
     "output_dir": "out",
@@ -408,13 +404,12 @@ def cmd_simulate(cfg: ExperimentConfig, out: _Outputs) -> int:
     return EXIT_OK
 
 
-def _oracle_fields(cfg: ExperimentConfig, t: float):
-    """``fields_at(tt)``: the Gaussian oracle's fields at time ``tt``,
-    tabulated on the grid resolved at ``t``."""
+def _oracle_fields(cfg: ExperimentConfig, t: float, time_derivatives: bool = False):
+    """The Gaussian oracle at ``t`` on the grid resolved there, with its
+    exact time derivatives when ``time_derivatives`` asks for them."""
     spec = build_process_spec(cfg)
-    gspec = gaussian.from_process_spec(spec)
     grid = _resolve_spatial_grid(cfg, spec, t)
-    return lambda tt: gaussian.fields_on_grid(gspec, tt, grid)
+    return gaussian.fields_on_grid(gaussian.from_process_spec(spec), t, grid, time_derivatives)
 
 
 def _estimated_fields(cfg: ExperimentConfig, t: float, time_derivatives: bool = False):
@@ -431,7 +426,7 @@ def _estimated_fields(cfg: ExperimentConfig, t: float, time_derivatives: bool = 
 
 def cmd_fields(cfg: ExperimentConfig, out: _Outputs, source: str, t: float) -> int:
     names = ["rho", "v", "a", "Sigma", "Pi"]
-    fields = _oracle_fields(cfg, t)(t) if source == "oracle" else _estimated_fields(cfg, t)
+    fields = (_oracle_fields if source == "oracle" else _estimated_fields)(cfg, t)
     for name in names:
         out.write(f"fields_{name.lower()}.csv", calculus.grid_field_to_csv(fields[name]))
     print(f"fields: wrote {len(names)} CSVs to {out.dir} (source={source}, t={t:g})")
@@ -440,18 +435,10 @@ def cmd_fields(cfg: ExperimentConfig, out: _Outputs, source: str, t: float) -> i
 
 def cmd_diagnose(cfg: ExperimentConfig, out: _Outputs, t: float) -> int:
     source = cfg["source"]
-    if source == "oracle":
-        # analytic fields: central differences in time, a fourth-order stencil
-        fields_at = _oracle_fields(cfg, t)
-        h_t, order = cfg["h_t"]["analytic"], 4
-        if not (h_t <= t <= 1.0 - h_t):
-            raise ConfigError("diagnose time must keep t +- h_t inside [0, 1]", "time")
-        f_m, f, f_p = (fields_at(tt) for tt in (t - h_t, t, t + h_t))
-        f.update(calculus.central_time_derivatives(f_m, f, f_p, h_t))
-    else:
-        # the estimate's exact time derivatives; noisy fields, a second-order stencil
-        h_t, order = None, 2
-        f = _estimated_fields(cfg, t, time_derivatives=True)
+    # both sources give exact time derivatives at t; smooth analytic fields
+    # take a fourth-order stencil, noisy estimates a second-order one
+    fields_at, order = (_oracle_fields, 4) if source == "oracle" else (_estimated_fields, 2)
+    f = fields_at(cfg, t, time_derivatives=True)
 
     cont = calculus.continuity_residual(f["rho"], f["v"], f["dt_rho"], order=order)
     mom = calculus.momentum_residual(
@@ -473,7 +460,6 @@ def cmd_diagnose(cfg: ExperimentConfig, out: _Outputs, t: float) -> int:
             "version": _VERSION,
             "source": source,
             "time": t,
-            "h_t": h_t,
             "stencil_order": order,
         },
         "continuity": norms(cont),
@@ -715,16 +701,22 @@ def _error_exit(err) -> tuple[int, str]:
     return EXIT_ERROR, "error"
 
 
+def _time(cfg: ExperimentConfig, flag: float | None) -> float:
+    """The ``--time`` flag, else the config's ``time``.  The flag bypasses
+    the schema, so its bounds are checked here, before anything is sampled."""
+    t = cfg["time"] if flag is None else flag
+    if not 0.0 <= t <= 1.0:
+        raise ConfigError(f"time {t} lies outside [0, 1]", "time")
+    return t
+
+
 def _run_command(args, cfg: ExperimentConfig, out: _Outputs) -> int:
     if args.command == "simulate":
         return cmd_simulate(cfg, out)
     if args.command == "fields":
-        return cmd_fields(
-            cfg, out, args.source or cfg["source"],
-            cfg["time"] if args.time is None else args.time,
-        )
+        return cmd_fields(cfg, out, args.source or cfg["source"], _time(cfg, args.time))
     if args.command == "diagnose":
-        return cmd_diagnose(cfg, out, cfg["time"] if args.time is None else args.time)
+        return cmd_diagnose(cfg, out, _time(cfg, args.time))
     if args.command == "verify":
         return cmd_verify(cfg, out, args.theorem)
     if args.command == "flow":

@@ -207,6 +207,15 @@ def _axis_blocks(S, Y, ps, h, win):
         i = j
 
 
+def _product(w, T):
+    """w @ T.  With one column of T, ``@`` is a BLAS dot or gemv whose
+    reduction OpenBLAS splits across its threads, so its bits would follow
+    the thread count; numpy's einsum calls no BLAS and sums in one order."""
+    if T.shape[1] == 1:
+        return np.einsum("qn,n->q", w, T[:, 0])[:, None]
+    return w @ T
+
+
 def _pair_sums(ps, i, e, Sb, Yb, h, cut, floor, vel):
     """Kernel sums of the queries [i, e) over the samples Sb, every pair's
     weight taken directly, in runs of queries of at most ``_BLOCK_PAIRS``
@@ -219,8 +228,8 @@ def _pair_sums(ps, i, e, Sb, Yb, h, cut, floor, vel):
         ws = None
         if vel is not None:
             s *= w
-            ws = np.column_stack([s.sum(axis=1), s @ vel])
-        yield rows, w.sum(axis=1), w @ Yb, ws
+            ws = np.column_stack([s.sum(axis=1), _product(s, vel)])
+        yield rows, w.sum(axis=1), _product(w, Yb), ws
 
 
 def _moments(X, Y, V, c, h):
@@ -475,7 +484,6 @@ def fields_on_grid(
     vals[~ok] = np.nan
     rho_arr = np.where(ok, rho, np.nan)
 
-    shape = grid.shape
     v_arr = vals[:, :d]
     a_arr = vals[:, d : 2 * d]
     sig_arr = vals[:, 2 * d :].reshape(-1, d, d)
@@ -483,25 +491,15 @@ def fields_on_grid(
     pi_arr = np.full_like(sig_arr, np.nan)
     pi_arr[ok] = reynolds_tensor(sig_arr[ok], v_arr[ok])
 
-    refined = grid.with_mask(grid.mask & ok.reshape(shape))
-    fields = {
-        "rho": calculus.GridField(refined, "scalar", rho_arr.reshape(shape), t),
-        "v": calculus.GridField(refined, "vector", v_arr.reshape(shape + (d,)), t),
-        "a": calculus.GridField(refined, "vector", a_arr.reshape(shape + (d,)), t),
-        "Sigma": calculus.GridField(refined, "matrix", sig_arr.reshape(shape + (d, d)), t),
-        "Pi": calculus.GridField(refined, "matrix", pi_arr.reshape(shape + (d, d)), t),
-        "effective_n": calculus.GridField(refined, "scalar", eff.reshape(shape), t),
-    }
+    refined = grid.with_mask(grid.mask & ok.reshape(grid.shape))
+    fields = {"rho": rho_arr, "v": v_arr, "a": a_arr, "Sigma": sig_arr, "Pi": pi_arr,
+              "effective_n": eff}
     if time_derivatives:
         # d_t sum_i w_i = sum_i w_i s_i / h^2 and d_t sum_i w_i V_i = sum_i w_i
         # s_i V_i / h^2 + sum_i w_i A_i; both over sum_i w_i here, so masked
         # nodes stay NaN through rho and a
         rates = rates[0] / (h * h)
         dt_log_rho, dt_mom = rates[:, 0], rates[:, 1:] + a_arr
-        dt_rho, dt_rho_v = rho_arr * dt_log_rho, rho_arr[:, None] * dt_mom
-        dt_v = dt_mom - v_arr * dt_log_rho[:, None]
-        vec = shape + (d,)
-        fields["dt_rho"] = calculus.GridField(refined, "scalar", dt_rho.reshape(shape), t)
-        fields["dt_rho_v"] = calculus.GridField(refined, "vector", dt_rho_v.reshape(vec), t)
-        fields["dt_v"] = calculus.GridField(refined, "vector", dt_v.reshape(vec), t)
-    return fields
+        fields["dt_rho"], fields["dt_rho_v"] = rho_arr * dt_log_rho, rho_arr[:, None] * dt_mom
+        fields["dt_v"] = dt_mom - v_arr * dt_log_rho[:, None]
+    return calculus.grid_fields(refined, t, fields)

@@ -215,14 +215,29 @@ def _conditional_model(spec: GaussianProcessSpec, t: float) -> _ConditionalModel
     )
 
 
-def conditional_fields_batch(spec: GaussianProcessSpec, t: float, X: np.ndarray):
-    """Vectorized oracle: X is (M, d); returns (rho, v, a, Sigma, Pi_const)."""
+def conditional_fields_batch(
+    spec: GaussianProcessSpec, t: float, X: np.ndarray, time_derivatives: bool = False
+):
+    """Vectorized oracle: X is (M, d); returns (rho, v, a, Sigma, Pi_const).
+
+    With ``time_derivatives`` it also returns the exact (dt_rho, dt_rho_v,
+    dt_v) at t, from the same model.  With q = x - m_t, P = S_t^-1,
+    m' = E[dX_t], S' = C_v + C_v^T and Jv = C_v P:
+
+        d_t log rho = -tr Jv + q^T P m' + q^T P C_v P q
+        d_t v       = E[d2X_t] - Jv m' + ((C_a + Cov(dX_t)) P - Jv S' P) q
+        d_t(rho v)  = rho (d_t log rho v + d_t v)
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     model = _conditional_model(spec, t)
     a, ad, add, b, bd, bdd, g, gd, gdd = model.coefs
     S00, S01, S11 = spec.S00, spec.S01, spec.S11
     C_a = _cross(spec, a, add, b, bdd, gdd * g)
     cov_v = ad * ad * S00 + ad * bd * (S01 + S01.T) + bd * bd * S11 + gd * gd * np.eye(spec.dim)
+    if not np.all(np.isfinite(cov_v)):
+        raise InvalidArgumentError(
+            f"Cov(dX_t) is infinite at t={t}, where a coefficient's derivative diverges"
+        )
     Ja = C_a @ model.cov_inv
     Pi = cov_v - model.Jv @ model.C_v.T
     Pi = 0.5 * (Pi + Pi.T)
@@ -238,11 +253,21 @@ def conditional_fields_batch(spec: GaussianProcessSpec, t: float, X: np.ndarray)
 
     Q = X - model.mean
     V = model(X)
-    A = add * spec.mean0 + bdd * spec.mean1 + Q @ Ja.T
+    Ea = add * spec.mean0 + bdd * spec.mean1
+    A = Ea + Q @ Ja.T
     quad = np.einsum("mi,ij,mj->m", Q, model.cov_inv, Q)
     rho = np.exp(log_norm - 0.5 * quad)
     Sigma = Pi[None, :, :] + V[:, :, None] * V[:, None, :]
-    return rho, V, A, Sigma, Pi
+    if not time_derivatives:
+        return rho, V, A, Sigma, Pi
+    P, C_v, Jv, Ev = model.cov_inv, model.C_v, model.Jv, model.Ev
+    dt_log_rho = (
+        -np.trace(Jv) + Q @ (P @ Ev) + np.einsum("mi,ij,mj->m", Q, P @ C_v @ P, Q)
+    )
+    dt_J = (C_a + cov_v) @ P - Jv @ (C_v + C_v.T) @ P
+    dt_v = Ea - Jv @ Ev + Q @ dt_J.T
+    dt_rho_v = rho[:, None] * (dt_log_rho[:, None] * V + dt_v)
+    return rho, V, A, Sigma, Pi, rho * dt_log_rho, dt_rho_v, dt_v
 
 
 def velocity_at(spec: GaussianProcessSpec, t: float, X: np.ndarray) -> np.ndarray:
@@ -286,19 +311,15 @@ def oracle_box(spec: GaussianProcessSpec, t: float, n_sigma: float = 3.0):
 
 
 def fields_on_grid(
-    spec: GaussianProcessSpec, t: float, grid: calculus.SpatialGrid
+    spec: GaussianProcessSpec, t: float, grid: calculus.SpatialGrid,
+    time_derivatives: bool = False,
 ) -> dict[str, calculus.GridField]:
-    """Tabulate rho, v, a, Sigma, Pi on a spatial grid at time t."""
+    """Tabulate rho, v, a, Sigma, Pi on a spatial grid at time t; with
+    ``time_derivatives`` also their exact time derivatives ``dt_rho``,
+    ``dt_rho_v`` (of the momentum density rho v) and ``dt_v``."""
     pts = grid.points()
-    rho, V, A, Sigma, Pi = conditional_fields_batch(spec, t, pts)
-    d = grid.dim
-    shape = grid.shape
-    return {
-        "rho": calculus.GridField(grid, "scalar", rho.reshape(shape), t),
-        "v": calculus.GridField(grid, "vector", V.reshape(shape + (d,)), t),
-        "a": calculus.GridField(grid, "vector", A.reshape(shape + (d,)), t),
-        "Sigma": calculus.GridField(grid, "matrix", Sigma.reshape(shape + (d, d)), t),
-        "Pi": calculus.GridField(
-            grid, "matrix", np.broadcast_to(Pi, shape + (d, d)).copy(), t
-        ),
-    }
+    values = conditional_fields_batch(spec, t, pts, time_derivatives)
+    names = ("rho", "v", "a", "Sigma", "Pi", "dt_rho", "dt_rho_v", "dt_v")
+    fields = dict(zip(names, values))
+    fields["Pi"] = np.broadcast_to(fields["Pi"], (len(pts),) + fields["Pi"].shape)
+    return calculus.grid_fields(grid, t, fields)

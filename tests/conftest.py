@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from straightflow import calculus, core, gaussian
+from straightflow import core, gaussian
 
 # Property tests draw the same examples on every run, keep no example database
 # and take no per-example deadline (timings vary on shared hosts); hypothesis's
@@ -95,13 +95,10 @@ def ep_trig_indep_200k(trig_indep_spec):
     return core.sample_endpoints(trig_indep_spec, 200_000, seed=12)
 
 
-def oracle_fields_dt(spec, t, h_t, grid):
+def oracle_fields_dt(spec, t, grid):
     """Oracle fields of the process ``spec`` at time t on the grid, with
-    their central time derivatives at step h_t (``dt_rho``, ``dt_rho_v``,
-    ``dt_v``)."""
-    g = gaussian.from_process_spec(spec)
-    f_m, f, f_p = (gaussian.fields_on_grid(g, tt, grid) for tt in (t - h_t, t, t + h_t))
-    return {**f, **calculus.central_time_derivatives(f_m, f, f_p, h_t)}
+    their exact time derivatives (``dt_rho``, ``dt_rho_v``, ``dt_v``)."""
+    return gaussian.fields_on_grid(gaussian.from_process_spec(spec), t, grid, time_derivatives=True)
 
 
 def head(endpoints: core.EndpointArrays, n: int) -> core.EndpointArrays:

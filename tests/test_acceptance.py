@@ -121,7 +121,7 @@ def test_criterion_3_balance_negative_instance(trig_det_identity_spec):
 def test_criterion_4_momentum_and_continuity(
     affine_det2x_spec, affine_indep_spec, trig_indep_spec, trig_det_identity_spec
 ):
-    t, h_t = 0.3, 1e-5
+    t = 0.3
     details = []
     ok = True
     for name, spec in (
@@ -137,7 +137,7 @@ def test_criterion_4_momentum_and_continuity(
         def run(h_target):
             n = max(4, round(span / h_target))
             grid = calculus.make_spatial_grid(bounds, n + 1)
-            f = oracle_fields_dt(spec, t, h_t, grid)
+            f = oracle_fields_dt(spec, t, grid)
             mom = calculus.momentum_residual(f["rho"], f["v"], f["Sigma"], f["a"], f["dt_rho_v"])
             cont = calculus.continuity_residual(f["rho"], f["v"], f["dt_rho"])
             return mom, cont
@@ -159,9 +159,9 @@ def test_criterion_4_momentum_and_continuity(
 
 
 def test_criterion_5_material_derivative(affine_indep_spec):
-    t, h_t = 0.5, 1e-3
+    t = 0.5
     grid = calculus.make_spatial_grid([(-2.0, 2.0)], 401)  # h = 0.01
-    f = oracle_fields_dt(affine_indep_spec, t, h_t, grid)
+    f = oracle_fields_dt(affine_indep_spec, t, grid)
     out = calculus.material_derivative(f["v"], f["dt_v"])
     x = grid.meshgrid()[0]
     err = np.abs(out.values[..., 0] - 4.0 * x)[out.grid.mask].max()
@@ -169,7 +169,7 @@ def test_criterion_5_material_derivative(affine_indep_spec):
 
     cov = np.array([[1.0, 2.0], [2.0, 4.0]])  # deterministic scaling X_t = (1+t) X0
     det_spec = make_spec("affine", core.gaussian_joint_coupling(np.zeros(2), cov))
-    fd = oracle_fields_dt(det_spec, t, h_t, grid)
+    fd = oracle_fields_dt(det_spec, t, grid)
     out_det = calculus.material_derivative(fd["v"], fd["dt_v"])
     det_abs = np.abs(out_det.values[out_det.grid.mask]).max()
 

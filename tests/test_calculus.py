@@ -144,36 +144,6 @@ class TestDivergenceMatrix:
         assert np.allclose(got[:, 1], 1.0, atol=1e-12)
 
 
-class TestTimeDerivative:
-    def test_identical_slices_vanish(self):
-        grid = grid1d(n=11)
-        f = scalar_field(grid, lambda x: np.sin(x))
-        dt = calculus.time_derivative(f, f, f, 1e-3)
-        assert np.allclose(dt.values[dt.grid.mask], 0.0)
-
-    def test_linear_in_time_exact(self):
-        grid = grid1d(n=11)
-        g = lambda x: np.cos(x)
-        mk = lambda t: scalar_field(grid, lambda x: t * g(x), t)
-        dt = calculus.time_derivative(mk(0.4), mk(0.5), mk(0.6), 0.1)
-        x = grid.meshgrid()[0]
-        assert np.allclose(dt.values[dt.grid.mask], g(x)[dt.grid.mask], atol=1e-12)
-
-    def test_quadratic_in_time_exact(self):
-        grid = grid1d(n=11)
-        g = lambda x: 1.0 + 0.3 * x
-        mk = lambda t: scalar_field(grid, lambda x: t**2 * g(x), t)
-        dt = calculus.time_derivative(mk(0.49), mk(0.5), mk(0.51), 0.01)
-        x = grid.meshgrid()[0]
-        assert np.allclose(dt.values[dt.grid.mask], (1.0 * g(x))[dt.grid.mask], atol=1e-12)
-
-    def test_grid_mismatch_rejected(self):
-        f1 = scalar_field(grid1d(n=11), lambda x: x)
-        f2 = scalar_field(grid1d(n=13), lambda x: x)
-        with pytest.raises(InvalidArgumentError):
-            calculus.time_derivative(f1, f2, f1, 1e-3)
-
-
 def oracle_fields(spec, t, grid):
     return gaussian.fields_on_grid(gaussian.from_process_spec(spec), t, grid)
 
@@ -187,16 +157,22 @@ class TestMaterialDerivative:
         assert np.allclose(out.values[out.grid.mask], 0.0, atol=1e-12)
 
     def test_deterministic_scaling_vanishes(self):
+        # v = x / (1 + t) has d_t v = -x / (1 + t)^2 = -(v . grad) v
         grid = grid1d(-2.0, 2.0, 201)
-        h_t = 1e-5  # analytic-field time step
-        mk = lambda t: vector_field(grid, [lambda x: x / (1.0 + t)], t)
-        dt_v = calculus.time_derivative(mk(0.5 - h_t), mk(0.5), mk(0.5 + h_t), h_t)
-        out = calculus.material_derivative(mk(0.5), dt_v)
+        v = vector_field(grid, [lambda x: x / 1.5], 0.5)
+        dt_v = vector_field(grid, [lambda x: -x / 1.5**2], 0.5)
+        out = calculus.material_derivative(v, dt_v)
         assert np.abs(out.values[out.grid.mask]).max() <= 1e-8
+
+    def test_grid_mismatch_rejected(self):
+        v = vector_field(grid1d(n=11), [lambda x: x])
+        dt_v = vector_field(grid1d(n=13), [lambda x: x])
+        with pytest.raises(InvalidArgumentError):
+            calculus.material_derivative(v, dt_v)
 
     def test_affine_independent_matches_4x(self, affine_indep_spec):
         grid = calculus.make_spatial_grid([(-2.0, 2.0)], 401)  # h = 0.01
-        f = oracle_fields_dt(affine_indep_spec, 0.5, 1e-3, grid)
+        f = oracle_fields_dt(affine_indep_spec, 0.5, grid)
         out = calculus.material_derivative(f["v"], f["dt_v"])
         x = grid.meshgrid()[0]
         err = np.abs(out.values[..., 0] - 4.0 * x)[out.grid.mask]
@@ -206,19 +182,19 @@ class TestMaterialDerivative:
 class TestMomentumResidual:
     def test_trig_independent_small(self, trig_indep_spec):
         grid = calculus.make_spatial_grid([(-3.0, 3.0)], 601)  # h = 0.01
-        f = oracle_fields_dt(trig_indep_spec, 0.5, 1e-3, grid)
+        f = oracle_fields_dt(trig_indep_spec, 0.5, grid)
         rep = calculus.momentum_residual(f["rho"], f["v"], f["Sigma"], f["a"], f["dt_rho_v"])
         assert rep.max_abs <= 1e-3
 
     def test_affine_deterministic_small(self, affine_det2x_spec):
         grid = calculus.make_spatial_grid([(-4.5, 4.5)], 901)
-        f = oracle_fields_dt(affine_det2x_spec, 0.5, 1e-3, grid)
+        f = oracle_fields_dt(affine_det2x_spec, 0.5, grid)
         rep = calculus.momentum_residual(f["rho"], f["v"], f["Sigma"], f["a"], f["dt_rho_v"])
         assert rep.max_abs <= 1e-3
 
     def test_corrupted_acceleration_detected(self, trig_indep_spec):
         grid = calculus.make_spatial_grid([(-3.0, 3.0)], 121)
-        f = oracle_fields_dt(trig_indep_spec, 0.5, 1e-3, grid)
+        f = oracle_fields_dt(trig_indep_spec, 0.5, grid)
         a_bad = calculus.GridField(
             f["a"].grid, "vector", f["a"].values + 1.0, f["a"].time
         )
@@ -262,13 +238,13 @@ class TestContinuityResidual:
 
     def test_affine_independent_midpoint(self, affine_indep_spec):
         grid = calculus.make_spatial_grid([(-3.0, 3.0)], 61)
-        f = oracle_fields_dt(affine_indep_spec, 0.5, 1e-5, grid)
+        f = oracle_fields_dt(affine_indep_spec, 0.5, grid)
         rep = calculus.continuity_residual(f["rho"], f["v"], f["dt_rho"])
         assert rep.relative <= 1e-3
 
     def test_doubled_velocity_detected(self, affine_indep_spec):
         grid = calculus.make_spatial_grid([(-3.0, 3.0)], 121)
-        fc = oracle_fields_dt(affine_indep_spec, 0.3, 1e-5, grid)
+        fc = oracle_fields_dt(affine_indep_spec, 0.3, grid)
         v = fc["v"]
         v_bad = calculus.GridField(v.grid, "vector", 2.0 * v.values, v.time)
         rep = calculus.continuity_residual(fc["rho"], v_bad, fc["dt_rho"])
@@ -290,7 +266,7 @@ class TestConvergenceOrder:
 
         def residuals(n_nodes):
             grid = calculus.make_spatial_grid([(-3.0, 3.0)], n_nodes)
-            f = oracle_fields_dt(spec, t, 1e-5, grid)
+            f = oracle_fields_dt(spec, t, grid)
             mom = calculus.momentum_residual(f["rho"], f["v"], f["Sigma"], f["a"], f["dt_rho_v"])
             cont = calculus.continuity_residual(f["rho"], f["v"], f["dt_rho"])
             return mom.max_abs, cont.max_abs

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import jsonschema
@@ -245,14 +248,14 @@ class TestDiagnose:
         assert balance["verdict"] == "not-straight-compatible"
 
     def test_estimate_takes_one_kernel_pass(self, tmp_path):
-        # the time derivatives come from the pass at t, not from passes at t +- h_t
+        # the time derivatives come from the pass at t, not from passes around it
         cfg_path, out = write_config(tmp_path, process=trig_process(), n=4000, source="estimate",
                                      grid={"nodes_per_axis": 12})
         with mock.patch.object(estimate, "nw_regress", wraps=estimate.nw_regress) as engine:
             assert cli.main(["diagnose", "--config", str(cfg_path)]) == 0
         assert engine.call_count == 1
         report = json.loads((out / "diagnostics.json").read_text())
-        assert report["provenance"]["h_t"] is None
+        assert "h_t" not in report["provenance"]
         for section in ("continuity", "momentum", "material"):
             assert np.isfinite(report[section]["relative"]), section
 
@@ -264,6 +267,76 @@ class TestDiagnose:
         with mock.patch.object(core, "slice_state", wraps=core.slice_state) as slicer:
             assert cli.main([command, "--config", str(cfg_path), *argv]) == 0
         assert slicer.call_count == 1
+
+    def test_oracle_builds_the_model_once(self, tmp_path):
+        # the fields and their exact time derivatives come from one model at t
+        cfg_path, out = write_config(tmp_path, process=trig_process(), grid={"nodes_per_axis": 12})
+        with mock.patch.object(gaussian, "_conditional_model",
+                               wraps=gaussian._conditional_model) as model:
+            assert cli.main(["diagnose", "--config", str(cfg_path)]) == 0
+        assert model.call_count == 1
+        assert "h_t" not in json.loads((out / "diagnostics.json").read_text())["provenance"]
+
+    @pytest.mark.parametrize("t", ["0", "1"])
+    @pytest.mark.parametrize("process", [trig_process(), ot_process()], ids=["trig", "affine"])
+    def test_oracle_at_the_ends_of_time(self, tmp_path, process, t):
+        cfg_path, out = write_config(tmp_path, process=process, grid={"nodes_per_axis": 12})
+        assert cli.main(["diagnose", "--config", str(cfg_path), "--time", t]) == 0
+        report = json.loads((out / "diagnostics.json").read_text())
+        assert report["provenance"]["time"] == float(t)
+        for section in ("continuity", "momentum", "balance", "material"):
+            assert np.isfinite(report[section]["max_abs"]), section
+            assert np.isfinite(report[section]["relative"]), section
+
+    @pytest.mark.parametrize("t", ["0", "1"])
+    def test_latent_oracle_at_the_ends_exit_2(self, tmp_path, capsys, t):
+        # Cov(dX_t) is infinite where the bridge coefficient is 0
+        process = dict(trig_process(), coefficients="latent")
+        cfg_path, out = write_config(tmp_path, process=process, grid={"nodes_per_axis": 12})
+        assert cli.main(["diagnose", "--config", str(cfg_path), "--time", t]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
+
+class TestTimeFlag:
+    @pytest.mark.parametrize("t", ["1.7", "-0.5"])
+    @pytest.mark.parametrize("source", ["oracle", "estimate"])
+    @pytest.mark.parametrize("command", ["fields", "diagnose"])
+    def test_outside_unit_interval_exit_2_before_sampling(self, tmp_path, capsys, command,
+                                                          source, t):
+        cfg_path, out = write_config(tmp_path, process=trig_process(), source=source)
+        with mock.patch.object(core, "sample_endpoints") as sampler:
+            assert cli.main([command, "--config", str(cfg_path), "--time", t]) == 2
+        assert sampler.call_count == 0
+        assert capsys.readouterr().err == f"config error: time {float(t)} lies outside [0, 1]\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and manifest["outputs"] == []
+
+
+class TestThreadCount:
+    def test_estimate_bytes_independent_of_threads(self, tmp_path):
+        # single-column kernel sums (d_t v in diagnose, the 1-D flow oracle)
+        # were BLAS reductions that OpenBLAS splits across its threads
+        mu1 = {"family": "gaussian", "mean": [0.0], "cov": [[4.0]]}
+        process = trig_process()
+        process["coupling"]["mu1"] = mu1
+        files = {}
+        for threads in ("1", "2"):
+            (tmp_path / threads).mkdir()
+            cfg_path, out = write_config(tmp_path / threads, process=process, n=20_000, seed=3,
+                                         source="estimate", flow={"steps": 10, "n_points": 4})
+            env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+            env["STRAIGHTFLOW_THREADS"] = threads
+            script = ("import sys; from straightflow import cli; "
+                      "sys.exit(cli.main(['diagnose', '--config', sys.argv[1]]) "
+                      "or cli.main(['flow', '--config', sys.argv[1]]))")
+            subprocess.run([sys.executable, "-c", script, str(cfg_path)], env=env, check=True,
+                           capture_output=True)
+            files[threads] = {name: (out / name).read_bytes() for name in (
+                "residual_continuity.csv", "residual_momentum.csv", "residual_material.csv",
+                "trajectories.csv")}
+        assert files["1"] == files["2"]
 
 
 class TestVerify:
@@ -646,6 +719,7 @@ class TestSchema:
         {"tolerances": {"chord": 1e-6}},
         {"flow": {"points": [[0.0]]}},
         {"h_t": {"estimated": 1e-3}},
+        {"h_t": {"analytic": 1e-5}},
     ], ids=lambda knob: ".".join(next(iter(knob.items()))[1]))
     def test_removed_knobs_rejected(self, tmp_path, capsys, knob):
         cfg_path, _ = write_config(tmp_path, **knob)

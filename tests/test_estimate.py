@@ -555,6 +555,15 @@ def moving_samples(seed, n, d):
     return lambda t: (X0 + t * V0 + 0.5 * t * t * A0, V0 + t * A0, A0)
 
 
+def central_time_derivatives(f_minus, f_plus, dt):
+    """``dt_rho``, ``dt_rho_v`` and ``dt_v`` by central differences of the
+    field mappings at t - dt and t + dt, as arrays; NaN where either is."""
+    values = lambda f: {"dt_rho": f["rho"].values, "dt_v": f["v"].values,
+                        "dt_rho_v": f["rho"].values[..., None] * f["v"].values}
+    lo, hi = values(f_minus), values(f_plus)
+    return {name: (hi[name] - lo[name]) / (2 * dt) for name in lo}
+
+
 class TestTimeDerivatives:
     @pytest.mark.parametrize("d", [1, 2])
     def test_exact_equals_fixed_bandwidth_central_difference(self, d):
@@ -568,11 +577,11 @@ class TestTimeDerivatives:
         f_m, f_p = (
             estimate.fields_on_grid(*slice_at(tt), grid, cfg, tt) for tt in (t - dt, t + dt)
         )
-        fd = calculus.central_time_derivatives(f_m, f, f_p, dt)
-        ok = f["rho"].grid.mask & fd["dt_v"].grid.mask
+        fd = central_time_derivatives(f_m, f_p, dt)
+        ok = f["rho"].grid.mask & f_m["rho"].grid.mask & f_p["rho"].grid.mask
         assert ok.sum() > 0.5 * grid.mask.sum()
         for name in ("dt_rho", "dt_rho_v", "dt_v"):
-            exact, diff = f[name].values[ok], fd[name].values[ok]
+            exact, diff = f[name].values[ok], fd[name][ok]
             assert np.abs(exact - diff).max() <= 1e-6 * np.abs(exact).max(), name
 
     @pytest.mark.parametrize("order", [2, 4])

@@ -539,9 +539,9 @@ class TestTripleAgreement:
         states = one_path(oracle, np.array([1.0]), tgrid, "rk4")
         second_ok = deviation(states, tgrid).second_diff <= self.TOL_SECOND
 
-        t, h_t = 0.4, 1e-5
+        t = 0.4
         grid = calculus.make_spatial_grid(gaussian.oracle_box(g, t), 61)
-        f = oracle_fields_dt(spec, t, h_t, grid)
+        f = oracle_fields_dt(spec, t, grid)
         material_ok = calculus.material_residual(f["v"], f["dt_v"]).max_abs <= self.TOL_MATERIAL
         bal = calculus.balance_residual(f["rho"], f["Pi"], f["a"], tolerance=self.TOL_BALANCE)
         balance_ok = bal.verdict == "straight-compatible"

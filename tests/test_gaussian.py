@@ -23,12 +23,12 @@ def fields_at(spec, t, x):
     return rho[0], V[0], A[0], Sigma[0], Pi
 
 
-def material_at(spec, t, x, h_t=1e-5):
-    """D_t v at the point x from the grid view: oracle slices at t and t +- h_t
+def material_at(spec, t, x):
+    """D_t v at the point x from the grid view: the oracle's v and exact d_t v
     on a three-node grid centred on x, through calculus.material_derivative."""
     grid = calculus.make_spatial_grid([(x - 0.5, x + 0.5)], 3)
-    v3 = [gaussian.fields_on_grid(spec, tt, grid)["v"] for tt in (t - h_t, t, t + h_t)]
-    return calculus.material_derivative(v3[1], calculus.time_derivative(*v3, h_t)).values[1]
+    f = gaussian.fields_on_grid(spec, t, grid, time_derivatives=True)
+    return calculus.material_derivative(f["v"], f["dt_v"]).values[1]
 
 
 @pytest.fixture(scope="module")
@@ -293,3 +293,66 @@ class TestFromProcessSpec:
         mom = gaussian.marginal_moments(g, 0.5)
         # (1-t)^2 + t^2 + t(1-t) at t = 1/2
         assert mom.cov[0, 0] == pytest.approx(0.75, abs=1e-12)
+
+
+@st.composite
+def gaussian_processes(draw):
+    """A jointly Gaussian process in d = 1..3: an independent,
+    deterministic-map or gaussian_joint coupling of well-conditioned
+    covariances, under affine, trig or latent coefficients."""
+    d = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["independent", "deterministic_map", "gaussian_joint"]))
+    coefficients = draw(st.sampled_from(["affine", "trig", "latent"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def spd(k):
+        M = rng.standard_normal((k, k))
+        return M @ M.T / k + 0.3 * np.eye(k)
+
+    if kind == "gaussian_joint":
+        cpl = core.gaussian_joint_coupling(rng.standard_normal(2 * d), spd(2 * d))
+    else:
+        mu0 = core.Gaussian(rng.standard_normal(d), spd(d))
+        amap = core.AffineMap(spd(d), rng.standard_normal(d))  # positive definite A
+        mu1 = core.Gaussian(amap.A @ mu0.mean + amap.b, amap.A @ mu0.cov @ amap.A.T)
+        if kind == "independent":
+            cpl = core.CouplingSpec(kind, mu0, core.Gaussian(mu1.mean, spd(d)))
+        else:
+            cpl = core.CouplingSpec(kind, mu0, mu1, map=amap)
+    if coefficients == "trig":
+        spec = core.ProcessSpec(core.trig_alpha(), core.trig_beta(), cpl, d)
+    else:
+        spec = core.ProcessSpec(core.affine_alpha(), core.affine_beta(), cpl, d,
+                                core.bridge_gamma() if coefficients == "latent" else None)
+    return gaussian.from_process_spec(spec)
+
+
+class TestTimeDerivatives:
+    @settings(max_examples=60)
+    @given(g=gaussian_processes(), t=st.floats(0.02, 0.98), seed=st.integers(0, 2**16))
+    def test_exact_match_central_differences(self, g, t, seed):
+        h = 1e-5
+        mom = gaussian.marginal_moments(g, t)
+        z = np.random.default_rng(seed).standard_normal((20, g.dim))
+        X = mom.mean + 2.0 * z @ np.linalg.cholesky(mom.cov).T
+        rho, V, *_, dt_rho, dt_rho_v, dt_v = gaussian.conditional_fields_batch(g, t, X, True)
+        lo, hi = (gaussian.conditional_fields_batch(g, tt, X) for tt in (t - h, t + h))
+        for field, exact, f_lo, f_hi in (
+            (rho, dt_rho, lo[0], hi[0]),
+            (rho[:, None] * V, dt_rho_v, lo[0][:, None] * lo[1], hi[0][:, None] * hi[1]),
+            (V, dt_v, lo[1], hi[1]),
+        ):
+            diff = (f_hi - f_lo) / (2 * h)
+            # the difference's rounding is about 1e-16 |field| / h
+            scale = np.abs(diff).max() + np.abs(field).max()
+            assert np.abs(exact - diff).max() <= 1e-7 * scale
+
+    def test_grid_view_carries_the_batch_derivatives(self, g_trig_indep):
+        grid = calculus.make_spatial_grid(gaussian.oracle_box(g_trig_indep, 0.3), 7)
+        f = gaussian.fields_on_grid(g_trig_indep, 0.3, grid, time_derivatives=True)
+        plain = gaussian.fields_on_grid(g_trig_indep, 0.3, grid)
+        batch = gaussian.conditional_fields_batch(g_trig_indep, 0.3, grid.points(), True)
+        for name in plain:
+            assert np.array_equal(f[name].values, plain[name].values)
+        for name, values in zip(("dt_rho", "dt_rho_v", "dt_v"), batch[5:]):
+            assert np.array_equal(f[name].values.reshape(values.shape), values)
