@@ -34,6 +34,11 @@ Layers timed so far:
   of ROADMAP's layer table.  Each row also records the query x sample pairs weighed one
   by one (cut pairs included) and those summed by Taylor moments, counted
   in an untimed call.
+- ``kernel_nd``: ``estimate.fields_on_grid`` in 2-D on the lab_2d benchmark
+  workload's estimate (n = 2e4, t = 0.5, the 40² grid over the slice's
+  quantile box) at seeds 3, 17 and 31: ``fields`` as the ``fields`` command
+  takes it, and ``diagnose`` with the exact time derivatives, as the
+  ``diagnose`` command takes it.
 - ``kernel_flow``: the whole ``flow`` command through ``cli.main`` with the
   kernel velocity oracle (``source: estimate``) on the lab_2d benchmark
   workload's config (n = 2e4, ``time_steps`` 4), 20 start points from mu0,
@@ -105,6 +110,7 @@ _KERNEL_1D = {
     "lab_1d_seed31": (50_000, 31),
     "n1e5_m4096": (100_000, 31),
 }
+_KERNEL_ND_SEEDS = (3, 17, 31)
 _KERNEL_FLOW_SEEDS = (3, 17, 29)
 
 
@@ -233,10 +239,10 @@ def kernel_pair_counts(X, V, points, h) -> dict:
         counts["pairs_direct"] += q.shape[0] * cols.shape[1]
         return weights(q, cols, *args, **kwargs)
 
-    def counted_moment_sums(ps, i, e, Sb, Yb, h, inner, vel):
+    def counted_moment_sums(ps, i, e, Sb, Yb, h, inner):
         _, first, last = inner
         counts["pairs_moments"] += int(e - i) * int(last[0] - first[-1])
-        return moment_sums(ps, i, e, Sb, Yb, h, inner, vel)
+        return moment_sums(ps, i, e, Sb, Yb, h, inner)
 
     with mock.patch.multiple(estimate, _weights=counted_weights,
                              _moment_sums=counted_moment_sums):
@@ -256,6 +262,35 @@ def time_kernel_1d(calls: dict) -> dict:
             "best_s": min(runs),
             "runs_s": runs,
         }
+    return out
+
+
+def kernel_nd_calls() -> dict:
+    """(X, V, A, grid, kernel config) of the lab_2d workload's estimate at
+    t = 0.5, per seed of ``_KERNEL_ND_SEEDS``."""
+    out = {}
+    for seed in _KERNEL_ND_SEEDS:
+        cfg = _config({"process": _LAB_2D_PROCESS, "n": 20_000, "seed": seed,
+                       "grid": {"nodes_per_axis": 40}})
+        spec = cli.build_process_spec(cfg)
+        X, V, A = core.slice_state(spec, core.sample_endpoints(spec, cfg["n"], seed), 0.5)
+        grid = cli._resolve_spatial_grid(cfg, spec, 0.5, sample=X)
+        out[f"lab_2d_seed{seed}"] = (X, V, A, grid, cli._kernel_config(cfg))
+    return out
+
+
+def time_kernel_nd(calls: dict) -> dict:
+    out = {}
+    for name, (X, V, A, grid, cfg) in calls.items():
+        for command, derivatives in (("fields", False), ("diagnose", True)):
+            runs = time_runs(lambda: estimate.fields_on_grid(
+                X, V, A, grid, cfg, 0.5, derivatives)["rho"].values.sum())
+            out[f"{name}.{command}"] = {
+                "n": X.shape[0],
+                "nodes": grid.mask.size,
+                "best_s": min(runs),
+                "runs_s": runs,
+            }
     return out
 
 
@@ -309,6 +344,7 @@ def main(argv=None) -> int:
         "repeats": REPEATS,
         "layers": {"csv": time_csv(csv_tables()), "trace": time_trace(trace_slices()),
                    "kernel_1d": time_kernel_1d(kernel_1d_calls()),
+                   "kernel_nd": time_kernel_nd(kernel_nd_calls()),
                    "kernel_flow": time_kernel_flow()},
     }
     path = ROOT / ".benchmarks" / f"BENCH_{args.label}.json"
@@ -325,6 +361,9 @@ def main(argv=None) -> int:
         print(f"kernel_1d.{name}: {row['best_s']:.4f} s best of {REPEATS} "
               f"(n={row['n']}, m={row['m']}, {row['pairs_direct']} pairs direct, "
               f"{row['pairs_moments']} by moments)")
+    for name, row in report["layers"]["kernel_nd"].items():
+        print(f"kernel_nd.{name}: {row['best_s']:.4f} s best of {REPEATS} "
+              f"(n={row['n']}, {row['nodes']} nodes)")
     for name, row in report["layers"]["kernel_flow"].items():
         print(f"kernel_flow.{name}: {row['best_s']:.4f} s best of {REPEATS} "
               f"(exit {row['exit']}, reference steps {row['reference_steps_used']}, "

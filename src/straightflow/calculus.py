@@ -67,7 +67,10 @@ class SpatialGrid:
                 raise InvalidGridError("each axis needs at least 3 nodes")
             d = np.diff(ax)
             h = (ax[-1] - ax[0]) / (ax.size - 1)
-            if np.any(d <= 0) or np.abs(d - h).max() > 1e-12 * max(abs(h), 1.0):
+            # a node is rounded to about eps |node|, so far from the origin
+            # the differences of a linspace axis scatter by that much
+            tol = 1e-12 * max(abs(h), 1.0) + 8 * np.finfo(float).eps * np.abs(ax).max()
+            if np.any(d <= 0) or np.abs(d - h).max() > tol:
                 raise InvalidGridError("axis nodes must be uniformly spaced and increasing")
             ax.setflags(write=False)
             axes.append(ax)

@@ -23,10 +23,13 @@ queries by a 30-term Taylor expansion of the kernel about the block's centre
 2.7e-14 of each pair's weight; its other samples keep the per-pair weight and
 cut.  In d >= 2 a block is a cell of queries a few bandwidths wide on every
 axis; it meets the samples of its axis-0 band that lie in a box around every
-query's disc, gathered once per cell.  Given the sample velocities, the
-engine also returns the exact time derivatives of its sums at a fixed
-bandwidth.
-:func:`fields_on_grid` is the grid view over the engine.
+query's disc, gathered once per cell.
+
+:func:`fields_on_grid` is the grid view over the engine.  Asked for time
+derivatives, it also gives the exact rates of change of its kernel sums at a
+fixed bandwidth as the samples move with their velocities.  These too are
+kernel means: of two more kinds of per-sample target, (X - c).V and
+((X - c).V) V about the sample mean c, taken in the same pass as the fields.
 """
 
 from __future__ import annotations
@@ -146,23 +149,16 @@ _BLOCK_PAIRS = 1 << 15
 _STRIP_FLOOR = _CUT - 1.0
 
 
-def _weights(q: np.ndarray, cols: np.ndarray, h: float, cut, floor: bool, vel=None):
+def _weights(q: np.ndarray, cols: np.ndarray, h: float, cut, floor: bool):
     """Unnormalized Gaussian weights (queries, columns) of the samples
     (d, columns), distances summed from direct coordinate differences.  In
     the column slices ``cut`` a pair whose exponent is below _CUT weighs an
     exact 0; with ``floor``, exponents are raised to _STRIP_FLOOR before exp.
-    Given the sample velocities ``vel`` (columns, d), the second value is
-    s = (x - X).V per pair, from the same differences; otherwise it is None.
-    Three pair temporaries at most: an axis's difference is taken again for
-    its square rather than held twice."""
+    Two pair temporaries at most."""
     d2 = np.subtract(q[:, 0, None], cols[None, 0])
-    s = None if vel is None else np.multiply(d2, vel[None, :, 0])
     np.square(d2, out=d2)
     for k in range(1, cols.shape[0]):
         diff = np.subtract(q[:, k, None], cols[None, k])
-        if s is not None:
-            s += np.multiply(diff, vel[None, :, k], out=diff)
-            np.subtract(q[:, k, None], cols[None, k], out=diff)
         d2 += np.square(diff, out=diff)
     np.multiply(d2, -1.0 / (2.0 * h * h), out=d2)
     inside = [(c, d2[:, c] >= _CUT) for c in cut]
@@ -171,7 +167,7 @@ def _weights(q: np.ndarray, cols: np.ndarray, h: float, cut, floor: bool, vel=No
     w = np.exp(d2, out=d2)
     for c, mask in inside:
         w[:, c] *= mask
-    return w, s
+    return w
 
 
 def _axis_blocks(S, Y, ps, h, win):
@@ -216,54 +212,41 @@ def _product(w, T):
     return w @ T
 
 
-def _pair_sums(ps, i, e, Sb, Yb, h, cut, floor, vel):
+def _pair_sums(ps, i, e, Sb, Yb, h, cut, floor):
     """Kernel sums of the queries [i, e) over the samples Sb, every pair's
     weight taken directly, in runs of queries of at most ``_BLOCK_PAIRS``
-    pairs.  Yields (rows, sum w, sum w Y, and with the sample velocities
-    ``vel`` [sum w s, sum w s V], otherwise None)."""
+    pairs.  Yields (rows, sum w, sum w Y)."""
     step = max(1, _BLOCK_PAIRS // max(Sb.shape[1], 1))
     for j in range(i, e, step):
         rows = slice(j, min(j + step, e))
-        w, s = _weights(ps[rows], Sb, h, cut, floor, vel)
-        ws = None
-        if vel is not None:
-            s *= w
-            ws = np.column_stack([s.sum(axis=1), _product(s, vel)])
-        yield rows, w.sum(axis=1), _product(w, Yb), ws
+        w = _weights(ps[rows], Sb, h, cut, floor)
+        yield rows, w.sum(axis=1), _product(w, Yb)
 
 
-def _moments(X, Y, V, c, h):
+def _moments(X, Y, c, h):
     """Raw moments sum_j g_j U_j^k t_j of the samples X (n,), with
-    g = exp(-U^2/2) and U = (X - c) / h: of t = 1 and t = Y for
-    k < _MOMENT_TERMS, as (terms, 1 + p); given velocities V (n,), also of
-    t = V and t = V^2 for k <= _MOMENT_TERMS, as (terms + 1, 2), otherwise
-    None.  Samples are taken in runs whose targets hold at most
-    ``_BLOCK_PAIRS`` values, the same runs with V or without."""
+    g = exp(-U^2/2) and U = (X - c) / h, of t = 1 and t = Y for
+    k < _MOMENT_TERMS, as (terms, 1 + p).  Samples are taken in runs whose
+    targets hold at most ``_BLOCK_PAIRS`` values."""
     terms, p = _MOMENT_TERMS, Y.shape[1]
-    still = np.zeros((terms, 1 + p))
-    moving = None if V is None else np.zeros((terms + 1, 2))
+    moments = np.zeros((terms, 1 + p))
     step = max(1, _BLOCK_PAIRS // (1 + p))
     for a in range(0, X.size, step):
         run = slice(a, a + step)
         U = (X[run] - c) / h
         r = np.exp(-0.5 * U * U)
         # targets as rows: each moment is one matrix-vector product
-        t_still = np.empty((1 + p, r.size))
-        t_still[0] = 1.0
-        t_still[1:] = Y[run].T
-        if V is not None:
-            t_moving = np.stack([V[run], V[run] * V[run]])
-        for k in range(terms + (V is not None)):
+        t = np.empty((1 + p, r.size))
+        t[0] = 1.0
+        t[1:] = Y[run].T
+        for k in range(terms):
             if k:
                 r *= U
-            if k < terms:
-                still[k] += t_still @ r
-            if V is not None:
-                moving[k] += t_moving @ r
-    return still, moving
+            moments[k] += t @ r
+    return moments
 
 
-def _moment_sums(ps, i, e, Sb, Yb, h, inner, vel):
+def _moment_sums(ps, i, e, Sb, Yb, h, inner):
     """Kernel sums of the queries [i, e) of a moments block: the interior
     columns, within every query's window, by Taylor moments about the
     block's centre; the columns beyond them pair by pair, each run of
@@ -271,9 +254,9 @@ def _moment_sums(ps, i, e, Sb, Yb, h, inner, vel):
     in runs of queries that hold at most ``_BLOCK_PAIRS`` values at once."""
     c, first, last = inner
     interior = slice(first[-1], last[0])
-    V = None if vel is None else vel[interior, 0]
-    still, moving = _moments(Sb[0, interior], Yb[interior], V, c, h)
+    moments = _moments(Sb[0, interior], Yb[interior], c, h)
     fact = np.cumprod(np.maximum(np.arange(float(_MOMENT_TERMS)), 1.0))  # k!
+    # a query holds its _MOMENT_TERMS powers and its Gaussian factor
     widest = max(_MOMENT_TERMS + 1, interior.start - first[0], last[-1] - interior.stop)
     step = max(1, _BLOCK_PAIRS // widest)
     for a in range(0, e - i, step):
@@ -281,25 +264,16 @@ def _moment_sums(ps, i, e, Sb, Yb, h, inner, vel):
         rows = slice(i + a, i + b)
         u = (ps[rows, 0] - c) / h
         powers = np.vander(u, _MOMENT_TERMS, increasing=True) / fact  # u^k / k!
-        g = np.exp(-0.5 * u * u)[:, None]
-        sums = g * (powers @ still)
+        sums = np.exp(-0.5 * u * u)[:, None] * (powers @ moments)
         w, wy = sums[:, 0], sums[:, 1:]
-        ws = None
-        if moving is not None:
-            # with s = h (u - U) V, sum w s t = h g sum_k u^k / k! (u R_k - R_{k+1})
-            # over the raw moments R_k of t = V and t = V^2
-            ws = h * g * (u[:, None] * (powers @ moving[:-1]) - powers @ moving[1:])
         for edge in (slice(first[a], interior.start), slice(interior.stop, last[b - 1])):
             if edge.start == edge.stop:
                 continue
-            edge_vel = None if vel is None else vel[edge]
-            for _, ew, ewy, ews in _pair_sums(ps, rows.start, rows.stop, Sb[:, edge], Yb[edge],
-                                              h, (slice(None),), False, edge_vel):
+            for _, ew, ewy in _pair_sums(ps, rows.start, rows.stop, Sb[:, edge], Yb[edge],
+                                         h, (slice(None),), False):
                 w += ew
                 wy += ewy
-                if ws is not None:
-                    ws += ews
-        yield rows, w, wy, ws
+        yield rows, w, wy
 
 
 def _cell_order(points, radius):
@@ -316,6 +290,13 @@ def _cell_order(points, radius):
     first = np.ones(m, dtype=bool)
     first[1:] = np.any(cell[1:] != cell[:-1], axis=1)
     return order, np.append(np.flatnonzero(first), m)
+
+
+def _take_rows(Y, rows):
+    """The rows of Y in Y's own memory order (np.take returns C order)."""
+    if Y.flags.c_contiguous:
+        return np.take(Y, rows, axis=0)
+    return np.take(Y.T, rows, axis=1).T
 
 
 def _cell_blocks(S, Y, q_lo, q_hi, win, starts):
@@ -342,13 +323,10 @@ def _cell_blocks(S, Y, q_lo, q_hi, win, starts):
             keep &= (band[k] >= cell_lo[k]) & (band[k] <= cell_hi[k])
         cols = lo + np.flatnonzero(keep)
         if cols.size:
-            yield (i, e, np.take(S, cols, axis=1), np.take(Y, cols, axis=0), every_column, False,
-                   None)
+            yield i, e, np.take(S, cols, axis=1), _take_rows(Y, cols), every_column, False, None
 
 
-def nw_regress(
-    X: np.ndarray, Y: np.ndarray, points: np.ndarray, h: float, moving: bool = False
-):
+def nw_regress(X: np.ndarray, Y: np.ndarray, points: np.ndarray, h: float):
     """Nadaraya-Watson ratio of targets Y (N, p) at each query point (M, d).
 
     Returns (values (M, p), effective_n (M,)).  A pair whose exponent
@@ -356,24 +334,17 @@ def nw_regress(
     from the query, in any direction) gets weight zero.  No floor is
     applied here; callers decide whether to refuse or mask.  Samples already
     sorted on axis 0 are not sorted again, so a caller that queries one
-    sample set many times can sort it once.
-
-    With ``moving``, the first d columns of Y are the sample velocities V,
-    and it also returns the weighted means (M, 1 + d) of s and of s V, with
-    s_i = (x - X_i).V_i per pair.  Moving the samples with V at a fixed
-    bandwidth, the weight w_i changes at the rate w_i s_i / h^2, so these
-    give the exact time derivatives of every weighted sum.  V is read from
-    the targets, so the engine holds no second copy of it.
+    sample set many times can sort it once.  Sorted targets keep their memory
+    order (row by row, or column by column) through the sums.
     """
     points = np.atleast_2d(points)
     radius = _WINDOW_BANDWIDTHS * h
-    d = points.shape[1]
     S = X.T
     if np.any(S[0, 1:] < S[0, :-1]):
         order = np.argsort(S[0], kind="stable")
         S, Y = S.take(order, axis=1), Y[order]
     S = np.ascontiguousarray(S)  # one contiguous row per axis
-    if d == 1:
+    if points.shape[1] == 1:
         order, starts = np.argsort(points[:, 0], kind="stable"), None
     else:
         order, starts = _cell_order(points, radius)
@@ -389,28 +360,21 @@ def nw_regress(
 
     sum_w = np.zeros(ps.shape[0])
     sum_wy = np.zeros((ps.shape[0], Y.shape[1]))
-    sum_ws = np.zeros((ps.shape[0], 1 + d)) if moving else None
     for i, e, Sb, Yb, cut, floor, inner in blocks:
-        vel = Yb[:, :d] if moving else None
         if inner is None:
-            parts = _pair_sums(ps, i, e, Sb, Yb, h, cut, floor, vel)
+            parts = _pair_sums(ps, i, e, Sb, Yb, h, cut, floor)
         else:
-            parts = _moment_sums(ps, i, e, Sb, Yb, h, inner, vel)
-        for rows, w, wy, ws in parts:
+            parts = _moment_sums(ps, i, e, Sb, Yb, h, inner)
+        for rows, w, wy in parts:
             sum_w[rows], sum_wy[rows] = w, wy
-            if moving:
-                sum_ws[rows] = ws
-        del Sb, Yb, vel  # a cell's gathered samples go before the next cell's come
+        del Sb, Yb  # a cell's gathered samples go before the next cell's come
 
-    def ratio(sums):
-        out = np.empty_like(sums)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out[order] = sums / sum_w[:, None]
-        return out
-
+    values = np.empty_like(sum_wy)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        values[order] = sum_wy / sum_w[:, None]
     eff = np.empty_like(sum_w)
     eff[order] = sum_w
-    return (ratio(sum_wy), eff, ratio(sum_ws)) if moving else (ratio(sum_wy), eff)
+    return values, eff
 
 
 def reynolds_tensor(Sigma_hat: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
@@ -445,6 +409,48 @@ def reynolds_tensor(Sigma_hat: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
 # grid tabulation
 # ---------------------------------------------------------------------------
 
+def _kernel_means(X, V, A, points, h, time_derivatives):
+    """Kernel means at the query points (M, d) of the targets [V, A, V (x) V]
+    (M, 2 d + d^2, V (x) V flattened row by row), the effective n, and with
+    ``time_derivatives`` the means (M, 1 + d) of s and s V, with
+    s = (x - X).V per pair; otherwise None.
+
+    Moving the samples with V at a fixed bandwidth, a pair's weight w changes
+    at the rate w s / h^2, so these give the exact time derivatives of every
+    kernel sum.  They are ordinary target means: about any centre c,
+        sum w s   = (x - c).sum w V - sum w p,
+        sum w s V = sum_a (x - c)_a sum w V_a V - sum w p V,
+    with p = (X - c).V, so the targets gain the 1 + d columns p and p V, and
+    V and V (x) V are targets already.  c is the sample mean: the terms that
+    cancel are as large as the samples' spread about it, wherever they lie.
+    """
+    n, d = X.shape
+    outer = (V[:, :, None] * V[:, None, :]).reshape(n, d * d)
+    columns = [V, A, outer]
+    if time_derivatives:
+        c = X.mean(axis=0)
+        p = ((X - c) * V).sum(axis=1, keepdims=True)
+        columns += [p, p * V]
+    # sorted here, so that nw_regress copies neither the samples nor the targets
+    order = np.argsort(X[:, 0], kind="stable")
+    targets = np.concatenate(columns, axis=1)[order]
+    if time_derivatives:
+        # most of the engine's products are a few queries against thousands
+        # of samples; OpenBLAS takes those about twice as fast at 11 columns
+        # stored column by column.  The fields alone keep row order, whose
+        # sums every `fields` output has been written with.
+        targets = np.asfortranarray(targets)
+    del outer, columns  # not held through the kernel sums
+    means, eff = nw_regress(X[order], targets, points, h)
+    if not time_derivatives:
+        return means, eff, None
+    means, moved = means[:, : -1 - d], means[:, -1 - d :]
+    x = points - c
+    s = np.einsum("ma,ma->m", x, means[:, :d]) - moved[:, 0]
+    sv = np.einsum("ma,mab->mb", x, means[:, -d * d :].reshape(-1, d, d)) - moved[:, 1:]
+    return means, eff, np.column_stack([s, sv])
+
+
 def fields_on_grid(
     X: np.ndarray,
     V: np.ndarray,
@@ -471,13 +477,7 @@ def fields_on_grid(
             raise NonFiniteDataError(f"{name} must be finite for grid estimation")
     n, d = X.shape
     h = resolve_bandwidth(cfg, X)
-    pts = grid.points()
-    # sorted here, so that nw_regress copies neither the samples nor the targets
-    order = np.argsort(X[:, 0], kind="stable")
-    outer = (V[:, :, None] * V[:, None, :]).reshape(n, d * d)
-    targets = np.concatenate([V, A, outer], axis=1)[order]
-    del outer  # not held through the kernel sums
-    vals, eff, *rates = nw_regress(X[order], targets, pts, h, moving=time_derivatives)
+    vals, eff, rates = _kernel_means(X, V, A, grid.points(), h, time_derivatives)
     rho = eff / (n * (2 * np.pi * h * h) ** (d / 2))
 
     ok = (eff >= cfg.density_floor) & (eff > 0)
@@ -498,7 +498,7 @@ def fields_on_grid(
         # d_t sum_i w_i = sum_i w_i s_i / h^2 and d_t sum_i w_i V_i = sum_i w_i
         # s_i V_i / h^2 + sum_i w_i A_i; both over sum_i w_i here, so masked
         # nodes stay NaN through rho and a
-        rates = rates[0] / (h * h)
+        rates = rates / (h * h)
         dt_log_rho, dt_mom = rates[:, 0], rates[:, 1:] + a_arr
         fields["dt_rho"], fields["dt_rho_v"] = rho_arr * dt_log_rho, rho_arr[:, None] * dt_mom
         fields["dt_v"] = dt_mom - v_arr * dt_log_rho[:, None]

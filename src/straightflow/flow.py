@@ -1,5 +1,4 @@
-"""Probability-flow ODE integration, straightness metrics, and the energy
-distance used to check marginal transport.
+"""Probability-flow ODE integration and straightness metrics.
 
 A velocity oracle is any (t, x) -> v evaluator; constructors are provided for
 the analytic Gaussian fields and for kernel regression on sampled endpoints.
@@ -33,7 +32,6 @@ __all__ = [
     "flow_map",
     "straightness_deviation",
     "one_step_error",
-    "energy_distance",
 ]
 
 _SCHEMES = ("euler", "midpoint", "rk4")
@@ -63,9 +61,11 @@ class VelocityOracle:
 
 
 def analytic_velocity_oracle(spec: GaussianProcessSpec) -> VelocityOracle:
-    # the conditional model is built once per t: RK stages share t + h/2, and a
-    # step ends at the time the next one starts from
-    model_at = functools.lru_cache(maxsize=4)(functools.partial(_conditional_model, spec))
+    # the conditional model is built once per t and kept: RK stages share
+    # t + h/2, a step ends at the time the next one starts from, and the
+    # one-step reference runs revisit the times of the runs before them.  A
+    # model is a few d x d arrays.
+    model_at = functools.cache(functools.partial(_conditional_model, spec))
     return VelocityOracle(lambda t, x: model_at(float(t))(x))
 
 
@@ -326,57 +326,4 @@ def one_step_error(
         raise LowDensityError(f"one-step error: all {errs.size} points failed; first: {first}")
     return OneStepSummary(
         errs, float(errs[ok].max()), float(np.sqrt(np.mean(errs[ok] ** 2))), steps, gap
-    )
-
-
-# ---------------------------------------------------------------------------
-# energy distance
-# ---------------------------------------------------------------------------
-
-def _mean_cross_1d(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.sort(a)
-    b = np.sort(b)
-    prefix = np.concatenate([[0.0], np.cumsum(b)])
-    k = np.searchsorted(b, a, side="right")
-    total = np.sum(a * (2 * k - b.size) - 2 * prefix[k] + prefix[-1])
-    return float(total / (a.size * b.size))
-
-
-def _mean_within_1d(a: np.ndarray) -> float:
-    a = np.sort(a)
-    n = a.size
-    j = np.arange(n)
-    return float(2.0 * np.sum(a * (2 * j - (n - 1))) / (n * n))
-
-
-def _mean_cross_nd(a: np.ndarray, b: np.ndarray) -> float:
-    total = 0.0
-    step = max(1, (1 << 22) // max(b.shape[0], 1))
-    for i0 in range(0, a.shape[0], step):
-        chunk = a[i0 : i0 + step]
-        d2 = np.sum((chunk[:, None, :] - b[None, :, :]) ** 2, axis=-1)
-        total += float(np.sum(np.sqrt(d2)))
-    return total / (a.shape[0] * b.shape[0])
-
-
-def energy_distance(sample_a, sample_b) -> float:
-    """V-statistic energy distance 2 E|a-b| - E|a-a'| - E|b-b'|.
-
-    Exact O(n log n) path in one dimension, chunked pairwise otherwise.
-    """
-    a = np.asarray(sample_a, dtype=float)
-    b = np.asarray(sample_b, dtype=float)
-    if a.ndim == 1:
-        a = a[:, None]
-    if b.ndim == 1:
-        b = b[:, None]
-    if a.size == 0 or b.size == 0:
-        raise InvalidArgumentError("energy distance needs nonempty samples")
-    if a.shape[1] != b.shape[1]:
-        raise InvalidArgumentError("samples must share a dimension")
-    if a.shape[1] == 1:
-        av, bv = a[:, 0], b[:, 0]
-        return 2.0 * _mean_cross_1d(av, bv) - _mean_within_1d(av) - _mean_within_1d(bv)
-    return (
-        2.0 * _mean_cross_nd(a, b) - _mean_cross_nd(a, a) - _mean_cross_nd(b, b)
     )

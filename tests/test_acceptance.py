@@ -10,7 +10,7 @@ import pytest
 
 from straightflow import calculus, cli, core, estimate, flow, gaussian, verify
 
-from conftest import gauss1, head, make_spec, oracle_fields_dt
+from conftest import energy_distance, gauss1, head, make_spec, oracle_fields_dt
 
 PI2_4 = np.pi**2 / 4
 
@@ -228,10 +228,10 @@ def test_criterion_8_transport_correctness(affine_ot_spec):
     res = flow.flow_map(oracle, src, core.make_time_grid(200), "rk4")
     ends = res.states[res.kept, -1]
     tgt = affine_ot_spec.coupling.mu1.draw(rng, n)
-    observed = flow.energy_distance(ends, tgt)
+    observed = energy_distance(ends, tgt)
     null = np.array(
         [
-            flow.energy_distance(
+            energy_distance(
                 affine_ot_spec.coupling.mu1.draw(rng, n),
                 affine_ot_spec.coupling.mu1.draw(rng, n),
             )

@@ -111,6 +111,23 @@ class TestGradient:
             calculus.grid_gradient(v)
 
 
+class TestSpatialGrid:
+    def test_linspace_axes_far_from_the_origin_accepted(self):
+        for c in (1e4, 1e5, -1e8):
+            for nodes in (12, 21, 120):
+                for width in (0.5, 6.0, 20.0):
+                    grid = calculus.make_spatial_grid([(c - width / 2, c + width / 2)], nodes)
+                    assert grid.shape == (nodes,)
+
+    @pytest.mark.parametrize("c", [0.0, 1e4, 1e8])
+    def test_one_node_off_by_a_millionth_of_the_spacing_refused(self, c):
+        axis = np.linspace(c - 3.0, c + 3.0, 21)
+        calculus.SpatialGrid((axis.copy(),))
+        axis[10] += 1e-6 * (axis[1] - axis[0])
+        with pytest.raises(InvalidGridError):
+            calculus.SpatialGrid((axis,))
+
+
 class TestDivergenceMatrix:
     def test_constant_matrix(self):
         T = matrix_field(grid2d(), [[lambda x, y: np.full_like(x, 2.0)] * 2] * 2)

@@ -247,6 +247,29 @@ class TestDiagnose:
         assert np.isfinite(balance["relative"]) and balance["relative"] <= 1.0
         assert balance["verdict"] == "not-straight-compatible"
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_estimate_far_from_the_origin_reads_as_at_it(self, tmp_path, d):
+        # affine independent N(c, 1) -> N(c, 4): the shift moves no relative;
+        # far out, linspace rounds the grid's nodes and the kernel's time
+        # derivatives cancel terms as large as the samples' spread
+        def relatives(c):
+            gauss = lambda var: {"family": "gaussian", "mean": [c] * d,
+                                 "cov": (var * np.eye(d)).tolist()}
+            process = {"coefficients": "affine", "dim": d, "coupling": {
+                "kind": "independent", "mu0": gauss(1.0), "mu1": gauss(4.0)}}
+            run = tmp_path / repr(c)
+            run.mkdir()
+            cfg_path, out = write_config(run, process=process, n=5000, seed=3,
+                                         source="estimate", grid={"nodes_per_axis": 21})
+            assert cli.main(["diagnose", "--config", str(cfg_path)]) == 0
+            report = json.loads((out / "diagnostics.json").read_text())
+            return [report[k]["relative"] for k in ("continuity", "momentum", "balance",
+                                                    "material")]
+
+        at_origin = relatives(0.0)
+        for c in (1e5, 1e8):
+            assert relatives(c) == pytest.approx(at_origin, rel=1e-4), c
+
     def test_estimate_takes_one_kernel_pass(self, tmp_path):
         # the time derivatives come from the pass at t, not from passes around it
         cfg_path, out = write_config(tmp_path, process=trig_process(), n=4000, source="estimate",
@@ -317,25 +340,33 @@ class TestTimeFlag:
 class TestThreadCount:
     def test_estimate_bytes_independent_of_threads(self, tmp_path):
         # single-column kernel sums (d_t v in diagnose, the 1-D flow oracle)
-        # were BLAS reductions that OpenBLAS splits across its threads
+        # were BLAS reductions that OpenBLAS splits across its threads; the
+        # 2-D diagnose takes its fields and time derivatives in one product
         mu1 = {"family": "gaussian", "mean": [0.0], "cov": [[4.0]]}
         process = trig_process()
         process["coupling"]["mu1"] = mu1
+        residuals = ("residual_continuity.csv", "residual_momentum.csv", "residual_balance.csv",
+                     "residual_material.csv")
         files = {}
         for threads in ("1", "2"):
-            (tmp_path / threads).mkdir()
+            (tmp_path / threads / "2d").mkdir(parents=True)
             cfg_path, out = write_config(tmp_path / threads, process=process, n=20_000, seed=3,
                                          source="estimate", flow={"steps": 10, "n_points": 4})
+            cfg_2d, out_2d = write_config(tmp_path / threads / "2d", process=ot_process_2d(),
+                                          n=10_000, seed=3, source="estimate",
+                                          grid={"nodes_per_axis": 16})
             env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
             env["STRAIGHTFLOW_THREADS"] = threads
             script = ("import sys; from straightflow import cli; "
                       "sys.exit(cli.main(['diagnose', '--config', sys.argv[1]]) "
-                      "or cli.main(['flow', '--config', sys.argv[1]]))")
-            subprocess.run([sys.executable, "-c", script, str(cfg_path)], env=env, check=True,
-                           capture_output=True)
-            files[threads] = {name: (out / name).read_bytes() for name in (
-                "residual_continuity.csv", "residual_momentum.csv", "residual_material.csv",
-                "trajectories.csv")}
+                      "or cli.main(['flow', '--config', sys.argv[1]]) "
+                      "or cli.main(['diagnose', '--config', sys.argv[2]]))")
+            subprocess.run([sys.executable, "-c", script, str(cfg_path), str(cfg_2d)], env=env,
+                           check=True, capture_output=True)
+            files[threads] = {name: (out / name).read_bytes()
+                              for name in residuals + ("trajectories.csv",)}
+            files[threads].update({f"2d/{name}": (out_2d / name).read_bytes()
+                                   for name in residuals})
         assert files["1"] == files["2"]
 
 

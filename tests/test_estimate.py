@@ -191,8 +191,10 @@ def dense_reference(X, Y, points, h, V):
     is the squared coordinate differences summed in axis order, times
     -1/(2 h^2), and a pair whose exponent is below -32 (beyond eight
     bandwidths) is dropped.  Returns the values, the effective n, the
-    weighted means of s and s V (s = (x - X).V per pair), and the largest kept
-    |s| and |s V| (the scale of the terms of those means)."""
+    weighted means of s and s V (s = (x - X).V per pair), and the scale of
+    the terms those means are formed from: the largest kept |t| and |t V|
+    over t = s and its two parts (x - c).V and (X - c).V about the sample
+    mean c."""
     diff = points[:, None, :] - X[None, :, :]
     d2 = diff[..., 0] ** 2
     for k in range(1, X.shape[1]):
@@ -203,17 +205,22 @@ def dense_reference(X, Y, points, h, V):
     sum_w = w.sum(axis=1)
     s = np.sum(diff * V[None, :, :], axis=-1)
     sv = np.concatenate([s[..., None], s[..., None] * V[None, :, :]], axis=-1)
-    scale = np.abs(sv[inside]).max() if inside.any() else 0.0
+    c = X.mean(axis=0)
+    parts = [s, (points - c) @ V.T, np.broadcast_to(np.sum((X - c) * V, axis=1), s.shape)]
+    terms = [np.abs(t[inside]) for t in parts]
+    terms += [t[:, None] * np.abs(V[np.nonzero(inside)[1]]) for t in terms]
+    scale = max(t.max() for t in terms) if inside.any() else 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
         rates = np.einsum("mn,mnk->mk", w, sv) / sum_w[:, None]
         return (w @ Y) / sum_w[:, None], sum_w, rates, scale
 
 
 def with_velocities(X, Y, points, h, V):
-    """nw_regress over the targets [V, Y] with ``moving``: the values of Y,
-    the effective n and the time-derivative moments."""
-    vals, eff, rates = estimate.nw_regress(X, np.hstack([V, Y]), points, h, moving=True)
-    return vals[:, V.shape[1]:], eff, rates
+    """The kernel means of the targets [V, Y, V (x) V] and the time-derivative
+    moments, taken in one pass: the values of Y, the effective n and the
+    means of s and s V."""
+    means, eff, rates = estimate._kernel_means(X, V, Y, points, h, time_derivatives=True)
+    return means[:, V.shape[1]:V.shape[1] + Y.shape[1]], eff, rates
 
 
 def draw_problem(seed, n, m, d, decimals):
@@ -253,15 +260,11 @@ class TestKernelEngine:
         X, Y, points, V = draw_problem(seed, n, m, d, decimals)
         with mock.patch.object(estimate, "_BLOCK_PAIRS", block_pairs):
             vals, eff = estimate.nw_regress(X, Y, points, h)
-            VY = np.hstack([V, Y])
-            still = estimate.nw_regress(X, VY, points, h)
-            moving = estimate.nw_regress(X, VY, points, h, moving=True)
-        # asking for the time-derivative moments moves no bit of the others
-        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(still, moving))
+            _, _, rates = with_velocities(X, Y, points, h, V)
         ref_vals, ref_eff, ref_rates, scale = dense_reference(X, Y, points, h, V)
         np.testing.assert_allclose(eff, ref_eff, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(vals, ref_vals, rtol=1e-12, atol=1e-12 * np.abs(Y).max())
-        np.testing.assert_allclose(moving[2], ref_rates, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(rates, ref_rates, rtol=1e-12, atol=1e-12 * scale)
 
     @settings(max_examples=60)
     @given(
@@ -349,21 +352,16 @@ class TestKernelEngine:
             X.max() + h * rng.uniform(7.0, 8.0, (crowd, 1)),
         ]
         X, points = X + offset, np.concatenate([points, *crowds]) + offset
-        VY = np.hstack([V, Y])
         # at a _BLOCK_WIDTH of 1e6 one block holds every query: it may take
         # moments only if they span at most a bandwidth
         with spy_moments() as spy, mock.patch.object(estimate, "_BLOCK_WIDTH", block_width):
-            still = estimate.nw_regress(X, VY, points, h)
-            moving = estimate.nw_regress(X, VY, points, h, moving=True)
+            vals, eff, rates = with_velocities(X, Y, points, h, V)
         if block_width == estimate._BLOCK_WIDTH:
-            assert spy.call_count >= 2
-        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(still, moving))
+            assert spy.call_count >= 1
         ref_vals, ref_eff, ref_rates, scale = dense_reference(X, Y, points, h, V)
-        np.testing.assert_allclose(moving[1], ref_eff, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(
-            moving[0][:, 1:], ref_vals, rtol=1e-12, atol=1e-12 * np.abs(Y).max()
-        )
-        np.testing.assert_allclose(moving[2], ref_rates, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(eff, ref_eff, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(vals, ref_vals, rtol=1e-12, atol=1e-12 * np.abs(Y).max())
+        np.testing.assert_allclose(rates, ref_rates, rtol=1e-12, atol=1e-12 * scale)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_no_queries(self, d):
@@ -619,7 +617,6 @@ class TestTimeDerivatives:
         h = 0.5 * estimate.silverman_bandwidth_from(X)
         with np.errstate(under="raise", invalid="raise"):
             estimate.nw_regress(X, V, points, h)
-            estimate.nw_regress(X, V, points, h, moving=True)
         if d > 1:  # without the floor these strips do reach it
             with mock.patch.object(estimate, "_STRIP_FLOOR", -np.inf):
                 with np.errstate(under="raise"), pytest.raises(FloatingPointError):

@@ -1,4 +1,5 @@
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from straightflow.errors import (
     TrajectoryLeftSupportError,
 )
 
-from conftest import head, make_spec, oracle_fields_dt
+from conftest import energy_distance, head, make_spec, oracle_fields_dt
 
 PI2_4 = np.pi**2 / 4
 
@@ -402,6 +403,19 @@ class TestReferenceSizing:
         assert summary.reference_steps == 50
         assert summary.reference_gap <= 1e-9
 
+    def test_analytic_oracle_builds_one_model_per_time(self, affine_ot_spec):
+        # the flow and the one-step reference runs revisit each other's times
+        model = mock.patch.object(flow, "_conditional_model", wraps=flow._conditional_model)
+        with model as build:
+            oracle, calls = counting(
+                flow.analytic_velocity_oracle(gaussian.from_process_spec(affine_ot_spec))
+            )
+            pts = affine_ot_spec.coupling.mu0.draw(core.aux_rng(0, 9), 64)
+            flow.flow_map(oracle, pts, core.make_time_grid(100), "rk4")
+            flow.one_step_error(oracle, pts)
+        assert len(calls) == 4 * 100 + 1 + 4 * (25 + 50)
+        assert build.call_count == len({float(t) for t in calls}) == 216
+
     def test_cap_below_first_run_runs_once(self, oracle_affine_indep):
         oracle, calls = counting(oracle_affine_indep)
         summary = flow.one_step_error(oracle, np.array([[1.0]]), reference_steps=10)
@@ -457,23 +471,23 @@ class TestSchemeConsistency:
 class TestEnergyDistance:
     def test_identical_samples_zero(self):
         x = np.linspace(-1, 1, 50)
-        assert flow.energy_distance(x, x) == pytest.approx(0.0, abs=1e-12)
+        assert energy_distance(x, x) == pytest.approx(0.0, abs=1e-12)
 
     def test_null_scale(self):
         rng = np.random.default_rng(8)
         a, b = rng.standard_normal(10_000), rng.standard_normal(10_000)
-        assert flow.energy_distance(a, b) <= 0.01
+        assert energy_distance(a, b) <= 0.01
 
     def test_mean_shift_detected(self):
         rng = np.random.default_rng(9)
         a = rng.standard_normal(10_000)
         b = rng.standard_normal(10_000) + 3.0
-        assert flow.energy_distance(a, b) >= 1.0
+        assert energy_distance(a, b) >= 1.0
 
     def test_fast_path_matches_bruteforce(self):
         rng = np.random.default_rng(10)
         a, b = rng.standard_normal(257), 0.5 * rng.standard_normal(301) + 0.2
-        fast = flow.energy_distance(a, b)
+        fast = energy_distance(a, b)
         dab = np.abs(a[:, None] - b[None, :]).mean()
         daa = np.abs(a[:, None] - a[None, :]).mean()
         dbb = np.abs(b[:, None] - b[None, :]).mean()
@@ -483,7 +497,7 @@ class TestEnergyDistance:
         rng = np.random.default_rng(11)
         a = rng.standard_normal((300, 2))
         b = rng.standard_normal((280, 2)) + [1.0, 0.0]
-        ed = flow.energy_distance(a, b)
+        ed = energy_distance(a, b)
         dab = np.linalg.norm(a[:, None] - b[None, :], axis=-1).mean()
         daa = np.linalg.norm(a[:, None] - a[None, :], axis=-1).mean()
         dbb = np.linalg.norm(b[:, None] - b[None, :], axis=-1).mean()
@@ -491,8 +505,8 @@ class TestEnergyDistance:
         assert ed > 0.1
 
     def test_empty_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            flow.energy_distance(np.array([]), np.array([1.0]))
+        with pytest.raises(ValueError):
+            energy_distance(np.array([]), np.array([1.0]))
 
 
 class TestMarginalTransport:
@@ -504,9 +518,9 @@ class TestMarginalTransport:
         res = flow.flow_map(oracle, src, core.make_time_grid(200), "rk4")
         ends = res.states[res.kept, -1]
         tgt = affine_ot_spec.coupling.mu1.draw(rng, n)
-        observed = flow.energy_distance(ends, tgt)
+        observed = energy_distance(ends, tgt)
         null = [
-            flow.energy_distance(
+            energy_distance(
                 affine_ot_spec.coupling.mu1.draw(rng, n), affine_ot_spec.coupling.mu1.draw(rng, n)
             )
             for _ in range(20)
