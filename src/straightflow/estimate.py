@@ -27,9 +27,9 @@ query's disc, gathered once per cell.
 
 :func:`fields_on_grid` is the grid view over the engine.  Asked for time
 derivatives, it also gives the exact rates of change of its kernel sums at a
-fixed bandwidth as the samples move with their velocities.  These too are
-kernel means: of two more kinds of per-sample target, (X - c).V and
-((X - c).V) V about the sample mean c, taken in the same pass as the fields.
+fixed bandwidth as the samples move with their velocities: kernel means of
+1 + d more per-sample targets, taken in the same pass as the fields (see
+:func:`_kernel_means`).
 """
 
 from __future__ import annotations
@@ -411,37 +411,33 @@ def reynolds_tensor(Sigma_hat: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
 
 def _kernel_means(X, V, A, points, h, time_derivatives):
     """Kernel means at the query points (M, d) of the targets [V, A, V (x) V]
-    (M, 2 d + d^2, V (x) V flattened row by row), the effective n, and with
-    ``time_derivatives`` the means (M, 1 + d) of s and s V, with
-    s = (x - X).V per pair; otherwise None.
-
-    Moving the samples with V at a fixed bandwidth, a pair's weight w changes
-    at the rate w s / h^2, so these give the exact time derivatives of every
-    kernel sum.  They are ordinary target means: about any centre c,
+    (V (x) V flattened row by row), the effective n, and with
+    ``time_derivatives`` the means (M, 1 + d) of s and s V, s = (x - X).V per
+    pair (otherwise None).  About the sample mean c, with p = (X - c).V,
         sum w s   = (x - c).sum w V - sum w p,
         sum w s V = sum_a (x - c)_a sum w V_a V - sum w p V,
-    with p = (X - c).V, so the targets gain the 1 + d columns p and p V, and
-    V and V (x) V are targets already.  c is the sample mean: the terms that
-    cancel are as large as the samples' spread about it, wherever they lie.
+    so those take the 1 + d more target columns p and p V.  The terms that
+    cancel are as large as the samples' spread about c, wherever they lie.
     """
     n, d = X.shape
-    outer = (V[:, :, None] * V[:, None, :]).reshape(n, d * d)
-    columns = [V, A, outer]
-    if time_derivatives:
-        c = X.mean(axis=0)
-        p = ((X - c) * V).sum(axis=1, keepdims=True)
-        columns += [p, p * V]
     # sorted here, so that nw_regress copies neither the samples nor the targets
     order = np.argsort(X[:, 0], kind="stable")
-    targets = np.concatenate(columns, axis=1)[order]
+    Xs, Vs = X[order], V[order]
+    # most of the engine's products are a few queries against thousands of
+    # samples; OpenBLAS takes those about twice as fast at 11 columns stored
+    # column by column.  The fields alone keep row order, whose sums every
+    # `fields` output has been written with.
+    k = d + A.shape[1]
+    targets = np.empty((n, k + d * d + (1 + d) * time_derivatives),
+                       order="F" if time_derivatives else "C")
+    targets[:, :d], targets[:, d:k] = Vs, A[order]
+    targets[:, k : k + d * d] = (Vs[:, :, None] * Vs[:, None, :]).reshape(n, d * d)
     if time_derivatives:
-        # most of the engine's products are a few queries against thousands
-        # of samples; OpenBLAS takes those about twice as fast at 11 columns
-        # stored column by column.  The fields alone keep row order, whose
-        # sums every `fields` output has been written with.
-        targets = np.asfortranarray(targets)
-    del outer, columns  # not held through the kernel sums
-    means, eff = nw_regress(X[order], targets, points, h)
+        c = X.mean(axis=0)
+        targets[:, -1 - d] = ((Xs - c) * Vs).sum(axis=1)
+        targets[:, -d:] = targets[:, -1 - d, None] * Vs
+    del Vs  # not held through the kernel sums
+    means, eff = nw_regress(Xs, targets, points, h)
     if not time_derivatives:
         return means, eff, None
     means, moved = means[:, : -1 - d], means[:, -1 - d :]

@@ -60,13 +60,25 @@ class VelocityOracle:
         return self.evaluate(t, x)
 
 
+# The analytic oracle keeps the velocity's terms at the last _ORACLE_TIMES
+# times it was asked for: RK stages share t + h/2, a step ends at the time the
+# next one starts from, and each one-step reference run revisits the times of
+# the run before it (the 401 times of a 200-step run before a 400-step one,
+# the default cap).
+_ORACLE_TIMES = 1024
+
+
 def analytic_velocity_oracle(spec: GaussianProcessSpec) -> VelocityOracle:
-    # the conditional model is built once per t and kept: RK stages share
-    # t + h/2, a step ends at the time the next one starts from, and the
-    # one-step reference runs revisit the times of the runs before them.  A
-    # model is a few d x d arrays.
-    model_at = functools.cache(functools.partial(_conditional_model, spec))
-    return VelocityOracle(lambda t, x: model_at(float(t))(x))
+    @functools.lru_cache(maxsize=_ORACLE_TIMES)
+    def velocity_at(t: float):
+        model = _conditional_model(spec, t)
+        return model.mean, model.Ev, model.Jv.T
+
+    def evaluate(t, x):
+        mean, Ev, Jv_T = velocity_at(float(t))
+        return Ev + (np.asarray(x, dtype=float) - mean) @ Jv_T
+
+    return VelocityOracle(evaluate)
 
 
 def kernel_velocity_oracle(

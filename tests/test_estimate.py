@@ -191,10 +191,11 @@ def dense_reference(X, Y, points, h, V):
     is the squared coordinate differences summed in axis order, times
     -1/(2 h^2), and a pair whose exponent is below -32 (beyond eight
     bandwidths) is dropped.  Returns the values, the effective n, the
-    weighted means of s and s V (s = (x - X).V per pair), and the scale of
-    the terms those means are formed from: the largest kept |t| and |t V|
-    over t = s and its two parts (x - c).V and (X - c).V about the sample
-    mean c."""
+    weighted means of s and s V (s = (x - X).V per pair), and their absolute
+    tolerance: 1e-12 of the largest kept |s| and |s V| (the scale of the
+    terms of those means), plus rounding of the two parts they are formed
+    from, which cancel to s: 64 eps of the largest kept |t| and |t V| over
+    t = (x - c).V and (X - c).V about the sample mean c."""
     diff = points[:, None, :] - X[None, :, :]
     d2 = diff[..., 0] ** 2
     for k in range(1, X.shape[1]):
@@ -206,13 +207,19 @@ def dense_reference(X, Y, points, h, V):
     s = np.sum(diff * V[None, :, :], axis=-1)
     sv = np.concatenate([s[..., None], s[..., None] * V[None, :, :]], axis=-1)
     c = X.mean(axis=0)
-    parts = [s, (points - c) @ V.T, np.broadcast_to(np.sum((X - c) * V, axis=1), s.shape)]
-    terms = [np.abs(t[inside]) for t in parts]
-    terms += [t[:, None] * np.abs(V[np.nonzero(inside)[1]]) for t in terms]
-    scale = max(t.max() for t in terms) if inside.any() else 0.0
+    parts = [(points - c) @ V.T, np.broadcast_to(np.sum((X - c) * V, axis=1), s.shape)]
+    kept_v = np.abs(V[np.nonzero(inside)[1]])
+
+    def largest(*terms):
+        kept = [np.abs(t[inside]) for t in terms]
+        return max(max(t.max(), (t[:, None] * kept_v).max()) for t in kept)
+
+    atol = 0.0
+    if inside.any():
+        atol = 1e-12 * largest(s) + 64 * np.finfo(float).eps * largest(*parts)
     with np.errstate(invalid="ignore", divide="ignore"):
         rates = np.einsum("mn,mnk->mk", w, sv) / sum_w[:, None]
-        return (w @ Y) / sum_w[:, None], sum_w, rates, scale
+        return (w @ Y) / sum_w[:, None], sum_w, rates, atol
 
 
 def with_velocities(X, Y, points, h, V):
@@ -261,10 +268,10 @@ class TestKernelEngine:
         with mock.patch.object(estimate, "_BLOCK_PAIRS", block_pairs):
             vals, eff = estimate.nw_regress(X, Y, points, h)
             _, _, rates = with_velocities(X, Y, points, h, V)
-        ref_vals, ref_eff, ref_rates, scale = dense_reference(X, Y, points, h, V)
+        ref_vals, ref_eff, ref_rates, rate_atol = dense_reference(X, Y, points, h, V)
         np.testing.assert_allclose(eff, ref_eff, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(vals, ref_vals, rtol=1e-12, atol=1e-12 * np.abs(Y).max())
-        np.testing.assert_allclose(rates, ref_rates, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(rates, ref_rates, rtol=1e-12, atol=rate_atol)
 
     @settings(max_examples=60)
     @given(
@@ -283,8 +290,8 @@ class TestKernelEngine:
             vals_g, eff_g, rates_g = with_velocities(X, Y, points, h, V)
         np.testing.assert_allclose(eff_g, eff, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(vals_g, vals, rtol=1e-12, atol=1e-12 * np.abs(Y).max())
-        scale = dense_reference(X, Y, points, h, V)[3]
-        np.testing.assert_allclose(rates_g, rates, rtol=1e-12, atol=1e-12 * scale)
+        rate_atol = dense_reference(X, Y, points, h, V)[3]
+        np.testing.assert_allclose(rates_g, rates, rtol=1e-12, atol=rate_atol)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_sample_beyond_the_window_on_one_axis_gets_no_weight(self, d):
@@ -358,10 +365,10 @@ class TestKernelEngine:
             vals, eff, rates = with_velocities(X, Y, points, h, V)
         if block_width == estimate._BLOCK_WIDTH:
             assert spy.call_count >= 1
-        ref_vals, ref_eff, ref_rates, scale = dense_reference(X, Y, points, h, V)
+        ref_vals, ref_eff, ref_rates, rate_atol = dense_reference(X, Y, points, h, V)
         np.testing.assert_allclose(eff, ref_eff, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(vals, ref_vals, rtol=1e-12, atol=1e-12 * np.abs(Y).max())
-        np.testing.assert_allclose(rates, ref_rates, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(rates, ref_rates, rtol=1e-12, atol=rate_atol)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_no_queries(self, d):
@@ -388,8 +395,8 @@ class TestKernelEngine:
         vals_p, eff_p, rates_p = with_velocities(X[perm], Y[perm], points, h, V[perm])
         np.testing.assert_allclose(eff_p, eff, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(vals_p, vals, rtol=1e-12, atol=1e-12 * np.abs(Y).max())
-        scale = dense_reference(X, Y, points, h, V)[3]
-        np.testing.assert_allclose(rates_p, rates, rtol=1e-12, atol=1e-12 * scale)
+        rate_atol = dense_reference(X, Y, points, h, V)[3]
+        np.testing.assert_allclose(rates_p, rates, rtol=1e-12, atol=rate_atol)
 
     @settings(max_examples=20)
     @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2, 3]))

@@ -404,17 +404,20 @@ class TestReferenceSizing:
         assert summary.reference_gap <= 1e-9
 
     def test_analytic_oracle_builds_one_model_per_time(self, affine_ot_spec):
-        # the flow and the one-step reference runs revisit each other's times
-        model = mock.patch.object(flow, "_conditional_model", wraps=flow._conditional_model)
-        with model as build:
-            oracle, calls = counting(
-                flow.analytic_velocity_oracle(gaussian.from_process_spec(affine_ot_spec))
-            )
-            pts = affine_ot_spec.coupling.mu0.draw(core.aux_rng(0, 9), 64)
-            flow.flow_map(oracle, pts, core.make_time_grid(100), "rk4")
-            flow.one_step_error(oracle, pts)
-        assert len(calls) == 4 * 100 + 1 + 4 * (25 + 50)
-        assert build.call_count == len({float(t) for t in calls}) == 216
+        # the flow and the one-step reference runs revisit each other's times;
+        # an oracle that keeps fewer times than they span builds some again
+        pts = affine_ot_spec.coupling.mu0.draw(core.aux_rng(0, 9), 64)
+        for kept, builds in ((flow._ORACLE_TIMES, 216), (4, 353)):
+            model = mock.patch.object(flow, "_conditional_model", wraps=flow._conditional_model)
+            with model as build, mock.patch.object(flow, "_ORACLE_TIMES", kept):
+                oracle, calls = counting(
+                    flow.analytic_velocity_oracle(gaussian.from_process_spec(affine_ot_spec))
+                )
+                flow.flow_map(oracle, pts, core.make_time_grid(100), "rk4")
+                flow.one_step_error(oracle, pts)
+            assert len(calls) == 4 * 100 + 1 + 4 * (25 + 50)
+            assert len({float(t) for t in calls}) == 216
+            assert build.call_count == builds
 
     def test_cap_below_first_run_runs_once(self, oracle_affine_indep):
         oracle, calls = counting(oracle_affine_indep)
