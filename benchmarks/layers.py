@@ -53,6 +53,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import platform
 import sys
@@ -131,31 +132,31 @@ def _config(data: dict) -> cli.ExperimentConfig:
         return cli.load_config(path)
 
 
-def _grid_table(field: calculus.GridField):
+def _grid_table(grid: calculus.SpatialGrid, values: np.ndarray):
     """The lead and values ``grid_field_to_csv`` hands the writer."""
-    lead = [[repr(x) for x in ax.tolist()] for ax in field.grid.axes]
-    return lead, field.values.reshape(field.grid.mask.size, -1)
+    lead = [[repr(x) for x in ax.tolist()] for ax in grid.axes]
+    return lead, values.reshape(math.prod(grid.shape), -1)
 
 
 def csv_tables() -> dict:
     """The oracle_2d tables, by the command that writes them."""
     cfg = _config(_FIELDS_CONFIG)
-    f = cli._oracle_fields(cfg, cfg["time"], time_derivatives=True)
-    fields = [_grid_table(f[name]) for name in ("rho", "v", "a", "Sigma", "Pi")]
+    grid, f = cli._oracle_fields(cfg, cfg["time"], time_derivatives=True)
+    fields = [_grid_table(grid, f[name]) for name in ("rho", "v", "a", "Sigma", "Pi")]
     residuals = [
-        calculus.continuity_residual(f["rho"], f["v"], f["dt_rho"]),
-        calculus.momentum_residual(f["rho"], f["v"], f["Sigma"], f["a"], f["dt_rho_v"]),
-        calculus.balance_residual(f["rho"], f["Pi"], f["a"]),
-        calculus.material_residual(f["v"], f["dt_v"]),
+        calculus.continuity_residual(grid, f["rho"], f["v"], f["dt_rho"]),
+        calculus.momentum_residual(grid, f["rho"], f["v"], f["Sigma"], f["a"], f["dt_rho_v"]),
+        calculus.balance_residual(grid, f["rho"], f["Pi"], f["a"]),
+        calculus.material_residual(grid, f["v"], f["dt_v"]),
     ]
-    diagnose = [_grid_table(rep.residual) for rep in residuals]
+    diagnose = [_grid_table(grid, rep.residual) for rep in residuals]
 
     cfg = _config(_FLOW_CONFIG)
     spec = cli.build_process_spec(cfg)
     oracle = flow.analytic_velocity_oracle(gaussian.from_process_spec(spec))
     sgrid = cli._resolve_spatial_grid(cfg, spec, 0.0)
     tgrid = core.make_time_grid(cfg["flow"]["steps"])
-    result = flow.flow_map(oracle, sgrid.points()[sgrid.mask.ravel()], tgrid, "rk4")
+    result = flow.flow_map(oracle, sgrid.interior_points(), tgrid, "rk4")
     lead = [[str(i) for i in result.kept], [repr(x) for x in tgrid.nodes.tolist()]]
     trajectories = [(lead, result.states[result.kept].reshape(-1, spec.dim))]
     return {"fields": fields, "diagnose": diagnose, "flow": trajectories}
@@ -284,10 +285,10 @@ def time_kernel_nd(calls: dict) -> dict:
     for name, (X, V, A, grid, cfg) in calls.items():
         for command, derivatives in (("fields", False), ("diagnose", True)):
             runs = time_runs(lambda: estimate.fields_on_grid(
-                X, V, A, grid, cfg, 0.5, derivatives)["rho"].values.sum())
+                X, V, A, grid, cfg, derivatives)["rho"].sum())
             out[f"{name}.{command}"] = {
                 "n": X.shape[0],
-                "nodes": grid.mask.size,
+                "nodes": math.prod(grid.shape),
                 "best_s": min(runs),
                 "runs_s": runs,
             }

@@ -1,15 +1,20 @@
 """Finite-difference calculus on tensor-product grids and PDE residuals.
 
+A field is a plain array of node values on a :class:`SpatialGrid`: a scalar
+field has shape ``grid.shape``, a vector field ``grid.shape + (d,)`` and a
+matrix field ``grid.shape + (d, d)``.  A node is admissible exactly where its
+values are finite: refused nodes hold ``nan``, and every stencil gives
+``nan`` on the outermost node layer and wherever it meets a ``nan``.
+
 First derivatives use central differences.  With ``order=4`` (the default,
 appropriate for smooth analytic fields) a five-point stencil is used at every
 interior node, switching to the offset five-point stencil one node in from
 each boundary.  ``order=2`` (three-point central) is preferred for noisy
 estimated fields, where higher-order stencils amplify sampling noise.  Both
-are exact on quadratics.  The outermost node layer never receives a value and
-is always masked out.
+are exact on quadratics.
 
-The divergence of a matrix field contracts the FIRST index:
-``(div T)_j = sum_i d_i T_ij``.
+The divergence contracts a field's FIRST component index:
+``div F = sum_i d_i F_i`` and ``(div T)_j = sum_i d_i T_ij``.
 """
 
 from __future__ import annotations
@@ -24,14 +29,10 @@ from .errors import InvalidArgumentError, InvalidGridError, NoAdmissibleNodesErr
 
 __all__ = [
     "SpatialGrid",
-    "GridField",
     "ResidualReport",
     "make_spatial_grid",
-    "grid_fields",
     "quantile_box",
-    "grid_gradient",
-    "grid_divergence_vector",
-    "grid_divergence_matrix",
+    "divergence",
     "material_derivative",
     "momentum_residual",
     "balance_residual",
@@ -45,24 +46,20 @@ _CSV_BLOCK_ROWS = 4096  # CSV lines per text block written
 
 
 # ---------------------------------------------------------------------------
-# grid and field containers
+# grid
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SpatialGrid:
-    """Tensor-product grid with uniform spacing per axis and a node mask.
-
-    ``mask`` marks admissible nodes; the outermost layer on each axis is
-    forced inadmissible because no centered stencil exists there.
-    """
+    """Tensor-product grid with uniform spacing per axis.  It keeps read-only
+    copies of the axes it is given."""
 
     axes: tuple
-    mask: np.ndarray | None = None
 
     def __post_init__(self):
         axes = []
         for ax in self.axes:
-            ax = np.ascontiguousarray(ax, dtype=float)
+            ax = np.array(ax, dtype=float)
             if ax.ndim != 1 or ax.size < 3:
                 raise InvalidGridError("each axis needs at least 3 nodes")
             d = np.diff(ax)
@@ -75,19 +72,6 @@ class SpatialGrid:
             ax.setflags(write=False)
             axes.append(ax)
         object.__setattr__(self, "axes", tuple(axes))
-        interior = np.ones(self.shape, dtype=bool)
-        for axis in range(self.dim):
-            sl = [slice(None)] * self.dim
-            sl[axis] = 0
-            interior[tuple(sl)] = False
-            sl[axis] = -1
-            interior[tuple(sl)] = False
-        mask = interior if self.mask is None else (np.asarray(self.mask, dtype=bool) & interior)
-        if mask.shape != self.shape:
-            raise InvalidGridError("mask shape does not match grid shape")
-        mask = mask.copy()
-        mask.setflags(write=False)
-        object.__setattr__(self, "mask", mask)
 
     @property
     def dim(self) -> int:
@@ -106,16 +90,17 @@ class SpatialGrid:
 
     def points(self) -> np.ndarray:
         """All nodes as an (n_nodes, dim) array in C order."""
-        mesh = self.meshgrid()
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return _node_table(self.axes)
 
-    def with_mask(self, mask: np.ndarray) -> "SpatialGrid":
-        return SpatialGrid(self.axes, mask)
+    def interior_points(self) -> np.ndarray:
+        """The nodes off the outermost layer, the only ones a stencil gives a
+        value at, as an (n, dim) array in C order."""
+        return _node_table([ax[1:-1] for ax in self.axes])
 
-    def same_axes(self, other: "SpatialGrid") -> bool:
-        return self.dim == other.dim and all(
-            np.array_equal(a, b) for a, b in zip(self.axes, other.axes)
-        )
+
+def _node_table(axes) -> np.ndarray:
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 def make_spatial_grid(bounds, nodes_per_axis) -> SpatialGrid:
@@ -137,59 +122,9 @@ def quantile_box(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-_RANKS = ("scalar", "vector", "matrix")
-
-
-@dataclass(frozen=True)
-class GridField:
-    """Scalar/vector/matrix values tabulated on a grid at one time slice."""
-
-    grid: SpatialGrid
-    rank: str
-    values: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        if self.rank not in _RANKS:
-            raise InvalidArgumentError(f"unknown rank {self.rank!r}")
-        d = self.grid.dim
-        expected = {
-            "scalar": self.grid.shape,
-            "vector": self.grid.shape + (d,),
-            "matrix": self.grid.shape + (d, d),
-        }[self.rank]
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != expected:
-            raise InvalidArgumentError(
-                f"{self.rank} field values must have shape {expected}, got {values.shape}"
-            )
-        mag = _pointwise_mag(values, self.rank)
-        if not np.all(np.isfinite(mag[self.grid.mask])):
-            raise InvalidArgumentError("field values must be finite at admissible nodes")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def dim(self) -> int:
-        return self.grid.dim
-
-
-def grid_fields(grid: SpatialGrid, t: float, values: dict) -> dict:
-    """GridFields at time t from per-node arrays in the C order of
-    ``grid.points()``: an (n_nodes,) array is a scalar field, (n_nodes, d) a
-    vector and (n_nodes, d, d) a matrix field."""
-    ranks = {1: "scalar", 2: "vector", 3: "matrix"}
-    return {name: GridField(grid, ranks[arr.ndim], arr.reshape(grid.shape + arr.shape[1:]), t)
-            for name, arr in values.items()}
-
-
-def _pointwise_mag(values: np.ndarray, rank: str) -> np.ndarray:
-    if rank == "scalar":
-        return np.abs(values)
-    if rank == "vector":
-        return np.sqrt(np.sum(values**2, axis=-1))
-    return np.sqrt(np.sum(values**2, axis=(-2, -1)))
+def _magnitude(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean length of each node's vector."""
+    return np.sqrt(np.sum(vectors**2, axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -223,70 +158,27 @@ def _axis_d1(values: np.ndarray, axis: int, h: float, order: int) -> np.ndarray:
     return out
 
 
-def grid_gradient(f: GridField, order: int = 4) -> GridField:
-    """Gradient of a scalar field as a vector field."""
-    if f.rank != "scalar":
-        raise InvalidArgumentError("grid_gradient expects a scalar field")
-    h = f.grid.spacings
-    comps = [_axis_d1(f.values, i, h[i], order) for i in range(f.dim)]
-    values = np.stack(comps, axis=-1)
-    return GridField(_narrow(f.grid, values, "vector"), "vector", values, f.time)
+def divergence(grid: SpatialGrid, F: np.ndarray, order: int = 4) -> np.ndarray:
+    """Divergence of a vector or matrix field, contracting its first
+    component index: ``sum_i d_i F_i``, or ``(div T)_j = sum_i d_i T_ij``."""
+    d = grid.dim
+    h = grid.spacings
+    out = np.zeros(F.shape[:d] + F.shape[d + 1:])
+    for i in range(d):
+        out += _axis_d1(F[_sl(F.ndim, d, i)], i, h[i], order)
+    return out
 
 
-def grid_divergence_vector(f: GridField, order: int = 4) -> GridField:
-    """Divergence of a vector field: sum_i d_i F_i."""
-    if f.rank != "vector":
-        raise InvalidArgumentError("grid_divergence_vector expects a vector field")
-    h = f.grid.spacings
-    out = np.zeros(f.grid.shape)
-    for i in range(f.dim):
-        out = out + _axis_d1(f.values[..., i], i, h[i], order)
-    return GridField(_narrow(f.grid, out, "scalar"), "scalar", out, f.time)
-
-
-def grid_divergence_matrix(T: GridField, order: int = 4) -> GridField:
-    """Divergence of a matrix field, contracting the first index:
-    ``(div T)_j = sum_i d_i T_ij``."""
-    if T.rank != "matrix":
-        raise InvalidArgumentError("grid_divergence_matrix expects a matrix field")
-    h = T.grid.spacings
-    d = T.dim
-    out = np.zeros(T.grid.shape + (d,))
-    for j in range(d):
-        for i in range(d):
-            out[..., j] = out[..., j] + _axis_d1(T.values[..., i, j], i, h[i], order)
-    return GridField(_narrow(T.grid, out, "vector"), "vector", out, T.time)
-
-
-def _narrow(grid: SpatialGrid, values: np.ndarray, rank: str) -> SpatialGrid:
-    """Restrict the mask to nodes where the computed values are finite."""
-    finite = np.isfinite(_pointwise_mag(values, rank))
-    return grid.with_mask(grid.mask & finite)
-
-
-def _check_fields(*fields_and_ranks):
-    """Each (field, rank) pair has that rank, and all share one spatial grid."""
-    first = fields_and_ranks[0][0]
-    for f, rank in fields_and_ranks:
-        if f.rank != rank:
-            raise InvalidArgumentError(f"expected a {rank} field, got a {f.rank} one")
-        if not f.grid.same_axes(first.grid):
-            raise InvalidArgumentError("all fields must share one spatial grid")
-
-
-def material_derivative(v: GridField, dt_v: GridField, order: int = 4) -> GridField:
+def material_derivative(grid: SpatialGrid, v: np.ndarray, dt_v: np.ndarray,
+                        order: int = 4) -> np.ndarray:
     """D_t v = the time derivative ``dt_v`` of v plus the advective term
     (v . grad) v."""
-    _check_fields((v, "vector"), (dt_v, "vector"))
-    h = v.grid.spacings
-    d = v.dim
-    jac = np.empty(v.grid.shape + (d, d))  # jac[..., i, j] = d_i v_j
+    h = grid.spacings
+    d = grid.dim
+    jac = np.empty(grid.shape + (d, d))  # jac[..., i, j] = d_i v_j
     for i in range(d):
-        jac[..., i, :] = _axis_d1(v.values, i, h[i], order)
-    adv = np.einsum("...i,...ij->...j", v.values, jac)
-    values = dt_v.values + adv
-    grid = v.grid.with_mask(v.grid.mask & dt_v.grid.mask)
-    return GridField(_narrow(grid, values, "vector"), "vector", values, v.time)
+        jac[..., i, :] = _axis_d1(v, i, h[i], order)
+    return dt_v + np.einsum("...i,...ij->...j", v, jac)
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +187,14 @@ def material_derivative(v: GridField, dt_v: GridField, order: int = 4) -> GridFi
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """A residual field with its masked norms.
+    """A residual field with its norms over the nodes where both it and its
+    scale field are finite.
 
     ``relative`` is ``rms / max(reference, 1e-30)`` where ``reference`` is the
-    rms of the operation's scale field over the same mask.
+    rms of the operation's scale field over the same nodes.
     """
 
-    residual: GridField
+    residual: np.ndarray
     max_abs: float
     rms: float
     reference: float
@@ -310,57 +203,41 @@ class ResidualReport:
     verdict: str | None = None
 
 
-def _report(values, rank, grid, ref_mag, time) -> ResidualReport:
-    mag = _pointwise_mag(values, rank)
-    valid = grid.mask & np.isfinite(mag) & np.isfinite(ref_mag)
+def _report(values: np.ndarray, ref_mag: np.ndarray) -> ResidualReport:
+    """Norms of a scalar or vector residual against the scale ``ref_mag``."""
+    mag = np.abs(values) if values.shape == ref_mag.shape else _magnitude(values)
+    valid = np.isfinite(mag) & np.isfinite(ref_mag)
     if not np.any(valid):
         raise NoAdmissibleNodesError("no admissible nodes left for residual norms")
-    max_abs = float(mag[valid].max())
     rms = float(np.sqrt(np.mean(mag[valid] ** 2)))
     reference = float(np.sqrt(np.mean(ref_mag[valid] ** 2)))
-    relative = rms / max(reference, _REL_FLOOR)
-    res_field = GridField(grid.with_mask(valid), rank, values, time)
     return ResidualReport(
-        residual=res_field,
-        max_abs=max_abs,
+        residual=values,
+        max_abs=float(mag[valid].max()),
         rms=rms,
         reference=reference,
-        relative=relative,
+        relative=rms / max(reference, _REL_FLOOR),
         n_nodes=int(valid.sum()),
     )
 
 
 def momentum_residual(
-    rho: GridField, v: GridField, Sigma: GridField, a: GridField, dt_rho_v: GridField,
-    order: int = 4,
+    grid: SpatialGrid, rho: np.ndarray, v: np.ndarray, Sigma: np.ndarray, a: np.ndarray,
+    dt_rho_v: np.ndarray, order: int = 4,
 ) -> ResidualReport:
     """Residual of d_t(rho v) + div(rho Sigma) - rho a, given the time
     derivative ``dt_rho_v`` of the momentum density.
 
     The reference scale is rho (|a| + |v| per unit time).
     """
-    _check_fields((rho, "scalar"), (v, "vector"), (Sigma, "matrix"), (a, "vector"),
-                  (dt_rho_v, "vector"))
-    rho_sigma = GridField(
-        Sigma.grid.with_mask(Sigma.grid.mask & rho.grid.mask),
-        "matrix",
-        rho.values[..., None, None] * Sigma.values,
-        Sigma.time,
-    )
-    div = grid_divergence_matrix(rho_sigma, order)
-    values = dt_rho_v.values + div.values - rho.values[..., None] * a.values
-
-    ref_mag = rho.values * (
-        _pointwise_mag(a.values, "vector") + _pointwise_mag(v.values, "vector")
-    )
-    grid = rho.grid.with_mask(
-        rho.grid.mask & v.grid.mask & Sigma.grid.mask & a.grid.mask & dt_rho_v.grid.mask
-    )
-    return _report(values, "vector", grid, ref_mag, rho.time)
+    div = divergence(grid, rho[..., None, None] * Sigma, order)
+    values = dt_rho_v + div - rho[..., None] * a
+    return _report(values, rho * (_magnitude(a) + _magnitude(v)))
 
 
 def balance_residual(
-    rho: GridField, Pi: GridField, a: GridField, order: int = 4, tolerance: float = 1e-3
+    grid: SpatialGrid, rho: np.ndarray, Pi: np.ndarray, a: np.ndarray, order: int = 4,
+    tolerance: float = 1e-3,
 ) -> ResidualReport:
     """Residual of div(rho Pi) - rho a at one time slice.
 
@@ -369,43 +246,26 @@ def balance_residual(
     one side vanishes (rho a is 0 for affine interpolants); verdict is
     ``straight-compatible`` when the relative rms is within ``tolerance``.
     """
-    _check_fields((rho, "scalar"), (Pi, "matrix"), (a, "vector"))
-    rho_pi = GridField(
-        Pi.grid.with_mask(Pi.grid.mask & rho.grid.mask),
-        "matrix",
-        rho.values[..., None, None] * Pi.values,
-        Pi.time,
-    )
-    div = grid_divergence_matrix(rho_pi, order)
-    values = div.values - rho.values[..., None] * a.values
-    ref_mag = rho.values * _pointwise_mag(a.values, "vector") + _pointwise_mag(
-        div.values, "vector"
-    )
-    grid = rho.grid.with_mask(rho.grid.mask & Pi.grid.mask & a.grid.mask)
-    rep = _report(values, "vector", grid, ref_mag, rho.time)
+    div = divergence(grid, rho[..., None, None] * Pi, order)
+    rep = _report(div - rho[..., None] * a, rho * _magnitude(a) + _magnitude(div))
     verdict = "straight-compatible" if rep.relative <= tolerance else "not-straight-compatible"
     return dataclasses.replace(rep, verdict=verdict)
 
 
 def continuity_residual(
-    rho: GridField, v: GridField, dt_rho: GridField, order: int = 4
+    grid: SpatialGrid, rho: np.ndarray, v: np.ndarray, dt_rho: np.ndarray, order: int = 4
 ) -> ResidualReport:
     """Residual of d_t rho + div(rho v), given the time derivative
     ``dt_rho``; reference scale is rho per unit time."""
-    _check_fields((rho, "scalar"), (v, "vector"), (dt_rho, "scalar"))
-    flux = GridField(rho.grid.with_mask(rho.grid.mask & v.grid.mask), "vector",
-                     rho.values[..., None] * v.values, rho.time)
-    div = grid_divergence_vector(flux, order)
-    values = dt_rho.values + div.values
-    grid = rho.grid.with_mask(rho.grid.mask & v.grid.mask & dt_rho.grid.mask)
-    return _report(values, "scalar", grid, rho.values, rho.time)
+    return _report(dt_rho + divergence(grid, rho[..., None] * v, order), rho)
 
 
-def material_residual(v: GridField, dt_v: GridField, order: int = 4) -> ResidualReport:
+def material_residual(
+    grid: SpatialGrid, v: np.ndarray, dt_v: np.ndarray, order: int = 4
+) -> ResidualReport:
     """Residual of D_t v = 0 (see :func:`material_derivative`), which straight
     flows meet; reference scale is |v|."""
-    dtv = material_derivative(v, dt_v, order=order)
-    return _report(dtv.values, "vector", dtv.grid, _pointwise_mag(v.values, "vector"), v.time)
+    return _report(material_derivative(grid, v, dt_v, order), _magnitude(v))
 
 
 # ---------------------------------------------------------------------------
@@ -459,18 +319,15 @@ def _csv_blocks(lead, values):
         yield "".join(parts.ravel().tolist())
 
 
-def grid_field_to_csv(field: GridField) -> str:
-    """One row per node in C order: coordinates, then value components.
-
-    Inadmissible nodes keep whatever is stored, typically ``nan`` sentinels
-    for estimated fields.
-    """
-    d = field.dim
+def grid_field_to_csv(grid: SpatialGrid, values: np.ndarray) -> str:
+    """One row per node of a scalar, vector or matrix field in C order:
+    coordinates, then value components.  Refused nodes keep their ``nan``."""
+    d = grid.dim
     names = {
-        "scalar": ["value"],
-        "vector": [f"v{j}" for j in range(d)],
-        "matrix": [f"m{i}{j}" for i in range(d) for j in range(d)],
-    }[field.rank]
-    coords = [[repr(x) for x in ax.tolist()] for ax in field.grid.axes]
-    rows = _csv_blocks(coords, field.values.reshape(-1, len(names)))
+        0: ["value"],
+        1: [f"v{j}" for j in range(d)],
+        2: [f"m{i}{j}" for i in range(d) for j in range(d)],
+    }[values.ndim - d]
+    coords = [[repr(x) for x in ax.tolist()] for ax in grid.axes]
+    rows = _csv_blocks(coords, values.reshape(-1, len(names)))
     return ",".join([f"x{i}" for i in range(d)] + names) + "\n" + "".join(rows)

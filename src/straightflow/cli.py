@@ -405,30 +405,32 @@ def cmd_simulate(cfg: ExperimentConfig, out: _Outputs) -> int:
 
 
 def _oracle_fields(cfg: ExperimentConfig, t: float, time_derivatives: bool = False):
-    """The Gaussian oracle at ``t`` on the grid resolved there, with its
-    exact time derivatives when ``time_derivatives`` asks for them."""
+    """(grid, fields): the Gaussian oracle at ``t`` on the grid resolved
+    there, with its exact time derivatives when ``time_derivatives`` asks
+    for them."""
     spec = build_process_spec(cfg)
     grid = _resolve_spatial_grid(cfg, spec, t)
-    return gaussian.fields_on_grid(gaussian.from_process_spec(spec), t, grid, time_derivatives)
+    gspec = gaussian.from_process_spec(spec)
+    return grid, gaussian.fields_on_grid(gspec, t, grid, time_derivatives)
 
 
 def _estimated_fields(cfg: ExperimentConfig, t: float, time_derivatives: bool = False):
-    """The kernel estimate at ``t``, the only time it is taken at.  The
-    endpoints, sampled once, are sliced once at ``t``; that slice sizes the
-    grid box and feeds the estimator, which also returns the exact time
-    derivatives when ``time_derivatives`` asks for them."""
+    """(grid, fields): the kernel estimate at ``t``, the only time it is
+    taken at.  The endpoints, sampled once, are sliced once at ``t``; that
+    slice sizes the grid box and feeds the estimator, which also returns the
+    exact time derivatives when ``time_derivatives`` asks for them."""
     spec = build_process_spec(cfg)
     endpoints = core.sample_endpoints(spec, cfg["n"], cfg["seed"])
     X, V, A = core.slice_state(spec, endpoints, t)
     grid = _resolve_spatial_grid(cfg, spec, t, sample=X)
-    return estimate.fields_on_grid(X, V, A, grid, _kernel_config(cfg), t, time_derivatives)
+    return grid, estimate.fields_on_grid(X, V, A, grid, _kernel_config(cfg), time_derivatives)
 
 
 def cmd_fields(cfg: ExperimentConfig, out: _Outputs, source: str, t: float) -> int:
     names = ["rho", "v", "a", "Sigma", "Pi"]
-    fields = (_oracle_fields if source == "oracle" else _estimated_fields)(cfg, t)
+    grid, fields = (_oracle_fields if source == "oracle" else _estimated_fields)(cfg, t)
     for name in names:
-        out.write(f"fields_{name.lower()}.csv", calculus.grid_field_to_csv(fields[name]))
+        out.write(f"fields_{name.lower()}.csv", calculus.grid_field_to_csv(grid, fields[name]))
     print(f"fields: wrote {len(names)} CSVs to {out.dir} (source={source}, t={t:g})")
     return EXIT_OK
 
@@ -438,17 +440,17 @@ def cmd_diagnose(cfg: ExperimentConfig, out: _Outputs, t: float) -> int:
     # both sources give exact time derivatives at t; smooth analytic fields
     # take a fourth-order stencil, noisy estimates a second-order one
     fields_at, order = (_oracle_fields, 4) if source == "oracle" else (_estimated_fields, 2)
-    f = fields_at(cfg, t, time_derivatives=True)
+    grid, f = fields_at(cfg, t, time_derivatives=True)
 
-    cont = calculus.continuity_residual(f["rho"], f["v"], f["dt_rho"], order=order)
+    cont = calculus.continuity_residual(grid, f["rho"], f["v"], f["dt_rho"], order=order)
     mom = calculus.momentum_residual(
-        f["rho"], f["v"], f["Sigma"], f["a"], f["dt_rho_v"], order=order
+        grid, f["rho"], f["v"], f["Sigma"], f["a"], f["dt_rho_v"], order=order
     )
     bal = calculus.balance_residual(
-        f["rho"], f["Pi"], f["a"], order=order,
+        grid, f["rho"], f["Pi"], f["a"], order=order,
         tolerance=cfg["tolerances"]["balance_relative"],
     )
-    mat = calculus.material_residual(f["v"], f["dt_v"], order=order)
+    mat = calculus.material_residual(grid, f["v"], f["dt_v"], order=order)
 
     def norms(rep):
         return {k: getattr(rep, k) for k in ("max_abs", "rms", "reference", "relative", "n_nodes")}
@@ -468,10 +470,10 @@ def cmd_diagnose(cfg: ExperimentConfig, out: _Outputs, t: float) -> int:
         "material": norms(mat),
     }
     out.write("diagnostics.json", _json_text(report))
-    out.write("residual_continuity.csv", calculus.grid_field_to_csv(cont.residual))
-    out.write("residual_momentum.csv", calculus.grid_field_to_csv(mom.residual))
-    out.write("residual_balance.csv", calculus.grid_field_to_csv(bal.residual))
-    out.write("residual_material.csv", calculus.grid_field_to_csv(mat.residual))
+    out.write("residual_continuity.csv", calculus.grid_field_to_csv(grid, cont.residual))
+    out.write("residual_momentum.csv", calculus.grid_field_to_csv(grid, mom.residual))
+    out.write("residual_balance.csv", calculus.grid_field_to_csv(grid, bal.residual))
+    out.write("residual_material.csv", calculus.grid_field_to_csv(grid, mat.residual))
     print(f"diagnose: continuity rel={cont.relative:.3g} momentum rel={mom.relative:.3g} "
           f"balance rel={bal.relative:.3g} ({bal.verdict})")
     return EXIT_OK
@@ -540,7 +542,7 @@ def cmd_flow(cfg: ExperimentConfig, out: _Outputs, points_file: str | None, use_
         pts = _read_points(points_file, spec.dim)
     elif use_grid:
         sgrid = _resolve_spatial_grid(cfg, spec, 0.0, sample=sample)
-        pts = sgrid.points()[sgrid.mask.ravel()]
+        pts = sgrid.interior_points()
     else:
         pts = spec.coupling.mu0.draw(core.aux_rng(cfg["seed"], 4), cfg["flow"]["n_points"])
 
@@ -675,7 +677,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theorem", choices=["affine", "geometric", "determinism"], required=True)
     p = add("flow", "integrate the probability-flow ODE and measure straightness")
     p.add_argument("--points", default=None, help="CSV file of starting points")
-    p.add_argument("--grid", action="store_true", help="start from the masked grid nodes")
+    p.add_argument("--grid", action="store_true", help="start from the interior grid nodes")
     p.add_argument("--scheme", choices=["euler", "midpoint", "rk4"], default=None)
     p.add_argument("--steps", type=int, default=None)
     p = add("sweep", "cross product of a parameter sweep, long-format CSV")

@@ -52,7 +52,7 @@ class InvalidGridError(StraightflowError, ValueError):
 
 
 class NoAdmissibleNodesError(InvalidGridError):
-    """No grid node is left for a norm once masked and non-finite nodes are dropped."""
+    """No grid node is left for a norm once non-finite nodes are dropped."""
 
 
 class TrajectoryLeftSupportError(StraightflowError):

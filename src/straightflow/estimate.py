@@ -4,7 +4,7 @@ velocity second-moment tensor from sampled slice arrays.
 Everything uses an isotropic Gaussian product kernel.  The unnormalized
 kernel weight of sample j at query x is ``exp(-|x - X_j|^2 / (2 h^2))``; the
 sum of these weights is the "effective n" at x, and queries whose effective n
-falls under ``density_floor`` are masked on grids (and refused by the flow's
+falls under ``density_floor`` hold NaN on grids (and are refused by the flow's
 kernel oracle).
 
 Every estimate is a kernel-weighted sum, and :func:`nw_regress` is the one
@@ -293,9 +293,7 @@ def _cell_order(points, radius):
 
 
 def _take_rows(Y, rows):
-    """The rows of Y in Y's own memory order (np.take returns C order)."""
-    if Y.flags.c_contiguous:
-        return np.take(Y, rows, axis=0)
+    """The rows of Y, stored column by column (np.take returns C order)."""
     return np.take(Y.T, rows, axis=1).T
 
 
@@ -334,8 +332,8 @@ def nw_regress(X: np.ndarray, Y: np.ndarray, points: np.ndarray, h: float):
     from the query, in any direction) gets weight zero.  No floor is
     applied here; callers decide whether to refuse or mask.  Samples already
     sorted on axis 0 are not sorted again, so a caller that queries one
-    sample set many times can sort it once.  Sorted targets keep their memory
-    order (row by row, or column by column) through the sums.
+    sample set many times can sort it once.  A d >= 2 cell gathers its
+    targets column by column, the layout ``fields_on_grid`` stores them in.
     """
     points = np.atleast_2d(points)
     radius = _WINDOW_BANDWIDTHS * h
@@ -424,12 +422,10 @@ def _kernel_means(X, V, A, points, h, time_derivatives):
     order = np.argsort(X[:, 0], kind="stable")
     Xs, Vs = X[order], V[order]
     # most of the engine's products are a few queries against thousands of
-    # samples; OpenBLAS takes those about twice as fast at 11 columns stored
-    # column by column.  The fields alone keep row order, whose sums every
-    # `fields` output has been written with.
+    # samples; OpenBLAS takes those faster with the targets stored column by
+    # column
     k = d + A.shape[1]
-    targets = np.empty((n, k + d * d + (1 + d) * time_derivatives),
-                       order="F" if time_derivatives else "C")
+    targets = np.empty((n, k + d * d + (1 + d) * time_derivatives), order="F")
     targets[:, :d], targets[:, d:k] = Vs, A[order]
     targets[:, k : k + d * d] = (Vs[:, :, None] * Vs[:, None, :]).reshape(n, d * d)
     if time_derivatives:
@@ -453,16 +449,16 @@ def fields_on_grid(
     A: np.ndarray,
     grid: calculus.SpatialGrid,
     cfg: KernelConfig,
-    t: float = 0.0,
     time_derivatives: bool = False,
-) -> dict[str, calculus.GridField]:
-    """Estimate rho, v, a, Sigma, Pi on every grid node.
+) -> dict[str, np.ndarray]:
+    """Estimate rho, v, a, Sigma, Pi on every grid node, as node arrays of
+    shape ``grid.shape`` (scalars), ``grid.shape + (d,)`` (vectors) and
+    ``grid.shape + (d, d)`` (matrices).
 
-    Nodes whose effective n falls under the density floor, or is zero, get
-    NaN values and are dropped from the mask (the compact-domain emulation),
-    so every field's ``grid`` is the refined grid.  Pi is repaired by clipping
-    negative eigenvalues so downstream stencils see a full PSD field.  The
-    fields also carry ``effective_n``.
+    Nodes whose effective n falls under the density floor, or is zero, are
+    refused (the compact-domain emulation): every field but ``effective_n``,
+    which the fields also carry, holds NaN there.  Pi is repaired by clipping
+    negative eigenvalues so downstream stencils see a full PSD field.
 
     With ``time_derivatives`` they also carry the exact time derivatives of
     the estimate at its bandwidth, held fixed, as the samples move with V:
@@ -487,15 +483,14 @@ def fields_on_grid(
     pi_arr = np.full_like(sig_arr, np.nan)
     pi_arr[ok] = reynolds_tensor(sig_arr[ok], v_arr[ok])
 
-    refined = grid.with_mask(grid.mask & ok.reshape(grid.shape))
     fields = {"rho": rho_arr, "v": v_arr, "a": a_arr, "Sigma": sig_arr, "Pi": pi_arr,
               "effective_n": eff}
     if time_derivatives:
         # d_t sum_i w_i = sum_i w_i s_i / h^2 and d_t sum_i w_i V_i = sum_i w_i
-        # s_i V_i / h^2 + sum_i w_i A_i; both over sum_i w_i here, so masked
+        # s_i V_i / h^2 + sum_i w_i A_i; both over sum_i w_i here, so refused
         # nodes stay NaN through rho and a
         rates = rates / (h * h)
         dt_log_rho, dt_mom = rates[:, 0], rates[:, 1:] + a_arr
         fields["dt_rho"], fields["dt_rho_v"] = rho_arr * dt_log_rho, rho_arr[:, None] * dt_mom
         fields["dt_v"] = dt_mom - v_arr * dt_log_rho[:, None]
-    return calculus.grid_fields(refined, t, fields)
+    return {name: arr.reshape(grid.shape + arr.shape[1:]) for name, arr in fields.items()}

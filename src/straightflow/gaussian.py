@@ -313,8 +313,10 @@ def oracle_box(spec: GaussianProcessSpec, t: float, n_sigma: float = 3.0):
 def fields_on_grid(
     spec: GaussianProcessSpec, t: float, grid: calculus.SpatialGrid,
     time_derivatives: bool = False,
-) -> dict[str, calculus.GridField]:
-    """Tabulate rho, v, a, Sigma, Pi on a spatial grid at time t; with
+) -> dict[str, np.ndarray]:
+    """Tabulate rho, v, a, Sigma, Pi on a spatial grid at time t, as node
+    arrays of shape ``grid.shape`` (scalars), ``grid.shape + (d,)``
+    (vectors) and ``grid.shape + (d, d)`` (matrices); with
     ``time_derivatives`` also their exact time derivatives ``dt_rho``,
     ``dt_rho_v`` (of the momentum density rho v) and ``dt_v``."""
     pts = grid.points()
@@ -322,4 +324,4 @@ def fields_on_grid(
     names = ("rho", "v", "a", "Sigma", "Pi", "dt_rho", "dt_rho_v", "dt_v")
     fields = dict(zip(names, values))
     fields["Pi"] = np.broadcast_to(fields["Pi"], (len(pts),) + fields["Pi"].shape)
-    return calculus.grid_fields(grid, t, fields)
+    return {name: arr.reshape(grid.shape + arr.shape[1:]) for name, arr in fields.items()}

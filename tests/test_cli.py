@@ -62,15 +62,15 @@ def trig_process(kind="independent", identity_map=False):
     return {"coefficients": "trig", "dim": 1, "coupling": coupling}
 
 
-def reference_field_csv(field) -> str:
+def reference_field_csv(grid, values) -> str:
     """Per-cell reference for ``fields_*.csv``: node coordinates from
     ``grid.points()``, one ``repr(float(c))`` call for every cell."""
-    d = field.dim
-    names = {"scalar": ["value"], "vector": [f"v{j}" for j in range(d)],
-             "matrix": [f"m{i}{j}" for i in range(d) for j in range(d)]}[field.rank]
+    d = grid.dim
+    names = {0: ["value"], 1: [f"v{j}" for j in range(d)],
+             2: [f"m{i}{j}" for i in range(d) for j in range(d)]}[values.ndim - d]
     lines = [",".join([f"x{i}" for i in range(d)] + names)]
-    points = field.grid.points()
-    for xy, val in zip(points, field.values.reshape(len(points), -1)):
+    points = grid.points()
+    for xy, val in zip(points, values.reshape(len(points), -1)):
         lines.append(",".join(repr(float(c)) for c in [*xy, *val]))
     return "\n".join(lines) + "\n"
 
@@ -179,7 +179,7 @@ class TestFields:
         fields = gaussian.fields_on_grid(gaussian.from_process_spec(spec), 0.3, grid)
         for name in ("rho", "v", "a", "Sigma", "Pi"):
             text = (out / f"fields_{name.lower()}.csv").read_text()
-            assert text == reference_field_csv(fields[name]), name
+            assert text == reference_field_csv(grid, fields[name]), name
 
     def test_estimate_tiny_sample_nan_sentinels(self, tmp_path):
         cfg_path, out = write_config(tmp_path, n=10)
@@ -526,7 +526,7 @@ class TestFlow:
         sgrid = cli._resolve_spatial_grid(cfg, spec, 0.0)
         oracle = flow.analytic_velocity_oracle(gaussian.from_process_spec(spec))
         tgrid = core.make_time_grid(7)
-        result = flow.flow_map(oracle, sgrid.points()[sgrid.mask.ravel()], tgrid, "rk4")
+        result = flow.flow_map(oracle, sgrid.interior_points(), tgrid, "rk4")
         assert result.states.shape == (16, 8, 2) and not result.errors
         text = (out / "trajectories.csv").read_text()
         assert text == reference_trajectories_csv(result, tgrid)

@@ -28,7 +28,7 @@ def material_at(spec, t, x):
     on a three-node grid centred on x, through calculus.material_derivative."""
     grid = calculus.make_spatial_grid([(x - 0.5, x + 0.5)], 3)
     f = gaussian.fields_on_grid(spec, t, grid, time_derivatives=True)
-    return calculus.material_derivative(f["v"], f["dt_v"]).values[1]
+    return calculus.material_derivative(grid, f["v"], f["dt_v"])[1]
 
 
 @pytest.fixture(scope="module")
@@ -353,6 +353,6 @@ class TestTimeDerivatives:
         plain = gaussian.fields_on_grid(g_trig_indep, 0.3, grid)
         batch = gaussian.conditional_fields_batch(g_trig_indep, 0.3, grid.points(), True)
         for name in plain:
-            assert np.array_equal(f[name].values, plain[name].values)
+            assert np.array_equal(f[name], plain[name])
         for name, values in zip(("dt_rho", "dt_rho_v", "dt_v"), batch[5:]):
-            assert np.array_equal(f[name].values.reshape(values.shape), values)
+            assert np.array_equal(f[name].reshape(values.shape), values)
