@@ -67,7 +67,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from straightflow import calculus, cli, core, estimate, flow, gaussian, verify  # noqa: E402
+from straightflow import calculus, cli, core, estimate, flow, verify  # noqa: E402
 
 REPEATS = 5
 
@@ -153,7 +153,7 @@ def csv_tables() -> dict:
 
     cfg = _config(_FLOW_CONFIG)
     spec = cli.build_process_spec(cfg)
-    oracle = flow.analytic_velocity_oracle(gaussian.from_process_spec(spec))
+    oracle = flow.analytic_velocity_oracle(spec)
     sgrid = cli._resolve_spatial_grid(cfg, spec, 0.0)
     tgrid = core.make_time_grid(cfg["flow"]["steps"])
     result = flow.flow_map(oracle, sgrid.interior_points(), tgrid, "rk4")

@@ -85,7 +85,7 @@ CONFIG_SCHEMA = {
         "process": {
             "type": "object",
             "properties": {
-                "coefficients": {"enum": ["affine", "trig", "latent"]},
+                "coefficients": {"enum": list(core.COEFFICIENTS)},
                 "dim": {"type": "integer", "minimum": 1},
                 "coupling": {
                     "type": "object",
@@ -299,14 +299,7 @@ def build_process_spec(cfg: ExperimentConfig):
                 amap = core.AffineMap(np.array(spec_map["A"]), np.array(spec_map["b"]))
         coupling = core.CouplingSpec(kind, mu0, mu1, map=amap)
 
-    tag = proc["coefficients"]
-    if tag == "trig":
-        alpha, beta, gamma = core.trig_alpha(), core.trig_beta(), None
-    elif tag == "latent":
-        alpha, beta, gamma = core.affine_alpha(), core.affine_beta(), core.bridge_gamma()
-    else:
-        alpha, beta, gamma = core.affine_alpha(), core.affine_beta(), None
-    return core.ProcessSpec(alpha, beta, coupling, proc["dim"], gamma)
+    return core.ProcessSpec(proc["coefficients"], coupling, proc["dim"])
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +366,7 @@ def _resolve_spatial_grid(cfg: ExperimentConfig, spec, t: float, sample=None):
         return calculus.make_spatial_grid([(float(lo), float(hi)) for lo, hi in box], nodes)
     if box == "oracle":
         try:
-            oracle_box = gaussian.oracle_box(gaussian.from_process_spec(spec), t)
+            oracle_box = gaussian.oracle_box(spec, t)
             return calculus.make_spatial_grid(oracle_box, nodes)
         except CapabilityError:
             if sample is None:
@@ -410,8 +403,7 @@ def _oracle_fields(cfg: ExperimentConfig, t: float, time_derivatives: bool = Fal
     for them."""
     spec = build_process_spec(cfg)
     grid = _resolve_spatial_grid(cfg, spec, t)
-    gspec = gaussian.from_process_spec(spec)
-    return grid, gaussian.fields_on_grid(gspec, t, grid, time_derivatives)
+    return grid, gaussian.fields_on_grid(spec, t, grid, time_derivatives)
 
 
 def _estimated_fields(cfg: ExperimentConfig, t: float, time_derivatives: bool = False):
@@ -532,7 +524,7 @@ def cmd_flow(cfg: ExperimentConfig, out: _Outputs, points_file: str | None, use_
     source = cfg["source"]
     sample = None
     if source == "oracle":
-        oracle = flow.analytic_velocity_oracle(gaussian.from_process_spec(spec))
+        oracle = flow.analytic_velocity_oracle(spec)
     else:
         endpoints = core.sample_endpoints(spec, cfg["n"], cfg["seed"])
         oracle = flow.kernel_velocity_oracle(spec, endpoints, _kernel_config(cfg))
@@ -601,11 +593,10 @@ _SWEEP_PARAMS = {"n": int, "seed": int, "bandwidth": float, "time": float}
 
 def _sweep_metrics(cfg: ExperimentConfig) -> dict:
     spec = build_process_spec(cfg)
-    gspec = gaussian.from_process_spec(spec)
     t = cfg["time"]
     endpoints = core.sample_endpoints(spec, cfg["n"], cfg["seed"])
     X, V, _ = core.slice_state(spec, endpoints, t)
-    mom = gaussian.marginal_moments(gspec, t)
+    mom = gaussian.marginal_moments(spec, t)
     sd = np.sqrt(np.diag(mom.cov))
     pts = np.stack(
         [np.linspace(m - 2 * s, m + 2 * s, 9) for m, s in zip(mom.mean, sd)], axis=1
@@ -613,7 +604,7 @@ def _sweep_metrics(cfg: ExperimentConfig) -> dict:
     kcfg = _kernel_config(cfg)
     h = estimate.resolve_bandwidth(kcfg, X)
     vhat, _ = estimate.nw_regress(X, V, pts, h)
-    v_true = gaussian.velocity_at(gspec, t, pts)
+    v_true = gaussian.velocity_at(spec, t, pts)
     v_rmse = float(np.sqrt(np.mean(np.sum((vhat - v_true) ** 2, axis=1))))
     tp = verify.tr_pi_moment(X, V, core.aux_rng(cfg["seed"], 5), m_eval=2048)
     return {"v_rmse": v_rmse, "tr_pi": tp.value}

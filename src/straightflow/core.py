@@ -11,7 +11,6 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -22,12 +21,8 @@ from .errors import (
 )
 
 __all__ = [
-    "Coefficient",
-    "affine_alpha",
-    "affine_beta",
-    "trig_alpha",
-    "trig_beta",
-    "bridge_gamma",
+    "COEFFICIENTS",
+    "coefficient_values",
     "Gaussian",
     "GaussianMixture",
     "Empirical",
@@ -45,7 +40,6 @@ __all__ = [
     "RNG_LAYOUT",
 ]
 
-_ENDPOINT_TOL = 1e-12
 # Version of the endpoint stream layout: 1 drew each path from its own stream
 # keyed by (seed, path_index); 2 draws blocks of _BLOCK_ROWS paths, block b
 # from SeedSequence(seed, spawn_key=(b,)).  Bump it whenever the bytes that
@@ -69,85 +63,46 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 # time coefficients
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Coefficient:
-    """A twice-differentiable scalar coefficient of time on [0, 1].
+# The coefficient families, each with the report labels of alpha, beta and
+# gamma (None where the process has no latent term).  The config's
+# ``coefficients`` enum lists these names, in this order.
+COEFFICIENTS = {
+    "affine": ("1-t", "t", None),
+    "trig": ("cos(pi t/2)", "sin(pi t/2)", None),
+    "latent": ("1-t", "t", "sqrt(t(1-t))"),
+}
+_W = np.pi / 2  # the trig family's angular rate
 
-    ``value``, ``d1`` and ``d2`` are vectorized callables.  ``name`` is used
-    in reports and config round-trips.
+
+def _check_family(family: str) -> None:
+    if family not in COEFFICIENTS:
+        raise InvalidArgumentError(
+            f"unknown coefficient family {family!r}; known: {list(COEFFICIENTS)}"
+        )
+
+
+def coefficient_values(family: str, t):
+    """a, a', a'', b, b', b'', g, g', g'' of ``family`` at ``t``, a scalar or
+    an array of times; each value has the shape of ``t``.  g and its
+    derivatives are 0 in a family without a latent term.
+
+    The latent bridge g = sqrt(t(1-t)) has infinite derivatives at t = 0 and
+    t = 1; consumers that need finite velocities stay on interior times.
     """
-
-    name: str
-    value: Callable[[np.ndarray], np.ndarray]
-    d1: Callable[[np.ndarray], np.ndarray]
-    d2: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, t):
-        return self.value(t)
-
-
-def affine_alpha() -> Coefficient:
-    return Coefficient(
-        "1-t",
-        lambda t: 1.0 - np.asarray(t, dtype=float),
-        lambda t: np.full_like(np.asarray(t, dtype=float), -1.0),
-        lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-    )
-
-
-def affine_beta() -> Coefficient:
-    return Coefficient(
-        "t",
-        lambda t: np.asarray(t, dtype=float) + 0.0,
-        lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-    )
-
-
-def trig_alpha() -> Coefficient:
-    w = np.pi / 2
-    return Coefficient(
-        "cos(pi t/2)",
-        lambda t: np.cos(w * np.asarray(t, dtype=float)),
-        lambda t: -w * np.sin(w * np.asarray(t, dtype=float)),
-        lambda t: -(w**2) * np.cos(w * np.asarray(t, dtype=float)),
-    )
-
-
-def trig_beta() -> Coefficient:
-    w = np.pi / 2
-    return Coefficient(
-        "sin(pi t/2)",
-        lambda t: np.sin(w * np.asarray(t, dtype=float)),
-        lambda t: w * np.cos(w * np.asarray(t, dtype=float)),
-        lambda t: -(w**2) * np.sin(w * np.asarray(t, dtype=float)),
-    )
-
-
-def bridge_gamma() -> Coefficient:
-    """Latent-noise coefficient sqrt(t(1-t)).
-
-    Its derivatives diverge at t=0 and t=1; slice consumers must stay on
-    interior times when they need finite velocities.
-    """
-
-    def val(t):
-        t = np.asarray(t, dtype=float)
-        return np.sqrt(np.clip(t * (1.0 - t), 0.0, None))
-
-    def d1(t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = (1.0 - 2.0 * t) / (2.0 * val(t))
-        return out
-
-    def d2(t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = -(1.0 + d1(t) ** 2) / val(t)
-        return out
-
-    return Coefficient("sqrt(t(1-t))", val, d1, d2)
+    _check_family(family)
+    t = np.asarray(t, dtype=float)
+    zero = np.zeros_like(t)
+    if family == "trig":
+        cos, sin = np.cos(_W * t), np.sin(_W * t)
+        return cos, -_W * sin, -(_W**2) * cos, sin, _W * cos, -(_W**2) * sin, zero, zero, zero
+    ab = (1.0 - t, np.full_like(t, -1.0), zero, t + 0.0, np.ones_like(t), zero)
+    if family == "affine":
+        return ab + (zero, zero, zero)
+    g = np.sqrt(np.clip(t * (1.0 - t), 0.0, None))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gd = (1.0 - 2.0 * t) / (2.0 * g)
+        gdd = -(1.0 + gd**2) / g
+    return ab + (g, gd, gdd)
 
 
 # ---------------------------------------------------------------------------
@@ -168,17 +123,13 @@ class Gaussian:
             raise InvalidArgumentError(
                 f"covariance shape {cov.shape} does not match dimension {mean.size}"
             )
-        if not np.allclose(cov, cov.T, atol=1e-12):
-            raise InvalidArgumentError("covariance must be symmetric")
+        _check_cov(cov, "covariance")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
     @property
     def dim(self) -> int:
         return self.mean.size
-
-    def moments(self):
-        return self.mean, self.cov
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         root = _psd_sqrt(self.cov)
@@ -201,6 +152,8 @@ class GaussianMixture:
             raise InvalidArgumentError("mixture weights must be nonnegative and sum to 1")
         if covs.shape != (w.size, means.shape[1], means.shape[1]) or means.shape[0] != w.size:
             raise InvalidArgumentError("mixture component shapes are inconsistent")
+        for cov in covs:
+            _check_cov(cov, "mixture component covariance")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "covs", covs)
@@ -251,17 +204,23 @@ class Empirical:
     def dim(self) -> int:
         return self.samples.shape[1]
 
-    def moments(self):
-        mean = self.samples.mean(axis=0)
-        cov = np.cov(self.samples, rowvar=False, ddof=1) if self.samples.shape[0] > 1 else np.zeros((self.dim, self.dim))
-        return mean, np.atleast_2d(cov)
-
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         idx = rng.integers(0, self.samples.shape[0], size=n)
         return self.samples[idx]
 
 
 Distribution = Gaussian | GaussianMixture | Empirical
+
+
+def _check_cov(cov: np.ndarray, what: str) -> None:
+    """Refuse a covariance that is not symmetric, not finite, or indefinite:
+    its lowest eigenvalue below -1e-10 max(trace, 1)."""
+    if not np.allclose(cov, cov.T, atol=1e-12):
+        raise InvalidArgumentError(f"{what} must be symmetric")
+    if not np.all(np.isfinite(cov)):
+        raise NonFiniteDataError(f"{what} must be finite")
+    if np.linalg.eigvalsh(cov).min() < -1e-10 * max(float(np.trace(cov)), 1.0):
+        raise InvalidArgumentError(f"{what} is not positive semidefinite")
 
 
 def _psd_sqrt(cov: np.ndarray) -> np.ndarray:
@@ -390,46 +349,19 @@ def gaussian_joint_coupling(mean: np.ndarray, cov: np.ndarray) -> CouplingSpec:
 
 @dataclass(frozen=True)
 class ProcessSpec:
-    """Recipe for an interpolant process: time coefficients plus a coupling."""
+    """Recipe for an interpolant process: a coefficient family, one of
+    ``COEFFICIENTS``, plus a coupling of the endpoints in ``dim`` dimensions."""
 
-    alpha: Coefficient
-    beta: Coefficient
+    coefficients: str
     coupling: CouplingSpec
     dim: int
-    gamma: Coefficient | None = None
 
     def __post_init__(self):
+        _check_family(self.coefficients)
         if self.dim != self.coupling.dim:
             raise InvalidArgumentError(
                 f"spec dim {self.dim} does not match coupling dim {self.coupling.dim}"
             )
-        checks = [
-            (float(self.alpha(0.0)), 1.0, "alpha(0)=1"),
-            (float(self.alpha(1.0)), 0.0, "alpha(1)=0"),
-            (float(self.beta(0.0)), 0.0, "beta(0)=0"),
-            (float(self.beta(1.0)), 1.0, "beta(1)=1"),
-        ]
-        if self.gamma is not None:
-            checks += [
-                (float(self.gamma(0.0)), 0.0, "gamma(0)=0"),
-                (float(self.gamma(1.0)), 0.0, "gamma(1)=0"),
-            ]
-        for got, want, label in checks:
-            if abs(got - want) > _ENDPOINT_TOL:
-                raise InvalidArgumentError(
-                    f"coefficient endpoint contract violated: {label}, got {got}"
-                )
-
-    @property
-    def is_affine(self) -> bool:
-        """True for alpha=1-t, beta=t with no latent term."""
-        if self.gamma is not None:
-            return False
-        probes = np.array([0.0, 0.23, 0.5, 0.77, 1.0])
-        return bool(
-            np.all(np.abs(self.alpha(probes) - (1.0 - probes)) <= _ENDPOINT_TOL)
-            and np.all(np.abs(self.beta(probes) - probes) <= _ENDPOINT_TOL)
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +457,7 @@ def _draw_block(coupling: CouplingSpec, rng: np.random.Generator, latent: bool):
 
 def sample_endpoints(spec: ProcessSpec, n: int, seed: int) -> EndpointArrays:
     """Draw ``n`` endpoint pairs from ``spec.coupling``, and the latent when
-    ``spec.gamma`` is set.
+    ``spec`` is a latent process.
 
     Paths come in blocks of ``_BLOCK_ROWS``; block b draws from its own
     stream keyed by ``(seed, b)`` and always draws the full block, keeping the
@@ -537,7 +469,7 @@ def sample_endpoints(spec: ProcessSpec, n: int, seed: int) -> EndpointArrays:
         raise InvalidArgumentError("n must be >= 1")
     if seed < 0:
         raise InvalidArgumentError("seed must be nonnegative")
-    coupling, latent = spec.coupling, spec.gamma is not None
+    coupling, latent = spec.coupling, spec.coefficients == "latent"
     if coupling.kind == "deterministic_map" and not isinstance(coupling.map, AffineMap | None):
         raise InvalidCouplingError("deterministic_map requires an affine map")
     d = coupling.dim
@@ -568,18 +500,16 @@ def slice_state(
     scalar = t_arr.ndim == 0
     tk = np.atleast_1d(t_arr)
 
-    a, ad, add = spec.alpha(tk), spec.alpha.d1(tk), spec.alpha.d2(tk)
-    b, bd, bdd = spec.beta(tk), spec.beta.d1(tk), spec.beta.d2(tk)
+    a, ad, add, b, bd, bdd, g, gd, gdd = coefficient_values(spec.coefficients, tk)
     x0 = endpoints.x0[:, None, :]
     x1 = endpoints.x1[:, None, :]
     coef = lambda c: c[None, :, None]
     pos = coef(a) * x0 + coef(b) * x1
     vel = coef(ad) * x0 + coef(bd) * x1
     acc = coef(add) * x0 + coef(bdd) * x1
-    if spec.gamma is not None:
+    if spec.coefficients == "latent":
         if endpoints.z is None:
             raise InvalidArgumentError("spec has a latent term but endpoints carry no z")
-        g, gd, gdd = spec.gamma(tk), spec.gamma.d1(tk), spec.gamma.d2(tk)
         zz = endpoints.z[:, None, :]
         pos = pos + coef(g) * zz
         with np.errstate(invalid="ignore"):

@@ -20,7 +20,7 @@ from .errors import (
     NonFiniteDataError,
     TrajectoryLeftSupportError,
 )
-from .gaussian import GaussianProcessSpec, _conditional_model
+from .gaussian import _conditional_model, _endpoint_blocks
 
 __all__ = [
     "VelocityOracle",
@@ -68,10 +68,14 @@ class VelocityOracle:
 _ORACLE_TIMES = 1024
 
 
-def analytic_velocity_oracle(spec: GaussianProcessSpec) -> VelocityOracle:
+def analytic_velocity_oracle(spec: ProcessSpec) -> VelocityOracle:
+    """The Gaussian oracle's velocity; a coupling that is not jointly Gaussian
+    is refused with CapabilityError here, before any step."""
+    blocks = _endpoint_blocks(spec)
+
     @functools.lru_cache(maxsize=_ORACLE_TIMES)
     def velocity_at(t: float):
-        model = _conditional_model(spec, t)
+        model = _conditional_model(spec, blocks, t)
         return model.mean, model.Ev, model.Jv.T
 
     def evaluate(t, x):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calculus
-from .core import AffineMap, Coefficient, Gaussian, ProcessSpec, bridge_gamma
+from .core import AffineMap, Gaussian, ProcessSpec, coefficient_values
 from .errors import (
     CapabilityError,
     DegenerateMarginalError,
@@ -28,9 +28,7 @@ from .errors import (
 )
 
 __all__ = [
-    "GaussianProcessSpec",
     "MarginalMoments",
-    "from_process_spec",
     "marginal_moments",
     "conditional_fields_batch",
     "velocity_at",
@@ -42,74 +40,23 @@ __all__ = [
 _DEGENERACY_REL = 1e-12
 
 
-@dataclass(frozen=True)
-class GaussianProcessSpec:
-    """Interpolant process whose endpoint pair is jointly Gaussian.
-
-    The latent term, when present, has identity covariance and is independent
-    of the endpoints.
-    """
-
-    mean0: np.ndarray
-    mean1: np.ndarray
-    S00: np.ndarray
-    S01: np.ndarray
-    S11: np.ndarray
-    alpha: Coefficient
-    beta: Coefficient
-    gamma: Coefficient | None = None
-
-    def __post_init__(self):
-        d = np.atleast_1d(self.mean0).size
-        arrays = {
-            "mean0": np.atleast_1d(np.asarray(self.mean0, dtype=float)),
-            "mean1": np.atleast_1d(np.asarray(self.mean1, dtype=float)),
-            "S00": np.atleast_2d(np.asarray(self.S00, dtype=float)),
-            "S01": np.atleast_2d(np.asarray(self.S01, dtype=float)),
-            "S11": np.atleast_2d(np.asarray(self.S11, dtype=float)),
-        }
-        if arrays["mean1"].size != d:
-            raise InvalidArgumentError("mean0 and mean1 must share a dimension")
-        for name in ("S00", "S01", "S11"):
-            if arrays[name].shape != (d, d):
-                raise InvalidArgumentError(f"{name} must be {d}x{d}")
-        block = np.block(
-            [[arrays["S00"], arrays["S01"]], [arrays["S01"].T, arrays["S11"]]]
-        )
-        eigs = np.linalg.eigvalsh(0.5 * (block + block.T))
-        if eigs.min() < -1e-10 * max(float(np.trace(block)), 1.0):
-            raise InvalidArgumentError("endpoint block covariance is not PSD")
-        for key, arr in arrays.items():
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, key, arr)
-
-    @property
-    def dim(self) -> int:
-        return self.mean0.size
-
-
-def from_process_spec(spec: ProcessSpec) -> GaussianProcessSpec:
-    """Express a ProcessSpec analytically, or raise CapabilityError."""
+def _endpoint_blocks(spec: ProcessSpec):
+    """Means and covariance blocks (m0, m1, S00, S01, S11) of the endpoint
+    pair, or CapabilityError when the pair is not jointly Gaussian.  The
+    latent term, when present, has identity covariance and is independent of
+    the endpoints."""
     cpl = spec.coupling
     if cpl.kind == "gaussian_joint":
         d = cpl.dim
         mean, cov = cpl.joint_mean, cpl.joint_cov
-        return GaussianProcessSpec(
-            mean[:d], mean[d:], cov[:d, :d], cov[:d, d:], cov[d:, d:],
-            spec.alpha, spec.beta, spec.gamma,
-        )
+        return mean[:d], mean[d:], cov[:d, :d], cov[:d, d:], cov[d:, d:]
     if isinstance(cpl.mu0, Gaussian) and isinstance(cpl.mu1, Gaussian):
-        m0, S0 = cpl.mu0.moments()
-        m1, S1 = cpl.mu1.moments()
+        m0, S0 = cpl.mu0.mean, cpl.mu0.cov
         if cpl.kind == "independent":
-            S01 = np.zeros((spec.dim, spec.dim))
-            return GaussianProcessSpec(m0, m1, S0, S01, S1, spec.alpha, spec.beta, spec.gamma)
+            return m0, cpl.mu1.mean, S0, np.zeros((spec.dim, spec.dim)), cpl.mu1.cov
         if cpl.kind == "deterministic_map" and cpl.map is not None:
             A, b = cpl.map.A, cpl.map.b
-            return GaussianProcessSpec(
-                m0, A @ m0 + b, S0, S0 @ A.T, A @ S0 @ A.T, spec.alpha, spec.beta, spec.gamma
-            )
+            return m0, A @ m0 + b, S0, S0 @ A.T, A @ S0 @ A.T
     raise CapabilityError(
         "analytic fields need jointly Gaussian endpoints "
         f"(coupling kind {cpl.kind!r} with {type(cpl.mu0).__name__} marginals)"
@@ -123,28 +70,18 @@ class MarginalMoments:
     degenerate: bool
 
 
-def _coef_values(spec: GaussianProcessSpec, t: float):
+def _coef_values(spec: ProcessSpec, t: float):
     """a, a', a'', b, b', b'', g, g', g'' at t."""
     if not 0.0 <= t <= 1.0:
         raise InvalidArgumentError("t must lie in [0, 1]")
-    a, ad, add = (float(fn(t)) for fn in (spec.alpha, spec.alpha.d1, spec.alpha.d2))
-    b, bd, bdd = (float(fn(t)) for fn in (spec.beta, spec.beta.d1, spec.beta.d2))
-    if spec.gamma is None:
-        g = gd = gdd = 0.0
-    else:
-        g, gd, gdd = (float(fn(t)) for fn in (spec.gamma, spec.gamma.d1, spec.gamma.d2))
-    return a, ad, add, b, bd, bdd, g, gd, gdd
+    return tuple(float(c) for c in coefficient_values(spec.coefficients, t))
 
 
-def _moments(spec: GaussianProcessSpec, coefs) -> MarginalMoments:
+def _moments(blocks, coefs) -> MarginalMoments:
+    m0, m1, S00, S01, S11 = blocks
     a, _, _, b, _, _, g, _, _ = coefs
-    mean = a * spec.mean0 + b * spec.mean1
-    cov = (
-        a * a * spec.S00
-        + a * b * (spec.S01 + spec.S01.T)
-        + b * b * spec.S11
-        + g * g * np.eye(spec.dim)
-    )
+    mean = a * m0 + b * m1
+    cov = a * a * S00 + a * b * (S01 + S01.T) + b * b * S11 + g * g * np.eye(m0.size)
     cov = 0.5 * (cov + cov.T)
     eigs = np.linalg.eigvalsh(cov)
     tr = float(np.trace(cov))
@@ -152,9 +89,9 @@ def _moments(spec: GaussianProcessSpec, coefs) -> MarginalMoments:
     return MarginalMoments(mean, cov, degenerate)
 
 
-def marginal_moments(spec: GaussianProcessSpec, t: float) -> MarginalMoments:
+def marginal_moments(spec: ProcessSpec, t: float) -> MarginalMoments:
     """Mean and covariance of X_t; flags numerically singular covariances."""
-    return _moments(spec, _coef_values(spec, t))
+    return _moments(_endpoint_blocks(spec), _coef_values(spec, t))
 
 
 @dataclass(frozen=True)
@@ -180,43 +117,36 @@ class _ConditionalModel:
         return V[0] if single else V
 
 
-def _cross(spec: GaussianProcessSpec, c1, c1p, c2, c2p, gg) -> np.ndarray:
+def _cross(blocks, c1, c1p, c2, c2p, gg) -> np.ndarray:
     # Cov(c1' X0 + c2' X1 + gg1' Z, c1 X0 + c2 X1 + gg2 Z) building block
-    S00, S01, S11 = spec.S00, spec.S01, spec.S11
-    eye = np.eye(spec.dim)
+    _, _, S00, S01, S11 = blocks
+    eye = np.eye(S00.shape[0])
     return c1p * c1 * S00 + c1p * c2 * S01 + c2p * c1 * S01.T + c2p * c2 * S11 + gg * eye
 
 
-def _latent_cross(spec: GaussianProcessSpec, t: float, g: float, gd: float) -> float:
-    """g g' at t.  At the ends of [0, 1] the bridge g = sqrt(t(1 - t)) is 0
-    and g' is infinite, but g g' = (g^2)'/2 = (1 - 2t)/2 stays finite: the
-    velocity field there is its t -> 0 and t -> 1 limit."""
-    if np.isfinite(gd):
-        return gd * g
-    if spec.gamma.name != bridge_gamma().name:
-        raise CapabilityError(f"latent coefficient {spec.gamma.name} has no finite g g' at t={t}")
-    return 0.5 - t
-
-
-def _conditional_model(spec: GaussianProcessSpec, t: float) -> _ConditionalModel:
-    """The model at t; raises DegenerateMarginalError where S_t is numerically
-    singular."""
+def _conditional_model(spec: ProcessSpec, blocks, t: float) -> _ConditionalModel:
+    """The model at t over the endpoint ``blocks`` of ``spec``; raises
+    DegenerateMarginalError where S_t is numerically singular."""
     coefs = _coef_values(spec, t)
-    mom = _moments(spec, coefs)
+    mom = _moments(blocks, coefs)
     if mom.degenerate:
         raise DegenerateMarginalError(
             f"marginal covariance at t={t} is numerically singular"
         )
     a, ad, _, b, bd, _, g, gd, _ = coefs
-    C_v = _cross(spec, a, ad, b, bd, _latent_cross(spec, t, g, gd))
+    # g g': where the latent bridge g = sqrt(t(1 - t)) is 0 (t = 0 or 1), g'
+    # is infinite but g g' = (g^2)'/2 = 0.5 - t is not: the velocity field
+    # there is its t -> 0 and t -> 1 limit
+    C_v = _cross(blocks, a, ad, b, bd, gd * g if np.isfinite(gd) else 0.5 - t)
     cov_inv = np.linalg.inv(mom.cov)
+    m0, m1 = blocks[:2]
     return _ConditionalModel(
-        coefs, mom.mean, mom.cov, cov_inv, C_v, ad * spec.mean0 + bd * spec.mean1, C_v @ cov_inv
+        coefs, mom.mean, mom.cov, cov_inv, C_v, ad * m0 + bd * m1, C_v @ cov_inv
     )
 
 
 def conditional_fields_batch(
-    spec: GaussianProcessSpec, t: float, X: np.ndarray, time_derivatives: bool = False
+    spec: ProcessSpec, t: float, X: np.ndarray, time_derivatives: bool = False
 ):
     """Vectorized oracle: X is (M, d); returns (rho, v, a, Sigma, Pi_const).
 
@@ -229,10 +159,11 @@ def conditional_fields_batch(
         d_t(rho v)  = rho (d_t log rho v + d_t v)
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    model = _conditional_model(spec, t)
+    blocks = _endpoint_blocks(spec)
+    model = _conditional_model(spec, blocks, t)
     a, ad, add, b, bd, bdd, g, gd, gdd = model.coefs
-    S00, S01, S11 = spec.S00, spec.S01, spec.S11
-    C_a = _cross(spec, a, add, b, bdd, gdd * g)
+    m0, m1, S00, S01, S11 = blocks
+    C_a = _cross(blocks, a, add, b, bdd, gdd * g)
     cov_v = ad * ad * S00 + ad * bd * (S01 + S01.T) + bd * bd * S11 + gd * gd * np.eye(spec.dim)
     if not np.all(np.isfinite(cov_v)):
         raise InvalidArgumentError(
@@ -253,7 +184,7 @@ def conditional_fields_batch(
 
     Q = X - model.mean
     V = model(X)
-    Ea = add * spec.mean0 + bdd * spec.mean1
+    Ea = add * m0 + bdd * m1
     A = Ea + Q @ Ja.T
     quad = np.einsum("mi,ij,mj->m", Q, model.cov_inv, Q)
     rho = np.exp(log_norm - 0.5 * quad)
@@ -270,10 +201,10 @@ def conditional_fields_batch(
     return rho, V, A, Sigma, Pi, rho * dt_log_rho, dt_rho_v, dt_v
 
 
-def velocity_at(spec: GaussianProcessSpec, t: float, X: np.ndarray) -> np.ndarray:
+def velocity_at(spec: ProcessSpec, t: float, X: np.ndarray) -> np.ndarray:
     """Conditional velocity only; X may be (d,) or (M, d).  Cheap enough for
     ODE stepping."""
-    return _conditional_model(spec, t)(X)
+    return _conditional_model(spec, _endpoint_blocks(spec), t)(X)
 
 
 def gaussian_ot_map(m0, S0, m1, S1) -> AffineMap:
@@ -303,7 +234,7 @@ def gaussian_ot_map(m0, S0, m1, S1) -> AffineMap:
     return AffineMap(A, m1 - A @ m0)
 
 
-def oracle_box(spec: GaussianProcessSpec, t: float, n_sigma: float = 3.0):
+def oracle_box(spec: ProcessSpec, t: float, n_sigma: float = 3.0):
     """Per-axis box mean +- n_sigma standard deviations at time t."""
     mom = marginal_moments(spec, t)
     sd = np.sqrt(np.clip(np.diag(mom.cov), 0.0, None))
@@ -311,7 +242,7 @@ def oracle_box(spec: GaussianProcessSpec, t: float, n_sigma: float = 3.0):
 
 
 def fields_on_grid(
-    spec: GaussianProcessSpec, t: float, grid: calculus.SpatialGrid,
+    spec: ProcessSpec, t: float, grid: calculus.SpatialGrid,
     time_derivatives: bool = False,
 ) -> dict[str, np.ndarray]:
     """Tabulate rho, v, a, Sigma, Pi on a spatial grid at time t, as node

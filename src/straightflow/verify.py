@@ -38,6 +38,7 @@ import numpy as np
 
 from . import estimate, flow, neighbours
 from .core import (
+    COEFFICIENTS,
     EndpointArrays,
     ProcessSpec,
     TimeGrid,
@@ -46,7 +47,6 @@ from .core import (
     slice_state,
 )
 from .errors import CapabilityError, InvalidArgumentError, NonFiniteDataError
-from .gaussian import from_process_spec
 
 __all__ = [
     "TheoremReport",
@@ -152,10 +152,11 @@ def _trace_pair(
 
 
 def _spec_digest(spec: ProcessSpec, endpoints: EndpointArrays) -> dict:
+    alpha, beta, gamma = COEFFICIENTS[spec.coefficients]
     return {
-        "alpha": spec.alpha.name,
-        "beta": spec.beta.name,
-        "gamma": spec.gamma.name if spec.gamma is not None else None,
+        "alpha": alpha,
+        "beta": beta,
+        "gamma": gamma,
         "coupling": spec.coupling.kind,
         "dim": spec.dim,
         "n": endpoints.n,
@@ -188,7 +189,7 @@ def affine_straightness_check(
     here: affine interpolants have zero acceleration, so it reduces to
     div(rho Pi) = 0, which a deterministic coupling (Pi = 0) meets exactly.
     """
-    if not spec.is_affine:
+    if spec.coefficients != "affine":
         raise InvalidArgumentError("affine_straightness_check needs the affine spec")
     control = _permuted_control(endpoints, 1)
 
@@ -210,8 +211,7 @@ def affine_straightness_check(
 
     notes = ""
     try:
-        gspec = from_process_spec(spec)
-        oracle = flow.analytic_velocity_oracle(gspec)
+        oracle = flow.analytic_velocity_oracle(spec)
         points = spec.coupling.mu0.draw(aux_rng(endpoints.seed, 3), 64)
         tgrid = make_time_grid(100)
         result = flow.flow_map(oracle, points, tgrid, "rk4")

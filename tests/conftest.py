@@ -31,19 +31,10 @@ def gauss1(mean=0.0, var=1.0):
     return core.Gaussian(np.array([mean]), np.array([[var]]))
 
 
-def make_spec(alpha_beta: str, coupling: core.CouplingSpec, dim: int = 1, latent: bool = False):
-    if alpha_beta == "affine":
-        a, b = core.affine_alpha(), core.affine_beta()
-    else:
-        a, b = core.trig_alpha(), core.trig_beta()
-    g = core.bridge_gamma() if latent else None
-    return core.ProcessSpec(a, b, coupling, dim, g)
-
-
 @pytest.fixture(scope="session")
 def affine_indep_spec():
     cpl = core.CouplingSpec("independent", gauss1(), gauss1())
-    return make_spec("affine", cpl)
+    return core.ProcessSpec("affine", cpl, 1)
 
 
 @pytest.fixture(scope="session")
@@ -51,13 +42,13 @@ def affine_det2x_spec():
     """T(x) = 2x between N(0,1) and N(0,4)."""
     amap = core.AffineMap(np.array([[2.0]]), np.array([0.0]))
     cpl = core.CouplingSpec("deterministic_map", gauss1(), gauss1(var=4.0), map=amap)
-    return make_spec("affine", cpl)
+    return core.ProcessSpec("affine", cpl, 1)
 
 
 @pytest.fixture(scope="session")
 def trig_indep_spec():
     cpl = core.CouplingSpec("independent", gauss1(), gauss1())
-    return make_spec("trig", cpl)
+    return core.ProcessSpec("trig", cpl, 1)
 
 
 @pytest.fixture(scope="session")
@@ -65,13 +56,13 @@ def trig_det_identity_spec():
     """Y = X through the identity deterministic map."""
     amap = core.AffineMap(np.eye(1), np.zeros(1))
     cpl = core.CouplingSpec("deterministic_map", gauss1(), gauss1(), map=amap)
-    return make_spec("trig", cpl)
+    return core.ProcessSpec("trig", cpl, 1)
 
 
 @pytest.fixture(scope="session")
 def latent_spec():
     cpl = core.CouplingSpec("independent", gauss1(), gauss1())
-    return make_spec("affine", cpl, latent=True)
+    return core.ProcessSpec("latent", cpl, 1)
 
 
 @pytest.fixture(scope="session")
@@ -81,7 +72,7 @@ def affine_ot_spec():
     cpl = core.CouplingSpec(
         "deterministic_map", gauss1(), core.Gaussian(np.array([2.0]), np.array([[4.0]])), map=amap
     )
-    return make_spec("affine", cpl)
+    return core.ProcessSpec("affine", cpl, 1)
 
 
 # 2e5 endpoint draws; tests slice them with core.slice_state at t = 0 or 1/2
@@ -98,7 +89,7 @@ def ep_trig_indep_200k(trig_indep_spec):
 def oracle_fields_dt(spec, t, grid):
     """Oracle fields of the process ``spec`` at time t on the grid, with
     their exact time derivatives (``dt_rho``, ``dt_rho_v``, ``dt_v``)."""
-    return gaussian.fields_on_grid(gaussian.from_process_spec(spec), t, grid, time_derivatives=True)
+    return gaussian.fields_on_grid(spec, t, grid, time_derivatives=True)
 
 
 def head(endpoints: core.EndpointArrays, n: int) -> core.EndpointArrays:

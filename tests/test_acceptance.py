@@ -10,7 +10,7 @@ import pytest
 
 from straightflow import calculus, cli, core, estimate, flow, gaussian, verify
 
-from conftest import energy_distance, gauss1, head, make_spec, oracle_fields_dt
+from conftest import energy_distance, gauss1, head, oracle_fields_dt
 
 PI2_4 = np.pi**2 / 4
 
@@ -30,8 +30,7 @@ def test_criterion_1_straightness_iff_deterministic(
     affine_ot_spec, affine_indep_spec, ep_affine_indep_200k
 ):
     # deterministic side, d = 1: OT map N(0,1) -> N(2,4)
-    g1 = gaussian.from_process_spec(affine_ot_spec)
-    oracle1 = flow.analytic_velocity_oracle(g1)
+    oracle1 = flow.analytic_velocity_oracle(affine_ot_spec)
     pts1 = affine_ot_spec.coupling.mu0.draw(core.aux_rng(100, 0), 100)
     grid1 = core.make_time_grid(100)
     res1 = flow.flow_map(oracle1, pts1, grid1, "rk4")
@@ -43,8 +42,8 @@ def test_criterion_1_straightness_iff_deterministic(
     mu1 = core.Gaussian(np.array([2.0, -1.0]), np.diag([4.0, 9.0]))
     amap = gaussian.gaussian_ot_map(mu0.mean, mu0.cov, mu1.mean, mu1.cov)
     cpl2 = core.CouplingSpec("deterministic_map", mu0, mu1, map=amap)
-    spec2 = core.ProcessSpec(core.affine_alpha(), core.affine_beta(), cpl2, 2)
-    oracle2 = flow.analytic_velocity_oracle(gaussian.from_process_spec(spec2))
+    spec2 = core.ProcessSpec("affine", cpl2, 2)
+    oracle2 = flow.analytic_velocity_oracle(spec2)
     pts2 = mu0.draw(core.aux_rng(100, 1), 100)
     res2 = flow.flow_map(oracle2, pts2, grid1, "rk4")
     chord2 = flow.straightness_deviation(_states(res2), grid1).chord_dev.max()
@@ -54,9 +53,7 @@ def test_criterion_1_straightness_iff_deterministic(
     ens = head(ep_affine_indep_200k, 100_000)
     X, V, _ = core.slice_state(affine_indep_spec, ens, 0.5)
     tr_pi = verify.tr_pi_moment(X, V, core.aux_rng(ens.seed, 900)).value
-    g_ind = gaussian.from_process_spec(
-        make_spec("affine", core.CouplingSpec("independent", gauss1(), gauss1()))
-    )
+    g_ind = core.ProcessSpec("affine", core.CouplingSpec("independent", gauss1(), gauss1()), 1)
     one_ind = flow.one_step_error(
         flow.analytic_velocity_oracle(g_ind), np.array([[1.0]])
     ).max_error
@@ -80,8 +77,7 @@ def test_criterion_1_straightness_iff_deterministic(
 
 def test_criterion_2_balance_positive_instance(trig_indep_spec, ep_trig_indep_200k):
     grid = calculus.make_spatial_grid([(-3.0, 3.0)], 60)
-    g = gaussian.from_process_spec(trig_indep_spec)
-    fields = gaussian.fields_on_grid(g, 0.5, grid)
+    fields = gaussian.fields_on_grid(trig_indep_spec, 0.5, grid)
     analytic = calculus.balance_residual(grid, fields["rho"], fields["Pi"], fields["a"])
 
     X, V, A = core.slice_state(trig_indep_spec, ep_trig_indep_200k, 0.5)  # N = 2e5
@@ -100,11 +96,10 @@ def test_criterion_2_balance_positive_instance(trig_indep_spec, ep_trig_indep_20
 
 def test_criterion_3_balance_negative_instance(trig_det_identity_spec):
     grid = calculus.make_spatial_grid([(-4.2, 4.2)], 60)
-    g = gaussian.from_process_spec(trig_det_identity_spec)
-    fields = gaussian.fields_on_grid(g, 0.5, grid)
+    fields = gaussian.fields_on_grid(trig_det_identity_spec, 0.5, grid)
     rep = calculus.balance_residual(grid, fields["rho"], fields["Pi"], fields["a"])
 
-    oracle = flow.analytic_velocity_oracle(g)
+    oracle = flow.analytic_velocity_oracle(trig_det_identity_spec)
     tgrid = core.make_time_grid(400)
     traj = flow.flow_map(oracle, np.array([[1.0]]), tgrid, "rk4")
     chord = flow.straightness_deviation(_states(traj), tgrid).chord_dev[0]
@@ -130,8 +125,7 @@ def test_criterion_4_momentum_and_continuity(
         ("trig_indep", trig_indep_spec),
         ("trig_det", trig_det_identity_spec),
     ):
-        g = gaussian.from_process_spec(spec)
-        bounds = gaussian.oracle_box(g, t)
+        bounds = gaussian.oracle_box(spec, t)
         span = bounds[0][1] - bounds[0][0]
 
         def run(h_target):
@@ -169,7 +163,7 @@ def test_criterion_5_material_derivative(affine_indep_spec):
     rel = err / np.abs(4.0 * x).max()
 
     cov = np.array([[1.0, 2.0], [2.0, 4.0]])  # deterministic scaling X_t = (1+t) X0
-    det_spec = make_spec("affine", core.gaussian_joint_coupling(np.zeros(2), cov))
+    det_spec = core.ProcessSpec("affine", core.gaussian_joint_coupling(np.zeros(2), cov), 1)
     fd = oracle_fields_dt(det_spec, t, grid)
     out_det = calculus.material_derivative(grid, fd["v"], fd["dt_v"])
     det_abs = np.nanmax(np.abs(out_det))
@@ -202,9 +196,8 @@ def test_criterion_6_trace_identity(trig_indep_spec, ep_trig_indep_200k):
 
 
 def test_criterion_7_estimator_convergence(affine_indep_spec, ep_affine_indep_200k):
-    g = gaussian.from_process_spec(affine_indep_spec)
     pts = np.linspace(-1.5, 1.5, 9)[:, None]
-    v_true = gaussian.velocity_at(g, 0.5, pts)
+    v_true = gaussian.velocity_at(affine_indep_spec, 0.5, pts)
     rmses = []
     for n in (1_000, 10_000, 100_000):
         X, V, _ = core.slice_state(affine_indep_spec, head(ep_affine_indep_200k, n), 0.5)
@@ -221,8 +214,7 @@ def test_criterion_7_estimator_convergence(affine_indep_spec, ep_affine_indep_20
 
 
 def test_criterion_8_transport_correctness(affine_ot_spec):
-    g = gaussian.from_process_spec(affine_ot_spec)
-    oracle = flow.analytic_velocity_oracle(g)
+    oracle = flow.analytic_velocity_oracle(affine_ot_spec)
     rng = core.aux_rng(801, 0)
     n = 10_000
     src = affine_ot_spec.coupling.mu0.draw(rng, n)

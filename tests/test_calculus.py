@@ -204,7 +204,7 @@ class TestDivergenceMatrix:
 
 
 def oracle_fields(spec, t, grid):
-    return gaussian.fields_on_grid(gaussian.from_process_spec(spec), t, grid)
+    return gaussian.fields_on_grid(spec, t, grid)
 
 
 class TestMaterialDerivative:

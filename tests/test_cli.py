@@ -176,7 +176,7 @@ class TestFields:
         cfg = cli.load_config(cfg_path)
         spec = cli.build_process_spec(cfg)
         grid = cli._resolve_spatial_grid(cfg, spec, 0.3)
-        fields = gaussian.fields_on_grid(gaussian.from_process_spec(spec), 0.3, grid)
+        fields = gaussian.fields_on_grid(spec, 0.3, grid)
         for name in ("rho", "v", "a", "Sigma", "Pi"):
             text = (out / f"fields_{name.lower()}.csv").read_text()
             assert text == reference_field_csv(grid, fields[name]), name
@@ -524,7 +524,7 @@ class TestFlow:
         cfg = cli.load_config(cfg_path)
         spec = cli.build_process_spec(cfg)
         sgrid = cli._resolve_spatial_grid(cfg, spec, 0.0)
-        oracle = flow.analytic_velocity_oracle(gaussian.from_process_spec(spec))
+        oracle = flow.analytic_velocity_oracle(spec)
         tgrid = core.make_time_grid(7)
         result = flow.flow_map(oracle, sgrid.interior_points(), tgrid, "rk4")
         assert result.states.shape == (16, 8, 2) and not result.errors
@@ -651,6 +651,24 @@ class TestExitCodes:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed" and manifest["outputs"] == []
         assert manifest["error"] == {"class": "RuntimeError", "message": "boom", "exit_code": 1}
+
+    @pytest.mark.parametrize("process", [
+        {"coefficients": "affine", "dim": 2, "coupling": {
+            "kind": "independent",
+            "mu0": {"family": "gaussian", "mean": [0.0, 0.0], "cov": [[1.0, 2.0], [2.0, 1.0]]},
+            "mu1": {"family": "gaussian", "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}}},
+        {"coefficients": "affine", "dim": 1, "coupling": {
+            "kind": "independent",
+            "mu0": {"family": "gaussian_mixture", "weights": [0.5, 0.5],
+                    "means": [[-1.0], [1.0]], "covs": [[[0.2]], [[-0.5]]]},
+            "mu1": {"family": "gaussian", "mean": [0.0], "cov": [[1.0]]}}},
+    ], ids=["gaussian", "mixture"])
+    def test_indefinite_covariance_exit_2(self, tmp_path, capsys, process):
+        # the estimate source on a quantile box never asks the oracle, and
+        # drawing from the covariance must not clip it
+        cfg_path, _ = write_config(tmp_path, process=process, grid={"box": "quantile"})
+        assert cli.main(["fields", "--config", str(cfg_path), "--source", "estimate"]) == 2
+        assert "is not positive semidefinite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("error,code", [
         (errors.ConfigError("bad"), 2),

@@ -13,12 +13,12 @@ from straightflow.errors import (
     InvalidCouplingError,
 )
 
-from conftest import gauss1, make_spec
+from conftest import gauss1
 
 
 def spec_of(coupling, latent=False):
     """The affine process over ``coupling``, with the bridge latent if asked."""
-    return make_spec("affine", coupling, coupling.dim, latent)
+    return core.ProcessSpec("latent" if latent else "affine", coupling, coupling.dim)
 
 
 class TestMakeTimeGrid:
@@ -211,7 +211,7 @@ class TestSamplePaths:
         cpl = core.CouplingSpec(
             "deterministic_map", core.Empirical([[1.0]]), core.Empirical([[2.0]])
         )
-        spec = make_spec("affine", cpl)
+        spec = core.ProcessSpec("affine", cpl, 1)
         pos, vel, _ = path_states(spec, 5, core.make_time_grid(2), seed=0)
         assert np.allclose(pos[:, 1, 0], 1.5)
         assert np.allclose(vel[:, 1, 0], 1.0)
@@ -276,7 +276,7 @@ class TestSamplePaths:
         # non-finite edges (t = 0, 1) included
         cpl = core.CouplingSpec("independent", core.Gaussian(np.zeros(d), np.eye(d)),
                                 core.Gaussian(np.ones(d), 4.0 * np.eye(d)))
-        spec = make_spec("affine" if kind == "latent" else kind, cpl, d, kind == "latent")
+        spec = core.ProcessSpec(kind, cpl, d)
         endpoints = core.sample_endpoints(spec, n, seed)
         nodes = core.make_time_grid(steps).nodes
         columns = core.slice_state(spec, endpoints, nodes)
@@ -285,14 +285,42 @@ class TestSamplePaths:
                 assert node.shape == (n, d)
                 assert np.ascontiguousarray(column[:, k]).tobytes() == node.tobytes()
 
-    def test_endpoint_contract_violation(self):
-        bad_alpha = core.Coefficient(
-            "bad", lambda t: 0.5 * (1 - np.asarray(t)), lambda t: np.full_like(np.asarray(t, float), -0.5),
-            lambda t: np.zeros_like(np.asarray(t, float)),
-        )
+
+class TestCoefficients:
+    @settings(max_examples=40)
+    @given(
+        family=st.sampled_from(list(core.COEFFICIENTS)),
+        t=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=8),
+    )
+    def test_family_contract(self, family, t):
+        # alpha(0) = 1, alpha(1) = 0, beta(0) = 0, beta(1) = 1, gamma(0) = gamma(1) = 0;
+        # cos(pi/2) rounds to 6.1e-17, so trig's alpha(1) holds to one ulp of 1
+        for end, want in ((0.0, (1.0, 0.0, 0.0)), (1.0, (0.0, 1.0, 0.0))):
+            values = core.coefficient_values(family, end)
+            got = (values[0], values[3], values[6])
+            np.testing.assert_allclose(got, want, rtol=0, atol=np.finfo(float).eps)
+        # first and second derivatives against central differences
+        tk, h = np.array(t), 1e-5
+        values = core.coefficient_values(family, tk)
+        lo, hi = (core.coefficient_values(family, tk + s) for s in (-h, h))
+        for k in (0, 3, 6):
+            for order in (1, 2):
+                diff = (hi[k + order - 1] - lo[k + order - 1]) / (2 * h)
+                exact = values[k + order]
+                assert np.all(np.abs(exact - diff) <= 1e-6 * np.maximum(np.abs(exact), 1.0))
+        # slice_state evaluates a vector of times, the Gaussian oracle one scalar
+        nodes = np.concatenate([[0.0, 1.0], tk])
+        vector = np.stack(core.coefficient_values(family, nodes))
+        for j, tj in enumerate(nodes):
+            scalar = np.array(core.coefficient_values(family, float(tj)))
+            assert scalar.tobytes() == vector[:, j].tobytes()
+
+    def test_unknown_family_refused(self):
         cpl = core.CouplingSpec("independent", gauss1(), gauss1())
         with pytest.raises(InvalidArgumentError):
-            core.ProcessSpec(bad_alpha, core.affine_beta(), cpl, 1)
+            core.coefficient_values("cubic", 0.5)
+        with pytest.raises(InvalidArgumentError):
+            core.ProcessSpec("cubic", cpl, 1)
 
 
 class TestEnsembleFile:

@@ -456,9 +456,8 @@ class TestOracleConsistency:
         # MC estimate of v converges on the analytic oracle, roughly n^(-1/2)
         from straightflow import gaussian
 
-        g = gaussian.from_process_spec(affine_indep_spec)
         pts = np.linspace(-1.2, 1.2, 9)[:, None]
-        v_true = gaussian.velocity_at(g, 0.5, pts)
+        v_true = gaussian.velocity_at(affine_indep_spec, 0.5, pts)
         rmses = []
         for n in (1_000, 4_000, 16_000):
             X, V, _ = slice_arrays(affine_indep_spec, ep_affine_indep_200k, 0.5, n)
@@ -530,12 +529,8 @@ class TestReynoldsTensorField:
         self, kind, d, seed, n, coefficients, latent, t, density_floor
     ):
         rng = np.random.default_rng(seed)
-        alpha, beta = (
-            (core.affine_alpha(), core.affine_beta()) if coefficients == "affine"
-            else (core.trig_alpha(), core.trig_beta())
-        )
-        gamma = core.bridge_gamma() if latent else None
-        spec = core.ProcessSpec(alpha, beta, _coupling(kind, d, rng), d, gamma)
+        # a latent draw takes the latent family, whichever coefficients it drew
+        spec = core.ProcessSpec("latent" if latent else coefficients, _coupling(kind, d, rng), d)
         endpoints = core.sample_endpoints(spec, n, seed)
         X, V, A = core.slice_state(spec, endpoints, t)
         box = list(zip(np.quantile(X, 0.01, axis=0), np.quantile(X, 0.99, axis=0)))
@@ -594,7 +589,7 @@ class TestTimeDerivatives:
         # residuals are stencil error alone
         gauss = lambda m, v: core.Gaussian(np.array([m]), np.array([[v]]))
         coupling = core.CouplingSpec("independent", gauss(0.0, 1.0), gauss(1.0, 4.0))
-        spec = core.ProcessSpec(core.trig_alpha(), core.trig_beta(), coupling, 1)
+        spec = core.ProcessSpec("trig", coupling, 1)
         X, V, A = core.slice_state(spec, core.sample_endpoints(spec, 20_000, seed=3), 0.5)
         box = list(zip(*calculus.quantile_box(X)))
         cfg = estimate.KernelConfig(bandwidth=0.15)

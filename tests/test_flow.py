@@ -13,7 +13,7 @@ from straightflow.errors import (
     TrajectoryLeftSupportError,
 )
 
-from conftest import energy_distance, head, make_spec, oracle_fields_dt
+from conftest import energy_distance, head, oracle_fields_dt
 
 PI2_4 = np.pi**2 / 4
 
@@ -66,20 +66,20 @@ def deviation(states, grid):
 
 
 def _property_oracles():
-    g = gaussian.from_process_spec(core.ProcessSpec(
-        core.affine_alpha(), core.affine_beta(),
+    spec = core.ProcessSpec(
+        "affine",
         core.CouplingSpec(
             "independent",
             core.Gaussian(np.array([0.0]), np.array([[1.0]])),
             core.Gaussian(np.array([1.0]), np.array([[4.0]])),
         ),
         1,
-    ))
+    )
     # not affine in x, and row results that depend on t
     non_affine = flow.VelocityOracle(
         lambda t, x: (1.0 - t) * (1.0 - 0.5 * np.asarray(x)) + t * np.sin(x)
     )
-    return {"analytic": flow.analytic_velocity_oracle(g), "non_affine": non_affine}
+    return {"analytic": flow.analytic_velocity_oracle(spec), "non_affine": non_affine}
 
 
 PROPERTY_ORACLES = _property_oracles()
@@ -90,23 +90,23 @@ KERNEL_CASES = [("affine", 1), ("affine", 2), ("trig", 1), ("trig", 2)]
 def kernel_case(coefficients, d):
     """The independent N(0, I) -> N(0, I) process and 3,000 of its endpoints."""
     gauss = core.Gaussian(np.zeros(d), np.eye(d))
-    spec = make_spec(coefficients, core.CouplingSpec("independent", gauss, gauss), d)
+    spec = core.ProcessSpec(coefficients, core.CouplingSpec("independent", gauss, gauss), d)
     return spec, core.sample_endpoints(spec, 3000, seed=5)
 
 
 @pytest.fixture(scope="module")
 def oracle_affine_indep(affine_indep_spec):
-    return flow.analytic_velocity_oracle(gaussian.from_process_spec(affine_indep_spec))
+    return flow.analytic_velocity_oracle(affine_indep_spec)
 
 
 @pytest.fixture(scope="module")
 def oracle_affine_det(affine_det2x_spec):
-    return flow.analytic_velocity_oracle(gaussian.from_process_spec(affine_det2x_spec))
+    return flow.analytic_velocity_oracle(affine_det2x_spec)
 
 
 @pytest.fixture(scope="module")
 def oracle_trig_det(trig_det_identity_spec):
-    return flow.analytic_velocity_oracle(gaussian.from_process_spec(trig_det_identity_spec))
+    return flow.analytic_velocity_oracle(trig_det_identity_spec)
 
 
 class TestIntegrate:
@@ -395,7 +395,7 @@ class TestReferenceSizing:
 
     def test_straight_flow_stops_at_second_run(self, affine_ot_spec):
         oracle, calls = counting(
-            flow.analytic_velocity_oracle(gaussian.from_process_spec(affine_ot_spec))
+            flow.analytic_velocity_oracle(affine_ot_spec)
         )
         pts = affine_ot_spec.coupling.mu0.draw(core.aux_rng(0, 9), 50)
         summary = flow.one_step_error(oracle, pts)
@@ -411,7 +411,7 @@ class TestReferenceSizing:
             model = mock.patch.object(flow, "_conditional_model", wraps=flow._conditional_model)
             with model as build, mock.patch.object(flow, "_ORACLE_TIMES", kept):
                 oracle, calls = counting(
-                    flow.analytic_velocity_oracle(gaussian.from_process_spec(affine_ot_spec))
+                    flow.analytic_velocity_oracle(affine_ot_spec)
                 )
                 flow.flow_map(oracle, pts, core.make_time_grid(100), "rk4")
                 flow.one_step_error(oracle, pts)
@@ -452,8 +452,8 @@ class TestReferenceSizing:
         amap = gaussian.gaussian_ot_map(mu0.mean, mu0.cov, mu1.mean, mu1.cov) if ot else None
         coupling = core.CouplingSpec("deterministic_map" if ot else "independent", mu0, mu1,
                                      map=amap)
-        spec = make_spec(coefficients, coupling, dim)
-        oracle = flow.analytic_velocity_oracle(gaussian.from_process_spec(spec))
+        spec = core.ProcessSpec(coefficients, coupling, dim)
+        oracle = flow.analytic_velocity_oracle(spec)
         pts = mu0.draw(rng, 5)
 
         summary = flow.one_step_error(oracle, pts)
@@ -514,7 +514,7 @@ class TestEnergyDistance:
 
 class TestMarginalTransport:
     def test_flow_pushes_source_onto_target(self, affine_ot_spec):
-        oracle = flow.analytic_velocity_oracle(gaussian.from_process_spec(affine_ot_spec))
+        oracle = flow.analytic_velocity_oracle(affine_ot_spec)
         rng = core.aux_rng(0, 42)
         n = 2000
         src = affine_ot_spec.coupling.mu0.draw(rng, n)
@@ -549,15 +549,14 @@ class TestTripleAgreement:
     )
     def test_indicators_agree(self, spec_name, expected_straight, request):
         spec = request.getfixturevalue(spec_name)
-        g = gaussian.from_process_spec(spec)
-        oracle = flow.analytic_velocity_oracle(g)
+        oracle = flow.analytic_velocity_oracle(spec)
 
         tgrid = core.make_time_grid(200)
         states = one_path(oracle, np.array([1.0]), tgrid, "rk4")
         second_ok = deviation(states, tgrid).second_diff <= self.TOL_SECOND
 
         t = 0.4
-        grid = calculus.make_spatial_grid(gaussian.oracle_box(g, t), 61)
+        grid = calculus.make_spatial_grid(gaussian.oracle_box(spec, t), 61)
         f = oracle_fields_dt(spec, t, grid)
         material = calculus.material_residual(grid, f["v"], f["dt_v"])
         material_ok = material.max_abs <= self.TOL_MATERIAL

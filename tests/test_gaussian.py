@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +10,7 @@ from straightflow.errors import (
     InvalidArgumentError,
 )
 
-from conftest import gauss1, make_spec
+from conftest import gauss1
 
 PI2_4 = np.pi**2 / 4
 
@@ -31,69 +29,54 @@ def material_at(spec, t, x):
     return calculus.material_derivative(grid, f["v"], f["dt_v"])[1]
 
 
-@pytest.fixture(scope="module")
-def g_affine_indep(affine_indep_spec):
-    return gaussian.from_process_spec(affine_indep_spec)
-
-
-@pytest.fixture(scope="module")
-def g_trig_indep(trig_indep_spec):
-    return gaussian.from_process_spec(trig_indep_spec)
-
-
-@pytest.fixture(scope="module")
-def g_affine_det2x(affine_det2x_spec):
-    return gaussian.from_process_spec(affine_det2x_spec)
+def affine_independent(m0, S0, m1, S1):
+    """The affine process between independent N(m0, S0) and N(m1, S1)."""
+    cpl = core.CouplingSpec("independent", core.Gaussian(m0, S0), core.Gaussian(m1, S1))
+    return core.ProcessSpec("affine", cpl, cpl.dim)
 
 
 class TestMarginalMoments:
-    def test_affine_independent_midpoint(self, g_affine_indep):
-        mom = gaussian.marginal_moments(g_affine_indep, 0.5)
+    def test_affine_independent_midpoint(self, affine_indep_spec):
+        mom = gaussian.marginal_moments(affine_indep_spec, 0.5)
         assert mom.mean == pytest.approx(0.0)
         assert mom.cov[0, 0] == pytest.approx(0.5)
 
-    def test_trig_independent_unit_variance(self, g_trig_indep):
+    def test_trig_independent_unit_variance(self, trig_indep_spec):
         for t in (0.0, 0.21, 0.5, 0.87, 1.0):
-            mom = gaussian.marginal_moments(g_trig_indep, t)
+            mom = gaussian.marginal_moments(trig_indep_spec, t)
             assert mom.cov[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_endpoint_condition(self):
-        spec = gaussian.GaussianProcessSpec(
-            np.array([1.5]), np.array([-2.0]), np.array([[0.7]]),
-            np.zeros((1, 1)), np.array([[3.0]]),
-            core.affine_alpha(), core.affine_beta(),
-        )
+        spec = affine_independent(np.array([1.5]), np.array([[0.7]]), np.array([-2.0]),
+                                  np.array([[3.0]]))
         mom = gaussian.marginal_moments(spec, 0.0)
         assert mom.mean[0] == pytest.approx(1.5)
         assert mom.cov[0, 0] == pytest.approx(0.7)
 
     def test_degenerate_flagged(self):
-        spec = gaussian.GaussianProcessSpec(
-            np.zeros(1), np.zeros(1), np.zeros((1, 1)), np.zeros((1, 1)), np.eye(1),
-            core.affine_alpha(), core.affine_beta(),
-        )
+        spec = affine_independent(np.zeros(1), np.zeros((1, 1)), np.zeros(1), np.eye(1))
         assert gaussian.marginal_moments(spec, 0.0).degenerate
         assert not gaussian.marginal_moments(spec, 0.5).degenerate
 
 
 class TestConditionalFields:
-    def test_affine_independent_t0(self, g_affine_indep):
-        _, v, a, _, Pi = fields_at(g_affine_indep, 0.0, np.array([0.7]))
+    def test_affine_independent_t0(self, affine_indep_spec):
+        _, v, a, _, Pi = fields_at(affine_indep_spec, 0.0, np.array([0.7]))
         assert v[0] == pytest.approx(-0.7, abs=1e-12)
         assert Pi[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert a[0] == pytest.approx(0.0, abs=1e-12)
 
-    def test_affine_independent_midpoint(self, g_affine_indep):
+    def test_affine_independent_midpoint(self, affine_indep_spec):
         x = np.array([0.3])
-        rho, v, _, _, Pi = fields_at(g_affine_indep, 0.5, x)
+        rho, v, _, _, Pi = fields_at(affine_indep_spec, 0.5, x)
         assert v[0] == pytest.approx(0.0, abs=1e-12)
         assert Pi[0, 0] == pytest.approx(2.0, abs=1e-12)
         expected_rho = np.exp(-x[0] ** 2 / 1.0) / np.sqrt(2 * np.pi * 0.5)
         assert rho == pytest.approx(expected_rho, rel=1e-12)
 
-    def test_trig_independent(self, g_trig_indep):
+    def test_trig_independent(self, trig_indep_spec):
         for t in (0.15, 0.5, 0.8):
-            _, v, a, _, Pi = fields_at(g_trig_indep, t, np.array([1.2]))
+            _, v, a, _, Pi = fields_at(trig_indep_spec, t, np.array([1.2]))
             assert v[0] == pytest.approx(0.0, abs=1e-12)
             assert a[0] == pytest.approx(-PI2_4 * 1.2, abs=1e-10)
             assert Pi[0, 0] == pytest.approx(PI2_4, abs=1e-10)
@@ -102,35 +85,28 @@ class TestConditionalFields:
         # T(x) = 2x via the joint-Gaussian route: v = x/(1+t), Pi = 0
         cov = np.array([[1.0, 2.0], [2.0, 4.0]])
         cpl = core.gaussian_joint_coupling(np.zeros(2), cov)
-        spec = make_spec("affine", cpl)
-        g = gaussian.from_process_spec(spec)
+        spec = core.ProcessSpec("affine", cpl, 1)
         for t in (0.2, 0.6):
-            _, v, _, _, Pi = fields_at(g, t, np.array([0.9]))
+            _, v, _, _, Pi = fields_at(spec, t, np.array([0.9]))
             assert v[0] == pytest.approx(0.9 / (1 + t), rel=1e-10)
             assert Pi[0, 0] == pytest.approx(0.0, abs=1e-10)
 
-    def test_pi_independent_of_x(self, g_affine_indep):
-        Pi1 = fields_at(g_affine_indep, 0.3, np.array([-2.0]))[4]
-        Pi2 = fields_at(g_affine_indep, 0.3, np.array([1.4]))[4]
+    def test_pi_independent_of_x(self, affine_indep_spec):
+        Pi1 = fields_at(affine_indep_spec, 0.3, np.array([-2.0]))[4]
+        Pi2 = fields_at(affine_indep_spec, 0.3, np.array([1.4]))[4]
         assert np.allclose(Pi1, Pi2, atol=0.0)
 
-    def test_sigma_decomposition(self, g_affine_indep):
-        _, v, _, Sigma, Pi = fields_at(g_affine_indep, 0.3, np.array([0.8]))
+    def test_sigma_decomposition(self, affine_indep_spec):
+        _, v, _, Sigma, Pi = fields_at(affine_indep_spec, 0.3, np.array([0.8]))
         assert np.allclose(Sigma, Pi + np.outer(v, v))
 
     def test_degenerate_marginal_raises(self):
-        spec = gaussian.GaussianProcessSpec(
-            np.zeros(1), np.zeros(1), np.zeros((1, 1)), np.zeros((1, 1)), np.eye(1),
-            core.affine_alpha(), core.affine_beta(),
-        )
+        spec = affine_independent(np.zeros(1), np.zeros((1, 1)), np.zeros(1), np.eye(1))
         with pytest.raises(DegenerateMarginalError):
             fields_at(spec, 0.0, np.zeros(1))
 
     def test_velocity_views_refuse_the_same_degenerate_marginal(self):
-        spec = gaussian.GaussianProcessSpec(
-            np.zeros(1), np.zeros(1), np.zeros((1, 1)), np.zeros((1, 1)), np.eye(1),
-            core.affine_alpha(), core.affine_beta(),
-        )
+        spec = affine_independent(np.zeros(1), np.zeros((1, 1)), np.zeros(1), np.eye(1))
         oracle = flow.analytic_velocity_oracle(spec)
         for _ in range(2):  # a failed build is not cached
             with pytest.raises(DegenerateMarginalError):
@@ -145,9 +121,7 @@ class TestConditionalFields:
             np.array([[1.0, 0.2, 0.6, 0.0], [0.2, 1.0, 0.0, 0.5],
                       [0.6, 0.0, 1.0, 0.1], [0.0, 0.5, 0.1, 2.0]]),
         )
-        spec = gaussian.from_process_spec(
-            core.ProcessSpec(core.trig_alpha(), core.trig_beta(), joint, 2, core.bridge_gamma())
-        )
+        spec = core.ProcessSpec("latent", joint, 2)
         X = np.random.default_rng(6).standard_normal((7, 2))
         oracle = flow.analytic_velocity_oracle(spec)
         # revisited times come from the oracle's memo
@@ -156,11 +130,11 @@ class TestConditionalFields:
             assert np.array_equal(gaussian.velocity_at(spec, t, X), V)
             assert np.array_equal(oracle(t, X), V)
 
-    def test_batch_matches_pointwise(self, g_affine_indep):
+    def test_batch_matches_pointwise(self, affine_indep_spec):
         X = np.array([[-1.0], [0.0], [2.5]])
-        rho, V, A, Sigma, Pi = gaussian.conditional_fields_batch(g_affine_indep, 0.3, X)
+        rho, V, A, Sigma, Pi = gaussian.conditional_fields_batch(affine_indep_spec, 0.3, X)
         for i, x in enumerate(X):
-            rho_i, v_i, a_i, Sigma_i, Pi_i = fields_at(g_affine_indep, 0.3, x)
+            rho_i, v_i, a_i, Sigma_i, Pi_i = fields_at(affine_indep_spec, 0.3, x)
             assert rho[i] == pytest.approx(rho_i, rel=1e-12)
             assert np.allclose(V[i], v_i)
             assert np.allclose(A[i], a_i)
@@ -241,17 +215,17 @@ class TestMaterialDerivative:
     def test_deterministic_scaling_vanishes(self):
         cov = np.array([[1.0, 2.0], [2.0, 4.0]])
         cpl = core.gaussian_joint_coupling(np.zeros(2), cov)
-        g = gaussian.from_process_spec(make_spec("affine", cpl))
+        spec = core.ProcessSpec("affine", cpl, 1)
         for t in (0.2, 0.5, 0.8):
-            assert abs(material_at(g, t, 1.3)[0]) <= 1e-8
+            assert abs(material_at(spec, t, 1.3)[0]) <= 1e-8
 
-    def test_affine_independent_midpoint(self, g_affine_indep):
+    def test_affine_independent_midpoint(self, affine_indep_spec):
         for x in (-1.5, 0.4, 2.0):
-            assert material_at(g_affine_indep, 0.5, x)[0] == pytest.approx(4.0 * x, abs=1e-6)
+            assert material_at(affine_indep_spec, 0.5, x)[0] == pytest.approx(4.0 * x, abs=1e-6)
 
-    def test_trig_independent_vanishes(self, g_trig_indep):
+    def test_trig_independent_vanishes(self, trig_indep_spec):
         for t in (0.1, 0.5, 0.9):
-            assert abs(material_at(g_trig_indep, t, 0.7)[0]) <= 1e-8
+            assert abs(material_at(trig_indep_spec, t, 0.7)[0]) <= 1e-8
 
 
 class TestFromProcessSpec:
@@ -260,7 +234,7 @@ class TestFromProcessSpec:
             "deterministic_map", core.Empirical([[0.0], [1.0]]), core.Empirical([[0.0], [2.0]])
         )
         with pytest.raises(CapabilityError):
-            gaussian.from_process_spec(make_spec("affine", cpl))
+            gaussian.marginal_moments(core.ProcessSpec("affine", cpl, 1), 0.5)
 
     def test_mixture_rejected(self):
         mix = core.GaussianMixture(
@@ -268,29 +242,19 @@ class TestFromProcessSpec:
         )
         cpl = core.CouplingSpec("independent", mix, gauss1())
         with pytest.raises(CapabilityError):
-            gaussian.from_process_spec(make_spec("affine", cpl))
+            gaussian.marginal_moments(core.ProcessSpec("affine", cpl, 1), 0.5)
 
     @pytest.mark.parametrize("t, inside", [(0.0, 1e-9), (1.0, 1.0 - 1e-9)])
     def test_latent_velocity_at_the_ends_is_its_limit(self, latent_spec, t, inside):
         # g' is infinite where the bridge g = sqrt(t(1 - t)) is 0, but g g' is not
-        g = gaussian.from_process_spec(latent_spec)
         x = np.linspace(-3.0, 3.0, 7)[:, None]
-        v = gaussian.velocity_at(g, t, x)
+        v = gaussian.velocity_at(latent_spec, t, x)
         assert np.all(np.isfinite(v))
-        np.testing.assert_allclose(v, gaussian.velocity_at(g, inside, x), rtol=0, atol=1e-7)
-
-    def test_latent_end_limit_only_for_the_bridge(self, latent_spec):
-        bridge = latent_spec.gamma
-        doubled = core.Coefficient("2 sqrt(t(1-t))", lambda t: 2 * bridge(t),
-                                   lambda t: 2 * bridge.d1(t), lambda t: 2 * bridge.d2(t))
-        spec = dataclasses.replace(gaussian.from_process_spec(latent_spec), gamma=doubled)
-        gaussian.velocity_at(spec, 0.5, np.zeros(1))
-        with pytest.raises(CapabilityError):
-            gaussian.velocity_at(spec, 0.0, np.zeros(1))
+        np.testing.assert_allclose(v, gaussian.velocity_at(latent_spec, inside, x), rtol=0,
+                                   atol=1e-7)
 
     def test_latent_marginal_includes_bridge_variance(self, latent_spec):
-        g = gaussian.from_process_spec(latent_spec)
-        mom = gaussian.marginal_moments(g, 0.5)
+        mom = gaussian.marginal_moments(latent_spec, 0.5)
         # (1-t)^2 + t^2 + t(1-t) at t = 1/2
         assert mom.cov[0, 0] == pytest.approx(0.75, abs=1e-12)
 
@@ -319,12 +283,7 @@ def gaussian_processes(draw):
             cpl = core.CouplingSpec(kind, mu0, core.Gaussian(mu1.mean, spd(d)))
         else:
             cpl = core.CouplingSpec(kind, mu0, mu1, map=amap)
-    if coefficients == "trig":
-        spec = core.ProcessSpec(core.trig_alpha(), core.trig_beta(), cpl, d)
-    else:
-        spec = core.ProcessSpec(core.affine_alpha(), core.affine_beta(), cpl, d,
-                                core.bridge_gamma() if coefficients == "latent" else None)
-    return gaussian.from_process_spec(spec)
+    return core.ProcessSpec(coefficients, cpl, d)
 
 
 class TestTimeDerivatives:
@@ -347,11 +306,11 @@ class TestTimeDerivatives:
             scale = np.abs(diff).max() + np.abs(field).max()
             assert np.abs(exact - diff).max() <= 1e-7 * scale
 
-    def test_grid_view_carries_the_batch_derivatives(self, g_trig_indep):
-        grid = calculus.make_spatial_grid(gaussian.oracle_box(g_trig_indep, 0.3), 7)
-        f = gaussian.fields_on_grid(g_trig_indep, 0.3, grid, time_derivatives=True)
-        plain = gaussian.fields_on_grid(g_trig_indep, 0.3, grid)
-        batch = gaussian.conditional_fields_batch(g_trig_indep, 0.3, grid.points(), True)
+    def test_grid_view_carries_the_batch_derivatives(self, trig_indep_spec):
+        grid = calculus.make_spatial_grid(gaussian.oracle_box(trig_indep_spec, 0.3), 7)
+        f = gaussian.fields_on_grid(trig_indep_spec, 0.3, grid, time_derivatives=True)
+        plain = gaussian.fields_on_grid(trig_indep_spec, 0.3, grid)
+        batch = gaussian.conditional_fields_batch(trig_indep_spec, 0.3, grid.points(), True)
         for name in plain:
             assert np.array_equal(f[name], plain[name])
         for name, values in zip(("dt_rho", "dt_rho_v", "dt_v"), batch[5:]):

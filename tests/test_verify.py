@@ -53,7 +53,7 @@ class TestAffineStraightnessCheck:
 
     def test_unit_correlation_joint_consistent(self):
         cpl = core.gaussian_joint_coupling(np.zeros(2), np.array([[1.0, 1.0], [1.0, 1.0]]))
-        spec = core.ProcessSpec(core.affine_alpha(), core.affine_beta(), cpl, 1)
+        spec = core.ProcessSpec("affine", cpl, 1)
         report = verify.affine_straightness_check(spec, core.sample_endpoints(spec, 20_000, 23))
         assert report.verdict == "consistent"
         traces = [abs(v) for k, v in report.metrics.items() if k.startswith("tr_pi@")]
