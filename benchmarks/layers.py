@@ -39,6 +39,12 @@ Layers timed so far:
   quantile box) at seeds 3, 17 and 31: ``fields`` as the ``fields`` command
   takes it, and ``diagnose`` with the exact time derivatives, as the
   ``diagnose`` command takes it.
+- ``ensemble``: the ``simulate`` work, ``core.sample_endpoints`` then
+  ``core.save_ensemble`` into a temporary directory, for the trig
+  independent N(0, I) -> N(0, I) process at seed 31.  ``lab_1d`` is the
+  lab_1d benchmark workload's size (n = 5e4, K = 11, d = 1) and
+  ``2d_n1e5_k21`` a 2-D ensemble at n = 1e5, K = 21.  Each row also records
+  the file's size and the tracemalloc peak of one more untimed run.
 - ``kernel_flow``: the whole ``flow`` command through ``cli.main`` with the
   kernel velocity oracle (``source: estimate``) on the lab_2d benchmark
   workload's config (n = 2e4, ``time_steps`` 4), 20 start points from mu0,
@@ -59,6 +65,7 @@ import platform
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -72,9 +79,10 @@ from straightflow import calculus, cli, core, estimate, flow, verify  # noqa: E4
 REPEATS = 5
 
 _STD2 = {"family": "gaussian", "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+_TRIG_2D_PROCESS = {"coefficients": "trig", "dim": 2, "coupling": {
+    "kind": "independent", "mu0": _STD2, "mu1": _STD2}}
 _FIELDS_CONFIG = {
-    "process": {"coefficients": "trig", "dim": 2,
-                "coupling": {"kind": "independent", "mu0": _STD2, "mu1": _STD2}},
+    "process": _TRIG_2D_PROCESS,
     "n": 1, "seed": 31, "source": "oracle", "time": 0.5, "grid": {"nodes_per_axis": 120},
 }
 _FLOW_CONFIG = {
@@ -111,6 +119,12 @@ _KERNEL_1D = {
     "lab_1d_seed31": (50_000, 31),
     "n1e5_m4096": (100_000, 31),
 }
+# name -> (process, n, time_steps) of the simulate work
+_ENSEMBLE = {
+    "lab_1d": (_TRIG_1D_PROCESS, 50_000, 10),
+    "2d_n1e5_k21": (_TRIG_2D_PROCESS, 100_000, 20),
+}
+_ENSEMBLE_SEED = 31
 _KERNEL_ND_SEEDS = (3, 17, 31)
 _KERNEL_FLOW_SEEDS = (3, 17, 29)
 
@@ -295,6 +309,38 @@ def time_kernel_nd(calls: dict) -> dict:
     return out
 
 
+def time_ensemble(sizes: dict = _ENSEMBLE) -> dict:
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (process, n, steps) in sizes.items():
+            spec = cli.build_process_spec(_config({"process": process, "n": n,
+                                                   "seed": _ENSEMBLE_SEED}))
+            nodes = core.make_time_grid(steps).nodes
+            path = Path(tmp) / "ensemble.sflw"
+
+            def simulate():
+                endpoints = core.sample_endpoints(spec, n, _ENSEMBLE_SEED)
+                core.save_ensemble(spec, path, endpoints, nodes)
+
+            runs = time_runs(simulate)
+            tracemalloc.start()
+            try:
+                simulate()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            out[name] = {
+                "n": n,
+                "k": nodes.size,
+                "d": spec.dim,
+                "bytes": path.stat().st_size,
+                "peak_traced_mb": peak / 2**20,
+                "best_s": min(runs),
+                "runs_s": runs,
+            }
+    return out
+
+
 def time_kernel_flow() -> dict:
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -346,6 +392,7 @@ def main(argv=None) -> int:
         "layers": {"csv": time_csv(csv_tables()), "trace": time_trace(trace_slices()),
                    "kernel_1d": time_kernel_1d(kernel_1d_calls()),
                    "kernel_nd": time_kernel_nd(kernel_nd_calls()),
+                   "ensemble": time_ensemble(),
                    "kernel_flow": time_kernel_flow()},
     }
     path = ROOT / ".benchmarks" / f"BENCH_{args.label}.json"
@@ -365,6 +412,10 @@ def main(argv=None) -> int:
     for name, row in report["layers"]["kernel_nd"].items():
         print(f"kernel_nd.{name}: {row['best_s']:.4f} s best of {REPEATS} "
               f"(n={row['n']}, {row['nodes']} nodes)")
+    for name, row in report["layers"]["ensemble"].items():
+        print(f"ensemble.{name}: {row['best_s']:.4f} s best of {REPEATS} "
+              f"(n={row['n']}, K={row['k']}, d={row['d']}, {row['bytes']} bytes, "
+              f"traced peak {row['peak_traced_mb']:.1f} MB)")
     for name, row in report["layers"]["kernel_flow"].items():
         print(f"kernel_flow.{name}: {row['best_s']:.4f} s best of {REPEATS} "
               f"(exit {row['exit']}, reference steps {row['reference_steps_used']}, "

@@ -291,7 +291,7 @@ def _csv_blocks(lead, values):
         raise InvalidArgumentError(f"the lead product has {math.prod(sizes)} rows, not {n}")
     lead = [np.array(cells, dtype=object) for cells in lead]
     bits = values.view(np.int64).ravel()
-    order = np.argsort(bits, kind="stable")
+    order = np.argsort(bits)  # equal bits share one text: order within a run is moot
     sorted_bits = bits[order]
     first = np.ones(bits.size, dtype=bool)  # the first of each run of equal bits
     np.not_equal(sorted_bits[1:], sorted_bits[:-1], out=first[1:])

@@ -388,8 +388,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: _Outputs) -> int:
     spec = build_process_spec(cfg)
     grid = core.make_time_grid(cfg["time_steps"])
     endpoints = core.sample_endpoints(spec, cfg["n"], cfg["seed"])
-    states = core.slice_state(spec, endpoints, grid.nodes)
-    out.write("ensemble.sflw", lambda path: core.save_ensemble(states, path))
+    out.write("ensemble.sflw", lambda path: core.save_ensemble(spec, path, endpoints, grid.nodes))
     print(
         f"simulate: wrote {out.dir / 'ensemble.sflw'} "
         f"(N={endpoints.n}, K={grid.n_nodes}, d={spec.dim})"

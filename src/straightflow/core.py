@@ -525,19 +525,30 @@ def slice_state(
 # ---------------------------------------------------------------------------
 
 ENSEMBLE_MAGIC = b"SFLW1"
+# Bytes of positions, velocities and accelerations the ensemble writer slices
+# at once; slice_state's temporaries add at most two thirds of that again.
+_ENSEMBLE_BLOCK_BYTES = 1 << 20
 
 
-def save_ensemble(states, path) -> None:
-    """Write the ``(positions, velocities, accelerations)`` triple of (N, K, d)
-    arrays that ``slice_state(spec, endpoints, grid.nodes)`` returns in the
-    flat binary format: magic, N/K/d as little-endian u64, then row-major
-    float64 positions, velocities, accelerations."""
-    n, k, d = states[0].shape
+def save_ensemble(spec: ProcessSpec, path, endpoints: EndpointArrays, nodes) -> None:
+    """Write ``slice_state(spec, endpoints, nodes)`` in the flat binary
+    format: magic, N/K/d as little-endian u64, then row-major float64
+    positions, velocities, accelerations, each (N, K, d).  The rows are
+    sliced a block of about ``_ENSEMBLE_BLOCK_BYTES`` at a time, each part
+    written at its offset; slice_state is elementwise per row, so the bytes
+    are those of the whole grid's slice, which is never held."""
+    n, k, d = endpoints.n, len(nodes), spec.dim
+    rows, part = max(1, _ENSEMBLE_BLOCK_BYTES // (24 * k * d)), 8 * n * k * d
     with open(path, "wb") as fh:
-        fh.write(ENSEMBLE_MAGIC)
-        fh.write(struct.pack("<QQQ", n, k, d))
-        for arr in states:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(ENSEMBLE_MAGIC + struct.pack("<QQQ", n, k, d))
+        for lo in range(0, n, rows):
+            cut = slice(lo, lo + rows)
+            z = None if endpoints.z is None else endpoints.z[cut]
+            block = EndpointArrays(endpoints.x0[cut], endpoints.x1[cut], z, endpoints.seed)
+            for i, arr in enumerate(slice_state(spec, block, nodes)):
+                fh.seek(len(ENSEMBLE_MAGIC) + 24 + i * part + 8 * lo * k * d)
+                fh.write(np.ascontiguousarray(arr, dtype="<f8"))
+            del arr  # freed before the next block is sliced
 
 
 def load_ensemble(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -559,7 +570,7 @@ def load_ensemble(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 f"N={n}, K={k}, d={d}"
             )
         return tuple(
-            np.frombuffer(fh.read(8 * n * k * d), dtype="<f8").reshape(n, k, d).astype(float)
+            np.fromfile(fh, "<f8", n * k * d).reshape(n, k, d).astype(float, copy=False)
             for _ in range(3)
         )
 

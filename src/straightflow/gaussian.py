@@ -162,13 +162,15 @@ def conditional_fields_batch(
     blocks = _endpoint_blocks(spec)
     model = _conditional_model(spec, blocks, t)
     a, ad, add, b, bd, bdd, g, gd, gdd = model.coefs
-    m0, m1, S00, S01, S11 = blocks
-    C_a = _cross(blocks, a, add, b, bdd, gdd * g)
-    cov_v = ad * ad * S00 + ad * bd * (S01 + S01.T) + bd * bd * S11 + gd * gd * np.eye(spec.dim)
-    if not np.all(np.isfinite(cov_v)):
+    # refused before any product: at an infinite g', g' g' I is inf * 0 = nan
+    # off the diagonal, and numpy would warn of it on stderr
+    if not np.all(np.isfinite(model.coefs)):
         raise InvalidArgumentError(
             f"Cov(dX_t) is infinite at t={t}, where a coefficient's derivative diverges"
         )
+    m0, m1, S00, S01, S11 = blocks
+    C_a = _cross(blocks, a, add, b, bdd, gdd * g)
+    cov_v = ad * ad * S00 + ad * bd * (S01 + S01.T) + bd * bd * S11 + gd * gd * np.eye(spec.dim)
     Ja = C_a @ model.cov_inv
     Pi = cov_v - model.Jv @ model.C_v.T
     Pi = 0.5 * (Pi + Pi.T)

@@ -25,6 +25,15 @@ def test_layer_bench_builds_the_csv_tables():
             assert math.prod(len(cells) for cells in lead) == values.shape[0]
 
 
+def test_layer_bench_times_the_ensemble_writer():
+    layers = load("layers")
+    rows = layers.time_ensemble({"tiny": (layers._TRIG_2D_PROCESS, 50, 3)})
+    row = rows["tiny"]
+    assert (row["n"], row["k"], row["d"]) == (50, 4, 2)
+    assert row["bytes"] == 29 + 24 * 50 * 4 * 2
+    assert len(row["runs_s"]) == layers.REPEATS and row["peak_traced_mb"] > 0
+
+
 def test_output_copy_runs_the_oracle_workload(tmp_path):
     failures = load("outputs").write_outputs(cli, [3], tmp_path, scale="tiny",
                                              names=("oracle_2d",))

@@ -125,7 +125,7 @@ class TestSimulate:
         assert manifest["rng_layout"] == core.RNG_LAYOUT
 
     def test_failed_write_leaves_no_ensemble(self, tmp_path, monkeypatch):
-        def fail_part_way(ensemble, path):
+        def fail_part_way(spec, path, endpoints, nodes):
             with open(path, "wb") as fh:
                 fh.write(b"SFLW1")
             raise OSError("disk full")
@@ -319,6 +319,20 @@ class TestDiagnose:
         assert cli.main(["diagnose", "--config", str(cfg_path), "--time", t]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+        assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
+    @pytest.mark.parametrize("argv", [["fields", "--source", "oracle", "--time", "0"],
+                                      ["diagnose", "--time", "0"], ["diagnose", "--time", "1"]])
+    def test_latent_2d_oracle_at_the_ends_one_stderr_line(self, tmp_path, capsys, argv):
+        # in 2-D g'^2 I would put inf * 0 off the diagonal; the refusal comes
+        # first, so numpy prints no warning before the config error
+        std2 = {"family": "gaussian", "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+        process = {"coefficients": "latent", "dim": 2,
+                   "coupling": {"kind": "independent", "mu0": std2, "mu1": std2}}
+        cfg_path, out = write_config(tmp_path, process=process, grid={"nodes_per_axis": 12})
+        assert cli.main([argv[0], "--config", str(cfg_path), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: Cov(dX_t) is infinite") and err.count("\n") == 1
         assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
 
 

@@ -1,6 +1,10 @@
 import hashlib
 import os
+import struct
 import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -323,11 +327,25 @@ class TestCoefficients:
             core.ProcessSpec("cubic", cpl, 1)
 
 
+def write_ensemble(spec, n, grid, seed, path):
+    """``simulate``'s file for n sampled paths of ``spec`` on ``grid``."""
+    core.save_ensemble(spec, path, core.sample_endpoints(spec, n, seed), grid.nodes)
+
+
+def whole_layout(spec, endpoints, nodes) -> list:
+    """The header and the three payload parts of ``ensemble.sflw``, built in
+    memory from the whole grid's slice."""
+    states = core.slice_state(spec, endpoints, nodes)
+    n, k, d = states[0].shape
+    return [b"SFLW1" + struct.pack("<QQQ", n, k, d)] + [
+        np.ascontiguousarray(arr, dtype="<f8").tobytes() for arr in states]
+
+
 class TestEnsembleFile:
     def test_roundtrip(self, tmp_path, affine_indep_spec):
         ens = path_states(affine_indep_spec, 64, core.make_time_grid(3), seed=13)
         path = tmp_path / "e.sflw"
-        core.save_ensemble(ens, path)
+        write_ensemble(affine_indep_spec, 64, core.make_time_grid(3), 13, path)
         loaded = core.load_ensemble(path)
         assert len(loaded) == 3
         for got, want in zip(loaded, ens):
@@ -335,9 +353,8 @@ class TestEnsembleFile:
         assert loaded[0].shape[1] == 4
 
     def test_header_layout(self, tmp_path, affine_indep_spec):
-        ens = path_states(affine_indep_spec, 7, core.make_time_grid(2), seed=13)
         path = tmp_path / "e.sflw"
-        core.save_ensemble(ens, path)
+        write_ensemble(affine_indep_spec, 7, core.make_time_grid(2), 13, path)
         raw = path.read_bytes()
         assert raw[:5] == b"SFLW1"
         dims = np.frombuffer(raw[5:29], dtype="<u8")
@@ -346,31 +363,73 @@ class TestEnsembleFile:
 
     @settings(max_examples=40)
     @given(
-        n=st.integers(1, 40),
+        kind=st.sampled_from(["affine", "trig", "latent"]),
         steps=st.integers(1, 12),
         d=st.integers(1, 3),
+        rows=st.integers(2, 6),
+        slack=st.floats(0.0, 1.0, exclude_max=True),
+        size=st.sampled_from(["one", "block - 1", "block", "block + 1", "several"]),
+        blocks=st.integers(2, 5),
         seed=st.integers(0, 2**32 - 1),
         non_finite=st.booleans(),
     )
-    def test_roundtrip_property(self, n, steps, d, seed, non_finite):
-        # every bit of every array comes back, on the same time grid
+    def test_roundtrip_property(self, kind, steps, d, rows, slack, size, blocks, seed,
+                                non_finite):
+        # the streamed file is the whole grid's layout byte for byte, and
+        # every bit of it comes back, on the same time grid; the block holds
+        # ``rows`` rows, whatever part of a row's bytes the budget has left over
+        k = steps + 1
+        budget = 24 * k * d * rows + int(slack * 24 * k * d)
+        n = {"one": 1, "block - 1": rows - 1, "block": rows, "block + 1": rows + 1,
+             "several": blocks * rows + seed % rows}[size]
         rng = np.random.default_rng(seed)
-        grid = core.make_time_grid(steps)
-        arrays = tuple(rng.standard_normal((n, steps + 1, d)) * 10.0 ** rng.integers(-300, 300)
-                       for _ in range(3))
+        parts = [rng.standard_normal((n, d)) * 10.0 ** rng.integers(-300, 300)
+                 for _ in range(3 if kind == "latent" else 2)]
         if non_finite:
-            for arr in arrays:
-                arr.flat[rng.integers(0, arr.size, size=3)] = [np.inf, -np.inf, np.nan]
-        with tempfile.TemporaryDirectory() as tmp:
+            # into one array only: a NaN + NaN sum may return either NaN, and
+            # numpy's vector body and scalar tail differ in which, so with two
+            # non-finite arrays the whole grid's bits would hang on the row count
+            arr = parts[rng.integers(len(parts))]
+            arr.flat[rng.integers(0, arr.size, size=3)] = [np.inf, -np.inf, np.nan]
+        endpoints = core.EndpointArrays(*parts[:2], parts[2] if kind == "latent" else None, seed)
+        cpl = core.CouplingSpec("independent", core.Gaussian(np.zeros(d), np.eye(d)),
+                                core.Gaussian(np.zeros(d), np.eye(d)))
+        spec = core.ProcessSpec(kind, cpl, d)
+        grid = core.make_time_grid(steps)
+        with tempfile.TemporaryDirectory() as tmp, np.errstate(invalid="ignore"), \
+                mock.patch.object(core, "_ENSEMBLE_BLOCK_BYTES", budget):
             path = os.path.join(tmp, "e.sflw")
-            core.save_ensemble(arrays, path)
+            core.save_ensemble(spec, path, endpoints, grid.nodes)
+            raw = Path(path).read_bytes()
             loaded = core.load_ensemble(path)
+            want = whole_layout(spec, endpoints, grid.nodes)
+        assert raw == b"".join(want)
         assert len(loaded) == 3
-        for got, want in zip(loaded, arrays):
-            assert got.tobytes() == want.tobytes()
+        for got, part in zip(loaded, want[1:]):
+            assert got.dtype == float and got.shape == (n, k, d)
+            assert got.tobytes() == part
         loaded_grid = core.make_time_grid(loaded[0].shape[1] - 1)
         assert np.array_equal(loaded_grid.nodes, grid.nodes)
         assert loaded_grid.step == grid.step
+
+    def test_writer_memory_bounded_by_its_block(self, tmp_path, latent_spec):
+        # a file of at least 16 blocks is written holding under 1/8 of it:
+        # one block's slice and its temporaries, never the whole grid's
+        spec, k, d = latent_spec, 11, latent_spec.dim
+        n = 17 * core._ENSEMBLE_BLOCK_BYTES // (24 * k * d)
+        endpoints = core.sample_endpoints(spec, n, seed=5)
+        nodes = core.make_time_grid(k - 1).nodes
+        path = tmp_path / "big.sflw"
+        tracemalloc.start()
+        try:
+            core.save_ensemble(spec, path, endpoints, nodes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size >= 16 * core._ENSEMBLE_BLOCK_BYTES
+        assert peak < size / 8
+        assert path.read_bytes() == b"".join(whole_layout(spec, endpoints, nodes))
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.sflw"
@@ -386,7 +445,7 @@ class TestEnsembleFile:
 
     def test_truncated_payload_rejected(self, tmp_path, affine_indep_spec):
         path = tmp_path / "e.sflw"
-        core.save_ensemble(path_states(affine_indep_spec, 7, core.make_time_grid(2), seed=13), path)
+        write_ensemble(affine_indep_spec, 7, core.make_time_grid(2), 13, path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(InvalidArgumentError, match="payload"):
             core.load_ensemble(path)
@@ -400,7 +459,7 @@ class TestEnsembleFile:
 
     def test_trailing_bytes_rejected(self, tmp_path, affine_indep_spec):
         path = tmp_path / "e.sflw"
-        core.save_ensemble(path_states(affine_indep_spec, 7, core.make_time_grid(2), seed=13), path)
+        write_ensemble(affine_indep_spec, 7, core.make_time_grid(2), 13, path)
         path.write_bytes(path.read_bytes() + b"\0")
         with pytest.raises(InvalidArgumentError, match="payload"):
             core.load_ensemble(path)
@@ -411,6 +470,6 @@ class TestEnsembleFile:
         ens = path_states(latent_spec, 16, core.make_time_grid(4), seed=14)
         assert not np.all(np.isfinite(ens[1][:, 0, :]))
         path = tmp_path / "latent.sflw"
-        core.save_ensemble(ens, path)
+        write_ensemble(latent_spec, 16, core.make_time_grid(4), 14, path)
         loaded = core.load_ensemble(path)
         assert np.array_equal(loaded[1], ens[1])
