@@ -169,9 +169,9 @@ def csv_tables() -> dict:
     spec = cli.build_process_spec(cfg)
     oracle = flow.analytic_velocity_oracle(spec)
     sgrid = cli._resolve_spatial_grid(cfg, spec, 0.0)
-    tgrid = core.make_time_grid(cfg["flow"]["steps"])
-    result = flow.flow_map(oracle, sgrid.interior_points(), tgrid, "rk4")
-    lead = [[str(i) for i in result.kept], [repr(x) for x in tgrid.nodes.tolist()]]
+    steps = cfg["flow"]["steps"]
+    result = flow.flow_map(oracle, sgrid.interior_points(), steps, "rk4")
+    lead = [[str(i) for i in result.kept], [repr(x) for x in core.time_nodes(steps).tolist()]]
     trajectories = [(lead, result.states[result.kept].reshape(-1, spec.dim))]
     return {"fields": fields, "diagnose": diagnose, "flow": trajectories}
 
@@ -229,13 +229,13 @@ def kernel_1d_calls() -> dict:
     """(X, V, queries, h) of each ``_KERNEL_1D`` entry: the arguments
     ``verify.geometric_report`` hands ``nw_regress`` at t = 0.5 on a
     10-step time grid."""
-    grid = core.make_time_grid(10)
-    t_index = grid.index_of(0.5)
+    steps = 10
+    t_index = cli._node_index(0.5, steps)
     out = {}
     for name, (n, seed) in _KERNEL_1D.items():
         spec = cli.build_process_spec(_config({"process": _TRIG_1D_PROCESS, "n": n, "seed": seed}))
         X, V, _ = core.slice_state(spec, core.sample_endpoints(spec, n, seed),
-                                   float(grid.nodes[t_index]))
+                                   float(core.time_nodes(steps)[t_index]))
         m = min(verify._DEFAULT_M_EVAL, n)
         idx = core.aux_rng(seed, 200 + t_index).choice(n, size=m, replace=False)
         h = estimate.silverman_bandwidth_from(X) * verify._TRACE_BANDWIDTH_FACTOR
@@ -315,12 +315,11 @@ def time_ensemble(sizes: dict = _ENSEMBLE) -> dict:
         for name, (process, n, steps) in sizes.items():
             spec = cli.build_process_spec(_config({"process": process, "n": n,
                                                    "seed": _ENSEMBLE_SEED}))
-            nodes = core.make_time_grid(steps).nodes
             path = Path(tmp) / "ensemble.sflw"
 
             def simulate():
                 endpoints = core.sample_endpoints(spec, n, _ENSEMBLE_SEED)
-                core.save_ensemble(spec, path, endpoints, nodes)
+                core.save_ensemble(spec, path, endpoints, steps)
 
             runs = time_runs(simulate)
             tracemalloc.start()
@@ -331,7 +330,7 @@ def time_ensemble(sizes: dict = _ENSEMBLE) -> dict:
                 tracemalloc.stop()
             out[name] = {
                 "n": n,
-                "k": nodes.size,
+                "k": steps + 1,
                 "d": spec.dim,
                 "bytes": path.stat().st_size,
                 "peak_traced_mb": peak / 2**20,

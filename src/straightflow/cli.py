@@ -231,8 +231,12 @@ def load_config(path) -> ExperimentConfig:
         text = Path(path).read_text()
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
+
+    def refuse(literal: str):  # json accepts NaN, Infinity and -Infinity
+        raise ConfigError(f"config {path} holds the non-finite number {literal}")
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=refuse)
     except json.JSONDecodeError as err:
         raise ConfigError(
             f"config {path} is not valid JSON: line {err.lineno} column {err.colno}: {err.msg}"
@@ -386,12 +390,12 @@ def _kernel_config(cfg: ExperimentConfig):
 
 def cmd_simulate(cfg: ExperimentConfig, out: _Outputs) -> int:
     spec = build_process_spec(cfg)
-    grid = core.make_time_grid(cfg["time_steps"])
+    steps = cfg["time_steps"]
     endpoints = core.sample_endpoints(spec, cfg["n"], cfg["seed"])
-    out.write("ensemble.sflw", lambda path: core.save_ensemble(spec, path, endpoints, grid.nodes))
+    out.write("ensemble.sflw", lambda path: core.save_ensemble(spec, path, endpoints, steps))
     print(
         f"simulate: wrote {out.dir / 'ensemble.sflw'} "
-        f"(N={endpoints.n}, K={grid.n_nodes}, d={spec.dim})"
+        f"(N={endpoints.n}, K={steps + 1}, d={spec.dim})"
     )
     return EXIT_OK
 
@@ -470,25 +474,30 @@ def cmd_diagnose(cfg: ExperimentConfig, out: _Outputs, t: float) -> int:
     return EXIT_OK
 
 
+def _node_index(t: float, steps: int) -> int:
+    """Index of the node of ``core.time_nodes(steps)`` within 1e-9 of ``t``."""
+    k = int(round(t * steps))
+    if not 0 <= k <= steps or abs(core.time_nodes(steps)[k] - t) > 1e-9:
+        raise ConfigError(f"time {t} is not a grid node", "time")
+    return k
+
+
 def cmd_verify(cfg: ExperimentConfig, out: _Outputs, theorem: str) -> int:
     spec = build_process_spec(cfg)
+    steps, floor = cfg["time_steps"], cfg["density_floor"]
+    # an off-grid time is refused before anything is sampled
+    t_index = _node_index(cfg["time"], steps) if theorem == "geometric" else None
     endpoints = core.sample_endpoints(spec, cfg["n"], cfg["seed"])
-    floor = cfg["density_floor"]
     if theorem == "affine":
         report = verify.affine_straightness_check(
             spec, endpoints, tuple(cfg["time_nodes"]), density_floor=floor
         )
+    elif theorem == "geometric":
+        report = verify.geometric_report(spec, endpoints, steps, t_index, density_floor=floor)
     else:
-        grid = core.make_time_grid(cfg["time_steps"])
-        if theorem == "geometric":
-            report = verify.geometric_report(
-                spec, endpoints, grid, grid.index_of(cfg["time"]), density_floor=floor
-            )
-        else:
-            report = verify.determinism_detector(
-                spec, endpoints, grid, ratio=cfg["tolerances"]["trace_ratio"],
-                density_floor=floor,
-            )
+        report = verify.determinism_detector(
+            spec, endpoints, steps, ratio=cfg["tolerances"]["trace_ratio"], density_floor=floor
+        )
     out.write(f"theorem_{theorem}.json", _json_text(report.to_json_dict()))
     print(f"verify[{theorem}]: verdict={report.verdict}")
     return {
@@ -518,7 +527,7 @@ def _read_points(path: str, dim: int) -> np.ndarray:
 
 def cmd_flow(cfg: ExperimentConfig, out: _Outputs, points_file: str | None, use_grid: bool,
              scheme: str, steps: int) -> int:
-    tgrid = core.make_time_grid(steps)
+    nodes = core.time_nodes(steps)  # refuses a bad --steps before anything is sampled
     spec = build_process_spec(cfg)
     source = cfg["source"]
     sample = None
@@ -537,12 +546,12 @@ def cmd_flow(cfg: ExperimentConfig, out: _Outputs, points_file: str | None, use_
     else:
         pts = spec.coupling.mu0.draw(core.aux_rng(cfg["seed"], 4), cfg["flow"]["n_points"])
 
-    result = flow.flow_map(oracle, pts, tgrid, scheme)
+    result = flow.flow_map(oracle, pts, steps, scheme)
     one_step = flow.one_step_error(oracle, pts, reference_steps=cfg["flow"]["reference_steps"])
 
     kept = result.kept
     states = result.states[kept]
-    dev = flow.straightness_deviation(states, tgrid) if tgrid.n_nodes >= 3 else None
+    dev = flow.straightness_deviation(states) if steps >= 2 else None
     per_point = {i: {"point": i, "error": str(err)} for i, err in result.errors}
     for j, i in enumerate(kept):
         one = float(one_step.errors[i])
@@ -553,7 +562,7 @@ def cmd_flow(cfg: ExperimentConfig, out: _Outputs, points_file: str | None, use_
 
     # one row per kept point and time node, streamed: the text is never held whole
     states = states.reshape(-1, spec.dim)
-    lead = [[str(i) for i in kept], [repr(t) for t in tgrid.nodes.tolist()]]
+    lead = [[str(i) for i in kept], [repr(t) for t in nodes.tolist()]]
 
     def write_trajectories(path: Path) -> None:
         with open(path, "w") as fh:
@@ -621,6 +630,8 @@ def cmd_sweep(cfg: ExperimentConfig, out: _Outputs, param: str, values: list[str
         parsed = [caster(v) for v in values]
     except ValueError as err:
         raise ConfigError(f"sweep value not a {caster.__name__}: {err}", "values") from err
+    if param == "time":
+        parsed = [_time(cfg, t) for t in parsed]
 
     seeds = cfg.get("seeds") or [cfg["seed"]]
     heads, metric_values = [], []

@@ -1,4 +1,4 @@
-"""Interpolant processes, endpoint couplings, time grids and path sampling.
+"""Interpolant processes, endpoint couplings, time nodes and path sampling.
 
 A process is ``X_t = alpha(t) X0 + beta(t) X1 + gamma(t) Z`` with ``(X0, X1)``
 drawn from a coupling of the endpoint distributions and ``Z`` a standard
@@ -29,9 +29,8 @@ __all__ = [
     "AffineMap",
     "CouplingSpec",
     "ProcessSpec",
-    "TimeGrid",
     "EndpointArrays",
-    "make_time_grid",
+    "time_nodes",
     "sample_endpoints",
     "slice_state",
     "save_ensemble",
@@ -213,12 +212,12 @@ Distribution = Gaussian | GaussianMixture | Empirical
 
 
 def _check_cov(cov: np.ndarray, what: str) -> None:
-    """Refuse a covariance that is not symmetric, not finite, or indefinite:
+    """Refuse a covariance that is not finite, not symmetric, or indefinite:
     its lowest eigenvalue below -1e-10 max(trace, 1)."""
-    if not np.allclose(cov, cov.T, atol=1e-12):
-        raise InvalidArgumentError(f"{what} must be symmetric")
     if not np.all(np.isfinite(cov)):
         raise NonFiniteDataError(f"{what} must be finite")
+    if not np.allclose(cov, cov.T, atol=1e-12):
+        raise InvalidArgumentError(f"{what} must be symmetric")
     if np.linalg.eigvalsh(cov).min() < -1e-10 * max(float(np.trace(cov)), 1.0):
         raise InvalidArgumentError(f"{what} is not positive semidefinite")
 
@@ -318,11 +317,10 @@ class CouplingSpec:
         )
         if cov.shape != (2 * d, 2 * d) or mean.size != 2 * d:
             raise InvalidCouplingError("joint mean/covariance have wrong shape")
-        if not np.allclose(cov, cov.T, atol=1e-12):
-            raise InvalidCouplingError("joint covariance must be symmetric")
-        eigs = np.linalg.eigvalsh(cov)
-        if eigs.min() < -1e-10 * max(float(np.trace(cov)), 1.0):
-            raise InvalidCouplingError("joint covariance is not positive semidefinite")
+        try:
+            _check_cov(cov, "joint covariance")
+        except (InvalidArgumentError, NonFiniteDataError) as err:
+            raise InvalidCouplingError(str(err)) from err
         object.__setattr__(self, "joint_mean", _readonly(mean))
         object.__setattr__(self, "joint_cov", _readonly(cov))
 
@@ -365,50 +363,15 @@ class ProcessSpec:
 
 
 # ---------------------------------------------------------------------------
-# time grid
+# time nodes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform grid of times spanning [0, 1]."""
-
-    nodes: np.ndarray
-
-    def __post_init__(self):
-        nodes = _readonly(np.atleast_1d(self.nodes))
-        if nodes.size < 2:
-            raise InvalidArgumentError("time grid needs at least two nodes")
-        if nodes[0] != 0.0 or nodes[-1] != 1.0:
-            raise InvalidArgumentError("time grid must span [0, 1] exactly")
-        diffs = np.diff(nodes)
-        if np.any(diffs <= 0):
-            raise InvalidArgumentError("time nodes must be strictly increasing")
-        step = 1.0 / (nodes.size - 1)
-        if np.abs(diffs - step).max() > 1e-12 * max(abs(step), 1.0):
-            raise InvalidArgumentError("time grid spacing must be uniform")
-        object.__setattr__(self, "nodes", nodes)
-
-    @property
-    def step(self) -> float:
-        return 1.0 / (self.nodes.size - 1)
-
-    @property
-    def n_nodes(self) -> int:
-        return int(self.nodes.size)
-
-    def index_of(self, t: float) -> int:
-        """Index of the grid node equal to ``t`` (within rounding)."""
-        k = int(round(t / self.step))
-        if k < 0 or k >= self.n_nodes or abs(self.nodes[k] - t) > 1e-9:
-            raise InvalidArgumentError(f"time {t} is not a grid node")
-        return k
-
-
-def make_time_grid(n_steps: int) -> TimeGrid:
-    """Uniform grid with ``n_steps`` intervals on [0, 1]."""
-    if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
-        raise InvalidArgumentError("n_steps must be a positive integer")
-    return TimeGrid(np.linspace(0.0, 1.0, int(n_steps) + 1))
+def time_nodes(steps: int) -> np.ndarray:
+    """The ``steps + 1`` uniform time nodes on [0, 1], read-only: every time
+    grid of the laboratory is its step count."""
+    if not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise InvalidArgumentError(f"steps must be a positive integer, not {steps}")
+    return _readonly(np.linspace(0.0, 1.0, int(steps) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -530,14 +493,16 @@ ENSEMBLE_MAGIC = b"SFLW1"
 _ENSEMBLE_BLOCK_BYTES = 1 << 20
 
 
-def save_ensemble(spec: ProcessSpec, path, endpoints: EndpointArrays, nodes) -> None:
-    """Write ``slice_state(spec, endpoints, nodes)`` in the flat binary
-    format: magic, N/K/d as little-endian u64, then row-major float64
-    positions, velocities, accelerations, each (N, K, d).  The rows are
-    sliced a block of about ``_ENSEMBLE_BLOCK_BYTES`` at a time, each part
-    written at its offset; slice_state is elementwise per row, so the bytes
-    are those of the whole grid's slice, which is never held."""
-    n, k, d = endpoints.n, len(nodes), spec.dim
+def save_ensemble(spec: ProcessSpec, path, endpoints: EndpointArrays, steps: int) -> None:
+    """Write ``slice_state(spec, endpoints, time_nodes(steps))`` in the flat
+    binary format: magic, N/K/d as little-endian u64 (K = steps + 1), then
+    row-major float64 positions, velocities, accelerations, each (N, K, d).
+    The rows are sliced a block of about ``_ENSEMBLE_BLOCK_BYTES`` at a
+    time, each part written at its offset; slice_state is elementwise per
+    row, so the bytes are those of the whole grid's slice, which is never
+    held."""
+    nodes = time_nodes(steps)
+    n, k, d = endpoints.n, nodes.size, spec.dim
     rows, part = max(1, _ENSEMBLE_BLOCK_BYTES // (24 * k * d)), 8 * n * k * d
     with open(path, "wb") as fh:
         fh.write(ENSEMBLE_MAGIC + struct.pack("<QQQ", n, k, d))
@@ -553,8 +518,8 @@ def save_ensemble(spec: ProcessSpec, path, endpoints: EndpointArrays, nodes) -> 
 
 def load_ensemble(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read the ``(positions, velocities, accelerations)`` triple written by
-    :func:`save_ensemble`; K, the second axis, gives the grid.  The file's
-    size must be the one its header implies."""
+    :func:`save_ensemble`; K, the second axis, is the step count plus one.
+    The file's size must be the one its header implies."""
     with open(path, "rb") as fh:
         magic = fh.read(len(ENSEMBLE_MAGIC))
         if magic != ENSEMBLE_MAGIC:

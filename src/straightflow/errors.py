@@ -32,14 +32,12 @@ class NonFiniteDataError(StraightflowError):
 class LowDensityError(StraightflowError):
     """Too little effective sample mass near the query point.
 
-    Carries the smallest offending effective sample size so callers can
-    report or mask, and, for a batched query, the indices ``rows`` of the
-    refused query points (``None`` when the whole query is refused).
+    For a batched query it carries the indices ``rows`` of the refused query
+    points (``None`` when the whole query is refused).
     """
 
-    def __init__(self, message: str, effective_n: float = 0.0, rows=None):
+    def __init__(self, message: str, rows=None):
         super().__init__(message)
-        self.effective_n = effective_n
         self.rows = rows
 
 

@@ -71,8 +71,8 @@ class KernelConfig:
         if isinstance(self.bandwidth, str):
             if self.bandwidth != "silverman":
                 raise InvalidArgumentError(f"unknown bandwidth rule {self.bandwidth!r}")
-        elif not self.bandwidth > 0:
-            raise InvalidArgumentError("explicit bandwidth must be positive")
+        elif not 0 < self.bandwidth < np.inf:
+            raise InvalidArgumentError("explicit bandwidth must be positive and finite")
         if self.density_floor < 0:
             raise InvalidArgumentError("density_floor must be nonnegative")
 

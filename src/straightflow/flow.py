@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from . import calculus, estimate
-from .core import EndpointArrays, ProcessSpec, TimeGrid, make_time_grid, slice_state
+from .core import EndpointArrays, ProcessSpec, slice_state, time_nodes
 from .errors import (
     InvalidArgumentError,
     LowDensityError,
@@ -129,7 +129,7 @@ def kernel_velocity_oracle(
         if np.any(bad):
             raise LowDensityError(
                 f"effective_n {eff[bad].min():.3g} below floor {cfg.density_floor} at t={t:.6g}",
-                float(eff[bad].min()), rows=np.flatnonzero(bad),
+                rows=np.flatnonzero(bad),
             )
         return out[0] if single else out
 
@@ -153,8 +153,9 @@ def _step(oracle: VelocityOracle, t: float, x: np.ndarray, h: float, scheme: str
     return x + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _march(oracle: VelocityOracle, points, grid: TimeGrid, scheme: str, history: bool = True):
-    """The stepping loop: all (M, d) start points advance together on the grid.
+def _march(oracle: VelocityOracle, points, steps: int, scheme: str, history: bool = True):
+    """The stepping loop: all (M, d) start points advance together through
+    ``steps`` uniform steps on [0, 1].
 
     A point whose oracle query is refused or whose state turns non-finite
     stops at its last node; the step is redone for the others.  Returns the
@@ -166,8 +167,8 @@ def _march(oracle: VelocityOracle, points, grid: TimeGrid, scheme: str, history:
     if scheme not in _SCHEMES:
         raise InvalidArgumentError(f"unknown scheme {scheme!r}; pick from {_SCHEMES}")
     X = np.atleast_2d(np.asarray(points, dtype=float)).copy()
-    nodes = grid.nodes
-    keep = grid.n_nodes if history else 1
+    nodes = time_nodes(steps)
+    keep = nodes.size if history else 1
     states = np.full((X.shape[0], keep, X.shape[1]), np.nan)
     states[:, 0, :] = X
     ids = np.arange(X.shape[0])  # index of each row of X among the start points
@@ -184,7 +185,7 @@ def _march(oracle: VelocityOracle, points, grid: TimeGrid, scheme: str, history:
         live = ids
 
     k = 0
-    while k < grid.n_nodes - 1 and ids.size:
+    while k < steps and ids.size:
         t, h = float(nodes[k]), float(nodes[k + 1] - nodes[k])
         excursions = oracle.stats.excursions
         try:
@@ -226,14 +227,12 @@ class FlowMapResult:
         return [i for i in range(self.states.shape[0]) if i not in failed]
 
 
-def flow_map(
-    oracle: VelocityOracle, points, grid: TimeGrid, scheme: str = "rk4"
-) -> FlowMapResult:
-    """Integrate all points together along the grid; order is preserved and
-    per-point errors are collected: a TrajectoryLeftSupportError with the
-    partial trajectory for a refused point, an InvalidArgumentError for a
-    non-finite state."""
-    states, errors = _march(oracle, points, grid, scheme)
+def flow_map(oracle: VelocityOracle, points, steps: int, scheme: str = "rk4") -> FlowMapResult:
+    """Integrate all points together through ``steps`` uniform steps on
+    [0, 1]; order is preserved and per-point errors are collected: a
+    TrajectoryLeftSupportError with the partial trajectory for a refused
+    point, an InvalidArgumentError for a non-finite state."""
+    states, errors = _march(oracle, points, steps, scheme)
     return FlowMapResult(states, sorted(errors.items()))
 
 
@@ -255,16 +254,18 @@ class StraightnessDeviation:
 _BLOCK_DOUBLES = 1 << 12
 
 
-def straightness_deviation(states: np.ndarray, grid: TimeGrid) -> StraightnessDeviation:
+def straightness_deviation(states: np.ndarray) -> StraightnessDeviation:
     """Deviation from the chord and the discrete second time derivative of
-    each trajectory of the (M, K, d) ``states`` on ``grid``."""
+    each trajectory of the (M, K, d) ``states`` on the K uniform time nodes
+    of [0, 1]."""
     states = np.asarray(states, dtype=float)
-    if states.ndim != 3 or states.shape[1] != grid.n_nodes:
+    if states.ndim != 3:
         raise InvalidArgumentError("states must have shape (n_points, n_nodes, d)")
-    if grid.n_nodes < 3:
+    if states.shape[1] < 3:
         raise InvalidArgumentError("straightness needs at least 3 nodes")
-    t = grid.nodes[:, None]
-    step = grid.step
+    steps = states.shape[1] - 1
+    t = time_nodes(steps)[:, None]
+    step = 1.0 / steps
     block = max(1, _BLOCK_DOUBLES // (states.shape[1] * states.shape[2]))
     chord_dev = np.empty(states.shape[0])
     second_diff = np.empty(states.shape[0])
@@ -298,25 +299,18 @@ _REFERENCE_RTOL = 1e-3
 _REFERENCE_ATOL = 1e-9
 
 
-def one_step_error(
-    oracle: VelocityOracle,
-    points,
-    reference_scheme: str = "rk4",
-    reference_steps: int = 400,
-) -> OneStepSummary:
-    """|single-Euler-step endpoint - reference endpoint| per starting point.
+def one_step_error(oracle: VelocityOracle, points, reference_steps: int = 400) -> OneStepSummary:
+    """|single-Euler-step endpoint - RK4 reference endpoint| per starting point.
 
     The reference is sized by step doubling (see _FIRST_REFERENCE_STEPS);
     ``reference_steps`` caps its step count.  A point whose Euler step or
     reported reference run fails gets error NaN and is left out of max and
     rms; LowDensityError is raised only when every point fails.
     """
-    euler, euler_errors = _march(oracle, points, make_time_grid(1), "euler", history=False)
+    euler, euler_errors = _march(oracle, points, 1, "euler", history=False)
 
     def reference(steps: int):
-        ref, ref_errors = _march(
-            oracle, points, make_time_grid(steps), reference_scheme, history=False
-        )
+        ref, ref_errors = _march(oracle, points, steps, "rk4", history=False)
         return ref[:, 0, :], ref_errors
 
     steps = min(_FIRST_REFERENCE_STEPS, reference_steps)

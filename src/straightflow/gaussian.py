@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calculus
-from .core import AffineMap, Gaussian, ProcessSpec, coefficient_values
+from .core import AffineMap, Gaussian, ProcessSpec, _psd_sqrt, coefficient_values
 from .errors import (
     CapabilityError,
     DegenerateMarginalError,
@@ -217,30 +217,25 @@ def gaussian_ot_map(m0, S0, m1, S1) -> AffineMap:
     S0 = np.atleast_2d(np.asarray(S0, dtype=float))
     S1 = np.atleast_2d(np.asarray(S1, dtype=float))
 
-    def sqrt_psd(S):
-        vals, vecs = np.linalg.eigh(0.5 * (S + S.T))
-        floor = _DEGENERACY_REL * max(float(vals.max(initial=0.0)), 0.0)
-        vals = np.where(vals < floor, 0.0, vals)
-        return (vecs * np.sqrt(vals)) @ vecs.T, vals
-
-    root0, vals0 = sqrt_psd(S0)
+    sym = lambda S: 0.5 * (S + S.T)
+    vals0 = np.linalg.eigvalsh(sym(S0))
     if vals0.min() <= _DEGENERACY_REL * max(float(vals0.max(initial=0.0)), _DEGENERACY_REL):
         raise InvalidArgumentError("source covariance must be nondegenerate")
+    root0 = _psd_sqrt(sym(S0))
     inv_root0 = np.linalg.inv(root0)
-    inner, _ = sqrt_psd(root0 @ S1 @ root0)
-    A = inv_root0 @ inner @ inv_root0
-    A = 0.5 * (A + A.T)
+    inner = _psd_sqrt(sym(root0 @ S1 @ root0))
+    A = sym(inv_root0 @ inner @ inv_root0)
     push = A @ S0 @ A.T
     if np.abs(push - S1).max() > 1e-9 * max(np.abs(S1).max(), 1.0):
         raise InvalidArgumentError("transport map does not push S0 onto S1 (ill-conditioned input)")
     return AffineMap(A, m1 - A @ m0)
 
 
-def oracle_box(spec: ProcessSpec, t: float, n_sigma: float = 3.0):
-    """Per-axis box mean +- n_sigma standard deviations at time t."""
+def oracle_box(spec: ProcessSpec, t: float):
+    """Per-axis box mean +- 3 standard deviations at time t."""
     mom = marginal_moments(spec, t)
     sd = np.sqrt(np.clip(np.diag(mom.cov), 0.0, None))
-    return [(float(m - n_sigma * s), float(m + n_sigma * s)) for m, s in zip(mom.mean, sd)]
+    return [(float(m - 3.0 * s), float(m + 3.0 * s)) for m, s in zip(mom.mean, sd)]
 
 
 def fields_on_grid(

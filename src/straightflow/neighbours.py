@@ -55,6 +55,9 @@ class _CellRows:
         self.X, self.k = X, k
         self.lo = X[:, :k].min(axis=0)
         span = X[:, :k].max(axis=0) - self.lo
+        # widened by the rounding of the places, so that rows ``width`` apart
+        # never land two cells apart
+        width += 16.0 * np.finfo(float).eps * (float(np.abs(X).max()) + width)
         while np.prod(np.floor(span / width) + 1.0) >= 2.0**62:
             width *= 2.0
         self.width = width

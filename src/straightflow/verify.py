@@ -41,10 +41,9 @@ from .core import (
     COEFFICIENTS,
     EndpointArrays,
     ProcessSpec,
-    TimeGrid,
     aux_rng,
-    make_time_grid,
     slice_state,
+    time_nodes,
 )
 from .errors import CapabilityError, InvalidArgumentError, NonFiniteDataError
 
@@ -213,9 +212,8 @@ def affine_straightness_check(
     try:
         oracle = flow.analytic_velocity_oracle(spec)
         points = spec.coupling.mu0.draw(aux_rng(endpoints.seed, 3), 64)
-        tgrid = make_time_grid(100)
-        result = flow.flow_map(oracle, points, tgrid, "rk4")
-        dev = flow.straightness_deviation(result.states[result.kept], tgrid)
+        result = flow.flow_map(oracle, points, 100)
+        dev = flow.straightness_deviation(result.states[result.kept])
         metrics["chord_dev_max"] = float(dev.chord_dev.max())
         metrics["second_diff_max"] = float(dev.second_diff.max())
         metrics["one_step_max"] = flow.one_step_error(oracle, points).max_error
@@ -238,11 +236,12 @@ def affine_straightness_check(
 def geometric_report(
     spec: ProcessSpec,
     endpoints: EndpointArrays,
-    grid: TimeGrid,
+    steps: int,
     t_index: int,
     density_floor: float = 25.0,
 ) -> TheoremReport:
-    """Radial-acceleration / trace identity report at time ``grid.nodes[t_index]``.
+    """Radial-acceleration / trace identity report at time node ``t_index`` of
+    ``time_nodes(steps)``.
 
     Reports E[X . Xddot], -E[Tr Pi] via the moment identity, the second time
     derivative of E|X|^2 assembled as 2 E[X . Xddot] + 2 E|Xdot|^2, and the
@@ -250,7 +249,7 @@ def geometric_report(
     consistency checks conditioned on the process satisfying the straightness
     balance law; a large gap means that law fails, not a broken estimator.
     """
-    t = float(grid.nodes[t_index])
+    t = float(time_nodes(steps)[t_index])
     X, V, A = slice_state(spec, endpoints, t)
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(V)) and np.all(np.isfinite(A))):
         raise NonFiniteDataError("geometric report needs finite slice arrays")
@@ -312,25 +311,26 @@ def geometric_report(
 def determinism_detector(
     spec: ProcessSpec,
     endpoints: EndpointArrays,
-    grid: TimeGrid,
+    steps: int,
     ratio: float = 0.05,
     density_floor: float = 25.0,
 ) -> TheoremReport:
     """Decides whether the endpoint coupling behind an ensemble is deterministic.
 
-    Integrates the trace moment over the interior nodes of ``grid``
-    (trapezoid) and compares with the permuted-pairing control.  The verdict
-    is ``consistent`` when the trace integral is at most ``ratio`` times the
-    control's.
+    Integrates the trace moment over the interior nodes of
+    ``time_nodes(steps)`` (trapezoid) and compares with the permuted-pairing
+    control.  The verdict is ``consistent`` when the trace integral is at
+    most ``ratio`` times the control's.
     """
-    if grid.n_nodes < 3:
+    nodes = time_nodes(steps)
+    if steps < 2:
         raise InvalidArgumentError("determinism detector needs interior time nodes")
     control = _permuted_control(endpoints, 2)
-    times = grid.nodes[1:-1]
+    times = nodes[1:-1]
     values, controls, lows = [], [], []
-    for k in range(1, grid.n_nodes - 1):
+    for k in range(1, steps):
         tp, tpc = _trace_pair(
-            spec, endpoints, control, float(grid.nodes[k]), 300 + k, _DETERMINISM_M_EVAL,
+            spec, endpoints, control, float(nodes[k]), 300 + k, _DETERMINISM_M_EVAL,
             density_floor,
         )
         values.append(max(tp.value, 0.0))

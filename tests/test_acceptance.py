@@ -32,9 +32,8 @@ def test_criterion_1_straightness_iff_deterministic(
     # deterministic side, d = 1: OT map N(0,1) -> N(2,4)
     oracle1 = flow.analytic_velocity_oracle(affine_ot_spec)
     pts1 = affine_ot_spec.coupling.mu0.draw(core.aux_rng(100, 0), 100)
-    grid1 = core.make_time_grid(100)
-    res1 = flow.flow_map(oracle1, pts1, grid1, "rk4")
-    chord1 = flow.straightness_deviation(_states(res1), grid1).chord_dev.max()
+    res1 = flow.flow_map(oracle1, pts1, 100, "rk4")
+    chord1 = flow.straightness_deviation(_states(res1)).chord_dev.max()
     one1 = flow.one_step_error(oracle1, pts1).max_error
 
     # deterministic side, d = 2 diagonal case
@@ -45,8 +44,8 @@ def test_criterion_1_straightness_iff_deterministic(
     spec2 = core.ProcessSpec("affine", cpl2, 2)
     oracle2 = flow.analytic_velocity_oracle(spec2)
     pts2 = mu0.draw(core.aux_rng(100, 1), 100)
-    res2 = flow.flow_map(oracle2, pts2, grid1, "rk4")
-    chord2 = flow.straightness_deviation(_states(res2), grid1).chord_dev.max()
+    res2 = flow.flow_map(oracle2, pts2, 100, "rk4")
+    chord2 = flow.straightness_deviation(_states(res2)).chord_dev.max()
     one2 = flow.one_step_error(oracle2, pts2).max_error
 
     # stochastic side: independent coupling at N = 1e5
@@ -100,9 +99,8 @@ def test_criterion_3_balance_negative_instance(trig_det_identity_spec):
     rep = calculus.balance_residual(grid, fields["rho"], fields["Pi"], fields["a"])
 
     oracle = flow.analytic_velocity_oracle(trig_det_identity_spec)
-    tgrid = core.make_time_grid(400)
-    traj = flow.flow_map(oracle, np.array([[1.0]]), tgrid, "rk4")
-    chord = flow.straightness_deviation(_states(traj), tgrid).chord_dev[0]
+    traj = flow.flow_map(oracle, np.array([[1.0]]), 400, "rk4")
+    chord = flow.straightness_deviation(_states(traj)).chord_dev[0]
     target = np.sqrt(2.0) - 1.0
     ok = rep.relative >= 0.5 and abs(chord - target) <= 5e-3
     _criterion(
@@ -179,7 +177,7 @@ def test_criterion_5_material_derivative(affine_indep_spec):
 
 def test_criterion_6_trace_identity(trig_indep_spec, ep_trig_indep_200k):
     ens = head(ep_trig_indep_200k, 100_000)
-    report = verify.geometric_report(trig_indep_spec, ens, core.make_time_grid(2), t_index=1)
+    report = verify.geometric_report(trig_indep_spec, ens, 2, t_index=1)
     m = report.metrics
     radial_ok = abs(m["radial_acceleration"] + PI2_4) <= 0.02 * PI2_4
     gap_ok = abs(m["identity_gap"]) <= 3.0 * m["identity_gap_se"]
@@ -218,7 +216,7 @@ def test_criterion_8_transport_correctness(affine_ot_spec):
     rng = core.aux_rng(801, 0)
     n = 10_000
     src = affine_ot_spec.coupling.mu0.draw(rng, n)
-    res = flow.flow_map(oracle, src, core.make_time_grid(200), "rk4")
+    res = flow.flow_map(oracle, src, 200, "rk4")
     ends = res.states[res.kept, -1]
     tgt = affine_ot_spec.coupling.mu1.draw(rng, n)
     observed = energy_distance(ends, tgt)

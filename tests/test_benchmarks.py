@@ -5,7 +5,9 @@ import json
 import math
 from pathlib import Path
 
-from straightflow import cli
+import numpy as np
+
+from straightflow import cli, core, estimate, verify
 
 
 def load(name):
@@ -23,6 +25,26 @@ def test_layer_bench_builds_the_csv_tables():
     for group in tables.values():
         for lead, values in group:
             assert math.prod(len(cells) for cells in lead) == values.shape[0]
+
+
+def test_layer_bench_takes_the_geometric_kernel_call(monkeypatch):
+    # the kernel_1d layer's arguments are the ones verify --theorem geometric
+    # hands nw_regress at t = 0.5 of its 10-step grid, bit for bit
+    layers = load("layers")
+    monkeypatch.setattr(layers, "_KERNEL_1D", {"tiny": (2_000, 3)})
+    calls = layers.kernel_1d_calls()
+    spec = cli.build_process_spec(
+        layers._config({"process": layers._TRIG_1D_PROCESS, "n": 2_000, "seed": 3}))
+    seen, nw_regress = [], estimate.nw_regress
+    monkeypatch.setattr(estimate, "nw_regress",
+                        lambda *args: seen.append(args) or nw_regress(*args))
+    verify.geometric_report(spec, core.sample_endpoints(spec, 2_000, 3), 10, 5)
+    (want,) = seen
+    assert list(calls) == ["tiny"]
+    for got, ref in zip(calls["tiny"], want, strict=True):
+        assert np.array_equal(got, ref)
+    row = layers.time_kernel_1d(calls)["tiny"]
+    assert (row["n"], row["m"]) == (2_000, 2_000) and len(row["runs_s"]) == layers.REPEATS
 
 
 def test_layer_bench_times_the_ensemble_writer():

@@ -75,14 +75,15 @@ def reference_field_csv(grid, values) -> str:
     return "\n".join(lines) + "\n"
 
 
-def reference_trajectories_csv(result, grid) -> str:
+def reference_trajectories_csv(result) -> str:
     """Per-cell reference for ``trajectories.csv``: one row per (point, time
     node) of each point that ``flow_map`` did not fail."""
-    lines = ["point,t," + ",".join(f"x{i}" for i in range(result.states.shape[2]))]
+    _, k, d = result.states.shape
+    lines = ["point,t," + ",".join(f"x{i}" for i in range(d))]
     failed = {i for i, _ in result.errors}
     for i, states in enumerate(result.states):
         if i not in failed:
-            for t, state in zip(grid.nodes, states):
+            for t, state in zip(np.linspace(0.0, 1.0, k), states):
                 lines.append(",".join([str(i), repr(float(t))] + [repr(float(c)) for c in state]))
     return "\n".join(lines) + "\n"
 
@@ -125,7 +126,7 @@ class TestSimulate:
         assert manifest["rng_layout"] == core.RNG_LAYOUT
 
     def test_failed_write_leaves_no_ensemble(self, tmp_path, monkeypatch):
-        def fail_part_way(spec, path, endpoints, nodes):
+        def fail_part_way(spec, path, endpoints, steps):
             with open(path, "wb") as fh:
                 fh.write(b"SFLW1")
             raise OSError("disk full")
@@ -412,6 +413,21 @@ class TestVerify:
         cfg_path2, _ = write_config(tmp_path, name="c2.json", n=20_000)
         assert cli.main(["verify", "--config", str(cfg_path2), "--theorem", "determinism"]) == 4
 
+    @pytest.mark.parametrize("t,steps,node", [(0.5, 10, 5), (0.3, 10, 3), (1.0, 10, 10),
+                                              (0.0, 1, 0), (1 / 3 + 5e-10, 3, 1)])
+    def test_time_resolves_to_its_node(self, t, steps, node):
+        assert cli._node_index(t, steps) == node
+
+    @pytest.mark.parametrize("t,steps", [(0.55, 10), (0.5, 3), (1 / 3 + 2e-9, 3)])
+    def test_time_off_the_grid_exit_2(self, tmp_path, capsys, t, steps):
+        cfg_path, out = write_config(tmp_path, process=trig_process(), time=t, time_steps=steps)
+        with mock.patch.object(core, "sample_endpoints") as sampler:
+            assert cli.main(["verify", "--config", str(cfg_path), "--theorem", "geometric"]) == 2
+        assert sampler.call_count == 0
+        assert capsys.readouterr().err == f"config error: time {t} is not a grid node\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and manifest["outputs"] == []
+
     @pytest.mark.parametrize("theorem", ["affine", "geometric", "determinism"])
     def test_density_floor_reaches_harness(self, tmp_path, theorem):
         # no kernel effective sample size reaches 1e12, so every point is low-density
@@ -539,11 +555,10 @@ class TestFlow:
         spec = cli.build_process_spec(cfg)
         sgrid = cli._resolve_spatial_grid(cfg, spec, 0.0)
         oracle = flow.analytic_velocity_oracle(spec)
-        tgrid = core.make_time_grid(7)
-        result = flow.flow_map(oracle, sgrid.interior_points(), tgrid, "rk4")
+        result = flow.flow_map(oracle, sgrid.interior_points(), 7, "rk4")
         assert result.states.shape == (16, 8, 2) and not result.errors
         text = (out / "trajectories.csv").read_text()
-        assert text == reference_trajectories_csv(result, tgrid)
+        assert text == reference_trajectories_csv(result)
 
     def test_kernel_flow_failed_point_has_no_rows(self, tmp_path, monkeypatch):
         # the seed-5 run of test_kernel_flow_failures_per_point: point 2 is refused
@@ -570,7 +585,7 @@ class TestFlow:
         failed = [i for i, _ in result.errors]
         assert failed == [2]
         text = (out / "trajectories.csv").read_text()
-        assert text == reference_trajectories_csv(result, core.make_time_grid(50))
+        assert text == reference_trajectories_csv(result)
         ids = [row.split(",")[0] for row in text.splitlines()[1:]]
         assert ids == [str(i) for i in (0, 1, 3) for _ in range(51)]
 
@@ -684,6 +699,30 @@ class TestExitCodes:
         assert cli.main(["fields", "--config", str(cfg_path), "--source", "estimate"]) == 2
         assert "is not positive semidefinite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides,argv", [
+        ({"process": trig_process(), "time": np.nan}, ["verify", "--theorem", "geometric"]),
+        ({"bandwidth": np.inf}, ["fields", "--source", "estimate"]),
+        ({"bandwidth": np.inf}, ["flow"]),
+        ({"process": {"coefficients": "affine", "dim": 1, "coupling": {
+            "kind": "independent",
+            "mu0": {"family": "gaussian", "mean": [np.inf], "cov": [[1.0]]},
+            "mu1": {"family": "gaussian", "mean": [0.0], "cov": [[1.0]]}}}},
+         ["fields", "--source", "estimate"]),
+        ({"process": {"coefficients": "affine", "dim": 1, "coupling": {
+            "kind": "gaussian_joint",
+            "joint": {"mean": [np.nan, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}}}}, ["simulate"]),
+        ({}, ["sweep", "--param", "bandwidth", "--values", "inf"]),
+        ({}, ["sweep", "--param", "time", "--values", "0.5,inf"]),
+    ], ids=["time_nan", "bandwidth_inf_fields", "bandwidth_inf_flow", "gaussian_mean_inf",
+            "joint_mean_nan", "sweep_bandwidth_inf", "sweep_time_inf"])
+    def test_non_finite_numbers_exit_2(self, tmp_path, capsys, overrides, argv):
+        # json.dumps writes NaN and Infinity, which json.loads reads back; a
+        # numpy warning on the way would fail the test (warnings are errors)
+        cfg_path, _ = write_config(tmp_path, **overrides)
+        assert cli.main([argv[0], "--config", str(cfg_path), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("error,code", [
         (errors.ConfigError("bad"), 2),
         (errors.InvalidArgumentError("bad"), 2),
@@ -693,7 +732,7 @@ class TestExitCodes:
         (errors.CapabilityError("bad"), 3),
         (errors.DegenerateMarginalError("bad"), 3),
         (errors.DegenerateDataError("bad"), 3),
-        (errors.LowDensityError("bad", 1.0, rows=np.array([0])), 5),
+        (errors.LowDensityError("bad", rows=np.array([0])), 5),
         (errors.NoAdmissibleNodesError("bad"), 5),
         (errors.TrajectoryLeftSupportError("bad", np.zeros(1), np.zeros((1, 1))), 5),
         (errors.InconsistentMomentsError("bad"), 5),

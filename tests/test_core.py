@@ -25,29 +25,22 @@ def spec_of(coupling, latent=False):
     return core.ProcessSpec("latent" if latent else "affine", coupling, coupling.dim)
 
 
-class TestMakeTimeGrid:
+class TestTimeNodes:
     def test_two_point(self):
-        grid = core.make_time_grid(1)
-        assert np.array_equal(grid.nodes, [0.0, 1.0])
+        assert np.array_equal(core.time_nodes(1), [0.0, 1.0])
 
     def test_uniform_spacing(self):
-        grid = core.make_time_grid(4)
-        assert np.allclose(grid.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert np.allclose(core.time_nodes(4), [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_hundred_steps(self):
-        grid = core.make_time_grid(100)
-        assert grid.n_nodes == 101
-        assert grid.step == pytest.approx(0.01)
+        nodes = core.time_nodes(np.int64(100))
+        assert nodes.tobytes() == np.linspace(0.0, 1.0, 101).tobytes()
+        assert not nodes.flags.writeable
 
-    def test_zero_steps_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            core.make_time_grid(0)
-
-    def test_index_of(self):
-        grid = core.make_time_grid(10)
-        assert grid.index_of(0.5) == 5
-        with pytest.raises(InvalidArgumentError):
-            grid.index_of(0.55)
+    @pytest.mark.parametrize("steps", [0, -3, 2.0, 2.5, "3", None])
+    def test_anything_but_a_positive_integer_rejected(self, steps):
+        with pytest.raises(InvalidArgumentError, match="positive integer"):
+            core.time_nodes(steps)
 
 
 class TestCouplingSample:
@@ -73,6 +66,12 @@ class TestCouplingSample:
     def test_non_psd_joint_rejected(self):
         with pytest.raises(InvalidCouplingError):
             core.gaussian_joint_coupling(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_joint_rejected(self, bad):
+        # the marginal blocks are finite; only the cross block is not
+        with pytest.raises(InvalidCouplingError, match="finite"):
+            core.gaussian_joint_coupling(np.zeros(2), np.array([[1.0, bad], [bad, 1.0]]))
 
     def test_pushforward_mismatch_rejected(self):
         amap = core.AffineMap(np.array([[2.0]]), np.array([0.0]))
@@ -194,19 +193,19 @@ class TestBlockStreams:
         }
 
 
-def path_states(spec, n, grid, seed):
-    """Positions, velocities and accelerations of n sampled paths at the grid
-    nodes, each (n, K, d): the payload of ``ensemble.sflw``."""
-    return core.slice_state(spec, core.sample_endpoints(spec, n, seed), grid.nodes)
+def path_states(spec, n, steps, seed):
+    """Positions, velocities and accelerations of n sampled paths at the
+    ``steps + 1`` time nodes, each (n, K, d): the payload of ``ensemble.sflw``."""
+    return core.slice_state(spec, core.sample_endpoints(spec, n, seed), core.time_nodes(steps))
 
 
 class TestSamplePaths:
     def test_affine_acceleration_identically_zero(self, affine_indep_spec):
-        _, _, acc = path_states(affine_indep_spec, 200, core.make_time_grid(7), seed=1)
+        _, _, acc = path_states(affine_indep_spec, 200, 7, seed=1)
         assert np.all(acc == 0.0)
 
     def test_trig_acceleration_is_scaled_position(self, trig_indep_spec):
-        pos, _, acc = path_states(trig_indep_spec, 100, core.make_time_grid(9), seed=2)
+        pos, _, acc = path_states(trig_indep_spec, 100, 9, seed=2)
         expected = -(np.pi**2 / 4) * pos
         assert np.allclose(acc, expected, atol=1e-12)
 
@@ -216,13 +215,13 @@ class TestSamplePaths:
             "deterministic_map", core.Empirical([[1.0]]), core.Empirical([[2.0]])
         )
         spec = core.ProcessSpec("affine", cpl, 1)
-        pos, vel, _ = path_states(spec, 5, core.make_time_grid(2), seed=0)
+        pos, vel, _ = path_states(spec, 5, 2, seed=0)
         assert np.allclose(pos[:, 1, 0], 1.5)
         assert np.allclose(vel[:, 1, 0], 1.0)
 
     def test_endpoint_marginals_within_four_se(self, affine_ot_spec):
         n = 10_000
-        pos, _, _ = path_states(affine_ot_spec, n, core.make_time_grid(2), seed=3)
+        pos, _, _ = path_states(affine_ot_spec, n, 2, seed=3)
         x0 = pos[:, 0, 0]
         x1 = pos[:, -1, 0]
         assert abs(x0.mean()) <= 4.0 / np.sqrt(n)
@@ -233,29 +232,26 @@ class TestSamplePaths:
     def test_velocities_match_position_differences(self, trig_indep_spec):
         # central difference of positions reproduces stored velocities to O(step^2)
         def max_err(steps):
-            grid = core.make_time_grid(steps)
-            pos, vel, _ = path_states(trig_indep_spec, 50, grid, seed=4)
-            fd = (pos[:, 2:, :] - pos[:, :-2, :]) / (2 * grid.step)
+            pos, vel, _ = path_states(trig_indep_spec, 50, steps, seed=4)
+            fd = (pos[:, 2:, :] - pos[:, :-2, :]) / (2 / steps)
             return np.abs(fd - vel[:, 1:-1, :]).max()
 
         coarse, fine = max_err(10), max_err(20)
         assert coarse / fine == pytest.approx(4.0, rel=0.3)
 
     def test_bit_identical_reruns(self, affine_indep_spec):
-        g = core.make_time_grid(5)
-        a = path_states(affine_indep_spec, 300, g, seed=9)
-        b = path_states(affine_indep_spec, 300, g, seed=9)
+        a = path_states(affine_indep_spec, 300, 5, seed=9)
+        b = path_states(affine_indep_spec, 300, 5, seed=9)
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
 
     def test_path_streams_are_prefix_stable(self, affine_indep_spec):
-        g = core.make_time_grid(4)
-        small, _, _ = path_states(affine_indep_spec, 10, g, seed=9)
-        big, _, _ = path_states(affine_indep_spec, 20, g, seed=9)
+        small, _, _ = path_states(affine_indep_spec, 10, 4, seed=9)
+        big, _, _ = path_states(affine_indep_spec, 20, 4, seed=9)
         assert np.array_equal(small, big[:10])
 
     def test_latent_slice_values(self, latent_spec):
-        pos, vel, _ = path_states(latent_spec, 50, core.make_time_grid(4), seed=6)
+        pos, vel, _ = path_states(latent_spec, 50, 4, seed=6)
         # gamma(0) = gamma(1) = 0: endpoint positions carry no latent term
         arr = core.sample_endpoints(latent_spec, 50, seed=6)
         assert np.allclose(pos[:, 0, :], arr.x0)
@@ -282,7 +278,7 @@ class TestSamplePaths:
                                 core.Gaussian(np.ones(d), 4.0 * np.eye(d)))
         spec = core.ProcessSpec(kind, cpl, d)
         endpoints = core.sample_endpoints(spec, n, seed)
-        nodes = core.make_time_grid(steps).nodes
+        nodes = core.time_nodes(steps)
         columns = core.slice_state(spec, endpoints, nodes)
         for k, t in enumerate(nodes):
             for column, node in zip(columns, core.slice_state(spec, endpoints, t)):
@@ -327,9 +323,10 @@ class TestCoefficients:
             core.ProcessSpec("cubic", cpl, 1)
 
 
-def write_ensemble(spec, n, grid, seed, path):
-    """``simulate``'s file for n sampled paths of ``spec`` on ``grid``."""
-    core.save_ensemble(spec, path, core.sample_endpoints(spec, n, seed), grid.nodes)
+def write_ensemble(spec, n, steps, seed, path):
+    """``simulate``'s file for n sampled paths of ``spec`` through ``steps``
+    time steps."""
+    core.save_ensemble(spec, path, core.sample_endpoints(spec, n, seed), steps)
 
 
 def whole_layout(spec, endpoints, nodes) -> list:
@@ -343,9 +340,9 @@ def whole_layout(spec, endpoints, nodes) -> list:
 
 class TestEnsembleFile:
     def test_roundtrip(self, tmp_path, affine_indep_spec):
-        ens = path_states(affine_indep_spec, 64, core.make_time_grid(3), seed=13)
+        ens = path_states(affine_indep_spec, 64, 3, seed=13)
         path = tmp_path / "e.sflw"
-        write_ensemble(affine_indep_spec, 64, core.make_time_grid(3), 13, path)
+        write_ensemble(affine_indep_spec, 64, 3, 13, path)
         loaded = core.load_ensemble(path)
         assert len(loaded) == 3
         for got, want in zip(loaded, ens):
@@ -354,7 +351,7 @@ class TestEnsembleFile:
 
     def test_header_layout(self, tmp_path, affine_indep_spec):
         path = tmp_path / "e.sflw"
-        write_ensemble(affine_indep_spec, 7, core.make_time_grid(2), 13, path)
+        write_ensemble(affine_indep_spec, 7, 2, 13, path)
         raw = path.read_bytes()
         assert raw[:5] == b"SFLW1"
         dims = np.frombuffer(raw[5:29], dtype="<u8")
@@ -376,7 +373,7 @@ class TestEnsembleFile:
     def test_roundtrip_property(self, kind, steps, d, rows, slack, size, blocks, seed,
                                 non_finite):
         # the streamed file is the whole grid's layout byte for byte, and
-        # every bit of it comes back, on the same time grid; the block holds
+        # every bit of it comes back, with K = steps + 1; the block holds
         # ``rows`` rows, whatever part of a row's bytes the budget has left over
         k = steps + 1
         budget = 24 * k * d * rows + int(slack * 24 * k * d)
@@ -395,22 +392,18 @@ class TestEnsembleFile:
         cpl = core.CouplingSpec("independent", core.Gaussian(np.zeros(d), np.eye(d)),
                                 core.Gaussian(np.zeros(d), np.eye(d)))
         spec = core.ProcessSpec(kind, cpl, d)
-        grid = core.make_time_grid(steps)
         with tempfile.TemporaryDirectory() as tmp, np.errstate(invalid="ignore"), \
                 mock.patch.object(core, "_ENSEMBLE_BLOCK_BYTES", budget):
             path = os.path.join(tmp, "e.sflw")
-            core.save_ensemble(spec, path, endpoints, grid.nodes)
+            core.save_ensemble(spec, path, endpoints, steps)
             raw = Path(path).read_bytes()
             loaded = core.load_ensemble(path)
-            want = whole_layout(spec, endpoints, grid.nodes)
+            want = whole_layout(spec, endpoints, core.time_nodes(steps))
         assert raw == b"".join(want)
         assert len(loaded) == 3
         for got, part in zip(loaded, want[1:]):
             assert got.dtype == float and got.shape == (n, k, d)
             assert got.tobytes() == part
-        loaded_grid = core.make_time_grid(loaded[0].shape[1] - 1)
-        assert np.array_equal(loaded_grid.nodes, grid.nodes)
-        assert loaded_grid.step == grid.step
 
     def test_writer_memory_bounded_by_its_block(self, tmp_path, latent_spec):
         # a file of at least 16 blocks is written holding under 1/8 of it:
@@ -418,11 +411,11 @@ class TestEnsembleFile:
         spec, k, d = latent_spec, 11, latent_spec.dim
         n = 17 * core._ENSEMBLE_BLOCK_BYTES // (24 * k * d)
         endpoints = core.sample_endpoints(spec, n, seed=5)
-        nodes = core.make_time_grid(k - 1).nodes
+        nodes = core.time_nodes(k - 1)
         path = tmp_path / "big.sflw"
         tracemalloc.start()
         try:
-            core.save_ensemble(spec, path, endpoints, nodes)
+            core.save_ensemble(spec, path, endpoints, k - 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -445,7 +438,7 @@ class TestEnsembleFile:
 
     def test_truncated_payload_rejected(self, tmp_path, affine_indep_spec):
         path = tmp_path / "e.sflw"
-        write_ensemble(affine_indep_spec, 7, core.make_time_grid(2), 13, path)
+        write_ensemble(affine_indep_spec, 7, 2, 13, path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(InvalidArgumentError, match="payload"):
             core.load_ensemble(path)
@@ -459,7 +452,7 @@ class TestEnsembleFile:
 
     def test_trailing_bytes_rejected(self, tmp_path, affine_indep_spec):
         path = tmp_path / "e.sflw"
-        write_ensemble(affine_indep_spec, 7, core.make_time_grid(2), 13, path)
+        write_ensemble(affine_indep_spec, 7, 2, 13, path)
         path.write_bytes(path.read_bytes() + b"\0")
         with pytest.raises(InvalidArgumentError, match="payload"):
             core.load_ensemble(path)
@@ -467,9 +460,9 @@ class TestEnsembleFile:
     def test_latent_roundtrip_preserves_infinite_edges(self, tmp_path, latent_spec):
         # bridge derivatives diverge at the endpoints; the file format must
         # carry those values through unchanged
-        ens = path_states(latent_spec, 16, core.make_time_grid(4), seed=14)
+        ens = path_states(latent_spec, 16, 4, seed=14)
         assert not np.all(np.isfinite(ens[1][:, 0, :]))
         path = tmp_path / "latent.sflw"
-        write_ensemble(latent_spec, 16, core.make_time_grid(4), 14, path)
+        write_ensemble(latent_spec, 16, 4, 14, path)
         loaded = core.load_ensemble(path)
         assert np.array_equal(loaded[1], ens[1])

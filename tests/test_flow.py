@@ -34,7 +34,7 @@ def refusing_oracle(limit):
         x = np.atleast_2d(x)
         beyond = np.flatnonzero(x[:, 0] > limit)
         if beyond.size:
-            raise LowDensityError("beyond the limit", 0.0, rows=beyond)
+            raise LowDensityError("beyond the limit", rows=beyond)
         return np.ones_like(x)
 
     return flow.VelocityOracle(evaluate)
@@ -51,17 +51,17 @@ def counting(oracle):
     return flow.VelocityOracle(evaluate), calls
 
 
-def one_path(oracle, x0, grid, scheme):
+def one_path(oracle, x0, steps, scheme):
     """The (K, d) states of the flow from the one point ``x0``, which must
     not fail."""
-    res = flow.flow_map(oracle, np.reshape(x0, (1, -1)), grid, scheme)
+    res = flow.flow_map(oracle, np.reshape(x0, (1, -1)), steps, scheme)
     assert res.errors == []
     return res.states[0]
 
 
-def deviation(states, grid):
+def deviation(states):
     """The straightness figures of one trajectory, as floats."""
-    dev = flow.straightness_deviation(states[None], grid)
+    dev = flow.straightness_deviation(states[None])
     return flow.StraightnessDeviation(float(dev.chord_dev[0]), float(dev.second_diff[0]))
 
 
@@ -112,29 +112,28 @@ def oracle_trig_det(trig_det_identity_spec):
 class TestIntegrate:
     def test_constant_velocity_exact(self):
         oracle, calls = counting(const_oracle([2.0, -1.0]))
-        grid = core.make_time_grid(7)
-        states = one_path(oracle, np.zeros(2), grid, "euler")
-        expect = grid.nodes[:, None] * np.array([2.0, -1.0])
+        states = one_path(oracle, np.zeros(2), 7, "euler")
+        expect = core.time_nodes(7)[:, None] * np.array([2.0, -1.0])
         assert np.allclose(states, expect, atol=1e-14)
         assert len(calls) == 7
 
     def test_scaling_field_rk4(self):
         oracle, calls = counting(scaling_oracle())
-        states = one_path(oracle, np.array([1.0]), core.make_time_grid(100), "rk4")
+        states = one_path(oracle, np.array([1.0]), 100, "rk4")
         assert states[-1, 0] == pytest.approx(2.0, abs=1e-9)
         assert len(calls) == 400
 
     def test_curved_flow_separates_schemes(self, oracle_affine_indep):
-        euler1 = one_path(oracle_affine_indep, np.array([1.0]), core.make_time_grid(1), "euler")
+        euler1 = one_path(oracle_affine_indep, np.array([1.0]), 1, "euler")
         assert euler1[-1, 0] == pytest.approx(0.0, abs=1e-14)
-        rk4 = one_path(oracle_affine_indep, np.array([1.0]), core.make_time_grid(200), "rk4")
+        rk4 = one_path(oracle_affine_indep, np.array([1.0]), 200, "rk4")
         assert abs(rk4[-1, 0] - euler1[-1, 0]) > 0.1
         # the true flow map is the identity at t=1 for equal marginals
         assert rk4[-1, 0] == pytest.approx(1.0, abs=1e-6)
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            flow.flow_map(const_oracle([0.0]), np.zeros((1, 1)), core.make_time_grid(2), "heun")
+            flow.flow_map(const_oracle([0.0]), np.zeros((1, 1)), 2, "heun")
 
     def test_midpoint_second_order(self):
         # dx/dt = -x^3 from x0 = 1 has solution 1/sqrt(1 + 2t)
@@ -142,24 +141,24 @@ class TestIntegrate:
         exact = 1.0 / np.sqrt(3.0)
 
         def endpoint(steps):
-            return one_path(cubic, np.array([1.0]), core.make_time_grid(steps), "midpoint")[-1, 0]
+            return one_path(cubic, np.array([1.0]), steps, "midpoint")[-1, 0]
 
         e1, e2 = abs(endpoint(50) - exact), abs(endpoint(100) - exact)
         assert e1 / e2 == pytest.approx(4.0, rel=0.2)
 
     def test_batch_matches_pointwise(self, oracle_affine_indep):
         pts = np.array([[-1.0], [0.3], [2.0]])
-        grid = core.make_time_grid(37)
-        batch = flow.flow_map(oracle_affine_indep, pts, grid, "rk4")
+        steps = 37
+        batch = flow.flow_map(oracle_affine_indep, pts, steps, "rk4")
         for i, p in enumerate(pts):
-            single = one_path(oracle_affine_indep, p, grid, "rk4")
+            single = one_path(oracle_affine_indep, p, steps, "rk4")
             assert np.allclose(batch.states[i], single, atol=1e-13)
 
     def test_kernel_oracle_low_density_becomes_left_support(self, affine_indep_spec):
         ens = core.sample_endpoints(affine_indep_spec, 100, seed=3)
         cfg = estimate.KernelConfig(density_floor=200.0)
         oracle = flow.kernel_velocity_oracle(affine_indep_spec, ens, cfg)
-        res = flow.flow_map(oracle, np.array([[0.0]]), core.make_time_grid(4), "euler")
+        res = flow.flow_map(oracle, np.array([[0.0]]), 4, "euler")
         (i, err), = res.errors
         assert i == 0 and isinstance(err, TrajectoryLeftSupportError)
         assert err.states.shape[0] >= 1
@@ -188,7 +187,7 @@ class TestIntegrate:
             X, V, _ = core.slice_state(spec, ens, t)
             return estimate.nw_regress(X, V, pts, estimate.resolve_bandwidth(cfg, X))[0]
 
-        nodes = core.make_time_grid(4).nodes
+        nodes = core.time_nodes(4)
         for t in nodes:
             assert np.array_equal(oracle(t, pts), nw(t))
         w = (0.3 - nodes[1]) / (nodes[2] - nodes[1])
@@ -248,7 +247,7 @@ class TestFlowMap:
         ens = core.sample_endpoints(affine_indep_spec, 3000, seed=5)
         oracle = flow.kernel_velocity_oracle(affine_indep_spec, ens, estimate.KernelConfig())
         pts = np.array([[0.0], [0.5], [-0.5]])
-        res = flow.flow_map(oracle, pts, core.make_time_grid(8), "midpoint")
+        res = flow.flow_map(oracle, pts, 8, "midpoint")
         assert res.states.shape == (3, 9, 1)
         assert res.errors == []
         for i, states in enumerate(res.states):
@@ -260,14 +259,14 @@ class TestFlowMap:
             affine_indep_spec, ens, estimate.KernelConfig(density_floor=200.0)
         )
         pts = np.array([[0.0], [3.0], [0.3], [-3.0], [-0.4]])
-        grid = core.make_time_grid(8)
-        res = flow.flow_map(oracle, pts, grid, "midpoint")
+        steps = 8
+        res = flow.flow_map(oracle, pts, steps, "midpoint")
         assert [i for i, _ in res.errors] == [1, 3]
         assert all(isinstance(err, TrajectoryLeftSupportError) for _, err in res.errors)
         assert res.kept == [0, 2, 4]
         assert np.isnan(res.states[[1, 3], -1]).all()
         for i in res.kept:
-            single = one_path(oracle, pts[i], grid, "midpoint")
+            single = one_path(oracle, pts[i], steps, "midpoint")
             assert np.allclose(res.states[i], single, rtol=0.0, atol=1e-12)
         summary = flow.one_step_error(oracle, pts, reference_steps=20)
         assert np.isnan(summary.errors[[1, 3]]).all()
@@ -277,14 +276,14 @@ class TestFlowMap:
     def test_refusal_mid_flight_keeps_partial_trajectory(self):
         oracle = refusing_oracle(1.0)
         pts = np.array([[0.0], [0.55], [-1.0]])
-        grid = core.make_time_grid(4)
-        res = flow.flow_map(oracle, pts, grid, "euler")
+        steps = 4
+        res = flow.flow_map(oracle, pts, steps, "euler")
         (i, err), = res.errors
         assert i == 1 and res.kept == [0, 2] and np.isnan(res.states[1, -1]).all()
         assert np.allclose(err.times, [0.0, 0.25, 0.5])
         assert np.allclose(err.states[:, 0], [0.55, 0.8, 1.05])
         assert np.allclose(res.states[res.kept, -1, 0], [1.0, 0.0])
-        (j, single), = flow.flow_map(oracle, pts[1:2], grid, "euler").errors
+        (j, single), = flow.flow_map(oracle, pts[1:2], steps, "euler").errors
         assert j == 0 and isinstance(single, TrajectoryLeftSupportError)
         assert np.array_equal(single.states, err.states)
 
@@ -300,7 +299,7 @@ class TestFlowMap:
 
         oracle = flow.VelocityOracle(evaluate, stats)
         pts = np.array([[0.0], [0.55], [-1.0]])
-        res = flow.flow_map(oracle, pts, core.make_time_grid(4), "euler")
+        res = flow.flow_map(oracle, pts, 4, "euler")
         assert [i for i, _ in res.errors] == [1]
         # steps 0 and 1 with three points; step 2, redone after the refusal,
         # and step 3 with two
@@ -308,7 +307,7 @@ class TestFlowMap:
 
     def test_non_finite_state_stops_only_that_point(self):
         oracle = flow.VelocityOracle(lambda t, x: np.where(np.asarray(x) < -0.5, np.inf, 1.0))
-        res = flow.flow_map(oracle, np.array([[0.0], [-1.0]]), core.make_time_grid(4), "rk4")
+        res = flow.flow_map(oracle, np.array([[0.0], [-1.0]]), 4, "rk4")
         (i, err), = res.errors
         assert i == 1 and isinstance(err, InvalidArgumentError)
         assert res.kept == [0] and res.states[0, -1, 0] == pytest.approx(1.0)
@@ -327,50 +326,44 @@ class TestFlowMap:
     )
     def test_rows_equal_pointwise_integration(self, points, steps):
         pts = np.array(points)[:, None]
-        grid = core.make_time_grid(steps)
         for oracle in PROPERTY_ORACLES.values():
             for scheme in ("euler", "midpoint", "rk4"):
-                res = flow.flow_map(oracle, pts, grid, scheme)
+                res = flow.flow_map(oracle, pts, steps, scheme)
                 assert res.errors == []
                 for p, states in zip(pts, res.states):
-                    np.testing.assert_array_equal(states, one_path(oracle, p, grid, scheme))
+                    np.testing.assert_array_equal(states, one_path(oracle, p, steps, scheme))
 
     def test_analytic_batching(self, oracle_affine_det):
         pts = np.array([[0.1], [1.0], [-2.0]])
-        res = flow.flow_map(oracle_affine_det, pts, core.make_time_grid(50), "rk4")
+        res = flow.flow_map(oracle_affine_det, pts, 50, "rk4")
         ends = res.states[res.kept, -1]
         assert np.allclose(ends, 2.0 * pts, atol=1e-8)
 
 
 class TestStraightness:
     def test_exact_line_zero(self):
-        grid = core.make_time_grid(10)
-        dev = deviation(one_path(const_oracle([1.5]), np.array([0.7]), grid, "euler"), grid)
+        dev = deviation(one_path(const_oracle([1.5]), np.array([0.7]), 10, "euler"))
         assert dev.chord_dev == pytest.approx(0.0, abs=1e-13)
         assert dev.second_diff == pytest.approx(0.0, abs=1e-10)
 
     def test_trig_deterministic_bulge(self, oracle_trig_det):
-        grid = core.make_time_grid(400)
-        dev = deviation(one_path(oracle_trig_det, np.array([1.0]), grid, "rk4"), grid)
+        dev = deviation(one_path(oracle_trig_det, np.array([1.0]), 400, "rk4"))
         assert dev.chord_dev == pytest.approx(np.sqrt(2.0) - 1.0, abs=1e-3)
 
     def test_affine_deterministic_straight(self, oracle_affine_det):
-        grid = core.make_time_grid(100)
-        dev = deviation(one_path(oracle_affine_det, np.array([1.0]), grid, "rk4"), grid)
+        dev = deviation(one_path(oracle_affine_det, np.array([1.0]), 100, "rk4"))
         assert dev.chord_dev <= 1e-6
 
     def test_needs_three_nodes(self):
-        grid = core.make_time_grid(1)
-        states = one_path(const_oracle([1.0]), np.zeros(1), grid, "euler")
+        states = one_path(const_oracle([1.0]), np.zeros(1), 1, "euler")
         with pytest.raises(InvalidArgumentError):
-            deviation(states, grid)
+            deviation(states)
 
     def test_batch_equals_rows(self):
         # enough points for several blocks, so the block seams are covered
-        grid = core.make_time_grid(100)
-        states = core.aux_rng(0, 11).standard_normal((1500, grid.n_nodes, 2))
-        dev = flow.straightness_deviation(states, grid)
-        rows = [flow.straightness_deviation(s[None], grid) for s in states]
+        states = core.aux_rng(0, 11).standard_normal((1500, 101, 2))
+        dev = flow.straightness_deviation(states)
+        rows = [flow.straightness_deviation(s[None]) for s in states]
         np.testing.assert_array_equal(dev.chord_dev, [r.chord_dev[0] for r in rows])
         np.testing.assert_array_equal(dev.second_diff, [r.second_diff[0] for r in rows])
 
@@ -413,7 +406,7 @@ class TestReferenceSizing:
                 oracle, calls = counting(
                     flow.analytic_velocity_oracle(affine_ot_spec)
                 )
-                flow.flow_map(oracle, pts, core.make_time_grid(100), "rk4")
+                flow.flow_map(oracle, pts, 100, "rk4")
                 flow.one_step_error(oracle, pts)
             assert len(calls) == 4 * 100 + 1 + 4 * (25 + 50)
             assert len({float(t) for t in calls}) == 216
@@ -457,8 +450,8 @@ class TestReferenceSizing:
         pts = mu0.draw(rng, 5)
 
         summary = flow.one_step_error(oracle, pts)
-        euler = flow.flow_map(oracle, pts, core.make_time_grid(1), "euler").states[:, -1]
-        fixed = flow.flow_map(oracle, pts, core.make_time_grid(400), "rk4").states[:, -1]
+        euler = flow.flow_map(oracle, pts, 1, "euler").states[:, -1]
+        fixed = flow.flow_map(oracle, pts, 400, "rk4").states[:, -1]
         errors = np.linalg.norm(euler - fixed, axis=1)
         assert summary.reference_gap is not None
         assert np.abs(summary.errors - errors).max() <= max(summary.reference_gap, 1e-12)
@@ -466,8 +459,8 @@ class TestReferenceSizing:
 
 class TestSchemeConsistency:
     def test_rk4_reference_stability(self, oracle_affine_indep):
-        e200 = one_path(oracle_affine_indep, np.array([1.0]), core.make_time_grid(200), "rk4")
-        e400 = one_path(oracle_affine_indep, np.array([1.0]), core.make_time_grid(400), "rk4")
+        e200 = one_path(oracle_affine_indep, np.array([1.0]), 200, "rk4")
+        e400 = one_path(oracle_affine_indep, np.array([1.0]), 400, "rk4")
         assert abs(e200[-1, 0] - e400[-1, 0]) <= 1e-8
 
 
@@ -518,7 +511,7 @@ class TestMarginalTransport:
         rng = core.aux_rng(0, 42)
         n = 2000
         src = affine_ot_spec.coupling.mu0.draw(rng, n)
-        res = flow.flow_map(oracle, src, core.make_time_grid(200), "rk4")
+        res = flow.flow_map(oracle, src, 200, "rk4")
         ends = res.states[res.kept, -1]
         tgt = affine_ot_spec.coupling.mu1.draw(rng, n)
         observed = energy_distance(ends, tgt)
@@ -551,9 +544,8 @@ class TestTripleAgreement:
         spec = request.getfixturevalue(spec_name)
         oracle = flow.analytic_velocity_oracle(spec)
 
-        tgrid = core.make_time_grid(200)
-        states = one_path(oracle, np.array([1.0]), tgrid, "rk4")
-        second_ok = deviation(states, tgrid).second_diff <= self.TOL_SECOND
+        states = one_path(oracle, np.array([1.0]), 200, "rk4")
+        second_ok = deviation(states).second_diff <= self.TOL_SECOND
 
         t = 0.4
         grid = calculus.make_spatial_grid(gaussian.oracle_box(spec, t), 61)

@@ -56,6 +56,8 @@ class TestNearestAndCount:
     )
     @example(seed=1, n=2, d=1, decimals=None, outliers=0, copies=0, r=0.1, m=2)
     @example(seed=2, n=2, d=4, decimals=0, outliers=1, copies=0, r=1e-3, m=2)
+    # rows 0.1 apart whose cell places round to 18.999999999999996 and 19.0
+    @example(seed=7, n=40, d=2, decimals=1, outliers=0, copies=0, r=0.1, m=40)
     def test_equals_brute_force(self, seed, n, d, decimals, outliers, copies, r, m):
         X = draw_cloud(seed, n, d, decimals, outliers, copies)
         rng = np.random.default_rng(seed + 1)

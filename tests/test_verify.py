@@ -73,13 +73,13 @@ class TestAffineStraightnessCheck:
             )
 
 
-GRID3 = core.make_time_grid(2)  # nodes {0, 1/2, 1}; t_index=1 is t = 1/2
+TWO_STEPS = 2  # nodes {0, 1/2, 1}; t_index=1 is t = 1/2
 
 
 class TestGeometricReport:
     def test_trig_independent_identity_holds(self, trig_indep_spec, ep_trig_indep_200k):
         report = verify.geometric_report(
-            trig_indep_spec, head(ep_trig_indep_200k, 100_000), GRID3, t_index=1
+            trig_indep_spec, head(ep_trig_indep_200k, 100_000), TWO_STEPS, t_index=1
         )
         assert report.metrics["radial_acceleration"] == pytest.approx(-PI2_4, rel=0.02)
         assert abs(report.metrics["identity_gap"]) <= 3 * report.metrics["identity_gap_se"]
@@ -89,7 +89,7 @@ class TestGeometricReport:
 
     def test_affine_deterministic_all_zero(self, affine_det2x_spec):
         ens = core.sample_endpoints(affine_det2x_spec, 50_000, 31)
-        report = verify.geometric_report(affine_det2x_spec, ens, GRID3, t_index=1)
+        report = verify.geometric_report(affine_det2x_spec, ens, TWO_STEPS, t_index=1)
         assert abs(report.metrics["radial_acceleration"]) <= 1e-12
         assert abs(report.metrics["identity_gap"]) <= max(
             3 * report.metrics["identity_gap_se"], 1e-6
@@ -98,7 +98,7 @@ class TestGeometricReport:
 
     def test_trig_deterministic_violates_balance_law(self, trig_det_identity_spec):
         ens = core.sample_endpoints(trig_det_identity_spec, 100_000, 32)
-        report = verify.geometric_report(trig_det_identity_spec, ens, GRID3, t_index=1)
+        report = verify.geometric_report(trig_det_identity_spec, ens, TWO_STEPS, t_index=1)
         # Var X_t = (cos + sin)^2 = 2 at t = 1/2
         assert report.metrics["radial_acceleration"] == pytest.approx(-2 * PI2_4, rel=0.05)
         assert abs(report.metrics["neg_tr_pi"]) <= 0.05
@@ -106,32 +106,32 @@ class TestGeometricReport:
 
     def test_small_sample_inconclusive(self, trig_indep_spec):
         report = verify.geometric_report(
-            trig_indep_spec, core.sample_endpoints(trig_indep_spec, 60, 33), GRID3, t_index=1
+            trig_indep_spec, core.sample_endpoints(trig_indep_spec, 60, 33), TWO_STEPS, t_index=1
         )
         assert report.verdict == "inconclusive"
 
 
-GRID11 = core.make_time_grid(10)
+TEN_STEPS = 10
 
 
 class TestDeterminismDetector:
     def test_deterministic_map_detected(self, affine_det2x_spec):
         report = verify.determinism_detector(
-            affine_det2x_spec, core.sample_endpoints(affine_det2x_spec, 40_000, 41), GRID11
+            affine_det2x_spec, core.sample_endpoints(affine_det2x_spec, 40_000, 41), TEN_STEPS
         )
         assert report.verdict == "consistent"
         assert report.metrics["ratio"] <= 0.05
 
     def test_independent_coupling_matches_own_control(self, affine_indep_spec):
         report = verify.determinism_detector(
-            affine_indep_spec, core.sample_endpoints(affine_indep_spec, 40_000, 42), GRID11
+            affine_indep_spec, core.sample_endpoints(affine_indep_spec, 40_000, 42), TEN_STEPS
         )
         assert report.verdict == "violated"
         assert report.metrics["ratio"] == pytest.approx(1.0, abs=0.35)
 
     def test_latent_interpolant_not_deterministic(self, latent_spec):
         report = verify.determinism_detector(
-            latent_spec, core.sample_endpoints(latent_spec, 30_000, 43), GRID11
+            latent_spec, core.sample_endpoints(latent_spec, 30_000, 43), TEN_STEPS
         )
         assert report.verdict == "violated"
         # fails by at least 10x the calibrated ratio threshold
