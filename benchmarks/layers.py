@@ -18,22 +18,24 @@ Layers timed so far:
   independent N(0, I) -> N(0, I) process.  ``flow`` is the rk4 trajectory
   table, 1,444 points x 101 nodes, of the affine OT flow from N(0, I) to
   N(m1, diag(4, 9)), with m1 the target mean that workload draws at seed 31.
-- ``trace``: ``verify.tr_pi_moment`` on one slice at t = 0.5, seed 31.
-  ``lab_2d_m2048`` and ``lab_2d_m4096`` take the lab_2d benchmark
-  workload's slice (the affine OT map N(0, I) -> N((2, -1), diag(4, 9)),
-  n = 2e4) with the subsample sizes of ``verify --theorem determinism`` and
-  ``--theorem affine``.  ``1d_n1e5_m4096`` is the affine independent
-  N(0, 1) -> N(0, 1) slice of acceptance criterion 1 (n = 1e5, m = 4096),
-  and ``2d_n1e5_m4096`` the 2-D OT slice at n = 1e5, m = 4096.
-- ``kernel_1d``: ``estimate.nw_regress`` in 1-D on the call of ``verify
-  --theorem geometric``: the trig independent N(0, 1) -> N(0, 1) slice at
-  t = 0.5, the velocities regressed at 4096 of its own samples (the
-  harness's seeded subsample) at half the Silverman bandwidth.
-  ``lab_1d_seed{3,17,31}`` take the lab_1d benchmark workload's n = 5e4;
-  ``n1e5_m4096`` takes n = 1e5 at seed 31, the size of the 1-D kernel row
-  of ROADMAP's layer table.  Each row also records the query x sample pairs weighed one
-  by one (cut pairs included) and those summed by Taylor moments, counted
-  in an untimed call.
+- ``trace``: ``verify.tr_pi_moment`` on one slice at t = 0.5, seed 31
+  where no seed is named.  ``lab_2d_m2048`` and ``lab_2d_m4096`` take the
+  lab_2d benchmark workload's slice (the affine OT map N(0, I) ->
+  N((2, -1), diag(4, 9)), n = 2e4) with the subsample sizes of ``verify
+  --theorem determinism`` and ``--theorem affine``.
+  ``1d_n1e5_m4096`` is the affine independent N(0, 1) -> N(0, 1) slice of
+  acceptance criterion 1 (n = 1e5, m = 4096), and ``2d_n1e5_m4096`` the 2-D
+  OT slice at n = 1e5, m = 4096.  ``lab_1d_geometric_seed{3,17,31}`` take
+  the slice of ``verify --theorem geometric`` in the lab_1d benchmark
+  workload (the trig independent N(0, 1) -> N(0, 1) process at n = 5e4 and
+  t = 0.5 of its 10-step grid) at its seed, and draw the harness's 4096
+  subsample rows from its stream, so the neighbour search is the harness's.
+- ``kernel_1d``: ``estimate.nw_regress`` in 1-D, ``n1e5_m4096``: the trig
+  independent slice at n = 1e5, seed 31 and t = 0.5, the velocities
+  regressed at 4096 of its own samples (drawn as the geometric harness draws
+  its subsample) at half the Silverman bandwidth, the size of the 1-D kernel
+  row of ROADMAP's layer table.  The row also records the query x sample
+  pairs weighed (cut pairs included), counted in an untimed call.
 - ``kernel_nd``: ``estimate.fields_on_grid`` in 2-D on the lab_2d benchmark
   workload's estimate (n = 2e4, t = 0.5, the 40² grid over the slice's
   quantile box) at seeds 3, 17 and 31: ``fields`` as the ``fields`` command
@@ -112,13 +114,14 @@ _TRACE_SEED = 31
 _TRACE_TIME = 0.5
 _TRIG_1D_PROCESS = {"coefficients": "trig", "dim": 1, "coupling": {
     "kind": "independent", "mu0": _STD1, "mu1": _STD1}}
-# name -> (n, seed) of the geometric harness's kernel call
-_KERNEL_1D = {
-    "lab_1d_seed3": (50_000, 3),
-    "lab_1d_seed17": (50_000, 17),
-    "lab_1d_seed31": (50_000, 31),
-    "n1e5_m4096": (100_000, 31),
+# name -> (n, seed) of the geometric harness's trace call
+_GEOMETRIC_TRACE = {
+    "lab_1d_geometric_seed3": (50_000, 3),
+    "lab_1d_geometric_seed17": (50_000, 17),
+    "lab_1d_geometric_seed31": (50_000, 31),
 }
+# name -> (n, seed) of a 1-D kernel call on the geometric harness's slice
+_KERNEL_1D = {"n1e5_m4096": (100_000, 31)}
 # name -> (process, n, time_steps) of the simulate work
 _ENSEMBLE = {
     "lab_1d": (_TRIG_1D_PROCESS, 50_000, 10),
@@ -198,21 +201,39 @@ def time_csv(tables: dict) -> dict:
 
 
 def trace_slices() -> dict:
-    """(X, V, m) of each ``_TRACE_SLICES`` entry."""
+    """(X, V, m, stream) of each ``_TRACE_SLICES`` entry: the arguments of
+    ``verify.tr_pi_moment``, which draws its subsample of m rows from the
+    (seed, tag) stream."""
     out = {}
     for name, (process, n, m) in _TRACE_SLICES.items():
         spec = cli.build_process_spec(_config({"process": process, "n": n, "seed": _TRACE_SEED}))
         X, V, _ = core.slice_state(spec, core.sample_endpoints(spec, n, _TRACE_SEED), _TRACE_TIME)
-        out[name] = (X, V, m)
+        out[name] = (X, V, m, (_TRACE_SEED, 5))
+    return out
+
+
+def geometric_slices(sizes: dict = _GEOMETRIC_TRACE) -> dict:
+    """(X, V, m, stream) of each entry (n, seed) of ``sizes``: the slice of
+    ``verify --theorem geometric`` on the trig independent process at t = 0.5
+    of a 10-step time grid, with the size of its subsample and the stream
+    the harness draws it from."""
+    steps = 10
+    t_index = cli._node_index(0.5, steps)
+    out = {}
+    for name, (n, seed) in sizes.items():
+        spec = cli.build_process_spec(_config({"process": _TRIG_1D_PROCESS, "n": n, "seed": seed}))
+        X, V, _ = core.slice_state(spec, core.sample_endpoints(spec, n, seed),
+                                   float(core.time_nodes(steps)[t_index]))
+        out[name] = (X, V, min(verify._DEFAULT_M_EVAL, n), (seed, 200 + t_index))
     return out
 
 
 def time_trace(slices: dict) -> dict:
     out = {}
-    for name, (X, V, m) in slices.items():
+    for name, (X, V, m, stream) in slices.items():
         moments = []
         runs = time_runs(lambda: moments.append(
-            verify.tr_pi_moment(X, V, core.aux_rng(_TRACE_SEED, 5), m_eval=m)))
+            verify.tr_pi_moment(X, V, core.aux_rng(*stream), m_eval=m)))
         out[name] = {
             "n": X.shape[0],
             "d": X.shape[1],
@@ -226,43 +247,29 @@ def time_trace(slices: dict) -> dict:
 
 
 def kernel_1d_calls() -> dict:
-    """(X, V, queries, h) of each ``_KERNEL_1D`` entry: the arguments
-    ``verify.geometric_report`` hands ``nw_regress`` at t = 0.5 on a
-    10-step time grid."""
-    steps = 10
-    t_index = cli._node_index(0.5, steps)
+    """(X, V, queries, h) of each ``_KERNEL_1D`` entry: the geometric
+    harness's slice regressed at its subsample, at half the Silverman
+    bandwidth."""
     out = {}
-    for name, (n, seed) in _KERNEL_1D.items():
-        spec = cli.build_process_spec(_config({"process": _TRIG_1D_PROCESS, "n": n, "seed": seed}))
-        X, V, _ = core.slice_state(spec, core.sample_endpoints(spec, n, seed),
-                                   float(core.time_nodes(steps)[t_index]))
-        m = min(verify._DEFAULT_M_EVAL, n)
-        idx = core.aux_rng(seed, 200 + t_index).choice(n, size=m, replace=False)
+    for name, (X, V, m, stream) in geometric_slices(_KERNEL_1D).items():
+        rows = core.aux_rng(*stream).choice(X.shape[0], size=m, replace=False)
         h = estimate.silverman_bandwidth_from(X) * verify._TRACE_BANDWIDTH_FACTOR
-        out[name] = (X, V, X[idx], h)
+        out[name] = (X, V, X[rows], h)
     return out
 
 
-def kernel_pair_counts(X, V, points, h) -> dict:
-    """Query x sample pairs of one ``nw_regress`` call: weighed one by one
-    (``_weights``, cut pairs included) and summed by Taylor moments (a
-    moments block's queries times its interior samples)."""
-    counts = {"pairs_direct": 0, "pairs_moments": 0}
-    weights, moment_sums = estimate._weights, estimate._moment_sums
+def kernel_pairs(X, V, points, h) -> int:
+    """Query x sample pairs one ``nw_regress`` call weighs (``_weights``,
+    cut pairs included)."""
+    pairs, weights = [0], estimate._weights
 
     def counted_weights(q, cols, *args, **kwargs):
-        counts["pairs_direct"] += q.shape[0] * cols.shape[1]
+        pairs[0] += q.shape[0] * cols.shape[1]
         return weights(q, cols, *args, **kwargs)
 
-    def counted_moment_sums(ps, i, e, Sb, Yb, h, inner):
-        _, first, last = inner
-        counts["pairs_moments"] += int(e - i) * int(last[0] - first[-1])
-        return moment_sums(ps, i, e, Sb, Yb, h, inner)
-
-    with mock.patch.multiple(estimate, _weights=counted_weights,
-                             _moment_sums=counted_moment_sums):
+    with mock.patch.object(estimate, "_weights", counted_weights):
         estimate.nw_regress(X, V, points, h)
-    return counts
+    return pairs[0]
 
 
 def time_kernel_1d(calls: dict) -> dict:
@@ -273,7 +280,7 @@ def time_kernel_1d(calls: dict) -> dict:
             "n": X.shape[0],
             "m": points.shape[0],
             "h": h,
-            **kernel_pair_counts(X, V, points, h),
+            "pairs": kernel_pairs(X, V, points, h),
             "best_s": min(runs),
             "runs_s": runs,
         }
@@ -388,7 +395,8 @@ def main(argv=None) -> int:
         "label": args.label,
         "machine": machine_facts(),
         "repeats": REPEATS,
-        "layers": {"csv": time_csv(csv_tables()), "trace": time_trace(trace_slices()),
+        "layers": {"csv": time_csv(csv_tables()),
+                   "trace": time_trace({**trace_slices(), **geometric_slices()}),
                    "kernel_1d": time_kernel_1d(kernel_1d_calls()),
                    "kernel_nd": time_kernel_nd(kernel_nd_calls()),
                    "ensemble": time_ensemble(),
@@ -406,8 +414,7 @@ def main(argv=None) -> int:
               f"low-density {row['low_density_fraction']:.4f})")
     for name, row in report["layers"]["kernel_1d"].items():
         print(f"kernel_1d.{name}: {row['best_s']:.4f} s best of {REPEATS} "
-              f"(n={row['n']}, m={row['m']}, {row['pairs_direct']} pairs direct, "
-              f"{row['pairs_moments']} by moments)")
+              f"(n={row['n']}, m={row['m']}, {row['pairs']} pairs)")
     for name, row in report["layers"]["kernel_nd"].items():
         print(f"kernel_nd.{name}: {row['best_s']:.4f} s best of {REPEATS} "
               f"(n={row['n']}, {row['nodes']} nodes)")

@@ -122,7 +122,7 @@ class Gaussian:
             raise InvalidArgumentError(
                 f"covariance shape {cov.shape} does not match dimension {mean.size}"
             )
-        _check_cov(cov, "covariance")
+        _check_gaussian(mean, cov, "Gaussian")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
@@ -151,8 +151,8 @@ class GaussianMixture:
             raise InvalidArgumentError("mixture weights must be nonnegative and sum to 1")
         if covs.shape != (w.size, means.shape[1], means.shape[1]) or means.shape[0] != w.size:
             raise InvalidArgumentError("mixture component shapes are inconsistent")
-        for cov in covs:
-            _check_cov(cov, "mixture component covariance")
+        for mean, cov in zip(means, covs):
+            _check_gaussian(mean, cov, "mixture component")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "covs", covs)
@@ -211,15 +211,18 @@ class Empirical:
 Distribution = Gaussian | GaussianMixture | Empirical
 
 
-def _check_cov(cov: np.ndarray, what: str) -> None:
-    """Refuse a covariance that is not finite, not symmetric, or indefinite:
-    its lowest eigenvalue below -1e-10 max(trace, 1)."""
+def _check_gaussian(mean: np.ndarray, cov: np.ndarray, what: str) -> None:
+    """Refuse a mean that is not finite, and a covariance that is not finite,
+    not symmetric, or indefinite: its lowest eigenvalue below
+    -1e-10 max(trace, 1)."""
+    if not np.all(np.isfinite(mean)):
+        raise NonFiniteDataError(f"{what} mean must be finite")
     if not np.all(np.isfinite(cov)):
-        raise NonFiniteDataError(f"{what} must be finite")
+        raise NonFiniteDataError(f"{what} covariance must be finite")
     if not np.allclose(cov, cov.T, atol=1e-12):
-        raise InvalidArgumentError(f"{what} must be symmetric")
+        raise InvalidArgumentError(f"{what} covariance must be symmetric")
     if np.linalg.eigvalsh(cov).min() < -1e-10 * max(float(np.trace(cov)), 1.0):
-        raise InvalidArgumentError(f"{what} is not positive semidefinite")
+        raise InvalidArgumentError(f"{what} covariance is not positive semidefinite")
 
 
 def _psd_sqrt(cov: np.ndarray) -> np.ndarray:
@@ -318,7 +321,7 @@ class CouplingSpec:
         if cov.shape != (2 * d, 2 * d) or mean.size != 2 * d:
             raise InvalidCouplingError("joint mean/covariance have wrong shape")
         try:
-            _check_cov(cov, "joint covariance")
+            _check_gaussian(mean, cov, "joint")
         except (InvalidArgumentError, NonFiniteDataError) as err:
             raise InvalidCouplingError(str(err)) from err
         object.__setattr__(self, "joint_mean", _readonly(mean))
@@ -336,8 +339,11 @@ def gaussian_joint_coupling(mean: np.ndarray, cov: np.ndarray) -> CouplingSpec:
     if mean.size % 2 != 0:
         raise InvalidCouplingError("joint mean must have even length 2d")
     d = mean.size // 2
-    mu0 = Gaussian(mean[:d], cov[:d, :d])
-    mu1 = Gaussian(mean[d:], cov[d:, d:])
+    try:
+        mu0 = Gaussian(mean[:d], cov[:d, :d])
+        mu1 = Gaussian(mean[d:], cov[d:, d:])
+    except (InvalidArgumentError, NonFiniteDataError) as err:
+        raise InvalidCouplingError(str(err)) from err
     return CouplingSpec("gaussian_joint", mu0, mu1, joint_mean=mean, joint_cov=cov)
 
 

@@ -16,14 +16,10 @@ effective n).  The exponent sums squared direct coordinate differences, so
 nothing cancels far from the origin.  Samples are sorted on axis 0 and
 queries are walked in blocks that bound which samples can pass the cut.  In
 1-D a block is a run of queries sorted on the axis, at most one bandwidth
-wide, and meets the band of samples within eight bandwidths of it.  A 1-D
-block of at least eight queries sums the samples within the cut of all its
-queries by a 30-term Taylor expansion of the kernel about the block's centre
-(one pass per term over those samples, no exponential per pair), exact to
-2.7e-14 of each pair's weight; its other samples keep the per-pair weight and
-cut.  In d >= 2 a block is a cell of queries a few bandwidths wide on every
-axis; it meets the samples of its axis-0 band that lie in a box around every
-query's disc, gathered once per cell.
+wide, and meets the band of samples within eight bandwidths of it.  In d >= 2
+a block is a cell of queries a few bandwidths wide on every axis; it meets
+the samples of its axis-0 band that lie in a box around every query's disc,
+gathered once per cell.
 
 :func:`fields_on_grid` is the grid view over the engine.  Asked for time
 derivatives, it also gives the exact rates of change of its kernel sums at a
@@ -107,26 +103,6 @@ _CUT = -(_WINDOW_BANDWIDTHS**2) / 2.0
 # In 1-D a query block spans at most this fraction of the window radius, one
 # bandwidth, so its sample band is at most 1/16 wider than one query's window.
 _BLOCK_WIDTH = 1.0 / 8.0
-# A 1-D block of at least _MOMENT_QUERIES queries that spans at most one
-# bandwidth sums its interior columns, those within the cut of every query of
-# the block, by Taylor moments about the block's centre c.  With
-# u = (x - c) / h and U = (X - c) / h,
-#     exp(-(u - U)^2 / 2) = exp(-u^2 / 2) sum_k u^k / k! U^k exp(-U^2 / 2),
-# so the block takes _MOMENT_TERMS passes over its interior samples in place
-# of one exponential per pair.  There |u| <= 1/2 and |U| <= 8 1/2.  Against
-# the largest weight, 1, the remainder after P terms is at most
-# max_U (U / 2)^P / P! exp(U / 2 - U^2 / 2): 2.3e-17 at P = 22, 2.7e-19 at
-# P = 24.  P is set by the stricter bound relative to the pair's own weight,
-# z^P / P! exp(z) with z = |uU| <= 1/2 (8 - 1/2) when u and U have opposite
-# signs and z^P / P! with z <= 1/2 (8 1/2) otherwise: 2.7e-14 at P = 30
-# (1.6e-12 at P = 28).  So a query whose every sample lies near the cut keeps
-# the relative accuracy of the direct sum; its rounding, about 1.1e-16
-# exp(2 z) <= 2e-13 of its weight when all of it lies on the far side of c,
-# is the larger error then.
-_MOMENT_TERMS = 30
-# Moments cost about as much per interior sample as the direct weights of
-# seven queries.
-_MOMENT_QUERIES = 8
 # In d >= 2 queries are grouped in cells this fraction of the window radius
 # wide on every axis; a cell meets the samples within the window radius of
 # its extent on every axis.
@@ -175,31 +151,23 @@ def _axis_blocks(S, Y, ps, h, win):
     ``_BLOCK_WIDTH`` window radii wide, against the band of samples within
     the radius of it.  Every query of a block keeps the interior columns
     [win_lo[j-1], win_hi[i]); only the edge columns on either side can be
-    beyond a query's cut.  A block of at least ``_MOMENT_QUERIES`` queries
-    spanning at most one bandwidth sums its interior by moments; every other
-    block holds at most ``_BLOCK_PAIRS`` pairs.  Yields (first query, end
-    query, band samples (d, n), band targets, the column slices whose pairs
-    can be beyond the cut, whether to floor the exponents, None); a moments
-    block yields None for the slices and, last, (its centre, each query's
-    window in the band)."""
+    beyond a query's cut.  A block holds at most ``_BLOCK_PAIRS`` pairs.
+    Yields (first query, end query, band samples (d, n), band targets, the
+    column slices whose pairs can be beyond the cut, whether to floor the
+    exponents)."""
     win_lo, win_hi = win
     x, radius = ps[:, 0], _WINDOW_BANDWIDTHS * h
     block_end = np.searchsorted(x, x + _BLOCK_WIDTH * radius, side="right")
     i = 0
     while i < x.size:
         lo, j = win_lo[i], block_end[i]
-        by_moments = j - i >= _MOMENT_QUERIES and x[j - 1] - x[i] <= h
-        if not by_moments:
-            widest = max(win_hi[j - 1] - lo, 1)
-            j = i + max(1, min(j - i, _BLOCK_PAIRS // widest))
+        widest = max(win_hi[j - 1] - lo, 1)
+        j = i + max(1, min(j - i, _BLOCK_PAIRS // widest))
         hi = win_hi[j - 1]
-        if hi > lo and by_moments:
-            inner = (0.5 * (x[i] + x[j - 1]), win_lo[i:j] - lo, win_hi[i:j] - lo)
-            yield i, j, S[:, lo:hi], Y[lo:hi], None, False, inner
-        elif hi > lo:
+        if hi > lo:
             left, right = win_lo[j - 1] - lo, win_hi[i] - lo
             edges = [s for s in (slice(0, left), slice(right, hi - lo)) if s.start < s.stop]
-            yield i, j, S[:, lo:hi], Y[lo:hi], edges, False, None
+            yield i, j, S[:, lo:hi], Y[lo:hi], edges, False
         i = j
 
 
@@ -221,59 +189,6 @@ def _pair_sums(ps, i, e, Sb, Yb, h, cut, floor):
         rows = slice(j, min(j + step, e))
         w = _weights(ps[rows], Sb, h, cut, floor)
         yield rows, w.sum(axis=1), _product(w, Yb)
-
-
-def _moments(X, Y, c, h):
-    """Raw moments sum_j g_j U_j^k t_j of the samples X (n,), with
-    g = exp(-U^2/2) and U = (X - c) / h, of t = 1 and t = Y for
-    k < _MOMENT_TERMS, as (terms, 1 + p).  Samples are taken in runs whose
-    targets hold at most ``_BLOCK_PAIRS`` values."""
-    terms, p = _MOMENT_TERMS, Y.shape[1]
-    moments = np.zeros((terms, 1 + p))
-    step = max(1, _BLOCK_PAIRS // (1 + p))
-    for a in range(0, X.size, step):
-        run = slice(a, a + step)
-        U = (X[run] - c) / h
-        r = np.exp(-0.5 * U * U)
-        # targets as rows: each moment is one matrix-vector product
-        t = np.empty((1 + p, r.size))
-        t[0] = 1.0
-        t[1:] = Y[run].T
-        for k in range(terms):
-            if k:
-                r *= U
-            moments[k] += t @ r
-    return moments
-
-
-def _moment_sums(ps, i, e, Sb, Yb, h, inner):
-    """Kernel sums of the queries [i, e) of a moments block: the interior
-    columns, within every query's window, by Taylor moments about the
-    block's centre; the columns beyond them pair by pair, each run of
-    queries over its own windows' edges.  Yields what ``_pair_sums`` yields,
-    in runs of queries that hold at most ``_BLOCK_PAIRS`` values at once."""
-    c, first, last = inner
-    interior = slice(first[-1], last[0])
-    moments = _moments(Sb[0, interior], Yb[interior], c, h)
-    fact = np.cumprod(np.maximum(np.arange(float(_MOMENT_TERMS)), 1.0))  # k!
-    # a query holds its _MOMENT_TERMS powers and its Gaussian factor
-    widest = max(_MOMENT_TERMS + 1, interior.start - first[0], last[-1] - interior.stop)
-    step = max(1, _BLOCK_PAIRS // widest)
-    for a in range(0, e - i, step):
-        b = min(a + step, e - i)
-        rows = slice(i + a, i + b)
-        u = (ps[rows, 0] - c) / h
-        powers = np.vander(u, _MOMENT_TERMS, increasing=True) / fact  # u^k / k!
-        sums = np.exp(-0.5 * u * u)[:, None] * (powers @ moments)
-        w, wy = sums[:, 0], sums[:, 1:]
-        for edge in (slice(first[a], interior.start), slice(interior.stop, last[b - 1])):
-            if edge.start == edge.stop:
-                continue
-            for _, ew, ewy in _pair_sums(ps, rows.start, rows.stop, Sb[:, edge], Yb[edge],
-                                         h, (slice(None),), False):
-                w += ew
-                wy += ewy
-        yield rows, w, wy
 
 
 def _cell_order(points, radius):
@@ -311,7 +226,7 @@ def _cell_blocks(S, Y, q_lo, q_hi, win, starts):
         if e - i < _GATHER_QUERIES:
             for j in range(i, e):
                 lo, hi = win_lo[j], win_hi[j]
-                yield j, j + 1, S[:, lo:hi], Y[lo:hi], every_column, True, None
+                yield j, j + 1, S[:, lo:hi], Y[lo:hi], every_column, True
             continue
         lo, hi = win_lo[i:e].min(), win_hi[i:e].max()
         band = S[:, lo:hi]
@@ -321,7 +236,7 @@ def _cell_blocks(S, Y, q_lo, q_hi, win, starts):
             keep &= (band[k] >= cell_lo[k]) & (band[k] <= cell_hi[k])
         cols = lo + np.flatnonzero(keep)
         if cols.size:
-            yield i, e, np.take(S, cols, axis=1), _take_rows(Y, cols), every_column, False, None
+            yield i, e, np.take(S, cols, axis=1), _take_rows(Y, cols), every_column, False
 
 
 def nw_regress(X: np.ndarray, Y: np.ndarray, points: np.ndarray, h: float):
@@ -358,12 +273,8 @@ def nw_regress(X: np.ndarray, Y: np.ndarray, points: np.ndarray, h: float):
 
     sum_w = np.zeros(ps.shape[0])
     sum_wy = np.zeros((ps.shape[0], Y.shape[1]))
-    for i, e, Sb, Yb, cut, floor, inner in blocks:
-        if inner is None:
-            parts = _pair_sums(ps, i, e, Sb, Yb, h, cut, floor)
-        else:
-            parts = _moment_sums(ps, i, e, Sb, Yb, h, inner)
-        for rows, w, wy in parts:
+    for i, e, Sb, Yb, cut, floor in blocks:
+        for rows, w, wy in _pair_sums(ps, i, e, Sb, Yb, h, cut, floor):
             sum_w[rows], sum_wy[rows] = w, wy
         del Sb, Yb  # a cell's gathered samples go before the next cell's come
 

@@ -17,15 +17,14 @@ needs no bandwidth and its bias vanishes with the nearest-neighbour
 distance: measured on the 2-D affine OT coupling at n = 2e4, the trace reads
 4e-4 to 1.3e-3 of its permuted control (seeds 1-29), where a kernel
 regression at half the Silverman bandwidth read about 1e-2.  The geometric
-report still regresses v by Nadaraya-Watson at that bandwidth, because its
-standard error treats the regression term as independent of the moment
-terms, which nearest-neighbour pairs are not.
+report takes the same term, and its standard error is that of the per-row
+gap, X_i . Xddot_i + V_i . (V_i - V_nn(i)), so the dependence between the
+moment terms and the cross term is paired away.
 
 Every harness takes one ``density_floor``.  A subsampled point counts as
 low-density when fewer than that many sample rows lie within the radius
 whose ball has the volume of the Gaussian kernel at half the Silverman
-bandwidth (in the geometric report: when its kernel effective sample size is
-under it), and a harness whose low-density fraction exceeds
+bandwidth, and a harness whose low-density fraction exceeds
 ``_LOW_DENSITY_FRACTION`` is inconclusive whatever it measured.
 """
 
@@ -55,8 +54,8 @@ __all__ = [
     "tr_pi_moment",
 ]
 
-# Times the Silverman bandwidth: the geometric report's regression bandwidth,
-# and the bandwidth whose kernel volume sizes every harness's density gate.
+# Times the Silverman bandwidth: the bandwidth whose kernel volume sizes every
+# harness's density gate.
 _TRACE_BANDWIDTH_FACTOR = 0.5
 _DEFAULT_M_EVAL = 4096
 _DETERMINISM_M_EVAL = 2048
@@ -102,6 +101,16 @@ def _count_radius(h: float, d: int) -> float:
     return h * np.sqrt(2 * np.pi) / ball ** (1 / d)
 
 
+def _trace_terms(X: np.ndarray, V: np.ndarray, idx: np.ndarray, density_floor: float):
+    """Per sample row of ``idx``: the trace term V_i . (V_i - V_nn(i)), nn(i)
+    the nearest other sample row, and whether the row is low-density (fewer
+    than ``density_floor`` sample rows within ``_count_radius`` of half the
+    Silverman bandwidth)."""
+    h = estimate.silverman_bandwidth_from(X) * _TRACE_BANDWIDTH_FACTOR
+    _, near, count = neighbours.nearest_and_count(X, idx, _count_radius(h, X.shape[1]))
+    return np.sum(V[idx] * (V[idx] - V[near]), axis=1), count < density_floor
+
+
 def tr_pi_moment(
     X: np.ndarray,
     V: np.ndarray,
@@ -110,18 +119,14 @@ def tr_pi_moment(
     density_floor: float = 25.0,
 ) -> TraceMoment:
     """Estimate of E[Tr Pi(X)] = E|Xdot|^2 - E|v(X)|^2 at one slice: the mean
-    of V_i . (V_i - V_nn(i)) over a seeded subsample of ``m_eval`` sample rows
-    (all rows when fewer), nn(i) the nearest other sample row.  A row is
-    low-density when fewer than ``density_floor`` sample rows lie within
-    ``_count_radius`` of half the Silverman bandwidth."""
+    of the trace terms (``_trace_terms``) over a seeded subsample of
+    ``m_eval`` sample rows (all rows when fewer)."""
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(V))):
         raise NonFiniteDataError("trace moment needs finite slice arrays")
-    n, d = X.shape
+    n = X.shape[0]
     idx = rng.choice(n, size=min(int(m_eval), n), replace=False)
-    h = estimate.silverman_bandwidth_from(X) * _TRACE_BANDWIDTH_FACTOR
-    _, near, count = neighbours.nearest_and_count(X, idx, _count_radius(h, d))
-    diff = np.sum(V[idx] * (V[idx] - V[near]), axis=1)
-    return TraceMoment(float(np.mean(diff)), float(np.mean(count < density_floor)))
+    terms, low = _trace_terms(X, V, idx, density_floor)
+    return TraceMoment(float(np.mean(terms)), float(np.mean(low)))
 
 
 def _permuted_control(endpoints: EndpointArrays, tag: int) -> EndpointArrays:
@@ -256,25 +261,17 @@ def geometric_report(
     n = X.shape[0]
     m = min(_DEFAULT_M_EVAL, n)
     idx = aux_rng(endpoints.seed, 200 + t_index).choice(n, size=m, replace=False)
-    h = estimate.silverman_bandwidth_from(X) * _TRACE_BANDWIDTH_FACTOR
-    vhat, eff = estimate.nw_regress(X, V, X[idx], h)
+    terms, low = _trace_terms(X, V, idx, density_floor)
 
     xa = np.sum(X * A, axis=1)
-    v2 = np.sum(V**2, axis=1)
     m_xa = float(np.mean(xa))
-    m_v2 = float(np.mean(v2))
-    vhat2 = np.sum(vhat**2, axis=1)
-    tr_pi = float(np.mean(v2[idx] - vhat2))
-    # identity gap = E[X . Xddot] + E Tr Pi.  The standard error treats the
-    # moment terms and the regression term as independent; the conservative
-    # form leaves headroom for the kernel smoothing bias, which a paired
-    # variance would not cover.
-    q1 = xa[idx] + v2[idx]
-    gap = float(np.mean(q1) - np.mean(vhat2))
-    if m > 1:
-        se_gap = float(np.sqrt(np.var(q1, ddof=1) / m + np.var(vhat2, ddof=1) / m))
-    else:
-        se_gap = float("inf")
+    m_v2 = float(np.mean(np.sum(V**2, axis=1)))
+    tr_pi = float(np.mean(terms))
+    # identity gap = E[X . Xddot] + E Tr Pi, averaged row by row so that its
+    # standard error is the paired one of the per-row gap
+    rows = xa[idx] + terms
+    gap = float(np.mean(rows))
+    se_gap = float(np.std(rows, ddof=1) / np.sqrt(m))
     dtt_norm2 = 2.0 * m_xa + 2.0 * m_v2
 
     metrics = {
@@ -287,7 +284,7 @@ def geometric_report(
         "identity_gap_se": se_gap,
         "ineq_radial_margin": -m_xa,  # >= 0 iff E[X . Xddot] <= 0
         "ineq_dtt_margin": 2.0 * m_v2 - dtt_norm2,  # >= 0 iff second inequality holds
-        "low_density_fraction": float(np.mean(eff < density_floor)),
+        "low_density_fraction": float(np.mean(low)),
     }
     scale = max(m_v2, abs(m_xa), 1e-12)
     thresholds = {"identity_gap": 3.0 * se_gap, "scale": scale}

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from straightflow import cli, core, estimate, verify
+from straightflow import cli, core, neighbours, verify
 
 
 def load(name):
@@ -27,23 +27,24 @@ def test_layer_bench_builds_the_csv_tables():
             assert math.prod(len(cells) for cells in lead) == values.shape[0]
 
 
-def test_layer_bench_takes_the_geometric_kernel_call(monkeypatch):
-    # the kernel_1d layer's arguments are the ones verify --theorem geometric
-    # hands nw_regress at t = 0.5 of its 10-step grid, bit for bit
+def test_layer_bench_takes_the_geometric_trace_call(monkeypatch):
+    # the geometric trace rows hand the neighbour search the arguments
+    # verify --theorem geometric hands it at t = 0.5 of its 10-step grid, bit
+    # for bit
     layers = load("layers")
-    monkeypatch.setattr(layers, "_KERNEL_1D", {"tiny": (2_000, 3)})
-    calls = layers.kernel_1d_calls()
+    calls = layers.geometric_slices({"tiny": (2_000, 3)})
     spec = cli.build_process_spec(
         layers._config({"process": layers._TRIG_1D_PROCESS, "n": 2_000, "seed": 3}))
-    seen, nw_regress = [], estimate.nw_regress
-    monkeypatch.setattr(estimate, "nw_regress",
-                        lambda *args: seen.append(args) or nw_regress(*args))
+    seen, search = [], neighbours.nearest_and_count
+    monkeypatch.setattr(neighbours, "nearest_and_count",
+                        lambda *args: seen.append(args) or search(*args))
     verify.geometric_report(spec, core.sample_endpoints(spec, 2_000, 3), 10, 5)
     (want,) = seen
-    assert list(calls) == ["tiny"]
-    for got, ref in zip(calls["tiny"], want, strict=True):
-        assert np.array_equal(got, ref)
-    row = layers.time_kernel_1d(calls)["tiny"]
+    row = layers.time_trace(calls)["tiny"]
+    assert len(seen) == 1 + layers.REPEATS
+    for got in seen[1:]:
+        for arg, ref in zip(got, want, strict=True):
+            assert np.array_equal(arg, ref)
     assert (row["n"], row["m"]) == (2_000, 2_000) and len(row["runs_s"]) == layers.REPEATS
 
 
@@ -54,6 +55,13 @@ def test_layer_bench_times_the_ensemble_writer():
     assert (row["n"], row["k"], row["d"]) == (50, 4, 2)
     assert row["bytes"] == 29 + 24 * 50 * 4 * 2
     assert len(row["runs_s"]) == layers.REPEATS and row["peak_traced_mb"] > 0
+
+
+def test_verdict_audit_counts_every_seed():
+    row = load("verdicts").audit("independent", 2_000, 10, 5, range(1, 3))
+    assert sum(row["verdicts"].values()) == 2 and row["seeds"] == [1, 2]
+    assert (row["n"], row["t"]) == (2_000, 0.5)
+    assert row["max_abs_z"] >= 0 and 0 <= row["abs_z_over_3"] <= 2
 
 
 def test_output_copy_runs_the_oracle_workload(tmp_path):

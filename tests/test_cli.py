@@ -372,6 +372,9 @@ class TestThreadCount:
                                           grid={"nodes_per_axis": 16})
             env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
             env["STRAIGHTFLOW_THREADS"] = threads
+            # the child imports the package under test, installed or not
+            src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
             script = ("import sys; from straightflow import cli; "
                       "sys.exit(cli.main(['diagnose', '--config', sys.argv[1]]) "
                       "or cli.main(['flow', '--config', sys.argv[1]]) "

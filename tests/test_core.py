@@ -15,6 +15,7 @@ from straightflow import core
 from straightflow.errors import (
     InvalidArgumentError,
     InvalidCouplingError,
+    NonFiniteDataError,
 )
 
 from conftest import gauss1
@@ -72,6 +73,17 @@ class TestCouplingSample:
         # the marginal blocks are finite; only the cross block is not
         with pytest.raises(InvalidCouplingError, match="finite"):
             core.gaussian_joint_coupling(np.zeros(2), np.array([[1.0, bad], [bad, 1.0]]))
+
+    @pytest.mark.parametrize("build, error", [
+        (lambda: core.Gaussian(np.array([np.inf]), [[1.0]]), NonFiniteDataError),
+        (lambda: core.GaussianMixture(np.array([0.5, 0.5]), np.array([[0.0], [np.nan]]),
+                                      np.ones((2, 1, 1))), NonFiniteDataError),
+        (lambda: core.gaussian_joint_coupling(np.array([np.nan, 0.0]), np.eye(2)),
+         InvalidCouplingError),
+    ], ids=["gaussian", "mixture", "joint"])
+    def test_non_finite_mean_rejected(self, build, error):
+        with pytest.raises(error, match="mean must be finite"):
+            build()
 
     def test_pushforward_mismatch_rejected(self):
         amap = core.AffineMap(np.array([[2.0]]), np.array([0.0]))

@@ -244,12 +244,6 @@ def draw_problem(seed, n, m, d, decimals):
     return X, Y, points, V
 
 
-def spy_moments():
-    """Patch ``estimate._moments`` with a spy: one call per 1-D block whose
-    interior is summed by Taylor moments."""
-    return mock.patch.object(estimate, "_moments", wraps=estimate._moments)
-
-
 class TestKernelEngine:
     problems = dict(
         seed=st.integers(0, 2**32 - 1),
@@ -315,17 +309,15 @@ class TestKernelEngine:
             assert eff[0] == 1.0 + edge_w
             assert vals[0, 0] == 1.0 / (1.0 + edge_w)
 
-    def test_sample_beyond_the_window_gets_no_weight_in_a_moments_block(self):
+    def test_sample_beyond_the_window_gets_no_weight_in_a_1d_crowd(self):
         h = 0.5  # window radius 4
         X = np.array([[0.0], [np.nextafter(4.0, np.inf)], [-4.0]])  # beyond; on the edge
         Y = np.array([[1.0], [100.0], [0.0]])
-        # a crowd symmetric about the query at the origin: the centre of its
-        # block, so that query's weight of the interior sample, exp(0), is exact
+        # 63 queries within half a bandwidth of the query at the origin, all
+        # in one block, whose band holds the sample beyond that query's window
         half = np.random.default_rng(0).uniform(0.0, 0.25, 31)
         crowd = np.concatenate([[0.0], half, -half])[:, None]
-        with spy_moments() as spy:
-            vals, eff = estimate.nw_regress(X, Y, crowd, h)
-        assert spy.call_count == 1
+        vals, eff = estimate.nw_regress(X, Y, crowd, h)
         edge_w = np.exp(-16.0 / (2 * h * h))
         assert eff[0] == 1.0 + edge_w
         assert vals[0, 0] == 1.0 / (1.0 + edge_w)
@@ -338,32 +330,27 @@ class TestKernelEngine:
         decimals=st.sampled_from([None, 0, 1, 2]),
         h=st.floats(0.02, 2.0),
         offset=st.sampled_from([0.0, -1e5, 1e5]),
-        crowd=st.integers(2 * estimate._MOMENT_QUERIES, 48),
+        crowd=st.integers(16, 48),
         block_width=st.sampled_from([estimate._BLOCK_WIDTH, 1e6]),
     )
-    def test_moments_path_equals_dense_reference(
+    def test_crowded_1d_queries_equal_dense_reference(
         self, seed, n, m, decimals, h, offset, crowd, block_width
     ):
         X, Y, points, V = draw_problem(seed, n, m, 1, decimals)
         rng = np.random.default_rng(seed + 2)
-        # a crowd half a bandwidth wide about a sample puts at least
-        # _MOMENT_QUERIES of its queries in one block with that sample in
-        # the block's interior; one about a query may lie far from every
-        # sample; and one a bandwidth wide, 7.5 bandwidths beyond the last
-        # sample, weighs only samples near the cut on the far side of its
-        # centre, where the series converges slowest against the weight
+        # crowds of queries half a bandwidth wide, each sharing blocks: one
+        # about a sample, one about a query (it may lie far from every
+        # sample), and one a bandwidth wide, 7.5 bandwidths beyond the last
+        # sample, which weighs only samples near the cut
         crowds = [
             X[rng.integers(n)] + h * rng.uniform(-0.25, 0.25, (crowd, 1)),
             points[rng.integers(points.shape[0])] + h * rng.uniform(-0.25, 0.25, (crowd, 1)),
             X.max() + h * rng.uniform(7.0, 8.0, (crowd, 1)),
         ]
         X, points = X + offset, np.concatenate([points, *crowds]) + offset
-        # at a _BLOCK_WIDTH of 1e6 one block holds every query: it may take
-        # moments only if they span at most a bandwidth
-        with spy_moments() as spy, mock.patch.object(estimate, "_BLOCK_WIDTH", block_width):
+        # at a _BLOCK_WIDTH of 1e6 one block holds every query
+        with mock.patch.object(estimate, "_BLOCK_WIDTH", block_width):
             vals, eff, rates = with_velocities(X, Y, points, h, V)
-        if block_width == estimate._BLOCK_WIDTH:
-            assert spy.call_count >= 1
         ref_vals, ref_eff, ref_rates, rate_atol = dense_reference(X, Y, points, h, V)
         np.testing.assert_allclose(eff, ref_eff, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(vals, ref_vals, rtol=1e-12, atol=1e-12 * np.abs(Y).max())
