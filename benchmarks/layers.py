@@ -40,7 +40,8 @@ Layers timed so far:
   workload's estimate (n = 2e4, t = 0.5, the 40² grid over the slice's
   quantile box) at seeds 3, 17 and 31: ``fields`` as the ``fields`` command
   takes it, and ``diagnose`` with the exact time derivatives, as the
-  ``diagnose`` command takes it.
+  ``diagnose`` command takes it.  Each row also records the tracemalloc
+  peak of one more untimed call.
 - ``ensemble``: the ``simulate`` work, ``core.sample_endpoints`` then
   ``core.save_ensemble`` into a temporary directory, for the trig
   independent N(0, I) -> N(0, I) process at seed 31.  ``lab_1d`` is the
@@ -287,13 +288,23 @@ def time_kernel_1d(calls: dict) -> dict:
     return out
 
 
-def kernel_nd_calls() -> dict:
+def traced_peak_mb(fn) -> float:
+    """The tracemalloc peak of one call of ``fn``, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def kernel_nd_calls(seeds=_KERNEL_ND_SEEDS, n: int = 20_000, nodes: int = 40) -> dict:
     """(X, V, A, grid, kernel config) of the lab_2d workload's estimate at
-    t = 0.5, per seed of ``_KERNEL_ND_SEEDS``."""
+    t = 0.5 (n samples, ``nodes`` per grid axis), per seed of ``seeds``."""
     out = {}
-    for seed in _KERNEL_ND_SEEDS:
-        cfg = _config({"process": _LAB_2D_PROCESS, "n": 20_000, "seed": seed,
-                       "grid": {"nodes_per_axis": 40}})
+    for seed in seeds:
+        cfg = _config({"process": _LAB_2D_PROCESS, "n": n, "seed": seed,
+                       "grid": {"nodes_per_axis": nodes}})
         spec = cli.build_process_spec(cfg)
         X, V, A = core.slice_state(spec, core.sample_endpoints(spec, cfg["n"], seed), 0.5)
         grid = cli._resolve_spatial_grid(cfg, spec, 0.5, sample=X)
@@ -305,11 +316,14 @@ def time_kernel_nd(calls: dict) -> dict:
     out = {}
     for name, (X, V, A, grid, cfg) in calls.items():
         for command, derivatives in (("fields", False), ("diagnose", True)):
-            runs = time_runs(lambda: estimate.fields_on_grid(
-                X, V, A, grid, cfg, derivatives)["rho"].sum())
+            def call():
+                return estimate.fields_on_grid(X, V, A, grid, cfg, derivatives)["rho"].sum()
+
+            runs = time_runs(call)
             out[f"{name}.{command}"] = {
                 "n": X.shape[0],
                 "nodes": math.prod(grid.shape),
+                "peak_traced_mb": traced_peak_mb(call),
                 "best_s": min(runs),
                 "runs_s": runs,
             }
@@ -329,18 +343,13 @@ def time_ensemble(sizes: dict = _ENSEMBLE) -> dict:
                 core.save_ensemble(spec, path, endpoints, steps)
 
             runs = time_runs(simulate)
-            tracemalloc.start()
-            try:
-                simulate()
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            peak = traced_peak_mb(simulate)
             out[name] = {
                 "n": n,
                 "k": steps + 1,
                 "d": spec.dim,
                 "bytes": path.stat().st_size,
-                "peak_traced_mb": peak / 2**20,
+                "peak_traced_mb": peak,
                 "best_s": min(runs),
                 "runs_s": runs,
             }
@@ -417,7 +426,8 @@ def main(argv=None) -> int:
               f"(n={row['n']}, m={row['m']}, {row['pairs']} pairs)")
     for name, row in report["layers"]["kernel_nd"].items():
         print(f"kernel_nd.{name}: {row['best_s']:.4f} s best of {REPEATS} "
-              f"(n={row['n']}, {row['nodes']} nodes)")
+              f"(n={row['n']}, {row['nodes']} nodes, "
+              f"traced peak {row['peak_traced_mb']:.2f} MB)")
     for name, row in report["layers"]["ensemble"].items():
         print(f"ensemble.{name}: {row['best_s']:.4f} s best of {REPEATS} "
               f"(n={row['n']}, K={row['k']}, d={row['d']}, {row['bytes']} bytes, "

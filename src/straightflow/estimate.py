@@ -1,30 +1,30 @@
 """Kernel estimation of density, conditional velocity/acceleration and the
 velocity second-moment tensor from sampled slice arrays.
 
-Everything uses an isotropic Gaussian product kernel.  The unnormalized
-kernel weight of sample j at query x is ``exp(-|x - X_j|^2 / (2 h^2))``; the
-sum of these weights is the "effective n" at x, and queries whose effective n
-falls under ``density_floor`` hold NaN on grids (and are refused by the flow's
-kernel oracle).
+Everything uses a Gaussian product kernel cut per axis.  The unnormalized
+kernel weight of sample j at query x is ``prod_k exp(-(x_k - X_jk)^2 / (2
+h^2))``; the sum of these weights is the "effective n" at x, and queries whose
+effective n falls under ``density_floor`` hold NaN on grids (and are refused
+by the flow's kernel oracle).  A pair is dropped when its exponent on some
+axis is below -32, i.e. when the sample is more than eight bandwidths from
+the query on that axis: each dropped weight is below 1.3e-14, so at most
+1.3e-14 N of effective n, and so is each kept weight of a sample more than
+eight bandwidths away in distance.  Exponents take direct coordinate
+differences, so nothing cancels far from the origin.
 
-Every estimate is a kernel-weighted sum, and :func:`nw_regress` is the one
-engine that computes them, in every dimension.  It drops every pair whose
-exponent -|x - X|^2 / (2 h^2) is below -32, i.e. every sample farther than
-eight bandwidths from the query: one isotropic cut, the same in every
-dimension (each dropped weight is below 1.3e-14, so at most 1.3e-14 N of
-effective n).  The exponent sums squared direct coordinate differences, so
-nothing cancels far from the origin.  Samples are sorted on axis 0 and
-queries are walked in blocks that bound which samples can pass the cut.  In
-1-D a block is a run of queries sorted on the axis, at most one bandwidth
-wide, and meets the band of samples within eight bandwidths of it.  In d >= 2
-a block is a cell of queries a few bandwidths wide on every axis; it meets
-the samples of its axis-0 band that lie in a box around every query's disc,
-gathered once per cell.
+:func:`nw_regress` sums the weights pair by pair at any query points.
+Samples are sorted on axis 0 and queries are walked in runs sorted on that
+axis, at most one bandwidth wide, each against the band of samples within
+eight bandwidths of it on axis 0.
 
-:func:`fields_on_grid` is the grid view over the engine.  Asked for time
-derivatives, it also gives the exact rates of change of its kernel sums at a
-fixed bandwidth as the samples move with their velocities: kernel means of
-1 + d more per-sample targets, taken in the same pass as the fields (see
+:func:`fields_on_grid` tabulates the estimates on a grid.  In d >= 2 the
+kernel factors over the grid's axes, so it takes no pairwise sums: for each
+axis-0 node the axis-0 factors of its band scale the targets, and one matrix
+product with the table of the other axes' factors sums them at every node
+of that axis-0 slice (see :func:`_grid_sums`).  Asked for time derivatives,
+it also gives the exact rates of change of its kernel sums at a fixed
+bandwidth as the samples move with their velocities: kernel means of 1 + d
+more per-sample targets, taken in the same pass as the fields (see
 :func:`_kernel_means`).
 """
 
@@ -95,66 +95,62 @@ def resolve_bandwidth(cfg: KernelConfig, X: np.ndarray) -> float:
 # the kernel-moment engine
 # ---------------------------------------------------------------------------
 
-# Pairs beyond this many bandwidths, whose kernel exponent -|x - X|^2 / (2 h^2)
-# is below _CUT, are dropped: each dropped weight is below 1.3e-14, immaterial
-# next to estimator noise.
+# Pairs beyond this many bandwidths on some axis, whose kernel exponent
+# -(x_k - X_k)^2 / (2 h^2) on that axis is below _CUT, are dropped: each
+# dropped weight is below 1.3e-14, immaterial next to estimator noise.
 _WINDOW_BANDWIDTHS = 8.0
 _CUT = -(_WINDOW_BANDWIDTHS**2) / 2.0
-# In 1-D a query block spans at most this fraction of the window radius, one
-# bandwidth, so its sample band is at most 1/16 wider than one query's window.
+# A query block spans at most this fraction of the window radius on axis 0,
+# one bandwidth, so its sample band is at most 1/16 wider than one query's.
 _BLOCK_WIDTH = 1.0 / 8.0
-# In d >= 2 queries are grouped in cells this fraction of the window radius
-# wide on every axis; a cell meets the samples within the window radius of
-# its extent on every axis.
-_CELL_WIDTH = 0.5
-# A cell with fewer queries than this skips the gather: gathering costs about
-# as much per band sample as the kernel weights of a few queries, while each
-# query saves only the weights of the samples the gather drops (a fifth to a
-# half of the band at Silverman bandwidths).
-_GATHER_QUERIES = 5
 # Most query x sample pairs held at once (each temporary is 256 kB), unless
 # one query's window alone holds more samples.
 _BLOCK_PAIRS = 1 << 15
+# Most multiply-adds of one axis-0 node's product in a chunk of a d >= 2
+# grid sum (see _grid_sums), and most doubles (2 MB) of the chunk's operands,
+# unless one sample alone needs more.  OpenBLAS takes a product this small
+# on one thread, so its bits do not follow the thread count.
+_CHUNK_DOUBLES = 1 << 18
 # numpy's exp takes a slow path, 20-100 times slower, where its result is
-# below the smallest normal double (exponents under -708.4).  A strip (see
-# _cell_blocks) meets samples far off its query on the other axes, so it
-# raises its exponents to this floor first; every floored pair is beyond the
-# cut.  A gathered cell needs no floor below d = 10: its pairs lie within
-# (1 + _CELL_WIDTH) window radii on every axis, so their exponents are at
-# least (1 + _CELL_WIDTH)^2 d _CUT = -72 d.
+# below the smallest normal double (exponents under -708.4).  In d >= 2 a
+# query meets samples far off it on the axes after the first, so their
+# exponents are raised to this floor first, axis by axis; every floored pair
+# is beyond the cut, and a pair's exponents then sum to more than -41 d.
 _STRIP_FLOOR = _CUT - 1.0
 
 
-def _weights(q: np.ndarray, cols: np.ndarray, h: float, cut, floor: bool):
+def _exponents(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
+    """Kernel exponents -(a_i - b_j)^2 / (2 h^2) (a.size, b.size) on one axis."""
+    e = np.subtract(a[:, None], b[None, :])
+    return np.multiply(np.square(e, out=e), -1.0 / (2.0 * h * h), out=e)
+
+
+def _weights(q: np.ndarray, cols: np.ndarray, h: float, cut):
     """Unnormalized Gaussian weights (queries, columns) of the samples
-    (d, columns), distances summed from direct coordinate differences.  In
-    the column slices ``cut`` a pair whose exponent is below _CUT weighs an
-    exact 0; with ``floor``, exponents are raised to _STRIP_FLOOR before exp.
-    Two pair temporaries at most."""
-    d2 = np.subtract(q[:, 0, None], cols[None, 0])
-    np.square(d2, out=d2)
+    (d, columns), the exponents summed in axis order.  A pair whose exponent
+    on some axis is below _CUT weighs an exact 0: on axis 0 only the column
+    slices ``cut`` can be, on the other axes (floored at _STRIP_FLOOR) any
+    column.  Two pair temporaries at most, plus their masks."""
+    e = _exponents(q[:, 0], cols[0], h)
+    inside = [(c, e[:, c] >= _CUT) for c in cut]
     for k in range(1, cols.shape[0]):
-        diff = np.subtract(q[:, k, None], cols[None, k])
-        d2 += np.square(diff, out=diff)
-    np.multiply(d2, -1.0 / (2.0 * h * h), out=d2)
-    inside = [(c, d2[:, c] >= _CUT) for c in cut]
-    if floor:
-        np.maximum(d2, _STRIP_FLOOR, out=d2)
-    w = np.exp(d2, out=d2)
+        ek = _exponents(q[:, k], cols[k], h)
+        inside.append((slice(None), ek >= _CUT))
+        e += np.maximum(ek, _STRIP_FLOOR, out=ek)
+    w = np.exp(e, out=e)
     for c, mask in inside:
         w[:, c] *= mask
     return w
 
 
 def _axis_blocks(S, Y, ps, h, win):
-    """1-D blocks: queries sorted on the axis, each block at most
-    ``_BLOCK_WIDTH`` window radii wide, against the band of samples within
-    the radius of it.  Every query of a block keeps the interior columns
-    [win_lo[j-1], win_hi[i]); only the edge columns on either side can be
-    beyond a query's cut.  A block holds at most ``_BLOCK_PAIRS`` pairs.
+    """Queries sorted on axis 0, each block at most ``_BLOCK_WIDTH`` window
+    radii wide on it, against the band of samples within the radius of it.
+    Every query of a block keeps the interior columns [win_lo[j-1],
+    win_hi[i]) on axis 0; only the edge columns on either side can be beyond
+    a query's cut there.  A block holds at most ``_BLOCK_PAIRS`` pairs.
     Yields (first query, end query, band samples (d, n), band targets, the
-    column slices whose pairs can be beyond the cut, whether to floor the
-    exponents)."""
+    column slices whose pairs can be beyond the cut on axis 0)."""
     win_lo, win_hi = win
     x, radius = ps[:, 0], _WINDOW_BANDWIDTHS * h
     block_end = np.searchsorted(x, x + _BLOCK_WIDTH * radius, side="right")
@@ -167,7 +163,7 @@ def _axis_blocks(S, Y, ps, h, win):
         if hi > lo:
             left, right = win_lo[j - 1] - lo, win_hi[i] - lo
             edges = [s for s in (slice(0, left), slice(right, hi - lo)) if s.start < s.stop]
-            yield i, j, S[:, lo:hi], Y[lo:hi], edges, False
+            yield i, j, S[:, lo:hi], Y[lo:hi], edges
         i = j
 
 
@@ -180,75 +176,26 @@ def _product(w, T):
     return w @ T
 
 
-def _pair_sums(ps, i, e, Sb, Yb, h, cut, floor):
+def _pair_sums(ps, i, e, Sb, Yb, h, cut):
     """Kernel sums of the queries [i, e) over the samples Sb, every pair's
     weight taken directly, in runs of queries of at most ``_BLOCK_PAIRS``
     pairs.  Yields (rows, sum w, sum w Y)."""
     step = max(1, _BLOCK_PAIRS // max(Sb.shape[1], 1))
     for j in range(i, e, step):
         rows = slice(j, min(j + step, e))
-        w = _weights(ps[rows], Sb, h, cut, floor)
+        w = _weights(ps[rows], Sb, h, cut)
         yield rows, w.sum(axis=1), _product(w, Yb)
-
-
-def _cell_order(points, radius):
-    """Permutation grouping the queries by cell (``_CELL_WIDTH`` window radii
-    on every axis), and the start of each cell in that order.  Fewer queries
-    than ``_GATHER_QUERIES`` stay in one group: no cell of theirs would
-    gather."""
-    m = points.shape[0]
-    if m < _GATHER_QUERIES:
-        return np.arange(m), np.array([0, m])
-    cell = (points - points.min(axis=0)) // (_CELL_WIDTH * radius)
-    order = np.lexsort(cell.T[::-1])
-    cell = cell[order]
-    first = np.ones(m, dtype=bool)
-    first[1:] = np.any(cell[1:] != cell[:-1], axis=1)
-    return order, np.append(np.flatnonzero(first), m)
-
-
-def _take_rows(Y, rows):
-    """The rows of Y, stored column by column (np.take returns C order)."""
-    return np.take(Y.T, rows, axis=1).T
-
-
-def _cell_blocks(S, Y, q_lo, q_hi, win, starts):
-    """d >= 2 blocks: each cell of queries meets the samples of its axis-0
-    band that lie within the window radius of the cell's extent on every
-    other axis, a box around every query's disc, gathered once per cell.
-    A cell with fewer than ``_GATHER_QUERIES`` queries does not pay for the
-    gather: each of its queries meets its own axis-0 window (a strip), with
-    floored exponents.  Any pair can be beyond the cut.  Yields blocks as
-    ``_axis_blocks`` does."""
-    win_lo, win_hi = win
-    every_column = (slice(None),)
-    for i, e in zip(starts[:-1], starts[1:]):
-        if e - i < _GATHER_QUERIES:
-            for j in range(i, e):
-                lo, hi = win_lo[j], win_hi[j]
-                yield j, j + 1, S[:, lo:hi], Y[lo:hi], every_column, True
-            continue
-        lo, hi = win_lo[i:e].min(), win_hi[i:e].max()
-        band = S[:, lo:hi]
-        cell_lo, cell_hi = q_lo[i:e].min(axis=0), q_hi[i:e].max(axis=0)
-        keep = (band[1] >= cell_lo[1]) & (band[1] <= cell_hi[1])
-        for k in range(2, S.shape[0]):
-            keep &= (band[k] >= cell_lo[k]) & (band[k] <= cell_hi[k])
-        cols = lo + np.flatnonzero(keep)
-        if cols.size:
-            yield i, e, np.take(S, cols, axis=1), _take_rows(Y, cols), every_column, False
 
 
 def nw_regress(X: np.ndarray, Y: np.ndarray, points: np.ndarray, h: float):
     """Nadaraya-Watson ratio of targets Y (N, p) at each query point (M, d).
 
     Returns (values (M, p), effective_n (M,)).  A pair whose exponent
-    -|x - X|^2 / (2 h^2) is below -32 (a sample farther than eight bandwidths
-    from the query, in any direction) gets weight zero.  No floor is
-    applied here; callers decide whether to refuse or mask.  Samples already
-    sorted on axis 0 are not sorted again, so a caller that queries one
-    sample set many times can sort it once.  A d >= 2 cell gathers its
-    targets column by column, the layout ``fields_on_grid`` stores them in.
+    -(x_k - X_k)^2 / (2 h^2) on some axis k is below -32 (a sample more than
+    eight bandwidths from the query on that axis) gets weight zero.  No
+    floor is applied here; callers decide whether to refuse or mask.
+    Samples already sorted on axis 0 are not sorted again, so a caller that
+    queries one sample set many times can sort it once.
     """
     points = np.atleast_2d(points)
     radius = _WINDOW_BANDWIDTHS * h
@@ -257,26 +204,17 @@ def nw_regress(X: np.ndarray, Y: np.ndarray, points: np.ndarray, h: float):
         order = np.argsort(S[0], kind="stable")
         S, Y = S.take(order, axis=1), Y[order]
     S = np.ascontiguousarray(S)  # one contiguous row per axis
-    if points.shape[1] == 1:
-        order, starts = np.argsort(points[:, 0], kind="stable"), None
-    else:
-        order, starts = _cell_order(points, radius)
+    order = np.argsort(points[:, 0], kind="stable")
     ps = points[order]
-    q_lo, q_hi = ps - radius, ps + radius
     # window of query i on axis 0: samples [win[0][i], win[1][i])
-    win = (np.searchsorted(S[0], q_lo[:, 0], side="left"),
-           np.searchsorted(S[0], q_hi[:, 0], side="right"))
-    if starts is None:
-        blocks = _axis_blocks(S, Y, ps, h, win)
-    else:
-        blocks = _cell_blocks(S, Y, q_lo, q_hi, win, starts)
+    win = (np.searchsorted(S[0], ps[:, 0] - radius, side="left"),
+           np.searchsorted(S[0], ps[:, 0] + radius, side="right"))
 
     sum_w = np.zeros(ps.shape[0])
     sum_wy = np.zeros((ps.shape[0], Y.shape[1]))
-    for i, e, Sb, Yb, cut, floor in blocks:
-        for rows, w, wy in _pair_sums(ps, i, e, Sb, Yb, h, cut, floor):
+    for i, e, Sb, Yb, cut in _axis_blocks(S, Y, ps, h, win):
+        for rows, w, wy in _pair_sums(ps, i, e, Sb, Yb, h, cut):
             sum_w[rows], sum_wy[rows] = w, wy
-        del Sb, Yb  # a cell's gathered samples go before the next cell's come
 
     values = np.empty_like(sum_wy)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -284,6 +222,45 @@ def nw_regress(X: np.ndarray, Y: np.ndarray, points: np.ndarray, h: float):
     eff = np.empty_like(sum_w)
     eff[order] = sum_w
     return values, eff
+
+
+def _factors(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
+    """Kernel factors (a.size, b.size) on one axis: exp of the exponents,
+    floored at _STRIP_FLOOR, and an exact 0 where they are below _CUT."""
+    e = _exponents(a, b, h)
+    inside = e >= _CUT
+    return np.multiply(np.exp(np.maximum(e, _STRIP_FLOOR, out=e), out=e), inside, out=e)
+
+
+def _grid_sums(X, T, axes, h):
+    """Kernel sums of the targets T (N, p), whose first column is ones, on
+    the tensor grid ``axes`` (d >= 2) over the samples X (N, d), sorted on
+    axis 0.  The weight of sample j at node (i, r) is f0(i, j) F(r, j), F
+    the product of the factors of the axes after the first, so the sums at
+    the nodes of axis-0 node i are the product (T.T * f0(i)) @ F.T over the
+    samples of its band (those within the window radius on axis 0).  The
+    samples are walked in chunks, each product of a chunk taken once per
+    axis-0 node whose band meets it.  Returns (values (M, p - 1), effective
+    n (M,)) in the grid's C order."""
+    g0, rest = axes[0], axes[1:]
+    x0 = np.ascontiguousarray(X[:, 0])
+    radius = _WINDOW_BANDWIDTHS * h
+    lo = np.searchsorted(x0, g0 - radius, side="left")
+    hi = np.searchsorted(x0, g0 + radius, side="right")
+    nodes, p = int(np.prod([ax.size for ax in rest])), T.shape[1]
+    sums = np.zeros((g0.size, p, nodes))
+    step = max(1, _CHUNK_DOUBLES // (p * max(nodes, g0.size)))
+    for c in range(lo[0], hi[-1], step):
+        e = min(c + step, hi[-1])
+        F = _factors(rest[0], X[c:e, 1], h)
+        for k, ax in enumerate(rest[1:], 2):
+            F = (F[:, None, :] * _factors(ax, X[c:e, k], h)[None, :, :]).reshape(-1, e - c)
+        i, j = np.searchsorted(hi, c, side="right"), np.searchsorted(lo, e)
+        # beyond node i's band its factors f0(i) are 0: its samples are cut
+        sums[i:j] += (T.T[None, :, c:e] * _factors(g0[i:j], x0[c:e], h)[:, None, :]) @ F.T
+    sums = sums.transpose(0, 2, 1).reshape(-1, p)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return sums[:, 1:] / sums[:, :1], sums[:, 0]
 
 
 def reynolds_tensor(Sigma_hat: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
@@ -318,40 +295,54 @@ def reynolds_tensor(Sigma_hat: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
 # grid tabulation
 # ---------------------------------------------------------------------------
 
-def _kernel_means(X, V, A, points, h, time_derivatives):
-    """Kernel means at the query points (M, d) of the targets [V, A, V (x) V]
-    (V (x) V flattened row by row), the effective n, and with
-    ``time_derivatives`` the means (M, 1 + d) of s and s V, s = (x - X).V per
-    pair (otherwise None).  About the sample mean c, with p = (X - c).V,
+def _kernel_means(X, V, A, queries, h, time_derivatives):
+    """Kernel means at the queries of the targets [V, A], and of the upper
+    triangle of V (x) V, returned as Sigma (M, d, d); the effective n; and
+    with ``time_derivatives`` the means (M, 1 + d) of s and s V, s = (x -
+    X).V per pair (otherwise None).  ``queries`` is an (M, d) array of
+    points, or a grid, whose sums in d >= 2 take :func:`_grid_sums`.  About
+    the sample mean c, with p = (X - c).V,
         sum w s   = (x - c).sum w V - sum w p,
         sum w s V = sum_a (x - c)_a sum w V_a V - sum w p V,
     so those take the 1 + d more target columns p and p V.  The terms that
     cancel are as large as the samples' spread about c, wherever they lie.
     """
     n, d = X.shape
+    grid = isinstance(queries, calculus.SpatialGrid)
+    points = queries.points() if grid else queries
+    ones = int(grid and d > 1)  # the grid sums take sum w from a ones column
     # sorted here, so that nw_regress copies neither the samples nor the targets
     order = np.argsort(X[:, 0], kind="stable")
     Xs, Vs = X[order], V[order]
-    # most of the engine's products are a few queries against thousands of
-    # samples; OpenBLAS takes those faster with the targets stored column by
-    # column
+    iu = np.triu_indices(d)
     k = d + A.shape[1]
-    targets = np.empty((n, k + d * d + (1 + d) * time_derivatives), order="F")
+    m = k + iu[0].size
+    # most of the pairwise products are a few queries against thousands of
+    # samples; OpenBLAS takes those faster with the targets stored column by
+    # column, the layout the grid sums read too
+    block = np.empty((n, ones + m + (1 + d) * time_derivatives), order="F")
+    block[:, :ones] = 1.0
+    targets = block[:, ones:]
     targets[:, :d], targets[:, d:k] = Vs, A[order]
-    targets[:, k : k + d * d] = (Vs[:, :, None] * Vs[:, None, :]).reshape(n, d * d)
+    targets[:, k:m] = Vs[:, iu[0]] * Vs[:, iu[1]]
     if time_derivatives:
         c = X.mean(axis=0)
-        targets[:, -1 - d] = ((Xs - c) * Vs).sum(axis=1)
-        targets[:, -d:] = targets[:, -1 - d, None] * Vs
+        targets[:, m] = ((Xs - c) * Vs).sum(axis=1)
+        targets[:, m + 1 :] = targets[:, m, None] * Vs
     del Vs  # not held through the kernel sums
-    means, eff = nw_regress(Xs, targets, points, h)
+    if ones:
+        means, eff = _grid_sums(Xs, block, queries.axes, h)
+    else:
+        means, eff = nw_regress(Xs, targets, points, h)
+    sigma = np.empty((means.shape[0], d, d))
+    sigma[:, iu[0], iu[1]] = sigma[:, iu[1], iu[0]] = means[:, k:m]
     if not time_derivatives:
-        return means, eff, None
-    means, moved = means[:, : -1 - d], means[:, -1 - d :]
+        return means[:, :k], sigma, eff, None
+    moved = means[:, m:]
     x = points - c
     s = np.einsum("ma,ma->m", x, means[:, :d]) - moved[:, 0]
-    sv = np.einsum("ma,mab->mb", x, means[:, -d * d :].reshape(-1, d, d)) - moved[:, 1:]
-    return means, eff, np.column_stack([s, sv])
+    sv = np.einsum("ma,mab->mb", x, sigma) - moved[:, 1:]
+    return means[:, :k], sigma, eff, np.column_stack([s, sv])
 
 
 def fields_on_grid(
@@ -380,17 +371,15 @@ def fields_on_grid(
             raise NonFiniteDataError(f"{name} must be finite for grid estimation")
     n, d = X.shape
     h = resolve_bandwidth(cfg, X)
-    vals, eff, rates = _kernel_means(X, V, A, grid.points(), h, time_derivatives)
+    vals, sig_arr, eff, rates = _kernel_means(X, V, A, grid, h, time_derivatives)
     rho = eff / (n * (2 * np.pi * h * h) ** (d / 2))
 
     ok = (eff >= cfg.density_floor) & (eff > 0)
-    vals[~ok] = np.nan
+    vals[~ok] = sig_arr[~ok] = np.nan
     rho_arr = np.where(ok, rho, np.nan)
 
     v_arr = vals[:, :d]
     a_arr = vals[:, d : 2 * d]
-    sig_arr = vals[:, 2 * d :].reshape(-1, d, d)
-    sig_arr = 0.5 * (sig_arr + np.swapaxes(sig_arr, -1, -2))
     pi_arr = np.full_like(sig_arr, np.nan)
     pi_arr[ok] = reynolds_tensor(sig_arr[ok], v_arr[ok])
 

@@ -57,6 +57,15 @@ def test_layer_bench_times_the_ensemble_writer():
     assert len(row["runs_s"]) == layers.REPEATS and row["peak_traced_mb"] > 0
 
 
+def test_layer_bench_times_the_grid_estimate():
+    layers = load("layers")
+    rows = layers.time_kernel_nd(layers.kernel_nd_calls((3,), n=2_000, nodes=8))
+    assert sorted(rows) == ["lab_2d_seed3.diagnose", "lab_2d_seed3.fields"]
+    for row in rows.values():
+        assert (row["n"], row["nodes"]) == (2_000, 64)
+        assert len(row["runs_s"]) == layers.REPEATS and row["peak_traced_mb"] > 0
+
+
 def test_verdict_audit_counts_every_seed():
     row = load("verdicts").audit("independent", 2_000, 10, 5, range(1, 3))
     assert sum(row["verdicts"].values()) == 2 and row["seeds"] == [1, 2]

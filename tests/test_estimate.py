@@ -186,21 +186,22 @@ class TestReynoldsTensor:
 
 
 def dense_reference(X, Y, points, h, V):
-    """Every sample against every query, with the engine's cut: the exponent
-    is the squared coordinate differences summed in axis order, times
-    -1/(2 h^2), and a pair whose exponent is below -32 (beyond eight
-    bandwidths) is dropped.  Returns the values, the effective n, the
-    weighted means of s and s V (s = (x - X).V per pair), and their absolute
-    tolerance: 1e-12 of the largest kept |s| and |s V| (the scale of the
-    terms of those means), plus rounding of the two parts they are formed
-    from, which cancel to s: 64 eps of the largest kept |t| and |t V| over
-    t = (x - c).V and (X - c).V about the sample mean c."""
+    """Every sample against every query, with the engine's cut per axis: an
+    axis's exponent is its squared coordinate difference times -1/(2 h^2),
+    the weight is exp of their sum in axis order, and a pair whose exponent
+    on some axis is below -32 (beyond eight bandwidths on that axis) is
+    dropped.  Returns the values, the effective n, the weighted means of s
+    and s V (s = (x - X).V per pair), and their absolute tolerance: 1e-12 of
+    the largest kept |s| and |s V| (the scale of the terms of those means),
+    plus rounding of the two parts they are formed from, which cancel to s:
+    64 eps of the largest kept |t| and |t V| over t = (x - c).V and
+    (X - c).V about the sample mean c."""
     diff = points[:, None, :] - X[None, :, :]
-    d2 = diff[..., 0] ** 2
+    exponents = diff**2 * (-1.0 / (2.0 * h * h))
+    exponent = exponents[..., 0]
     for k in range(1, X.shape[1]):
-        d2 = d2 + diff[..., k] ** 2
-    exponent = d2 * (-1.0 / (2.0 * h * h))
-    inside = exponent >= -32.0
+        exponent = exponent + exponents[..., k]
+    inside = np.all(exponents >= -32.0, axis=-1)
     w = np.where(inside, np.exp(exponent), 0.0)
     sum_w = w.sum(axis=1)
     s = np.sum(diff * V[None, :, :], axis=-1)
@@ -221,12 +222,12 @@ def dense_reference(X, Y, points, h, V):
         return (w @ Y) / sum_w[:, None], sum_w, rates, atol
 
 
-def with_velocities(X, Y, points, h, V):
+def with_velocities(X, Y, queries, h, V):
     """The kernel means of the targets [V, Y, V (x) V] and the time-derivative
-    moments, taken in one pass: the values of Y, the effective n and the
-    means of s and s V."""
-    means, eff, rates = estimate._kernel_means(X, V, Y, points, h, time_derivatives=True)
-    return means[:, V.shape[1]:V.shape[1] + Y.shape[1]], eff, rates
+    moments, taken in one pass at the query points or grid: the values of
+    Y, the effective n and the means of s and s V."""
+    means, _, eff, rates = estimate._kernel_means(X, V, Y, queries, h, time_derivatives=True)
+    return means[:, V.shape[1]:], eff, rates
 
 
 def draw_problem(seed, n, m, d, decimals):
@@ -271,8 +272,6 @@ class TestKernelEngine:
         geometry=st.fixed_dictionaries({
             "_BLOCK_PAIRS": st.sampled_from([1, 7, estimate._BLOCK_PAIRS, 1 << 40]),
             "_BLOCK_WIDTH": st.sampled_from([1e-6, estimate._BLOCK_WIDTH, 1e6]),
-            "_CELL_WIDTH": st.sampled_from([1e-6, 0.1, estimate._CELL_WIDTH, 1e6]),
-            "_GATHER_QUERIES": st.sampled_from([1, 2, estimate._GATHER_QUERIES, 1 << 40]),
         }),
         **problems,
     )
@@ -286,28 +285,61 @@ class TestKernelEngine:
         rate_atol = dense_reference(X, Y, points, h, V)[3]
         np.testing.assert_allclose(rates_g, rates, rtol=1e-12, atol=rate_atol)
 
+    @settings(max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 300),
+        d=st.sampled_from([2, 3]),
+        nodes=st.lists(st.integers(3, 7), min_size=3, max_size=3),
+        decimals=st.sampled_from([None, 0, 1, 2]),
+        h=st.floats(0.02, 2.0),
+        offset=st.sampled_from([0.0, -1e5, 1e5]),
+        chunk=st.sampled_from([1, 7, estimate._CHUNK_DOUBLES, 1 << 40]),
+    )
+    def test_grid_sums_equal_dense_reference(self, seed, n, d, nodes, decimals, h, offset, chunk):
+        X, Y, _, V = draw_problem(seed, n, 1, d, decimals)
+        # boxes from inside the samples to up to five scales off them
+        rng = np.random.default_rng(seed + 3)
+        lo = rng.uniform(-5.0, 1.0, d)
+        box = list(zip(lo + offset, lo + rng.uniform(0.1, 6.0, d) + offset))
+        grid = calculus.make_spatial_grid(box, nodes[:d])
+        X = X + offset
+        # a chunk of 1 << 40 doubles holds every sample
+        with mock.patch.object(estimate, "_CHUNK_DOUBLES", chunk):
+            vals, eff, rates = with_velocities(X, Y, grid, h, V)
+        ref_vals, ref_eff, ref_rates, rate_atol = dense_reference(X, Y, grid.points(), h, V)
+        np.testing.assert_allclose(eff, ref_eff, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(vals, ref_vals, rtol=1e-12, atol=1e-12 * np.abs(Y).max())
+        np.testing.assert_allclose(rates, ref_rates, rtol=1e-12, atol=rate_atol)
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_sample_beyond_the_window_on_one_axis_gets_no_weight(self, d):
         h = 0.5  # window radius 4
         # in the window on axis 0 but beyond it on the last axis, at weight
-        # exp(-34) (relative 1.7e-15, which would show in effective n)
+        # exp(-34) (relative 1.7e-15, which would show 100-fold in the value)
         beyond = np.zeros(d)
         beyond[0], beyond[-1] = 1.0, np.nextafter(4.0, np.inf)
         at_edge = np.zeros(d)
         at_edge[-1] = -4.0  # on the window's edge: kept
-        # inside the box of half-width 4 on every axis, but 4.1 away, at
-        # weight exp(-33.6): the cut is a disc, not a box
+        # 4.1 away, but within the window on every axis: the cut is per axis,
+        # so it keeps its weight exp(-33.6)
         corner = np.zeros(d)
         corner[0] = corner[-1] = 2.9
         X = np.stack([np.zeros(d), beyond, at_edge, corner])
-        Y = np.array([[1.0], [100.0], [0.0], [100.0]])
+        Y = np.array([[1.0], [100.0], [0.0], [0.0]])
         rng = np.random.default_rng(0)
         crowd = np.concatenate([np.zeros((1, d)), rng.uniform(-0.5, 0.5, (63, d))])
-        for points in (np.zeros((1, d)), crowd):
-            vals, eff = estimate.nw_regress(X, Y, points, h)
-            edge_w = np.exp(-16.0 / (2 * h * h))
-            assert eff[0] == 1.0 + edge_w
-            assert vals[0, 0] == 1.0 / (1.0 + edge_w)
+        layouts = [estimate.nw_regress(X, Y, points, h) for points in (np.zeros((1, d)), crowd)]
+        # the centre node of a 3^d grid lies at the origin
+        grid = calculus.make_spatial_grid([(-1.0, 1.0)] * d, 3)
+        means, _, eff, _ = estimate._kernel_means(X, np.zeros_like(X), Y, grid, h, False)
+        centre = [(3**d - 1) // 2]
+        layouts.append((means[centre, d:], eff[centre]))
+        want = 1.0 + np.exp(-16.0 / (2 * h * h)) + np.exp(-2 * 2.9**2 / (2 * h * h))
+        tol = 4 * np.finfo(float).eps
+        for vals, eff in layouts:
+            assert eff[0] == pytest.approx(want, rel=0.0, abs=tol)
+            assert vals[0, 0] == pytest.approx(1.0 / want, rel=0.0, abs=tol)
 
     def test_sample_beyond_the_window_gets_no_weight_in_a_1d_crowd(self):
         h = 0.5  # window radius 4
@@ -596,16 +628,22 @@ class TestTimeDerivatives:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_strips_never_take_the_exp_underflow_path(self, d):
-        # sparse queries over a wide box: every cell holds fewer than
-        # _GATHER_QUERIES queries, so each query meets its whole axis-0 strip
+        # sparse queries over a wide box each meet their whole axis-0 strip,
+        # and a grid over it meets every sample of its axis-0 bands
         rng = np.random.default_rng(d)
         X = rng.standard_normal((4000, d)) * np.linspace(1.0, 3.0, d)
         V = rng.standard_normal((4000, d))
         points = rng.uniform(-6.0, 6.0, (30, d))
         h = 0.5 * estimate.silverman_bandwidth_from(X)
+        grid = calculus.make_spatial_grid([(-6.0, 6.0)] * d, 9)
+        runs = [lambda: estimate.nw_regress(X, V, points, h)]
+        if d > 1:
+            runs.append(lambda: estimate._kernel_means(X, V, V, grid, h, True))
         with np.errstate(under="raise", invalid="raise"):
-            estimate.nw_regress(X, V, points, h)
-        if d > 1:  # without the floor these strips do reach it
+            for run in runs:
+                run()
+        if d > 1:  # without the floor these strips and grids do reach it
             with mock.patch.object(estimate, "_STRIP_FLOOR", -np.inf):
-                with np.errstate(under="raise"), pytest.raises(FloatingPointError):
-                    estimate.nw_regress(X, V, points, h)
+                for run in runs:
+                    with np.errstate(under="raise"), pytest.raises(FloatingPointError):
+                        run()

@@ -241,6 +241,22 @@ class TestIntegrate:
         assert np.allclose(got, v[mask], rtol=0.0, atol=1e-12)
         assert oracle.stats.excursions == 0
 
+    def test_kernel_oracle_at_2d_grid_nodes_is_the_grid_velocity(self):
+        # the oracle sums pair by pair and the grid by its separable fold;
+        # at a grid's nodes both give one velocity, up to rounding
+        cfg = estimate.KernelConfig()
+        for coefficients in ("affine", "trig"):
+            spec, ens = kernel_case(coefficients, 2)
+            X, V, A = core.slice_state(spec, ens, 0.5)
+            grid = calculus.make_spatial_grid(list(zip(*calculus.quantile_box(X))), 12)
+            v = estimate.fields_on_grid(X, V, A, grid, cfg)["v"].reshape(-1, 2)
+            admissible = np.isfinite(v[:, 0])
+            assert admissible.sum() > 0.5 * admissible.size
+            oracle = flow.kernel_velocity_oracle(spec, ens, cfg)
+            got = oracle(0.5, grid.points()[admissible])
+            np.testing.assert_allclose(got, v[admissible], rtol=1e-12, atol=0.0)
+            assert oracle.stats.excursions == 0
+
 
 class TestFlowMap:
     def test_preserves_order_and_collects_errors(self, affine_indep_spec):
