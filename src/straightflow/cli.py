@@ -28,6 +28,7 @@ on import, before numpy loads.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -656,6 +657,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: _Outputs, param: str, values: list[str
 # entry
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="straightflow",

@@ -270,8 +270,7 @@ class CouplingSpec:
     mu0: Distribution
     mu1: Distribution
     map: AffineMap | None = None
-    joint_mean: np.ndarray | None = None
-    joint_cov: np.ndarray | None = None
+    joint: Gaussian | None = None  # the law of the pair (X0, X1) of a gaussian_joint
 
     def __post_init__(self):
         if self.kind not in COUPLING_KINDS:
@@ -281,8 +280,10 @@ class CouplingSpec:
         d = self.mu0.dim
         if self.kind == "deterministic_map":
             self._check_deterministic(d)
-        elif self.kind == "gaussian_joint":
-            self._check_joint(d)
+        elif self.kind == "gaussian_joint" and not (
+            isinstance(self.joint, Gaussian) and self.joint.dim == 2 * d
+        ):
+            raise InvalidCouplingError(f"gaussian_joint needs a {2 * d}-dimensional Gaussian joint")
 
     def _check_deterministic(self, d: int):
         if self.map is None:
@@ -309,24 +310,6 @@ class CouplingSpec:
                     "pushforward of mu0 under the map does not match mu1"
                 )
 
-    def _check_joint(self, d: int):
-        if self.joint_cov is None:
-            raise InvalidCouplingError("gaussian_joint needs a 2d x 2d covariance")
-        cov = np.atleast_2d(np.asarray(self.joint_cov, dtype=float))
-        mean = (
-            np.zeros(2 * d)
-            if self.joint_mean is None
-            else np.atleast_1d(np.asarray(self.joint_mean, dtype=float))
-        )
-        if cov.shape != (2 * d, 2 * d) or mean.size != 2 * d:
-            raise InvalidCouplingError("joint mean/covariance have wrong shape")
-        try:
-            _check_gaussian(mean, cov, "joint")
-        except (InvalidArgumentError, NonFiniteDataError) as err:
-            raise InvalidCouplingError(str(err)) from err
-        object.__setattr__(self, "joint_mean", _readonly(mean))
-        object.__setattr__(self, "joint_cov", _readonly(cov))
-
     @property
     def dim(self) -> int:
         return self.mu0.dim
@@ -340,11 +323,12 @@ def gaussian_joint_coupling(mean: np.ndarray, cov: np.ndarray) -> CouplingSpec:
         raise InvalidCouplingError("joint mean must have even length 2d")
     d = mean.size // 2
     try:
+        joint = Gaussian(mean, cov)
         mu0 = Gaussian(mean[:d], cov[:d, :d])
         mu1 = Gaussian(mean[d:], cov[d:, d:])
     except (InvalidArgumentError, NonFiniteDataError) as err:
         raise InvalidCouplingError(str(err)) from err
-    return CouplingSpec("gaussian_joint", mu0, mu1, joint_mean=mean, joint_cov=cov)
+    return CouplingSpec("gaussian_joint", mu0, mu1, joint=joint)
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +391,7 @@ def _draw_block(coupling: CouplingSpec, rng: np.random.Generator, latent: bool):
     normals, or the tabulated row index), then mu1, then the latent."""
     rows = _BLOCK_ROWS
     if coupling.kind == "gaussian_joint":
-        d = coupling.dim
-        u = rng.standard_normal((rows, 2 * d))
-        pair = coupling.joint_mean + u @ _psd_sqrt(coupling.joint_cov).T
-        x0, x1 = pair[:, :d], pair[:, d:]
+        x0, x1 = np.split(coupling.joint.draw(rng, rows), 2, axis=1)
     elif coupling.kind == "independent":
         x0 = coupling.mu0.draw(rng, rows)
         x1 = coupling.mu1.draw(rng, rows)

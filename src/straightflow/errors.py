@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 
 class StraightflowError(Exception):
     """Base class for all package errors."""
@@ -54,15 +52,7 @@ class NoAdmissibleNodesError(InvalidGridError):
 
 
 class TrajectoryLeftSupportError(StraightflowError):
-    """ODE integration left the region where the velocity oracle is defined.
-
-    The partial trajectory computed so far is attached as ``times``/``states``.
-    """
-
-    def __init__(self, message: str, times: np.ndarray, states: np.ndarray):
-        super().__init__(message)
-        self.times = times
-        self.states = states
+    """ODE integration left the region where the velocity oracle is defined."""
 
 
 class CapabilityError(StraightflowError):

@@ -12,20 +12,24 @@ the query on that axis: each dropped weight is below 1.3e-14, so at most
 eight bandwidths away in distance.  Exponents take direct coordinate
 differences, so nothing cancels far from the origin.
 
-:func:`nw_regress` sums the weights pair by pair at any query points.
-Samples are sorted on axis 0 and queries are walked in runs sorted on that
-axis, at most one bandwidth wide, each against the band of samples within
-eight bandwidths of it on axis 0.
+Both paths of the engine sum a target block, stored column by column, whose
+first column is ones: its first sum is the effective n, and :func:`_ratio`
+divides the other sums by it.
+
+:func:`nw_regress` sums the weights pair by pair at any query points (see
+:func:`_pair_sums`).  Samples are sorted on axis 0 and queries are walked in
+runs sorted on that axis, at most one bandwidth wide, each against the band
+of samples within eight bandwidths of it on axis 0.
 
 :func:`fields_on_grid` tabulates the estimates on a grid.  In d >= 2 the
 kernel factors over the grid's axes, so it takes no pairwise sums: for each
 axis-0 node the axis-0 factors of its band scale the targets, and one matrix
 product with the table of the other axes' factors sums them at every node
-of that axis-0 slice (see :func:`_grid_sums`).  Asked for time derivatives,
-it also gives the exact rates of change of its kernel sums at a fixed
-bandwidth as the samples move with their velocities: kernel means of 1 + d
-more per-sample targets, taken in the same pass as the fields (see
-:func:`_kernel_means`).
+of that axis-0 slice (see :func:`_grid_sums`); a 1-D grid takes the pair
+sums at its nodes.  Asked for time derivatives, it also gives the exact
+rates of change of its kernel sums at a fixed bandwidth as the samples move
+with their velocities: kernel means of 1 + d more per-sample targets, taken
+in the same pass as the fields (see :func:`_kernel_means`).
 """
 
 from __future__ import annotations
@@ -106,10 +110,11 @@ _BLOCK_WIDTH = 1.0 / 8.0
 # Most query x sample pairs held at once (each temporary is 256 kB), unless
 # one query's window alone holds more samples.
 _BLOCK_PAIRS = 1 << 15
-# Most multiply-adds of one axis-0 node's product in a chunk of a d >= 2
-# grid sum (see _grid_sums), and most doubles (2 MB) of the chunk's operands,
-# unless one sample alone needs more.  OpenBLAS takes a product this small
-# on one thread, so its bits do not follow the thread count.
+# Most multiply-adds of one product of weights and targets, in a run of the
+# pair sums or for one axis-0 node in a chunk of a d >= 2 grid sum (see
+# _grid_sums), and most doubles (2 MB) of a grid chunk's operands, unless one
+# query or sample alone needs more.  OpenBLAS takes a product this small on
+# one thread, so its bits do not follow the thread count.
 _CHUNK_DOUBLES = 1 << 18
 # numpy's exp takes a slow path, 20-100 times slower, where its result is
 # below the smallest normal double (exponents under -708.4).  In d >= 2 a
@@ -143,7 +148,7 @@ def _weights(q: np.ndarray, cols: np.ndarray, h: float, cut):
     return w
 
 
-def _axis_blocks(S, Y, ps, h, win):
+def _axis_blocks(S, T, ps, h):
     """Queries sorted on axis 0, each block at most ``_BLOCK_WIDTH`` window
     radii wide on it, against the band of samples within the radius of it.
     Every query of a block keeps the interior columns [win_lo[j-1],
@@ -151,8 +156,10 @@ def _axis_blocks(S, Y, ps, h, win):
     a query's cut there.  A block holds at most ``_BLOCK_PAIRS`` pairs.
     Yields (first query, end query, band samples (d, n), band targets, the
     column slices whose pairs can be beyond the cut on axis 0)."""
-    win_lo, win_hi = win
     x, radius = ps[:, 0], _WINDOW_BANDWIDTHS * h
+    # window of query i on axis 0: samples [win_lo[i], win_hi[i])
+    win_lo = np.searchsorted(S[0], x - radius, side="left")
+    win_hi = np.searchsorted(S[0], x + radius, side="right")
     block_end = np.searchsorted(x, x + _BLOCK_WIDTH * radius, side="right")
     i = 0
     while i < x.size:
@@ -163,28 +170,33 @@ def _axis_blocks(S, Y, ps, h, win):
         if hi > lo:
             left, right = win_lo[j - 1] - lo, win_hi[i] - lo
             edges = [s for s in (slice(0, left), slice(right, hi - lo)) if s.start < s.stop]
-            yield i, j, S[:, lo:hi], Y[lo:hi], edges
+            yield i, j, S[:, lo:hi], T[lo:hi], edges
         i = j
 
 
-def _product(w, T):
-    """w @ T.  With one column of T, ``@`` is a BLAS dot or gemv whose
-    reduction OpenBLAS splits across its threads, so its bits would follow
-    the thread count; numpy's einsum calls no BLAS and sums in one order."""
-    if T.shape[1] == 1:
-        return np.einsum("qn,n->q", w, T[:, 0])[:, None]
-    return w @ T
+def _pair_sums(X, T, points, h):
+    """Kernel sums (M, p) at the query points (M, d) of the targets T (N, p),
+    whose first column is ones, over the samples X (N, d), sorted on axis 0,
+    every pair's weight taken directly.  The queries are walked in runs of
+    at most ``_BLOCK_PAIRS`` pairs and ``_CHUNK_DOUBLES`` multiply-adds."""
+    S = np.ascontiguousarray(X.T)  # one contiguous row per axis
+    order = np.argsort(points[:, 0], kind="stable")
+    ps = points[order]
+    sums = np.zeros((ps.shape[0], T.shape[1]))
+    bound = min(_BLOCK_PAIRS, _CHUNK_DOUBLES // T.shape[1])
+    for i, e, Sb, Tb, cut in _axis_blocks(S, T, ps, h):
+        step = max(1, bound // Sb.shape[1])
+        for j in range(i, e, step):
+            rows = slice(j, min(j + step, e))
+            sums[order[rows]] = _weights(ps[rows], Sb, h, cut) @ Tb
+    return sums
 
 
-def _pair_sums(ps, i, e, Sb, Yb, h, cut):
-    """Kernel sums of the queries [i, e) over the samples Sb, every pair's
-    weight taken directly, in runs of queries of at most ``_BLOCK_PAIRS``
-    pairs.  Yields (rows, sum w, sum w Y)."""
-    step = max(1, _BLOCK_PAIRS // max(Sb.shape[1], 1))
-    for j in range(i, e, step):
-        rows = slice(j, min(j + step, e))
-        w = _weights(ps[rows], Sb, h, cut)
-        yield rows, w.sum(axis=1), _product(w, Yb)
+def _ratio(sums):
+    """Nadaraya-Watson means (M, p - 1) and effective n (M,) from kernel
+    sums (M, p) whose first column is the sum of the weights."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return sums[:, 1:] / sums[:, :1], sums[:, 0]
 
 
 def nw_regress(X: np.ndarray, Y: np.ndarray, points: np.ndarray, h: float):
@@ -197,31 +209,13 @@ def nw_regress(X: np.ndarray, Y: np.ndarray, points: np.ndarray, h: float):
     Samples already sorted on axis 0 are not sorted again, so a caller that
     queries one sample set many times can sort it once.
     """
-    points = np.atleast_2d(points)
-    radius = _WINDOW_BANDWIDTHS * h
-    S = X.T
-    if np.any(S[0, 1:] < S[0, :-1]):
-        order = np.argsort(S[0], kind="stable")
-        S, Y = S.take(order, axis=1), Y[order]
-    S = np.ascontiguousarray(S)  # one contiguous row per axis
-    order = np.argsort(points[:, 0], kind="stable")
-    ps = points[order]
-    # window of query i on axis 0: samples [win[0][i], win[1][i])
-    win = (np.searchsorted(S[0], ps[:, 0] - radius, side="left"),
-           np.searchsorted(S[0], ps[:, 0] + radius, side="right"))
-
-    sum_w = np.zeros(ps.shape[0])
-    sum_wy = np.zeros((ps.shape[0], Y.shape[1]))
-    for i, e, Sb, Yb, cut in _axis_blocks(S, Y, ps, h, win):
-        for rows, w, wy in _pair_sums(ps, i, e, Sb, Yb, h, cut):
-            sum_w[rows], sum_wy[rows] = w, wy
-
-    values = np.empty_like(sum_wy)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        values[order] = sum_wy / sum_w[:, None]
-    eff = np.empty_like(sum_w)
-    eff[order] = sum_w
-    return values, eff
+    if np.any(X[1:, 0] < X[:-1, 0]):
+        order = np.argsort(X[:, 0], kind="stable")
+        X, Y = X[order], Y[order]
+    # built after the sort, so sorted and unsorted samples sum the same block
+    T = np.empty((Y.shape[0], 1 + Y.shape[1]), order="F")
+    T[:, 0], T[:, 1:] = 1.0, Y
+    return _ratio(_pair_sums(X, T, np.atleast_2d(points), h))
 
 
 def _factors(a: np.ndarray, b: np.ndarray, h: float) -> np.ndarray:
@@ -240,8 +234,8 @@ def _grid_sums(X, T, axes, h):
     the nodes of axis-0 node i are the product (T.T * f0(i)) @ F.T over the
     samples of its band (those within the window radius on axis 0).  The
     samples are walked in chunks, each product of a chunk taken once per
-    axis-0 node whose band meets it.  Returns (values (M, p - 1), effective
-    n (M,)) in the grid's C order."""
+    axis-0 node whose band meets it.  Returns the sums (M, p) in the grid's
+    C order."""
     g0, rest = axes[0], axes[1:]
     x0 = np.ascontiguousarray(X[:, 0])
     radius = _WINDOW_BANDWIDTHS * h
@@ -258,9 +252,7 @@ def _grid_sums(X, T, axes, h):
         i, j = np.searchsorted(hi, c, side="right"), np.searchsorted(lo, e)
         # beyond node i's band its factors f0(i) are 0: its samples are cut
         sums[i:j] += (T.T[None, :, c:e] * _factors(g0[i:j], x0[c:e], h)[:, None, :]) @ F.T
-    sums = sums.transpose(0, 2, 1).reshape(-1, p)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return sums[:, 1:] / sums[:, :1], sums[:, 0]
+    return sums.transpose(0, 2, 1).reshape(-1, p)
 
 
 def reynolds_tensor(Sigma_hat: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
@@ -300,8 +292,8 @@ def _kernel_means(X, V, A, queries, h, time_derivatives):
     triangle of V (x) V, returned as Sigma (M, d, d); the effective n; and
     with ``time_derivatives`` the means (M, 1 + d) of s and s V, s = (x -
     X).V per pair (otherwise None).  ``queries`` is an (M, d) array of
-    points, or a grid, whose sums in d >= 2 take :func:`_grid_sums`.  About
-    the sample mean c, with p = (X - c).V,
+    points, or a grid, whose sums in d >= 2 take :func:`_grid_sums` and
+    otherwise :func:`_pair_sums`.  With p = (X - c).V, c the sample mean,
         sum w s   = (x - c).sum w V - sum w p,
         sum w s V = sum_a (x - c)_a sum w V_a V - sum w p V,
     so those take the 1 + d more target columns p and p V.  The terms that
@@ -310,30 +302,27 @@ def _kernel_means(X, V, A, queries, h, time_derivatives):
     n, d = X.shape
     grid = isinstance(queries, calculus.SpatialGrid)
     points = queries.points() if grid else queries
-    ones = int(grid and d > 1)  # the grid sums take sum w from a ones column
-    # sorted here, so that nw_regress copies neither the samples nor the targets
+    # sorted here, so that the pair sums copy neither the samples nor the targets
     order = np.argsort(X[:, 0], kind="stable")
     Xs, Vs = X[order], V[order]
     iu = np.triu_indices(d)
     k = d + A.shape[1]
     m = k + iu[0].size
-    # most of the pairwise products are a few queries against thousands of
-    # samples; OpenBLAS takes those faster with the targets stored column by
-    # column, the layout the grid sums read too
-    block = np.empty((n, ones + m + (1 + d) * time_derivatives), order="F")
-    block[:, :ones] = 1.0
-    targets = block[:, ones:]
-    targets[:, :d], targets[:, d:k] = Vs, A[order]
-    targets[:, k:m] = Vs[:, iu[0]] * Vs[:, iu[1]]
+    # the targets behind a ones column, whose sum is the effective n; most of
+    # the pairwise products are a few queries against thousands of samples,
+    # which OpenBLAS takes faster with the block stored column by column
+    block = np.empty((n, 1 + m + (1 + d) * time_derivatives), order="F")
+    block[:, 0], block[:, 1 : 1 + d], block[:, 1 + d : 1 + k] = 1.0, Vs, A[order]
+    block[:, 1 + k : 1 + m] = Vs[:, iu[0]] * Vs[:, iu[1]]
     if time_derivatives:
         c = X.mean(axis=0)
-        targets[:, m] = ((Xs - c) * Vs).sum(axis=1)
-        targets[:, m + 1 :] = targets[:, m, None] * Vs
+        block[:, 1 + m] = ((Xs - c) * Vs).sum(axis=1)
+        block[:, 2 + m :] = block[:, 1 + m, None] * Vs
     del Vs  # not held through the kernel sums
-    if ones:
-        means, eff = _grid_sums(Xs, block, queries.axes, h)
+    if grid and d > 1:
+        means, eff = _ratio(_grid_sums(Xs, block, queries.axes, h))
     else:
-        means, eff = nw_regress(Xs, targets, points, h)
+        means, eff = _ratio(_pair_sums(Xs, block, points, h))
     sigma = np.empty((means.shape[0], d, d))
     sigma[:, iu[0], iu[1]] = sigma[:, iu[1], iu[0]] = means[:, k:m]
     if not time_derivatives:

@@ -195,12 +195,8 @@ def _march(oracle: VelocityOracle, points, steps: int, scheme: str, history: boo
             oracle.stats.excursions = excursions
             refused = np.zeros(ids.size, dtype=bool)
             refused[slice(None) if err.rows is None or len(err.rows) == 0 else err.rows] = True
-            kept = min(k + 1, keep)  # the nodes up to k that `states` still holds
-            stop(refused, lambda i: TrajectoryLeftSupportError(
-                f"flow left the oracle support at t={t:.6g}: {err}",
-                times=nodes[k + 1 - kept : k + 1].copy(),
-                states=states[i, :kept].copy(),
-            ))
+            message = f"flow left the oracle support at t={t:.6g}: {err}"
+            stop(refused, lambda i: TrajectoryLeftSupportError(message))
             continue
         X = X_next
         stop(~np.all(np.isfinite(X), axis=1), lambda i: InvalidArgumentError(
@@ -230,8 +226,9 @@ class FlowMapResult:
 def flow_map(oracle: VelocityOracle, points, steps: int, scheme: str = "rk4") -> FlowMapResult:
     """Integrate all points together through ``steps`` uniform steps on
     [0, 1]; order is preserved and per-point errors are collected: a
-    TrajectoryLeftSupportError with the partial trajectory for a refused
-    point, an InvalidArgumentError for a non-finite state."""
+    TrajectoryLeftSupportError for a refused point, an InvalidArgumentError
+    for a non-finite state.  A failed point's partial trajectory is its row
+    of the states, NaN past its last node."""
     states, errors = _march(oracle, points, steps, scheme)
     return FlowMapResult(states, sorted(errors.items()))
 

@@ -48,7 +48,7 @@ def _endpoint_blocks(spec: ProcessSpec):
     cpl = spec.coupling
     if cpl.kind == "gaussian_joint":
         d = cpl.dim
-        mean, cov = cpl.joint_mean, cpl.joint_cov
+        mean, cov = cpl.joint.mean, cpl.joint.cov
         return mean[:d], mean[d:], cov[:d, :d], cov[:d, d:], cov[d:, d:]
     if isinstance(cpl.mu0, Gaussian) and isinstance(cpl.mu1, Gaussian):
         m0, S0 = cpl.mu0.mean, cpl.mu0.cov

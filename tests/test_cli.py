@@ -275,7 +275,7 @@ class TestDiagnose:
         # the time derivatives come from the pass at t, not from passes around it
         cfg_path, out = write_config(tmp_path, process=trig_process(), n=4000, source="estimate",
                                      grid={"nodes_per_axis": 12})
-        with mock.patch.object(estimate, "nw_regress", wraps=estimate.nw_regress) as engine:
+        with mock.patch.object(estimate, "_pair_sums", wraps=estimate._pair_sums) as engine:
             assert cli.main(["diagnose", "--config", str(cfg_path)]) == 0
         assert engine.call_count == 1
         report = json.loads((out / "diagnostics.json").read_text())
@@ -354,9 +354,10 @@ class TestTimeFlag:
 
 class TestThreadCount:
     def test_estimate_bytes_independent_of_threads(self, tmp_path):
-        # single-column kernel sums (d_t v in diagnose, the 1-D flow oracle)
-        # were BLAS reductions that OpenBLAS splits across its threads; the
-        # 2-D diagnose takes its fields and time derivatives in one product
+        # every kernel sum is a BLAS product of at least two columns (the
+        # ones column and the targets) small enough for one OpenBLAS thread:
+        # the pair sums of the 1-D diagnose and of the 1-D and 2-D flow
+        # oracles, and the 2-D diagnose's grid sums
         mu1 = {"family": "gaussian", "mean": [0.0], "cov": [[4.0]]}
         process = trig_process()
         process["coupling"]["mu1"] = mu1
@@ -369,7 +370,8 @@ class TestThreadCount:
                                          source="estimate", flow={"steps": 10, "n_points": 4})
             cfg_2d, out_2d = write_config(tmp_path / threads / "2d", process=ot_process_2d(),
                                           n=10_000, seed=3, source="estimate",
-                                          grid={"nodes_per_axis": 16})
+                                          grid={"nodes_per_axis": 16},
+                                          flow={"steps": 10, "n_points": 4})
             env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
             env["STRAIGHTFLOW_THREADS"] = threads
             # the child imports the package under test, installed or not
@@ -378,13 +380,14 @@ class TestThreadCount:
             script = ("import sys; from straightflow import cli; "
                       "sys.exit(cli.main(['diagnose', '--config', sys.argv[1]]) "
                       "or cli.main(['flow', '--config', sys.argv[1]]) "
-                      "or cli.main(['diagnose', '--config', sys.argv[2]]))")
+                      "or cli.main(['diagnose', '--config', sys.argv[2]]) "
+                      "or cli.main(['flow', '--config', sys.argv[2]]))")
             subprocess.run([sys.executable, "-c", script, str(cfg_path), str(cfg_2d)], env=env,
                            check=True, capture_output=True)
             files[threads] = {name: (out / name).read_bytes()
                               for name in residuals + ("trajectories.csv",)}
             files[threads].update({f"2d/{name}": (out_2d / name).read_bytes()
-                                   for name in residuals})
+                                   for name in residuals + ("trajectories.csv",)})
         assert files["1"] == files["2"]
 
 
@@ -737,7 +740,7 @@ class TestExitCodes:
         (errors.DegenerateDataError("bad"), 3),
         (errors.LowDensityError("bad", rows=np.array([0])), 5),
         (errors.NoAdmissibleNodesError("bad"), 5),
-        (errors.TrajectoryLeftSupportError("bad", np.zeros(1), np.zeros((1, 1))), 5),
+        (errors.TrajectoryLeftSupportError("bad"), 5),
         (errors.InconsistentMomentsError("bad"), 5),
         (errors.StraightflowError("bad"), 1),
     ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))

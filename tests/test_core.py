@@ -68,6 +68,12 @@ class TestCouplingSample:
         with pytest.raises(InvalidCouplingError):
             core.gaussian_joint_coupling(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    @pytest.mark.parametrize("joint", [None, core.Gaussian(np.zeros(3), np.eye(3))],
+                             ids=["missing", "dim_3"])
+    def test_joint_must_be_a_gaussian_of_twice_the_dimension(self, joint):
+        with pytest.raises(InvalidCouplingError, match="2-dimensional Gaussian joint"):
+            core.CouplingSpec("gaussian_joint", gauss1(), gauss1(), joint=joint)
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_joint_rejected(self, bad):
         # the marginal blocks are finite; only the cross block is not

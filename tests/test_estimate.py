@@ -272,6 +272,7 @@ class TestKernelEngine:
         geometry=st.fixed_dictionaries({
             "_BLOCK_PAIRS": st.sampled_from([1, 7, estimate._BLOCK_PAIRS, 1 << 40]),
             "_BLOCK_WIDTH": st.sampled_from([1e-6, estimate._BLOCK_WIDTH, 1e6]),
+            "_CHUNK_DOUBLES": st.sampled_from([1, 7, estimate._CHUNK_DOUBLES, 1 << 40]),
         }),
         **problems,
     )
