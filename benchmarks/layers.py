@@ -30,6 +30,12 @@ Layers timed so far:
   workload (the trig independent N(0, 1) -> N(0, 1) process at n = 5e4 and
   t = 0.5 of its 10-step grid) at its seed, and draw the harness's 4096
   subsample rows from its stream, so the neighbour search is the harness's.
+  ``lab_2d_control_m2048`` and ``lab_2d_control_m4096`` take the permuted
+  control of the lab_2d slice as ``verify --theorem determinism`` (4 steps)
+  and ``--theorem affine`` (``time_nodes`` [0.5]) take it: the x1 rows
+  permuted by the harness's stream, the harness's subsample stream, and a
+  density floor of 0, since no verdict reads the control's low-density
+  fraction.  Every other row takes the CLI's default floor, 25.
 - ``kernel_1d``: ``estimate.nw_regress`` in 1-D, ``n1e5_m4096``: the trig
   independent slice at n = 1e5, seed 31 and t = 0.5, the velocities
   regressed at 4096 of its own samples (drawn as the geometric harness draws
@@ -115,6 +121,14 @@ _TRACE_SEED = 31
 _TRACE_TIME = 0.5
 _TRIG_1D_PROCESS = {"coefficients": "trig", "dim": 1, "coupling": {
     "kind": "independent", "mu0": _STD1, "mu1": _STD1}}
+# name -> (x1 permutation tag, subsample size m, subsample stream tag) of a
+# harness's permuted control on the lab_2d slice at t = 0.5
+_CONTROL_TRACE = {
+    "lab_2d_control_m2048": (2, 2048, 302),
+    "lab_2d_control_m4096": (1, 4096, 100),
+}
+# the CLI's default, which every row but the controls takes
+_DENSITY_FLOOR = 25.0
 # name -> (n, seed) of the geometric harness's trace call
 _GEOMETRIC_TRACE = {
     "lab_1d_geometric_seed3": (50_000, 3),
@@ -213,6 +227,19 @@ def trace_slices() -> dict:
     return out
 
 
+def control_slices(n: int = 20_000, seed: int = _TRACE_SEED) -> dict:
+    """(X, V, m, stream) of each ``_CONTROL_TRACE`` entry: the permuted
+    control of the lab_2d process at n and seed, sliced at t = 0.5, as the
+    trace harnesses hand it to ``verify.tr_pi_moment`` (with a floor of 0)."""
+    spec = cli.build_process_spec(_config({"process": _LAB_2D_PROCESS, "n": n, "seed": seed}))
+    endpoints = core.sample_endpoints(spec, n, seed)
+    out = {}
+    for name, (perm, m, tag) in _CONTROL_TRACE.items():
+        X, V, _ = core.slice_state(spec, verify._permuted_control(endpoints, perm), _TRACE_TIME)
+        out[name] = (X, V, m, (seed, tag))
+    return out
+
+
 def geometric_slices(sizes: dict = _GEOMETRIC_TRACE) -> dict:
     """(X, V, m, stream) of each entry (n, seed) of ``sizes``: the slice of
     ``verify --theorem geometric`` on the trig independent process at t = 0.5
@@ -229,12 +256,12 @@ def geometric_slices(sizes: dict = _GEOMETRIC_TRACE) -> dict:
     return out
 
 
-def time_trace(slices: dict) -> dict:
+def time_trace(slices: dict, density_floor: float = _DENSITY_FLOOR) -> dict:
     out = {}
     for name, (X, V, m, stream) in slices.items():
         moments = []
         runs = time_runs(lambda: moments.append(
-            verify.tr_pi_moment(X, V, core.aux_rng(*stream), m_eval=m)))
+            verify.tr_pi_moment(X, V, core.aux_rng(*stream), m, density_floor)))
         out[name] = {
             "n": X.shape[0],
             "d": X.shape[1],
@@ -405,7 +432,8 @@ def main(argv=None) -> int:
         "machine": machine_facts(),
         "repeats": REPEATS,
         "layers": {"csv": time_csv(csv_tables()),
-                   "trace": time_trace({**trace_slices(), **geometric_slices()}),
+                   "trace": {**time_trace({**trace_slices(), **geometric_slices()}),
+                             **time_trace(control_slices(), 0.0)},
                    "kernel_1d": time_kernel_1d(kernel_1d_calls()),
                    "kernel_nd": time_kernel_nd(kernel_nd_calls()),
                    "ensemble": time_ensemble(),

@@ -615,7 +615,7 @@ def _sweep_metrics(cfg: ExperimentConfig) -> dict:
     vhat, _ = estimate.nw_regress(X, V, pts, h)
     v_true = gaussian.velocity_at(spec, t, pts)
     v_rmse = float(np.sqrt(np.mean(np.sum((vhat - v_true) ** 2, axis=1))))
-    tp = verify.tr_pi_moment(X, V, core.aux_rng(cfg["seed"], 5), m_eval=2048)
+    tp = verify.tr_pi_moment(X, V, core.aux_rng(cfg["seed"], 5), m_eval=2048, density_floor=0)
     return {"v_rmse": v_rmse, "tr_pi": tp.value}
 
 

@@ -95,6 +95,19 @@ def resolve_bandwidth(cfg: KernelConfig, X: np.ndarray) -> float:
     return float(cfg.bandwidth)
 
 
+def stable_argsort(x: np.ndarray) -> np.ndarray:
+    """``np.argsort(x, kind="stable")`` of a 1-D array, from numpy's faster
+    default sort with each run of equal keys (NaNs alike) put in row order."""
+    order = np.argsort(x)
+    s = x[order]
+    tie = s[1:] == s[:-1]
+    tie |= np.isnan(s[1:]) & np.isnan(s[:-1])
+    if tie.any():
+        run = np.cumsum(np.r_[False, ~tie])
+        order = np.sort(run * x.size + order) % x.size
+    return order
+
+
 # ---------------------------------------------------------------------------
 # the kernel-moment engine
 # ---------------------------------------------------------------------------
@@ -180,7 +193,7 @@ def _pair_sums(X, T, points, h):
     every pair's weight taken directly.  The queries are walked in runs of
     at most ``_BLOCK_PAIRS`` pairs and ``_CHUNK_DOUBLES`` multiply-adds."""
     S = np.ascontiguousarray(X.T)  # one contiguous row per axis
-    order = np.argsort(points[:, 0], kind="stable")
+    order = stable_argsort(points[:, 0])
     ps = points[order]
     sums = np.zeros((ps.shape[0], T.shape[1]))
     bound = min(_BLOCK_PAIRS, _CHUNK_DOUBLES // T.shape[1])
@@ -210,7 +223,7 @@ def nw_regress(X: np.ndarray, Y: np.ndarray, points: np.ndarray, h: float):
     queries one sample set many times can sort it once.
     """
     if np.any(X[1:, 0] < X[:-1, 0]):
-        order = np.argsort(X[:, 0], kind="stable")
+        order = stable_argsort(X[:, 0])
         X, Y = X[order], Y[order]
     # built after the sort, so sorted and unsorted samples sum the same block
     T = np.empty((Y.shape[0], 1 + Y.shape[1]), order="F")
@@ -303,7 +316,7 @@ def _kernel_means(X, V, A, queries, h, time_derivatives):
     grid = isinstance(queries, calculus.SpatialGrid)
     points = queries.points() if grid else queries
     # sorted here, so that the pair sums copy neither the samples nor the targets
-    order = np.argsort(X[:, 0], kind="stable")
+    order = stable_argsort(X[:, 0])
     Xs, Vs = X[order], V[order]
     iu = np.triu_indices(d)
     k = d + A.shape[1]

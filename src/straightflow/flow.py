@@ -114,7 +114,7 @@ def kernel_velocity_oracle(
         h = estimate.resolve_bandwidth(cfg, X)
         # sorted on axis 0 once, so nw_regress skips its sort on every query,
         # and stored one axis after the other, as nw_regress reads it
-        order = np.argsort(X[:, 0], kind="stable")
+        order = estimate.stable_argsort(X[:, 0])
         return np.asfortranarray(X[order]), V[order], lo, hi, h
 
     def evaluate(t: float, x: np.ndarray) -> np.ndarray:

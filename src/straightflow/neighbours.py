@@ -1,13 +1,14 @@
 """Nearest neighbours and ball counts among sample rows, numpy only.
 
 :func:`nearest_and_count` gives, for query rows of a sample, the nearest
-other row and how many rows lie within a radius.  The samples are hashed
-into cells at least that radius wide on the axes before the sweep axis,
-axis min(d, 3) - 1, and sorted along it, so that the rows of a cell inside
-a window on the sweep axis are one run of sorted positions.  A count takes
-whole the runs that the cell geometry alone puts inside the ball and
-compares distances only near its rim; the nearest row is searched in a small
-ball that doubles until it holds one.  Distances and counts equal a
+other row and how many rows lie within a radius, counted up to a cap.  The
+samples are hashed into cells at least that radius wide on the axes before
+the sweep axis, axis min(d, 3) - 1, and sorted along it, so that the rows of
+a cell inside a window on the sweep axis are one run of sorted positions.  A
+count first takes whole the run that the cell geometry alone puts inside the
+ball; only a query whose run holds fewer rows than the cap compares
+distances near the rim.  The nearest row is searched in a small ball that
+doubles until it holds one.  Distances and counts under the cap equal a
 brute-force search's exactly, and no result depends on how ties sort.
 """
 
@@ -33,7 +34,7 @@ _NEAREST_EXPECTED = 4.0
 # samples are indexed again in cells as wide as the search.
 _MAX_ROWS = 25
 # Queries whose cell rows are looked up at once.
-_QUERY_BLOCK = 1024
+_QUERY_BLOCK = 4096
 
 
 class _CellRows:
@@ -65,8 +66,12 @@ class _CellRows:
         self.strides = np.ones(k, dtype=np.int64)
         for a in range(k - 2, -1, -1):
             self.strides[a] = self.strides[a + 1] * self.extent[a + 1]
-        self.row_keys, rank = np.unique(self.place(slice(None))[0] @ self.strides,
-                                        return_inverse=True)
+        keys = self.place(slice(None))[0] @ self.strides
+        if np.prod(self.extent) <= 4 * n:  # few cells: rank them without a sort
+            held = np.bincount(keys, minlength=int(np.prod(self.extent))) > 0
+            self.row_keys, rank = np.flatnonzero(held), (np.cumsum(held) - 1)[keys]
+        else:
+            self.row_keys, rank = np.unique(keys, return_inverse=True)
         self.row_start = np.r_[0, np.cumsum(np.bincount(rank, minlength=self.row_keys.size))]
         self.sweep_lo = float(X[:, k].min())
         self.pitch = 2.0 * (float(X[:, k].max()) - self.sweep_lo) + width
@@ -106,10 +111,10 @@ class _CellRows:
         end = np.where(held, self.row_start[rank + 1], 0)
         base = rank * self.pitch + (self.X[q, self.k] - self.sweep_lo)[:, None]
         t = t[:, None, :]
-        near = np.where(o < 0, t - o - 1.0, np.where(o > 0, o - t, 0.0)) * self.width
-        far = np.where(o < 0, t - o, np.where(o > 0, o + 1.0 - t, np.maximum(t, 1.0 - t)))
+        near = np.maximum(np.maximum(o - t, t - o - 1.0), 0.0) * self.width
+        far = np.maximum(t - o, o + 1.0 - t) * self.width
         near2 = np.sum(np.maximum(near - self.pad, 0.0) ** 2, axis=2)
-        far2 = np.sum((far * self.width + self.pad) ** 2, axis=2)
+        far2 = np.sum((far + self.pad) ** 2, axis=2)
         if self.unhashed:
             far2[:] = np.inf
         return first, end, base, near2, far2
@@ -118,10 +123,14 @@ class _CellRows:
         """[start, stop) of the sorted positions of each row whose sweep
         coordinate lies within ``reach`` of the query's, widened by the
         rounding slack when ``outer`` and narrowed by it otherwise; empty
-        where ``reach`` is negative."""
-        reach = np.where(reach < 0, -np.inf, reach + (self.pad if outer else -self.pad))
-        start = np.clip(np.searchsorted(self.stamp, base - reach, "left"), first, end)
-        stop = np.clip(np.searchsorted(self.stamp, base + reach, "right"), start, end)
+        where ``reach`` is negative.  Only nonempty rows reached are searched,
+        offset by offset, so that the keys ascend with the sorted queries."""
+        j, i = np.nonzero(((reach >= 0) & (first < end)).T)
+        lo, hi, key = first[i, j], end[i, j], base[i, j]
+        w = reach[i, j] + (self.pad if outer else -self.pad)
+        start, stop = np.zeros_like(first), np.zeros_like(first)
+        start[i, j] = a = np.clip(np.searchsorted(self.stamp, key - w, "left"), lo, hi)
+        stop[i, j] = np.clip(np.searchsorted(self.stamp, key + w, "right"), a, hi)
         return start, stop
 
     def pairs(self, q: np.ndarray, start: np.ndarray, stop: np.ndarray):
@@ -163,30 +172,30 @@ def _blocks(per_query: np.ndarray):
         i = j
 
 
-def _count(index: _CellRows, q: np.ndarray, rows, r2: float) -> np.ndarray:
+def _count(index: _CellRows, q: np.ndarray, rows, r2: float, cap: int) -> np.ndarray:
     """How many sample rows lie within sqrt(``r2``) of each sample row ``q``,
-    itself included, given its cell ``rows`` one cell out: the run of each
-    row that the cell's geometry alone puts inside the ball is taken whole,
-    and distances are compared only in the runs between that one and the
-    ball's extent on the sweep axis (in 1-D, none)."""
+    itself included, given its cell ``rows`` one cell out: exactly where
+    that is under ``cap``, else at least ``cap``.  The run that the cell
+    geometry alone puts inside the ball is taken whole; only the query's own
+    cell row can hold one, a cell being at least the radius wide.  Where it
+    holds fewer than ``cap`` rows, distances are compared in the runs between
+    it and the ball's extent on the sweep axis (in 1-D, none)."""
     first, end, base, near2, far2 = rows
-    out_start, out_stop = index.runs(first, end, base, _slab(r2 * (1 + _MARGIN), near2), True)
     in_start, in_stop = index.runs(first, end, base, _slab(r2 * (1 - _MARGIN), far2), False)
-    in_start = np.clip(in_start, out_start, out_stop)
-    in_stop = np.clip(in_stop, in_start, out_stop)
     count = (in_stop - in_start).sum(axis=1)
+    todo = np.flatnonzero(count < cap)
+    out_start, out_stop = index.runs(first[todo], end[todo], base[todo],
+                                     _slab(r2 * (1 + _MARGIN), near2[todo]), True)
+    in_start = np.clip(in_start[todo], out_start, out_stop)
+    in_stop = np.clip(in_stop[todo], in_start, out_stop)
     start = np.concatenate([out_start, in_stop], axis=1)
     stop = np.concatenate([in_start, out_stop], axis=1)
     for b in _blocks((stop - start).sum(axis=1)):
-        count[b] += _count_block(index, q[b], start[b], stop[b], r2)
+        _, per_query, d2 = index.pairs(q[todo[b]], start[b], stop[b])
+        # the hits up to each query's last candidate, less those up to its first
+        hits = np.r_[0, np.cumsum(d2 <= r2)][np.r_[0, np.cumsum(per_query)]]
+        count[todo[b]] += np.diff(hits)
     return count
-
-
-def _count_block(index: _CellRows, q, start, stop, r2: float) -> np.ndarray:
-    """Per query, how many of the samples in its runs lie within sqrt(``r2``)."""
-    _, per_query, d2 = index.pairs(q, start, stop)
-    owner = np.searchsorted(np.cumsum(per_query), np.flatnonzero(d2 <= r2), "right")
-    return np.bincount(owner, minlength=q.size)
 
 
 def _nearest(index: _CellRows, q: np.ndarray, rows, reach: np.ndarray):
@@ -197,52 +206,53 @@ def _nearest(index: _CellRows, q: np.ndarray, rows, reach: np.ndarray):
     first, end, base, near2, _ = rows
     start, stop = index.runs(first, end, base, _slab(reach[:, None] ** 2 * (1 + _MARGIN), near2),
                              True)
-    dist = np.empty(q.size)
-    near = np.empty(q.size, dtype=np.intp)
-    for b in _blocks((stop - start).sum(axis=1)):
-        dist[b], near[b] = _nearest_block(index, q[b], start[b], stop[b])
-    return dist, near
+    found = [_nearest_block(index, q[b], start[b], stop[b])
+             for b in _blocks((stop - start).sum(axis=1))]
+    return tuple(np.concatenate(parts) for parts in zip(*found))
 
 
 def _nearest_block(index: _CellRows, q, start, stop):
     """Per query, the distance to the nearest other sample in its runs and
     that sample's row (of equally near ones, the lowest-numbered)."""
     pos, per_query, d2 = index.pairs(q, start, stop)
-    owner = np.repeat(np.arange(q.size), per_query)
-    d2[pos == index.position[q][owner]] = np.inf
-    # every query meets itself, so no run of candidates is empty
-    best = np.minimum.reduceat(d2, np.cumsum(per_query) - per_query)
-    hit = np.flatnonzero(d2 == best[owner])
-    heads = np.flatnonzero(np.r_[True, owner[hit[1:]] != owner[hit[:-1]]])
+    head = np.cumsum(per_query) - per_query
+    # the query itself, in the run of its own cell row, the middle one; every
+    # query meets itself, so no query is without candidates
+    own = start.shape[1] // 2
+    d2[head + (stop - start)[:, :own].sum(axis=1) + index.position[q] - start[:, own]] = np.inf
+    best = np.minimum.reduceat(d2, head)
+    hit = np.flatnonzero(d2 == np.repeat(best, per_query))
+    owner = np.searchsorted(head + per_query, hit, "right")
+    heads = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
     return np.sqrt(best), np.minimum.reduceat(index.order[pos[hit]], heads)
 
 
-def nearest_and_count(X: np.ndarray, idx: np.ndarray, r: float):
+def nearest_and_count(X: np.ndarray, idx: np.ndarray, r: float, cap: int):
     """For the query rows ``idx`` of the samples ``X`` (n, d): the distance to
-    the nearest other sample row, that row, and how many sample rows lie
-    within ``r`` of the query, itself included.  Of equally near rows the
-    lowest-numbered is taken, so no result depends on how ties sort.
+    the nearest other sample row, that row, and min(count, ``cap``), count
+    being how many sample rows lie within ``r`` of the query, itself
+    included.  Of equally near rows the lowest-numbered is taken, so no
+    result depends on how ties sort.
 
     The samples are indexed in ``_CellRows`` at least ``r`` wide and counted
     by ``_count``.  The nearest other row is searched in a ball expected to
-    hold ``_NEAREST_EXPECTED`` samples at the counted density; a query whose
-    nearest candidate lies beyond it is searched again in a ball twice as
-    wide, on as many cell rows as that meets.  Queries are taken in sorted
-    order, ``_QUERY_BLOCK`` at a time, and their candidates in ``_blocks``."""
+    hold ``_NEAREST_EXPECTED`` samples at the counted density (counted in
+    the whole run where that reached ``cap``); a query whose nearest
+    candidate lies beyond it is searched again in a ball twice as wide, on
+    as many cell rows as that meets.  Queries are taken in sorted order,
+    ``_QUERY_BLOCK`` at a time, and their candidates in ``_blocks``."""
     n, d = X.shape
     if n < 2:
         raise InvalidArgumentError("nearest-neighbour search needs at least two samples")
     index = _CellRows(X, float(r))
     back = np.argsort(index.position[idx])
     idx = np.asarray(idx, dtype=np.intp)[back]
-    count = np.empty(idx.size, dtype=np.intp)
-    reach = np.empty(idx.size)
-    dist = np.empty(idx.size)
-    near = np.empty(idx.size, dtype=np.intp)
+    count, near = np.empty((2, idx.size), dtype=np.intp)
+    reach, dist = np.empty((2, idx.size))
     for lo in range(0, idx.size, _QUERY_BLOCK):
         part = slice(lo, lo + _QUERY_BLOCK)
         rows = index.rows(idx[part], 1)
-        count[part] = _count(index, idx[part], rows, float(r) ** 2)
+        count[part] = _count(index, idx[part], rows, float(r) ** 2, cap)
         expected = _NEAREST_EXPECTED / np.maximum(count[part] - 1, 1)
         reach[part] = np.minimum(float(r) * expected ** (1.0 / d), index.width)
         dist[part], near[part] = _nearest(index, idx[part], rows, reach[part])
@@ -257,4 +267,4 @@ def nearest_and_count(X: np.ndarray, idx: np.ndarray, r: float):
             dist[q], near[q] = _nearest(index, idx[q], index.rows(idx[q], c), reach[q])
         todo = todo[dist[todo] > reach[todo] * (1 - _MARGIN)]
     undo = np.argsort(back)
-    return dist[undo], near[undo], count[undo]
+    return dist[undo], near[undo], np.minimum(count, cap)[undo]

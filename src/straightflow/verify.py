@@ -25,7 +25,10 @@ Every harness takes one ``density_floor``.  A subsampled point counts as
 low-density when fewer than that many sample rows lie within the radius
 whose ball has the volume of the Gaussian kernel at half the Silverman
 bandwidth, and a harness whose low-density fraction exceeds
-``_LOW_DENSITY_FRACTION`` is inconclusive whatever it measured.
+``_LOW_DENSITY_FRACTION`` is inconclusive whatever it measured.  The search
+counts each row only to floor(density_floor) + 1, all the flag needs.  No
+verdict reads a control's fraction, nor does ``sweep``: they pass a floor of
+0 and count nothing beyond the rows the cell geometry alone decides.
 """
 
 from __future__ import annotations
@@ -105,9 +108,10 @@ def _trace_terms(X: np.ndarray, V: np.ndarray, idx: np.ndarray, density_floor: f
     """Per sample row of ``idx``: the trace term V_i . (V_i - V_nn(i)), nn(i)
     the nearest other sample row, and whether the row is low-density (fewer
     than ``density_floor`` sample rows within ``_count_radius`` of half the
-    Silverman bandwidth)."""
+    Silverman bandwidth), counted no further than that decides."""
     h = estimate.silverman_bandwidth_from(X) * _TRACE_BANDWIDTH_FACTOR
-    _, near, count = neighbours.nearest_and_count(X, idx, _count_radius(h, X.shape[1]))
+    cap = math.floor(min(density_floor, 2.0**62)) + 1
+    _, near, count = neighbours.nearest_and_count(X, idx, _count_radius(h, X.shape[1]), cap)
     return np.sum(V[idx] * (V[idx] - V[near]), axis=1), count < density_floor
 
 
@@ -120,7 +124,8 @@ def tr_pi_moment(
 ) -> TraceMoment:
     """Estimate of E[Tr Pi(X)] = E|Xdot|^2 - E|v(X)|^2 at one slice: the mean
     of the trace terms (``_trace_terms``) over a seeded subsample of
-    ``m_eval`` sample rows (all rows when fewer)."""
+    ``m_eval`` sample rows (all rows when fewer), and the fraction of them
+    with fewer than ``density_floor`` rows near; a floor of 0 counts least."""
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(V))):
         raise NonFiniteDataError("trace moment needs finite slice arrays")
     n = X.shape[0]
@@ -136,23 +141,17 @@ def _permuted_control(endpoints: EndpointArrays, tag: int) -> EndpointArrays:
     return EndpointArrays(endpoints.x0, endpoints.x1[perm], endpoints.z, endpoints.seed)
 
 
-def _trace_pair(
-    spec: ProcessSpec,
-    endpoints: EndpointArrays,
-    control: EndpointArrays,
-    t: float,
-    tag: int,
-    m_eval: int,
-    density_floor: float,
-) -> tuple[TraceMoment, TraceMoment]:
+def _trace_pair(spec: ProcessSpec, endpoints: EndpointArrays, control: EndpointArrays, t: float,
+                tag: int, m_eval: int, density_floor: float) -> tuple[TraceMoment, TraceMoment]:
     """Trace moments of the data and of the control at time ``t``, both
     subsampled from the ``tag`` stream."""
 
-    def moment(ens: EndpointArrays) -> TraceMoment:
+    def moment(ens: EndpointArrays, floor: float) -> TraceMoment:
         X, V, _ = slice_state(spec, ens, t)
-        return tr_pi_moment(X, V, aux_rng(endpoints.seed, tag), m_eval, density_floor)
+        return tr_pi_moment(X, V, aux_rng(endpoints.seed, tag), m_eval, floor)
 
-    return moment(endpoints), moment(control)
+    # no verdict reads the control's low-density fraction
+    return moment(endpoints, density_floor), moment(control, 0.0)
 
 
 def _spec_digest(spec: ProcessSpec, endpoints: EndpointArrays) -> dict:

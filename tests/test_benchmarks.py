@@ -48,6 +48,30 @@ def test_layer_bench_takes_the_geometric_trace_call(monkeypatch):
     assert (row["n"], row["m"]) == (2_000, 2_000) and len(row["runs_s"]) == layers.REPEATS
 
 
+
+def test_layer_bench_takes_the_harness_control_calls(monkeypatch):
+    # the control rows hand the neighbour search the arguments the determinism
+    # (4 steps) and affine (time_nodes [0.5]) harnesses hand it for their
+    # permuted control at t = 0.5, bit for bit
+    layers = load("layers")
+    rows = layers.control_slices(n=2_000, seed=3)
+    spec = cli.build_process_spec(
+        layers._config({"process": layers._LAB_2D_PROCESS, "n": 2_000, "seed": 3}))
+    endpoints = core.sample_endpoints(spec, 2_000, 3)
+    seen, search = [], neighbours.nearest_and_count
+    monkeypatch.setattr(neighbours, "nearest_and_count",
+                        lambda *args: seen.append(args) or search(*args))
+    verify.determinism_detector(spec, endpoints, 4)
+    verify.affine_straightness_check(spec, endpoints, (0.5,))
+    # data then control at t = 0.25, 0.5 and 0.75, then at t = 0.5
+    want = [seen[3], seen[7]]
+    seen.clear()
+    layers.time_trace(rows, 0.0)
+    assert len(seen) == 2 * layers.REPEATS
+    for got, ref in zip(seen[:: layers.REPEATS], want, strict=True):
+        for arg, ref_arg in zip(got, ref, strict=True):
+            assert np.array_equal(arg, ref_arg)
+
 def test_layer_bench_times_the_ensemble_writer():
     layers = load("layers")
     rows = layers.time_ensemble({"tiny": (layers._TRIG_2D_PROCESS, 50, 3)})

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from straightflow import calculus, core, estimate
@@ -69,6 +69,21 @@ class TestSilverman:
     def test_zero_variance_rejected(self):
         with pytest.raises(DegenerateDataError):
             estimate.silverman_bandwidth_from(np.ones((50, 1)))
+
+
+class TestStableArgsort:
+    @settings(max_examples=60)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, np.nan, np.inf, -np.inf])
+                    | st.floats(allow_nan=True), max_size=60))
+    @example([])
+    @example([0.0, np.nan, -0.0, np.inf, 0.0, np.nan, -np.inf, -0.0, np.inf, 1.0])
+    def test_equals_numpy_stable_sort(self, values):
+        # ties, signed zeros, NaNs and infinities, in a strided column as the
+        # engine passes X[:, 0]
+        x = np.array([values, values], dtype=float).T[:, 0]
+        got = estimate.stable_argsort(x)
+        np.testing.assert_array_equal(got, np.argsort(x, kind="stable"))
+        assert got.dtype == np.intp
 
 
 class TestKde:

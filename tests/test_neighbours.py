@@ -18,16 +18,22 @@ def squared_distances(X, i):
     return d2
 
 
+# a cap no count reaches
+NO_CAP = 2**62
+
+
 def brute_nearest_and_count(X, idx, r):
-    """Distance to the nearest other row and count within ``r`` (the query
-    included) of each query row, over every sample row."""
-    dist, count = [], []
+    """Distance to the nearest other row, that row (of equally near rows, the
+    lowest-numbered) and count within ``r`` (the query included) of each
+    query row, over every sample row."""
+    dist, near, count = [], [], []
     for i in idx:
         d2 = squared_distances(X, i)
         count.append(int(np.sum(d2 <= r * r)))
         d2[i] = np.inf
-        dist.append(np.sqrt(d2.min()))
-    return np.array(dist), np.array(count)
+        near.append(int(np.argmin(d2)))
+        dist.append(np.sqrt(d2[near[-1]]))
+    return np.array(dist), np.array(near), np.array(count)
 
 
 def draw_cloud(seed, n, d, decimals, outliers, copies):
@@ -53,29 +59,28 @@ class TestNearestAndCount:
         copies=st.integers(0, 4),
         r=st.sampled_from([1e-3, 0.1, 0.5, 3.0]),
         m=st.integers(1, 40),
+        cap=st.sampled_from([1, 2, 25, NO_CAP]),
     )
-    @example(seed=1, n=2, d=1, decimals=None, outliers=0, copies=0, r=0.1, m=2)
-    @example(seed=2, n=2, d=4, decimals=0, outliers=1, copies=0, r=1e-3, m=2)
+    @example(seed=1, n=2, d=1, decimals=None, outliers=0, copies=0, r=0.1, m=2, cap=NO_CAP)
+    @example(seed=2, n=2, d=4, decimals=0, outliers=1, copies=0, r=1e-3, m=2, cap=NO_CAP)
     # rows 0.1 apart whose cell places round to 18.999999999999996 and 19.0
-    @example(seed=7, n=40, d=2, decimals=1, outliers=0, copies=0, r=0.1, m=40)
-    def test_equals_brute_force(self, seed, n, d, decimals, outliers, copies, r, m):
+    @example(seed=7, n=40, d=2, decimals=1, outliers=0, copies=0, r=0.1, m=40, cap=NO_CAP)
+    def test_equals_brute_force(self, seed, n, d, decimals, outliers, copies, r, m, cap):
         X = draw_cloud(seed, n, d, decimals, outliers, copies)
         rng = np.random.default_rng(seed + 1)
         # the outliers' nearest rows lie many cells out: they need the retry
         idx = np.r_[np.arange(min(outliers, n)), rng.choice(X.shape[0], min(m, X.shape[0]),
                                                              replace=False)]
-        dist, near, count = neighbours.nearest_and_count(X, idx, r)
-        ref_dist, ref_count = brute_nearest_and_count(X, idx, r)
+        dist, near, count = neighbours.nearest_and_count(X, idx, r, cap)
+        ref_dist, ref_near, ref_count = brute_nearest_and_count(X, idx, r)
+        # the cap bounds the count and moves neither the distance nor the row
         np.testing.assert_array_equal(dist, ref_dist)
-        np.testing.assert_array_equal(count, ref_count)
-        # the row found is another row (a duplicate may be) at that distance
-        assert np.all(near != idx)
-        found = [np.sqrt(squared_distances(X, i)[j]) for i, j in zip(idx, near)]
-        np.testing.assert_array_equal(found, dist)
+        np.testing.assert_array_equal(near, ref_near)
+        np.testing.assert_array_equal(count, np.minimum(ref_count, cap))
         with mock.patch.object(estimate, "_BLOCK_PAIRS", 3):
-            blocked_dist, _, blocked_count = neighbours.nearest_and_count(X, idx, r)
-        np.testing.assert_array_equal(blocked_dist, dist)
-        np.testing.assert_array_equal(blocked_count, count)
+            blocked = neighbours.nearest_and_count(X, idx, r, cap)
+        for got, want in zip(blocked, (dist, near, count), strict=True):
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("r", [0.1, 0.2, 0.3])
@@ -85,18 +90,19 @@ class TestNearestAndCount:
         rng = np.random.default_rng(d)
         X = 1e10 + 0.1 * rng.integers(0, 6, (300, d))
         idx = rng.choice(300, 40, replace=False)
-        dist, _, count = neighbours.nearest_and_count(X, idx, r)
-        ref_dist, ref_count = brute_nearest_and_count(X, idx, r)
+        dist, near, count = neighbours.nearest_and_count(X, idx, r, 8)
+        ref_dist, ref_near, ref_count = brute_nearest_and_count(X, idx, r)
         np.testing.assert_array_equal(dist, ref_dist)
-        np.testing.assert_array_equal(count, ref_count)
+        np.testing.assert_array_equal(near, ref_near)
+        np.testing.assert_array_equal(count, np.minimum(ref_count, 8))
 
     def test_duplicate_is_a_neighbour_and_the_query_is_not(self):
         X = np.array([[0.0, 0.0], [0.0, 0.0], [5.0, 0.0]])
-        dist, near, count = neighbours.nearest_and_count(X, np.array([0, 1, 2]), 1.0)
+        dist, near, count = neighbours.nearest_and_count(X, np.array([0, 1, 2]), 1.0, NO_CAP)
         np.testing.assert_array_equal(dist, [0.0, 0.0, 5.0])
         np.testing.assert_array_equal(near, [1, 0, 0])
         np.testing.assert_array_equal(count, [2, 2, 1])
 
     def test_one_sample_refused(self):
         with pytest.raises(InvalidArgumentError):
-            neighbours.nearest_and_count(np.zeros((1, 2)), np.array([0]), 1.0)
+            neighbours.nearest_and_count(np.zeros((1, 2)), np.array([0]), 1.0, 1)

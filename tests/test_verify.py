@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from straightflow import cli, core, verify
+from straightflow import cli, core, neighbours, verify
 from straightflow.errors import DegenerateDataError, InvalidArgumentError, NonFiniteDataError
 
 from conftest import head
@@ -30,6 +30,28 @@ class TestTrPiMoment:
         r = verify._count_radius(0.5, 3)
         assert 4 / 3 * np.pi * r**3 == pytest.approx((2 * np.pi) ** 1.5 * 0.5**3)
 
+
+    def test_search_counts_only_what_a_verdict_reads(self, monkeypatch, tmp_path,
+                                                      affine_indep_spec):
+        # the data moment counts to one past its floor, which decides its
+        # low-density flag; the controls' and the sweep's flags go unread
+        caps, search = [], neighbours.nearest_and_count
+        monkeypatch.setattr(neighbours, "nearest_and_count",
+                            lambda *args: caps.append(args[3]) or search(*args))
+        endpoints = core.sample_endpoints(affine_indep_spec, 2_000, 5)
+        verify.affine_straightness_check(affine_indep_spec, endpoints, (0.5,), density_floor=7.5)
+        verify.determinism_detector(affine_indep_spec, endpoints, 2, density_floor=7.5)
+        verify.geometric_report(affine_indep_spec, endpoints, 2, 1, density_floor=7.5)
+        assert caps == [8, 1, 8, 1, 8]
+        caps.clear()
+        config = {"process": {"coefficients": "affine", "dim": 1, "coupling": {
+            "kind": "independent", "mu0": {"family": "gaussian", "mean": [0.0], "cov": [[1.0]]},
+            "mu1": {"family": "gaussian", "mean": [0.0], "cov": [[1.0]]}}},
+            "n": 2_000, "seed": 5, "output_dir": str(tmp_path / "out")}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert cli.main(["sweep", "--config", str(tmp_path / "config.json"), "--param", "seed",
+                         "--values", "5"]) == 0
+        assert len(caps) == 1 and caps[0] <= 1
 
 class TestAffineStraightnessCheck:
     def test_ot_coupling_consistent(self, affine_ot_spec):
