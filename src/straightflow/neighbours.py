@@ -66,12 +66,8 @@ class _CellRows:
         self.strides = np.ones(k, dtype=np.int64)
         for a in range(k - 2, -1, -1):
             self.strides[a] = self.strides[a + 1] * self.extent[a + 1]
-        keys = self.place(slice(None))[0] @ self.strides
-        if np.prod(self.extent) <= 4 * n:  # few cells: rank them without a sort
-            held = np.bincount(keys, minlength=int(np.prod(self.extent))) > 0
-            self.row_keys, rank = np.flatnonzero(held), (np.cumsum(held) - 1)[keys]
-        else:
-            self.row_keys, rank = np.unique(keys, return_inverse=True)
+        self.row_keys, rank = np.unique(self.place(slice(None))[0] @ self.strides,
+                                        return_inverse=True)
         self.row_start = np.r_[0, np.cumsum(np.bincount(rank, minlength=self.row_keys.size))]
         self.sweep_lo = float(X[:, k].min())
         self.pitch = 2.0 * (float(X[:, k].max()) - self.sweep_lo) + width
@@ -206,9 +202,11 @@ def _nearest(index: _CellRows, q: np.ndarray, rows, reach: np.ndarray):
     first, end, base, near2, _ = rows
     start, stop = index.runs(first, end, base, _slab(reach[:, None] ** 2 * (1 + _MARGIN), near2),
                              True)
-    found = [_nearest_block(index, q[b], start[b], stop[b])
-             for b in _blocks((stop - start).sum(axis=1))]
-    return tuple(np.concatenate(parts) for parts in zip(*found))
+    dist = np.empty(q.size)
+    near = np.empty(q.size, dtype=np.intp)
+    for b in _blocks((stop - start).sum(axis=1)):
+        dist[b], near[b] = _nearest_block(index, q[b], start[b], stop[b])
+    return dist, near
 
 
 def _nearest_block(index: _CellRows, q, start, stop):
@@ -247,8 +245,10 @@ def nearest_and_count(X: np.ndarray, idx: np.ndarray, r: float, cap: int):
     index = _CellRows(X, float(r))
     back = np.argsort(index.position[idx])
     idx = np.asarray(idx, dtype=np.intp)[back]
-    count, near = np.empty((2, idx.size), dtype=np.intp)
-    reach, dist = np.empty((2, idx.size))
+    count = np.empty(idx.size, dtype=np.intp)
+    reach = np.empty(idx.size)
+    dist = np.empty(idx.size)
+    near = np.empty(idx.size, dtype=np.intp)
     for lo in range(0, idx.size, _QUERY_BLOCK):
         part = slice(lo, lo + _QUERY_BLOCK)
         rows = index.rows(idx[part], 1)

@@ -141,8 +141,15 @@ def _permuted_control(endpoints: EndpointArrays, tag: int) -> EndpointArrays:
     return EndpointArrays(endpoints.x0, endpoints.x1[perm], endpoints.z, endpoints.seed)
 
 
-def _trace_pair(spec: ProcessSpec, endpoints: EndpointArrays, control: EndpointArrays, t: float,
-                tag: int, m_eval: int, density_floor: float) -> tuple[TraceMoment, TraceMoment]:
+def _trace_pair(
+    spec: ProcessSpec,
+    endpoints: EndpointArrays,
+    control: EndpointArrays,
+    t: float,
+    tag: int,
+    m_eval: int,
+    density_floor: float,
+) -> tuple[TraceMoment, TraceMoment]:
     """Trace moments of the data and of the control at time ``t``, both
     subsampled from the ``tag`` stream."""
 

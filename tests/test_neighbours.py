@@ -86,15 +86,18 @@ class TestNearestAndCount:
     @pytest.mark.parametrize("r", [0.1, 0.2, 0.3])
     def test_equals_brute_force_far_from_origin(self, d, r):
         # a lattice of spacing 0.1 at 1e10, where one rounding unit of a
-        # coordinate (2e-6) dwarfs the relative margins on the radius
+        # coordinate (2e-6) dwarfs the relative margins on the radius.  Capped,
+        # most counts end at the sure run; uncapped, every one compares at the
+        # ball's rim.
         rng = np.random.default_rng(d)
         X = 1e10 + 0.1 * rng.integers(0, 6, (300, d))
         idx = rng.choice(300, 40, replace=False)
-        dist, near, count = neighbours.nearest_and_count(X, idx, r, 8)
         ref_dist, ref_near, ref_count = brute_nearest_and_count(X, idx, r)
-        np.testing.assert_array_equal(dist, ref_dist)
-        np.testing.assert_array_equal(near, ref_near)
-        np.testing.assert_array_equal(count, np.minimum(ref_count, 8))
+        for cap in (1, 8, NO_CAP):
+            dist, near, count = neighbours.nearest_and_count(X, idx, r, cap)
+            np.testing.assert_array_equal(dist, ref_dist)
+            np.testing.assert_array_equal(near, ref_near)
+            np.testing.assert_array_equal(count, np.minimum(ref_count, cap))
 
     def test_duplicate_is_a_neighbour_and_the_query_is_not(self):
         X = np.array([[0.0, 0.0], [0.0, 0.0], [5.0, 0.0]])
