@@ -18,6 +18,9 @@ Layers timed so far:
   independent N(0, I) -> N(0, I) process.  ``flow`` is the rk4 trajectory
   table, 1,444 points x 101 nodes, of the affine OT flow from N(0, I) to
   N(m1, diag(4, 9)), with m1 the target mean that workload draws at seed 31.
+  ``long_flow`` is that flow's table for 100 start points drawn from mu0 as
+  ``flow`` draws them, at rk4 x 8,000: 1.6M cells, nearly all distinct.
+  Each row also records the tracemalloc peak of one more untimed pass.
 - ``trace``: ``verify.tr_pi_moment`` on one slice at t = 0.5, seed 31
   where no seed is named.  ``lab_2d_m2048`` and ``lab_2d_m4096`` take the
   lab_2d benchmark workload's slice (the affine OT map N(0, I) ->
@@ -185,13 +188,26 @@ def csv_tables() -> dict:
 
     cfg = _config(_FLOW_CONFIG)
     spec = cli.build_process_spec(cfg)
-    oracle = flow.analytic_velocity_oracle(spec)
     sgrid = cli._resolve_spatial_grid(cfg, spec, 0.0)
-    steps = cfg["flow"]["steps"]
-    result = flow.flow_map(oracle, sgrid.interior_points(), steps, "rk4")
-    lead = [[str(i) for i in result.kept], [repr(x) for x in core.time_nodes(steps).tolist()]]
-    trajectories = [(lead, result.states[result.kept].reshape(-1, spec.dim))]
+    trajectories = [_trajectory_table(spec, sgrid.interior_points(), cfg["flow"]["steps"])]
     return {"fields": fields, "diagnose": diagnose, "flow": trajectories}
+
+
+def long_flow_table(points: int = 100, steps: int = 8000) -> dict:
+    """The trajectory table of the ``flow`` table's process and seed for
+    ``points`` start points drawn from mu0, at rk4 x ``steps``."""
+    cfg = _config(_FLOW_CONFIG)
+    spec = cli.build_process_spec(cfg)
+    pts = spec.coupling.mu0.draw(core.aux_rng(cfg["seed"], 4), points)
+    return {"long_flow": [_trajectory_table(spec, pts, steps)]}
+
+
+def _trajectory_table(spec, pts, steps: int):
+    """The lead and values ``cmd_flow`` hands the writer for the analytic
+    rk4 flow of ``pts``."""
+    result = flow.flow_map(flow.analytic_velocity_oracle(spec), pts, steps, "rk4")
+    lead = [[str(i) for i in result.kept], [repr(x) for x in core.time_nodes(steps).tolist()]]
+    return lead, result.states[result.kept].reshape(-1, spec.dim)
 
 
 def write_csv(lead, values) -> int:
@@ -203,12 +219,17 @@ def time_csv(tables: dict) -> dict:
     out = {}
     for name, group in tables.items():
         sizes = []
-        runs = time_runs(lambda: sizes.append(sum(write_csv(*table) for table in group)))
+
+        def write_group():
+            sizes.append(sum(write_csv(*table) for table in group))
+
+        runs = time_runs(write_group)
         out[name] = {
             "tables": len(group),
             "rows": sum(values.shape[0] for _, values in group),
             "cells": sum(values.size for _, values in group),
             "chars": sizes[-1],
+            "peak_traced_mb": traced_peak_mb(write_group),
             "best_s": min(runs),
             "runs_s": runs,
         }
@@ -431,7 +452,7 @@ def main(argv=None) -> int:
         "label": args.label,
         "machine": machine_facts(),
         "repeats": REPEATS,
-        "layers": {"csv": time_csv(csv_tables()),
+        "layers": {"csv": time_csv({**csv_tables(), **long_flow_table()}),
                    "trace": {**time_trace({**trace_slices(), **geometric_slices()}),
                              **time_trace(control_slices(), 0.0)},
                    "kernel_1d": time_kernel_1d(kernel_1d_calls()),
@@ -444,7 +465,8 @@ def main(argv=None) -> int:
     path.write_text(json.dumps(report, indent=2) + "\n")
     for name, row in report["layers"]["csv"].items():
         print(f"csv.{name}: {row['best_s']:.4f} s best of {REPEATS} "
-              f"({row['tables']} tables, {row['cells']} cells, {row['chars']} chars)")
+              f"({row['tables']} tables, {row['cells']} cells, {row['chars']} chars, "
+              f"traced peak {row['peak_traced_mb']:.1f} MB)")
     for name, row in report["layers"]["trace"].items():
         print(f"trace.{name}: {row['best_s']:.4f} s best of {REPEATS} "
               f"(n={row['n']}, d={row['d']}, m={row['m']}, tr_pi={row['tr_pi']:.6g}, "

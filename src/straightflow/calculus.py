@@ -43,6 +43,9 @@ __all__ = [
 
 _REL_FLOOR = 1e-30
 _CSV_BLOCK_ROWS = 4096  # CSV lines per text block written
+# cells de-duplicated together: 2^15 made the oracle_2d flow table 27 % slower
+# (its doubles recur across chunks); 2^17 raised flow's peak RSS by 2.7 MB
+_CSV_CHUNK_CELLS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -280,43 +283,37 @@ def _csv_blocks(lead, values):
     leading cells: row r starts with ``itertools.product(*lead)``'s r-th tuple
     (an empty ``lead`` leads one row with nothing), and the product must have
     exactly one tuple per row.  Then come Python's shortest round-trip ``repr``
-    of each double in the row.  Each distinct double is formatted once, keyed
-    on its int64 bits, which keep -0.0 apart from 0.0; each block is one
-    ``"".join`` over an object array of its texts, commas and newlines.
+    of each double in the row.  Memory is bounded by a chunk of whole blocks,
+    about ``_CSV_CHUNK_CELLS`` cells, in which each distinct double, keyed on
+    its int64 bits (-0.0 is not 0.0), is formatted once, as ``"," + repr``.
     """
     values = np.ascontiguousarray(values, dtype=float)
     sizes = [len(cells) for cells in lead]
-    n = values.shape[0]
+    n, width = values.shape
     if math.prod(sizes) != n:
         raise InvalidArgumentError(f"the lead product has {math.prod(sizes)} rows, not {n}")
-    lead = [np.array(cells, dtype=object) for cells in lead]
-    bits = values.view(np.int64).ravel()
-    order = np.argsort(bits)  # equal bits share one text: order within a run is moot
-    sorted_bits = bits[order]
-    first = np.ones(bits.size, dtype=bool)  # the first of each run of equal bits
-    np.not_equal(sorted_bits[1:], sorted_bits[:-1], out=first[1:])
-    del sorted_bits
-    text = np.array([repr(v) for v in values.ravel()[order[first]].tolist()], dtype=object)
-    rank = first.astype(np.intp)  # cumsum of a bool array would copy it to intp first
-    np.cumsum(rank, out=rank)
-    rank -= 1  # the index into text of each sorted cell
-    inverse = np.empty_like(order)
-    inverse[order] = rank
-    del order, rank  # only the index of each cell is held while the text is built
-    inverse = inverse.reshape(values.shape)
+    # the first lead cell goes bare, the others carry their comma
+    lead = [np.array(cells if j == 0 else ["," + c for c in cells], dtype=object)
+            for j, cells in enumerate(lead)]
     k = len(lead)
-    # one row of texts per line: even columns hold the lead's and the cells'
-    # texts, refilled per block; odd ones the "," between them and, last, "\n"
-    block = np.full((min(n, _CSV_BLOCK_ROWS), 2 * (k + values.shape[1])), ",", dtype=object)
+    block = np.empty((min(n, _CSV_BLOCK_ROWS), k + width + 1), dtype=object)
     block[:, -1] = "\n"
-    for lo in range(0, n, _CSV_BLOCK_ROWS):
-        hi = min(lo + _CSV_BLOCK_ROWS, n)
-        parts = block[:hi - lo]
-        if lead:
-            for j, index in enumerate(np.unravel_index(np.arange(lo, hi), sizes)):
-                parts[:, 2 * j] = lead[j][index]
-        parts[:, 2 * k::2] = text[inverse[lo:hi]]
-        yield "".join(parts.ravel().tolist())
+    rows = max(_CSV_CHUNK_CELLS // (_CSV_BLOCK_ROWS * width), 1) * _CSV_BLOCK_ROWS
+    for start in range(0, n, rows):
+        chunk = values[start:start + rows]
+        bits, inverse = np.unique(chunk.view(np.int64).ravel(), return_inverse=True)
+        text = np.array(["," + repr(v) for v in bits.view(float).tolist()], dtype=object)
+        inverse = inverse.reshape(chunk.shape)
+        for lo in range(0, chunk.shape[0], _CSV_BLOCK_ROWS):
+            hi = min(lo + _CSV_BLOCK_ROWS, chunk.shape[0])
+            parts = block[:hi - lo]
+            if lead:
+                for j, index in enumerate(np.unravel_index(np.arange(lo, hi) + start, sizes)):
+                    parts[:, j] = lead[j][index]
+            parts[:, k:-1] = text[inverse[lo:hi]]
+            line = "".join(parts.ravel().tolist())
+            yield line if lead else line[1:]  # an empty lead's one row sheds a comma
+        del bits, inverse, text  # one chunk's texts at a time
 
 
 def grid_field_to_csv(grid: SpatialGrid, values: np.ndarray) -> str:

@@ -551,7 +551,7 @@ def cmd_flow(cfg: ExperimentConfig, out: _Outputs, points_file: str | None, use_
     one_step = flow.one_step_error(oracle, pts, reference_steps=cfg["flow"]["reference_steps"])
 
     kept = result.kept
-    states = result.states[kept]
+    states = result.states[kept] if result.errors else result.states  # indexing copies
     dev = flow.straightness_deviation(states) if steps >= 2 else None
     per_point = {i: {"point": i, "error": str(err)} for i, err in result.errors}
     for j, i in enumerate(kept):
@@ -561,7 +561,7 @@ def cmd_flow(cfg: ExperimentConfig, out: _Outputs, points_file: str | None, use_
             per_point[i]["chord_dev"] = float(dev.chord_dev[j])
             per_point[i]["second_diff"] = float(dev.second_diff[j])
 
-    # one row per kept point and time node, streamed: the text is never held whole
+    # one row per kept point and time node, streamed: neither text nor index is held whole
     states = states.reshape(-1, spec.dim)
     lead = [[str(i) for i in kept], [repr(t) for t in nodes.tolist()]]
 

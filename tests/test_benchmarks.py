@@ -27,6 +27,16 @@ def test_layer_bench_builds_the_csv_tables():
             assert math.prod(len(cells) for cells in lead) == values.shape[0]
 
 
+def test_layer_bench_times_the_long_flow_table():
+    layers = load("layers")
+    tables = layers.long_flow_table(points=3, steps=10)
+    (lead, values), = tables["long_flow"]
+    assert [len(cells) for cells in lead] == [3, 11] and values.shape == (33, 2)
+    row = layers.time_csv(tables)["long_flow"]
+    assert (row["tables"], row["rows"], row["cells"]) == (1, 33, 66)
+    assert len(row["runs_s"]) == layers.REPEATS and row["peak_traced_mb"] > 0
+
+
 def test_layer_bench_takes_the_geometric_trace_call(monkeypatch):
     # the geometric trace rows hand the neighbour search the arguments
     # verify --theorem geometric hands it at t = 0.5 of its 10-step grid, bit

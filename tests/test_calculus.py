@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -431,10 +432,10 @@ def lead_sizes(draw, n):
 @st.composite
 def csv_tables(draw, block_rows):
     """A (rows, width) table drawn from a small pool of doubles, so that values
-    repeat heavily, at a row count around the block boundaries, and a text
-    lead whose product has one tuple per row."""
+    repeat heavily, also across chunks, at a row count around the block
+    boundaries, and a text lead whose product has one tuple per row."""
     n = draw(st.sampled_from([0, 1, block_rows - 1, block_rows, block_rows + 1,
-                              2 * block_rows + 1]))
+                              2 * block_rows + 1, 8 * block_rows + 1]))
     width = draw(st.integers(1, 4))
     pool = draw(st.lists(st.sampled_from(SPECIAL_DOUBLES) | st.floats(), min_size=1,
                          max_size=6))
@@ -450,11 +451,15 @@ class TestCsvBlocks:
     @given(data=st.data())
     def test_matches_per_cell_reference(self, block_rows, data):
         lead, values = data.draw(csv_tables(block_rows))
-        with mock.patch.object(calculus, "_CSV_BLOCK_ROWS", block_rows):
-            blocks = list(calculus._csv_blocks(lead, values))
-        assert "".join(blocks) == reference_csv_rows(itertools.product(*lead), values)
-        assert len(blocks) == -(-len(values) // block_rows)
-        assert all(0 < b.count("\n") <= block_rows for b in blocks)
+        # one-block chunks (1 cell), chunks of up to 7 one-row blocks, the default,
+        # and the whole table as one chunk
+        for chunk_cells in (1, 7, calculus._CSV_CHUNK_CELLS, 1 << 40):
+            with mock.patch.object(calculus, "_CSV_BLOCK_ROWS", block_rows), \
+                    mock.patch.object(calculus, "_CSV_CHUNK_CELLS", chunk_cells):
+                blocks = list(calculus._csv_blocks(lead, values))
+            assert "".join(blocks) == reference_csv_rows(itertools.product(*lead), values)
+            assert len(blocks) == -(-len(values) // block_rows)
+            assert all(0 < b.count("\n") <= block_rows for b in blocks)
 
     @given(st.lists(st.sampled_from(SPECIAL_DOUBLES), min_size=1, max_size=40),
            st.integers(1, 4))
@@ -482,7 +487,28 @@ class TestCsvBlocks:
         assert list(calculus._csv_blocks(text_lead([3, 0, 2]), np.empty((0, 2)))) == []
 
     def test_empty_lead_writes_cells_only(self):
-        assert list(calculus._csv_blocks([], np.array([[-0.0, 0.1, 2.0]]))) == ["-0.0,0.1,2.0\n"]
+        for chunk_cells in (1, calculus._CSV_CHUNK_CELLS):  # a chunk of one cell, then the default
+            with mock.patch.object(calculus, "_CSV_CHUNK_CELLS", chunk_cells):
+                blocks = list(calculus._csv_blocks([], np.array([[-0.0, 0.1, 2.0]])))
+            assert blocks == ["-0.0,0.1,2.0\n"]
+
+    def test_peak_memory_is_bounded_by_the_chunk(self):
+        # 16 chunks of distinct doubles, drawn block by block: one chunk's
+        # texts and index are held at a time, never the whole table's
+        chunk_cells, width = 4096, 2
+        rows = 16 * chunk_cells // width
+        values = np.random.default_rng(7).standard_normal((rows, width))
+        lead = [[str(r) for r in range(rows)]]
+        with mock.patch.object(calculus, "_CSV_BLOCK_ROWS", 256), \
+                mock.patch.object(calculus, "_CSV_CHUNK_CELLS", chunk_cells):
+            tracemalloc.start()
+            try:
+                lines = sum(block.count("\n") for block in calculus._csv_blocks(lead, values))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert lines == rows
+        assert peak < 512 * chunk_cells  # a whole-table index and texts take 7.9 MB
 
     @pytest.mark.parametrize("sizes,rows", [([2, 3], 5), ([2, 3], 7), ([], 2), ([0], 1),
                                             ([4], 0)])
