@@ -160,7 +160,7 @@ def time_runs(fn) -> list:
     return runs
 
 
-def _config(data: dict) -> cli.ExperimentConfig:
+def _config(data: dict) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(data))

@@ -46,7 +46,6 @@ from .errors import CapabilityError, ConfigError, StraightflowError
 
 __all__ = [
     "CONFIG_SCHEMA",
-    "ExperimentConfig",
     "load_config",
     "config_hash",
     "main",
@@ -91,9 +90,7 @@ CONFIG_SCHEMA = {
                 "coupling": {
                     "type": "object",
                     "properties": {
-                        "kind": {
-                            "enum": ["independent", "deterministic_map", "gaussian_joint"]
-                        },
+                        "kind": {"enum": list(core.COUPLING_KINDS)},
                         "mu0": _DISTRIBUTION,
                         "mu1": _DISTRIBUTION,
                         "map": {
@@ -201,21 +198,6 @@ _DEFAULTS = {
 }
 
 
-class ExperimentConfig:
-    """Validated config with defaults applied; ``data`` is the merged dict and
-    ``canonical`` the byte-exact serialization that is hashed."""
-
-    def __init__(self, data: dict):
-        self.data = data
-        self.canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
-
-    def __getitem__(self, key):
-        return self.data[key]
-
-    def get(self, key, default=None):
-        return self.data.get(key, default)
-
-
 def _merge_defaults(data: dict, defaults: dict) -> dict:
     out = dict(data)
     for key, val in defaults.items():
@@ -226,8 +208,9 @@ def _merge_defaults(data: dict, defaults: dict) -> dict:
     return out
 
 
-def load_config(path) -> ExperimentConfig:
-    """Parse and validate a config file; raises ConfigError on any problem."""
+def load_config(path) -> dict:
+    """Parse and validate a config file and return it merged with the
+    defaults, a plain dict; raises ConfigError on any problem."""
     try:
         text = Path(path).read_text()
     except OSError as err:
@@ -246,11 +229,13 @@ def load_config(path) -> ExperimentConfig:
     if err is not None:
         field = ".".join(str(p) for p in err.absolute_path) or "(root)"
         raise ConfigError(f"config field {field}: {err.message}", field) from err
-    return ExperimentConfig(_merge_defaults(data, _DEFAULTS))
+    return _merge_defaults(data, _DEFAULTS)
 
 
-def config_hash(cfg: ExperimentConfig) -> str:
-    return hashlib.sha256(cfg.canonical.encode()).hexdigest()
+def config_hash(cfg: dict) -> str:
+    """SHA-256 of the merged config's canonical JSON: sorted keys, no spaces."""
+    canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +260,7 @@ def _build_distribution(block: dict):
     return core.Empirical(np.array(block["samples"]))
 
 
-def build_process_spec(cfg: ExperimentConfig):
+def build_process_spec(cfg: dict):
     proc = cfg["process"]
     cp = proc["coupling"]
     kind = cp["kind"]
@@ -344,30 +329,35 @@ class _Outputs:
         self.written.append(name)
 
 
-def _write_manifest(out: _Outputs, cfg: ExperimentConfig, failure=None) -> None:
+def _provenance(cfg: dict, **fields) -> dict:
+    """The seed, config hash and tool version of a run, with ``fields``."""
+    return {"seed": cfg["seed"], "config_hash": config_hash(cfg), "version": _VERSION, **fields}
+
+
+def _write_manifest(out: _Outputs, cfg: dict, failure=None) -> None:
     """The run's manifest; ``failure`` is the (error, exit code) that ended it."""
-    manifest = {
-        "config_hash": config_hash(cfg),
-        "version": _VERSION,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "seed": cfg["seed"],
-        "rng_layout": core.RNG_LAYOUT,
-        "outputs": sorted(out.written),
-        "status": "complete" if failure is None else "failed",
-    }
+    manifest = _provenance(
+        cfg,
+        timestamp=datetime.now(timezone.utc).isoformat(),
+        rng_layout=core.RNG_LAYOUT,
+        outputs=sorted(out.written),
+        status="complete" if failure is None else "failed",
+    )
     if failure is not None:
         err, code = failure
         manifest["error"] = {"class": type(err).__name__, "message": str(err), "exit_code": code}
     _atomic_write(out.dir / "manifest.json", _json_text(manifest))
 
 
-def _resolve_spatial_grid(cfg: ExperimentConfig, spec, t: float, sample=None):
+def _resolve_spatial_grid(cfg: dict, spec, t: float, sample=None):
     """Spatial grid at time ``t``.  A ``grid.box`` of 'oracle' is the oracle
     box when the process ``spec`` is Gaussian-expressible, else the per-axis
     1%/99% quantile box of ``sample``, as 'quantile' always is."""
     box = cfg["grid"]["box"]
     nodes = cfg["grid"]["nodes_per_axis"]
     if isinstance(box, list):
+        if len(box) != spec.dim:
+            raise ConfigError(f"grid.box has {len(box)} axes, not {spec.dim}", "grid.box")
         return calculus.make_spatial_grid([(float(lo), float(hi)) for lo, hi in box], nodes)
     if box == "oracle":
         try:
@@ -381,7 +371,7 @@ def _resolve_spatial_grid(cfg: ExperimentConfig, spec, t: float, sample=None):
     return calculus.make_spatial_grid(list(zip(*calculus.quantile_box(sample))), nodes)
 
 
-def _kernel_config(cfg: ExperimentConfig):
+def _kernel_config(cfg: dict):
     return estimate.KernelConfig(bandwidth=cfg["bandwidth"], density_floor=cfg["density_floor"])
 
 
@@ -389,7 +379,7 @@ def _kernel_config(cfg: ExperimentConfig):
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(cfg: ExperimentConfig, out: _Outputs) -> int:
+def cmd_simulate(cfg: dict, out: _Outputs) -> int:
     spec = build_process_spec(cfg)
     steps = cfg["time_steps"]
     endpoints = core.sample_endpoints(spec, cfg["n"], cfg["seed"])
@@ -401,7 +391,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: _Outputs) -> int:
     return EXIT_OK
 
 
-def _oracle_fields(cfg: ExperimentConfig, t: float, time_derivatives: bool = False):
+def _oracle_fields(cfg: dict, t: float, time_derivatives: bool = False):
     """(grid, fields): the Gaussian oracle at ``t`` on the grid resolved
     there, with its exact time derivatives when ``time_derivatives`` asks
     for them."""
@@ -410,7 +400,7 @@ def _oracle_fields(cfg: ExperimentConfig, t: float, time_derivatives: bool = Fal
     return grid, gaussian.fields_on_grid(spec, t, grid, time_derivatives)
 
 
-def _estimated_fields(cfg: ExperimentConfig, t: float, time_derivatives: bool = False):
+def _estimated_fields(cfg: dict, t: float, time_derivatives: bool = False):
     """(grid, fields): the kernel estimate at ``t``, the only time it is
     taken at.  The endpoints, sampled once, are sliced once at ``t``; that
     slice sizes the grid box and feeds the estimator, which also returns the
@@ -422,7 +412,7 @@ def _estimated_fields(cfg: ExperimentConfig, t: float, time_derivatives: bool = 
     return grid, estimate.fields_on_grid(X, V, A, grid, _kernel_config(cfg), time_derivatives)
 
 
-def cmd_fields(cfg: ExperimentConfig, out: _Outputs, source: str, t: float) -> int:
+def cmd_fields(cfg: dict, out: _Outputs, source: str, t: float) -> int:
     names = ["rho", "v", "a", "Sigma", "Pi"]
     grid, fields = (_oracle_fields if source == "oracle" else _estimated_fields)(cfg, t)
     for name in names:
@@ -431,7 +421,7 @@ def cmd_fields(cfg: ExperimentConfig, out: _Outputs, source: str, t: float) -> i
     return EXIT_OK
 
 
-def cmd_diagnose(cfg: ExperimentConfig, out: _Outputs, t: float) -> int:
+def cmd_diagnose(cfg: dict, out: _Outputs, t: float) -> int:
     source = cfg["source"]
     # both sources give exact time derivatives at t; smooth analytic fields
     # take a fourth-order stencil, noisy estimates a second-order one
@@ -448,28 +438,15 @@ def cmd_diagnose(cfg: ExperimentConfig, out: _Outputs, t: float) -> int:
     )
     mat = calculus.material_residual(grid, f["v"], f["dt_v"], order=order)
 
-    def norms(rep):
-        return {k: getattr(rep, k) for k in ("max_abs", "rms", "reference", "relative", "n_nodes")}
-
-    report = {
-        "provenance": {
-            "seed": cfg["seed"],
-            "config_hash": config_hash(cfg),
-            "version": _VERSION,
-            "source": source,
-            "time": t,
-            "stencil_order": order,
-        },
-        "continuity": norms(cont),
-        "momentum": norms(mom),
-        "balance": {**norms(bal), "verdict": bal.verdict},
-        "material": norms(mat),
-    }
+    residuals = {"continuity": cont, "momentum": mom, "balance": bal, "material": mat}
+    norms = ("max_abs", "rms", "reference", "relative", "n_nodes")
+    report = {"provenance": _provenance(cfg, source=source, time=t, stencil_order=order)}
+    for name, rep in residuals.items():
+        report[name] = {k: getattr(rep, k) for k in norms}
+    report["balance"]["verdict"] = bal.verdict
     out.write("diagnostics.json", _json_text(report))
-    out.write("residual_continuity.csv", calculus.grid_field_to_csv(grid, cont.residual))
-    out.write("residual_momentum.csv", calculus.grid_field_to_csv(grid, mom.residual))
-    out.write("residual_balance.csv", calculus.grid_field_to_csv(grid, bal.residual))
-    out.write("residual_material.csv", calculus.grid_field_to_csv(grid, mat.residual))
+    for name, rep in residuals.items():
+        out.write(f"residual_{name}.csv", calculus.grid_field_to_csv(grid, rep.residual))
     print(f"diagnose: continuity rel={cont.relative:.3g} momentum rel={mom.relative:.3g} "
           f"balance rel={bal.relative:.3g} ({bal.verdict})")
     return EXIT_OK
@@ -483,7 +460,7 @@ def _node_index(t: float, steps: int) -> int:
     return k
 
 
-def cmd_verify(cfg: ExperimentConfig, out: _Outputs, theorem: str) -> int:
+def cmd_verify(cfg: dict, out: _Outputs, theorem: str) -> int:
     spec = build_process_spec(cfg)
     steps, floor = cfg["time_steps"], cfg["density_floor"]
     # an off-grid time is refused before anything is sampled
@@ -526,7 +503,7 @@ def _read_points(path: str, dim: int) -> np.ndarray:
     return pts
 
 
-def cmd_flow(cfg: ExperimentConfig, out: _Outputs, points_file: str | None, use_grid: bool,
+def cmd_flow(cfg: dict, out: _Outputs, points_file: str | None, use_grid: bool,
              scheme: str, steps: int) -> int:
     nodes = core.time_nodes(steps)  # refuses a bad --steps before anything is sampled
     spec = build_process_spec(cfg)
@@ -572,14 +549,7 @@ def cmd_flow(cfg: ExperimentConfig, out: _Outputs, points_file: str | None, use_
 
     out.write("trajectories.csv", write_trajectories)
     summary = {
-        "provenance": {
-            "seed": cfg["seed"],
-            "config_hash": config_hash(cfg),
-            "version": _VERSION,
-            "scheme": scheme,
-            "steps": steps,
-            "source": source,
-        },
+        "provenance": _provenance(cfg, scheme=scheme, steps=steps, source=source),
         "one_step": {
             "max": one_step.max_error,
             "rms": one_step.rms_error,
@@ -600,7 +570,7 @@ def cmd_flow(cfg: ExperimentConfig, out: _Outputs, points_file: str | None, use_
 _SWEEP_PARAMS = {"n": int, "seed": int, "bandwidth": float, "time": float}
 
 
-def _sweep_metrics(cfg: ExperimentConfig) -> dict:
+def _sweep_metrics(cfg: dict) -> dict:
     spec = build_process_spec(cfg)
     t = cfg["time"]
     endpoints = core.sample_endpoints(spec, cfg["n"], cfg["seed"])
@@ -619,7 +589,7 @@ def _sweep_metrics(cfg: ExperimentConfig) -> dict:
     return {"v_rmse": v_rmse, "tr_pi": tp.value}
 
 
-def cmd_sweep(cfg: ExperimentConfig, out: _Outputs, param: str, values: list[str]) -> int:
+def cmd_sweep(cfg: dict, out: _Outputs, param: str, values: list[str]) -> int:
     if param not in _SWEEP_PARAMS:
         raise ConfigError(
             f"unknown sweep parameter {param!r}; known: {sorted(_SWEEP_PARAMS)}", "param"
@@ -639,10 +609,10 @@ def cmd_sweep(cfg: ExperimentConfig, out: _Outputs, param: str, values: list[str
     for value in parsed:
         sweep_seeds = [value] if param == "seed" else seeds
         for seed in sweep_seeds:
-            data = json.loads(cfg.canonical)
+            data = json.loads(json.dumps(cfg))  # a deep copy; cfg holds every default
             data[param] = value
             data["seed"] = int(seed)
-            metrics = _sweep_metrics(ExperimentConfig(data))  # data holds every default
+            metrics = _sweep_metrics(data)
             value_cell = "" if param == "seed" else repr(float(value))
             for metric in ("v_rmse", "tr_pi"):
                 heads.append(f"{param},{value_cell},{seed},{metric}")
@@ -706,7 +676,7 @@ def _error_exit(err) -> tuple[int, str]:
     return EXIT_ERROR, "error"
 
 
-def _time(cfg: ExperimentConfig, flag: float | None) -> float:
+def _time(cfg: dict, flag: float | None) -> float:
     """The ``--time`` flag, else the config's ``time``.  The flag bypasses
     the schema, so its bounds are checked here, before anything is sampled."""
     t = cfg["time"] if flag is None else flag
@@ -715,7 +685,7 @@ def _time(cfg: ExperimentConfig, flag: float | None) -> float:
     return t
 
 
-def _run_command(args, cfg: ExperimentConfig, out: _Outputs) -> int:
+def _run_command(args, cfg: dict, out: _Outputs) -> int:
     if args.command == "simulate":
         return cmd_simulate(cfg, out)
     if args.command == "fields":

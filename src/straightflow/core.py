@@ -278,6 +278,10 @@ class CouplingSpec:
         if self.mu0.dim != self.mu1.dim:
             raise InvalidCouplingError("endpoint distributions must share a dimension")
         d = self.mu0.dim
+        if self.map is not None and self.map.b.size != d:
+            raise InvalidCouplingError(
+                f"the map is {self.map.b.size}-dimensional, the endpoints {d}"
+            )
         if self.kind == "deterministic_map":
             self._check_deterministic(d)
         elif self.kind == "gaussian_joint" and not (

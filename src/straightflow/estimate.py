@@ -3,13 +3,14 @@ velocity second-moment tensor from sampled slice arrays.
 
 Everything uses a Gaussian product kernel cut per axis.  The unnormalized
 kernel weight of sample j at query x is ``prod_k exp(-(x_k - X_jk)^2 / (2
-h^2))``; the sum of these weights is the "effective n" at x, and queries whose
-effective n falls under ``density_floor`` hold NaN on grids (and are refused
-by the flow's kernel oracle).  A pair is dropped when its exponent on some
-axis is below -32, i.e. when the sample is more than eight bandwidths from
-the query on that axis: each dropped weight is below 1.3e-14, so at most
-1.3e-14 N of effective n, and so is each kept weight of a sample more than
-eight bandwidths away in distance.  Exponents take direct coordinate
+h^2))``; the sum of these weights is the "effective n" at x.  One gate,
+:meth:`KernelConfig.admits`, refuses a query whose effective n falls under
+``density_floor`` or is zero: such a grid node holds NaN, and the flow's
+kernel oracle refuses such a query point.  A pair is dropped when its
+exponent on some axis is below -32, i.e. when the sample is more than eight
+bandwidths from the query on that axis: each dropped weight is below
+1.3e-14, so at most 1.3e-14 N of effective n, and so is each kept weight of
+a sample more than eight bandwidths away in distance.  Exponents take direct coordinate
 differences, so nothing cancels far from the origin.
 
 Both paths of the engine sum a target block, stored column by column, whose
@@ -61,7 +62,7 @@ class KernelConfig:
 
     ``bandwidth`` is either an explicit length or the rule tag "silverman".
     ``density_floor`` is the minimum effective sample weight below which
-    estimates are refused.
+    estimates are refused (see :meth:`admits`).
     """
 
     bandwidth: float | str = "silverman"
@@ -75,6 +76,11 @@ class KernelConfig:
             raise InvalidArgumentError("explicit bandwidth must be positive and finite")
         if self.density_floor < 0:
             raise InvalidArgumentError("density_floor must be nonnegative")
+
+    def admits(self, eff: np.ndarray) -> np.ndarray:
+        """Where an effective n ``eff`` admits an estimate: at least the floor and
+        above zero, whatever the floor (at 0 no sample weighs it; its means are NaN)."""
+        return (eff >= self.density_floor) & (eff > 0)
 
 
 def silverman_bandwidth_from(X: np.ndarray) -> float:
@@ -359,10 +365,10 @@ def fields_on_grid(
     shape ``grid.shape`` (scalars), ``grid.shape + (d,)`` (vectors) and
     ``grid.shape + (d, d)`` (matrices).
 
-    Nodes whose effective n falls under the density floor, or is zero, are
-    refused (the compact-domain emulation): every field but ``effective_n``,
-    which the fields also carry, holds NaN there.  Pi is repaired by clipping
-    negative eigenvalues so downstream stencils see a full PSD field.
+    Nodes that ``cfg.admits`` refuses (effective n under the floor, or 0)
+    hold NaN in every field but ``effective_n``, which the fields also carry
+    (the compact-domain emulation).  Pi is repaired by clipping negative
+    eigenvalues so downstream stencils see a full PSD field.
 
     With ``time_derivatives`` they also carry the exact time derivatives of
     the estimate at its bandwidth, held fixed, as the samples move with V:
@@ -376,7 +382,7 @@ def fields_on_grid(
     vals, sig_arr, eff, rates = _kernel_means(X, V, A, grid, h, time_derivatives)
     rho = eff / (n * (2 * np.pi * h * h) ** (d / 2))
 
-    ok = (eff >= cfg.density_floor) & (eff > 0)
+    ok = cfg.admits(eff)
     vals[~ok] = sig_arr[~ok] = np.nan
     rho_arr = np.where(ok, rho, np.nan)
 

@@ -94,9 +94,9 @@ def kernel_velocity_oracle(
     Queries outside the per-axis 1%/99% quantile box of that slice
     (:func:`calculus.quantile_box`) are clamped to it and counted as
     excursions; query points whose effective n still falls under the density
-    floor are refused with a LowDensityError that lists their rows.  A slice
-    whose sampled velocities are not finite (a latent process at t = 0 or 1)
-    raises NonFiniteDataError.
+    floor, or is zero, are refused (``cfg.admits``) with a LowDensityError
+    that lists their rows.  A slice whose sampled velocities are not finite
+    (a latent process at t = 0 or 1) raises NonFiniteDataError.
     """
     stats = OracleStats()
 
@@ -125,7 +125,7 @@ def kernel_velocity_oracle(
         clamped = np.clip(pts, lo, hi)
         stats.excursions += int(np.sum(np.any(clamped != pts, axis=-1)))
         out, eff = estimate.nw_regress(X, V, clamped, h)
-        bad = eff < cfg.density_floor
+        bad = ~cfg.admits(eff)
         if np.any(bad):
             raise LowDensityError(
                 f"effective_n {eff[bad].min():.3g} below floor {cfg.density_floor} at t={t:.6g}",

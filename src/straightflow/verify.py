@@ -5,8 +5,10 @@ them at the times it needs.  The two trace harnesses (affine straightness
 and the determinism detector) calibrate their verdicts against one control:
 the same endpoints with the x1 rows permuted, sliced at the same times and
 subsampled from the same stream; the estimators are biased, so only such
-relative statements are decidable.  The geometric report draws no control:
-its verdict compares the identity gap with three standard errors.
+relative statements are decidable.  Both take their data and control
+moments from one series, :func:`_trace_series`.  The geometric report
+draws no control: its verdict compares the identity gap with three
+standard errors.
 
 The trace of the Reynolds tensor is integrated through the moment identity
 E[Tr Pi(X)] = E|Xdot|^2 - E|v(X)|^2 (law of total variance), estimated over
@@ -141,24 +143,22 @@ def _permuted_control(endpoints: EndpointArrays, tag: int) -> EndpointArrays:
     return EndpointArrays(endpoints.x0, endpoints.x1[perm], endpoints.z, endpoints.seed)
 
 
-def _trace_pair(
-    spec: ProcessSpec,
-    endpoints: EndpointArrays,
-    control: EndpointArrays,
-    t: float,
-    tag: int,
-    m_eval: int,
-    density_floor: float,
-) -> tuple[TraceMoment, TraceMoment]:
-    """Trace moments of the data and of the control at time ``t``, both
-    subsampled from the ``tag`` stream."""
-
-    def moment(ens: EndpointArrays, floor: float) -> TraceMoment:
-        X, V, _ = slice_state(spec, ens, t)
-        return tr_pi_moment(X, V, aux_rng(endpoints.seed, tag), m_eval, floor)
-
-    # no verdict reads the control's low-density fraction
-    return moment(endpoints, density_floor), moment(control, 0.0)
+def _trace_series(spec: ProcessSpec, endpoints: EndpointArrays, control_tag: int, times,
+                  first_tag: int, m_eval: int, density_floor: float):
+    """Trace moments at each of ``times`` of the data and of its control,
+    the endpoints with the x1 rows permuted by the ``control_tag`` stream.
+    At the k-th time the data, then the control, is sliced and subsampled
+    from the ``first_tag + k`` stream.  Returns the data values, the control
+    values and the data's low-density fractions; no verdict reads the
+    control's fraction, so its search takes a floor of 0."""
+    control = _permuted_control(endpoints, control_tag)
+    moments = np.empty((len(times), 2, 2))  # (time, data | control, value | low fraction)
+    for k, t in enumerate(times):
+        for j, (ens, floor) in enumerate(((endpoints, density_floor), (control, 0.0))):
+            X, V, _ = slice_state(spec, ens, float(t))
+            tp = tr_pi_moment(X, V, aux_rng(endpoints.seed, first_tag + k), m_eval, floor)
+            moments[k, j] = tp.value, tp.low_density_fraction
+    return moments[:, 0, 0], moments[:, 1, 0], moments[:, 0, 1]
 
 
 def _spec_digest(spec: ProcessSpec, endpoints: EndpointArrays) -> dict:
@@ -201,23 +201,16 @@ def affine_straightness_check(
     """
     if spec.coefficients != "affine":
         raise InvalidArgumentError("affine_straightness_check needs the affine spec")
-    control = _permuted_control(endpoints, 1)
-
+    values, controls, lows = _trace_series(
+        spec, endpoints, 1, time_nodes, 100, _DEFAULT_M_EVAL, density_floor
+    )
+    limits = 0.05 * np.maximum(controls, 0.0) + 1e-12
     metrics: dict[str, float] = {}
     thresholds: dict[str, float] = {}
-    low_fractions = []
-    consistent = True
-    for k, t in enumerate(time_nodes):
-        tp, tpc = _trace_pair(
-            spec, endpoints, control, float(t), 100 + k, _DEFAULT_M_EVAL, density_floor
-        )
-        thr = 0.05 * max(tpc.value, 0.0) + 1e-12
-        metrics[f"tr_pi@{t:g}"] = tp.value
-        metrics[f"tr_pi_control@{t:g}"] = tpc.value
-        thresholds[f"tr_pi@{t:g}"] = thr
-        low_fractions.append(tp.low_density_fraction)
-        if tp.value > thr:
-            consistent = False
+    for t, value, control, limit in zip(time_nodes, values, controls, limits):
+        metrics[f"tr_pi@{t:g}"] = value
+        metrics[f"tr_pi_control@{t:g}"] = control
+        thresholds[f"tr_pi@{t:g}"] = limit
 
     notes = ""
     try:
@@ -231,7 +224,7 @@ def affine_straightness_check(
     except CapabilityError:
         notes = "coupling not Gaussian-expressible; flow indicators skipped"
 
-    low_fraction = float(np.mean(low_fractions))
+    low_fraction = float(np.mean(lows))
     metrics["low_density_fraction"] = low_fraction
     thresholds["low_density_fraction"] = _LOW_DENSITY_FRACTION
     return TheoremReport(
@@ -239,7 +232,7 @@ def affine_straightness_check(
         inputs=_spec_digest(spec, endpoints),
         metrics=metrics,
         thresholds=thresholds,
-        verdict=_verdict(low_fraction, consistent),
+        verdict=_verdict(low_fraction, not np.any(values > limits)),
         notes=notes or "verdict keyed to the trace moment staying under 0.05 x control at all times",
     )
 
@@ -328,22 +321,15 @@ def determinism_detector(
     nodes = time_nodes(steps)
     if steps < 2:
         raise InvalidArgumentError("determinism detector needs interior time nodes")
-    control = _permuted_control(endpoints, 2)
     times = nodes[1:-1]
-    values, controls, lows = [], [], []
-    for k in range(1, steps):
-        tp, tpc = _trace_pair(
-            spec, endpoints, control, float(nodes[k]), 300 + k, _DETERMINISM_M_EVAL,
-            density_floor,
-        )
-        values.append(max(tp.value, 0.0))
-        controls.append(max(tpc.value, 0.0))
-        lows.append(tp.low_density_fraction)
-
+    # interior node k >= 1 subsamples from stream 300 + k
+    values, controls, lows = _trace_series(
+        spec, endpoints, 2, times, 301, _DETERMINISM_M_EVAL, density_floor
+    )
     trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 compat
     integral, control_integral = (
         float(trapezoid(ys, times)) if len(times) > 1 else float(ys[0])
-        for ys in (values, controls)
+        for ys in (np.maximum(values, 0.0), np.maximum(controls, 0.0))
     )
     measured = integral / max(control_integral, 1e-30)
     low_fraction = float(np.mean(lows))

@@ -125,6 +125,29 @@ class TestSimulate:
         assert len(manifest["config_hash"]) == 64
         assert manifest["rng_layout"] == core.RNG_LAYOUT
 
+    def test_config_hash_is_pinned(self, tmp_path):
+        # the digest of the canonical merged config, defaults included: a
+        # change to the canonical form or to the defaults moves it
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(base_config("out")))
+        assert cli.config_hash(cli.load_config(path)) == (
+            "d06108f61f69052a61e86ff3e41acc3b9f2edab92ca6389960d64ec5de063e22"
+        )
+
+    @pytest.mark.parametrize("endpoint", [
+        {"family": "gaussian", "mean": [0.0], "cov": [[1.0]]},
+        {"family": "empirical", "samples": [[-1.0], [0.0], [2.0]]},
+    ], ids=["gaussian", "empirical"])
+    def test_map_of_another_dimension_exit_2(self, tmp_path, capsys, endpoint):
+        process = {"coefficients": "affine", "dim": 1, "coupling": {
+            "kind": "deterministic_map", "mu0": endpoint, "mu1": endpoint,
+            "map": {"A": [[1.0, 0.0], [0.0, 1.0]], "b": [0.0, 0.0]}}}
+        cfg_path, out = write_config(tmp_path, process=process)
+        assert cli.main(["simulate", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: the map is 2-dimensional, the endpoints 1\n"
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == []
+
     def test_failed_write_leaves_no_ensemble(self, tmp_path, monkeypatch):
         def fail_part_way(spec, path, endpoints, steps):
             with open(path, "wb") as fh:
@@ -729,6 +752,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["fields", "--source", "estimate"], ["fields", "--source", "oracle"], ["diagnose"],
+        ["flow", "--grid"],
+    ], ids=["fields_estimate", "fields_oracle", "diagnose", "flow_grid"])
+    def test_grid_box_of_another_dimension_exit_2(self, tmp_path, capsys, argv):
+        # a one-axis box on a 2-D process is refused before any result file
+        cfg_path, out = write_config(tmp_path, process=ot_process_2d(), n=2000,
+                                     grid={"box": [[-1.0, 1.0]], "nodes_per_axis": 5})
+        assert cli.main([argv[0], "--config", str(cfg_path), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: grid.box has 1 axes, not 2\n"
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == []
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
     @pytest.mark.parametrize("error,code", [
         (errors.ConfigError("bad"), 2),
         (errors.InvalidArgumentError("bad"), 2),
@@ -807,8 +844,7 @@ class TestSweep:
         lines = ["param,value,seed,metric,metric_value"]
         for value in values:
             for seed in [value] if param == "seed" else seeds:
-                data = json.loads(cfg.canonical) | {param: int(value), "seed": int(seed)}
-                metrics = cli._sweep_metrics(cli.ExperimentConfig(data))
+                metrics = cli._sweep_metrics(cfg | {param: int(value), "seed": int(seed)})
                 value_cell = "" if param == "seed" else repr(float(value))
                 for metric in ("v_rmse", "tr_pi"):
                     lines.append(",".join([param, value_cell, str(seed), metric,

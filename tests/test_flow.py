@@ -94,6 +94,17 @@ def kernel_case(coefficients, d):
     return spec, core.sample_endpoints(spec, 3000, seed=5)
 
 
+@functools.lru_cache(maxsize=None)
+def stranded_case():
+    """The 1-D affine independent coupling of 1/2 N(-20, 0.01) + 1/2 N(20,
+    0.01) with itself and 20,000 of its endpoints: at t = 0 no sample comes
+    within eight bandwidths of 0.1 of a query midway between the modes."""
+    mix = core.GaussianMixture(np.array([0.5, 0.5]), np.array([[-20.0], [20.0]]),
+                               np.full((2, 1, 1), 0.01))
+    spec = core.ProcessSpec("affine", core.CouplingSpec("independent", mix, mix), 1)
+    return spec, core.sample_endpoints(spec, 20_000, seed=3)
+
+
 @pytest.fixture(scope="module")
 def oracle_affine_indep(affine_indep_spec):
     return flow.analytic_velocity_oracle(affine_indep_spec)
@@ -163,6 +174,29 @@ class TestIntegrate:
         assert i == 0 and isinstance(err, TrajectoryLeftSupportError)
         # refused at the first step: its trajectory is the start point alone
         assert np.array_equal(res.states[0, :, 0], [0.0] + [np.nan] * 4, equal_nan=True)
+
+    def test_kernel_oracle_refuses_a_query_no_sample_weighs(self):
+        # at a floor of 0 a query of effective n 0 is refused, as under any
+        # floor, not stepped to the NaN of its 0 / 0 mean
+        spec, ens = stranded_case()
+        oracle = flow.kernel_velocity_oracle(spec, ens, estimate.KernelConfig(0.1, 0.0))
+        res = flow.flow_map(oracle, np.array([[0.0]]), 10)
+        (i, err), = res.errors
+        assert i == 0 and isinstance(err, TrajectoryLeftSupportError)
+
+    @pytest.mark.parametrize("floor", [0.0, 25.0])
+    def test_kernel_oracle_refuses_the_nodes_the_grid_refuses(self, floor):
+        # one density gate: at the nodes of a grid over the slice's quantile
+        # box the oracle refuses exactly the nodes where the grid holds NaN
+        spec, ens = stranded_case()
+        cfg = estimate.KernelConfig(0.1, floor)
+        X, V, A = core.slice_state(spec, ens, 0.0)
+        grid = calculus.make_spatial_grid(list(zip(*calculus.quantile_box(X))), 41)
+        refused = np.flatnonzero(np.isnan(estimate.fields_on_grid(X, V, A, grid, cfg)["rho"]))
+        assert 0 < refused.size < grid.points().shape[0]
+        with pytest.raises(LowDensityError) as info:
+            flow.kernel_velocity_oracle(spec, ens, cfg)(0.0, grid.points())
+        assert np.array_equal(info.value.rows, refused)
 
     def test_kernel_oracle_tracks_analytic(
         self, affine_indep_spec, ep_affine_indep_200k, oracle_affine_indep
