@@ -176,7 +176,7 @@ def _grid_table(grid: calculus.SpatialGrid, values: np.ndarray):
 def csv_tables() -> dict:
     """The oracle_2d tables, by the command that writes them."""
     cfg = _config(_FIELDS_CONFIG)
-    grid, f = cli._oracle_fields(cfg, cfg["time"], time_derivatives=True)
+    grid, f = cli._oracle_fields(cfg, time_derivatives=True)
     fields = [_grid_table(grid, f[name]) for name in ("rho", "v", "a", "Sigma", "Pi")]
     residuals = [
         calculus.continuity_residual(grid, f["rho"], f["v"], f["dt_rho"]),

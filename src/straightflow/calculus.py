@@ -38,10 +38,12 @@ __all__ = [
     "balance_residual",
     "continuity_residual",
     "material_residual",
+    "csv_table",
     "grid_field_to_csv",
 ]
 
 _REL_FLOOR = 1e-30
+_BALANCE_TOLERANCE = 1e-3  # the relative rms within which the balance law holds
 _CSV_BLOCK_ROWS = 4096  # CSV lines per text block written
 # cells de-duplicated together: 2^15 made the oracle_2d flow table 27 % slower
 # (its doubles recur across chunks); 2^17 raised flow's peak RSS by 2.7 MB
@@ -239,19 +241,19 @@ def momentum_residual(
 
 
 def balance_residual(
-    grid: SpatialGrid, rho: np.ndarray, Pi: np.ndarray, a: np.ndarray, order: int = 4,
-    tolerance: float = 1e-3,
+    grid: SpatialGrid, rho: np.ndarray, Pi: np.ndarray, a: np.ndarray, order: int = 4
 ) -> ResidualReport:
     """Residual of div(rho Pi) - rho a at one time slice.
 
     Relative norm is measured against rms of rho |a| + |div(rho Pi)|, both
     sides of the balance law, so it never exceeds 1 and stays finite when
-    one side vanishes (rho a is 0 for affine interpolants); verdict is
-    ``straight-compatible`` when the relative rms is within ``tolerance``.
+    one side vanishes (rho a is 0 for affine interpolants); the verdict is
+    ``straight-compatible`` within ``_BALANCE_TOLERANCE``.
     """
     div = divergence(grid, rho[..., None, None] * Pi, order)
     rep = _report(div - rho[..., None] * a, rho * _magnitude(a) + _magnitude(div))
-    verdict = "straight-compatible" if rep.relative <= tolerance else "not-straight-compatible"
+    verdict = ("straight-compatible" if rep.relative <= _BALANCE_TOLERANCE
+               else "not-straight-compatible")
     return dataclasses.replace(rep, verdict=verdict)
 
 
@@ -316,6 +318,13 @@ def _csv_blocks(lead, values):
         del bits, inverse, text  # one chunk's texts at a time
 
 
+def csv_table(header, lead, values):
+    """A CSV table's text, piece by piece: the line of the ``header`` names,
+    then the blocks of :func:`_csv_blocks` for ``lead`` and ``values``."""
+    yield ",".join(header) + "\n"
+    yield from _csv_blocks(lead, values)
+
+
 def grid_field_to_csv(grid: SpatialGrid, values: np.ndarray) -> str:
     """One row per node of a scalar, vector or matrix field in C order:
     coordinates, then value components.  Refused nodes keep their ``nan``."""
@@ -326,5 +335,5 @@ def grid_field_to_csv(grid: SpatialGrid, values: np.ndarray) -> str:
         2: [f"m{i}{j}" for i in range(d) for j in range(d)],
     }[values.ndim - d]
     coords = [[repr(x) for x in ax.tolist()] for ax in grid.axes]
-    rows = _csv_blocks(coords, values.reshape(-1, len(names)))
-    return ",".join([f"x{i}" for i in range(d)] + names) + "\n" + "".join(rows)
+    header = [f"x{i}" for i in range(d)] + names
+    return "".join(csv_table(header, coords, values.reshape(-1, len(names))))

@@ -5,12 +5,13 @@ Grammar::
     straightflow <simulate|fields|diagnose|verify|flow|sweep> --config PATH [flags]
 
 Configs are JSON validated against :data:`CONFIG_SCHEMA` (unknown keys are
-rejected).  Flags mirror config entries and take precedence.  Every run with
-a valid config ends by writing ``manifest.json``: config hash, tool version,
-timestamp, seed, the result files the run wrote, and ``status`` ``complete``
-or ``failed`` (then also the error class, message and exit code).  Result
-files are written atomically and are byte-identical across re-runs with the
-same config and seed.
+rejected; every number is finite).  The flags that mirror config entries are
+set into the config merged with its defaults, which is validated again, and
+every command reads that one dict.  Every run with a valid config ends by
+writing ``manifest.json``: that config's hash, tool version, timestamp, seed,
+the result files the run wrote, and ``status`` ``complete`` or ``failed``
+(then also the error class, message and exit code).  Result files are written
+atomically and are byte-identical across re-runs with the same config and seed.
 
 Exit codes: 0 success/consistent, 1 other library error, 2 config error,
 3 capability error, 4 theorem violated, 5 inconclusive; :func:`_error_exit`
@@ -61,7 +62,6 @@ EXIT_INCONCLUSIVE = 5
 
 _VEC = {"type": "array", "items": {"type": "number"}, "minItems": 1}
 _MATRIX = {"type": "array", "items": _VEC, "minItems": 1}
-_POS = {"type": "number", "exclusiveMinimum": 0}
 
 _DISTRIBUTION = {
     "type": "object",
@@ -148,7 +148,7 @@ CONFIG_SCHEMA = {
             },
             "additionalProperties": False,
         },
-        "bandwidth": {"oneOf": [{"const": "silverman"}, _POS]},
+        "bandwidth": {"oneOf": [{"const": "silverman"}, {"type": "number", "exclusiveMinimum": 0}]},
         "density_floor": {"type": "number", "minimum": 0},
         "source": {"enum": ["oracle", "estimate"]},
         "time": {"type": "number", "minimum": 0, "maximum": 1},
@@ -156,14 +156,6 @@ CONFIG_SCHEMA = {
             "type": "array",
             "items": {"type": "number", "minimum": 0, "maximum": 1},
             "minItems": 1,
-        },
-        "tolerances": {
-            "type": "object",
-            "properties": {
-                "balance_relative": _POS,
-                "trace_ratio": _POS,
-            },
-            "additionalProperties": False,
         },
         "flow": {
             "type": "object",
@@ -181,8 +173,18 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
 }
 
-# built once: jsonschema.validate would re-check the schema itself on every load
-_CONFIG_VALIDATOR = jsonschema.Draft7Validator(CONFIG_SCHEMA)
+# built once: jsonschema.validate would re-check the schema itself on every
+# call.  A ``number`` is an int or float finite as a double (json reads NaN,
+# Infinity and an overflowing literal such as 1e999 as floats), and an
+# ``integer`` an int: draft 7 also admits 1e3 and 7.0, which numpy refuses as a
+# size or a seed.  A bool is neither.
+_CONFIG_VALIDATOR = jsonschema.validators.extend(
+    jsonschema.Draft7Validator,
+    type_checker=jsonschema.Draft7Validator.TYPE_CHECKER.redefine_many({
+        "number": lambda checker, x: type(x) in (int, float) and abs(x) <= sys.float_info.max,
+        "integer": lambda checker, x: type(x) is int,
+    }),
+)(CONFIG_SCHEMA)
 
 _DEFAULTS = {
     "time_steps": 10,
@@ -192,7 +194,6 @@ _DEFAULTS = {
     "source": "oracle",
     "time": 0.5,
     "time_nodes": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
-    "tolerances": {"balance_relative": 1e-3, "trace_ratio": 0.05},
     "flow": {"scheme": "rk4", "steps": 100, "reference_steps": 400, "n_points": 100},
     "output_dir": "out",
 }
@@ -208,6 +209,15 @@ def _merge_defaults(data: dict, defaults: dict) -> dict:
     return out
 
 
+def _validated(cfg: dict) -> dict:
+    """``cfg`` once the schema admits it; else ConfigError naming one field."""
+    err = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
+    if err is not None:
+        field = ".".join(str(p) for p in err.absolute_path) or "(root)"
+        raise ConfigError(f"config field {field}: {err.message}", field) from err
+    return cfg
+
+
 def load_config(path) -> dict:
     """Parse and validate a config file and return it merged with the
     defaults, a plain dict; raises ConfigError on any problem."""
@@ -215,21 +225,24 @@ def load_config(path) -> dict:
         text = Path(path).read_text()
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
-
-    def refuse(literal: str):  # json accepts NaN, Infinity and -Infinity
-        raise ConfigError(f"config {path} holds the non-finite number {literal}")
-
     try:
-        data = json.loads(text, parse_constant=refuse)
+        data = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError(
             f"config {path} is not valid JSON: line {err.lineno} column {err.colno}: {err.msg}"
         ) from err
-    err = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(data))
-    if err is not None:
-        field = ".".join(str(p) for p in err.absolute_path) or "(root)"
-        raise ConfigError(f"config field {field}: {err.message}", field) from err
-    return _merge_defaults(data, _DEFAULTS)
+    return _merge_defaults(_validated(data), _DEFAULTS)
+
+
+def _with_flags(cfg: dict, args) -> dict:
+    """``cfg`` with the flags given in ``args`` set into it (``scheme`` and
+    ``steps`` under ``flow``) and validated again; ``cfg`` when none is given."""
+    flags = {k: v for k, v in vars(args).items()
+             if k in ("source", "time", "scheme", "steps") and v is not None}
+    if not flags:
+        return cfg
+    flow = {k: flags.pop(k) for k in ("scheme", "steps") if k in flags}
+    return _validated(cfg | flags | {"flow": cfg["flow"] | flow})
 
 
 def config_hash(cfg: dict) -> str:
@@ -298,14 +311,16 @@ def build_process_spec(cfg: dict):
 
 def _atomic_write(path: Path, payload) -> None:
     """Write ``payload`` under a temporary name next to ``path`` and move it
-    into place; a failed write leaves neither file.  ``payload`` is text or
-    a function that streams the file to the path it is given."""
+    into place; a failed write leaves neither file.  ``payload`` is text,
+    an iterable of text pieces written in turn, or a function that streams
+    the file to the path it is given."""
     tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
     try:
         if callable(payload):
             payload(tmp)
         else:
-            tmp.write_text(payload)
+            with open(tmp, "w") as fh:
+                fh.writelines([payload] if isinstance(payload, str) else payload)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -391,51 +406,49 @@ def cmd_simulate(cfg: dict, out: _Outputs) -> int:
     return EXIT_OK
 
 
-def _oracle_fields(cfg: dict, t: float, time_derivatives: bool = False):
-    """(grid, fields): the Gaussian oracle at ``t`` on the grid resolved
-    there, with its exact time derivatives when ``time_derivatives`` asks
-    for them."""
-    spec = build_process_spec(cfg)
+def _oracle_fields(cfg: dict, time_derivatives: bool = False):
+    """(grid, fields): the Gaussian oracle at the config's ``time`` on the
+    grid resolved there, with its exact time derivatives when
+    ``time_derivatives`` asks for them."""
+    spec, t = build_process_spec(cfg), cfg["time"]
     grid = _resolve_spatial_grid(cfg, spec, t)
     return grid, gaussian.fields_on_grid(spec, t, grid, time_derivatives)
 
 
-def _estimated_fields(cfg: dict, t: float, time_derivatives: bool = False):
-    """(grid, fields): the kernel estimate at ``t``, the only time it is
-    taken at.  The endpoints, sampled once, are sliced once at ``t``; that
-    slice sizes the grid box and feeds the estimator, which also returns the
-    exact time derivatives when ``time_derivatives`` asks for them."""
-    spec = build_process_spec(cfg)
+def _estimated_fields(cfg: dict, time_derivatives: bool = False):
+    """(grid, fields): the kernel estimate at the config's ``time`` t, the only
+    time it is taken at.  The endpoints, sampled once, are sliced once at t;
+    that slice sizes the grid box and feeds the estimator, which also returns
+    the exact time derivatives when ``time_derivatives`` asks for them."""
+    spec, t = build_process_spec(cfg), cfg["time"]
     endpoints = core.sample_endpoints(spec, cfg["n"], cfg["seed"])
     X, V, A = core.slice_state(spec, endpoints, t)
     grid = _resolve_spatial_grid(cfg, spec, t, sample=X)
     return grid, estimate.fields_on_grid(X, V, A, grid, _kernel_config(cfg), time_derivatives)
 
 
-def cmd_fields(cfg: dict, out: _Outputs, source: str, t: float) -> int:
+def cmd_fields(cfg: dict, out: _Outputs) -> int:
     names = ["rho", "v", "a", "Sigma", "Pi"]
-    grid, fields = (_oracle_fields if source == "oracle" else _estimated_fields)(cfg, t)
+    source, t = cfg["source"], cfg["time"]
+    grid, fields = (_oracle_fields if source == "oracle" else _estimated_fields)(cfg)
     for name in names:
         out.write(f"fields_{name.lower()}.csv", calculus.grid_field_to_csv(grid, fields[name]))
     print(f"fields: wrote {len(names)} CSVs to {out.dir} (source={source}, t={t:g})")
     return EXIT_OK
 
 
-def cmd_diagnose(cfg: dict, out: _Outputs, t: float) -> int:
-    source = cfg["source"]
+def cmd_diagnose(cfg: dict, out: _Outputs) -> int:
+    source, t = cfg["source"], cfg["time"]
     # both sources give exact time derivatives at t; smooth analytic fields
     # take a fourth-order stencil, noisy estimates a second-order one
     fields_at, order = (_oracle_fields, 4) if source == "oracle" else (_estimated_fields, 2)
-    grid, f = fields_at(cfg, t, time_derivatives=True)
+    grid, f = fields_at(cfg, time_derivatives=True)
 
     cont = calculus.continuity_residual(grid, f["rho"], f["v"], f["dt_rho"], order=order)
     mom = calculus.momentum_residual(
         grid, f["rho"], f["v"], f["Sigma"], f["a"], f["dt_rho_v"], order=order
     )
-    bal = calculus.balance_residual(
-        grid, f["rho"], f["Pi"], f["a"], order=order,
-        tolerance=cfg["tolerances"]["balance_relative"],
-    )
+    bal = calculus.balance_residual(grid, f["rho"], f["Pi"], f["a"], order=order)
     mat = calculus.material_residual(grid, f["v"], f["dt_v"], order=order)
 
     residuals = {"continuity": cont, "momentum": mom, "balance": bal, "material": mat}
@@ -473,9 +486,7 @@ def cmd_verify(cfg: dict, out: _Outputs, theorem: str) -> int:
     elif theorem == "geometric":
         report = verify.geometric_report(spec, endpoints, steps, t_index, density_floor=floor)
     else:
-        report = verify.determinism_detector(
-            spec, endpoints, steps, ratio=cfg["tolerances"]["trace_ratio"], density_floor=floor
-        )
+        report = verify.determinism_detector(spec, endpoints, steps, density_floor=floor)
     out.write(f"theorem_{theorem}.json", _json_text(report.to_json_dict()))
     print(f"verify[{theorem}]: verdict={report.verdict}")
     return {
@@ -503,9 +514,9 @@ def _read_points(path: str, dim: int) -> np.ndarray:
     return pts
 
 
-def cmd_flow(cfg: dict, out: _Outputs, points_file: str | None, use_grid: bool,
-             scheme: str, steps: int) -> int:
-    nodes = core.time_nodes(steps)  # refuses a bad --steps before anything is sampled
+def cmd_flow(cfg: dict, out: _Outputs, points_file: str | None, use_grid: bool) -> int:
+    scheme, steps = cfg["flow"]["scheme"], cfg["flow"]["steps"]
+    nodes = core.time_nodes(steps)
     spec = build_process_spec(cfg)
     source = cfg["source"]
     sample = None
@@ -539,15 +550,9 @@ def cmd_flow(cfg: dict, out: _Outputs, points_file: str | None, use_grid: bool,
             per_point[i]["second_diff"] = float(dev.second_diff[j])
 
     # one row per kept point and time node, streamed: neither text nor index is held whole
-    states = states.reshape(-1, spec.dim)
+    header = ["point", "t"] + [f"x{i}" for i in range(spec.dim)]
     lead = [[str(i) for i in kept], [repr(t) for t in nodes.tolist()]]
-
-    def write_trajectories(path: Path) -> None:
-        with open(path, "w") as fh:
-            fh.write("point,t," + ",".join(f"x{i}" for i in range(spec.dim)) + "\n")
-            fh.writelines(calculus._csv_blocks(lead, states))
-
-    out.write("trajectories.csv", write_trajectories)
+    out.write("trajectories.csv", calculus.csv_table(header, lead, states.reshape(-1, spec.dim)))
     summary = {
         "provenance": _provenance(cfg, scheme=scheme, steps=steps, source=source),
         "one_step": {
@@ -590,10 +595,6 @@ def _sweep_metrics(cfg: dict) -> dict:
 
 
 def cmd_sweep(cfg: dict, out: _Outputs, param: str, values: list[str]) -> int:
-    if param not in _SWEEP_PARAMS:
-        raise ConfigError(
-            f"unknown sweep parameter {param!r}; known: {sorted(_SWEEP_PARAMS)}", "param"
-        )
     if not values:
         raise ConfigError("sweep needs a nonempty values list", "values")
     caster = _SWEEP_PARAMS[param]
@@ -601,24 +602,21 @@ def cmd_sweep(cfg: dict, out: _Outputs, param: str, values: list[str]) -> int:
         parsed = [caster(v) for v in values]
     except ValueError as err:
         raise ConfigError(f"sweep value not a {caster.__name__}: {err}", "values") from err
-    if param == "time":
-        parsed = [_time(cfg, t) for t in parsed]
-
-    seeds = cfg.get("seeds") or [cfg["seed"]]
+    # every cell passes the config's gate before any cell runs
+    cells = [
+        (value, seed, _validated(cfg | {param: value, "seed": int(seed)}))
+        for value in parsed
+        for seed in ([value] if param == "seed" else cfg.get("seeds") or [cfg["seed"]])
+    ]
     heads, metric_values = [], []
-    for value in parsed:
-        sweep_seeds = [value] if param == "seed" else seeds
-        for seed in sweep_seeds:
-            data = json.loads(json.dumps(cfg))  # a deep copy; cfg holds every default
-            data[param] = value
-            data["seed"] = int(seed)
-            metrics = _sweep_metrics(data)
-            value_cell = "" if param == "seed" else repr(float(value))
-            for metric in ("v_rmse", "tr_pi"):
-                heads.append(f"{param},{value_cell},{seed},{metric}")
-                metric_values.append([metrics[metric]])
-    rows = "".join(calculus._csv_blocks([heads], np.array(metric_values)))
-    out.write("sweep.csv", "param,value,seed,metric,metric_value\n" + rows)
+    for value, seed, cell in cells:
+        metrics = _sweep_metrics(cell)
+        value_cell = "" if param == "seed" else repr(float(value))
+        for metric in ("v_rmse", "tr_pi"):
+            heads.append(f"{param},{value_cell},{seed},{metric}")
+            metric_values.append([metrics[metric]])
+    header = ["param", "value", "seed", "metric", "metric_value"]
+    out.write("sweep.csv", calculus.csv_table(header, [heads], np.array(metric_values)))
     print(f"sweep: wrote {out.dir / 'sweep.csv'} ({len(heads)} rows)")
     return EXIT_OK
 
@@ -649,12 +647,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("verify", "run a theorem harness")
     p.add_argument("--theorem", choices=["affine", "geometric", "determinism"], required=True)
     p = add("flow", "integrate the probability-flow ODE and measure straightness")
-    p.add_argument("--points", default=None, help="CSV file of starting points")
-    p.add_argument("--grid", action="store_true", help="start from the interior grid nodes")
+    starts = p.add_mutually_exclusive_group()
+    starts.add_argument("--points", default=None, help="CSV file of starting points")
+    starts.add_argument("--grid", action="store_true", help="start from the interior grid nodes")
     p.add_argument("--scheme", choices=["euler", "midpoint", "rk4"], default=None)
     p.add_argument("--steps", type=int, default=None)
     p = add("sweep", "cross product of a parameter sweep, long-format CSV")
-    p.add_argument("--param", required=True)
+    p.add_argument("--param", choices=sorted(_SWEEP_PARAMS), required=True)
     p.add_argument("--values", required=True, help="comma-separated values")
     return parser
 
@@ -676,30 +675,17 @@ def _error_exit(err) -> tuple[int, str]:
     return EXIT_ERROR, "error"
 
 
-def _time(cfg: dict, flag: float | None) -> float:
-    """The ``--time`` flag, else the config's ``time``.  The flag bypasses
-    the schema, so its bounds are checked here, before anything is sampled."""
-    t = cfg["time"] if flag is None else flag
-    if not 0.0 <= t <= 1.0:
-        raise ConfigError(f"time {t} lies outside [0, 1]", "time")
-    return t
-
-
 def _run_command(args, cfg: dict, out: _Outputs) -> int:
     if args.command == "simulate":
         return cmd_simulate(cfg, out)
     if args.command == "fields":
-        return cmd_fields(cfg, out, args.source or cfg["source"], _time(cfg, args.time))
+        return cmd_fields(cfg, out)
     if args.command == "diagnose":
-        return cmd_diagnose(cfg, out, _time(cfg, args.time))
+        return cmd_diagnose(cfg, out)
     if args.command == "verify":
         return cmd_verify(cfg, out, args.theorem)
     if args.command == "flow":
-        return cmd_flow(
-            cfg, out, args.points, args.grid,
-            args.scheme or cfg["flow"]["scheme"],
-            cfg["flow"]["steps"] if args.steps is None else args.steps,
-        )
+        return cmd_flow(cfg, out, args.points, args.grid)
     return cmd_sweep(cfg, out, args.param, [v for v in args.values.split(",") if v])
 
 
@@ -722,6 +708,7 @@ def main(argv=None) -> int:
     out = _Outputs(Path(cfg["output_dir"]))
     out.dir.mkdir(parents=True, exist_ok=True)
     try:
+        cfg = _with_flags(cfg, args)
         code = _run_command(args, cfg, out)
     except StraightflowError as err:
         code = report(err)

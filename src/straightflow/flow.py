@@ -127,10 +127,11 @@ def kernel_velocity_oracle(
         out, eff = estimate.nw_regress(X, V, clamped, h)
         bad = ~cfg.admits(eff)
         if np.any(bad):
-            raise LowDensityError(
-                f"effective_n {eff[bad].min():.3g} below floor {cfg.density_floor} at t={t:.6g}",
-                rows=np.flatnonzero(bad),
-            )
+            low = eff[bad].min()
+            # at a floor of 0 the only refused effective n is 0
+            why = (f"effective_n {low:.3g} below floor {cfg.density_floor}"
+                   if low < cfg.density_floor else "no sample weighs a query point")
+            raise LowDensityError(f"{why} at t={t:.6g}", rows=np.flatnonzero(bad))
         return out[0] if single else out
 
     return VelocityOracle(evaluate, stats)

@@ -65,6 +65,7 @@ _TRACE_BANDWIDTH_FACTOR = 0.5
 _DEFAULT_M_EVAL = 4096
 _DETERMINISM_M_EVAL = 2048
 _LOW_DENSITY_FRACTION = 0.2
+_TRACE_RATIO = 0.05  # the share of its control under which a trace reads as deterministic
 
 
 @dataclass(frozen=True)
@@ -204,7 +205,7 @@ def affine_straightness_check(
     values, controls, lows = _trace_series(
         spec, endpoints, 1, time_nodes, 100, _DEFAULT_M_EVAL, density_floor
     )
-    limits = 0.05 * np.maximum(controls, 0.0) + 1e-12
+    limits = _TRACE_RATIO * np.maximum(controls, 0.0) + 1e-12
     metrics: dict[str, float] = {}
     thresholds: dict[str, float] = {}
     for t, value, control, limit in zip(time_nodes, values, controls, limits):
@@ -233,7 +234,8 @@ def affine_straightness_check(
         metrics=metrics,
         thresholds=thresholds,
         verdict=_verdict(low_fraction, not np.any(values > limits)),
-        notes=notes or "verdict keyed to the trace moment staying under 0.05 x control at all times",
+        notes=notes or (f"verdict keyed to the trace moment staying under {_TRACE_RATIO:g} x "
+                        "control at all times"),
     )
 
 
@@ -308,7 +310,6 @@ def determinism_detector(
     spec: ProcessSpec,
     endpoints: EndpointArrays,
     steps: int,
-    ratio: float = 0.05,
     density_floor: float = 25.0,
 ) -> TheoremReport:
     """Decides whether the endpoint coupling behind an ensemble is deterministic.
@@ -316,7 +317,7 @@ def determinism_detector(
     Integrates the trace moment over the interior nodes of
     ``time_nodes(steps)`` (trapezoid) and compares with the permuted-pairing
     control.  The verdict is ``consistent`` when the trace integral is at
-    most ``ratio`` times the control's.
+    most ``_TRACE_RATIO`` times the control's.
     """
     nodes = time_nodes(steps)
     if steps < 2:
@@ -341,7 +342,7 @@ def determinism_detector(
         "low_density_fraction": low_fraction,
     }
     report_thresholds = {
-        "ratio": float(ratio),
+        "ratio": _TRACE_RATIO,
         "low_density_fraction": _LOW_DENSITY_FRACTION,
     }
     return TheoremReport(
@@ -352,6 +353,6 @@ def determinism_detector(
         },
         metrics=metrics,
         thresholds=report_thresholds,
-        verdict=_verdict(low_fraction, measured <= ratio),
+        verdict=_verdict(low_fraction, measured <= _TRACE_RATIO),
         notes="consistent means deterministic-coupling-consistent (trace integral at control noise floor)",
     )

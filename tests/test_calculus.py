@@ -516,6 +516,13 @@ class TestCsvBlocks:
         with pytest.raises(InvalidArgumentError):
             next(calculus._csv_blocks(text_lead(sizes), np.zeros((rows, 1))))
 
+    def test_table_leads_its_blocks_with_the_header(self):
+        lead, values = text_lead([2, 3]), np.arange(12.0).reshape(6, 2) / 3
+        with mock.patch.object(calculus, "_CSV_BLOCK_ROWS", 4):
+            pieces = list(calculus.csv_table(["a", "b", "x0", "x1"], lead, values))
+        assert pieces[0] == "a,b,x0,x1\n" and len(pieces) == 3
+        assert "".join(pieces[1:]) == reference_csv_rows(itertools.product(*lead), values)
+
     def test_grid_coordinates_are_the_axis_nodes_in_c_order(self):
         grid = calculus.make_spatial_grid([(-1.0, 1.0), (0.0, 0.3)], [3, 4])
         values = np.arange(12.0).reshape(3, 4) * -0.1

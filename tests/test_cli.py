@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import jsonschema
 import numpy as np
 import pytest
 
-from straightflow import cli, core, errors, estimate, flow, gaussian
+from straightflow import calculus, cli, core, errors, estimate, flow, gaussian
 
 
 def base_config(out_dir, **overrides):
@@ -131,7 +132,7 @@ class TestSimulate:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(base_config("out")))
         assert cli.config_hash(cli.load_config(path)) == (
-            "d06108f61f69052a61e86ff3e41acc3b9f2edab92ca6389960d64ec5de063e22"
+            "219ac56ec64cdca8a8214f2a56c5471bd6aa30f991ee12d323a0be409767abfa"
         )
 
     @pytest.mark.parametrize("endpoint", [
@@ -370,9 +371,43 @@ class TestTimeFlag:
         with mock.patch.object(core, "sample_endpoints") as sampler:
             assert cli.main([command, "--config", str(cfg_path), "--time", t]) == 2
         assert sampler.call_count == 0
-        assert capsys.readouterr().err == f"config error: time {float(t)} lies outside [0, 1]\n"
+        bound = "greater than the maximum of 1" if float(t) > 1 else "less than the minimum of 0"
+        assert capsys.readouterr().err == f"config error: config field time: {t} is {bound}\n"
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed" and manifest["outputs"] == []
+
+    @pytest.mark.parametrize("command", ["fields", "diagnose"])
+    def test_nan_exit_2_before_sampling(self, tmp_path, capsys, command):
+        cfg_path, out = write_config(tmp_path, process=trig_process(), source="estimate")
+        with mock.patch.object(core, "sample_endpoints") as sampler:
+            assert cli.main([command, "--config", str(cfg_path), "--time", "nan"]) == 2
+        assert sampler.call_count == 0
+        assert capsys.readouterr().err == (
+            "config error: config field time: nan is not of type 'number'\n"
+        )
+        assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
+    def test_flag_moves_the_config_hash(self, tmp_path):
+        # the manifest hashes the config the run read, its flags set into it
+        cfg_path, out = write_config(tmp_path, grid={"nodes_per_axis": 5})
+        hashes = set()
+        for t in ("0.3", "0.7"):
+            assert cli.main(["fields", "--config", str(cfg_path), "--time", t]) == 0
+            hashes.add(json.loads((out / "manifest.json").read_text())["config_hash"])
+        assert len(hashes) == 2
+
+    def test_flag_reads_as_its_config_entry(self, tmp_path):
+        # diagnose --time 0.3 is the run of a config file that sets time 0.3
+        runs = {}
+        for name, entry, argv in (("flag", {}, ["--time", "0.3"]), ("file", {"time": 0.3}, [])):
+            cfg_path, out = write_config(tmp_path, f"{name}.json", grid={"nodes_per_axis": 9},
+                                         **entry)
+            assert cli.main(["diagnose", "--config", str(cfg_path), *argv]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            report = json.loads((out / "diagnostics.json").read_text())
+            assert report["provenance"]["config_hash"] == manifest["config_hash"]
+            runs[name] = (out / "diagnostics.json").read_bytes()
+        assert runs["flag"] == runs["file"]
 
 
 class TestThreadCount:
@@ -556,6 +591,36 @@ class TestFlow:
         assert manifest["status"] == "failed"
         assert manifest["error"]["exit_code"] == 2
         assert manifest["outputs"] == []
+
+    def test_points_and_grid_exit_2(self, tmp_path, capsys):
+        # the two start sets exclude each other; neither is dropped silently
+        cfg_path, out = write_config(tmp_path)
+        points = tmp_path / "points.csv"
+        points.write_text("0.5\n")
+        argv = ["flow", "--config", str(cfg_path), "--points", str(points), "--grid"]
+        assert cli.main(argv) == 2
+        assert "argument --grid: not allowed with argument --points" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_streamed_table_write_holds_one_chunk(self, tmp_path):
+        # a table handed to the writer piece by piece is written piece by
+        # piece: 16 chunks of distinct doubles, one chunk's text held at a time
+        rows, width = 16 * 4096 // 2, 2
+        values = np.random.default_rng(7).standard_normal((rows, width))
+        lead = [[str(r) for r in range(rows)]]
+        out = cli._Outputs(tmp_path)
+        with mock.patch.object(calculus, "_CSV_BLOCK_ROWS", 256), \
+                mock.patch.object(calculus, "_CSV_CHUNK_CELLS", 4096):
+            tracemalloc.start()
+            try:
+                out.write("table.csv", calculus.csv_table(["r", "x0", "x1"], lead, values))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            expected = "".join(calculus.csv_table(["r", "x0", "x1"], lead, values))
+        assert (tmp_path / "table.csv").read_text() == expected
+        assert out.written == ["table.csv"]
+        assert peak < 512 * 4096  # 0.8 MB; joined first, the table's text peaks at 3.0 MB
 
     def test_scheme_typo_exit_2(self, tmp_path):
         cfg_path, _ = write_config(tmp_path)
@@ -818,6 +883,17 @@ class TestSweep:
             == 2
         )
 
+    def test_every_cell_is_validated_before_any_runs(self, tmp_path, capsys):
+        cfg_path, out = write_config(tmp_path)
+        with mock.patch.object(cli, "_sweep_metrics") as metrics:
+            code = cli.main(["sweep", "--config", str(cfg_path), "--param", "n",
+                             "--values", "100,0"])
+        assert code == 2 and metrics.call_count == 0
+        assert capsys.readouterr().err == (
+            "config error: config field n: 0 is less than the minimum of 1\n"
+        )
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == []
+
     def test_seed_sweep_rows_differ_only_in_seed(self, tmp_path):
         cfg_path, out = write_config(tmp_path, n=2000)
         code = cli.main(
@@ -861,6 +937,8 @@ class TestSchema:
         {"tolerances": {"material_max": 1e-3}},
         {"tolerances": {"one_step": 1e-6}},
         {"tolerances": {"chord": 1e-6}},
+        {"tolerances": {"balance_relative": 1e-3}},
+        {"tolerances": {"trace_ratio": 0.05}},
         {"flow": {"points": [[0.0]]}},
         {"h_t": {"estimated": 1e-3}},
         {"h_t": {"analytic": 1e-5}},
@@ -869,6 +947,30 @@ class TestSchema:
         cfg_path, _ = write_config(tmp_path, **knob)
         assert cli.main(["simulate", "--config", str(cfg_path)]) == 2
         assert next(iter(knob)) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry,field", [
+        ('"density_floor": 1e999', "density_floor: inf"),
+        ('"grid": {"box": [[-1e999, 1e999]]}', "grid.box.0.0: -inf"),
+    ], ids=["density_floor", "grid_box"])
+    def test_overflowing_literal_exit_2(self, tmp_path, capsys, entry, field):
+        # json reads 1e999 as inf, which the schema's finite number refuses
+        cfg_path, out = write_config(tmp_path, source="estimate")
+        cfg_path.write_text(cfg_path.read_text().replace("{", "{" + entry + ",", 1))
+        assert cli.main(["fields", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: config field {field} is not of type 'number'\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["n", "seed"])
+    def test_integral_float_for_an_integer_exit_2(self, tmp_path, capsys, field):
+        # draft 7 counts 1000.0 as an integer, which numpy refuses as a size or seed
+        cfg_path, out = write_config(tmp_path, source="estimate", **{field: 1000.0})
+        assert cli.main(["fields", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: config field {field}: 1000.0 is not of type 'integer'\n"
+        )
+        assert not out.exists()
 
     def test_schema_is_valid_draft7(self):
         jsonschema.Draft7Validator.check_schema(cli.CONFIG_SCHEMA)
